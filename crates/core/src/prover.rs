@@ -133,7 +133,7 @@ impl Prover {
     ) -> Result<ProverRun, LofatError> {
         let mut engine = LofatEngine::for_program(&self.program, self.config)?;
         let mut cpu = Cpu::new(&self.program)?;
-        self.load_input(&mut cpu, input)?;
+        load_input(&self.program, &mut cpu, input)?;
 
         let exit = loop {
             let retired = cpu.instructions();
@@ -168,23 +168,27 @@ impl Prover {
             stats: measurement.stats,
         })
     }
+}
 
-    /// Writes the verifier input into the program's input buffer.
-    fn load_input(&self, cpu: &mut Cpu, input: &[u32]) -> Result<(), LofatError> {
-        if input.is_empty() {
-            return Ok(());
-        }
-        let addr = self
-            .program
-            .symbol(INPUT_SYMBOL)
-            .ok_or_else(|| LofatError::MissingSymbol { name: INPUT_SYMBOL.into() })?;
-        let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-        cpu.memory_mut().poke_bytes(addr, &bytes)?;
-        if let Some(len_addr) = self.program.symbol(INPUT_LEN_SYMBOL) {
-            cpu.memory_mut().poke_bytes(len_addr, &(input.len() as u32).to_le_bytes())?;
-        }
-        Ok(())
+/// Writes the verifier input into `program`'s input buffer, and its length
+/// into `input_len` if the program defines one; an empty input needs neither.
+pub(crate) fn load_input(
+    program: &Program,
+    cpu: &mut Cpu,
+    input: &[u32],
+) -> Result<(), LofatError> {
+    if input.is_empty() {
+        return Ok(());
     }
+    let addr = program
+        .symbol(INPUT_SYMBOL)
+        .ok_or_else(|| LofatError::MissingSymbol { name: INPUT_SYMBOL.into() })?;
+    let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
+    cpu.memory_mut().poke_bytes(addr, &bytes)?;
+    if let Some(len_addr) = program.symbol(INPUT_LEN_SYMBOL) {
+        cpu.memory_mut().poke_bytes(len_addr, &(input.len() as u32).to_le_bytes())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //!    input i".
 
 use crate::config::EngineConfig;
-use crate::engine::{attest_program, Measurement};
+use crate::engine::{LofatEngine, Measurement};
 use crate::error::LofatError;
-use crate::prover::{INPUT_LEN_SYMBOL, INPUT_SYMBOL};
+use crate::prover::load_input;
 use crate::report::AttestationReport;
 use lofat_cfg::paths::enumerate_loop_paths;
 use lofat_cfg::{Cfg, LoopNest};
@@ -276,24 +276,22 @@ impl Verifier {
         &self,
         input: &[u32],
     ) -> Result<(Measurement, ExitInfo), LofatError> {
-        if input.is_empty() {
-            let (measurement, exit) = attest_program(&self.program, self.config, self.max_cycles)?;
-            return Ok((measurement, exit));
-        }
-        let mut engine = crate::engine::LofatEngine::for_program(&self.program, self.config)?;
+        self.replay(self.config, input)
+    }
+
+    /// Golden replay of `input` under `config`, which need not be this
+    /// verifier's own (a [`crate::MeasurementDatabase`] records the
+    /// configuration it was built for).
+    pub(crate) fn replay(
+        &self,
+        config: EngineConfig,
+        input: &[u32],
+    ) -> Result<(Measurement, ExitInfo), LofatError> {
+        let mut engine = LofatEngine::for_program(&self.program, config)?;
         let mut cpu = Cpu::new(&self.program)?;
-        let addr = self
-            .program
-            .symbol(INPUT_SYMBOL)
-            .ok_or_else(|| LofatError::MissingSymbol { name: INPUT_SYMBOL.into() })?;
-        let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-        cpu.memory_mut().poke_bytes(addr, &bytes)?;
-        if let Some(len_addr) = self.program.symbol(INPUT_LEN_SYMBOL) {
-            cpu.memory_mut().poke_bytes(len_addr, &(input.len() as u32).to_le_bytes())?;
-        }
+        load_input(&self.program, &mut cpu, input)?;
         let exit = cpu.run_traced(self.max_cycles, &mut engine)?;
-        let measurement = engine.finalize()?;
-        Ok((measurement, exit))
+        Ok((engine.finalize()?, exit))
     }
 
     /// Enumerates the valid path-ID sets of loops amenable to static enumeration:

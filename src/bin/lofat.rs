@@ -428,8 +428,18 @@ fn cmd_serve(args: &[String]) -> CliResult {
             let program = workload.program()?;
             let inputs = inputs.unwrap_or_else(|| vec![workload.default_input.clone()]);
             let verifier = Verifier::new(program, workload.name, key.verification_key())?;
-            eprintln!("precomputing {} reference measurement(s) for `{name}`…", inputs.len());
-            let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), inputs)?;
+            let count = inputs.len();
+            let started = std::time::Instant::now();
+            let (db, threads) = MeasurementDatabase::build_counting_threads(
+                &verifier,
+                EngineConfig::default(),
+                inputs,
+            )?;
+            eprintln!(
+                "precomputed {count} reference measurement(s) for `{name}` in {:.1} ms on {threads} thread{}",
+                started.elapsed().as_secs_f64() * 1e3,
+                if threads == 1 { "" } else { "s" },
+            );
             let config = ServiceConfig {
                 session_deadline_cycles: deadline_cycles,
                 shards,

@@ -18,21 +18,34 @@
 //! suite in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lofat::{EngineConfig, LofatEngine};
 use lofat_rv32::asm::assemble;
 use lofat_rv32::Cpu;
 use proptest::prelude::*;
 
-/// System allocator wrapper counting every allocation and reallocation.
+/// System allocator wrapper counting every allocation and reallocation made
+/// by the calling thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread, so the allocations libtest and proptest make on other
+    /// threads never land in a test's window; the engine under test runs on
+    /// the test's own thread.  `const`-initialised with no destructor, so the
+    /// allocator can touch it without allocating or registering anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down, when no
+    // test window is open.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -41,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,13 +62,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The allocation counter is process-global while libtest runs tests on
-/// parallel threads, so every test takes this lock around its measured window
-/// to keep the deltas attributable.
-static MEASUREMENT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A flat counted loop: after warm-up the engine sees the same compressed path
@@ -113,7 +122,6 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
     #[test]
     fn steady_state_observe_is_allocation_free(trips in 2_000u32..20_000) {
-        let _serialized = MEASUREMENT_LOCK.lock().unwrap();
         // Setup (allocates freely): assemble, load, attach the engine.
         let (mut cpu, mut engine) = attested_cpu(&flat_loop_source(trips));
 
@@ -139,7 +147,6 @@ proptest! {
 /// per-iteration instruction volume.
 #[test]
 fn nested_loop_allocations_scale_with_records_not_instructions() {
-    let _serialized = MEASUREMENT_LOCK.lock().unwrap();
     let (mut cpu, mut engine) = attested_cpu(NESTED_LOOP);
     step_n(&mut cpu, &mut engine, 300);
 

@@ -4,11 +4,12 @@
 
 mod common;
 
-use lofat::{EngineConfig, LofatError, MeasurementDatabase};
+use lofat::{EngineConfig, LofatError, MeasurementDatabase, Verifier};
 use lofat_cflat::CflatAttestor;
 use lofat_crypto::{LamportKeyPair, Nonce, SignatureVerifier, Signer};
-use lofat_rv32::disasm;
+use lofat_rv32::{disasm, Rv32Error};
 use lofat_workloads::catalog;
+use lofat_workloads::generator::InputGenerator;
 
 /// The measurement database accepts exactly the honest reports of the inputs it was
 /// built for, and the full protocol still provides freshness/authenticity on top.
@@ -45,6 +46,108 @@ fn measurement_database_detects_attacks() {
         lofat_workloads::attack::loop_counter_attack(program.symbol("input").unwrap(), 30);
     let run = prover.attest_with_adversary(&[3], Nonce::from_counter(1), &mut fault).unwrap();
     assert!(matches!(db.check(&[3], &run.report), Err(LofatError::Rejected(_))));
+}
+
+/// `n` distinct crc32 inputs of 16-64 words (the fleet's cold-cache shape),
+/// with a repeat of an earlier one after every seventh; the first and last
+/// inputs are never repeated.
+fn crc32_inputs(n: usize) -> Vec<Vec<u32>> {
+    let workload = catalog::by_name("crc32").unwrap();
+    let mut generator = InputGenerator::new(0xdb);
+    let mut inputs = Vec::new();
+    for i in 0..n {
+        inputs.push(generator.input_for(&workload, 16 + i % 49));
+        if i % 7 == 6 && i + 1 < n {
+            inputs.push(inputs[inputs.len() - 4].clone());
+        }
+    }
+    inputs
+}
+
+/// Every entry of `db` is what a one-at-a-time golden replay of its input
+/// computes.
+fn assert_matches_replay(db: &MeasurementDatabase, verifier: &Verifier, inputs: &[Vec<u32>]) {
+    for input in inputs {
+        let (expected, exit) = verifier.expected_measurement(input).unwrap();
+        let reference = db.reference(input).expect("every input has an entry");
+        assert_eq!(reference.authenticator, expected.authenticator);
+        assert_eq!(reference.metadata, expected.metadata);
+        assert_eq!(reference.expected_result, exit.register_a0);
+    }
+}
+
+/// A build large enough to start helper threads equals one-at-a-time
+/// replay, whatever the input order; one below the floor stays on the
+/// calling thread and gives the same entries.
+#[test]
+fn parallel_database_build_equals_one_at_a_time_replay() {
+    let (_, _, verifier) = common::workload_session("crc32", "ext-db-parallel");
+    let inputs = crc32_inputs(256);
+    let distinct: std::collections::BTreeSet<&Vec<u32>> = inputs.iter().collect();
+    assert!(distinct.len() < inputs.len(), "the input list repeats inputs");
+
+    let (db, threads) = MeasurementDatabase::build_counting_threads(
+        &verifier,
+        EngineConfig::default(),
+        inputs.clone(),
+    )
+    .unwrap();
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    assert_eq!(threads > 1, cpus > 1, "helpers start when there are CPUs to spare");
+    assert!(threads <= cpus);
+    assert_eq!(db.len(), distinct.len());
+    assert_matches_replay(&db, &verifier, &inputs);
+
+    // Reordered lists end on other inputs, so a result lost at the end of a
+    // build shows in one of them.
+    let bytes = db.to_wire_bytes().unwrap();
+    let reversed: Vec<Vec<u32>> = inputs.iter().rev().cloned().collect();
+    let mut rotated = inputs.clone();
+    rotated.rotate_left(inputs.len() / 3);
+    for reordered in [reversed, rotated] {
+        let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), reordered);
+        assert_eq!(db.unwrap().to_wire_bytes().unwrap(), bytes);
+    }
+
+    let workload = catalog::by_name("crc32").unwrap();
+    let mut generator = InputGenerator::new(0xdb);
+    let short: Vec<Vec<u32>> = (1..=8).map(|n| generator.input_for(&workload, n)).collect();
+    let (db_short, threads) = MeasurementDatabase::build_counting_threads(
+        &verifier,
+        EngineConfig::default(),
+        short.clone(),
+    )
+    .unwrap();
+    assert_eq!(threads, 1, "8 short inputs stay below the floor");
+    assert_eq!(db_short.len(), short.len());
+    assert_matches_replay(&db_short, &verifier, &short);
+}
+
+/// An input over the replay cycle budget fails the build with the typed
+/// execution error, whether the calling thread meets it alone (first input)
+/// or with helpers running (a later one).
+#[test]
+fn database_build_reports_an_input_over_the_cycle_budget() {
+    let (_, _, verifier) = common::workload_session("crc32", "ext-db-budget");
+    let mut inputs: Vec<Vec<u32>> =
+        crc32_inputs(256).into_iter().filter(|i| i.len() < 32).collect();
+    let long = vec![7u32; 64];
+    let cycles = |input: &[u32]| verifier.expected_measurement(input).unwrap().1.cycles;
+    let short_max = inputs.iter().map(|input| cycles(input)).max().unwrap();
+    let budget = (short_max + cycles(&long)) / 2;
+    assert!(short_max < budget && budget < cycles(&long));
+    let verifier = verifier.with_max_cycles(budget);
+
+    for at in [0, inputs.len() / 2] {
+        inputs.insert(at, long.clone());
+        let err = MeasurementDatabase::build(&verifier, EngineConfig::default(), inputs.clone())
+            .unwrap_err();
+        assert!(
+            matches!(err, LofatError::Execution(Rv32Error::CycleLimitExceeded { limit }) if limit == budget),
+            "input {at} over the budget: got {err:?}"
+        );
+        inputs.remove(at);
+    }
 }
 
 /// The attestation report payload can additionally be signed with a hash-based
