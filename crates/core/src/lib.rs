@@ -94,7 +94,7 @@ pub use branches_mem::BranchPair;
 pub use config::{EngineConfig, EngineConfigBuilder, BRANCH_EVENT_LATENCY, LOOP_EXIT_LATENCY};
 pub use engine::{attest_program, EngineStats, LofatEngine, Measurement};
 pub use error::LofatError;
-pub use measurement_db::{MeasurementDatabase, ReferenceMeasurement};
+pub use measurement_db::{MeasurementDatabase, PackedReference, ReferenceMeasurement};
 pub use metadata::{LoopRecord, Metadata, PathRecord};
 pub use pool::{ParallelVerifier, PoolConfig, VerdictReply, VerdictTicket};
 pub use prover::{Adversary, NoAdversary, Prover, ProverRun};

@@ -4,14 +4,20 @@
 //! the expected measurement at verification time.  Embedded deployments — and the
 //! C-FLAT scheme LO-FAT builds on — typically precompute the expected measurements
 //! for the (small) set of inputs/commands a device accepts and then verify reports by
-//! a constant-time lookup.  [`MeasurementDatabase`] provides that mode: it is built
-//! once offline from the program binary and a list of anticipated inputs, and can be
+//! a lookup.  [`MeasurementDatabase`] provides that mode: it is built once offline
+//! from the program binary and a list of anticipated inputs, keeps its entries in an
+//! ordered map (so a lookup is logarithmic in the number of inputs), and can be
 //! serialised and shipped to lightweight verifier front-ends that do not carry the
 //! simulator at all.
+//!
+//! Each entry is held as a [`PackedReference`]: `A` and `L` in one heap block of
+//! LEB128 varints, about a fifth of the bytes `L` takes signed.  The comparison
+//! walks that record field by field, and the wire codec still speaks the
+//! [`ReferenceMeasurement`] layout.
 
 use crate::config::EngineConfig;
 use crate::error::LofatError;
-use crate::metadata::Metadata;
+use crate::metadata::{IndirectTargetRecord, LoopRecord, Metadata, PathRecord};
 use crate::report::AttestationReport;
 use crate::verifier::{RejectionReason, Verifier};
 use lofat_crypto::Digest;
@@ -27,7 +33,7 @@ use std::sync::mpsc;
 /// 2-vCPU Xeon).
 const PARALLEL_FLOOR_INSTRUCTIONS: u64 = 64 * 1024;
 
-/// One precomputed reference measurement.
+/// One precomputed reference measurement, decoded.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReferenceMeasurement {
     /// The expected authenticator `A` for this input.
@@ -38,11 +44,176 @@ pub struct ReferenceMeasurement {
     pub expected_result: u32,
 }
 
+/// One reference measurement as the database holds it: `A` and `L` packed
+/// into a single heap block.
+///
+/// The record is `A`'s length as a LEB128 varint and its bytes, then every
+/// integer [`Metadata::to_bytes`] signs, in the same order (loop count, then
+/// per loop its entry, exit, depth, overflow flag, path count, paths and
+/// target count, targets), each as a LEB128 varint.  The encoding is
+/// canonical, so two records are equal exactly when the measurements are.
+/// On the wire it is a [`ReferenceMeasurement`], byte for byte.
+/// [`MeasurementDatabase::check`] returns the entry a report matched, and
+/// [`MeasurementDatabase::reference`] decodes one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedReference {
+    /// The expected program result (`a0` at exit) — useful for device health checks.
+    pub expected_result: u32,
+    record: Box<[u8]>,
+}
+
+impl PackedReference {
+    /// Packs `reference` into a record of exactly the bytes it needs.
+    fn pack(reference: &ReferenceMeasurement) -> Self {
+        let digest = reference.authenticator.as_bytes();
+        let mut len = varint_len(digest.len() as u64) + digest.len();
+        for_each_field(&reference.metadata, |value| {
+            len += varint_len(value);
+            true
+        });
+        let mut record = Vec::with_capacity(len);
+        put_varint(&mut record, digest.len() as u64);
+        record.extend_from_slice(digest);
+        for_each_field(&reference.metadata, |value| {
+            put_varint(&mut record, value);
+            true
+        });
+        debug_assert_eq!(record.len(), len);
+        Self { expected_result: reference.expected_result, record: record.into_boxed_slice() }
+    }
+
+    /// Decodes the record back into the measurement it packs.
+    fn unpack(&self) -> ReferenceMeasurement {
+        let mut fields = Fields(&self.record);
+        let authenticator = Digest::from_bytes(fields.digest().expect(PACKED).to_vec());
+        let mut next = || fields.next().expect(PACKED);
+        let loops = (0..next())
+            .map(|_| {
+                let (entry, exit, nesting_depth) = (next() as u32, next() as u32, next() as usize);
+                let encoder_overflowed = next() != 0;
+                let paths = (0..next())
+                    .map(|_| {
+                        let (path_id, first_occurrence) = (next() as u32, next() as usize);
+                        PathRecord { path_id, first_occurrence, iterations: next() }
+                    })
+                    .collect();
+                let indirect_targets = (0..next())
+                    .map(|_| IndirectTargetRecord { target: next() as u32, code: next() as u32 })
+                    .collect();
+                LoopRecord {
+                    entry,
+                    exit,
+                    nesting_depth,
+                    paths,
+                    indirect_targets,
+                    encoder_overflowed,
+                }
+            })
+            .collect();
+        ReferenceMeasurement {
+            authenticator,
+            metadata: Metadata { loops },
+            expected_result: self.expected_result,
+        }
+    }
+
+    /// Compares `report`'s authenticator, then its metadata, against the
+    /// record without decoding it or allocating.
+    fn compare(&self, report: &AttestationReport) -> Result<(), RejectionReason> {
+        let mut fields = Fields(&self.record);
+        if fields.digest() != Some(report.authenticator.as_bytes()) {
+            return Err(RejectionReason::AuthenticatorMismatch);
+        }
+        // Counts are fields too, so a walk that matches every field has read
+        // the whole record.
+        if !for_each_field(&report.metadata, |value| fields.next() == Some(value)) {
+            return Err(RejectionReason::MetadataMismatch);
+        }
+        Ok(())
+    }
+}
+
+/// The wire form is the decoded [`ReferenceMeasurement`]'s, so packing
+/// changes no database or snapshot byte.
+impl serde::Serialize for PackedReference {
+    fn serialize(&self, serializer: &mut serde::Serializer) -> Result<(), serde::Error> {
+        self.unpack().serialize(serializer)
+    }
+}
+
+impl serde::Deserialize for PackedReference {
+    fn deserialize(deserializer: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        ReferenceMeasurement::deserialize(deserializer).map(|reference| Self::pack(&reference))
+    }
+}
+
+/// Why decoding a record cannot fail: only [`PackedReference::pack`] writes one.
+const PACKED: &str = "records are written by `PackedReference::pack` alone";
+
+/// Hands `f` every integer of `metadata` in the order [`Metadata::to_bytes`]
+/// signs them, stopping at (and returning `false` on) the first `false`.
+/// Packing and comparing both walk this one sequence.
+fn for_each_field(metadata: &Metadata, mut f: impl FnMut(u64) -> bool) -> bool {
+    f(metadata.loops.len() as u64)
+        && metadata.loops.iter().all(|l| {
+            f(l.entry.into())
+                && f(l.exit.into())
+                && f(l.nesting_depth as u64)
+                && f(l.encoder_overflowed.into())
+                && f(l.paths.len() as u64)
+                && l.paths
+                    .iter()
+                    .all(|p| f(p.path_id.into()) && f(p.first_occurrence as u64) && f(p.iterations))
+                && f(l.indirect_targets.len() as u64)
+                && l.indirect_targets.iter().all(|t| f(t.target.into()) && f(t.code.into()))
+        })
+}
+
+/// Bytes `value` takes as a LEB128 varint.
+fn varint_len(value: u64) -> usize {
+    (u64::BITS - (value | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Reads a packed record front to back.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    /// The next LEB128 varint, or `None` past the end.
+    fn next(&mut self) -> Option<u64> {
+        let mut value = 0;
+        for shift in (0..64).step_by(7) {
+            let (&byte, rest) = self.0.split_first()?;
+            self.0 = rest;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Some(value);
+            }
+        }
+        None
+    }
+
+    /// The length-prefixed authenticator bytes.
+    fn digest(&mut self) -> Option<&'a [u8]> {
+        let len = usize::try_from(self.next()?).ok()?;
+        let bytes = self.0.get(..len)?;
+        self.0 = &self.0[len..];
+        Some(bytes)
+    }
+}
+
 /// A database of reference measurements keyed by program input.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MeasurementDatabase {
     program_id: String,
-    entries: BTreeMap<Vec<u32>, ReferenceMeasurement>,
+    entries: BTreeMap<Vec<u32>, PackedReference>,
     /// The engine configuration the references were computed with (prover reports
     /// produced under a different configuration will not match).
     config: EngineConfig,
@@ -132,9 +303,25 @@ impl MeasurementDatabase {
         &self.config
     }
 
-    /// Looks up the reference measurement for `input`.
-    pub fn reference(&self, input: &[u32]) -> Option<&ReferenceMeasurement> {
-        self.entries.get(input)
+    /// Returns `true` if a reference measurement exists for `input`.
+    pub fn contains(&self, input: &[u32]) -> bool {
+        self.entries.contains_key(input)
+    }
+
+    /// The reference measurement for `input`, decoded from its packed record.
+    pub fn reference(&self, input: &[u32]) -> Option<ReferenceMeasurement> {
+        self.entries.get(input).map(PackedReference::unpack)
+    }
+
+    /// Heap bytes the entries hold: every key and packed record, plus one
+    /// key and value slot per entry in the map's nodes (node headers and
+    /// spare slots aside).
+    pub fn heap_bytes(&self) -> usize {
+        let slot = std::mem::size_of::<(Vec<u32>, PackedReference)>();
+        let entries = self.entries.iter().map(|(input, reference)| {
+            slot + input.capacity() * std::mem::size_of::<u32>() + reference.record.len()
+        });
+        self.program_id.capacity() + entries.sum::<usize>()
     }
 
     /// Serialises the database with the deterministic wire codec, for shipping
@@ -161,20 +348,21 @@ impl MeasurementDatabase {
 
     /// Checks a report against the stored reference for `input` (signature and nonce
     /// checks are the caller's/`Verifier`'s responsibility — this is the measurement
-    /// comparison only).
+    /// comparison only).  It compares the program id, then the authenticator,
+    /// then the metadata, and allocates nothing unless the program id differs.
     ///
     /// # Errors
     ///
-    /// Returns the [`RejectionReason`] describing the first mismatch, or
-    /// [`LofatError::MissingSymbol`]-style lookup failure when the input was never
-    /// precomputed (reported as `MetadataMismatch` to avoid a new variant leaking
-    /// database internals).
+    /// Returns [`LofatError::Rejected`] with the [`RejectionReason`] describing the
+    /// first mismatch, or [`LofatError::InvalidConfig`] when the input was never
+    /// precomputed (which [`crate::service::VerifierService`] answers with
+    /// [`crate::wire::code::UNKNOWN_INPUT`]).
     pub fn check(
         &self,
         input: &[u32],
         report: &AttestationReport,
-    ) -> Result<&ReferenceMeasurement, LofatError> {
-        let Some(reference) = self.reference(input) else {
+    ) -> Result<&PackedReference, LofatError> {
+        let Some(reference) = self.entries.get(input) else {
             return Err(LofatError::InvalidConfig {
                 message: format!("no reference measurement precomputed for input {input:?}"),
             });
@@ -185,28 +373,24 @@ impl MeasurementDatabase {
                 found: report.program_id.clone(),
             }));
         }
-        if reference.authenticator != report.authenticator {
-            return Err(LofatError::Rejected(RejectionReason::AuthenticatorMismatch));
-        }
-        if reference.metadata != report.metadata {
-            return Err(LofatError::Rejected(RejectionReason::MetadataMismatch));
-        }
+        reference.compare(report).map_err(LofatError::Rejected)?;
         Ok(reference)
     }
 }
 
-/// Replays one input: its reference measurement and the instructions retired.
+/// Replays one input: its packed reference measurement and the instructions
+/// retired.
 fn measure(
     verifier: &Verifier,
     config: EngineConfig,
     input: &[u32],
-) -> Result<(ReferenceMeasurement, u64), LofatError> {
+) -> Result<(PackedReference, u64), LofatError> {
     let (measurement, exit) = verifier.replay(config, input)?;
-    let reference = ReferenceMeasurement {
+    let reference = PackedReference::pack(&ReferenceMeasurement {
         authenticator: measurement.authenticator,
         metadata: measurement.metadata,
         expected_result: exit.register_a0,
-    };
+    });
     Ok((reference, exit.instructions))
 }
 
@@ -215,17 +399,17 @@ fn measure(
 /// order.  Only inputs after the first failure may be missing.
 ///
 /// Helpers send each result over a channel.  Between its own replays the
-/// calling thread takes them in and deep-clones each, dropping the helper's
-/// copy, so that no long-lived entry sits in a helper thread's malloc arena.
-/// After a failure no thread claims a later index; every earlier index was
-/// claimed before it and still completes, so the first failure in input
-/// order is the one a one-at-a-time replay meets.
+/// calling thread takes them in and copies each record, dropping the
+/// helper's block, so that no long-lived entry sits in a helper thread's
+/// malloc arena.  After a failure no thread claims a later index; every
+/// earlier index was claimed before it and still completes, so the first
+/// failure in input order is the one a one-at-a-time replay meets.
 fn replay_shared(
     verifier: &Verifier,
     config: EngineConfig,
     inputs: &[Vec<u32>],
     helpers: usize,
-) -> impl Iterator<Item = Result<ReferenceMeasurement, LofatError>> {
+) -> impl Iterator<Item = Result<PackedReference, LofatError>> {
     let next = AtomicUsize::new(0);
     let first_failure = AtomicUsize::new(usize::MAX);
     // Relaxed suffices: the counter's read-modify-writes alone make claims
@@ -242,7 +426,7 @@ fn replay_shared(
         }
         result
     };
-    let mut slots: Vec<Option<Result<ReferenceMeasurement, LofatError>>> =
+    let mut slots: Vec<Option<Result<PackedReference, LofatError>>> =
         std::iter::repeat_with(|| None).take(inputs.len()).collect();
     std::thread::scope(|scope| {
         let (results, received) = mpsc::channel();
@@ -257,7 +441,7 @@ fn replay_shared(
             });
         }
         drop(results);
-        let rehome = |helpers_copy: ReferenceMeasurement| {
+        let rehome = |helpers_copy: PackedReference| {
             let own = helpers_copy.clone();
             drop(helpers_copy);
             own
@@ -281,8 +465,9 @@ fn replay_shared(
 mod tests {
     use super::*;
     use crate::prover::Prover;
-    use lofat_crypto::{DeviceKey, Nonce};
+    use lofat_crypto::{DeviceKey, Nonce, Signature};
     use lofat_rv32::asm::assemble;
+    use proptest::prelude::*;
 
     const PROGRAM: &str = r#"
         .data
@@ -423,6 +608,180 @@ mod tests {
                 ),
                 "expected input 20's fault, got {err:?}"
             );
+        }
+    }
+
+    /// Mostly small values, with zero, the type's maximum and arbitrary
+    /// (mostly many-byte) values mixed in.
+    fn value(max: u64) -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0), 0..300u64, Just(max), any::<u64>().prop_map(move |v| v & max)]
+    }
+
+    fn reference() -> impl Strategy<Value = ReferenceMeasurement> {
+        let u32_max = u64::from(u32::MAX);
+        let path = (value(u32_max), value(u64::MAX), value(u64::MAX)).prop_map(|(id, first, n)| {
+            PathRecord { path_id: id as u32, first_occurrence: first as usize, iterations: n }
+        });
+        let target = (value(u32_max), value(u32_max)).prop_map(|(target, code)| {
+            IndirectTargetRecord { target: target as u32, code: code as u32 }
+        });
+        let one_loop = (
+            (value(u32_max), value(u32_max), value(u64::MAX)),
+            proptest::collection::vec(path, 0..4),
+            proptest::collection::vec(target, 0..3),
+            any::<bool>(),
+        )
+            .prop_map(
+                |((entry, exit, depth), paths, indirect_targets, encoder_overflowed)| LoopRecord {
+                    entry: entry as u32,
+                    exit: exit as u32,
+                    nesting_depth: depth as usize,
+                    paths,
+                    indirect_targets,
+                    encoder_overflowed,
+                },
+            );
+        (
+            proptest::collection::vec(any::<u8>(), 0..140),
+            proptest::collection::vec(one_loop, 0..4),
+            any::<u32>(),
+        )
+            .prop_map(|(digest, loops, expected_result)| ReferenceMeasurement {
+                authenticator: Digest::from_bytes(digest),
+                metadata: Metadata { loops },
+                expected_result,
+            })
+    }
+
+    /// The comparison `check` made before references were packed: struct
+    /// equality, field group by field group.
+    fn compare_structs(
+        program_id: &str,
+        reference: &ReferenceMeasurement,
+        report: &AttestationReport,
+    ) -> Result<u32, RejectionReason> {
+        if report.program_id != program_id {
+            Err(RejectionReason::ProgramIdMismatch {
+                expected: program_id.to_string(),
+                found: report.program_id.clone(),
+            })
+        } else if reference.authenticator != report.authenticator {
+            Err(RejectionReason::AuthenticatorMismatch)
+        } else if reference.metadata != report.metadata {
+            Err(RejectionReason::MetadataMismatch)
+        } else {
+            Ok(reference.expected_result)
+        }
+    }
+
+    /// Every report that differs from `report` in one field: each integer
+    /// with all its bits or its lowest bit flipped, each flag negated, each
+    /// authenticator byte changed, and each string or list one element
+    /// longer or shorter.
+    fn single_field_mutations(report: &AttestationReport) -> Vec<AttestationReport> {
+        let mut out = Vec::new();
+        let mut push = |edit: &dyn Fn(&mut AttestationReport)| {
+            let mut mutated = report.clone();
+            edit(&mut mutated);
+            out.push(mutated);
+        };
+        push(&|r| r.program_id.push('!'));
+        let digest = report.authenticator.as_bytes();
+        for i in 0..digest.len() {
+            let mut bytes = digest.to_vec();
+            bytes[i] ^= 0x81;
+            push(&|r| r.authenticator = Digest::from_bytes(bytes.clone()));
+        }
+        push(&|r| r.authenticator = Digest::from_bytes([digest, &[0]].concat()));
+        if let Some((_, shorter)) = digest.split_last() {
+            push(&|r| r.authenticator = Digest::from_bytes(shorter.to_vec()));
+        }
+        let new_loop = LoopRecord {
+            entry: 0,
+            exit: 0,
+            nesting_depth: 1,
+            paths: Vec::new(),
+            indirect_targets: Vec::new(),
+            encoder_overflowed: false,
+        };
+        push(&|r| r.metadata.loops.push(new_loop.clone()));
+        push(&|r| {
+            r.metadata.loops.pop();
+        });
+        for (i, l) in report.metadata.loops.iter().enumerate() {
+            for v in [!l.entry, l.entry ^ 1] {
+                push(&|r| r.metadata.loops[i].entry = v);
+            }
+            for v in [!l.exit, l.exit ^ 1] {
+                push(&|r| r.metadata.loops[i].exit = v);
+            }
+            for v in [!l.nesting_depth, l.nesting_depth ^ 1] {
+                push(&|r| r.metadata.loops[i].nesting_depth = v);
+            }
+            push(&|r| r.metadata.loops[i].encoder_overflowed = !l.encoder_overflowed);
+            let new_path = PathRecord { path_id: 1, first_occurrence: 0, iterations: 1 };
+            push(&|r| r.metadata.loops[i].paths.push(new_path));
+            push(&|r| {
+                r.metadata.loops[i].paths.pop();
+            });
+            for (j, p) in l.paths.iter().enumerate() {
+                for v in [!p.path_id, p.path_id ^ 1] {
+                    push(&|r| r.metadata.loops[i].paths[j].path_id = v);
+                }
+                for v in [!p.first_occurrence, p.first_occurrence ^ 1] {
+                    push(&|r| r.metadata.loops[i].paths[j].first_occurrence = v);
+                }
+                for v in [!p.iterations, p.iterations ^ 1] {
+                    push(&|r| r.metadata.loops[i].paths[j].iterations = v);
+                }
+            }
+            let new_target = IndirectTargetRecord { target: 4, code: 1 };
+            push(&|r| r.metadata.loops[i].indirect_targets.push(new_target));
+            push(&|r| {
+                r.metadata.loops[i].indirect_targets.pop();
+            });
+            for (j, t) in l.indirect_targets.iter().enumerate() {
+                for v in [!t.target, t.target ^ 1] {
+                    push(&|r| r.metadata.loops[i].indirect_targets[j].target = v);
+                }
+                for v in [!t.code, t.code ^ 1] {
+                    push(&|r| r.metadata.loops[i].indirect_targets[j].code = v);
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn packed_references_round_trip_and_compare_like_the_structs(reference in reference()) {
+            let packed = PackedReference::pack(&reference);
+            prop_assert_eq!(packed.unpack(), reference.clone());
+            prop_assert_eq!(serde::to_bytes(&packed), serde::to_bytes(&reference));
+
+            let input = vec![7u32];
+            let db = MeasurementDatabase {
+                program_id: "packed".into(),
+                entries: BTreeMap::from([(input.clone(), packed)]),
+                config: EngineConfig::default(),
+            };
+            let honest = AttestationReport {
+                program_id: "packed".into(),
+                authenticator: reference.authenticator.clone(),
+                metadata: reference.metadata.clone(),
+                nonce: Nonce::from_counter(1),
+                signature: Signature::from_bytes(Vec::new()),
+            };
+            let mutations = single_field_mutations(&honest);
+            for report in std::iter::once(&honest).chain(&mutations) {
+                let packed = match db.check(&input, report) {
+                    Ok(matched) => Ok(matched.expected_result),
+                    Err(LofatError::Rejected(reason)) => Err(reason),
+                    Err(other) => panic!("a stored input came back as {other:?}"),
+                };
+                prop_assert_eq!(packed, compare_structs("packed", &reference, report));
+            }
         }
     }
 }

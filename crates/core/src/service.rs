@@ -39,7 +39,7 @@ use crate::session::{SessionError, VerifierSession};
 use crate::verifier::{Challenge, RejectionReason};
 use crate::wire::{
     code, Envelope, Message, SessionId, SessionSnapshot, ShardSnapshot, SnapshotError, SnapshotMsg,
-    VerdictMsg, WireError,
+    SnapshotRef, VerdictMsg, WireError,
 };
 use lofat_crypto::sign::HmacVerifier;
 use lofat_crypto::{Digest, Hmac, Nonce, VerificationKey};
@@ -793,7 +793,7 @@ impl VerifierService {
     /// exists for `input` and [`ServiceError::AtCapacity`] at the live-session
     /// limit.
     pub fn open_session(&self, input: Vec<u32>) -> Result<SessionId, ServiceError> {
-        if self.db.reference(&input).is_none() {
+        if !self.db.contains(&input) {
             return Err(ServiceError::UnknownInput { input });
         }
         self.reserve_live_slot()?;
@@ -1335,7 +1335,33 @@ impl VerifierService {
     /// Shards are locked briefly one at a time, so under concurrent mutation
     /// the snapshot is consistent per shard, exactly like [`Clone`].
     pub fn snapshot_with_reserve(&self, reserve: u64) -> SnapshotMsg {
-        let shards = self
+        self.read_snapshot(reserve, |snapshot| SnapshotMsg {
+            program_id: snapshot.program_id.to_string(),
+            config: *snapshot.config,
+            now_cycles: snapshot.now_cycles,
+            next_open: snapshot.next_open,
+            stats: snapshot.stats.clone(),
+            shards: snapshot.shards.to_vec(),
+            db: snapshot.db.clone(),
+        })
+    }
+
+    /// [`VerifierService::snapshot_with_reserve`] encoded to the durable wire
+    /// form (see [`SnapshotMsg::encode`]), without copying the measurement
+    /// database.
+    ///
+    /// # Errors
+    ///
+    /// Returns the codec's [`SnapshotError`] if the snapshot cannot be
+    /// encoded.
+    pub fn snapshot_bytes(&self, reserve: u64) -> Result<Vec<u8>, SnapshotError> {
+        self.read_snapshot(reserve, |snapshot| snapshot.encode())
+    }
+
+    /// Reads what a snapshot records, rounding each shard's watermark up by
+    /// `reserve`, and hands it to `f` borrowing the database.
+    fn read_snapshot<T>(&self, reserve: u64, f: impl FnOnce(SnapshotRef<'_>) -> T) -> T {
+        let shards: Vec<ShardSnapshot> = self
             .shards
             .iter()
             .map(|shard| {
@@ -1354,26 +1380,18 @@ impl VerifierService {
                 }
             })
             .collect();
-        SnapshotMsg {
-            program_id: self.db.program_id().to_string(),
-            config: self.config,
-            now_cycles: self.now_cycles(),
-            next_open: self.next_open.load(Ordering::SeqCst),
-            stats: self.stats.snapshot(),
-            shards,
-            db: self.db.clone(),
-        }
-    }
-
-    /// [`VerifierService::snapshot_with_reserve`] encoded to the durable wire
-    /// form (see [`SnapshotMsg::encode`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the codec's [`SnapshotError`] if the snapshot cannot be
-    /// encoded.
-    pub fn snapshot_bytes(&self, reserve: u64) -> Result<Vec<u8>, SnapshotError> {
-        self.snapshot_with_reserve(reserve).encode()
+        let now_cycles = self.now_cycles();
+        let next_open = self.next_open.load(Ordering::SeqCst);
+        let stats = self.stats.snapshot();
+        f(SnapshotRef {
+            program_id: self.db.program_id(),
+            config: &self.config,
+            now_cycles,
+            next_open,
+            stats: &stats,
+            shards: &shards,
+            db: &self.db,
+        })
     }
 
     /// Reconstructs a service from a snapshot and the fleet's verification
@@ -1447,7 +1465,7 @@ impl VerifierService {
                         shard_snapshot.issued
                     ));
                 }
-                if service.db.reference(&session.input).is_none() {
+                if !service.db.contains(&session.input) {
                     return invalid(format!(
                         "session {id} challenges input {:?}, which has no reference measurement",
                         session.input
@@ -1951,6 +1969,28 @@ mod tests {
         assert_eq!(restored.submit_evidence(&ev).reason_code, code::NONCE_REPLAYED);
         assert!(restored.submit_evidence(&pending).accepted);
         assert!(restored.stats().is_conserved(restored.live_sessions()));
+    }
+
+    #[test]
+    fn snapshot_bytes_encode_the_snapshot_they_describe() {
+        let config = ServiceConfig { shards: 3, ..ServiceConfig::default() };
+        let (service, mut prover) = setup_with(vec![vec![2], vec![3], vec![4]], config);
+        let spent = service.open_session(vec![2]).unwrap();
+        let ev = evidence_for(&service, &mut prover, spent);
+        assert!(service.submit_evidence(&ev).accepted);
+        for input in [3, 4, 3, 2] {
+            service.open_session(vec![input]).unwrap();
+        }
+        service.advance_clock(17);
+        assert_eq!(service.live_sessions(), 4);
+        for reserve in [0, 8] {
+            let snapshot = service.snapshot_with_reserve(reserve);
+            let bytes = service.snapshot_bytes(reserve).unwrap();
+            assert_eq!(bytes, snapshot.encode().unwrap(), "reserve {reserve}");
+            // The borrowing encoder writes the body the derived codec does.
+            let body = serde::to_bytes(&snapshot).unwrap();
+            assert_eq!(bytes[crate::wire::SNAPSHOT_HEADER_BYTES..], body[..], "reserve {reserve}");
+        }
     }
 
     #[test]

@@ -435,17 +435,16 @@ impl SnapshotMsg {
     /// Returns [`SnapshotError::Codec`] if the body cannot be encoded and
     /// [`SnapshotError::Oversized`] if it exceeds the `u32` length field.
     pub fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
-        let body = serde::to_bytes(self).map_err(SnapshotError::Codec)?;
-        let body_len =
-            u32::try_from(body.len()).map_err(|_| SnapshotError::Oversized { len: body.len() })?;
-        let digest = lofat_crypto::Sha3_256::digest(&body);
-        let mut out = Vec::with_capacity(SNAPSHOT_HEADER_BYTES + body.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&body_len.to_le_bytes());
-        out.extend_from_slice(digest.as_bytes());
-        out.extend_from_slice(&body);
-        Ok(out)
+        SnapshotRef {
+            program_id: &self.program_id,
+            config: &self.config,
+            now_cycles: self.now_cycles,
+            next_open: self.next_open,
+            stats: &self.stats,
+            shards: &self.shards,
+            db: &self.db,
+        }
+        .encode()
     }
 
     /// Decodes a snapshot document, refusing bad magic, unknown versions,
@@ -490,6 +489,55 @@ impl SnapshotMsg {
             return Err(SnapshotError::DigestMismatch);
         }
         serde::from_bytes(body).map_err(SnapshotError::Codec)
+    }
+}
+
+/// A [`SnapshotMsg`] that borrows its fields, so that a live service can
+/// encode a snapshot without first copying its measurement database.  It
+/// encodes exactly as the `SnapshotMsg` holding the same values.
+pub(crate) struct SnapshotRef<'a> {
+    pub(crate) program_id: &'a str,
+    pub(crate) config: &'a crate::service::ServiceConfig,
+    pub(crate) now_cycles: u64,
+    pub(crate) next_open: u64,
+    pub(crate) stats: &'a crate::service::ServiceStats,
+    pub(crate) shards: &'a [ShardSnapshot],
+    pub(crate) db: &'a crate::measurement_db::MeasurementDatabase,
+}
+
+impl serde::Serialize for SnapshotRef<'_> {
+    fn serialize(&self, serializer: &mut serde::Serializer) -> Result<(), serde::Error> {
+        // `SnapshotMsg`'s field order; the shards as a `Vec` encodes them.
+        self.program_id.serialize(serializer)?;
+        self.config.serialize(serializer)?;
+        self.now_cycles.serialize(serializer)?;
+        self.next_open.serialize(serializer)?;
+        self.stats.serialize(serializer)?;
+        serializer.write_len(self.shards.len())?;
+        for shard in self.shards {
+            shard.serialize(serializer)?;
+        }
+        self.db.serialize(serializer)
+    }
+}
+
+impl SnapshotRef<'_> {
+    /// The document [`SnapshotMsg::encode`] describes, written into one
+    /// buffer: the body goes behind a reserved header, whose length and
+    /// digest are filled in last.
+    pub(crate) fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
+        let mut serializer = serde::Serializer::new();
+        serializer.write_bytes(&[0; SNAPSHOT_HEADER_BYTES]);
+        serde::Serialize::serialize(self, &mut serializer).map_err(SnapshotError::Codec)?;
+        let mut out = serializer.into_bytes();
+        let (header, body) = out.split_at_mut(SNAPSHOT_HEADER_BYTES);
+        let body_len =
+            u32::try_from(body.len()).map_err(|_| SnapshotError::Oversized { len: body.len() })?;
+        header[..4].copy_from_slice(&SNAPSHOT_MAGIC);
+        header[4..6].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header[6..10].copy_from_slice(&body_len.to_le_bytes());
+        header[10..].copy_from_slice(lofat_crypto::Sha3_256::digest(body).as_bytes());
+        Ok(out)
     }
 }
 

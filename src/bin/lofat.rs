@@ -436,9 +436,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 inputs,
             )?;
             eprintln!(
-                "precomputed {count} reference measurement(s) for `{name}` in {:.1} ms on {threads} thread{}",
+                "precomputed {count} reference measurement(s) for `{name}` in {:.1} ms on {threads} thread{}, {:.1} KiB of heap",
                 started.elapsed().as_secs_f64() * 1e3,
                 if threads == 1 { "" } else { "s" },
+                db.heap_bytes() as f64 / 1024.0,
             );
             let config = ServiceConfig {
                 session_deadline_cycles: deadline_cycles,

@@ -150,6 +150,44 @@ fn database_build_reports_an_input_over_the_cycle_budget() {
     }
 }
 
+/// The database wire format, pinned: each catalogue workload's default input
+/// under the default configuration (`dispatch` holds indirect targets,
+/// `matrix-checksum` loops nested three deep), and `diamond-paths` under
+/// `max_path_bits(2)`, whose loop overflows the path encoder and records
+/// path id 0.  The fixtures were written before the database packed its
+/// entries, so they also pin that packing changed no wire byte.
+#[test]
+fn measurement_database_wire_bytes_match_the_golden_fixtures() {
+    let mut cases: Vec<(String, &str, EngineConfig)> = catalog::all()
+        .iter()
+        .map(|workload| (format!("{}.bin", workload.name), workload.name, EngineConfig::default()))
+        .collect();
+    let narrow = EngineConfig::builder().max_path_bits(2).build().unwrap();
+    cases.push(("diamond-paths.max-path-bits-2.bin".into(), "diamond-paths", narrow));
+    for (file, name, config) in cases {
+        let path = format!("tests/fixtures/measurement_db/{file}");
+        let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let workload = catalog::by_name(name).unwrap();
+        let (_, _, verifier) = common::workload_session(name, "ext-db-golden");
+        let input = workload.default_input.clone();
+        let db = MeasurementDatabase::build(&verifier, config, vec![input.clone()]).unwrap();
+        assert_eq!(db.to_wire_bytes().unwrap(), golden, "{path}");
+        let decoded = MeasurementDatabase::from_wire_bytes(&golden).unwrap();
+        assert_eq!(decoded.to_wire_bytes().unwrap(), golden, "{path} re-encodes");
+        assert_eq!(decoded, db, "{path} decodes to the built database");
+
+        let loops = db.reference(&input).unwrap().metadata.loops;
+        match file.as_str() {
+            "dispatch.bin" => assert!(loops.iter().any(|l| !l.indirect_targets.is_empty())),
+            "matrix-checksum.bin" => assert!(loops.iter().any(|l| l.nesting_depth == 3)),
+            "diamond-paths.max-path-bits-2.bin" => assert!(loops
+                .iter()
+                .any(|l| l.encoder_overflowed && l.paths.iter().any(|p| p.path_id == 0))),
+            _ => {}
+        }
+    }
+}
+
 /// The attestation report payload can additionally be signed with a hash-based
 /// one-time signature for public verifiability.
 #[test]
