@@ -17,11 +17,11 @@
 //! committed baseline, not on the scaling ratio.
 //!
 //! Besides the in-process sweep, the same points run once more through a
-//! `lofat-net` `VerifierServer` on a loopback socket (`loopback_sweep` in the
-//! document): identical service, identical evidence, but every frame crosses
-//! TCP and every latency is a client-observed round trip — the difference
-//! between the two sweeps is the measured transport cost.  The CI gate keys
-//! only on the in-process sweep.
+//! `lofat-net` [`EventLoopServer`] on a loopback socket (`loopback_sweep` in
+//! the document): identical service, identical evidence, but every frame
+//! crosses TCP and every latency is a client-observed round trip — the
+//! difference between the two sweeps is the measured transport cost.  The CI
+//! gate keys only on the in-process sweep.
 
 use lofat::pool::{ParallelVerifier, PoolConfig};
 use lofat::service::{ServiceConfig, VerifierService};
@@ -29,9 +29,7 @@ use lofat::wire::{Envelope, Message};
 use lofat::{EngineConfig, MeasurementDatabase, Prover, Verifier};
 use lofat_crypto::DeviceKey;
 use lofat_fleet::SlotBehaviour;
-use lofat_net::{
-    raise_nofile_limit, EventLoopServer, NetLimits, ProverClient, ServerConfig, VerifierServer,
-};
+use lofat_net::{raise_nofile_limit, EventLoopServer, NetLimits, ProverClient, ServerConfig};
 use lofat_workloads::catalog;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -182,8 +180,8 @@ pub struct ServiceBenchReport {
     pub cache: CachePathSample,
     /// One sample per entry of `config.worker_counts`.
     pub samples: Vec<SweepSample>,
-    /// The same sweep over a loopback TCP socket: the service behind a
-    /// `lofat_net::VerifierServer`, `config.producers` client connections
+    /// The same sweep over a loopback TCP socket: the service behind an
+    /// [`EventLoopServer`], `config.producers` client connections
     /// submitting evidence frames and waiting for each verdict frame.
     /// Latencies here are client-observed round trips (framing + socket +
     /// queue + verification), so loopback rows are expected to sit above the
@@ -431,11 +429,11 @@ fn sweep_point(
     }
 }
 
-/// One timed loopback-socket sweep point: fresh service and `VerifierServer`
-/// on an ephemeral port, `config.producers` client connections each driving
-/// its strided share of the pre-generated evidence frame by frame (submit,
-/// then wait for the verdict frame — per-client round trips, the way a real
-/// prover fleet talks to the service).
+/// One timed loopback-socket sweep point: fresh service and
+/// [`EventLoopServer`] on an ephemeral port, `config.producers` client
+/// connections each driving its strided share of the pre-generated evidence
+/// frame by frame (submit, then wait for the verdict frame — per-client round
+/// trips, the way a real prover fleet talks to the service).
 fn loopback_point(
     config: &ServiceBenchConfig,
     db: &MeasurementDatabase,
@@ -456,7 +454,7 @@ fn loopback_point(
         pool: PoolConfig { workers, queue_capacity: config.queue_capacity, drain_burst: 8 },
         ..ServerConfig::default()
     };
-    let server = VerifierServer::bind("127.0.0.1:0", Arc::clone(&service), server_config)
+    let server = EventLoopServer::bind("127.0.0.1:0", Arc::clone(&service), server_config)
         .expect("bind loopback server");
     let addr = server.local_addr();
 
@@ -640,7 +638,7 @@ pub fn to_json(report: &ServiceBenchReport) -> String {
          pre-generated once and replayed against a fresh service per point). Worker scaling is \
          bounded by host_cpus — on a single-core host the sweep degenerates to ~1x and the CI \
          gate compares absolute sessions/sec instead. loopback_sweep runs the same points \
-         through a lofat-net VerifierServer on 127.0.0.1 with `producers` client connections; \
+         through a lofat-net EventLoopServer on 127.0.0.1 with `producers` client connections; \
          its latencies are client-observed round trips, so the gap to `sweep` is the transport \
          cost. cache_path replays the same evidence single-threaded against a warm \
          default-capacity verdict cache (one untimed priming miss, then all hits) and against \

@@ -36,7 +36,7 @@
 //! | [`protocol`] | the classic one-call adapter [`protocol::run_attestation`] over the layers above |
 //!
 //! The first real I/O boundary lives outside this crate: the `lofat-net`
-//! workspace member frames these envelopes over TCP (`VerifierServer` /
+//! workspace member frames these envelopes over TCP (`EventLoopServer` /
 //! `ProverClient`) without adding any protocol semantics.
 //!
 //! # Quickstart

@@ -45,6 +45,7 @@ use lofat_crypto::sign::HmacVerifier;
 use lofat_crypto::{Digest, Hmac, Nonce, VerificationKey};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -1507,14 +1508,17 @@ impl VerifierService {
     }
 
     /// Writes a snapshot (with `reserve` — see
-    /// [`VerifierService::snapshot_with_reserve`]) to `path` atomically: the
-    /// document is written to a sibling temporary file and renamed into
-    /// place, so a crash mid-write leaves the previous snapshot intact and a
-    /// reader never observes a half-written document.
+    /// [`VerifierService::snapshot_with_reserve`]) to `path` atomically and
+    /// durably: the document is written to the sibling `<path>.tmp`, that
+    /// file is synced to disk, it is renamed over `path`, and then `path`'s
+    /// directory is synced.  A reader never observes a half-written
+    /// document; a crash or power loss before the rename leaves the previous
+    /// snapshot in place, and once this returns `Ok` the new one survives a
+    /// power loss.
     ///
     /// # Errors
     ///
-    /// Codec failures and any I/O error from writing or renaming.
+    /// Codec failures and any I/O error from writing, syncing or renaming.
     pub fn write_snapshot(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -1525,8 +1529,19 @@ impl VerifierService {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes)?;
+        // Without the first sync a power loss after the rename can leave
+        // `path` naming an empty or partial file; without the second, the
+        // rename itself may not survive one.
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&bytes)?;
+        file.sync_all()?;
+        drop(file);
         std::fs::rename(&tmp, path)?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => std::path::Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
         Ok(())
     }
 

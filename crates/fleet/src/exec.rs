@@ -1,13 +1,13 @@
-//! The fleet executor: fan enumerated jobs over the in-process worker pool
-//! and/or a live TCP server, with transport-fault injection, and collect
-//! per-scenario outcomes.
+//! The fleet executor: fan enumerated jobs over the in-process worker pool,
+//! a live TCP server and/or a fan-out front, with transport-fault injection,
+//! and collect per-scenario outcomes.
 //!
 //! Determinism is the whole point.  Traffic is pre-generated **once per
 //! section** against a throwaway template service ([`crate::driver`]); nonce
 //! determinism then lets the same bytes answer every fresh execution service,
-//! whether it sits behind [`lofat::ParallelVerifier`], a blocking
-//! [`lofat_net::VerifierServer`] or a readiness-driven
-//! [`lofat_net::EventLoopServer`].  Each scenario opens its sessions up front
+//! whether it sits behind [`lofat::ParallelVerifier`], an
+//! [`lofat_net::EventLoopServer`] or a [`lofat_net::FanOutFront`] over
+//! partitioned ones.  Each scenario opens its sessions up front
 //! in slot order (asserting the issued challenges match the pre-generated
 //! bytes), drives phase 1 concurrently from `clients` workers over strided
 //! slots, then re-submits the replay-class slots in a sequential phase 2.
@@ -37,9 +37,7 @@ use lofat::{
     ServiceError, ServiceStats, Verifier, VerifierService,
 };
 use lofat_crypto::DeviceKey;
-use lofat_net::{
-    EventLoopServer, FanOutFront, NetError, NetLimits, ProverClient, ServerConfig, VerifierServer,
-};
+use lofat_net::{EventLoopServer, FanOutFront, NetError, NetLimits, ProverClient, ServerConfig};
 use lofat_workloads::catalog;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,12 +51,11 @@ use std::time::{Duration, Instant};
 pub enum Transport {
     /// The in-process [`ParallelVerifier`] worker pool.
     Pool,
-    /// A live blocking [`VerifierServer`] over loopback TCP.
-    Socket,
-    /// A live readiness-driven [`EventLoopServer`] over loopback TCP.
+    /// A live [`EventLoopServer`] over loopback TCP — what `lofat serve`
+    /// runs.
     Epoll,
-    /// A [`FanOutFront`] multiplexing over two partitioned blocking
-    /// [`VerifierServer`]s — the in-repo stand-in for an N-process
+    /// A [`FanOutFront`] multiplexing over two partitioned
+    /// [`EventLoopServer`]s — the in-repo stand-in for an N-process
     /// `lofat front` + `lofat serve --partition` deployment.
     Front,
 }
@@ -68,7 +65,6 @@ impl Transport {
     pub fn name(self) -> &'static str {
         match self {
             Transport::Pool => "pool",
-            Transport::Socket => "socket",
             Transport::Epoll => "epoll",
             Transport::Front => "front",
         }
@@ -80,9 +76,7 @@ impl Transport {
 pub struct ExecOptions {
     /// Drive each job over the in-process pool.
     pub pool: bool,
-    /// Drive each job over a loopback blocking TCP server.
-    pub socket: bool,
-    /// Drive each job over a loopback readiness-driven TCP server.
+    /// Drive each job over a loopback [`EventLoopServer`].
     pub epoll: bool,
     /// Drive each job over a fan-out front with two partitioned backends.
     pub front: bool,
@@ -92,7 +86,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        Self { pool: true, socket: true, epoll: true, front: true, scale_override: None }
+        Self { pool: true, epoll: true, front: true, scale_override: None }
     }
 }
 
@@ -127,7 +121,7 @@ pub struct FleetReport {
     /// The spec's `fleet <name>` header.
     pub spec_name: String,
     /// One outcome per executed job × transport, in job order with the
-    /// enabled transports in pool, socket, epoll, front order.
+    /// enabled transports in pool, epoll, front order.
     pub outcomes: Vec<ScenarioOutcome>,
 }
 
@@ -526,52 +520,8 @@ fn run_pool_job(job: &Job, section: &SectionContext) -> Result<ScenarioOutcome, 
     Ok(collect_outcome(job, Transport::Pool, observations, &service))
 }
 
-/// Either live-server flavor behind the bits of surface the executor needs.
-enum AnyServer {
-    Blocking(VerifierServer),
-    Epoll(EventLoopServer),
-}
-
-impl AnyServer {
-    fn bind(
-        transport: Transport,
-        service: Arc<VerifierService>,
-        config: ServerConfig,
-    ) -> Result<Self, NetError> {
-        match transport {
-            Transport::Socket => {
-                Ok(AnyServer::Blocking(VerifierServer::bind("127.0.0.1:0", service, config)?))
-            }
-            Transport::Epoll => {
-                Ok(AnyServer::Epoll(EventLoopServer::bind("127.0.0.1:0", service, config)?))
-            }
-            Transport::Pool | Transport::Front => {
-                unreachable!("pool and front jobs build their own backends")
-            }
-        }
-    }
-
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            AnyServer::Blocking(server) => server.local_addr(),
-            AnyServer::Epoll(server) => server.local_addr(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            AnyServer::Blocking(server) => server.shutdown(),
-            AnyServer::Epoll(server) => server.shutdown(),
-        }
-    }
-}
-
-/// Runs one job against a live loopback server of the given flavor.
-fn run_socket_job(
-    job: &Job,
-    section: &SectionContext,
-    transport: Transport,
-) -> Result<ScenarioOutcome, ExecError> {
+/// Runs one job against a live loopback [`EventLoopServer`].
+fn run_socket_job(job: &Job, section: &SectionContext) -> Result<ScenarioOutcome, ExecError> {
     let (service, workers) = fresh_service(section, job.clients);
     let config = ServerConfig {
         max_connections: job.clients + job.scale + 8,
@@ -581,7 +531,7 @@ fn run_socket_job(
         pool: PoolConfig::with_workers(workers),
         ..ServerConfig::default()
     };
-    let server = AnyServer::bind(transport, Arc::clone(&service), config)?;
+    let server = EventLoopServer::bind("127.0.0.1:0", Arc::clone(&service), config)?;
     let addr = server.local_addr();
     let outcome = (|| -> Result<ScenarioOutcome, ExecError> {
         // One opener requests every challenge in slot order, so session ids
@@ -600,7 +550,7 @@ fn run_socket_job(
             observations.push(Observation { code: verdict.reason_code, latency_us: None });
         }
         drop(opener);
-        Ok(collect_outcome(job, transport, observations, &service))
+        Ok(collect_outcome(job, Transport::Epoll, observations, &service))
     })();
     server.shutdown();
     outcome
@@ -612,7 +562,7 @@ fn run_socket_job(
 const FRONT_PARTITIONS: u64 = 2;
 
 /// Runs one job through a [`FanOutFront`] over `FRONT_PARTITIONS` partitioned
-/// blocking servers — the multi-process deployment shape, in-process.
+/// servers — the multi-process deployment shape, in-process.
 ///
 /// The front round-robins session requests, each backend issues ids on its
 /// own stripes (`partition + shard·P + issued·stripes`), and a single
@@ -641,7 +591,7 @@ fn run_front_job(job: &Job, section: &SectionContext) -> Result<ScenarioOutcome,
             pool: PoolConfig::with_workers(workers),
             ..ServerConfig::default()
         };
-        let server = VerifierServer::bind("127.0.0.1:0", Arc::clone(&service), server_config)?;
+        let server = EventLoopServer::bind("127.0.0.1:0", Arc::clone(&service), server_config)?;
         backends.push(server.local_addr());
         services.push(service);
         servers.push(server);
@@ -710,11 +660,8 @@ pub fn run(spec: &FleetSpec, options: ExecOptions) -> Result<FleetReport, ExecEr
         if options.pool {
             outcomes.push(run_pool_job(job, section)?);
         }
-        if options.socket {
-            outcomes.push(run_socket_job(job, section, Transport::Socket)?);
-        }
         if options.epoll {
-            outcomes.push(run_socket_job(job, section, Transport::Epoll)?);
+            outcomes.push(run_socket_job(job, section)?);
         }
         if options.front {
             outcomes.push(run_front_job(job, section)?);
@@ -752,13 +699,12 @@ mod tests {
         )
         .unwrap();
         let report = run(&spec, ExecOptions::default()).expect("runs");
-        assert_eq!(report.outcomes.len(), 8, "2 jobs × 4 transports");
-        for group in report.outcomes.chunks(4) {
+        assert_eq!(report.outcomes.len(), 6, "2 jobs × 3 transports");
+        for group in report.outcomes.chunks(3) {
             let pool = &group[0];
             assert_eq!(pool.transport, Transport::Pool);
-            assert_eq!(group[1].transport, Transport::Socket);
-            assert_eq!(group[2].transport, Transport::Epoll);
-            assert_eq!(group[3].transport, Transport::Front);
+            assert_eq!(group[1].transport, Transport::Epoll);
+            assert_eq!(group[2].transport, Transport::Front);
             for other in &group[1..] {
                 let label = format!("{} vs {}", pool.job.label(), other.transport.name());
                 assert_eq!(pool.verdicts, other.verdicts, "{label}");

@@ -8,7 +8,8 @@
 //! which workloads, which input distribution, which adversary mix, how many
 //! clients, what arrival pattern, which transport faults — and the harness
 //! expands the cross-product deterministically, drives every scenario over
-//! both transports, and emits manifests CI can diff byte-for-byte.
+//! every transport (the pool, the event-loop server, a fan-out front over
+//! partitioned servers), and emits manifests CI can diff byte-for-byte.
 //!
 //! The pipeline, one module per stage:
 //!
@@ -17,7 +18,7 @@
 //! | [`spec`] | parse the declarative format (typed, line-numbered errors) |
 //! | [`enumerate`] | expand the cross-product into deterministic [`enumerate::Job`]s |
 //! | [`driver`] | pre-generate each section's traffic (the shared session-driving core) |
-//! | [`exec`] | fan jobs over the pool and/or a live server, with fault injection |
+//! | [`exec`] | fan jobs over the pool, a live server and/or a front, with fault injection |
 //! | [`manifest`] | render JSON/CSV artifacts (golden projection for CI diffing) |
 //!
 //! ```

@@ -26,8 +26,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 /// Tunables of a [`ProverClient`].
 ///
 /// The deadline and size knobs moved into [`ClientConfig::limits`] when
-/// [`NetLimits`] unified them across transports (`config.read_timeout` →
-/// `config.limits.read_timeout`, and so on).
+/// [`NetLimits`] unified them across server and client
+/// (`config.read_timeout` → `config.limits.read_timeout`, and so on).
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Socket deadlines and frame bound — see [`NetLimits`].  Defaults to
@@ -68,12 +68,12 @@ pub struct NetAttestation {
     pub verdict: VerdictMsg,
 }
 
-/// A connection to a remote [`crate::VerifierServer`] or
-/// [`crate::EventLoopServer`].
+/// A connection to a remote [`crate::EventLoopServer`] (or a
+/// [`crate::FanOutFront`] in front of several).
 ///
 /// One client connection may run any number of sessions back to back — or
 /// interleaved, when driven through [`ProverClient::raw`]; see
-/// [`crate::VerifierServer`] for a complete round-trip example.
+/// [`crate::event_loop`] for a complete round-trip example.
 #[derive(Debug)]
 pub struct ProverClient {
     stream: TcpStream,

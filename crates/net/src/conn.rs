@@ -1,5 +1,5 @@
-//! `Connection` — the sans-I/O per-connection state machine both transports
-//! drive.
+//! `Connection` — the sans-I/O per-connection state machine the server
+//! drives.
 //!
 //! The machine owns everything about one connection that is *not* I/O:
 //!
@@ -23,14 +23,12 @@
 //!   backpressure is the driver's concern and ordering is the machine's.
 //! * **deadline ticks**: the machine tracks last-activity and write-stall
 //!   clocks in driver-supplied milliseconds; [`Connection::tick`] says when a
-//!   deadline has passed.  The blocking transport gets the same policy for
-//!   free from `SO_RCVTIMEO`/`SO_SNDTIMEO`, which restart per byte exactly
-//!   like the activity clock.
+//!   deadline has passed, and [`Connection::next_deadline_ms`] when to ask.
 //! * **typed close reasons**: every way a connection ends is a
 //!   [`CloseReason`]; [`CloseReason::wire_error`] maps the reasons that must
 //!   enter the service's books onto the [`WireError`] the driver feeds
-//!   [`lofat::service::VerifierService::reject_unparseable`], so the two
-//!   transports cannot drift in their accounting.
+//!   [`lofat::service::VerifierService::reject_unparseable`], so the
+//!   accounting is decided here, not in the I/O loop.
 //!
 //! Session multiplexing lives here too: [`Connection::admit`] classifies each
 //! complete frame for dispatch and tracks the distinct session ids a
@@ -441,8 +439,7 @@ pub(crate) fn is_session_request_frame(frame: &[u8]) -> bool {
 /// Answers a [`Message::SessionRequest`]: the challenge envelope on success,
 /// a refusing verdict otherwise.  Refusals mirror the typed
 /// [`VerifierService::open_session`] errors, which do not touch statistics —
-/// an unopened session has nothing to conserve.  Shared by both transports so
-/// their refusal bytes cannot drift.
+/// an unopened session has nothing to conserve.
 pub(crate) fn session_request_reply(
     service: &VerifierService,
     request: &SessionRequestMsg,

@@ -1,21 +1,21 @@
-//! `EventLoopServer` — the readiness-driven transport: 10k+ concurrent
-//! connections on one event-loop thread.
+//! `EventLoopServer` — the verifier server: every connection on one
+//! readiness-driven loop thread, 10k+ of them at once.
 //!
-//! The blocking [`crate::VerifierServer`] spends a thread (and its stack) per
-//! connection — fine for hundreds of devices, not for the long tail of a
-//! production attestation fleet where most connections are idle most of the
-//! time.  This server holds every connection in a single epoll-driven loop:
+//! This is the server `lofat serve` runs.  A thread per connection is fine
+//! for hundreds of devices, not for the long tail of a production
+//! attestation fleet where most connections are idle most of the time, so
+//! every connection lives in a single loop:
 //!
-//! * **nonblocking accept** with the same bounded-connection discipline (past
-//!   `max_connections` the listener is deregistered until a slot frees);
-//! * **per-connection [`Connection`] machines** — the *same* sans-I/O state
-//!   machine the blocking transport drives, so framing, session
-//!   multiplexing, close reasons and accounting are shared by construction,
-//!   and `tests/e14_network.rs` proves both transports byte-identical
-//!   against the in-process path;
+//! * **nonblocking accept** with a bounded connection count (past
+//!   `max_connections` the listener is deregistered until a slot frees, so a
+//!   flood waits in the kernel backlog);
+//! * **per-connection [`Connection`] machines** — framing, session
+//!   multiplexing, close reasons and accounting live in that sans-I/O state
+//!   machine, and `tests/e14_network.rs` proves the server byte-identical
+//!   to the in-process path;
 //! * **write-interest management**: replies are written greedily; when the
 //!   socket refuses bytes the connection's staged output waits for
-//!   `EPOLLOUT`, so a slow reader backpressures into its own buffer instead
+//!   writability, so a slow reader backpressures into its own buffer instead
 //!   of blocking the loop;
 //! * **a deadline wheel** (256 slots × 25 ms) enforcing the
 //!   [`NetLimits::read_timeout`] inactivity deadline and
@@ -31,10 +31,9 @@
 //!   verdicts are delivered and staged replies flushed (bounded by the write
 //!   deadline) before connections close.
 //!
-//! The epoll interface is hand-rolled over three `extern "C"` syscalls (the
-//! workspace has no crates.io access); on non-Linux hosts the same public
-//! API is served by delegating to the blocking transport, so portable code
-//! can default to `EventLoopServer` everywhere.
+//! Readiness comes from a crate-private poller whose backend the build
+//! target picks: epoll on Linux, `poll(2)` on other Unix hosts.  The loop
+//! deregisters every descriptor before closing it, which `poll(2)` needs.
 //!
 //! # Example
 //!
@@ -59,7 +58,7 @@
 //!     ServiceConfig::default(),
 //! ));
 //!
-//! // Same config type, same client — only the transport differs.
+//! // Serve on an ephemeral loopback port; attest over a real socket.
 //! let server =
 //!     EventLoopServer::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())?;
 //! let mut client = ProverClient::connect(server.local_addr())?;
@@ -71,63 +70,40 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#[cfg(target_os = "linux")]
 use crate::conn::{
     session_limit_refusal, session_request_reply, Admission, CloseReason, Connection,
 };
 use crate::error::NetError;
-#[cfg(target_os = "linux")]
 use crate::limits::NetLimits;
-#[cfg(target_os = "linux")]
-use crate::server::EventLog;
-use crate::server::ServerConfig;
-#[cfg(not(target_os = "linux"))]
-use crate::server::VerifierServer;
-#[cfg(target_os = "linux")]
+use crate::poller::{Event, Poller, HANGUP, READABLE, WRITABLE};
+use crate::server::{EventLog, ServerConfig};
 use lofat::pool::{ParallelVerifier, VerdictTicket};
-#[cfg(target_os = "linux")]
-use lofat::service::ServiceError;
-use lofat::service::VerifierService;
-#[cfg(target_os = "linux")]
+use lofat::service::{ServiceError, VerifierService};
 use lofat::wire::{Envelope, Message, SessionId};
-#[cfg(target_os = "linux")]
 use std::collections::{HashMap, VecDeque};
-#[cfg(target_os = "linux")]
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, ToSocketAddrs};
-#[cfg(target_os = "linux")]
-use std::net::{TcpListener, TcpStream};
-#[cfg(target_os = "linux")]
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-#[cfg(target_os = "linux")]
 use std::os::unix::net::UnixStream;
-#[cfg(target_os = "linux")]
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(target_os = "linux"))]
-use std::sync::Arc;
-#[cfg(target_os = "linux")]
 use std::sync::{mpsc, Arc, Mutex};
-#[cfg(target_os = "linux")]
 use std::thread::JoinHandle;
-#[cfg(target_os = "linux")]
 use std::time::{Duration, Instant};
 
 /// Raises this process's soft open-file limit to at least `target`
 /// descriptors (needed to *hold* 10k+ sockets, not just accept them) and
 /// returns the resulting soft limit.  Raising beyond the hard limit needs
 /// privileges; on failure the current limit is returned unchanged, so
-/// callers clamp their connection budget to the return value.  On platforms
-/// without `setrlimit` the limit is reported as unbounded.
+/// callers clamp their connection budget to the return value.
 #[must_use]
 pub fn raise_nofile_limit(target: u64) -> u64 {
     rlimit::raise_nofile(target)
 }
 
-#[cfg(unix)]
 mod rlimit {
     //! `getrlimit`/`setrlimit` over `RLIMIT_NOFILE`, declared directly (no
     //! crates.io access) — the only other unsafe code in the crate is the
-    //! epoll shim below, and both are confined to their sys modules.
+    //! poller's syscall shims.
     #![allow(unsafe_code)]
 
     #[cfg(target_os = "linux")]
@@ -168,148 +144,25 @@ mod rlimit {
     }
 }
 
-#[cfg(not(unix))]
-mod rlimit {
-    pub(super) fn raise_nofile(_target: u64) -> u64 {
-        u64::MAX
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod sys {
-    //! The epoll surface, declared directly against the C ABI (no crates.io
-    //! access).  Three syscalls, one `#[repr(C)]` struct; the epoll
-    //! descriptor is an [`OwnedFd`] so it closes on drop.
-    #![allow(unsafe_code)]
-
-    use std::io;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-
-    /// Readable (or a peer on the kernel accept queue).
-    pub const EPOLLIN: u32 = 0x001;
-    /// Writable without blocking.
-    pub const EPOLLOUT: u32 = 0x004;
-    /// Error condition (delivered even when not requested).
-    pub const EPOLLERR: u32 = 0x008;
-    /// Hang-up (delivered even when not requested).
-    pub const EPOLLHUP: u32 = 0x010;
-    /// Peer shut down its write half (half-close detection).
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLL_CLOEXEC: i32 = 0o200_0000;
-
-    /// One readiness event.  x86 keeps the kernel's 12-byte packed layout.
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        /// Readiness bits (`EPOLL*`).
-        pub events: u32,
-        /// The caller's token for the registered descriptor.
-        pub data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    }
-
-    /// An owned epoll instance.
-    pub struct Epoll {
-        fd: OwnedFd,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Self> {
-            // SAFETY: epoll_create1 has no memory preconditions; the returned
-            // descriptor (checked valid) is owned exactly once.
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: `fd` is a freshly created, valid descriptor we own.
-            Ok(Self { fd: unsafe { OwnedFd::from_raw_fd(fd) } })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, event: *mut EpollEvent) -> io::Result<()> {
-            // SAFETY: `event` is either null (DEL) or points to a live
-            // EpollEvent on the caller's stack for the duration of the call.
-            if unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, event) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            let mut event = EpollEvent { events, data: token };
-            self.ctl(EPOLL_CTL_ADD, fd, &mut event)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            let mut event = EpollEvent { events, data: token };
-            self.ctl(EPOLL_CTL_MOD, fd, &mut event)
-        }
-
-        pub fn del(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, std::ptr::null_mut())
-        }
-
-        /// Waits for readiness, retrying on `EINTR`; returns the number of
-        /// events filled at the front of `events`.
-        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-            loop {
-                // SAFETY: `events` is a live, writable slice; maxevents is
-                // its exact length.
-                let rc = unsafe {
-                    epoll_wait(
-                        self.fd.as_raw_fd(),
-                        events.as_mut_ptr(),
-                        i32::try_from(events.len()).unwrap_or(i32::MAX),
-                        timeout_ms,
-                    )
-                };
-                if rc >= 0 {
-                    return Ok(rc as usize);
-                }
-                let error = io::Error::last_os_error();
-                if error.kind() != io::ErrorKind::Interrupted {
-                    return Err(error);
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Linux: the real event loop.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
 const TOKEN_LISTENER: u64 = u64::MAX;
-#[cfg(target_os = "linux")]
 const TOKEN_WAKE: u64 = u64::MAX - 1;
-#[cfg(target_os = "linux")]
 const WHEEL_SLOTS: usize = 256;
-#[cfg(target_os = "linux")]
 const WHEEL_GRANULARITY_MS: u64 = 25;
-#[cfg(target_os = "linux")]
 const READ_CHUNK: usize = 16 * 1024;
-#[cfg(target_os = "linux")]
 const DEFAULT_DRAIN_CAP: Duration = Duration::from_secs(5);
 
 /// A verifier service on a TCP socket, serving every connection from one
 /// readiness-driven loop thread (see the [module docs](self)).
 ///
-/// The public surface is identical to the blocking
-/// [`crate::VerifierServer`] — same [`ServerConfig`], same accessors, same
-/// graceful [`EventLoopServer::shutdown`] — so the two transports are
-/// drop-in replacements for each other.  On non-Linux hosts this type
-/// delegates to the blocking transport behind the same API.
-#[cfg(target_os = "linux")]
+/// Each accepted connection speaks length-prefixed [`Envelope`] frames (see
+/// [`crate::frame`]): a [`Message::SessionRequest`] opens a session and is
+/// answered with the challenge; an evidence frame is verified on the shared
+/// [`ParallelVerifier`] pool and answered with the verdict; anything else —
+/// including bytes that do not decode at all — is answered with the
+/// rejecting verdict the in-process [`VerifierService`] produces for the same
+/// input.  One connection may interleave any number of sessions (up to
+/// [`NetLimits::max_sessions_per_connection`]) and pipeline frames — replies
+/// always come back in frame order.
 pub struct EventLoopServer {
     shared: Arc<LoopShared>,
     local_addr: SocketAddr,
@@ -317,10 +170,8 @@ pub struct EventLoopServer {
 }
 
 /// A verdict reply as the pool produces it (or the error it died with).
-#[cfg(target_os = "linux")]
 type Reply = Result<Vec<u8>, ServiceError>;
 
-#[cfg(target_os = "linux")]
 struct LoopShared {
     service: Arc<VerifierService>,
     log: EventLog,
@@ -333,7 +184,6 @@ struct LoopShared {
     wake_tx: Mutex<UnixStream>,
 }
 
-#[cfg(target_os = "linux")]
 impl LoopShared {
     fn wake(&self) {
         // Recover the sender even if a waker panicked mid-write: the stream
@@ -371,7 +221,6 @@ impl LoopShared {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl std::fmt::Debug for EventLoopServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLoopServer")
@@ -382,7 +231,6 @@ impl std::fmt::Debug for EventLoopServer {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl EventLoopServer {
     /// Binds a listener on `addr` (use port 0 for an ephemeral port), spawns
     /// the verification pool, the completion pump and the loop thread, and
@@ -390,13 +238,14 @@ impl EventLoopServer {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Io`] if the listener, the epoll instance or the
-    /// wake channel cannot be created.
+    /// Returns [`NetError::Io`] if the listener, the poller, the wake channel
+    /// or the [`ServerConfig::log_path`] file cannot be created.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Arc<VerifierService>,
         config: ServerConfig,
     ) -> Result<Self, NetError> {
+        let log = EventLog::new(config.log_path.as_ref())?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -407,7 +256,7 @@ impl EventLoopServer {
         let (ticket_tx, ticket_rx) = mpsc::channel();
         let shared = Arc::new(LoopShared {
             service,
-            log: EventLog::new(config.log_path.as_ref()),
+            log,
             shutting_down: AtomicBool::new(false),
             connections_served: AtomicU64::new(0),
             frames_served: AtomicU64::new(0),
@@ -523,7 +372,6 @@ impl EventLoopServer {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for EventLoopServer {
     fn drop(&mut self) {
         self.stop();
@@ -532,7 +380,6 @@ impl Drop for EventLoopServer {
 
 /// Awaits verdict tickets strictly in submission order (preserving each
 /// connection's reply order) and hands results back to the loop.
-#[cfg(target_os = "linux")]
 fn pump_completions(
     ticket_rx: &mpsc::Receiver<(u64, u64, VerdictTicket)>,
     shared: &Arc<LoopShared>,
@@ -545,8 +392,7 @@ fn pump_completions(
 }
 
 /// One connection as the loop sees it: the sans-I/O machine plus the loop's
-/// own bookkeeping (ordered reply queue, epoll interest, wheel slot).
-#[cfg(target_os = "linux")]
+/// own bookkeeping (ordered reply queue, poller interest, wheel slot).
 struct ConnState {
     stream: TcpStream,
     machine: Connection,
@@ -559,14 +405,13 @@ struct ConnState {
     draining: bool,
     close_reason: Option<CloseReason>,
     /// A final frame (the oversized-announcement verdict) written after all
-    /// owed replies, outside the frames-served count — mirroring the
-    /// blocking transport.
+    /// owed replies, outside the frames-served count.
     farewell: Option<Vec<u8>>,
-    interest: u32,
+    /// The [`READABLE`]/[`WRITABLE`] interest registered with the poller.
+    interest: u8,
     scheduled: bool,
 }
 
-#[cfg(target_os = "linux")]
 enum WheelVerdict {
     Defer,
     Close(CloseReason),
@@ -577,14 +422,12 @@ enum WheelVerdict {
 /// most one entry; an entry popped before its connection's real deadline
 /// (activity moved it) is simply rescheduled, so sweeping costs O(due) per
 /// tick instead of O(connections).
-#[cfg(target_os = "linux")]
 struct DeadlineWheel {
     slots: Vec<Vec<(u64, u64)>>,
     cursor: u64,
     entries: usize,
 }
 
-#[cfg(target_os = "linux")]
 impl DeadlineWheel {
     fn new() -> Self {
         Self { slots: vec![Vec::new(); WHEEL_SLOTS], cursor: 0, entries: 0 }
@@ -630,9 +473,8 @@ impl DeadlineWheel {
     }
 }
 
-#[cfg(target_os = "linux")]
 struct Driver {
-    epoll: sys::Epoll,
+    poller: Poller,
     listener: Option<TcpListener>,
     accepting: bool,
     conns: HashMap<u64, ConnState>,
@@ -648,7 +490,6 @@ struct Driver {
     drain_deadline: Option<Instant>,
 }
 
-#[cfg(target_os = "linux")]
 impl Driver {
     #[allow(clippy::too_many_arguments)]
     fn new(
@@ -660,11 +501,11 @@ impl Driver {
         ticket_tx: mpsc::Sender<(u64, u64, VerdictTicket)>,
         wake_rx: UnixStream,
     ) -> std::io::Result<Self> {
-        let epoll = sys::Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
-        epoll.add(wake_rx.as_raw_fd(), TOKEN_WAKE, sys::EPOLLIN)?;
+        let mut poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, READABLE)?;
+        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, READABLE)?;
         Ok(Self {
-            epoll,
+            poller,
             listener: Some(listener),
             accepting: true,
             conns: HashMap::new(),
@@ -686,7 +527,7 @@ impl Driver {
     }
 
     fn run(mut self, pump: JoinHandle<()>) {
-        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 1024];
+        let mut events: Vec<Event> = Vec::new();
         loop {
             if self.shared.shutting_down.load(Ordering::SeqCst) && self.drain_deadline.is_none() {
                 self.begin_shutdown();
@@ -701,21 +542,15 @@ impl Driver {
                 }
             }
             let timeout = self.poll_timeout();
-            let filled = match self.epoll.wait(&mut events, timeout) {
-                Ok(filled) => filled,
-                Err(e) => {
-                    self.shared.log.push(format!("epoll_wait failed: {e}"));
-                    break;
-                }
-            };
-            for event in &events[..filled] {
-                // Copy out of the packed struct before use.
-                let token = event.data;
-                let bits = event.events;
-                match token {
+            if let Err(e) = self.poller.wait(&mut events, timeout) {
+                self.shared.log.push(format!("readiness wait failed: {e}"));
+                break;
+            }
+            for event in &events {
+                match event.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => self.drain_wake(),
-                    id => self.conn_event(id, bits),
+                    id => self.conn_event(id, event.ready),
                 }
             }
             self.process_completions();
@@ -776,7 +611,7 @@ impl Driver {
     fn pause_accepting(&mut self) {
         if self.accepting {
             if let Some(listener) = &self.listener {
-                let _ = self.epoll.del(listener.as_raw_fd());
+                let _ = self.poller.delete(listener.as_raw_fd());
             }
             self.accepting = false;
         }
@@ -785,7 +620,7 @@ impl Driver {
     fn resume_accepting(&mut self) {
         if !self.accepting && self.drain_deadline.is_none() {
             if let Some(listener) = &self.listener {
-                if self.epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN).is_ok() {
+                if self.poller.add(listener.as_raw_fd(), TOKEN_LISTENER, READABLE).is_ok() {
                     self.accepting = true;
                 }
             }
@@ -815,8 +650,8 @@ impl Driver {
                     let _ = stream.set_nodelay(true);
                     self.next_id += 1;
                     let id = self.next_id;
-                    let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
-                    if let Err(e) = self.epoll.add(stream.as_raw_fd(), id, interest) {
+                    let interest = READABLE;
+                    if let Err(e) = self.poller.add(stream.as_raw_fd(), id, interest) {
                         self.shared.log.push(format!("register id={id} failed: {e}"));
                         continue;
                     }
@@ -855,12 +690,14 @@ impl Driver {
 
     // -- per-connection events --------------------------------------------
 
-    fn conn_event(&mut self, id: u64, bits: u32) {
+    fn conn_event(&mut self, id: u64, ready: u8) {
         let now = self.now_ms();
-        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP) != 0 {
+        // A hang-up goes down the read path too: the read surfaces the EOF or
+        // the socket error as the connection's close reason.
+        if ready & (READABLE | HANGUP) != 0 {
             self.readable(id, now);
         }
-        if self.conns.contains_key(&id) && bits & sys::EPOLLOUT != 0 {
+        if self.conns.contains_key(&id) && ready & WRITABLE != 0 {
             self.flush_and_update(id, now);
         }
     }
@@ -999,7 +836,7 @@ impl Driver {
         }
     }
 
-    /// The write/finish path: stage ready replies, flush, manage `EPOLLOUT`
+    /// The write/finish path: stage ready replies, flush, manage write
     /// interest, arm the deadline wheel, and complete a draining close once
     /// nothing is owed.
     fn flush_and_update(&mut self, id: u64, now: u64) {
@@ -1026,14 +863,15 @@ impl Driver {
             self.finalize_close(id, &reason);
             return;
         }
-        let mut want = 0u32;
+        let mut want = 0u8;
         if !state.draining {
-            want |= sys::EPOLLIN | sys::EPOLLRDHUP;
+            want |= READABLE;
         }
         if state.machine.wants_write() {
-            want |= sys::EPOLLOUT;
+            want |= WRITABLE;
         }
-        if want != state.interest && self.epoll.modify(state.stream.as_raw_fd(), id, want).is_ok() {
+        if want != state.interest && self.poller.modify(state.stream.as_raw_fd(), id, want).is_ok()
+        {
             state.interest = want;
         }
         if !state.scheduled {
@@ -1046,7 +884,7 @@ impl Driver {
 
     fn finalize_close(&mut self, id: u64, reason: &CloseReason) {
         let Some(state) = self.conns.remove(&id) else { return };
-        let _ = self.epoll.del(state.stream.as_raw_fd());
+        let _ = self.poller.delete(state.stream.as_raw_fd());
         self.shared.active.store(self.conns.len(), Ordering::Relaxed);
         self.shared.log.push(format!("close id={id} frames={} ({reason})", state.frames));
         if self.conns.len() < self.max_connections {
@@ -1115,7 +953,6 @@ impl Driver {
 }
 
 /// Writes as much of the staged output as the socket will take right now.
-#[cfg(target_os = "linux")]
 fn try_flush_stream(state: &mut ConnState, now: u64) -> Result<(), CloseReason> {
     while state.machine.wants_write() {
         match state.stream.write(state.machine.bytes_out()) {
@@ -1132,91 +969,8 @@ fn try_flush_stream(state: &mut ConnState, now: u64) -> Result<(), CloseReason> 
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Non-Linux: the same API served by the blocking transport, so portable code
-// can default to `EventLoopServer` everywhere (fleet manifests stay
-// host-independent).
-// ---------------------------------------------------------------------------
-
-/// A verifier service on a TCP socket behind the readiness-driven transport
-/// API.  This host has no epoll; the same public surface is served by the
-/// blocking [`VerifierServer`], so behaviour (and the differential suites)
-/// are identical — only the concurrency ceiling differs.
-#[cfg(not(target_os = "linux"))]
-#[derive(Debug)]
-pub struct EventLoopServer {
-    inner: VerifierServer,
-}
-
-#[cfg(not(target_os = "linux"))]
-impl EventLoopServer {
-    /// Binds a listener on `addr` and starts serving (see
-    /// [`VerifierServer::bind`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Io`] if the listener cannot be bound.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        service: Arc<VerifierService>,
-        config: ServerConfig,
-    ) -> Result<Self, NetError> {
-        Ok(Self { inner: VerifierServer::bind(addr, service, config)? })
-    }
-
-    /// The bound address (with the actual port when bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// The service this server fronts.
-    pub fn service(&self) -> &Arc<VerifierService> {
-        self.inner.service()
-    }
-
-    /// Connections accepted over the server lifetime.
-    pub fn connections_served(&self) -> u64 {
-        self.inner.connections_served()
-    }
-
-    /// Frames answered over the server lifetime.
-    pub fn frames_served(&self) -> u64 {
-        self.inner.frames_served()
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.inner.active_connections()
-    }
-
-    /// A snapshot of the in-memory event log.
-    pub fn events(&self) -> Vec<String> {
-        self.inner.events()
-    }
-
-    /// Gracefully shuts the server down (see [`VerifierServer::shutdown`]).
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
-
-    /// Shuts down, then drains the quiesced service into a durable snapshot
-    /// (see [`VerifierServer::shutdown_to_snapshot`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Io`] if the snapshot cannot be encoded or written.
-    pub fn shutdown_to_snapshot(
-        self,
-        path: impl AsRef<std::path::Path>,
-        reserve: u64,
-    ) -> Result<(), NetError> {
-        self.inner.shutdown_to_snapshot(path, reserve)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #[cfg(target_os = "linux")]
     #[test]
     fn wheel_pops_entries_lazily_and_once() {
         use super::{DeadlineWheel, WHEEL_GRANULARITY_MS, WHEEL_SLOTS};

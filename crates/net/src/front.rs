@@ -32,12 +32,17 @@
 //!                      └──────────────┘     round-robin
 //! ```
 //!
-//! The one wire-level behaviour the front owns is the same one both real
-//! transports own: a client announcing a frame above
+//! The one wire-level behaviour the front owns is the same one the server
+//! owns: a client announcing a frame above
 //! [`NetLimits::max_frame_bytes`](crate::NetLimits) is answered with the rejecting
-//! verdict for an oversized announcement (byte-identical to the servers'
+//! verdict for an oversized announcement (byte-identical to the server's
 //! farewell, addressed to session 0), then disconnected — the stream cannot
 //! be resynchronised.
+//!
+//! Each client gets its own relay thread, and at most
+//! [`ServerConfig::max_connections`] relays run at once: past the cap the
+//! acceptor stops pulling from the kernel backlog until a client leaves, so a
+//! connection flood waits there instead of spawning unbounded threads.
 
 use crate::conn::is_session_request_frame;
 use crate::error::NetError;
@@ -47,7 +52,7 @@ use lofat::wire::{Envelope, Message, SessionId, VerdictMsg, WireError};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Byte offset of the session id within an envelope payload (see the offset
@@ -61,7 +66,11 @@ struct FrontShared {
     /// and undecodable scraps).
     round_robin: AtomicU64,
     shutting_down: AtomicBool,
+    /// One handle per live relay (shutdown disconnects them through it); its
+    /// length is the count the accept cap bounds.
     clients: Mutex<HashMap<u64, TcpStream>>,
+    /// Signalled when a relay ends (or shutdown starts).
+    slot_freed: Condvar,
     connections_served: AtomicU64,
     frames_served: AtomicU64,
     log: EventLog,
@@ -100,7 +109,8 @@ impl FanOutFront {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Io`] if the listener cannot be bound, and an
+    /// Returns [`NetError::Io`] if the listener or the
+    /// [`ServerConfig::log_path`] file cannot be created, and an
     /// `InvalidInput` I/O error when `backends` is empty.
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -113,15 +123,17 @@ impl FanOutFront {
                 "a fan-out front needs at least one backend",
             )));
         }
+        let log = EventLog::new(config.log_path.as_ref())?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(FrontShared {
-            log: EventLog::new(config.log_path.as_ref()),
+            log,
             backends,
             config,
             round_robin: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
             clients: Mutex::new(HashMap::new()),
+            slot_freed: Condvar::new(),
             connections_served: AtomicU64::new(0),
             frames_served: AtomicU64::new(0),
         });
@@ -178,10 +190,13 @@ impl FanOutFront {
         }
         self.shared.log.push("front shutdown requested".into());
         {
+            // Notified under the lock, so an acceptor between its flag check
+            // and its wait cannot miss the wake-up.
             let clients = self.shared.clients.lock().expect("client registry poisoned");
             for stream in clients.values() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
+            self.shared.slot_freed.notify_all();
         }
         // Unblock an acceptor parked in accept() with a loopback nudge.
         let mut wake = self.local_addr;
@@ -210,9 +225,21 @@ impl Drop for FanOutFront {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
+    let max_connections = shared.config.max_connections.max(1);
     let mut relays: Vec<JoinHandle<()>> = Vec::new();
     let mut next_id = 0u64;
     loop {
+        // Bounded accept: do not pull another client off the backlog while
+        // `max_connections` relays are live.
+        {
+            let mut clients = shared.clients.lock().expect("client registry poisoned");
+            while clients.len() >= max_connections && !shared.shutting_down.load(Ordering::SeqCst) {
+                clients = shared.slot_freed.wait(clients).expect("client registry poisoned");
+            }
+        }
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            break;
+        }
         let (stream, peer) = match listener.accept() {
             Ok(accepted) => accepted,
             Err(e) => {
@@ -230,26 +257,45 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
         let id = next_id;
         shared.connections_served.fetch_add(1, Ordering::Relaxed);
         shared.log.push(format!("front accept id={id} peer={peer}"));
-        if let Ok(handle) = stream.try_clone() {
-            shared.clients.lock().expect("client registry poisoned").insert(id, handle);
-        }
-        relays.retain(|handle| !handle.is_finished());
-        let relay = {
-            let shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name(format!("lofat-front-conn-{id}"))
-                .spawn(move || {
-                    let outcome = relay_connection(&shared, stream, id);
-                    shared.clients.lock().expect("client registry poisoned").remove(&id);
-                    shared.log.push(format!("front close id={id} ({outcome})"));
-                })
-                .expect("spawn front relay")
+        // The registry handle is both the shutdown lever and the slot the
+        // cap counts; a client that cannot have one is dropped.
+        let handle = match stream.try_clone() {
+            Ok(handle) => handle,
+            Err(e) => {
+                shared.log.push(format!("front drop id={id}: cannot register client: {e}"));
+                continue;
+            }
         };
-        relays.push(relay);
+        shared.clients.lock().expect("client registry poisoned").insert(id, handle);
+        relays.retain(|handle| !handle.is_finished());
+        let spawned = {
+            let shared = Arc::clone(shared);
+            std::thread::Builder::new().name(format!("lofat-front-conn-{id}")).spawn(move || {
+                let outcome = relay_connection(&shared, stream, id);
+                release_slot(&shared, id);
+                shared.log.push(format!("front close id={id} ({outcome})"));
+            })
+        };
+        match spawned {
+            Ok(relay) => relays.push(relay),
+            Err(e) => {
+                // Out of threads: this one client is dropped (its stream
+                // went down with the failed closure); the front keeps
+                // accepting.
+                release_slot(shared, id);
+                shared.log.push(format!("front drop id={id}: cannot spawn relay: {e}"));
+            }
+        }
     }
     for handle in relays {
         let _ = handle.join();
     }
+}
+
+/// Frees a relay's slot under the accept cap.
+fn release_slot(shared: &FrontShared, id: u64) {
+    shared.clients.lock().expect("client registry poisoned").remove(&id);
+    shared.slot_freed.notify_all();
 }
 
 /// Which backend owns one client frame.

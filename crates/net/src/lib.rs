@@ -14,15 +14,12 @@
 //!   handling and a hostile-length bound;
 //! * [`Connection`] — the sans-I/O per-connection state machine (bytes in →
 //!   frames, frames out → bytes, deadlines, session multiplexing, typed
-//!   [`CloseReason`]s) that **both** transports drive, so their semantics
-//!   agree by construction;
-//! * [`VerifierServer`] — the blocking transport: one thread per connection,
-//!   bounded accept queue, socket deadlines, verification on the
+//!   [`CloseReason`]s) the server drives;
+//! * [`EventLoopServer`] — the verifier server `lofat serve` runs: every
+//!   connection multiplexed onto one readiness loop thread (10k+ concurrent
+//!   connections), bounded accept, deadlines, verification on the
 //!   `ParallelVerifier` pool, graceful shutdown that drains in-flight
 //!   verdicts;
-//! * [`EventLoopServer`] — the readiness-driven transport: every connection
-//!   multiplexed onto one epoll loop thread (10k+ concurrent connections),
-//!   same config, same semantics;
 //! * [`NetLimits`] — the deadline/size knobs shared by [`ServerConfig`] and
 //!   [`ClientConfig`];
 //! * [`ProverClient`] — drives a `ProverSession` bytes-in/bytes-out against a
@@ -39,7 +36,7 @@
 //! [`lofat::wire`]):
 //!
 //! ```text
-//! ProverClient                                VerifierServer
+//! ProverClient                                EventLoopServer
 //!      │  frame[ SessionRequest(id_S, i) ]  ──────▶  open_session
 //!      │  ◀──────  frame[ Challenge(id_S, i, N) ]    (or refusing Verdict)
 //!   attest
@@ -47,13 +44,17 @@
 //!      │  ◀──────  frame[ Verdict(code, detail) ]
 //! ```
 //!
-//! Everything is std (`TcpListener`/`TcpStream` + threads); the crate adds no
-//! dependencies beyond the workspace's own.  The only unsafe code is the
-//! epoll/rlimit syscall shims in [`event_loop`], each confined to a tiny
-//! `sys`-style module.
+//! Everything is std; the crate adds no dependencies beyond the workspace's
+//! own.  The server waits for readiness through epoll on Linux and `poll(2)`
+//! on other Unix hosts; the crate does not build elsewhere.  The only unsafe
+//! code is those syscall shims and the `rlimit` one in [`event_loop`], each
+//! confined to a tiny module.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!("lofat-net needs epoll (Linux) or poll(2) (other Unix hosts)");
 
 pub mod client;
 pub mod conn;
@@ -62,6 +63,7 @@ pub mod event_loop;
 pub mod frame;
 pub mod front;
 pub mod limits;
+mod poller;
 pub mod server;
 
 pub use client::{ClientConfig, NetAttestation, ProverClient, RawFrameIo};
@@ -71,4 +73,4 @@ pub use event_loop::{raise_nofile_limit, EventLoopServer};
 pub use frame::{DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_BYTES};
 pub use front::FanOutFront;
 pub use limits::{NetLimits, DEFAULT_MAX_SESSIONS_PER_CONNECTION};
-pub use server::{ServerConfig, VerifierServer};
+pub use server::ServerConfig;

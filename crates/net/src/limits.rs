@@ -1,11 +1,11 @@
-//! `NetLimits` — the deadline and size knobs shared by every transport.
+//! `NetLimits` — the deadline and size knobs shared by the server, the
+//! front and the client.
 //!
-//! Both transports (the blocking [`crate::VerifierServer`], the
-//! readiness-driven [`crate::EventLoopServer`]) and the [`crate::ProverClient`]
-//! enforce the same four limits; before this type existed each config struct
-//! carried its own copy of the fields.  `NetLimits` is the single place those
-//! knobs live: [`crate::ServerConfig`] and [`crate::ClientConfig`] both embed
-//! one in their `limits` field.
+//! The [`crate::EventLoopServer`], the [`crate::FanOutFront`] and the
+//! [`crate::ProverClient`] enforce the same limits; before this type existed
+//! each config struct carried its own copy of the fields.  `NetLimits` is the
+//! single place those knobs live: [`crate::ServerConfig`] and
+//! [`crate::ClientConfig`] both embed one in their `limits` field.
 //!
 //! Migration from the pre-`NetLimits` field names (`config.read_timeout` and
 //! friends): the fields moved verbatim into `config.limits`, so
@@ -24,7 +24,7 @@ use std::time::Duration;
 /// (each tracked id costs the connection 8 bytes of memory).
 pub const DEFAULT_MAX_SESSIONS_PER_CONNECTION: usize = 4096;
 
-/// Deadline and size limits shared by both transports and the client.
+/// Deadline and size limits shared by the server, the front and the client.
 ///
 /// Construct with [`NetLimits::server`] or [`NetLimits::client`] (they differ
 /// only in default deadlines) and adjust with the `with_*` builders:
@@ -44,15 +44,15 @@ pub struct NetLimits {
     /// Maximum accepted frame payload, in bytes (hostile length prefixes
     /// above this are refused before any buffer is sized from them).
     pub max_frame_bytes: usize,
-    /// Read deadline (`None` waits forever).  On the blocking transport this
-    /// is the socket read timeout; on the event loop it is the inactivity
-    /// deadline — a connection that has not delivered a byte for this long is
-    /// closed.  The two coincide: a socket read with `SO_RCVTIMEO` also
-    /// restarts its clock on every byte received.
+    /// Read deadline (`None` waits forever).  On the server it is the
+    /// inactivity deadline — a connection that has not delivered a byte for
+    /// this long is closed; every byte received restarts the clock.  The
+    /// client and the front's relays use it as their socket read timeout.
     pub read_timeout: Option<Duration>,
-    /// Write deadline (`None` waits forever).  On the event loop this bounds
-    /// how long a connection's write buffer may sit undrained before the
-    /// connection is dropped as stalled.
+    /// Write deadline (`None` waits forever).  On the server this bounds how
+    /// long a connection's write buffer may sit undrained before the
+    /// connection is dropped as stalled; the client and the front use it as
+    /// their socket write timeout.
     pub write_timeout: Option<Duration>,
     /// Maximum distinct [`lofat::wire::SessionId`]s one connection may
     /// address.  Past the cap, evidence for a fresh session id is answered

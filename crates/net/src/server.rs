@@ -1,67 +1,38 @@
-//! `VerifierServer` — the sharded verifier service behind a TCP listener,
-//! one blocking thread per connection.
+//! `ServerConfig` and the event log shared by the verifier server
+//! ([`crate::EventLoopServer`]) and the fan-out front
+//! ([`crate::FanOutFront`]).
 //!
-//! The server owns three layers the rest of the workspace already provides
-//! and adds only transport:
-//!
-//! * an accept loop over a [`TcpListener`] with a **bounded connection
-//!   count** — beyond [`ServerConfig::max_connections`] the acceptor stops
-//!   pulling from the kernel backlog until a slot frees, so a connection
-//!   flood backpressures at the socket layer instead of spawning unbounded
-//!   threads;
-//! * one handler thread per connection driving the sans-I/O
-//!   [`Connection`] state machine (frame reassembly, session multiplexing,
-//!   typed close reasons — shared verbatim with the readiness-driven
-//!   [`crate::EventLoopServer`]), with **per-connection read/write
-//!   deadlines** enforced by the socket timeouts;
-//! * the existing [`ParallelVerifier`] worker pool: every evidence frame is a
-//!   `handle_bytes` job, so verification parallelism and verdict semantics
-//!   are exactly those of the in-process service.
-//!
-//! Accounting discipline: the server never touches statistics itself.
-//! Well-formed and malformed envelope bytes alike flow through
-//! [`VerifierService::handle_bytes`]; framing-level rejections (an oversized
-//! length prefix, a frame cut short), where a complete byte string never
-//! existed, are reported through [`VerifierService::reject_unparseable`] —
-//! the same `record_verdict` path — so the conservation law
+//! Accounting discipline, for every listener in this crate: a server never
+//! touches statistics itself.  Well-formed and malformed envelope bytes alike
+//! flow through [`lofat::service::VerifierService::handle_bytes`];
+//! framing-level rejections (an oversized length prefix, a frame cut short),
+//! where a complete byte string never existed, are reported through
+//! [`lofat::service::VerifierService::reject_unparseable`] — the same
+//! `record_verdict` path — so the conservation law
 //! `opened == accepted + sessions_rejected + expired + live` holds over
 //! socket traffic exactly as it does in-process.  The mapping from close
-//! reason to book entry lives on [`CloseReason::wire_error`], shared by both
-//! transports.  Session-request *refusals* (unknown input, capacity, wrong
-//! program) mirror the typed [`VerifierService::open_session`] errors, which
-//! touch no counters either.
-//!
-//! Shutdown is graceful: [`VerifierServer::shutdown`] stops the acceptor,
-//! nudges idle connections closed, waits for handlers to finish writing the
-//! replies already in flight, and drains the pool queue before returning.
+//! reason to book entry lives on [`crate::CloseReason::wire_error`].
 
-use crate::conn::{
-    session_limit_refusal, session_request_reply, Admission, CloseReason, Connection,
-};
-use crate::error::NetError;
-use crate::frame::write_frame;
 use crate::limits::NetLimits;
-use lofat::pool::{ParallelVerifier, PoolConfig};
-use lofat::service::{ServiceError, VerifierService};
-use lofat::wire::{Envelope, Message, SessionId};
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use lofat::pool::PoolConfig;
+use std::collections::VecDeque;
+use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
-/// Tunables of a [`VerifierServer`] (and of an [`crate::EventLoopServer`] —
-/// both transports share this config).
+/// Tunables of an [`crate::EventLoopServer`] (and of a
+/// [`crate::FanOutFront`], which uses every field but `pool`).
 ///
 /// The per-connection deadline and size knobs moved into
-/// [`ServerConfig::limits`] when [`NetLimits`] unified them across transports
-/// (`config.read_timeout` → `config.limits.read_timeout`, and so on).
+/// [`ServerConfig::limits`] when [`NetLimits`] unified them across the
+/// server and the client (`config.read_timeout` →
+/// `config.limits.read_timeout`, and so on).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum connections served concurrently; the acceptor waits for a free
-    /// slot beyond this (bounded accept queue).
+    /// Maximum connections served concurrently.  Past it the listener stops
+    /// accepting until a connection closes, so a flood waits in the kernel
+    /// backlog instead of costing the server memory (or, on the front, a
+    /// relay thread) per connection.
     pub max_connections: usize,
     /// Per-connection deadlines, frame bound and session-multiplex cap —
     /// see [`NetLimits`].
@@ -73,8 +44,9 @@ pub struct ServerConfig {
     pub pool: PoolConfig,
     /// When set, every connection event is appended to this file as it
     /// happens (one line per event), so a crashed or failing run leaves its
-    /// server log on disk.  The same events are always available in memory
-    /// via [`VerifierServer::events`].
+    /// server log on disk.  Missing parent directories are created; a path
+    /// that cannot be opened for appending fails the bind.  The same events
+    /// are always available in memory via [`crate::EventLoopServer::events`].
     pub log_path: Option<PathBuf>,
 }
 
@@ -93,19 +65,29 @@ impl Default for ServerConfig {
 const MAX_LOG_LINES: usize = 4096;
 
 pub(crate) struct EventLog {
-    lines: Mutex<(u64, std::collections::VecDeque<String>)>,
+    lines: Mutex<(u64, VecDeque<String>)>,
     file: Option<Mutex<std::fs::File>>,
 }
 
 impl EventLog {
-    pub(crate) fn new(path: Option<&PathBuf>) -> Self {
-        let file = path.and_then(|p| {
-            if let Some(dir) = p.parent() {
-                let _ = std::fs::create_dir_all(dir);
+    /// An in-memory log, mirrored to `path` when one is given.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error from creating `path`'s parent directories or opening
+    /// `path` for appending.
+    pub(crate) fn new(path: Option<&PathBuf>) -> std::io::Result<Self> {
+        let file = match path {
+            Some(path) => {
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
+                }
+                let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+                Some(Mutex::new(file))
             }
-            std::fs::OpenOptions::new().create(true).append(true).open(p).ok().map(Mutex::new)
-        });
-        Self { lines: Mutex::new((0, std::collections::VecDeque::new())), file }
+            None => None,
+        };
+        Ok(Self { lines: Mutex::new((0, VecDeque::new())), file })
     }
 
     pub(crate) fn push(&self, event: String) {
@@ -130,426 +112,42 @@ impl EventLog {
     }
 }
 
-/// Connection registry: active count for the bounded accept queue plus a
-/// read-half handle per live connection so shutdown can nudge idle handlers
-/// out of their blocking reads.
-#[derive(Default)]
-struct Connections {
-    active: usize,
-    streams: HashMap<u64, TcpStream>,
-}
+#[cfg(test)]
+mod tests {
+    use super::ServerConfig;
+    use crate::{EventLoopServer, FanOutFront, NetError};
+    use lofat::service::{ServiceConfig, VerifierService};
+    use lofat::{EngineConfig, MeasurementDatabase, Verifier};
+    use lofat_crypto::DeviceKey;
+    use lofat_rv32::asm::assemble;
+    use std::sync::Arc;
 
-struct Shared {
-    service: Arc<VerifierService>,
-    pool: ParallelVerifier,
-    limits: NetLimits,
-    max_connections: usize,
-    shutting_down: AtomicBool,
-    connections: Mutex<Connections>,
-    slot_freed: Condvar,
-    connections_served: AtomicU64,
-    frames_served: AtomicU64,
-    log: EventLog,
-}
-
-/// A verifier service listening on a TCP socket, serving each connection on
-/// its own blocking thread.
-///
-/// Each accepted connection speaks length-prefixed [`Envelope`] frames (see
-/// [`crate::frame`]): a [`Message::SessionRequest`] opens a session and is
-/// answered with the challenge; an evidence frame is verified on the shared
-/// [`ParallelVerifier`] pool and answered with the verdict; anything else —
-/// including bytes that do not decode at all — is answered with the rejecting
-/// verdict the in-process [`VerifierService`] produces for the same input.
-/// One connection may interleave any number of sessions (up to
-/// [`NetLimits::max_sessions_per_connection`]) and pipeline frames —
-/// replies always come back in frame order.
-///
-/// For thousands of mostly-idle connections, prefer the readiness-driven
-/// [`crate::EventLoopServer`], which serves the same protocol from one
-/// thread; this server spends a thread (and its stack) per connection.
-///
-/// # Example
-///
-/// ```
-/// use lofat::service::{ServiceConfig, VerifierService};
-/// use lofat::{EngineConfig, MeasurementDatabase, Prover, Verifier};
-/// use lofat_crypto::DeviceKey;
-/// use lofat_net::{ProverClient, ServerConfig, VerifierServer};
-/// use lofat_rv32::asm::assemble;
-/// use std::sync::Arc;
-///
-/// let program = assemble(
-///     ".text\nmain:\n    li t0, 4\nloop:\n    addi t0, t0, -1\n    bnez t0, loop\n    ecall\n",
-/// )?;
-/// let key = DeviceKey::from_seed("fleet");
-/// let mut prover = Prover::new(program.clone(), "demo", key.clone());
-/// let verifier = Verifier::new(program, "demo", key.verification_key())?;
-/// let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), vec![vec![]])?;
-/// let service = Arc::new(VerifierService::new(
-///     db,
-///     key.verification_key(),
-///     ServiceConfig::default(),
-/// ));
-///
-/// // Serve on an ephemeral loopback port; attest over a real socket.
-/// let server = VerifierServer::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())?;
-/// let mut client = ProverClient::connect(server.local_addr())?;
-/// let outcome = client.attest(&mut prover, vec![])?;
-/// assert!(outcome.verdict.accepted);
-/// drop(client);
-/// server.shutdown();
-/// assert_eq!(service.stats().accepted, 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct VerifierServer {
-    shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for VerifierServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VerifierServer")
-            .field("local_addr", &self.local_addr)
-            .field("connections_served", &self.connections_served())
-            .field("frames_served", &self.frames_served())
-            .finish()
-    }
-}
-
-impl VerifierServer {
-    /// Binds a listener on `addr` (use port 0 for an ephemeral port), spawns
-    /// the verification pool and the acceptor thread, and starts serving.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Io`] if the listener cannot be bound.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        service: Arc<VerifierService>,
-        config: ServerConfig,
-    ) -> Result<Self, NetError> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let pool = ParallelVerifier::spawn(Arc::clone(&service), config.pool);
-        let shared = Arc::new(Shared {
-            service,
-            pool,
-            limits: config.limits,
-            max_connections: config.max_connections.max(1),
-            shutting_down: AtomicBool::new(false),
-            connections: Mutex::new(Connections::default()),
-            slot_freed: Condvar::new(),
-            connections_served: AtomicU64::new(0),
-            frames_served: AtomicU64::new(0),
-            log: EventLog::new(config.log_path.as_ref()),
-        });
-        shared.log.push(format!(
-            "listen addr={local_addr} program={} workers={} max_connections={}",
-            shared.service.program_id(),
-            shared.pool.worker_count(),
-            shared.max_connections,
-        ));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("lofat-net-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor")
+    #[test]
+    fn an_unwritable_log_path_fails_both_binds() {
+        // A regular file where the log's parent directory should be: neither
+        // creating the directory nor opening the log can succeed.
+        let dir = std::env::temp_dir().join(format!("lofat-net-log-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let not_a_dir = dir.join("not-a-dir");
+        std::fs::write(&not_a_dir, b"").expect("regular file");
+        let config = ServerConfig {
+            log_path: Some(not_a_dir.join("server.log")),
+            ..ServerConfig::default()
         };
-        Ok(Self { shared, local_addr, acceptor: Some(acceptor) })
-    }
 
-    /// The bound address (with the actual port when bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
+        let program = assemble(".text\nmain:\n    ecall\n").expect("assemble");
+        let key = DeviceKey::from_seed("log-path");
+        let verifier = Verifier::new(program, "demo", key.verification_key()).expect("verifier");
+        let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), vec![vec![]])
+            .expect("database");
+        let service =
+            Arc::new(VerifierService::new(db, key.verification_key(), ServiceConfig::default()));
 
-    /// The service this server fronts.
-    pub fn service(&self) -> &Arc<VerifierService> {
-        &self.shared.service
+        let server = EventLoopServer::bind("127.0.0.1:0", service, config.clone());
+        assert!(matches!(server, Err(NetError::Io(_))), "{server:?}");
+        let backend = "127.0.0.1:9".parse().expect("address");
+        let front = FanOutFront::bind("127.0.0.1:0", vec![backend], config);
+        assert!(matches!(front, Err(NetError::Io(_))), "{front:?}");
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
-
-    /// Connections accepted over the server lifetime.
-    pub fn connections_served(&self) -> u64 {
-        self.shared.connections_served.load(Ordering::Relaxed)
-    }
-
-    /// Frames answered over the server lifetime.
-    pub fn frames_served(&self) -> u64 {
-        self.shared.frames_served.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.connections.lock().expect("connection lock poisoned").active
-    }
-
-    /// A snapshot of the in-memory event log (the most recent few thousand
-    /// events; the full history goes to [`ServerConfig::log_path`] when set).
-    pub fn events(&self) -> Vec<String> {
-        self.shared.log.snapshot()
-    }
-
-    /// Gracefully shuts the server down: stop accepting, nudge idle
-    /// connections closed, let handlers finish the replies already in
-    /// flight, then drain the verification pool.  In-flight verdicts are
-    /// delivered, not dropped.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    /// [`VerifierServer::shutdown`], then drain the quiesced service into a
-    /// durable snapshot at `path` (written atomically, with `reserve` future
-    /// sessions added to every issuance watermark — see
-    /// [`VerifierService::write_snapshot`]).  Because the snapshot is taken
-    /// *after* the graceful shutdown completed, every in-flight verdict is
-    /// already in the books it captures.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Io`] if the snapshot cannot be encoded or written;
-    /// the shutdown itself has already completed either way.
-    pub fn shutdown_to_snapshot(
-        mut self,
-        path: impl AsRef<std::path::Path>,
-        reserve: u64,
-    ) -> Result<(), NetError> {
-        self.stop();
-        self.shared
-            .service
-            .write_snapshot(path, reserve)
-            .map_err(|e| NetError::Io(std::io::Error::other(e.to_string())))
-    }
-
-    fn stop(&mut self) {
-        if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.shared.log.push("shutdown requested".into());
-        // Wake an acceptor waiting for a slot.  No handler is spawned (or
-        // registered) after this point: the acceptor re-checks the flag
-        // before serving anything it accepts.
-        self.shared.slot_freed.notify_all();
-        // Close the read half of every live connection: handlers blocked in
-        // a read observe EOF and wind down after flushing their reply;
-        // handlers mid-verification still write their verdict (the write
-        // half stays open).  This must happen before joining the acceptor —
-        // the acceptor joins the handlers, and a handler parked in a read
-        // would otherwise hold that join until its deadline.
-        {
-            let connections = self.shared.connections.lock().expect("connection lock poisoned");
-            for stream in connections.streams.values() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
-        }
-        // Unblock an acceptor parked in accept(), then collect it (it joins
-        // every handler on the way out).  A wildcard bind address is not
-        // connectable everywhere — aim the wake-up at loopback on the bound
-        // port instead.
-        let mut wake = self.local_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect(wake);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        self.shared.log.push(format!(
-            "shutdown complete connections={} frames={}",
-            self.connections_served(),
-            self.frames_served(),
-        ));
-        // Dropping the last `Shared` handle (handlers are gone) closes the
-        // pool queue and joins its workers, draining queued jobs.
-    }
-}
-
-impl Drop for VerifierServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_id = 0u64;
-    loop {
-        // Bounded accept queue: do not pull another connection off the
-        // backlog until a handler slot is free.
-        {
-            let mut connections = shared.connections.lock().expect("connection lock poisoned");
-            while connections.active >= shared.max_connections
-                && !shared.shutting_down.load(Ordering::SeqCst)
-            {
-                connections = shared.slot_freed.wait(connections).expect("connection lock");
-            }
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            connections.active += 1;
-        }
-        let (stream, peer) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(e) => {
-                release_slot(shared, None);
-                shared.log.push(format!("accept error: {e}"));
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            // The wake-up connection from `shutdown` (or anything racing it).
-            release_slot(shared, None);
-            break;
-        }
-        next_id += 1;
-        let id = next_id;
-        shared.connections_served.fetch_add(1, Ordering::Relaxed);
-        shared.log.push(format!("accept id={id} peer={peer}"));
-        if let Ok(read_half) = stream.try_clone() {
-            shared.connections.lock().expect("connection lock").streams.insert(id, read_half);
-        }
-        handlers.retain(|handle| !handle.is_finished());
-        let worker = {
-            let shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name(format!("lofat-net-conn-{id}"))
-                .spawn(move || {
-                    serve_connection(&shared, stream, id);
-                    release_slot(&shared, Some(id));
-                })
-                .expect("spawn connection handler")
-        };
-        handlers.push(worker);
-    }
-    for handle in handlers {
-        let _ = handle.join();
-    }
-}
-
-fn release_slot(shared: &Shared, id: Option<u64>) {
-    let mut connections = shared.connections.lock().expect("connection lock poisoned");
-    connections.active -= 1;
-    if let Some(id) = id {
-        connections.streams.remove(&id);
-    }
-    shared.slot_freed.notify_all();
-}
-
-/// Serves one connection until the peer closes, a deadline fires, framing
-/// desynchronises, or shutdown is requested.  The [`Connection`] machine
-/// decides *what* happens; this driver only moves bytes and blocks.
-fn serve_connection(shared: &Shared, mut stream: TcpStream, id: u64) {
-    let _ = stream.set_read_timeout(shared.limits.read_timeout);
-    let _ = stream.set_write_timeout(shared.limits.write_timeout);
-    // Verdicts are small frames in a request/response rhythm: never let
-    // Nagle hold one back waiting for payload that is not coming.
-    let _ = stream.set_nodelay(true);
-    // Deadlines are enforced by the socket timeouts on this transport, so
-    // the machine's own clocks are never ticked here.
-    let mut conn = Connection::new(&shared.limits, 0);
-    let mut frames = 0u64;
-    let mut buf = [0u8; 16 * 1024];
-    let close = 'serve: loop {
-        // Drain every complete frame (a pipelining client may have several
-        // buffered) before touching the socket again.
-        loop {
-            let frame = match conn.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(reason) => break 'serve reason,
-            };
-            let reply = match dispatch_frame(shared, &mut conn, frame) {
-                Ok(reply) => reply,
-                Err(e) => break 'serve CloseReason::ServiceError(e.to_string()),
-            };
-            // Count the frame *before* the reply hits the wire: the instant
-            // the peer can observe its verdict, the counter already includes
-            // it.
-            frames += 1;
-            shared.frames_served.fetch_add(1, Ordering::Relaxed);
-            if let Err(reason) = conn.frame_out(&reply) {
-                break 'serve reason;
-            }
-            if let Err(reason) = flush_replies(&mut stream, &mut conn) {
-                break 'serve reason;
-            }
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                break 'serve CloseReason::Shutdown;
-            }
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => break conn.peer_closed(),
-            Ok(n) => conn.bytes_in(&buf[..n], 0),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                break CloseReason::ReadDeadline;
-            }
-            Err(e) => break CloseReason::ReadError(e.to_string()),
-        }
-    };
-    // Framing-level rejections enter the books through the shared mapping;
-    // an oversized announcement is also answered (the peer is still there).
-    if let Some(wire_error) = close.wire_error() {
-        match shared.service.reject_unparseable(SessionId(0), &wire_error) {
-            Ok(reply) if close.answers_peer() => {
-                let _ = write_frame(&mut stream, &reply, shared.limits.max_frame_bytes);
-            }
-            _ => {}
-        }
-    }
-    shared.log.push(format!("close id={id} frames={frames} ({close})"));
-}
-
-/// Dispatches one complete frame per its [`Admission`] and returns the reply
-/// bytes.  Session requests are answered inline (opening is cheap and must
-/// not queue behind evidence); everything else verifies on the pool.
-fn dispatch_frame(
-    shared: &Shared,
-    conn: &mut Connection,
-    frame: Vec<u8>,
-) -> Result<Vec<u8>, ServiceError> {
-    match conn.admit(&frame) {
-        Admission::SessionRequest => match Envelope::decode(&frame) {
-            Ok(Envelope { message: Message::SessionRequest(request), .. }) => {
-                session_request_reply(&shared.service, &request)
-            }
-            // The peek was optimistic; let the service classify whatever
-            // this really is (counted like any other malformed input).
-            _ => shared.service.handle_bytes(&frame),
-        },
-        Admission::SessionLimit { session } => {
-            session_limit_refusal(session, shared.limits.max_sessions_per_connection)
-        }
-        // Evidence, misdirected kinds, replays and malformed bytes: all
-        // verification and classification runs on the pool via
-        // `handle_bytes`, which decodes exactly once and never panics.
-        Admission::Verify => shared.pool.submit(frame).wait().reply,
-    }
-}
-
-/// Blocks until the connection's staged reply bytes are on the wire.
-fn flush_replies(stream: &mut TcpStream, conn: &mut Connection) -> Result<(), CloseReason> {
-    while conn.wants_write() {
-        match stream.write(conn.bytes_out()) {
-            Ok(0) => return Err(CloseReason::WriteFailed("socket accepted no bytes".into())),
-            Ok(n) => conn.consume_out(n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(CloseReason::WriteFailed(
-                    NetError::from_io(e, "writing a frame").to_string(),
-                ));
-            }
-        }
-    }
-    stream
-        .flush()
-        .map_err(|e| CloseReason::WriteFailed(NetError::from_io(e, "flushing a frame").to_string()))
 }

@@ -32,7 +32,7 @@ use lofat::{
 use lofat_crypto::DeviceKey;
 use lofat_fleet::spec::Adversary as FleetAdversary;
 use lofat_fleet::{behaviour_for, generate_traffic, FleetSpec, SlotBehaviour};
-use lofat_net::{FanOutFront, ProverClient, ServerConfig, VerifierServer};
+use lofat_net::{EventLoopServer, FanOutFront, ProverClient, ServerConfig};
 use lofat_rv32::asm::assemble;
 use lofat_rv32::{disasm, Cpu, Program};
 use lofat_workloads::catalog;
@@ -90,10 +90,12 @@ commands:
   serve <workload> [--addr A] [--shards S] [--workers K] [--inputs i1,i2 ..]
         [--deadline-cycles D] [--snapshot-path FILE] [--partition p/N]
                                      serve the VerifierService for one workload
-                                     over TCP (default addr 127.0.0.1:4508)
-                                     until interrupted; the session clock
-                                     ticks at 1 cycle/us and stale sessions
-                                     are swept (default deadline: 60s);
+                                     over TCP (default addr 127.0.0.1:4508),
+                                     every connection on one event-loop
+                                     thread, until interrupted; the session
+                                     clock ticks at 1 cycle/us and stale
+                                     sessions are swept (default deadline:
+                                     60s);
                                      --snapshot-path restores state from FILE
                                      if it exists and then writes a crash-safe
                                      snapshot there at startup and every tick;
@@ -123,16 +125,16 @@ commands:
                                      connection sweep (10k-scale concurrent
                                      connections) and write sessions/sec +
                                      p50/p99 latency to BENCH_service.json
-  fleet run <spec.fleet> [--transport pool|socket|epoll|front|both|all]
+  fleet run <spec.fleet> [--transport pool|epoll|front|all]
             [--out-dir DIR] [--scale N]
                                      expand a declarative fleet spec and drive
                                      every scenario (workload × adversary mix ×
                                      clients × arrival × fault injection) over
-                                     the chosen transport(s) — `both` is the
-                                     two original transports (pool + socket),
-                                     `all` (the default) adds the epoll event
-                                     loop and the partitioned fan-out front;
-                                     with more than one, assert the
+                                     the chosen transport(s): the in-process
+                                     pool, the event-loop server `serve`
+                                     runs, a fan-out front over two
+                                     partitioned servers, or `all` three (the
+                                     default); with more than one, assert the
                                      verdict breakdowns match, then write
                                      manifest.json / manifest.csv /
                                      manifest.golden.json under --out-dir
@@ -454,7 +456,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let config = *service.config();
     let server_config =
         ServerConfig { pool: PoolConfig::with_workers(workers), ..ServerConfig::default() };
-    let server = VerifierServer::bind(addr.as_str(), Arc::clone(&service), server_config)?;
+    let server = EventLoopServer::bind(addr.as_str(), Arc::clone(&service), server_config)?;
     println!(
         "serving `{name}` on {} ({} shard{}, {} worker{}, partition {}/{})",
         server.local_addr(),
@@ -953,21 +955,16 @@ fn cmd_fleet_run(args: &[String]) -> CliResult {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--transport" => {
-                let which = iter
-                    .next()
-                    .ok_or("fleet run: --transport needs pool|socket|epoll|front|both|all")?;
-                (options.pool, options.socket, options.epoll, options.front) = match which.as_str()
-                {
-                    "pool" => (true, false, false, false),
-                    "socket" => (false, true, false, false),
-                    "epoll" => (false, false, true, false),
-                    "front" => (false, false, false, true),
-                    "both" => (true, true, false, false),
-                    "all" => (true, true, true, true),
+                let which =
+                    iter.next().ok_or("fleet run: --transport needs pool|epoll|front|all")?;
+                (options.pool, options.epoll, options.front) = match which.as_str() {
+                    "pool" => (true, false, false),
+                    "epoll" => (false, true, false),
+                    "front" => (false, false, true),
+                    "all" => (true, true, true),
                     other => {
                         return Err(format!(
-                            "fleet run: unknown transport `{other}` \
-                             (pool|socket|epoll|front|both|all)"
+                            "fleet run: unknown transport `{other}` (pool|epoll|front|all)"
                         )
                         .into());
                     }
@@ -988,11 +985,10 @@ fn cmd_fleet_run(args: &[String]) -> CliResult {
     let spec = load_fleet_spec(&path)?;
     let jobs = lofat_fleet::enumerate_jobs(&spec)?;
     eprintln!(
-        "fleet {}: {} scenario(s){}{}{}{}",
+        "fleet {}: {} scenario(s){}{}{}",
         spec.name,
         jobs.len(),
         if options.pool { " × pool" } else { "" },
-        if options.socket { " × socket" } else { "" },
         if options.epoll { " × epoll" } else { "" },
         if options.front { " × front" } else { "" },
     );
@@ -1027,7 +1023,6 @@ fn cmd_fleet_run(args: &[String]) -> CliResult {
     // verdict-for-verdict with the first — the transports add no semantics.
     let enabled: Vec<Transport> = [
         (options.pool, Transport::Pool),
-        (options.socket, Transport::Socket),
         (options.epoll, Transport::Epoll),
         (options.front, Transport::Front),
     ]

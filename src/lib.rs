@@ -23,5 +23,5 @@ pub use lofat_workloads;
 // the member crate.
 pub use lofat_net::{
     raise_nofile_limit, ClientConfig, EventLoopServer, FanOutFront, NetAttestation, NetError,
-    NetLimits, ProverClient, RawFrameIo, ServerConfig, VerifierServer,
+    NetLimits, ProverClient, RawFrameIo, ServerConfig,
 };

@@ -134,96 +134,12 @@ pub fn net_server_config(test_name: &str) -> lofat_net::ServerConfig {
     }
 }
 
-/// Either live-server transport behind one handle, so the network suites run
-/// their whole differential contract against both the blocking
-/// [`lofat_net::VerifierServer`] and the readiness-driven
-/// [`lofat_net::EventLoopServer`] (`AnyServer::bind` picks by name).
-pub enum AnyServer {
-    /// The blocking thread-per-connection transport.
-    Blocking(lofat_net::VerifierServer),
-    /// The readiness-driven event-loop transport.
-    Epoll(lofat_net::EventLoopServer),
-}
-
-impl AnyServer {
-    /// Binds a server of the named flavor (`"blocking"` or `"epoll"`) on an
-    /// ephemeral loopback port.
-    pub fn bind(
-        transport: &str,
-        service: std::sync::Arc<VerifierService>,
-        config: lofat_net::ServerConfig,
-    ) -> Self {
-        match transport {
-            "blocking" => AnyServer::Blocking(
-                lofat_net::VerifierServer::bind("127.0.0.1:0", service, config)
-                    .expect("bind blocking server"),
-            ),
-            "epoll" => AnyServer::Epoll(
-                lofat_net::EventLoopServer::bind("127.0.0.1:0", service, config)
-                    .expect("bind event-loop server"),
-            ),
-            other => panic!("unknown transport {other:?} (expected `blocking` or `epoll`)"),
-        }
-    }
-
-    /// The bound ephemeral address.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            AnyServer::Blocking(server) => server.local_addr(),
-            AnyServer::Epoll(server) => server.local_addr(),
-        }
-    }
-
-    /// Connections accepted over the server lifetime.
-    pub fn connections_served(&self) -> u64 {
-        match self {
-            AnyServer::Blocking(server) => server.connections_served(),
-            AnyServer::Epoll(server) => server.connections_served(),
-        }
-    }
-
-    /// Frames answered over the server lifetime.
-    pub fn frames_served(&self) -> u64 {
-        match self {
-            AnyServer::Blocking(server) => server.frames_served(),
-            AnyServer::Epoll(server) => server.frames_served(),
-        }
-    }
-
-    /// Connections currently held.
-    pub fn active_connections(&self) -> usize {
-        match self {
-            AnyServer::Blocking(server) => server.active_connections(),
-            AnyServer::Epoll(server) => server.active_connections(),
-        }
-    }
-
-    /// A snapshot of the server's event log.
-    pub fn events(&self) -> Vec<String> {
-        match self {
-            AnyServer::Blocking(server) => server.events(),
-            AnyServer::Epoll(server) => server.events(),
-        }
-    }
-
-    /// Graceful shutdown (drains in-flight work on both flavors).
-    pub fn shutdown(self) {
-        match self {
-            AnyServer::Blocking(server) => server.shutdown(),
-            AnyServer::Epoll(server) => server.shutdown(),
-        }
-    }
-}
-
-/// The server flavors a network suite should sweep, from `var` (default:
-/// both).  Set e.g. `E14_TRANSPORT=epoll` to pin one.
-pub fn transports_from_env(var: &str) -> Vec<&'static str> {
-    match std::env::var(var).as_deref() {
-        Ok("blocking") => vec!["blocking"],
-        Ok("epoll") => vec!["epoll"],
-        Ok("both") | Err(_) => vec!["blocking", "epoll"],
-        Ok(other) => panic!("{var}={other:?} (expected blocking|epoll|both)"),
-    }
+/// Binds the verifier server on an ephemeral loopback port.
+pub fn serve(
+    service: std::sync::Arc<VerifierService>,
+    config: lofat_net::ServerConfig,
+) -> lofat_net::EventLoopServer {
+    lofat_net::EventLoopServer::bind("127.0.0.1:0", service, config).expect("bind server")
 }
 
 /// Decodes an encoded verdict envelope and returns its [`lofat::VerdictMsg`],

@@ -1,11 +1,10 @@
 //! E14 — the attestation protocol over real sockets.
 //!
-//! `lofat-net` is pure transport: putting a server (the blocking
-//! `VerifierServer` *or* the readiness-driven `EventLoopServer` — every test
-//! here runs against both, see `E14_TRANSPORT`) and `ProverClient` between
-//! the prover and the sharded `VerifierService` must change *no* byte of any
-//! challenge, no verdict and no statistic relative to driving the same
-//! service in-process.  Families of checks:
+//! `lofat-net` is pure transport: putting the server (`EventLoopServer`, the
+//! one `lofat serve` runs) and `ProverClient` between the prover and the
+//! sharded `VerifierService` must change *no* byte of any challenge, no
+//! verdict and no statistic relative to driving the same service
+//! in-process.  Families of checks:
 //!
 //! * **Differential equivalence** — for every catalogue workload (honest
 //!   traffic mixed with adversarial runs and forged signatures) and for every
@@ -27,11 +26,13 @@
 //! * **Multiplexing** — N sessions interleaved over *one* connection (session
 //!   requests up front, evidence pipelined) produce byte-identical verdicts
 //!   and equal books vs N one-session connections.
+//! * **Fan-out front** — partitioned servers behind a `FanOutFront` are
+//!   byte-identical to one service, and a front past its connection cap
+//!   leaves the next client waiting in the backlog until a slot frees.
 //!
 //! `E14_SESSIONS` overrides the per-workload session count (CI runs a debug
-//! smoke pass and a full-scale release pass, mirroring e12/e13);
-//! `E14_TRANSPORT` picks `blocking`, `epoll` or `both` (the default).  Each
-//! test writes the server's event log under `target/e14/` (override with
+//! smoke pass and a full-scale release pass, mirroring e12/e13).  Each test
+//! writes the server's event log under `target/e14/` (override with
 //! `E14_LOG_DIR`) so CI can upload what the server saw on failure.
 
 mod common;
@@ -133,9 +134,9 @@ fn run_in_process(
     RunResult { verdicts_p1, verdicts_p2, stats, live }
 }
 
-/// The same drive through a loopback server of the given flavor: challenges
-/// are requested over the wire, evidence and replays are submitted as raw
-/// frames, verdict envelope bytes come back off the wire.
+/// The same drive through a loopback server: challenges are requested over
+/// the wire, evidence and replays are submitted as raw frames, verdict
+/// envelope bytes come back off the wire.
 fn run_over_socket(
     test: &str,
     name: &str,
@@ -143,14 +144,9 @@ fn run_over_socket(
     fleet: &Fleet,
     input_pool: &[Vec<u32>],
     config: ServiceConfig,
-    transport: &str,
 ) -> RunResult {
     let (_, service, _prover) = common::workload_service_arc(name, seed, input_pool, config);
-    let server = common::AnyServer::bind(
-        transport,
-        Arc::clone(&service),
-        common::net_server_config(&format!("{test}.{transport}")),
-    );
+    let server = common::serve(Arc::clone(&service), common::net_server_config(test));
     let mut client = ProverClient::connect(server.local_addr()).expect("connect");
     for (i, input) in fleet.inputs.iter().enumerate() {
         let (challenge, bytes) =
@@ -158,7 +154,7 @@ fn run_over_socket(
         assert_eq!(challenge.session, SessionId(i as u64 + 1));
         assert_eq!(
             bytes, fleet.challenges[i],
-            "{name}: {transport} challenge {i} differs from the in-process bytes"
+            "{name}: socket challenge {i} differs from the in-process bytes"
         );
     }
     let mut raw = client.raw();
@@ -189,37 +185,35 @@ fn differential(
     let config = ServiceConfig::sharded(4);
 
     let reference = run_in_process(name, &seed, &fleet, input_pool, config);
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        let socket = run_over_socket(test, name, &seed, &fleet, input_pool, config, transport);
+    let socket = run_over_socket(test, name, &seed, &fleet, input_pool, config);
 
-        for (i, (want, got)) in reference.verdicts_p1.iter().zip(&socket.verdicts_p1).enumerate() {
-            assert_eq!(want, got, "{name}: phase-1 verdict bytes {i} diverge over {transport}");
-        }
-        for (i, (want, got)) in reference.verdicts_p2.iter().zip(&socket.verdicts_p2).enumerate() {
-            assert_eq!(want, got, "{name}: replay verdict bytes {i} diverge over {transport}");
-        }
-        assert_eq!(reference.stats, socket.stats, "{name}: stats diverge over {transport}");
-        assert_eq!(reference.live, socket.live, "{name}: live sessions diverge over {transport}");
+    for (i, (want, got)) in reference.verdicts_p1.iter().zip(&socket.verdicts_p1).enumerate() {
+        assert_eq!(want, got, "{name}: phase-1 verdict bytes {i} diverge");
+    }
+    for (i, (want, got)) in reference.verdicts_p2.iter().zip(&socket.verdicts_p2).enumerate() {
+        assert_eq!(want, got, "{name}: replay verdict bytes {i} diverge");
+    }
+    assert_eq!(reference.stats, socket.stats, "{name}: stats diverge");
+    assert_eq!(reference.live, socket.live, "{name}: live sessions diverge");
 
-        // Semantic floor on the (already byte-compared) socket verdicts:
-        // honest sessions accepted, forged signatures named as such, replays
-        // all blocked.
-        for (i, bytes) in socket.verdicts_p1.iter().enumerate() {
-            let verdict = common::decode_verdict(bytes);
-            match evidence_kind(i) {
-                0 | 1 => assert!(verdict.accepted, "{name}: honest session {i}: {verdict:?}"),
-                3 => assert_eq!(
-                    verdict.reason_code,
-                    code::BAD_SIGNATURE,
-                    "{name}: forged session {i}: {verdict:?}"
-                ),
-                _ => {}
-            }
+    // Semantic floor on the (already byte-compared) socket verdicts:
+    // honest sessions accepted, forged signatures named as such, replays
+    // all blocked.
+    for (i, bytes) in socket.verdicts_p1.iter().enumerate() {
+        let verdict = common::decode_verdict(bytes);
+        match evidence_kind(i) {
+            0 | 1 => assert!(verdict.accepted, "{name}: honest session {i}: {verdict:?}"),
+            3 => assert_eq!(
+                verdict.reason_code,
+                code::BAD_SIGNATURE,
+                "{name}: forged session {i}: {verdict:?}"
+            ),
+            _ => {}
         }
-        for (i, bytes) in socket.verdicts_p2.iter().enumerate() {
-            let verdict = common::decode_verdict(bytes);
-            assert!(!verdict.accepted, "{name}: replay {i} accepted over {transport}: {verdict:?}");
-        }
+    }
+    for (i, bytes) in socket.verdicts_p2.iter().enumerate() {
+        let verdict = common::decode_verdict(bytes);
+        assert!(!verdict.accepted, "{name}: replay {i} accepted: {verdict:?}");
     }
 }
 
@@ -307,60 +301,58 @@ fn differential_stock_data_only_attack() {
 
 #[test]
 fn concurrent_clients_all_attest_and_the_books_balance() {
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        let name = "fig4-loop";
-        let seed = "e14-concurrent";
-        let workload = catalog::by_name(name).unwrap();
-        let inputs: Vec<Vec<u32>> = (1..=4u32).map(|k| vec![k]).collect();
-        let clients = 4usize;
-        let per_client = sessions_per_workload().clamp(4, 32);
+    let name = "fig4-loop";
+    let seed = "e14-concurrent";
+    let workload = catalog::by_name(name).unwrap();
+    let inputs: Vec<Vec<u32>> = (1..=4u32).map(|k| vec![k]).collect();
+    let clients = 4usize;
+    let per_client = sessions_per_workload().clamp(4, 32);
 
-        let (_, service, _) =
-            common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(4));
-        let mut config = common::net_server_config(&format!("concurrent_clients.{transport}"));
-        config.pool = lofat::pool::PoolConfig::with_workers(2);
-        let server = common::AnyServer::bind(transport, Arc::clone(&service), config);
-        let addr = server.local_addr();
+    let (_, service, _) =
+        common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(4));
+    let mut config = common::net_server_config("concurrent_clients");
+    config.pool = lofat::pool::PoolConfig::with_workers(2);
+    let server = common::serve(Arc::clone(&service), config);
+    let addr = server.local_addr();
 
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                let inputs = &inputs;
-                let workload = &workload;
-                scope.spawn(move || {
-                    // Each client is its own device sharing the fleet key.
-                    let (_, mut prover, _) = common::workload_session(name, seed);
-                    let mut client = ProverClient::connect(addr).expect("connect");
-                    for s in 0..per_client {
-                        let input = inputs[(c + s) % inputs.len()].clone();
-                        let outcome =
-                            client.attest(&mut prover, input.clone()).expect("attest over socket");
-                        assert!(
-                            outcome.verdict.accepted,
-                            "client {c} session {s} over {transport}: {:?}",
-                            outcome.verdict
-                        );
-                        assert_eq!(
-                            outcome.verdict.expected_result,
-                            Some(workload.expected_result(&input)),
-                            "client {c} session {s} leaked another session's result"
-                        );
-                    }
-                });
-            }
-        });
+    std::thread::scope(|scope| {
+        for c in 0..clients {
+            let inputs = &inputs;
+            let workload = &workload;
+            scope.spawn(move || {
+                // Each client is its own device sharing the fleet key.
+                let (_, mut prover, _) = common::workload_session(name, seed);
+                let mut client = ProverClient::connect(addr).expect("connect");
+                for s in 0..per_client {
+                    let input = inputs[(c + s) % inputs.len()].clone();
+                    let outcome =
+                        client.attest(&mut prover, input.clone()).expect("attest over socket");
+                    assert!(
+                        outcome.verdict.accepted,
+                        "client {c} session {s}: {:?}",
+                        outcome.verdict
+                    );
+                    assert_eq!(
+                        outcome.verdict.expected_result,
+                        Some(workload.expected_result(&input)),
+                        "client {c} session {s} leaked another session's result"
+                    );
+                }
+            });
+        }
+    });
 
-        let total = (clients * per_client) as u64;
-        let stats = service.stats();
-        assert_eq!(stats.sessions_opened, total);
-        assert_eq!(stats.accepted, total);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(service.live_sessions(), 0);
-        common::assert_stats_conserved(&stats, 0);
-        assert_eq!(server.connections_served(), clients as u64);
-        // Every session cost exactly two frames (request + evidence).
-        assert_eq!(server.frames_served(), 2 * total, "over {transport}");
-        server.shutdown();
-    }
+    let total = (clients * per_client) as u64;
+    let stats = service.stats();
+    assert_eq!(stats.sessions_opened, total);
+    assert_eq!(stats.accepted, total);
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(service.live_sessions(), 0);
+    common::assert_stats_conserved(&stats, 0);
+    assert_eq!(server.connections_served(), clients as u64);
+    // Every session cost exactly two frames (request + evidence).
+    assert_eq!(server.frames_served(), 2 * total);
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -369,92 +361,89 @@ fn concurrent_clients_all_attest_and_the_books_balance() {
 
 #[test]
 fn malformed_frames_mid_session_stay_on_the_books() {
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        let name = "fig4-loop";
-        let seed = "e14-malformed";
-        let (_, service, mut prover) =
-            common::workload_service_arc(name, seed, &[vec![4]], ServiceConfig::default());
-        let server = common::AnyServer::bind(
-            transport,
-            Arc::clone(&service),
-            common::net_server_config(&format!("malformed_frames_mid_session.{transport}")),
-        );
+    let name = "fig4-loop";
+    let seed = "e14-malformed";
+    let (_, service, mut prover) =
+        common::workload_service_arc(name, seed, &[vec![4]], ServiceConfig::default());
+    let server = common::serve(
+        Arc::clone(&service),
+        common::net_server_config("malformed_frames_mid_session"),
+    );
 
-        // A live session, mid-round-trip.
-        let mut client = ProverClient::connect(server.local_addr()).expect("connect");
-        let (challenge, _) = client.request_challenge(name, vec![4]).expect("challenge");
-        assert_eq!(service.live_sessions(), 1);
+    // A live session, mid-round-trip.
+    let mut client = ProverClient::connect(server.local_addr()).expect("connect");
+    let (challenge, _) = client.request_challenge(name, vec![4]).expect("challenge");
+    assert_eq!(service.live_sessions(), 1);
 
-        let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("prover");
-        let evidence_bytes = evidence.encode().unwrap();
-        {
-            let mut raw = client.raw();
+    let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("prover");
+    let evidence_bytes = evidence.encode().unwrap();
+    {
+        let mut raw = client.raw();
 
-            // ① Garbage bytes on the same connection: a MALFORMED verdict,
-            // counted.
-            raw.send(b"not an envelope").expect("send garbage");
-            let verdict = common::decode_verdict(&raw.recv().unwrap().expect("answered"));
-            assert_eq!(verdict.reason_code, code::MALFORMED);
+        // ① Garbage bytes on the same connection: a MALFORMED verdict,
+        // counted.
+        raw.send(b"not an envelope").expect("send garbage");
+        let verdict = common::decode_verdict(&raw.recv().unwrap().expect("answered"));
+        assert_eq!(verdict.reason_code, code::MALFORMED);
 
-            // ② A version from the future: UNSUPPORTED_VERSION, counted.
-            let mut bumped = evidence_bytes.clone();
-            bumped[4] = 0xff;
-            raw.send(&bumped).expect("send bumped version");
-            let verdict = common::decode_verdict(&raw.recv().unwrap().expect("answered"));
-            assert_eq!(verdict.reason_code, code::UNSUPPORTED_VERSION);
-        }
-
-        // ③ A hostile length prefix on a fresh connection: the server answers
-        // a MALFORMED verdict and closes (the stream cannot be
-        // resynchronised).
-        {
-            use std::io::Write;
-            let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
-            raw.write_all(&u32::MAX.to_le_bytes()).expect("hostile prefix");
-            let reply = lofat_net::frame::read_frame(&mut raw, 1 << 20)
-                .expect("server answers before closing")
-                .expect("a verdict frame");
-            assert_eq!(common::decode_verdict(&reply).reason_code, code::MALFORMED);
-            let closed = lofat_net::frame::read_frame(&mut raw, 1 << 20).expect("clean close");
-            assert_eq!(closed, None, "the connection is closed after a hostile prefix");
-        }
-
-        // ④ A truncated frame (slow-loris that gave up): counted once the
-        // close is observed; there is nobody left to answer.
-        {
-            use std::io::Write;
-            let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
-            raw.write_all(&100u32.to_le_bytes()).expect("header");
-            raw.write_all(b"abc").expect("partial body");
-            drop(raw);
-            // The handler notices the close asynchronously; wait for the
-            // books.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while service.stats().wire_errors < 4 && std::time::Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        }
-
-        // The interrupted session is still live and still answerable:
-        // malformed bytes never consumed it.
-        assert_eq!(service.live_sessions(), 1, "over {transport}");
-        let (_, verdict) = client.submit_evidence(&evidence_bytes).expect("honest completion");
-        assert!(verdict.accepted, "{verdict:?}");
-
-        // All four hostile inputs went through the shared `record_verdict`
-        // path: counted as wire errors *and* rejections, spending no session —
-        // so the conservation law holds over everything this socket saw.
-        let stats = service.stats();
-        assert_eq!(stats.wire_errors, 4, "over {transport}: {stats:?}");
-        assert_eq!(stats.rejected, 4, "over {transport}: {stats:?}");
-        assert_eq!(stats.rejections_by_code.get(&code::MALFORMED), Some(&3));
-        assert_eq!(stats.rejections_by_code.get(&code::UNSUPPORTED_VERSION), Some(&1));
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.sessions_rejected, 0);
-        assert_eq!(service.live_sessions(), 0);
-        common::assert_stats_conserved(&stats, 0);
-        server.shutdown();
+        // ② A version from the future: UNSUPPORTED_VERSION, counted.
+        let mut bumped = evidence_bytes.clone();
+        bumped[4] = 0xff;
+        raw.send(&bumped).expect("send bumped version");
+        let verdict = common::decode_verdict(&raw.recv().unwrap().expect("answered"));
+        assert_eq!(verdict.reason_code, code::UNSUPPORTED_VERSION);
     }
+
+    // ③ A hostile length prefix on a fresh connection: the server answers
+    // a MALFORMED verdict and closes (the stream cannot be
+    // resynchronised).
+    {
+        use std::io::Write;
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+        raw.write_all(&u32::MAX.to_le_bytes()).expect("hostile prefix");
+        let reply = lofat_net::frame::read_frame(&mut raw, 1 << 20)
+            .expect("server answers before closing")
+            .expect("a verdict frame");
+        assert_eq!(common::decode_verdict(&reply).reason_code, code::MALFORMED);
+        let closed = lofat_net::frame::read_frame(&mut raw, 1 << 20).expect("clean close");
+        assert_eq!(closed, None, "the connection is closed after a hostile prefix");
+    }
+
+    // ④ A truncated frame (slow-loris that gave up): counted once the
+    // close is observed; there is nobody left to answer.
+    {
+        use std::io::Write;
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+        raw.write_all(&100u32.to_le_bytes()).expect("header");
+        raw.write_all(b"abc").expect("partial body");
+        drop(raw);
+        // The handler notices the close asynchronously; wait for the
+        // books.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while service.stats().wire_errors < 4 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    }
+
+    // The interrupted session is still live and still answerable:
+    // malformed bytes never consumed it.
+    assert_eq!(service.live_sessions(), 1);
+    let (_, verdict) = client.submit_evidence(&evidence_bytes).expect("honest completion");
+    assert!(verdict.accepted, "{verdict:?}");
+
+    // All four hostile inputs went through the shared `record_verdict`
+    // path: counted as wire errors *and* rejections, spending no session —
+    // so the conservation law holds over everything this socket saw.
+    let stats = service.stats();
+    assert_eq!(stats.wire_errors, 4, "{stats:?}");
+    assert_eq!(stats.rejected, 4, "{stats:?}");
+    assert_eq!(stats.rejections_by_code.get(&code::MALFORMED), Some(&3));
+    assert_eq!(stats.rejections_by_code.get(&code::UNSUPPORTED_VERSION), Some(&1));
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(stats.sessions_rejected, 0);
+    assert_eq!(service.live_sessions(), 0);
+    common::assert_stats_conserved(&stats, 0);
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -477,171 +466,156 @@ fn multiplexed_sessions_match_one_connection_per_session() {
         sessions,
     );
 
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        // Run A: one connection multiplexes every session — requests up
-        // front, then all evidence pipelined before the first verdict is
-        // read.
-        let (_, service_a, _) =
-            common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(4));
-        let server_a = common::AnyServer::bind(
-            transport,
-            Arc::clone(&service_a),
-            common::net_server_config(&format!("multiplexed.{transport}")),
+    // Run A: one connection multiplexes every session — requests up
+    // front, then all evidence pipelined before the first verdict is
+    // read.
+    let (_, service_a, _) =
+        common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(4));
+    let server_a = common::serve(Arc::clone(&service_a), common::net_server_config("multiplexed"));
+    let mut client = ProverClient::connect(server_a.local_addr()).expect("connect");
+    for (i, input) in fleet.inputs.iter().enumerate() {
+        let (_, bytes) =
+            client.request_challenge(name, input.clone()).expect("challenge over the wire");
+        assert_eq!(
+            bytes, fleet.challenges[i],
+            "multiplexed challenge {i} differs from the reference bytes"
         );
-        let mut client = ProverClient::connect(server_a.local_addr()).expect("connect");
-        for (i, input) in fleet.inputs.iter().enumerate() {
+    }
+    let verdicts_a: Vec<Vec<u8>> = {
+        let mut raw = client.raw();
+        for bytes in &fleet.evidence {
+            raw.send(bytes).expect("pipeline evidence frame");
+        }
+        (0..sessions)
+            .map(|i| {
+                raw.recv()
+                    .unwrap_or_else(|e| panic!("pipelined verdict {i}: {e}"))
+                    .expect("server answered")
+            })
+            .collect()
+    };
+    drop(client);
+    let stats_a = service_a.stats();
+    let live_a = service_a.live_sessions();
+    common::assert_stats_conserved(&stats_a, live_a);
+    assert_eq!(server_a.connections_served(), 1);
+    server_a.shutdown();
+
+    // Run B: the same traffic, one connection per session.
+    let (_, service_b, _) =
+        common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(4));
+    let server_b =
+        common::serve(Arc::clone(&service_b), common::net_server_config("one_per_session"));
+    let verdicts_b: Vec<Vec<u8>> = fleet
+        .inputs
+        .iter()
+        .zip(&fleet.evidence)
+        .enumerate()
+        .map(|(i, (input, evidence))| {
+            let mut client = ProverClient::connect(server_b.local_addr()).expect("connect");
             let (_, bytes) =
                 client.request_challenge(name, input.clone()).expect("challenge over the wire");
             assert_eq!(
                 bytes, fleet.challenges[i],
-                "{transport}: multiplexed challenge {i} differs from the reference bytes"
+                "per-connection challenge {i} differs from the reference bytes"
             );
-        }
-        let verdicts_a: Vec<Vec<u8>> = {
             let mut raw = client.raw();
-            for bytes in &fleet.evidence {
-                raw.send(bytes).expect("pipeline evidence frame");
-            }
-            (0..sessions)
-                .map(|i| {
-                    raw.recv()
-                        .unwrap_or_else(|e| panic!("{transport}: pipelined verdict {i}: {e}"))
-                        .expect("server answered")
-                })
-                .collect()
-        };
-        drop(client);
-        let stats_a = service_a.stats();
-        let live_a = service_a.live_sessions();
-        common::assert_stats_conserved(&stats_a, live_a);
-        assert_eq!(server_a.connections_served(), 1, "over {transport}");
-        server_a.shutdown();
+            raw.send(evidence).expect("submit evidence frame");
+            raw.recv().expect("read verdict frame").expect("server answered")
+        })
+        .collect();
+    let stats_b = service_b.stats();
+    let live_b = service_b.live_sessions();
+    common::assert_stats_conserved(&stats_b, live_b);
+    assert_eq!(server_b.connections_served(), sessions as u64);
+    server_b.shutdown();
 
-        // Run B: the same traffic, one connection per session.
-        let (_, service_b, _) =
-            common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(4));
-        let server_b = common::AnyServer::bind(
-            transport,
-            Arc::clone(&service_b),
-            common::net_server_config(&format!("one_per_session.{transport}")),
-        );
-        let verdicts_b: Vec<Vec<u8>> = fleet
-            .inputs
-            .iter()
-            .zip(&fleet.evidence)
-            .enumerate()
-            .map(|(i, (input, evidence))| {
-                let mut client = ProverClient::connect(server_b.local_addr()).expect("connect");
-                let (_, bytes) =
-                    client.request_challenge(name, input.clone()).expect("challenge over the wire");
-                assert_eq!(
-                    bytes, fleet.challenges[i],
-                    "{transport}: per-connection challenge {i} differs from the reference bytes"
-                );
-                let mut raw = client.raw();
-                raw.send(evidence).expect("submit evidence frame");
-                raw.recv().expect("read verdict frame").expect("server answered")
-            })
-            .collect();
-        let stats_b = service_b.stats();
-        let live_b = service_b.live_sessions();
-        common::assert_stats_conserved(&stats_b, live_b);
-        assert_eq!(server_b.connections_served(), sessions as u64, "over {transport}");
-        server_b.shutdown();
+    // The contract: multiplexing is invisible to the protocol.  Byte-
+    // identical verdicts in session order, equal books (modulo the
+    // scheduling-dependent cache split — see `stats_modulo_cache`).
+    for (i, (a, b)) in verdicts_a.iter().zip(&verdicts_b).enumerate() {
+        assert_eq!(a, b, "verdict {i} differs between multiplexed and per-session connections");
+    }
+    assert_eq!(
+        common::stats_modulo_cache(&stats_a),
+        common::stats_modulo_cache(&stats_b),
+        "books diverge between multiplexed and per-session connections"
+    );
+    assert_eq!(live_a, live_b);
 
-        // The contract: multiplexing is invisible to the protocol.  Byte-
-        // identical verdicts in session order, equal books (modulo the
-        // scheduling-dependent cache split — see `stats_modulo_cache`).
-        for (i, (a, b)) in verdicts_a.iter().zip(&verdicts_b).enumerate() {
-            assert_eq!(
-                a, b,
-                "{transport}: verdict {i} differs between multiplexed and per-session connections"
-            );
-        }
-        assert_eq!(
-            common::stats_modulo_cache(&stats_a),
-            common::stats_modulo_cache(&stats_b),
-            "{transport}: books diverge between multiplexed and per-session connections"
-        );
-        assert_eq!(live_a, live_b, "over {transport}");
-
-        // Semantic floor on the (already cross-checked) verdicts.
-        for (i, bytes) in verdicts_a.iter().enumerate() {
-            let verdict = common::decode_verdict(bytes);
-            match evidence_kind(i) {
-                0 | 1 => assert!(verdict.accepted, "honest session {i}: {verdict:?}"),
-                3 => assert_eq!(
-                    verdict.reason_code,
-                    code::BAD_SIGNATURE,
-                    "forged session {i}: {verdict:?}"
-                ),
-                _ => {}
-            }
+    // Semantic floor on the (already cross-checked) verdicts.
+    for (i, bytes) in verdicts_a.iter().enumerate() {
+        let verdict = common::decode_verdict(bytes);
+        match evidence_kind(i) {
+            0 | 1 => assert!(verdict.accepted, "honest session {i}: {verdict:?}"),
+            3 => assert_eq!(
+                verdict.reason_code,
+                code::BAD_SIGNATURE,
+                "forged session {i}: {verdict:?}"
+            ),
+            _ => {}
         }
     }
 }
 
 #[test]
 fn multiplex_cap_refuses_extra_sessions_without_touching_the_books() {
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        let name = "fig4-loop";
-        let seed = "e14-multiplex-cap";
-        let inputs: Vec<Vec<u32>> = (1..=3u32).map(|k| vec![k]).collect();
-        let (_, service, mut prover) =
-            common::workload_service_arc(name, seed, &inputs, ServiceConfig::default());
-        let mut config = common::net_server_config(&format!("multiplex_cap.{transport}"));
-        config.limits = config.limits.with_max_sessions_per_connection(2);
-        let server = common::AnyServer::bind(transport, Arc::clone(&service), config);
+    let name = "fig4-loop";
+    let seed = "e14-multiplex-cap";
+    let inputs: Vec<Vec<u32>> = (1..=3u32).map(|k| vec![k]).collect();
+    let (_, service, mut prover) =
+        common::workload_service_arc(name, seed, &inputs, ServiceConfig::default());
+    let mut config = common::net_server_config("multiplex_cap");
+    config.limits = config.limits.with_max_sessions_per_connection(2);
+    let server = common::serve(Arc::clone(&service), config);
 
-        // Three sessions opened over one connection (session requests are
-        // exempt from the cap — only evidence claims a multiplex slot), with
-        // matching evidence prepared for each.
-        let mut client = ProverClient::connect(server.local_addr()).expect("connect");
-        let evidence: Vec<Vec<u8>> = inputs
-            .iter()
-            .map(|input| {
-                let (challenge, _) =
-                    client.request_challenge(name, input.clone()).expect("challenge");
-                let (evidence, _) =
-                    ProverSession::new(&mut prover).respond(&challenge).expect("prover");
-                evidence.encode().unwrap()
-            })
-            .collect();
+    // Three sessions opened over one connection (session requests are
+    // exempt from the cap — only evidence claims a multiplex slot), with
+    // matching evidence prepared for each.
+    let mut client = ProverClient::connect(server.local_addr()).expect("connect");
+    let evidence: Vec<Vec<u8>> = inputs
+        .iter()
+        .map(|input| {
+            let (challenge, _) = client.request_challenge(name, input.clone()).expect("challenge");
+            let (evidence, _) =
+                ProverSession::new(&mut prover).respond(&challenge).expect("prover");
+            evidence.encode().unwrap()
+        })
+        .collect();
 
-        let mut raw = client.raw();
-        for bytes in &evidence[..2] {
-            raw.send(bytes).expect("submit evidence frame");
-            let verdict = common::decode_verdict(&raw.recv().unwrap().expect("answered"));
-            assert!(verdict.accepted, "within the cap: {verdict:?}");
-        }
-
-        // The third distinct session id on this connection is past the cap:
-        // an AT_CAPACITY verdict addressed to that session, without the
-        // frame ever reaching the service.
-        raw.send(&evidence[2]).expect("submit evidence past the cap");
-        let reply = raw.recv().unwrap().expect("refusal answered");
-        let envelope = lofat::Envelope::decode(&reply).expect("refusal decodes");
-        assert_eq!(envelope.session, SessionId(3), "refusal is addressed to the refused session");
-        let verdict = common::decode_verdict(&reply);
-        assert!(!verdict.accepted);
-        assert_eq!(verdict.reason_code, code::AT_CAPACITY, "over {transport}: {verdict:?}");
-        drop(client);
-
-        // No counter moved for the refusal: the session is still live, and
-        // a fresh connection (a fresh multiplex budget) completes it.
-        assert_eq!(service.live_sessions(), 1, "over {transport}");
-        assert_eq!(service.stats().rejected, 0, "over {transport}");
-        let mut retry = ProverClient::connect(server.local_addr()).expect("reconnect");
-        let (_, verdict) = retry.submit_evidence(&evidence[2]).expect("honest completion");
-        assert!(verdict.accepted, "over {transport}: {verdict:?}");
-
-        let stats = service.stats();
-        assert_eq!(stats.sessions_opened, 3, "over {transport}");
-        assert_eq!(stats.accepted, 3, "over {transport}");
-        assert_eq!(stats.rejected, 0, "over {transport}");
-        common::assert_stats_conserved(&stats, 0);
-        server.shutdown();
+    let mut raw = client.raw();
+    for bytes in &evidence[..2] {
+        raw.send(bytes).expect("submit evidence frame");
+        let verdict = common::decode_verdict(&raw.recv().unwrap().expect("answered"));
+        assert!(verdict.accepted, "within the cap: {verdict:?}");
     }
+
+    // The third distinct session id on this connection is past the cap:
+    // an AT_CAPACITY verdict addressed to that session, without the
+    // frame ever reaching the service.
+    raw.send(&evidence[2]).expect("submit evidence past the cap");
+    let reply = raw.recv().unwrap().expect("refusal answered");
+    let envelope = lofat::Envelope::decode(&reply).expect("refusal decodes");
+    assert_eq!(envelope.session, SessionId(3), "refusal is addressed to the refused session");
+    let verdict = common::decode_verdict(&reply);
+    assert!(!verdict.accepted);
+    assert_eq!(verdict.reason_code, code::AT_CAPACITY, "{verdict:?}");
+    drop(client);
+
+    // No counter moved for the refusal: the session is still live, and
+    // a fresh connection (a fresh multiplex budget) completes it.
+    assert_eq!(service.live_sessions(), 1);
+    assert_eq!(service.stats().rejected, 0);
+    let mut retry = ProverClient::connect(server.local_addr()).expect("reconnect");
+    let (_, verdict) = retry.submit_evidence(&evidence[2]).expect("honest completion");
+    assert!(verdict.accepted, "{verdict:?}");
+
+    let stats = service.stats();
+    assert_eq!(stats.sessions_opened, 3);
+    assert_eq!(stats.accepted, 3);
+    assert_eq!(stats.rejected, 0);
+    common::assert_stats_conserved(&stats, 0);
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -650,109 +624,94 @@ fn multiplex_cap_refuses_extra_sessions_without_touching_the_books() {
 
 #[test]
 fn expiry_surfaces_the_stable_code_over_the_socket() {
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        let name = "fig4-loop";
-        let seed = "e14-expiry";
-        let config = ServiceConfig { session_deadline_cycles: 100, ..ServiceConfig::default() };
-        let (_, service, mut prover) = common::workload_service_arc(name, seed, &[vec![3]], config);
-        let server = common::AnyServer::bind(
-            transport,
-            Arc::clone(&service),
-            common::net_server_config(&format!("expiry_over_socket.{transport}")),
-        );
-        let mut client = ProverClient::connect(server.local_addr()).expect("connect");
+    let name = "fig4-loop";
+    let seed = "e14-expiry";
+    let config = ServiceConfig { session_deadline_cycles: 100, ..ServiceConfig::default() };
+    let (_, service, mut prover) = common::workload_service_arc(name, seed, &[vec![3]], config);
+    let server =
+        common::serve(Arc::clone(&service), common::net_server_config("expiry_over_socket"));
+    let mut client = ProverClient::connect(server.local_addr()).expect("connect");
 
-        let (challenge, _) = client.request_challenge(name, vec![3]).expect("challenge");
-        let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("prover");
-        let evidence_bytes = evidence.encode().unwrap();
+    let (challenge, _) = client.request_challenge(name, vec![3]).expect("challenge");
+    let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("prover");
+    let evidence_bytes = evidence.encode().unwrap();
 
-        service.advance_clock(101);
-        let (_, verdict) = client.submit_evidence(&evidence_bytes).expect("late evidence");
-        assert_eq!(verdict.reason_code, code::SESSION_EXPIRED, "{verdict:?}");
-        // The nonce is spent; trying again is a replay, exactly as in-process.
-        let (_, verdict) = client.submit_evidence(&evidence_bytes).expect("replay");
-        assert_eq!(verdict.reason_code, code::NONCE_REPLAYED, "{verdict:?}");
+    service.advance_clock(101);
+    let (_, verdict) = client.submit_evidence(&evidence_bytes).expect("late evidence");
+    assert_eq!(verdict.reason_code, code::SESSION_EXPIRED, "{verdict:?}");
+    // The nonce is spent; trying again is a replay, exactly as in-process.
+    let (_, verdict) = client.submit_evidence(&evidence_bytes).expect("replay");
+    assert_eq!(verdict.reason_code, code::NONCE_REPLAYED, "{verdict:?}");
 
-        let stats = service.stats();
-        assert_eq!(stats.expired, 1, "over {transport}");
-        common::assert_stats_conserved(&stats, service.live_sessions());
-        server.shutdown();
-    }
+    let stats = service.stats();
+    assert_eq!(stats.expired, 1);
+    common::assert_stats_conserved(&stats, service.live_sessions());
+    server.shutdown();
 }
 
 #[test]
 fn session_request_refusals_carry_stable_codes() {
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        let name = "fig4-loop";
-        let seed = "e14-refusals";
-        let config = ServiceConfig { max_live_sessions: 1, ..ServiceConfig::default() };
-        let (_, service, _) = common::workload_service_arc(name, seed, &[vec![2]], config);
-        let server = common::AnyServer::bind(
-            transport,
-            Arc::clone(&service),
-            common::net_server_config(&format!("session_request_refusals.{transport}")),
-        );
-        let mut client = ProverClient::connect(server.local_addr()).expect("connect");
+    let name = "fig4-loop";
+    let seed = "e14-refusals";
+    let config = ServiceConfig { max_live_sessions: 1, ..ServiceConfig::default() };
+    let (_, service, _) = common::workload_service_arc(name, seed, &[vec![2]], config);
+    let server =
+        common::serve(Arc::clone(&service), common::net_server_config("session_request_refusals"));
+    let mut client = ProverClient::connect(server.local_addr()).expect("connect");
 
-        let wrong_program = client.request_challenge("someone-else", vec![2]).unwrap_err();
-        assert!(
-            matches!(&wrong_program, NetError::Refused { code, .. } if *code == code::PROGRAM_ID_MISMATCH),
-            "{wrong_program:?}"
-        );
-        let unknown_input = client.request_challenge(name, vec![999]).unwrap_err();
-        assert!(
-            matches!(&unknown_input, NetError::Refused { code, .. } if *code == code::UNKNOWN_INPUT),
-            "{unknown_input:?}"
-        );
-        client.request_challenge(name, vec![2]).expect("first session opens");
-        let at_capacity = client.request_challenge(name, vec![2]).unwrap_err();
-        assert!(
-            matches!(&at_capacity, NetError::Refused { code, .. } if *code == code::AT_CAPACITY),
-            "{at_capacity:?}"
-        );
+    let wrong_program = client.request_challenge("someone-else", vec![2]).unwrap_err();
+    assert!(
+        matches!(&wrong_program, NetError::Refused { code, .. } if *code == code::PROGRAM_ID_MISMATCH),
+        "{wrong_program:?}"
+    );
+    let unknown_input = client.request_challenge(name, vec![999]).unwrap_err();
+    assert!(
+        matches!(&unknown_input, NetError::Refused { code, .. } if *code == code::UNKNOWN_INPUT),
+        "{unknown_input:?}"
+    );
+    client.request_challenge(name, vec![2]).expect("first session opens");
+    let at_capacity = client.request_challenge(name, vec![2]).unwrap_err();
+    assert!(
+        matches!(&at_capacity, NetError::Refused { code, .. } if *code == code::AT_CAPACITY),
+        "{at_capacity:?}"
+    );
 
-        // Refusals mirror the typed `open_session` errors: no counter moved,
-        // so the one real session is all the books know about.
-        let stats = service.stats();
-        assert_eq!(stats.sessions_opened, 1, "over {transport}");
-        assert_eq!(stats.rejected, 0, "over {transport}");
-        common::assert_stats_conserved(&stats, 1);
-        server.shutdown();
-    }
+    // Refusals mirror the typed `open_session` errors: no counter moved,
+    // so the one real session is all the books know about.
+    let stats = service.stats();
+    assert_eq!(stats.sessions_opened, 1);
+    assert_eq!(stats.rejected, 0);
+    common::assert_stats_conserved(&stats, 1);
+    server.shutdown();
 }
 
 #[test]
 fn graceful_shutdown_drains_inflight_and_refuses_the_rest() {
-    for transport in common::transports_from_env("E14_TRANSPORT") {
-        let name = "fig4-loop";
-        let seed = "e14-shutdown";
-        let (_, service, _) =
-            common::workload_service_arc(name, seed, &[vec![2]], ServiceConfig::default());
-        let server = common::AnyServer::bind(
-            transport,
-            Arc::clone(&service),
-            common::net_server_config(&format!("graceful_shutdown.{transport}")),
-        );
-        let addr = server.local_addr();
+    let name = "fig4-loop";
+    let seed = "e14-shutdown";
+    let (_, service, _) =
+        common::workload_service_arc(name, seed, &[vec![2]], ServiceConfig::default());
+    let server =
+        common::serve(Arc::clone(&service), common::net_server_config("graceful_shutdown"));
+    let addr = server.local_addr();
 
-        // A full round trip, then the client goes idle without disconnecting.
-        let (_, mut prover, _) = common::workload_session(name, seed);
-        let mut client = ProverClient::connect(addr).expect("connect");
-        let outcome = client.attest(&mut prover, vec![2]).expect("attest");
-        assert!(outcome.verdict.accepted);
+    // A full round trip, then the client goes idle without disconnecting.
+    let (_, mut prover, _) = common::workload_session(name, seed);
+    let mut client = ProverClient::connect(addr).expect("connect");
+    let outcome = client.attest(&mut prover, vec![2]).expect("attest");
+    assert!(outcome.verdict.accepted);
 
-        // Shutdown must complete promptly despite the idle connection (the
-        // read half is nudged closed) and must have delivered the in-flight
-        // verdict above rather than dropping it.
-        server.shutdown();
-        assert_eq!(service.stats().accepted, 1, "over {transport}");
+    // Shutdown must complete promptly despite the idle connection (the loop
+    // stops reading and closes it) and must have delivered the in-flight
+    // verdict above rather than dropping it.
+    server.shutdown();
+    assert_eq!(service.stats().accepted, 1);
 
-        // The listener is gone: new round trips fail at connect or first
-        // frame.
-        let refused = ProverClient::connect(addr)
-            .and_then(|mut late| late.request_challenge(name, vec![2]).map(|_| ()));
-        assert!(refused.is_err(), "the {transport} server kept serving after shutdown");
-    }
+    // The listener is gone: new round trips fail at connect or first
+    // frame.
+    let refused = ProverClient::connect(addr)
+        .and_then(|mut late| late.request_challenge(name, vec![2]).map(|_| ()));
+    assert!(refused.is_err(), "the server kept serving after shutdown");
 }
 
 // ---------------------------------------------------------------------------
@@ -794,12 +753,10 @@ fn partitioned_front_deployment_matches_a_single_service_byte_for_byte() {
     for partition in 0..PARTITIONS {
         let config = ServiceConfig::sharded(1).partitioned(partition, PARTITIONS);
         let (_, service, _) = common::workload_service_arc(name, seed, &inputs, config);
-        let server = lofat_net::VerifierServer::bind(
-            "127.0.0.1:0",
+        let server = common::serve(
             Arc::clone(&service),
             common::net_server_config(&format!("front_backend_{partition}")),
-        )
-        .expect("bind backend");
+        );
         backends.push(server.local_addr());
         services.push(service);
         servers.push(server);
@@ -897,4 +854,58 @@ fn partitioned_front_deployment_matches_a_single_service_byte_for_byte() {
     for server in servers {
         server.shutdown();
     }
+}
+
+/// The front bounds its relay threads by `max_connections`: past the cap a
+/// client waits in the kernel backlog — connected, but unanswered — until a
+/// served client leaves, and is then served normally.
+#[test]
+fn front_holds_clients_past_its_connection_cap_in_the_backlog() {
+    let name = "fig4-loop";
+    let seed = "e14-front-cap";
+    let (_, service, _) =
+        common::workload_service_arc(name, seed, &[vec![2]], ServiceConfig::default());
+    let backend =
+        common::serve(Arc::clone(&service), common::net_server_config("front_cap_backend"));
+    let mut config = common::net_server_config("front_cap");
+    config.max_connections = 2;
+    let front = lofat_net::FanOutFront::bind("127.0.0.1:0", vec![backend.local_addr()], config)
+        .expect("bind front");
+
+    // Two clients are served, then hold their connections open.
+    let mut held: Vec<ProverClient> = (1..=2u64)
+        .map(|i| {
+            let mut client = ProverClient::connect(front.local_addr()).expect("connect");
+            let (challenge, _) = client.request_challenge(name, vec![2]).expect("challenge");
+            assert_eq!(challenge.session, SessionId(i));
+            client
+        })
+        .collect();
+
+    // A third client connects (the kernel completes the handshake), but its
+    // session request gets no reply while both relays are live.
+    let third = ProverClient::connect(front.local_addr()).expect("connect past the cap");
+    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let mut third = third;
+        reply_tx.send(third.request_challenge(name, vec![2])).expect("report the reply");
+    });
+    let waited = std::time::Duration::from_millis(300);
+    assert!(reply_rx.recv_timeout(waited).is_err(), "the front answered past its cap");
+    assert_eq!(front.connections_served(), 2);
+    assert_eq!(service.stats().sessions_opened, 2);
+
+    // One held client leaves: its slot frees, and the waiting request is
+    // answered with its normal challenge.
+    drop(held.pop());
+    let reply = reply_rx.recv_timeout(std::time::Duration::from_secs(10)).expect("served");
+    let (challenge, _) = reply.expect("challenge past the cap");
+    assert_eq!(challenge.session, SessionId(3));
+    assert_eq!(front.connections_served(), 3);
+    waiter.join().expect("waiter");
+
+    drop(held);
+    front.shutdown();
+    backend.shutdown();
+    assert_eq!(service.stats().sessions_opened, 3);
 }

@@ -1,17 +1,16 @@
 //! E17 — declarative scenario fleets over every transport.
 //!
 //! `lofat-fleet` expands a text spec into a deterministic cross-product of
-//! scenarios and drives each one through the in-process worker pool, live
-//! loopback servers of both flavors (blocking thread-per-connection and
-//! readiness-driven epoll), *and* a fan-out front over two partitioned
-//! backend servers.  The suite pins the subsystem's three contracts:
+//! scenarios and drives each one through the in-process worker pool, a live
+//! loopback `EventLoopServer` (the server `lofat serve` runs) *and* a
+//! fan-out front over two partitioned backend servers.  The suite pins the
+//! subsystem's three contracts:
 //!
 //! * **Transport equivalence** — every job in `examples/fleets/smoke.fleet`
 //!   produces the identical verdict breakdown (count per wire code) on the
-//!   pool, the blocking socket, the event loop and the partitioned front
-//!   (whose books are the sum of its two backends), and
-//!   `opened`/`accepted`/`sessions_rejected`/`live` agree across the four
-//!   runs.
+//!   pool, the event loop and the partitioned front (whose books are the sum
+//!   of its two backends), and `opened`/`accepted`/`sessions_rejected`/`live`
+//!   agree across the three runs.
 //! * **Conservation under faults** — dropped connections, slow-loris partial
 //!   frames, duplicate frames and oversized length prefixes are all exercised
 //!   by the smoke fleet; no fault class panics the server or breaks either
@@ -41,32 +40,26 @@ fn load_spec(path: &str) -> FleetSpec {
 }
 
 /// Runs a fleet on every transport and checks the cross-transport contract:
-/// outcomes arrive as (pool, socket, epoll, front) quads per job, each quad's
+/// outcomes arrive as (pool, epoll, front) triples per job, each triple's
 /// verdict map and session books agree, and every outcome satisfies both
 /// conservation laws — for the front, on the *sum* of its two partitioned
 /// backends' books, which is what proves the multi-process deployment is
 /// stats-conserving.
 fn run_and_check_all_transports(spec: &FleetSpec) -> FleetReport {
-    let options = ExecOptions {
-        pool: true,
-        socket: true,
-        epoll: true,
-        front: true,
-        scale_override: scale_override(),
-    };
+    let options =
+        ExecOptions { pool: true, epoll: true, front: true, scale_override: scale_override() };
     let report = run(spec, options).expect("fleet executes");
     let jobs = enumerate_jobs(spec).expect("spec enumerates");
     assert_eq!(
         report.outcomes.len(),
-        jobs.len() * 4,
-        "one pool, one socket, one epoll and one front outcome per job"
+        jobs.len() * 3,
+        "one pool, one epoll and one front outcome per job"
     );
-    for group in report.outcomes.chunks(4) {
+    for group in report.outcomes.chunks(3) {
         let pool = &group[0];
         assert_eq!(pool.transport, Transport::Pool);
-        assert_eq!(group[1].transport, Transport::Socket);
-        assert_eq!(group[2].transport, Transport::Epoll);
-        assert_eq!(group[3].transport, Transport::Front);
+        assert_eq!(group[1].transport, Transport::Epoll);
+        assert_eq!(group[2].transport, Transport::Front);
         let label = pool.job.label();
         for other in &group[1..] {
             let name = other.transport.name();

@@ -18,9 +18,11 @@
 //!   front` produce the same challenge and verdict bytes as a single
 //!   in-process service with N shards.
 //!
-//! Each child process binds an ephemeral port and prints it; the suite
-//! parses stdout, SIGKILLs mid-run (never a graceful shutdown — that would
-//! test nothing) and restores from whatever the dead process left behind.
+//! Every `lofat serve` child runs the event-loop server, the same one e14
+//! and the fuzz suite drive in-process.  Each child binds an ephemeral port
+//! and prints it; the suite parses stdout, SIGKILLs mid-run (never a
+//! graceful shutdown — that would test nothing) and restores from whatever
+//! the dead process left behind.
 //! Artifacts live under `target/e18/` (`$E18_DIR`) so CI can upload the
 //! snapshots of a failing run.
 

@@ -6,8 +6,7 @@
 //! versions, trailing bytes, misdirected message kinds, oversized length
 //! prefixes, slow-loris partial frames) and for deterministic
 //! vendored-proptest barrages of structured mutations of honest evidence,
-//! the server must (whichever transport is behind it — `FUZZ_NET_TRANSPORT`
-//! picks `blocking` or `epoll`, default `epoll`; CI fuzzes both)
+//! the server (`EventLoopServer`, the one `lofat serve` runs) must
 //!
 //! * **never panic** — every case gets an answer, and an honest round trip
 //!   still succeeds after the barrage;
@@ -35,21 +34,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 const WORKLOAD: &str = "fig4-loop";
 const INPUT: &[u32] = &[4];
 
-/// The server flavor this whole binary fuzzes.  One transport per process —
-/// the corpus tests assert exact counter deltas against the shared harness,
-/// so the sweep happens across processes (CI runs both), not within one.
-fn transport() -> &'static str {
-    match std::env::var("FUZZ_NET_TRANSPORT").as_deref() {
-        Ok("blocking") => "blocking",
-        Ok("epoll") | Err(_) => "epoll",
-        Ok(other) => panic!("FUZZ_NET_TRANSPORT={other:?} (expected blocking|epoll)"),
-    }
-}
-
 /// One server shared by every fuzz case in this binary: surviving the whole
 /// barrage on a single instance *is* the no-panic property.
 struct Harness {
-    server: common::AnyServer,
+    server: lofat_net::EventLoopServer,
     service: Arc<VerifierService>,
     prover: Mutex<Prover>,
 }
@@ -63,11 +51,8 @@ fn harness() -> &'static Harness {
             &[INPUT.to_vec()],
             ServiceConfig::sharded(2),
         );
-        let server = common::AnyServer::bind(
-            transport(),
-            Arc::clone(&service),
-            common::net_server_config(&format!("fuzz_wire_net.{}", transport())),
-        );
+        let server =
+            common::serve(Arc::clone(&service), common::net_server_config("fuzz_wire_net"));
         Harness { server, service, prover: Mutex::new(prover) }
     })
 }
@@ -221,9 +206,9 @@ fn corpus_slow_loris_partial_frames_close_cleanly() {
         &[INPUT.to_vec()],
         ServiceConfig::default(),
     );
-    let mut config = common::net_server_config(&format!("fuzz_slow_loris.{}", transport()));
+    let mut config = common::net_server_config("fuzz_slow_loris");
     config.limits = config.limits.with_read_timeout(Some(std::time::Duration::from_millis(200)));
-    let server = common::AnyServer::bind(transport(), Arc::clone(&service), config);
+    let server = common::serve(Arc::clone(&service), config);
 
     // ① Partial frame, then the peer gives up: counted once observed.
     {
