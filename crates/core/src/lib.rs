@@ -23,6 +23,7 @@
 //! | [`engine`] | the composed engine attached to the trace port |
 //! | [`area`] | BRAM / logic area model (§6.2) |
 //! | [`prover`], [`verifier`], [`protocol`], [`report`] | the Fig. 2 attestation protocol |
+//! | [`judge`] | the one decision procedure for evidence: five checks and the spend rule |
 //!
 //! The protocol itself is layered sans-I/O (nothing below performs I/O; bytes
 //! in, bytes out):
@@ -75,6 +76,7 @@ pub mod engine;
 pub mod error;
 pub mod hash_ctrl;
 pub mod json;
+pub mod judge;
 pub mod loop_counter_mem;
 pub mod loop_monitor;
 pub mod measurement_db;
@@ -94,6 +96,7 @@ pub use branches_mem::BranchPair;
 pub use config::{EngineConfig, EngineConfigBuilder, BRANCH_EVENT_LATENCY, LOOP_EXIT_LATENCY};
 pub use engine::{attest_program, EngineStats, LofatEngine, Measurement};
 pub use error::LofatError;
+pub use judge::Judgement;
 pub use measurement_db::{MeasurementDatabase, PackedReference, ReferenceMeasurement};
 pub use metadata::{LoopRecord, Metadata, PathRecord};
 pub use pool::{ParallelVerifier, PoolConfig, VerdictReply, VerdictTicket};

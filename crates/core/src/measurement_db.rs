@@ -8,7 +8,8 @@
 //! from the program binary and a list of anticipated inputs, keeps its entries in an
 //! ordered map (so a lookup is logarithmic in the number of inputs), and can be
 //! serialised and shipped to lightweight verifier front-ends that do not carry the
-//! simulator at all.
+//! simulator at all.  Beside the entries it holds the verifier's valid-path table,
+//! so the judge's loop-path check ([`crate::judge`]) needs no CFG either.
 //!
 //! Each entry is held as a [`PackedReference`]: `A` and `L` in one heap block of
 //! LEB128 varints, about a fifth of the bytes `L` takes signed.  The comparison
@@ -19,7 +20,7 @@ use crate::config::EngineConfig;
 use crate::error::LofatError;
 use crate::metadata::{IndirectTargetRecord, LoopRecord, Metadata, PathRecord};
 use crate::report::AttestationReport;
-use crate::verifier::{RejectionReason, Verifier};
+use crate::verifier::Verifier;
 use lofat_crypto::Digest;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,7 +55,8 @@ pub struct ReferenceMeasurement {
 /// canonical, so two records are equal exactly when the measurements are.
 /// On the wire it is a [`ReferenceMeasurement`], byte for byte.
 /// [`MeasurementDatabase::check`] returns the entry a report matched, and
-/// [`MeasurementDatabase::reference`] decodes one.
+/// [`MeasurementDatabase::reference`] decodes one.  The judge compares a
+/// report with a record in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedReference {
     /// The expected program result (`a0` at exit) — useful for device health checks.
@@ -63,23 +65,28 @@ pub struct PackedReference {
 }
 
 impl PackedReference {
-    /// Packs `reference` into a record of exactly the bytes it needs.
-    fn pack(reference: &ReferenceMeasurement) -> Self {
-        let digest = reference.authenticator.as_bytes();
+    /// Packs a measurement and its program result into a record of exactly
+    /// the bytes it needs.
+    pub(crate) fn new(authenticator: &Digest, metadata: &Metadata, expected_result: u32) -> Self {
+        let digest = authenticator.as_bytes();
         let mut len = varint_len(digest.len() as u64) + digest.len();
-        for_each_field(&reference.metadata, |value| {
+        for_each_field(metadata, |value| {
             len += varint_len(value);
             true
         });
         let mut record = Vec::with_capacity(len);
         put_varint(&mut record, digest.len() as u64);
         record.extend_from_slice(digest);
-        for_each_field(&reference.metadata, |value| {
+        for_each_field(metadata, |value| {
             put_varint(&mut record, value);
             true
         });
         debug_assert_eq!(record.len(), len);
-        Self { expected_result: reference.expected_result, record: record.into_boxed_slice() }
+        Self { expected_result, record: record.into_boxed_slice() }
+    }
+
+    fn pack(reference: &ReferenceMeasurement) -> Self {
+        Self::new(&reference.authenticator, &reference.metadata, reference.expected_result)
     }
 
     /// Decodes the record back into the measurement it packs.
@@ -117,19 +124,19 @@ impl PackedReference {
         }
     }
 
-    /// Compares `report`'s authenticator, then its metadata, against the
-    /// record without decoding it or allocating.
-    fn compare(&self, report: &AttestationReport) -> Result<(), RejectionReason> {
+    /// The expected authenticator's bytes, read in place.
+    pub(crate) fn authenticator(&self) -> &[u8] {
+        Fields(&self.record).digest().expect(PACKED)
+    }
+
+    /// Whether `metadata` is the expected metadata, compared field by field
+    /// in place without decoding the record or allocating.
+    pub(crate) fn metadata_matches(&self, metadata: &Metadata) -> bool {
         let mut fields = Fields(&self.record);
-        if fields.digest() != Some(report.authenticator.as_bytes()) {
-            return Err(RejectionReason::AuthenticatorMismatch);
-        }
+        fields.digest().expect(PACKED);
         // Counts are fields too, so a walk that matches every field has read
         // the whole record.
-        if !for_each_field(&report.metadata, |value| fields.next() == Some(value)) {
-            return Err(RejectionReason::MetadataMismatch);
-        }
-        Ok(())
+        for_each_field(metadata, |value| fields.next() == Some(value))
     }
 }
 
@@ -217,11 +224,15 @@ pub struct MeasurementDatabase {
     /// The engine configuration the references were computed with (prover reports
     /// produced under a different configuration will not match).
     config: EngineConfig,
+    /// The valid path ids per statically enumerated loop entry, copied from
+    /// [`Verifier::valid_loop_paths`].  Last, so the wire form is the
+    /// snapshot-version-1 form followed by the table.
+    valid_paths: BTreeMap<u32, Vec<u32>>,
 }
 
 impl MeasurementDatabase {
     /// Builds a database by golden-replaying `verifier`'s program, under
-    /// `config`, on every input.
+    /// `config`, on every input, and copies `verifier`'s valid-path table.
     ///
     /// The calling thread replays the inputs in order.  Once the work left
     /// clears a floor of 64 Ki instructions (projected from the instructions
@@ -279,7 +290,12 @@ impl MeasurementDatabase {
                 }
             }
         }
-        let db = Self { program_id: verifier.program_id().to_string(), entries, config };
+        let db = Self {
+            program_id: verifier.program_id().to_string(),
+            entries,
+            config,
+            valid_paths: verifier.valid_loop_paths().clone(),
+        };
         Ok((db, threads.unwrap_or(1)))
     }
 
@@ -313,15 +329,25 @@ impl MeasurementDatabase {
         self.entries.get(input).map(PackedReference::unpack)
     }
 
-    /// Heap bytes the entries hold: every key and packed record, plus one
-    /// key and value slot per entry in the map's nodes (node headers and
-    /// spare slots aside).
+    /// The valid path ids per statically enumerated loop entry, as
+    /// [`Verifier::valid_loop_paths`] enumerated them.
+    pub fn valid_loop_paths(&self) -> &BTreeMap<u32, Vec<u32>> {
+        &self.valid_paths
+    }
+
+    /// Heap bytes the database holds: every key and packed record, every
+    /// valid-path list, plus one key and value slot per entry of either map
+    /// in its nodes (node headers and spare slots aside).
     pub fn heap_bytes(&self) -> usize {
+        let words = |v: &Vec<u32>| v.capacity() * std::mem::size_of::<u32>();
         let slot = std::mem::size_of::<(Vec<u32>, PackedReference)>();
-        let entries = self.entries.iter().map(|(input, reference)| {
-            slot + input.capacity() * std::mem::size_of::<u32>() + reference.record.len()
-        });
-        self.program_id.capacity() + entries.sum::<usize>()
+        let entries = self
+            .entries
+            .iter()
+            .map(|(input, reference)| slot + words(input) + reference.record.len());
+        let slot = std::mem::size_of::<(u32, Vec<u32>)>();
+        let paths = self.valid_paths.values().map(|ids| slot + words(ids));
+        self.program_id.capacity() + entries.sum::<usize>() + paths.sum::<usize>()
     }
 
     /// Serialises the database with the deterministic wire codec, for shipping
@@ -346,17 +372,21 @@ impl MeasurementDatabase {
         serde::from_bytes(bytes)
     }
 
-    /// Checks a report against the stored reference for `input` (signature and nonce
-    /// checks are the caller's/`Verifier`'s responsibility — this is the measurement
-    /// comparison only).  It compares the program id, then the authenticator,
-    /// then the metadata, and allocates nothing unless the program id differs.
+    /// Runs the checks of [`crate::judge`] that follow the signature on a
+    /// report for `input`: loop-path plausibility against the valid-path
+    /// table (check 4), then the comparison with the stored reference,
+    /// authenticator before metadata (check 5).  The program id, nonce and
+    /// signature checks come first and are the caller's;
+    /// [`crate::service::VerifierService`] runs all five.  Allocates nothing
+    /// unless a check fails.
     ///
     /// # Errors
     ///
-    /// Returns [`LofatError::Rejected`] with the [`RejectionReason`] describing the
-    /// first mismatch, or [`LofatError::InvalidConfig`] when the input was never
-    /// precomputed (which [`crate::service::VerifierService`] answers with
-    /// [`crate::wire::code::UNKNOWN_INPUT`]).
+    /// Returns [`LofatError::Rejected`] with the
+    /// [`RejectionReason`](crate::verifier::RejectionReason) of the first
+    /// failing check, or [`LofatError::InvalidConfig`] when the input was
+    /// never precomputed (which [`crate::service::VerifierService`] answers
+    /// with [`crate::wire::code::UNKNOWN_INPUT`]).
     pub fn check(
         &self,
         input: &[u32],
@@ -367,13 +397,8 @@ impl MeasurementDatabase {
                 message: format!("no reference measurement precomputed for input {input:?}"),
             });
         };
-        if report.program_id != self.program_id {
-            return Err(LofatError::Rejected(RejectionReason::ProgramIdMismatch {
-                expected: self.program_id.clone(),
-                found: report.program_id.clone(),
-            }));
-        }
-        reference.compare(report).map_err(LofatError::Rejected)?;
+        crate::judge::measurement(report, &self.valid_paths, reference)
+            .map_err(LofatError::Rejected)?;
         Ok(reference)
     }
 }
@@ -386,11 +411,8 @@ fn measure(
     input: &[u32],
 ) -> Result<(PackedReference, u64), LofatError> {
     let (measurement, exit) = verifier.replay(config, input)?;
-    let reference = PackedReference::pack(&ReferenceMeasurement {
-        authenticator: measurement.authenticator,
-        metadata: measurement.metadata,
-        expected_result: exit.register_a0,
-    });
+    let reference =
+        PackedReference::new(&measurement.authenticator, &measurement.metadata, exit.register_a0);
     Ok((reference, exit.instructions))
 }
 
@@ -465,6 +487,7 @@ fn replay_shared(
 mod tests {
     use super::*;
     use crate::prover::Prover;
+    use crate::verifier::RejectionReason;
     use lofat_crypto::{DeviceKey, Nonce, Signature};
     use lofat_rv32::asm::assemble;
     use proptest::prelude::*;
@@ -539,14 +562,25 @@ mod tests {
     }
 
     #[test]
-    fn wrong_program_id_is_rejected() {
+    fn check_runs_the_checks_that_follow_the_signature() {
         let (mut prover, verifier) = setup();
         let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), vec![vec![2u32]])
             .unwrap();
-        let mut run = prover.attest(&[2], Nonce::from_counter(1)).unwrap();
-        run.report.program_id = "other".into();
-        let err = db.check(&[2], &run.report).unwrap_err();
-        assert!(matches!(err, LofatError::Rejected(RejectionReason::ProgramIdMismatch { .. })));
+        assert_eq!(db.valid_loop_paths(), verifier.valid_loop_paths());
+        let run = prover.attest(&[2], Nonce::from_counter(1)).unwrap();
+        // The program id is the judge's first check, not one of these.
+        let mut renamed = run.report.clone();
+        renamed.program_id = "other".into();
+        assert!(db.check(&[2], &renamed).is_ok());
+        // A path outside the CFG is found before the metadata comparison.
+        let mut invalid = run.report;
+        let path = PathRecord { path_id: 0b1_1111, first_occurrence: 1, iterations: 1 };
+        invalid.metadata.loops[0].paths.push(path);
+        let err = db.check(&[2], &invalid).unwrap_err();
+        assert!(matches!(
+            err,
+            LofatError::Rejected(RejectionReason::InvalidLoopPath { path_id: 0b1_1111, .. })
+        ));
     }
 
     #[test]
@@ -653,19 +687,14 @@ mod tests {
             })
     }
 
-    /// The comparison `check` made before references were packed: struct
-    /// equality, field group by field group.
+    /// The comparison `check` made before references were packed, less the
+    /// program id (the judge's first check): struct equality, field group by
+    /// field group.
     fn compare_structs(
-        program_id: &str,
         reference: &ReferenceMeasurement,
         report: &AttestationReport,
     ) -> Result<u32, RejectionReason> {
-        if report.program_id != program_id {
-            Err(RejectionReason::ProgramIdMismatch {
-                expected: program_id.to_string(),
-                found: report.program_id.clone(),
-            })
-        } else if reference.authenticator != report.authenticator {
+        if reference.authenticator != report.authenticator {
             Err(RejectionReason::AuthenticatorMismatch)
         } else if reference.metadata != report.metadata {
             Err(RejectionReason::MetadataMismatch)
@@ -765,6 +794,7 @@ mod tests {
                 program_id: "packed".into(),
                 entries: BTreeMap::from([(input.clone(), packed)]),
                 config: EngineConfig::default(),
+                valid_paths: BTreeMap::new(),
             };
             let honest = AttestationReport {
                 program_id: "packed".into(),
@@ -780,7 +810,7 @@ mod tests {
                     Err(LofatError::Rejected(reason)) => Err(reason),
                     Err(other) => panic!("a stored input came back as {other:?}"),
                 };
-                prop_assert_eq!(packed, compare_structs("packed", &reference, report));
+                prop_assert_eq!(packed, compare_structs(&reference, report));
             }
         }
     }

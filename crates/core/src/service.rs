@@ -16,10 +16,12 @@
 //!   size, and no lock is ever held while another is acquired;
 //! * stale sessions expire on a service-wide atomic cycle clock
 //!   ([`VerifierService::advance_clock`] / [`VerifierService::expire_stale`]);
-//! * verification is the database mode of [`MeasurementDatabase`]: signature
-//!   and nonce checks plus a constant-time reference lookup — no golden replay
-//!   on the hot path, which is what lets one service instance front a large
-//!   device fleet;
+//! * evidence is decided by the judge ([`crate::judge`]), the same five checks
+//!   in the same order as [`crate::verifier::Verifier::verify`], against the
+//!   database mode of [`MeasurementDatabase`]: the expected measurement is a
+//!   lookup, logarithmic in the number of inputs, with no golden replay on the
+//!   hot path, which is what lets one service instance front a large device
+//!   fleet;
 //! * every interaction updates [`ServiceStats`] through one lock-free atomic
 //!   accounting path shared by [`VerifierService::handle_bytes`] and the typed
 //!   API, including per-reason-code rejection counts.
@@ -33,8 +35,8 @@
 //! behaviourally identical to the pre-sharding single-threaded service.
 
 use crate::error::LofatError;
+use crate::judge::{self, Bound, Judgement};
 use crate::measurement_db::MeasurementDatabase;
-use crate::report::AttestationReport;
 use crate::session::{SessionError, VerifierSession};
 use crate::verifier::{Challenge, RejectionReason};
 use crate::wire::{
@@ -65,13 +67,14 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Total capacity of the verdict cache, in entries across all cache
     /// shards (`0` disables caching).  The cache memoises the *input-derived*
-    /// part of a verdict — signature-prefix absorption plus the measurement
-    /// comparison — keyed by `(input, signed prefix)`.  A hit still performs
-    /// the full per-session work: nonce binding, the HMAC tag check over the
-    /// complete payload, and the single-use nonce spend, so caching never
-    /// weakens authentication or replay protection (only entries written
-    /// after a *successful* signature check are ever stored).  Eviction is
-    /// FIFO per cache shard; cache shards are congruent to session shards.
+    /// part of a verdict — signature-prefix absorption plus the outcome of the
+    /// judge's loop-path and reference checks — keyed by `(input, signed
+    /// prefix)`.  A hit still performs the full per-session work: program id
+    /// and nonce binding, the HMAC tag check over the complete payload, and
+    /// the single-use nonce spend, so caching never weakens authentication or
+    /// replay protection (only entries written after a *successful* signature
+    /// check are ever stored).  Eviction is FIFO per cache shard; cache shards
+    /// are congruent to session shards.
     pub verdict_cache_entries: usize,
     /// This service's index within a statically partitioned multi-process
     /// deployment (`0 ≤ partition_index < partition_count`; values `≥
@@ -158,12 +161,14 @@ pub struct ServiceStats {
     /// [`ServiceStats::expired`] instead (expiry is a lifecycle event, not a
     /// judgement of the evidence).
     pub rejected: u64,
-    /// Sessions *spent* by an authenticated rejection (the evidence was signed
-    /// under the fleet key and bound to the session's nonce, but the
-    /// measurement comparison failed).  A subset of [`ServiceStats::rejected`]:
-    /// unauthenticated rejections (bad signature, misrouted nonce, replays,
-    /// malformed envelopes) do not consume a session and are excluded, which
-    /// is what makes the conservation law below hold exactly:
+    /// Sessions *spent* by an authenticated rejection (the evidence named the
+    /// session's program, was bound to its nonce and signed under the fleet
+    /// key, but the loop-path or reference check failed; see
+    /// [`crate::judge`]).  A subset of [`ServiceStats::rejected`]:
+    /// unauthenticated rejections (wrong program id, misrouted nonce, bad
+    /// signature, replays, malformed envelopes) do not consume a session and
+    /// are excluded, which is what makes the conservation law below hold
+    /// exactly:
     ///
     /// ```text
     /// sessions_opened == accepted + sessions_rejected + expired + live_sessions
@@ -180,9 +185,10 @@ pub struct ServiceStats {
     pub replays_blocked: u64,
     /// Envelopes that failed wire-level decoding.
     pub wire_errors: u64,
-    /// Session-spending verdicts served from the verdict cache (the
-    /// measurement comparison and signature-prefix absorption were skipped;
-    /// the nonce binding and full HMAC tag check still ran).  Counted at the
+    /// Session-spending verdicts served from the verdict cache (the judge's
+    /// loop-path and reference checks and the signature-prefix absorption
+    /// were skipped; the program id and nonce binding and the full HMAC tag
+    /// check still ran).  Counted at the
     /// moment the session is spent, so with [`ServiceStats::cache_misses`] it
     /// obeys its own conservation law:
     ///
@@ -471,25 +477,27 @@ struct Shard {
 }
 
 /// Key of one verdict-cache entry: everything the cached work depends on.
-/// The measurement comparison is a pure function of `(input, signed prefix)`
-/// — the prefix is the report payload minus the nonce, so it binds program
-/// id, authenticator and metadata byte-for-byte — and the cached MAC snapshot
-/// is a pure function of the prefix alone.  Nothing per-session (nonce,
-/// session id, signature) may appear here: those are re-checked on every hit.
+/// The judge's loop-path and reference checks are a pure function of
+/// `(input, signed prefix)` — the prefix is the report payload minus the
+/// nonce, so it binds program id, authenticator and metadata byte-for-byte —
+/// and the cached MAC snapshot is a pure function of the prefix alone.
+/// Nothing per-session (nonce, session id, signature) may appear here: those
+/// are re-checked on every hit.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct CacheKey {
     input: Vec<u32>,
     prefix: Vec<u8>,
 }
 
-/// One memoised verdict: the measurement comparison's outcome plus the
-/// signature MAC with the signed prefix already absorbed.  Resuming the
-/// snapshot with a fresh nonce and comparing against the submitted signature
-/// *is* the full HMAC verification over the complete payload — the hit path
-/// skips re-absorbing the prefix, not any check.
+/// One memoised verdict: the outcome of the judge's loop-path and reference
+/// checks (the expected result, or the rejection) plus the signature MAC
+/// with the signed prefix already absorbed.  Resuming the snapshot with a
+/// fresh nonce and comparing against the submitted signature *is* the full
+/// HMAC verification over the complete payload — the hit path skips
+/// re-absorbing the prefix, not any check.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    verdict: VerdictMsg,
+    outcome: Result<u32, RejectionReason>,
     mac_prefix: Hmac,
 }
 
@@ -509,13 +517,14 @@ struct CacheShard {
 struct PendingJudgement<'a> {
     id: SessionId,
     shard_index: usize,
-    report: &'a AttestationReport,
+    /// The evidence, past the judge's program id and nonce checks.
+    bound: Bound<'a>,
     key: CacheKey,
-    /// The memoised measurement verdict (cache hit); `None` runs the
-    /// database comparison.
-    cached_verdict: Option<VerdictMsg>,
+    /// The memoised outcome of the loop-path and reference checks (cache
+    /// hit); `None` runs them against the database.
+    cached: Option<Result<u32, RejectionReason>>,
     /// On a miss with the cache enabled: the prefix-only MAC snapshot to
-    /// store alongside the fresh verdict.
+    /// store alongside the fresh outcome.
     mac_prefix: Option<Hmac>,
 }
 
@@ -527,10 +536,12 @@ struct PendingJudgement<'a> {
 #[allow(clippy::large_enum_variant)]
 enum Prepared<'a> {
     /// A verdict was reached before any signature work (unknown session,
-    /// expiry, replay, nonce mismatch) — `(verdict, spent_session)`.
+    /// expiry, replay, wrong program id, nonce mismatch) —
+    /// `(verdict, spent_session)`.
     Done((VerdictMsg, bool)),
-    /// The envelope passed the transport checks: its payload MAC is ready to
-    /// finalize, and the rest of the pipeline is queued behind the tag.
+    /// The envelope passed the transport checks and the judge's first two:
+    /// its payload MAC is ready to finalize, and the rest of the pipeline is
+    /// queued behind the tag.
     /// Keeping the MAC outside [`PendingJudgement`] lets batch callers drain
     /// many tags through one multi-lane [`Hmac::finalize_many`] pass.
     Pending(Hmac, PendingJudgement<'a>),
@@ -1068,26 +1079,28 @@ impl VerifierService {
         }
     }
 
-    /// Stage 1 of the pipeline: transport checks, nonce binding and the
-    /// verdict-cache consult — everything up to (but excluding) the Keccak
-    /// finalization of the signature MAC.  Batch callers collect the pending
-    /// MACs from many envelopes and finalize them together through the
-    /// multi-lane [`Hmac::finalize_many`]; [`VerifierService::judge`]
-    /// finalizes the single MAC inline.
+    /// Stage 1 of the pipeline: transport checks, the judge's program id and
+    /// nonce checks (`judge::bind`) and the verdict-cache consult —
+    /// everything up to (but excluding) the Keccak finalization of the
+    /// signature MAC.  Batch callers collect the pending MACs from many
+    /// envelopes and finalize them together through the multi-lane
+    /// [`Hmac::finalize_many`]; [`VerifierService::judge`] finalizes the
+    /// single MAC inline.
     ///
     /// Lock discipline: the session's shard lock is taken briefly for the
-    /// transport checks and nonce binding, and always released *before*
-    /// [`VerifierService::nonce_consumed`] locks the nonce's owning shard, so
-    /// no two shard locks are ever held at once.  The cache shard lock (same
-    /// index as the session shard) is only taken *after* the session shard
-    /// lock is released, and all crypto runs outside every lock.
+    /// transport checks and the judge's first two checks, and always released
+    /// *before* [`VerifierService::nonce_consumed`] locks the nonce's owning
+    /// shard, so no two shard locks are ever held at once.  The cache shard
+    /// lock (same index as the session shard) is only taken *after* the
+    /// session shard lock is released, and all crypto runs outside every lock.
     fn prepare<'a>(&self, envelope: &'a Envelope) -> Prepared<'a> {
         let id = envelope.session;
 
-        // Critical section 1: transport checks + nonce binding.  Everything
-        // here is cheap (map lookup, field compares); the session's input is
-        // copied out so the reference lookup below needs no lock.
-        let input: Vec<u32> = {
+        // Critical section 1: transport checks and the judge's first two.
+        // Everything here is cheap (map lookup, field compares); the
+        // session's input is copied out so the reference lookup below needs
+        // no lock.
+        let (input, bound) = {
             let mut shard = self.shard(id);
             let Some(session) = shard.sessions.get(&id) else {
                 drop(shard);
@@ -1118,47 +1131,38 @@ impl VerifierService {
                 }
             };
 
-            // The nonce-binding and signature checks reject *without*
-            // spending the session: anyone can address garbage (or replayed)
-            // evidence at a live session id, and an unauthenticated failure
-            // must not let them lock the honest prover out.  The session is
-            // only spent by evidence that is signed under the fleet key
-            // *and* bound to this session's nonce.
-            if evidence.report.nonce != session.nonce() {
-                // The nonce does not belong to this session: either a
-                // cross-session replay (a nonce consumed by any
-                // decided/expired session can never be accepted again, no
-                // matter where it is sent) or evidence routed to the wrong
-                // session.  Deciding which may require the nonce's *owning*
-                // shard, so release this one first — the misdelivery leaves
-                // this session untouched anyway.
-                let nonce = evidence.report.nonce;
-                drop(shard);
-                if self.nonce_consumed(&nonce) {
-                    return Prepared::Done((replayed_nonce_verdict(&nonce), false));
+            match judge::bind(&evidence.report, session.challenge()) {
+                Ok(bound) => (session.challenge().input.clone(), bound),
+                Err(refused) => {
+                    // A refusal leaves this session untouched.  A nonce that
+                    // is not this session's may be one a decided or expired
+                    // session spent — a replay, wherever it is sent — or
+                    // evidence routed to the wrong session.  Deciding which
+                    // may require the nonce's *owning* shard, so release
+                    // this one first.
+                    drop(shard);
+                    let nonce = &evidence.report.nonce;
+                    if matches!(refused, Judgement::Refused(RejectionReason::NonceMismatch))
+                        && self.nonce_consumed(nonce)
+                    {
+                        return Prepared::Done((replayed_nonce_verdict(nonce), false));
+                    }
+                    return Prepared::Done((
+                        refused.verdict_msg(|&result| result),
+                        refused.spends_session(),
+                    ));
                 }
-                return Prepared::Done((
-                    VerdictMsg::rejected(
-                        RejectionReason::NonceMismatch.code(),
-                        RejectionReason::NonceMismatch.to_string(),
-                    ),
-                    false,
-                ));
             }
-            session.challenge().input.clone()
         };
-        // `accept_evidence` succeeded above, so the message is evidence.
-        let Message::Evidence(evidence) = &envelope.message else {
-            unreachable!("accept_evidence only accepts evidence messages");
-        };
-        let report = &evidence.report;
+        let report = bound.report();
 
         // Lock-free section: assemble the signature MAC over the payload,
         // consulting the verdict cache for the input-derived work.  The
         // payload is `signed_prefix ‖ nonce`, so resuming a prefix-absorbed
         // MAC snapshot with this report's nonce yields exactly the MAC the
         // uncached path computes over the whole payload — a hit skips the
-        // prefix absorption and the measurement comparison, never a check.
+        // prefix absorption and recomputing the outcome of the loop-path and
+        // reference checks, never a check.
         let shard_index = self.shard_index(id);
         let key = CacheKey { input, prefix: report.signed_prefix() };
         match self.cache_lookup(shard_index, &key) {
@@ -1170,9 +1174,9 @@ impl VerifierService {
                     PendingJudgement {
                         id,
                         shard_index,
-                        report,
+                        bound,
                         key,
-                        cached_verdict: Some(entry.verdict),
+                        cached: Some(entry.outcome),
                         mac_prefix: None,
                     },
                 )
@@ -1187,66 +1191,41 @@ impl VerifierService {
                 let mac_prefix = (!self.verdict_cache.is_empty()).then_some(mac_prefix);
                 Prepared::Pending(
                     mac,
-                    PendingJudgement {
-                        id,
-                        shard_index,
-                        report,
-                        key,
-                        cached_verdict: None,
-                        mac_prefix,
-                    },
+                    PendingJudgement { id, shard_index, bound, key, cached: None, mac_prefix },
                 )
             }
         }
     }
 
-    /// Stage 2 of the pipeline: signature comparison, measurement comparison
-    /// (or its cached outcome), and spending the session.  `tag` is the
-    /// finalized MAC of the pending envelope's payload.
+    /// Stage 2 of the pipeline: the rest of the judgement
+    /// (`Bound::conclude`: the signature, then the loop-path and reference
+    /// checks or their cached outcome) and, when it spends the session,
+    /// spending it.  `tag` is the finalized MAC of the pending envelope's
+    /// payload.
     fn conclude(&self, pending: PendingJudgement<'_>, tag: Digest) -> (VerdictMsg, bool) {
-        let PendingJudgement { id, shard_index, report, key, cached_verdict, mac_prefix } = pending;
-
-        // The signature check rejects *without* spending the session: anyone
-        // can address garbage at a live session id, and an unauthenticated
-        // failure must not let them lock the honest prover out.  The session
-        // is only spent by evidence signed under the fleet key (checked
-        // here, cached or not) and bound to this session's nonce (checked in
-        // `prepare`).
-        if !tag.ct_eq_bytes(report.signature.as_bytes()) {
-            return (
-                VerdictMsg::rejected(
-                    RejectionReason::BadSignature.code(),
-                    RejectionReason::BadSignature.to_string(),
-                ),
-                false,
-            );
-        }
-
-        let was_cache_hit = cached_verdict.is_some();
-        let verdict = match cached_verdict {
-            Some(verdict) => verdict,
-            None => {
-                // Measurement comparison: [`MeasurementDatabase::check`] is
-                // the one implementation of the reference comparison.
-                let verdict = match self.db.check(&key.input, report) {
-                    Ok(reference) => VerdictMsg::accepted(Some(reference.expected_result)),
-                    Err(LofatError::Rejected(reason)) => {
-                        VerdictMsg::rejected(reason.code(), reason.to_string())
-                    }
-                    Err(other) => VerdictMsg::rejected(code::UNKNOWN_INPUT, other.to_string()),
-                };
-                // Populate only now — after the signature verified — so the
-                // cache holds nothing an unauthenticated submission chose.
-                if let Some(mac_prefix) = mac_prefix {
-                    self.cache_insert(
-                        shard_index,
-                        key,
-                        CacheEntry { verdict: verdict.clone(), mac_prefix },
-                    );
-                }
-                verdict
-            }
+        let PendingJudgement { id, shard_index, bound, key, cached, mac_prefix } = pending;
+        let report = bound.report();
+        let was_cache_hit = cached.is_some();
+        let judgement = match bound.conclude(&tag, || match cached {
+            Some(outcome) => outcome.map_err(LofatError::Rejected),
+            None => self.db.check(&key.input, report).map(|reference| reference.expected_result),
+        }) {
+            Ok(judgement) => judgement,
+            // `open_session` and `restore` admit no session whose input lacks
+            // a reference, so this never happens; like any verifier failure
+            // it decides nothing and leaves the session open.
+            Err(e) => return (VerdictMsg::rejected(code::UNKNOWN_INPUT, e.to_string()), false),
         };
+        let verdict = judgement.verdict_msg(|&result| result);
+        if !judgement.spends_session() {
+            return (verdict, false);
+        }
+        // Populate only now — after the signature verified — so the cache
+        // holds nothing an unauthenticated submission chose.
+        if let Some(mac_prefix) = mac_prefix {
+            let entry = CacheEntry { outcome: judgement.into_result(), mac_prefix };
+            self.cache_insert(shard_index, key, entry);
+        }
 
         // Critical section 2: spend the session.  Evicting (rather than
         // keeping a Decided tombstone) keeps the session map bounded by
@@ -1275,8 +1254,7 @@ impl VerifierService {
         } else {
             self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let spent_by_rejection = !verdict.accepted;
-        (verdict, spent_by_rejection)
+        (verdict, true)
     }
 
     /// Replay check with O(1) memory and at most one shard lock: session `n`
@@ -1287,7 +1265,7 @@ impl VerifierService {
     /// half-observed) and the session is no longer live.
     ///
     /// Callers must not hold any shard lock (see the lock discipline note on
-    /// [`VerifierService::judge`]).
+    /// [`VerifierService::prepare`]).
     fn nonce_consumed(&self, nonce: &Nonce) -> bool {
         let counter = u64::from_le_bytes(nonce.as_bytes()[..8].try_into().expect("8 bytes"));
         if counter < 1 || Nonce::from_counter(counter) != *nonce {

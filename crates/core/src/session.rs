@@ -22,6 +22,7 @@
 //! ```
 
 use crate::error::LofatError;
+use crate::judge::Judgement;
 use crate::prover::{Adversary, NoAdversary, Prover, ProverRun};
 use crate::verifier::{Challenge, RejectionReason, Verdict, Verifier};
 use crate::wire::{
@@ -318,27 +319,28 @@ impl VerifierSession {
         }
     }
 
-    /// Marks the session decided.  Called by [`VerifierSession::process_evidence`]
-    /// and by [`crate::service::VerifierService`] after an external judgement;
-    /// a decided session refuses all further evidence.
+    /// Marks the session decided; a decided session refuses all further
+    /// evidence.  [`VerifierSession::process_evidence`] calls it when a
+    /// judgement spends the session or the deadline passed.
+    /// [`crate::service::VerifierService`] does not: it evicts a spent or
+    /// expired session instead.
     pub fn settle(&mut self) {
         self.state = SessionState::Decided;
     }
 
     /// Consumes an evidence envelope and decides the session by judging the
-    /// report with `verifier` (signature, nonce binding, static loop-path
-    /// plausibility and golden replay — exactly [`Verifier::verify`]).
+    /// report with `verifier` ([`Verifier::judge`]: program id, nonce
+    /// binding, signature, static loop-path plausibility and the golden
+    /// replay's measurement, in that order).
     ///
     /// `now_cycles` is the current verifier-clock value used for the deadline
-    /// check.  On an *authenticated* decision — accepted, or rejected for a
-    /// reason established after the signature verified — the session becomes
-    /// [`SessionState::Decided`] and the returned [`SessionOutcome`] carries
-    /// the [`VerdictMsg`] for the wire.
-    ///
-    /// Unauthenticated rejections (wrong program id, wrong nonce, bad
-    /// signature) do **not** spend the session: over a real transport anyone
-    /// can lob a forged envelope at a live session, and doing so must not
-    /// lock the honest prover out of answering.
+    /// check.  The returned [`SessionOutcome`] carries the [`VerdictMsg`] for
+    /// the wire.  The session becomes [`SessionState::Decided`] exactly when
+    /// the judgement spends it ([`Judgement::spends_session`]): on acceptance
+    /// or a rejection established after the signature verified.  A refusal
+    /// (wrong program id, wrong nonce, bad signature) leaves it open: over a
+    /// real transport anyone can lob a forged envelope at a live session, and
+    /// doing so must not lock the honest prover out of answering.
     ///
     /// # Errors
     ///
@@ -360,33 +362,20 @@ impl VerifierSession {
                 return Err(e);
             }
         };
-        let outcome = match verifier.verify(&evidence.report, &self.challenge) {
-            Ok(verdict) => {
-                let msg = VerdictMsg::accepted(Some(verdict.replay_exit.register_a0));
-                SessionOutcome { decision: SessionDecision::Accepted(verdict), verdict_msg: msg }
-            }
-            Err(LofatError::Rejected(reason)) => {
-                let msg = VerdictMsg::rejected(reason.code(), reason.to_string());
-                SessionOutcome { decision: SessionDecision::Rejected(reason), verdict_msg: msg }
-            }
-            Err(other) => return Err(SessionError::Verifier(Box::new(other))),
-        };
-        // Only an authenticated decision spends the session: a rejection
-        // reached before the signature verified came from *anyone*, not from
-        // the device, and must not deny service to the honest prover.
-        let spend = match &outcome.decision {
-            SessionDecision::Accepted(_) => true,
-            SessionDecision::Rejected(reason) => !matches!(
-                reason,
-                RejectionReason::ProgramIdMismatch { .. }
-                    | RejectionReason::NonceMismatch
-                    | RejectionReason::BadSignature
-            ),
-        };
-        if spend {
+        let judgement = verifier
+            .judge(&evidence.report, &self.challenge)
+            .map_err(|e| SessionError::Verifier(Box::new(e)))?;
+        let verdict_msg = judgement.verdict_msg(|verdict| verdict.replay_exit.register_a0);
+        if judgement.spends_session() {
             self.settle();
         }
-        Ok(outcome)
+        let decision = match judgement {
+            Judgement::Accepted(verdict) => SessionDecision::Accepted(verdict),
+            Judgement::Refused(reason) | Judgement::Rejected(reason) => {
+                SessionDecision::Rejected(reason)
+            }
+        };
+        Ok(SessionOutcome { decision, verdict_msg })
     }
 }
 

@@ -1,31 +1,31 @@
 //! The verifier `V` (Fig. 2).
 //!
 //! The verifier holds the program binary, its statically derived CFG and loop
-//! structure, and the verification key.  Verification of a report proceeds in three
-//! stages, mirroring §3/§6.3 of the paper:
+//! structure, and the verification key.  [`Verifier::new`] enumerates, once, the
+//! valid path encodings of every loop it can (innermost, call-free loops).
 //!
-//! 1. **Authenticity and freshness** — the signature over `A ‖ L ‖ N` must verify and
-//!    the nonce must match the outstanding challenge.
-//! 2. **Static plausibility** — every loop path encoding reported in `L` for a loop
-//!    whose valid path set the verifier can enumerate (innermost, call-free loops)
-//!    must be one of the CFG-valid encodings; "other path encodings are considered
-//!    invalid and detected by V" (§5.1, Fig. 4).
-//! 3. **Golden replay** — because the verifier knows the program, the challenge input
-//!    and LO-FAT's deterministic measurement rules, it recomputes the expected
-//!    authenticator `A` and metadata `L` by replaying the program on its own trusted
-//!    simulator and compares them against the report.  This is how the verifier
-//!    "checks whether the reported path resembles a valid path of the CFG under
-//!    input i".
+//! Verification is a **golden replay** feeding the judge ([`crate::judge`]):
+//! because the verifier knows the program, the challenge input and LO-FAT's
+//! deterministic measurement rules, it recomputes the expected authenticator `A`
+//! and metadata `L` by replaying the program on its own trusted simulator.  The
+//! judge then checks, in order, the program id, the nonce binding, the signature
+//! over `A ‖ L ‖ N`, the static plausibility of every reported loop path ("other
+//! path encodings are considered invalid and detected by V", §5.1, Fig. 4) and the
+//! replayed measurement.  This is how the verifier "checks whether the reported
+//! path resembles a valid path of the CFG under input i".  The replay runs only
+//! once the signature verified.
 
 use crate::config::EngineConfig;
 use crate::engine::{LofatEngine, Measurement};
 use crate::error::LofatError;
+use crate::judge::{self, Judgement};
+use crate::measurement_db::PackedReference;
 use crate::prover::load_input;
 use crate::report::AttestationReport;
 use lofat_cfg::paths::enumerate_loop_paths;
 use lofat_cfg::{Cfg, LoopNest};
 use lofat_crypto::sign::HmacVerifier;
-use lofat_crypto::{Nonce, SignatureVerifier, VerificationKey};
+use lofat_crypto::{Nonce, VerificationKey};
 use lofat_rv32::{Cpu, ExitInfo, Program};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -213,7 +213,8 @@ impl Verifier {
         crate::session::VerifierSession::new(id, challenge, deadline_cycles)
     }
 
-    /// Verifies `report` against `challenge`.
+    /// Verifies `report` against `challenge`: [`Verifier::judge`] without the
+    /// spend rule.
     ///
     /// # Errors
     ///
@@ -225,46 +226,39 @@ impl Verifier {
         report: &AttestationReport,
         challenge: &Challenge,
     ) -> Result<Verdict, LofatError> {
-        // 1. Authenticity and freshness.
-        if report.program_id != self.program_id {
-            return Err(LofatError::Rejected(RejectionReason::ProgramIdMismatch {
-                expected: self.program_id.clone(),
-                found: report.program_id.clone(),
-            }));
-        }
-        if report.nonce != challenge.nonce {
-            return Err(LofatError::Rejected(RejectionReason::NonceMismatch));
-        }
-        if self.key.verify(&report.payload(), &report.signature).is_err() {
-            return Err(LofatError::Rejected(RejectionReason::BadSignature));
-        }
+        self.judge(report, challenge)?.into_result().map_err(LofatError::Rejected)
+    }
 
-        // 2. Static plausibility of the reported loop paths.
-        for record in &report.metadata.loops {
-            if record.encoder_overflowed || !record.indirect_targets.is_empty() {
-                continue;
-            }
-            if let Some(valid) = self.valid_paths.get(&record.entry) {
-                for path in &record.paths {
-                    if !valid.contains(&path.path_id) {
-                        return Err(LofatError::Rejected(RejectionReason::InvalidLoopPath {
-                            loop_entry: record.entry,
-                            path_id: path.path_id,
-                        }));
-                    }
-                }
-            }
-        }
-
-        // 3. Golden replay under the challenge input.
-        let (expected, replay_exit) = self.expected_measurement(&challenge.input)?;
-        if expected.authenticator != report.authenticator {
-            return Err(LofatError::Rejected(RejectionReason::AuthenticatorMismatch));
-        }
-        if expected.metadata != report.metadata {
-            return Err(LofatError::Rejected(RejectionReason::MetadataMismatch));
-        }
-        Ok(Verdict { replay_exit, expected })
+    /// Judges `report` against `challenge` ([`crate::judge`]), replaying the
+    /// challenge input for the expected measurement once the signature
+    /// verified.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the verifier itself fails (e.g. the golden replay cannot be
+    /// executed); a rejection is a [`Judgement`], not an error.
+    pub fn judge(
+        &self,
+        report: &AttestationReport,
+        challenge: &Challenge,
+    ) -> Result<Judgement<Verdict>, LofatError> {
+        let bound = match judge::bind(report, challenge) {
+            Ok(bound) => bound,
+            Err(refused) => return Ok(refused),
+        };
+        let mut mac = self.key.mac_base().clone();
+        mac.update(report.payload());
+        bound.conclude(&mac.finalize(), || {
+            let (expected, replay_exit) = self.expected_measurement(&challenge.input)?;
+            let reference = PackedReference::new(
+                &expected.authenticator,
+                &expected.metadata,
+                replay_exit.register_a0,
+            );
+            judge::measurement(report, &self.valid_paths, &reference)
+                .map_err(LofatError::Rejected)?;
+            Ok(Verdict { replay_exit, expected })
+        })
     }
 
     /// Computes the expected measurement for `input` by golden replay.

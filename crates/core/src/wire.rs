@@ -43,25 +43,34 @@ pub const HEADER_BYTES: usize = 18;
 /// Stable numeric verdict codes carried in [`VerdictMsg::reason_code`].
 ///
 /// Codes `1..=6` mirror [`crate::verifier::RejectionReason`] (see
-/// [`RejectionReason::code`](crate::verifier::RejectionReason::code)); codes
-/// from [`code::UNKNOWN_SESSION`] up describe session- and service-level
-/// failures that occur before report verification.  The values are part of the
-/// wire contract: they never change meaning across versions, new codes only
-/// get new numbers.
+/// [`RejectionReason::code`](crate::verifier::RejectionReason::code)): each is
+/// one check of the judge ([`crate::judge`]), which decides evidence the same
+/// way for [`crate::verifier::Verifier::verify`] and
+/// [`crate::service::VerifierService`].  Codes 1–3 refuse evidence without
+/// spending its session; 4–6 spend it.  Codes from [`code::UNKNOWN_SESSION`]
+/// up describe session- and service-level failures that occur before report
+/// verification.  The values are part of the wire contract: they never change
+/// meaning across versions, new codes only get new numbers.
 pub mod code {
     /// The report was accepted.
     pub const ACCEPTED: u16 = 0;
-    /// [`RejectionReason::ProgramIdMismatch`](crate::verifier::RejectionReason::ProgramIdMismatch).
+    /// [`RejectionReason::ProgramIdMismatch`](crate::verifier::RejectionReason::ProgramIdMismatch):
+    /// the judge's check 1 (program id); refuses, the session stays open.
     pub const PROGRAM_ID_MISMATCH: u16 = 1;
-    /// [`RejectionReason::NonceMismatch`](crate::verifier::RejectionReason::NonceMismatch).
+    /// [`RejectionReason::NonceMismatch`](crate::verifier::RejectionReason::NonceMismatch):
+    /// the judge's check 2 (nonce binding); refuses, the session stays open.
     pub const NONCE_MISMATCH: u16 = 2;
-    /// [`RejectionReason::BadSignature`](crate::verifier::RejectionReason::BadSignature).
+    /// [`RejectionReason::BadSignature`](crate::verifier::RejectionReason::BadSignature):
+    /// the judge's check 3 (signature); refuses, the session stays open.
     pub const BAD_SIGNATURE: u16 = 3;
-    /// [`RejectionReason::InvalidLoopPath`](crate::verifier::RejectionReason::InvalidLoopPath).
+    /// [`RejectionReason::InvalidLoopPath`](crate::verifier::RejectionReason::InvalidLoopPath):
+    /// the judge's check 4 (loop-path plausibility, §5.1 Fig. 4); spends the session.
     pub const INVALID_LOOP_PATH: u16 = 4;
-    /// [`RejectionReason::AuthenticatorMismatch`](crate::verifier::RejectionReason::AuthenticatorMismatch).
+    /// [`RejectionReason::AuthenticatorMismatch`](crate::verifier::RejectionReason::AuthenticatorMismatch):
+    /// the judge's check 5 (reference authenticator); spends the session.
     pub const AUTHENTICATOR_MISMATCH: u16 = 5;
-    /// [`RejectionReason::MetadataMismatch`](crate::verifier::RejectionReason::MetadataMismatch).
+    /// [`RejectionReason::MetadataMismatch`](crate::verifier::RejectionReason::MetadataMismatch):
+    /// the judge's check 5 (reference metadata); spends the session.
     pub const METADATA_MISMATCH: u16 = 6;
     /// The envelope names a session the service does not know (never opened,
     /// or already swept after expiry).
@@ -353,10 +362,13 @@ impl std::error::Error for WireError {
 /// Magic bytes opening every snapshot document.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LFSN";
 
-/// The snapshot-format version this build writes.  The format is append-only
-/// like the envelope codec: new fields extend [`SnapshotMsg`] under a new
-/// version number, and older documents keep decoding under theirs.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// The snapshot-format version this build writes, and the only one it reads:
+/// [`SnapshotMsg::decode`] refuses a document of any other version with
+/// [`SnapshotError::UnsupportedVersion`] before parsing its body.  A change to
+/// the body's encoding takes a new number.  Version 2 appended the
+/// measurement database's valid-path table; a version-1 document is
+/// refused, so a service never restarts from one with fresh nonce counters.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Size of the fixed snapshot header in bytes: magic (4) + version (2) +
 /// body length (4) + SHA3-256 body digest (32).
@@ -400,7 +412,7 @@ pub struct ShardSnapshot {
 /// ```text
 /// offset  size  field
 /// 0       4     magic  "LFSN"
-/// 4       2     version (little-endian u16, currently 1)
+/// 4       2     version (little-endian u16, currently 2)
 /// 6       4     body length (little-endian u32)
 /// 10      32    SHA3-256 digest of the body
 /// 42      n     body: serde encoding of `SnapshotMsg`

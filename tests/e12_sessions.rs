@@ -12,18 +12,29 @@
 //!   adversarial, driving `ProverSession`/`VerifierSession` through the wire
 //!   codec produces byte-identical authenticators and the identical
 //!   `Verdict`/`RejectionReason`/`ProtocolOutcome` as the `run_attestation`
-//!   entry point (the legacy protocol semantics, re-derived inline).
+//!   entry point (the legacy protocol semantics, re-derived inline).  A
+//!   service leg sends the same evidence to a fresh `VerifierService`, to one
+//!   restored from its own snapshot and through a verdict-cache hit: each
+//!   must answer the library's verdict bytes and spend the session exactly
+//!   when the library decides it.  Beyond real executions the evidence
+//!   includes e1's forged Fig. 4 report, reports naming another program (with
+//!   and without a valid signature) and, by property test, every single-field
+//!   mutation of honest reports re-signed with the device key.
 
 mod common;
 
+use lofat::metadata::IndirectTargetRecord;
 use lofat::protocol::run_attestation_with_adversary;
 use lofat::session::{ProverSession, SessionDecision, SessionOutcome};
-use lofat::wire::{code, Envelope, Message, SessionId};
+use lofat::wire::{code, Envelope, EvidenceMsg, Message, SessionId, VerdictMsg};
 use lofat::{
-    Challenge, LofatError, ProverRun, RejectionReason, ServiceConfig, Verdict, VerifierService,
+    AttestationReport, Challenge, LofatError, LoopRecord, PathRecord, ProverRun, RejectionReason,
+    ServiceConfig, Verdict, VerifierService,
 };
+use lofat_crypto::{DeviceKey, Digest, HmacSigner, Nonce, Signer};
 use lofat_rv32::Program;
 use lofat_workloads::{attack, catalog};
+use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn session_count() -> usize {
@@ -216,6 +227,15 @@ fn interleaved_sessions_at_scale_with_single_use_nonces() {
 // Differential equivalence with the legacy protocol
 // ---------------------------------------------------------------------------
 
+/// Turns the prover's report into the evidence a scenario sends; gets the
+/// device key, so it can re-sign what it changed.
+type Tamper<'a> = &'a dyn Fn(&mut AttestationReport, &DeviceKey);
+
+/// Signs `report` again under `key`, as whoever holds the device key could.
+fn resign(report: &mut AttestationReport, key: &DeviceKey) {
+    report.signature = HmacSigner::new(key.clone()).sign(&report.payload()).expect("HMAC signs");
+}
+
 /// The exact pre-redesign `run_attestation_with_adversary` semantics, inlined:
 /// challenge → in-process attest → `Verifier::verify`.
 fn legacy_round(
@@ -223,56 +243,134 @@ fn legacy_round(
     seed: &str,
     input: Vec<u32>,
     fault: &mut attack::Fault,
+    tamper: Option<Tamper<'_>>,
 ) -> (Challenge, ProverRun, Result<Verdict, LofatError>) {
     let (_, mut prover, mut verifier) = common::workload_session(name, seed);
     let challenge = verifier.challenge(input);
-    let run = prover
+    let mut run = prover
         .attest_with_adversary(&challenge.input, challenge.nonce, fault)
         .expect("prover executes");
+    if let Some(tamper) = tamper {
+        tamper(&mut run.report, &DeviceKey::from_seed(seed));
+    }
     let verdict = verifier.verify(&run.report, &challenge);
     (challenge, run, verdict)
 }
 
-/// The same round trip through the new session layer and the byte codec.
+/// The same round trip through the new session layer and the byte codec;
+/// also returns whether the session was decided.
 fn session_round(
     name: &str,
     seed: &str,
     input: Vec<u32>,
     fault: &mut attack::Fault,
-) -> (Challenge, ProverRun, SessionOutcome) {
+    tamper: Option<Tamper<'_>>,
+) -> (Challenge, ProverRun, SessionOutcome, bool) {
     let (_, mut prover, mut verifier) = common::workload_session(name, seed);
     let mut session = verifier.begin_session(SessionId(77), input, u64::MAX);
     let challenge = session.challenge().clone();
 
     let challenge_bytes = session.challenge_envelope().encode().expect("encode challenge");
     let challenge_envelope = Envelope::decode(&challenge_bytes).expect("decode challenge");
-    let (evidence_envelope, run) = ProverSession::new(&mut prover)
+    let (evidence_envelope, mut run) = ProverSession::new(&mut prover)
         .respond_with_adversary(&challenge_envelope, fault)
         .expect("prover executes");
     let evidence_bytes = evidence_envelope.encode().expect("encode evidence");
-    let evidence = Envelope::decode(&evidence_bytes).expect("decode evidence");
+    let mut evidence = Envelope::decode(&evidence_bytes).expect("decode evidence");
 
     // The report must survive the wire byte-for-byte.
-    let Message::Evidence(on_wire) = &evidence.message else { panic!("wrong message kind") };
+    let Message::Evidence(on_wire) = &mut evidence.message else { panic!("wrong message kind") };
     assert_eq!(&on_wire.report, &run.report, "report changed on the wire");
+    if let Some(tamper) = tamper {
+        tamper(&mut run.report, &DeviceKey::from_seed(seed));
+        on_wire.report = run.report.clone();
+    }
 
     let outcome =
         session.process_evidence(&evidence, &verifier, 0).expect("no session-level failure");
-    (challenge, run, outcome)
+    (challenge, run, outcome, session.is_decided())
+}
+
+/// The service leg.  `report` answers session 1 of a service over `input`,
+/// whose nonce is the library's first challenge nonce, three ways: on a
+/// fresh service, on one restored from its own snapshot, and on one whose
+/// verdict cache already holds the report's measurement (the same report,
+/// re-signed for session 2, went first).  Each must answer `library`'s
+/// verdict bytes and evict the session exactly when the library `decided`
+/// its own.
+fn assert_service_agrees(
+    label: &str,
+    name: &str,
+    seed: &str,
+    input: &[u32],
+    report: &AttestationReport,
+    library: &VerdictMsg,
+    decided: bool,
+) {
+    let key = DeviceKey::from_seed(seed);
+    let service =
+        || common::workload_service(name, seed, &[input.to_vec()], ServiceConfig::default()).1;
+    let evidence = |id: SessionId, report: &AttestationReport| {
+        Envelope::new(id, Message::Evidence(EvidenceMsg { report: report.clone() }))
+    };
+    let bytes = |verdict: &VerdictMsg| {
+        Envelope::new(SessionId(1), Message::Verdict(verdict.clone())).encode().expect("encodes")
+    };
+
+    let fresh = service();
+    let id = fresh.open_session(input.to_vec()).expect("the input has a reference");
+    assert_eq!(id, SessionId(1), "{label}");
+    let snapshot = fresh.snapshot_bytes(0).expect("snapshot encodes");
+    let restored = VerifierService::restore_bytes(&snapshot, key.verification_key())
+        .expect("own snapshot restores");
+
+    let cached = service();
+    let first = cached.open_session(input.to_vec()).expect("capacity");
+    let second = cached.open_session(input.to_vec()).expect("capacity");
+    let mut warm = report.clone();
+    warm.nonce = Nonce::from_counter(second.0);
+    resign(&mut warm, &key);
+    cached.submit_evidence(&evidence(second, &warm));
+
+    for (leg, service, id) in
+        [("fresh", &fresh, id), ("restored", &restored, id), ("cached", &cached, first)]
+    {
+        let verdict = service.submit_evidence(&evidence(id, report));
+        assert_eq!(&verdict, library, "{label}: {leg} service verdict differs");
+        assert_eq!(bytes(&verdict), bytes(library), "{label}: {leg} service verdict bytes differ");
+        assert_eq!(service.session(id).is_none(), decided, "{label}: {leg} service spend differs");
+        common::assert_stats_conserved(&service.stats(), service.live_sessions());
+    }
+    // Only evidence that passed the first three checks spends, and that is
+    // exactly when the warm-up's measurement was cached.
+    assert_eq!(cached.stats().cache_hits, u64::from(decided), "{label}: no cache hit");
 }
 
 fn assert_equivalent(
     name: &str,
     scenario: &str,
     input: Vec<u32>,
+    make: impl FnMut() -> attack::Fault,
+) {
+    assert_equivalent_tampered(name, scenario, input, make, None);
+}
+
+/// [`assert_equivalent`] for evidence `tamper` made from the prover's
+/// report; the one-call adapter runs only when there is none, since it
+/// sends the prover's report itself.
+fn assert_equivalent_tampered(
+    name: &str,
+    scenario: &str,
+    input: Vec<u32>,
     mut make: impl FnMut() -> attack::Fault,
+    tamper: Option<Tamper<'_>>,
 ) {
     let seed = format!("e12-diff-{name}-{scenario}");
 
     let (legacy_challenge, legacy_run, legacy_verdict) =
-        legacy_round(name, &seed, input.clone(), &mut make());
-    let (session_challenge, session_run, session_outcome) =
-        session_round(name, &seed, input.clone(), &mut make());
+        legacy_round(name, &seed, input.clone(), &mut make(), tamper);
+    let (session_challenge, session_run, session_outcome, decided) =
+        session_round(name, &seed, input.clone(), &mut make(), tamper);
 
     // Same challenge (nonce sequence preserved) and byte-identical reports.
     assert_eq!(legacy_challenge, session_challenge, "{name}/{scenario}: challenge differs");
@@ -304,8 +402,15 @@ fn assert_equivalent(
         }
     }
 
+    let label = format!("{name}/{scenario}");
+    let verdict = &session_outcome.verdict_msg;
+    assert_service_agrees(&label, name, &seed, &input, &session_run.report, verdict, decided);
+
     // And the public adapter (`run_attestation*`) agrees with the legacy
     // semantics as a `ProtocolOutcome`.
+    if tamper.is_some() {
+        return;
+    }
     let (_, mut prover, mut verifier) = common::workload_session(name, &seed);
     let adapter = run_attestation_with_adversary(&mut verifier, &mut prover, input, &mut make());
     match (legacy_verdict, adapter) {
@@ -395,6 +500,120 @@ fn differential_stock_adversaries_match_legacy() {
     {
         // Implemented via the report path, not a memory fault: exercised in
         // `rejection_codes_are_stable` below and in the verifier's own tests.
+    }
+}
+
+/// e1's forgery: the Fig. 4 report for input 6 with the never-valid path
+/// encoding `111` added, re-signed with the device key.  Both paths answer
+/// the paper's invalid-encoding verdict, code 4, and spend the session.
+#[test]
+fn differential_forged_fig4_path_matches_legacy() {
+    let forge: Tamper<'_> = &|report, key| {
+        let path = PathRecord { path_id: 0b1_111, first_occurrence: 2, iterations: 1 };
+        report.metadata.loops[0].paths.push(path);
+        resign(report, key);
+    };
+    assert_equivalent_tampered("fig4-loop", "forged-path", vec![6], no_fault, Some(forge));
+}
+
+/// A report naming another program, signed with the device key: code 1,
+/// and the session stays open for the honest device.
+#[test]
+fn differential_foreign_program_signed_report_matches_legacy() {
+    let signed: Tamper<'_> = &|report, key| {
+        report.program_id = "syringe-pump".into();
+        resign(report, key);
+    };
+    assert_equivalent_tampered("fig4-loop", "foreign-signed", vec![4], no_fault, Some(signed));
+}
+
+/// A report naming another program under its now-stale signature: still
+/// code 1, because the program id is checked before the signature.
+#[test]
+fn differential_foreign_program_unsigned_report_matches_legacy() {
+    let unsigned: Tamper<'_> = &|report, _| report.program_id = "syringe-pump".into();
+    assert_equivalent_tampered("fig4-loop", "foreign-unsigned", vec![4], no_fault, Some(unsigned));
+}
+
+/// Every report that differs from `report` in one field: the program id, the
+/// nonce, each authenticator byte, and per loop each integer with all or its
+/// lowest bits flipped, the overflow flag, and one path or target more or
+/// fewer.
+fn single_field_mutations(report: &AttestationReport) -> Vec<AttestationReport> {
+    let mut out = Vec::new();
+    let mut push = |edit: &dyn Fn(&mut AttestationReport)| {
+        let mut mutated = report.clone();
+        edit(&mut mutated);
+        out.push(mutated);
+    };
+    push(&|r| r.program_id.push('!'));
+    let mut nonce = *report.nonce.as_bytes();
+    nonce[15] ^= 1;
+    push(&|r| r.nonce = Nonce::from_bytes(nonce));
+    let digest = report.authenticator.as_bytes();
+    for i in 0..digest.len() {
+        let mut bytes = digest.to_vec();
+        bytes[i] ^= 0x81;
+        push(&|r| r.authenticator = Digest::from_bytes(bytes.clone()));
+    }
+    for (i, l) in report.metadata.loops.iter().enumerate() {
+        for v in [!l.entry, l.entry ^ 1] {
+            push(&|r| r.metadata.loops[i].entry = v);
+        }
+        for v in [!l.exit, l.exit ^ 1] {
+            push(&|r| r.metadata.loops[i].exit = v);
+        }
+        push(&|r| r.metadata.loops[i].nesting_depth ^= 1);
+        push(&|r| r.metadata.loops[i].encoder_overflowed ^= true);
+        let new_path = PathRecord { path_id: 0b1_111, first_occurrence: 1, iterations: 1 };
+        push(&|r| r.metadata.loops[i].paths.push(new_path));
+        push(&|r| {
+            r.metadata.loops[i].paths.pop();
+        });
+        for (j, p) in l.paths.iter().enumerate() {
+            for v in [!p.path_id, p.path_id ^ 1] {
+                push(&|r| r.metadata.loops[i].paths[j].path_id = v);
+            }
+            push(&|r| r.metadata.loops[i].paths[j].first_occurrence ^= 1);
+            push(&|r| r.metadata.loops[i].paths[j].iterations ^= 1);
+        }
+        let new_target = IndirectTargetRecord { target: 4, code: 1 };
+        push(&|r| r.metadata.loops[i].indirect_targets.push(new_target));
+        for j in 0..l.indirect_targets.len() {
+            push(&|r| r.metadata.loops[i].indirect_targets[j].target ^= 1);
+        }
+    }
+    push(&|r| {
+        r.metadata.loops.push(LoopRecord {
+            entry: 0,
+            exit: 0,
+            nesting_depth: 1,
+            paths: Vec::new(),
+            indirect_targets: Vec::new(),
+            encoder_overflowed: false,
+        })
+    });
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// One single-field mutation of an honest report, re-signed with the
+    /// device key, judged by the library and the service.
+    #[test]
+    fn differential_resigned_mutations_match_legacy(
+        workload in 0usize..4,
+        choice in any::<usize>(),
+    ) {
+        let name = ["fig4-loop", "diamond-paths", "crc32", "dispatch"][workload];
+        let input = catalog::by_name(name).unwrap().default_input;
+        let mutate: Tamper<'_> = &|report, key| {
+            let mut mutations = single_field_mutations(report);
+            *report = mutations.swap_remove(choice % mutations.len());
+            resign(report, key);
+        };
+        assert_equivalent_tampered(name, "mutation", input, no_fault, Some(mutate));
     }
 }
 

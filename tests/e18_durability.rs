@@ -23,6 +23,11 @@
 //! and prints it; the suite parses stdout, SIGKILLs mid-run (never a
 //! graceful shutdown — that would test nothing) and restores from whatever
 //! the dead process left behind.
+//! * **A snapshot of another format version is refused, never overwritten**:
+//!   `lofat serve` pointed at a version-1 document exits non-zero and leaves
+//!   the file byte-identical instead of starting over with fresh nonce
+//!   counters.
+//!
 //! Artifacts live under `target/e18/` (`$E18_DIR`) so CI can upload the
 //! snapshots of a failing run.
 
@@ -34,10 +39,11 @@ use lofat::{Prover, ServiceConfig, ServiceStats, VerifierService};
 use lofat_crypto::DeviceKey;
 use lofat_net::ProverClient;
 use lofat_workloads::catalog;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// The key seed `lofat serve`/`lofat attest` share (see `src/bin/lofat.rs`).
 const CLI_SEED: &str = "lofat-cli-fleet";
@@ -194,6 +200,42 @@ fn sigkill_and_restore_never_reissues_a_nonce() {
 
     drop(client);
     serve.kill();
+}
+
+/// A version-1 snapshot, as `lofat serve --snapshot-path` wrote it before
+/// the database carried its valid-path table, is refused: `serve` exits
+/// non-zero and leaves the file byte-identical.  Starting over instead would
+/// issue fresh nonce counters and could reissue every nonce the old process
+/// handed out.
+#[test]
+fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
+    let fixture = std::fs::read("tests/fixtures/snapshot/fig4-loop.v1.lfsn").expect("fixture");
+    let snapshot = artifact_dir().join("version_1.snap");
+    std::fs::write(&snapshot, &fixture).expect("write the version-1 snapshot");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lofat"))
+        .args(["serve", WORKLOAD, "--addr", "127.0.0.1:0", "--snapshot-path"])
+        .arg(&snapshot)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lofat serve");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll lofat serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`lofat serve` kept running on a version-1 snapshot");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).expect("read stderr");
+    assert!(!status.success(), "`lofat serve` accepted a version-1 snapshot: {stderr}");
+    assert!(stderr.contains("unsupported snapshot version 1"), "{stderr}");
+    assert_eq!(std::fs::read(&snapshot).expect("reread"), fixture, "the snapshot was rewritten");
 }
 
 #[test]

@@ -155,7 +155,8 @@ fn database_build_reports_an_input_over_the_cycle_budget() {
 /// `matrix-checksum` loops nested three deep), and `diamond-paths` under
 /// `max_path_bits(2)`, whose loop overflows the path encoder and records
 /// path id 0.  The fixtures were written before the database packed its
-/// entries, so they also pin that packing changed no wire byte.
+/// entries, so they also pin that packing changed no wire byte; since then
+/// each has only gained the valid-path table at its end.
 #[test]
 fn measurement_database_wire_bytes_match_the_golden_fixtures() {
     let mut cases: Vec<(String, &str, EngineConfig)> = catalog::all()
@@ -175,6 +176,7 @@ fn measurement_database_wire_bytes_match_the_golden_fixtures() {
         let decoded = MeasurementDatabase::from_wire_bytes(&golden).unwrap();
         assert_eq!(decoded.to_wire_bytes().unwrap(), golden, "{path} re-encodes");
         assert_eq!(decoded, db, "{path} decodes to the built database");
+        assert_eq!(decoded.valid_loop_paths(), verifier.valid_loop_paths(), "{path}");
 
         let loops = db.reference(&input).unwrap().metadata.loops;
         match file.as_str() {

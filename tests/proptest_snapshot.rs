@@ -11,11 +11,14 @@
 //!   acceptance), the books stay conserved, and fresh sessions land above
 //!   both the pre-snapshot ids and the write-time reserve.
 //!
+//! A plain test pins that a version-1 document, written before the database
+//! carried its valid-path table, is refused by version.
+//!
 //! Case counts honour the vendored proptest's `PROPTEST_CASES` cap.
 
 mod common;
 
-use lofat::wire::code;
+use lofat::wire::{code, SnapshotError, SnapshotMsg};
 use lofat::{MeasurementDatabase, ServiceConfig, VerifierService};
 use lofat_crypto::DeviceKey;
 use lofat_fleet::SlotBehaviour;
@@ -83,6 +86,22 @@ fn service_with(sessions: usize, mask: u8, clock: u64, shards: usize) -> Verifie
     }
     service.advance_clock(clock);
     service
+}
+
+/// `tests/fixtures/snapshot/fig4-loop.v1.lfsn` is the snapshot `lofat serve
+/// fig4-loop --snapshot-path` wrote at start-up when the format was version
+/// 1.  Both the codec and the restore path refuse it by its version.
+#[test]
+fn version_1_snapshots_are_refused() {
+    let bytes = std::fs::read("tests/fixtures/snapshot/fig4-loop.v1.lfsn").expect("fixture");
+    assert!(matches!(
+        SnapshotMsg::decode(&bytes),
+        Err(SnapshotError::UnsupportedVersion { found: 1 })
+    ));
+    assert!(matches!(
+        VerifierService::restore_bytes(&bytes, fixture().key.verification_key()),
+        Err(SnapshotError::UnsupportedVersion { found: 1 })
+    ));
 }
 
 proptest! {
