@@ -13,12 +13,13 @@
 //!
 //! Each entry is held as a [`PackedReference`]: `A` and `L` in one heap block of
 //! LEB128 varints, about a fifth of the bytes `L` takes signed.  The comparison
-//! walks that record field by field, and the wire codec still speaks the
-//! [`ReferenceMeasurement`] layout.
+//! walks that record field by field.  The record ends in `L`'s packed form,
+//! which is also its codec form, so the database's wire bytes and snapshots
+//! copy records rather than re-encode them.
 
 use crate::config::EngineConfig;
 use crate::error::LofatError;
-use crate::metadata::{IndirectTargetRecord, LoopRecord, Metadata, PathRecord};
+use crate::metadata::{for_each_field, put_varint, strip_varint, varint_len, Fields, Metadata};
 use crate::report::AttestationReport;
 use crate::verifier::Verifier;
 use lofat_crypto::Digest;
@@ -48,12 +49,13 @@ pub struct ReferenceMeasurement {
 /// One reference measurement as the database holds it: `A` and `L` packed
 /// into a single heap block.
 ///
-/// The record is `A`'s length as a LEB128 varint and its bytes, then every
-/// integer [`Metadata::to_bytes`] signs, in the same order (loop count, then
-/// per loop its entry, exit, depth, overflow flag, path count, paths and
-/// target count, targets), each as a LEB128 varint.  The encoding is
-/// canonical, so two records are equal exactly when the measurements are.
-/// On the wire it is a [`ReferenceMeasurement`], byte for byte.
+/// The record is `A`'s length as a LEB128 varint and its bytes, then `L` in
+/// its packed form ([`Metadata::to_packed`]).  The encoding is canonical, so
+/// two records are equal exactly when the measurements are.  The codec form
+/// is a [`ReferenceMeasurement`]'s, byte for byte: `A` and the packed `L`,
+/// each behind its length, then the expected result.  The record already
+/// holds both, so the codec writes it as it is and, once the strict reader
+/// has accepted the packed `L`, keeps what it read.
 /// [`MeasurementDatabase::check`] returns the entry a report matched, and
 /// [`MeasurementDatabase::reference`] decodes one.  The judge compares a
 /// report with a record in place.
@@ -69,152 +71,82 @@ impl PackedReference {
     /// the bytes it needs.
     pub(crate) fn new(authenticator: &Digest, metadata: &Metadata, expected_result: u32) -> Self {
         let digest = authenticator.as_bytes();
-        let mut len = varint_len(digest.len() as u64) + digest.len();
-        for_each_field(metadata, |value| {
-            len += varint_len(value);
-            true
-        });
+        let len = varint_len(digest.len() as u64) + digest.len() + metadata.packed_len();
         let mut record = Vec::with_capacity(len);
         put_varint(&mut record, digest.len() as u64);
         record.extend_from_slice(digest);
-        for_each_field(metadata, |value| {
-            put_varint(&mut record, value);
-            true
-        });
+        metadata.write_packed(&mut record);
         debug_assert_eq!(record.len(), len);
         Self { expected_result, record: record.into_boxed_slice() }
     }
 
-    fn pack(reference: &ReferenceMeasurement) -> Self {
-        Self::new(&reference.authenticator, &reference.metadata, reference.expected_result)
+    /// The record's two parts: the expected authenticator's bytes and the
+    /// packed expected metadata.
+    fn parts(&self) -> (&[u8], &[u8]) {
+        let mut fields = Fields::new(&self.record);
+        let len = fields.varint().expect(PACKED);
+        let digest = fields.take(len as usize).expect(PACKED);
+        (digest, fields.rest())
     }
 
     /// Decodes the record back into the measurement it packs.
     fn unpack(&self) -> ReferenceMeasurement {
-        let mut fields = Fields(&self.record);
-        let authenticator = Digest::from_bytes(fields.digest().expect(PACKED).to_vec());
-        let mut next = || fields.next().expect(PACKED);
-        let loops = (0..next())
-            .map(|_| {
-                let (entry, exit, nesting_depth) = (next() as u32, next() as u32, next() as usize);
-                let encoder_overflowed = next() != 0;
-                let paths = (0..next())
-                    .map(|_| {
-                        let (path_id, first_occurrence) = (next() as u32, next() as usize);
-                        PathRecord { path_id, first_occurrence, iterations: next() }
-                    })
-                    .collect();
-                let indirect_targets = (0..next())
-                    .map(|_| IndirectTargetRecord { target: next() as u32, code: next() as u32 })
-                    .collect();
-                LoopRecord {
-                    entry,
-                    exit,
-                    nesting_depth,
-                    paths,
-                    indirect_targets,
-                    encoder_overflowed,
-                }
-            })
-            .collect();
+        let (digest, metadata) = self.parts();
         ReferenceMeasurement {
-            authenticator,
-            metadata: Metadata { loops },
+            authenticator: Digest::from_bytes(digest.to_vec()),
+            metadata: Metadata::from_packed(metadata).expect(PACKED),
             expected_result: self.expected_result,
         }
     }
 
     /// The expected authenticator's bytes, read in place.
     pub(crate) fn authenticator(&self) -> &[u8] {
-        Fields(&self.record).digest().expect(PACKED)
+        self.parts().0
     }
 
     /// Whether `metadata` is the expected metadata, compared field by field
-    /// in place without decoding the record or allocating.
+    /// in place without decoding the record or allocating: the record holds
+    /// the writer's output, so each field must be the varint it would write.
     pub(crate) fn metadata_matches(&self, metadata: &Metadata) -> bool {
-        let mut fields = Fields(&self.record);
-        fields.digest().expect(PACKED);
+        let mut rest = self.parts().1;
         // Counts are fields too, so a walk that matches every field has read
         // the whole record.
-        for_each_field(metadata, |value| fields.next() == Some(value))
+        for_each_field(metadata, |value| {
+            strip_varint(rest, value).map(|tail| rest = tail).is_some()
+        })
     }
 }
 
-/// The wire form is the decoded [`ReferenceMeasurement`]'s, so packing
-/// changes no database or snapshot byte.
 impl serde::Serialize for PackedReference {
     fn serialize(&self, serializer: &mut serde::Serializer) -> Result<(), serde::Error> {
-        self.unpack().serialize(serializer)
+        let (digest, metadata) = self.parts();
+        for part in [digest, metadata] {
+            serializer.write_len(part.len())?;
+            serializer.write_bytes(part);
+        }
+        self.expected_result.serialize(serializer)
     }
 }
 
 impl serde::Deserialize for PackedReference {
     fn deserialize(deserializer: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
-        ReferenceMeasurement::deserialize(deserializer).map(|reference| Self::pack(&reference))
+        let len = deserializer.read_len()?;
+        let digest = deserializer.read_bytes(len)?;
+        let len = deserializer.read_len()?;
+        let metadata = deserializer.read_bytes(len)?;
+        Metadata::from_packed(metadata)?;
+        let expected_result = u32::deserialize(deserializer)?;
+        let mut record = Vec::with_capacity(varint_len(digest.len() as u64) + len + digest.len());
+        put_varint(&mut record, digest.len() as u64);
+        record.extend_from_slice(digest);
+        record.extend_from_slice(metadata);
+        Ok(Self { expected_result, record: record.into_boxed_slice() })
     }
 }
 
-/// Why decoding a record cannot fail: only [`PackedReference::pack`] writes one.
-const PACKED: &str = "records are written by `PackedReference::pack` alone";
-
-/// Hands `f` every integer of `metadata` in the order [`Metadata::to_bytes`]
-/// signs them, stopping at (and returning `false` on) the first `false`.
-/// Packing and comparing both walk this one sequence.
-fn for_each_field(metadata: &Metadata, mut f: impl FnMut(u64) -> bool) -> bool {
-    f(metadata.loops.len() as u64)
-        && metadata.loops.iter().all(|l| {
-            f(l.entry.into())
-                && f(l.exit.into())
-                && f(l.nesting_depth as u64)
-                && f(l.encoder_overflowed.into())
-                && f(l.paths.len() as u64)
-                && l.paths
-                    .iter()
-                    .all(|p| f(p.path_id.into()) && f(p.first_occurrence as u64) && f(p.iterations))
-                && f(l.indirect_targets.len() as u64)
-                && l.indirect_targets.iter().all(|t| f(t.target.into()) && f(t.code.into()))
-        })
-}
-
-/// Bytes `value` takes as a LEB128 varint.
-fn varint_len(value: u64) -> usize {
-    (u64::BITS - (value | 1).leading_zeros()).div_ceil(7) as usize
-}
-
-fn put_varint(out: &mut Vec<u8>, mut value: u64) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
-}
-
-/// Reads a packed record front to back.
-struct Fields<'a>(&'a [u8]);
-
-impl<'a> Fields<'a> {
-    /// The next LEB128 varint, or `None` past the end.
-    fn next(&mut self) -> Option<u64> {
-        let mut value = 0;
-        for shift in (0..64).step_by(7) {
-            let (&byte, rest) = self.0.split_first()?;
-            self.0 = rest;
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Some(value);
-            }
-        }
-        None
-    }
-
-    /// The length-prefixed authenticator bytes.
-    fn digest(&mut self) -> Option<&'a [u8]> {
-        let len = usize::try_from(self.next()?).ok()?;
-        let bytes = self.0.get(..len)?;
-        self.0 = &self.0[len..];
-        Some(bytes)
-    }
-}
+/// Why reading a record cannot fail: [`PackedReference::new`] writes them,
+/// and the codec keeps only packed metadata [`Metadata::from_packed`] accepts.
+const PACKED: &str = "records hold a digest and canonical packed metadata";
 
 /// A database of reference measurements keyed by program input.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -225,8 +157,8 @@ pub struct MeasurementDatabase {
     /// produced under a different configuration will not match).
     config: EngineConfig,
     /// The valid path ids per statically enumerated loop entry, copied from
-    /// [`Verifier::valid_loop_paths`].  Last, so the wire form is the
-    /// snapshot-version-1 form followed by the table.
+    /// [`Verifier::valid_loop_paths`].  Last, where snapshot version 2
+    /// appended it.
     valid_paths: BTreeMap<u32, Vec<u32>>,
 }
 
@@ -486,6 +418,7 @@ fn replay_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::{IndirectTargetRecord, LoopRecord, PathRecord};
     use crate::prover::Prover;
     use crate::verifier::RejectionReason;
     use lofat_crypto::{DeviceKey, Nonce, Signature};
@@ -645,44 +578,15 @@ mod tests {
         }
     }
 
-    /// Mostly small values, with zero, the type's maximum and arbitrary
-    /// (mostly many-byte) values mixed in.
-    fn value(max: u64) -> impl Strategy<Value = u64> {
-        prop_oneof![Just(0), 0..300u64, Just(max), any::<u64>().prop_map(move |v| v & max)]
-    }
-
     fn reference() -> impl Strategy<Value = ReferenceMeasurement> {
-        let u32_max = u64::from(u32::MAX);
-        let path = (value(u32_max), value(u64::MAX), value(u64::MAX)).prop_map(|(id, first, n)| {
-            PathRecord { path_id: id as u32, first_occurrence: first as usize, iterations: n }
-        });
-        let target = (value(u32_max), value(u32_max)).prop_map(|(target, code)| {
-            IndirectTargetRecord { target: target as u32, code: code as u32 }
-        });
-        let one_loop = (
-            (value(u32_max), value(u32_max), value(u64::MAX)),
-            proptest::collection::vec(path, 0..4),
-            proptest::collection::vec(target, 0..3),
-            any::<bool>(),
-        )
-            .prop_map(
-                |((entry, exit, depth), paths, indirect_targets, encoder_overflowed)| LoopRecord {
-                    entry: entry as u32,
-                    exit: exit as u32,
-                    nesting_depth: depth as usize,
-                    paths,
-                    indirect_targets,
-                    encoder_overflowed,
-                },
-            );
         (
             proptest::collection::vec(any::<u8>(), 0..140),
-            proptest::collection::vec(one_loop, 0..4),
+            crate::metadata::tests::arbitrary(),
             any::<u32>(),
         )
-            .prop_map(|(digest, loops, expected_result)| ReferenceMeasurement {
+            .prop_map(|(digest, metadata, expected_result)| ReferenceMeasurement {
                 authenticator: Digest::from_bytes(digest),
-                metadata: Metadata { loops },
+                metadata,
                 expected_result,
             })
     }
@@ -785,7 +689,11 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
         #[test]
         fn packed_references_round_trip_and_compare_like_the_structs(reference in reference()) {
-            let packed = PackedReference::pack(&reference);
+            let packed = PackedReference::new(
+                &reference.authenticator,
+                &reference.metadata,
+                reference.expected_result,
+            );
             prop_assert_eq!(packed.unpack(), reference.clone());
             prop_assert_eq!(serde::to_bytes(&packed), serde::to_bytes(&reference));
 

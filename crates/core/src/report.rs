@@ -43,20 +43,29 @@ impl AttestationReport {
     /// The signed bytes *shared* by every report with this program id,
     /// authenticator and metadata: [`AttestationReport::payload`] minus the
     /// trailing nonce.  Two honest reports for the same measurement differ
-    /// only in the nonce (and therefore the signature), so this prefix is
-    /// what the verifier's verdict cache keys on — and the boundary at which
-    /// it snapshots the in-flight signature MAC.
+    /// only in the nonce (and therefore the signature), so this prefix is the
+    /// boundary at which the verifier's verdict cache snapshots the in-flight
+    /// signature MAC.
     pub fn signed_prefix(&self) -> Vec<u8> {
         let mut bytes = self.payload();
         bytes.truncate(bytes.len() - self.nonce.as_bytes().len());
         bytes
     }
 
-    /// Total size of the report on the wire (authenticator + metadata + nonce +
-    /// signature + program id), in bytes.  Experiment E7 tracks how the metadata
-    /// portion grows with the workload's loop structure.
+    /// Size of the report on the wire, in bytes: the length of
+    /// [`AttestationReport::to_wire_bytes`], computed without encoding.  The
+    /// metadata travels packed ([`Metadata::packed_len`]); experiment E7
+    /// sweeps its signed size ([`Metadata::size_bytes`]) instead.
     pub fn wire_size(&self) -> usize {
-        self.payload().len() + self.signature.len()
+        // Program id, authenticator, metadata and signature each follow a
+        // `u32` length; the nonce has a fixed size.
+        let prefixes = 4 * std::mem::size_of::<u32>();
+        prefixes
+            + self.program_id.len()
+            + self.authenticator.len()
+            + self.metadata.packed_len()
+            + self.nonce.as_bytes().len()
+            + self.signature.len()
     }
 
     /// Serialises the report with the deterministic wire codec (the encoding
@@ -141,8 +150,14 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_includes_signature() {
-        let r = report();
-        assert_eq!(r.wire_size(), r.payload().len() + 64);
+    fn wire_size_is_the_length_of_the_encoding() {
+        let mut r = report();
+        assert_eq!(r.wire_size(), r.to_wire_bytes().unwrap().len());
+        // The packed metadata, not the signed layout, is what travels.
+        let signed = r.payload().len() + 64;
+        assert!(r.wire_size() < signed, "{} >= {signed}", r.wire_size());
+        r.metadata.loops[0].paths[0].iterations = u64::MAX;
+        r.signature = Signature::from_bytes(vec![1; 200]);
+        assert_eq!(r.wire_size(), r.to_wire_bytes().unwrap().len());
     }
 }

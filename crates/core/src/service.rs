@@ -37,6 +37,7 @@
 use crate::error::LofatError;
 use crate::judge::{self, Bound, Judgement};
 use crate::measurement_db::MeasurementDatabase;
+use crate::report::AttestationReport;
 use crate::session::{SessionError, VerifierSession};
 use crate::verifier::{Challenge, RejectionReason};
 use crate::wire::{
@@ -49,7 +50,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tunables of a [`VerifierService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -68,13 +69,13 @@ pub struct ServiceConfig {
     /// Total capacity of the verdict cache, in entries across all cache
     /// shards (`0` disables caching).  The cache memoises the *input-derived*
     /// part of a verdict — signature-prefix absorption plus the outcome of the
-    /// judge's loop-path and reference checks — keyed by `(input, signed
-    /// prefix)`.  A hit still performs the full per-session work: program id
-    /// and nonce binding, the HMAC tag check over the complete payload, and
-    /// the single-use nonce spend, so caching never weakens authentication or
-    /// replay protection (only entries written after a *successful* signature
-    /// check are ever stored).  Eviction is FIFO per cache shard; cache shards
-    /// are congruent to session shards.
+    /// judge's loop-path and reference checks — keyed by the input, program
+    /// id, authenticator and packed metadata.  A hit still performs the full
+    /// per-session work: program id and nonce binding, the HMAC tag check over
+    /// the complete payload, and the single-use nonce spend, so caching never
+    /// weakens authentication or replay protection (only entries written after
+    /// a *successful* signature check are ever stored).  Eviction is FIFO per
+    /// cache shard; cache shards are congruent to session shards.
     pub verdict_cache_entries: usize,
     /// This service's index within a statically partitioned multi-process
     /// deployment (`0 ≤ partition_index < partition_count`; values `≥
@@ -477,16 +478,25 @@ struct Shard {
 }
 
 /// Key of one verdict-cache entry: everything the cached work depends on.
-/// The judge's loop-path and reference checks are a pure function of
-/// `(input, signed prefix)` — the prefix is the report payload minus the
-/// nonce, so it binds program id, authenticator and metadata byte-for-byte —
-/// and the cached MAC snapshot is a pure function of the prefix alone.
-/// Nothing per-session (nonce, session id, signature) may appear here: those
-/// are re-checked on every hit.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct CacheKey {
-    input: Vec<u32>,
-    prefix: Vec<u8>,
+/// The judge's loop-path and reference checks are a pure function of the
+/// input, program id, authenticator and metadata, and the cached MAC
+/// snapshot of the signed prefix (the payload minus the nonce) is a pure
+/// function of the last three.  The key holds the input, program id and
+/// authenticator, each behind its `u64` length, then the packed metadata:
+/// the framing and the canonical packing make it injective, so no two
+/// reports share a key.  Nothing per-session (nonce, session id, signature)
+/// may appear here: those are re-checked on every hit.
+fn cache_key(input: &[u32], report: &AttestationReport) -> Vec<u8> {
+    let (id, digest) = (report.program_id.as_bytes(), report.authenticator.as_bytes());
+    let mut key = Vec::with_capacity(3 * 8 + 4 * input.len() + id.len() + digest.len());
+    key.extend_from_slice(&(input.len() as u64).to_le_bytes());
+    key.extend(input.iter().flat_map(|word| word.to_le_bytes()));
+    for part in [id, digest] {
+        key.extend_from_slice(&(part.len() as u64).to_le_bytes());
+        key.extend_from_slice(part);
+    }
+    report.metadata.write_packed(&mut key);
+    key
 }
 
 /// One memoised verdict: the outcome of the judge's loop-path and reference
@@ -502,13 +512,13 @@ struct CacheEntry {
 }
 
 /// One verdict-cache shard: a map behind the same-index session shard's
-/// sibling lock, with FIFO insertion order for eviction.  Only entries whose
-/// signature verified are ever inserted, so a forgery can never poison the
-/// cache.
+/// sibling lock, with FIFO insertion order for eviction.  The map and the
+/// order share each key's one allocation.  Only entries whose signature
+/// verified are ever inserted, so a forgery can never poison the cache.
 #[derive(Debug, Default)]
 struct CacheShard {
-    entries: BTreeMap<CacheKey, CacheEntry>,
-    order: VecDeque<CacheKey>,
+    entries: BTreeMap<Arc<[u8]>, CacheEntry>,
+    order: VecDeque<Arc<[u8]>>,
 }
 
 /// Everything [`VerifierService::conclude`] needs to finish judging one
@@ -519,13 +529,14 @@ struct PendingJudgement<'a> {
     shard_index: usize,
     /// The evidence, past the judge's program id and nonce checks.
     bound: Bound<'a>,
-    key: CacheKey,
+    /// The session's input.
+    input: Vec<u32>,
     /// The memoised outcome of the loop-path and reference checks (cache
     /// hit); `None` runs them against the database.
     cached: Option<Result<u32, RejectionReason>>,
-    /// On a miss with the cache enabled: the prefix-only MAC snapshot to
-    /// store alongside the fresh outcome.
-    mac_prefix: Option<Hmac>,
+    /// On a miss with the cache enabled: the key and the prefix-only MAC
+    /// snapshot to store alongside the fresh outcome.
+    miss: Option<(Vec<u8>, Hmac)>,
 }
 
 /// The two ways [`VerifierService::prepare`] can leave one envelope.
@@ -769,7 +780,7 @@ impl VerifierService {
     /// session's shard.  The lock is held only for the map lookup and clone;
     /// the MAC resume and tag comparison run outside it.  Returns `None`
     /// when the cache is disabled.
-    fn cache_lookup(&self, shard_index: usize, key: &CacheKey) -> Option<CacheEntry> {
+    fn cache_lookup(&self, shard_index: usize, key: &[u8]) -> Option<CacheEntry> {
         let cache = self.verdict_cache.get(shard_index)?;
         cache.lock().expect("cache shard lock poisoned").entries.get(key).cloned()
     }
@@ -780,12 +791,13 @@ impl VerifierService {
     /// never plant an entry.  A racing miss that populated the same key first
     /// wins; this insert then becomes a no-op (the two computed identical
     /// values — both are pure functions of the key).
-    fn cache_insert(&self, shard_index: usize, key: CacheKey, entry: CacheEntry) {
+    fn cache_insert(&self, shard_index: usize, key: Vec<u8>, entry: CacheEntry) {
         let Some(cache) = self.verdict_cache.get(shard_index) else { return };
         let mut guard = cache.lock().expect("cache shard lock poisoned");
-        if guard.entries.contains_key(&key) {
+        if guard.entries.contains_key(key.as_slice()) {
             return;
         }
+        let key = Arc::<[u8]>::from(key);
         if guard.entries.len() >= self.cache_shard_capacity {
             if let Some(oldest) = guard.order.pop_front() {
                 guard.entries.remove(&oldest);
@@ -1160,41 +1172,29 @@ impl VerifierService {
         // consulting the verdict cache for the input-derived work.  The
         // payload is `signed_prefix ‖ nonce`, so resuming a prefix-absorbed
         // MAC snapshot with this report's nonce yields exactly the MAC the
-        // uncached path computes over the whole payload — a hit skips the
-        // prefix absorption and recomputing the outcome of the loop-path and
-        // reference checks, never a check.
+        // uncached path computes over the whole payload — a hit skips
+        // building and absorbing the prefix and recomputing the outcome of
+        // the loop-path and reference checks, never a check.
         let shard_index = self.shard_index(id);
-        let key = CacheKey { input, prefix: report.signed_prefix() };
-        match self.cache_lookup(shard_index, &key) {
+        let key = (!self.verdict_cache.is_empty()).then(|| cache_key(&input, report));
+        let hit = key.as_deref().and_then(|key| self.cache_lookup(shard_index, key));
+        let (mac, cached, miss) = match hit {
             Some(entry) => {
                 let mut mac = entry.mac_prefix;
                 mac.update(report.nonce.as_bytes());
-                Prepared::Pending(
-                    mac,
-                    PendingJudgement {
-                        id,
-                        shard_index,
-                        bound,
-                        key,
-                        cached: Some(entry.outcome),
-                        mac_prefix: None,
-                    },
-                )
+                (mac, Some(entry.outcome), None)
             }
             None => {
                 let mut mac_prefix = self.key.mac_base().clone();
-                mac_prefix.update(&key.prefix);
+                mac_prefix.update(report.signed_prefix());
                 let mut mac = mac_prefix.clone();
                 mac.update(report.nonce.as_bytes());
-                // Keep the prefix snapshot around for `cache_insert` only
-                // when there is a cache to insert into.
-                let mac_prefix = (!self.verdict_cache.is_empty()).then_some(mac_prefix);
-                Prepared::Pending(
-                    mac,
-                    PendingJudgement { id, shard_index, bound, key, cached: None, mac_prefix },
-                )
+                // Keep the prefix snapshot for `cache_insert` only when
+                // there is a cache to insert into.
+                (mac, None, key.map(|key| (key, mac_prefix)))
             }
-        }
+        };
+        Prepared::Pending(mac, PendingJudgement { id, shard_index, bound, input, cached, miss })
     }
 
     /// Stage 2 of the pipeline: the rest of the judgement
@@ -1203,12 +1203,12 @@ impl VerifierService {
     /// spending it.  `tag` is the finalized MAC of the pending envelope's
     /// payload.
     fn conclude(&self, pending: PendingJudgement<'_>, tag: Digest) -> (VerdictMsg, bool) {
-        let PendingJudgement { id, shard_index, bound, key, cached, mac_prefix } = pending;
+        let PendingJudgement { id, shard_index, bound, input, cached, miss } = pending;
         let report = bound.report();
         let was_cache_hit = cached.is_some();
         let judgement = match bound.conclude(&tag, || match cached {
             Some(outcome) => outcome.map_err(LofatError::Rejected),
-            None => self.db.check(&key.input, report).map(|reference| reference.expected_result),
+            None => self.db.check(&input, report).map(|reference| reference.expected_result),
         }) {
             Ok(judgement) => judgement,
             // `open_session` and `restore` admit no session whose input lacks
@@ -1222,7 +1222,7 @@ impl VerifierService {
         }
         // Populate only now — after the signature verified — so the cache
         // holds nothing an unauthenticated submission chose.
-        if let Some(mac_prefix) = mac_prefix {
+        if let Some((key, mac_prefix)) = miss {
             let entry = CacheEntry { outcome: judgement.into_result(), mac_prefix };
             self.cache_insert(shard_index, key, entry);
         }
@@ -1854,6 +1854,34 @@ mod tests {
         let stats = service.stats();
         assert_eq!((stats.cache_misses, stats.cache_hits), (4, 1));
         assert!(stats.is_conserved(0));
+    }
+
+    #[test]
+    fn cache_keys_are_framed() {
+        let (service, mut prover) = setup(vec![vec![2]]);
+        let id = service.open_session(vec![2]).unwrap();
+        let Message::Evidence(crate::wire::EvidenceMsg { report }) =
+            evidence_for(&service, &mut prover, id).message
+        else {
+            panic!("evidence")
+        };
+        let key = cache_key(&[2], &report);
+        // The same bytes split differently between neighbouring parts: a
+        // byte moved from the program id to the authenticator, and a word
+        // moved from the input into the program id.
+        let mut moved = report.clone();
+        let last = moved.program_id.pop().unwrap();
+        let digest = [&[last as u8][..], report.authenticator.as_bytes()].concat();
+        moved.authenticator = Digest::from_bytes(digest);
+        assert_ne!(cache_key(&[2], &moved), key);
+        let mut moved = report.clone();
+        moved.program_id.insert_str(0, "\u{2}\0\0\0");
+        assert_ne!(cache_key(&[], &moved), key);
+        // The nonce and signature are not part of it.
+        let mut renonced = report.clone();
+        renonced.nonce = Nonce::from_counter(99);
+        renonced.signature = lofat_crypto::Signature::from_bytes(vec![0; 64]);
+        assert_eq!(cache_key(&[2], &renonced), key);
     }
 
     #[test]

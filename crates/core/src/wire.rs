@@ -21,7 +21,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "LFAT"
-//! 4       2     version (little-endian u16, currently 1)
+//! 4       2     version (little-endian u16, currently 2)
 //! 6       8     session id (little-endian u64)
 //! 14      4     body length (little-endian u32)
 //! 18      n     body: serde encoding of `Message`
@@ -34,8 +34,11 @@ use std::fmt;
 /// Magic bytes opening every envelope.
 pub const WIRE_MAGIC: [u8; 4] = *b"LFAT";
 
-/// The wire-format version this build speaks.
-pub const WIRE_VERSION: u16 = 1;
+/// The wire-format version this build speaks, and the only one it reads.
+/// Version 2 carries the loop metadata `L` packed
+/// ([`Metadata::to_packed`](crate::metadata::Metadata::to_packed)) instead of
+/// field by field at fixed width; the signed bytes did not change.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Size of the fixed envelope header in bytes.
 pub const HEADER_BYTES: usize = 18;
@@ -366,9 +369,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LFSN";
 /// [`SnapshotMsg::decode`] refuses a document of any other version with
 /// [`SnapshotError::UnsupportedVersion`] before parsing its body.  A change to
 /// the body's encoding takes a new number.  Version 2 appended the
-/// measurement database's valid-path table; a version-1 document is
+/// measurement database's valid-path table, and version 3 stores each
+/// reference's metadata packed, as the wire does; an older document is
 /// refused, so a service never restarts from one with fresh nonce counters.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Size of the fixed snapshot header in bytes: magic (4) + version (2) +
 /// body length (4) + SHA3-256 body digest (32).
@@ -412,7 +416,7 @@ pub struct ShardSnapshot {
 /// ```text
 /// offset  size  field
 /// 0       4     magic  "LFSN"
-/// 4       2     version (little-endian u16, currently 2)
+/// 4       2     version (little-endian u16, currently 3)
 /// 6       4     body length (little-endian u32)
 /// 10      32    SHA3-256 digest of the body
 /// 42      n     body: serde encoding of `SnapshotMsg`

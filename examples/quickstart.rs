@@ -60,9 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("engine latency (internal)  : {} cycles", stats.internal_latency_cycles);
     println!("authenticator A            : {}", report.authenticator);
     println!(
-        "metadata L                 : {} loop record(s), {} bytes",
+        "metadata L                 : {} loop record(s), {} bytes signed, {} packed",
         report.metadata.loop_count(),
-        report.metadata.size_bytes()
+        report.metadata.size_bytes(),
+        report.metadata.packed_len()
     );
     println!("report wire size           : {} bytes", report.wire_size());
     println!(

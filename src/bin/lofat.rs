@@ -281,7 +281,8 @@ fn attest_local(program: &Program, label: &str, input: &[u32]) -> CliResult {
     println!("cycles (no overhead) : {}", exit.cycles);
     println!("authenticator A      : {}", measurement.authenticator);
     println!("loop records         : {}", measurement.metadata.loop_count());
-    println!("metadata bytes       : {}", measurement.metadata.size_bytes());
+    println!("metadata bytes       : {} signed", measurement.metadata.size_bytes());
+    println!("metadata packed      : {} on the wire", measurement.metadata.packed_len());
     println!("branch events        : {}", stats.branch_events);
     println!("pairs hashed         : {}", stats.pairs_hashed);
     println!("pairs compressed     : {}", stats.pairs_compressed);

@@ -202,40 +202,49 @@ fn sigkill_and_restore_never_reissues_a_nonce() {
     serve.kill();
 }
 
-/// A version-1 snapshot, as `lofat serve --snapshot-path` wrote it before
-/// the database carried its valid-path table, is refused: `serve` exits
+/// Older snapshots, as `lofat serve --snapshot-path` wrote them before the
+/// database carried its valid-path table (version 1) and before it stored
+/// each reference's metadata packed (version 2), are refused: `serve` exits
 /// non-zero and leaves the file byte-identical.  Starting over instead would
 /// issue fresh nonce counters and could reissue every nonce the old process
 /// handed out.
 #[test]
 fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
-    let fixture = std::fs::read("tests/fixtures/snapshot/fig4-loop.v1.lfsn").expect("fixture");
-    let snapshot = artifact_dir().join("version_1.snap");
-    std::fs::write(&snapshot, &fixture).expect("write the version-1 snapshot");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_lofat"))
-        .args(["serve", WORKLOAD, "--addr", "127.0.0.1:0", "--snapshot-path"])
-        .arg(&snapshot)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lofat serve");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll lofat serve") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("`lofat serve` kept running on a version-1 snapshot");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let mut stderr = String::new();
-    child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).expect("read stderr");
-    assert!(!status.success(), "`lofat serve` accepted a version-1 snapshot: {stderr}");
-    assert!(stderr.contains("unsupported snapshot version 1"), "{stderr}");
-    assert_eq!(std::fs::read(&snapshot).expect("reread"), fixture, "the snapshot was rewritten");
+    for version in [1, 2] {
+        let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
+        let fixture = std::fs::read(&path).expect("fixture");
+        let snapshot = artifact_dir().join(format!("version_{version}.snap"));
+        std::fs::write(&snapshot, &fixture).expect("write the old snapshot");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lofat"))
+            .args(["serve", WORKLOAD, "--addr", "127.0.0.1:0", "--snapshot-path"])
+            .arg(&snapshot)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lofat serve");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll lofat serve") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("`lofat serve` kept running on a version-{version} snapshot");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert!(!status.success(), "`lofat serve` accepted a version-{version} snapshot: {stderr}");
+        assert!(stderr.contains(&format!("unsupported snapshot version {version}")), "{stderr}");
+        assert_eq!(std::fs::read(&snapshot).expect("reread"), fixture, "{path} was rewritten");
+    }
 }
 
 #[test]

@@ -154,9 +154,8 @@ fn database_build_reports_an_input_over_the_cycle_budget() {
 /// under the default configuration (`dispatch` holds indirect targets,
 /// `matrix-checksum` loops nested three deep), and `diamond-paths` under
 /// `max_path_bits(2)`, whose loop overflows the path encoder and records
-/// path id 0.  The fixtures were written before the database packed its
-/// entries, so they also pin that packing changed no wire byte; since then
-/// each has only gained the valid-path table at its end.
+/// path id 0.  Each reference's metadata is in its packed form, as on the
+/// wire; the valid-path table ends each fixture.
 #[test]
 fn measurement_database_wire_bytes_match_the_golden_fixtures() {
     let mut cases: Vec<(String, &str, EngineConfig)> = catalog::all()

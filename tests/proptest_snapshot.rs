@@ -11,8 +11,9 @@
 //!   acceptance), the books stay conserved, and fresh sessions land above
 //!   both the pre-snapshot ids and the write-time reserve.
 //!
-//! A plain test pins that a version-1 document, written before the database
-//! carried its valid-path table, is refused by version.
+//! A plain test pins that older documents are refused by version: version 1,
+//! written before the database carried its valid-path table, and version 2,
+//! written before it stored each reference's metadata packed.
 //!
 //! Case counts honour the vendored proptest's `PROPTEST_CASES` cap.
 
@@ -88,20 +89,30 @@ fn service_with(sessions: usize, mask: u8, clock: u64, shards: usize) -> Verifie
     service
 }
 
-/// `tests/fixtures/snapshot/fig4-loop.v1.lfsn` is the snapshot `lofat serve
-/// fig4-loop --snapshot-path` wrote at start-up when the format was version
-/// 1.  Both the codec and the restore path refuse it by its version.
+/// `tests/fixtures/snapshot/fig4-loop.v{1,2}.lfsn` are the snapshots `lofat
+/// serve fig4-loop --snapshot-path` wrote at start-up when the format was
+/// version 1 and version 2.  Both the codec and the restore path refuse each
+/// by its version.
 #[test]
 fn version_1_snapshots_are_refused() {
-    let bytes = std::fs::read("tests/fixtures/snapshot/fig4-loop.v1.lfsn").expect("fixture");
-    assert!(matches!(
-        SnapshotMsg::decode(&bytes),
-        Err(SnapshotError::UnsupportedVersion { found: 1 })
-    ));
-    assert!(matches!(
-        VerifierService::restore_bytes(&bytes, fixture().key.verification_key()),
-        Err(SnapshotError::UnsupportedVersion { found: 1 })
-    ));
+    for version in [1, 2] {
+        let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
+        let bytes = std::fs::read(&path).expect("fixture");
+        assert!(
+            matches!(
+                SnapshotMsg::decode(&bytes),
+                Err(SnapshotError::UnsupportedVersion { found }) if found == version
+            ),
+            "{path}"
+        );
+        assert!(
+            matches!(
+                VerifierService::restore_bytes(&bytes, fixture().key.verification_key()),
+                Err(SnapshotError::UnsupportedVersion { found }) if found == version
+            ),
+            "{path}"
+        );
+    }
 }
 
 proptest! {
