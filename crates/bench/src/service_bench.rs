@@ -23,16 +23,16 @@
 //! difference between the two sweeps is the measured transport cost.  The CI
 //! gate keys only on the in-process sweep.
 
-use lofat::pool::{ParallelVerifier, PoolConfig};
+use lofat::pool::{ParallelVerifier, PoolConfig, VerdictReply};
 use lofat::service::{ServiceConfig, VerifierService};
 use lofat::wire::{Envelope, Message};
 use lofat::{EngineConfig, MeasurementDatabase, Prover, Verifier};
 use lofat_crypto::DeviceKey;
-use lofat_fleet::SlotBehaviour;
+use lofat_fleet::{percentile, SlotBehaviour};
 use lofat_net::{raise_nofile_limit, EventLoopServer, NetLimits, ProverClient, ServerConfig};
 use lofat_workloads::catalog;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::json::{JsonWriter, SCHEMA_VERSION};
@@ -204,14 +204,6 @@ impl ServiceBenchReport {
             _ => 0.0,
         }
     }
-}
-
-fn percentile_us(sorted: &[Duration], fraction: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * fraction).round() as usize;
-    sorted[rank.min(sorted.len() - 1)].as_secs_f64() * 1e6
 }
 
 /// Pre-generates `sessions` honest evidence envelopes for the sweep workload
@@ -394,9 +386,17 @@ fn sweep_point(
             scope.spawn(move || {
                 let mut local = Vec::new();
                 for batch in batches {
-                    let tickets = pool.submit_batch(batch);
-                    for ticket in tickets {
-                        let reply = ticket.wait();
+                    // Each batch's replies come back on its own channel,
+                    // which closes once every reply has run.
+                    let (tx, rx) = mpsc::channel();
+                    pool.submit_batch(batch.into_iter().map(|bytes| {
+                        let tx = tx.clone();
+                        (bytes, move |reply: VerdictReply| {
+                            let _ = tx.send(reply);
+                        })
+                    }));
+                    drop(tx);
+                    for reply in rx {
                         local.push((reply.latency, reply.reply.expect("verdict encodes")));
                     }
                 }
@@ -423,8 +423,8 @@ fn sweep_point(
     SweepSample {
         workers,
         sessions_per_sec: config.sessions as f64 / elapsed.as_secs_f64(),
-        p50_latency_us: percentile_us(&latencies, 0.50),
-        p99_latency_us: percentile_us(&latencies, 0.99),
+        p50_latency_us: percentile(&latencies, 0.50).as_secs_f64() * 1e6,
+        p99_latency_us: percentile(&latencies, 0.99).as_secs_f64() * 1e6,
         accepted,
     }
 }
@@ -501,8 +501,8 @@ fn loopback_point(
     SweepSample {
         workers,
         sessions_per_sec: config.sessions as f64 / elapsed.as_secs_f64(),
-        p50_latency_us: percentile_us(&latencies, 0.50),
-        p99_latency_us: percentile_us(&latencies, 0.99),
+        p50_latency_us: percentile(&latencies, 0.50).as_secs_f64() * 1e6,
+        p99_latency_us: percentile(&latencies, 0.99).as_secs_f64() * 1e6,
         accepted,
     }
 }
@@ -615,8 +615,8 @@ fn connection_point(
         active,
         round_trips: round_trips as u64,
         round_trips_per_sec: round_trips as f64 / elapsed.as_secs_f64(),
-        p50_latency_us: percentile_us(&latencies, 0.50),
-        p99_latency_us: percentile_us(&latencies, 0.99),
+        p50_latency_us: percentile(&latencies, 0.50).as_secs_f64() * 1e6,
+        p99_latency_us: percentile(&latencies, 0.99).as_secs_f64() * 1e6,
         accepted,
     }
 }
@@ -707,15 +707,6 @@ pub fn to_json(report: &ServiceBenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_pick_sorted_ranks() {
-        let sorted: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        assert_eq!(percentile_us(&sorted, 0.0), 1.0);
-        assert!((percentile_us(&sorted, 0.5) - 51.0).abs() < 1.5);
-        assert_eq!(percentile_us(&sorted, 1.0), 100.0);
-        assert_eq!(percentile_us(&[], 0.5), 0.0);
-    }
 
     #[test]
     fn tiny_sweep_runs_and_serialises() {

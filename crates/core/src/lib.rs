@@ -99,7 +99,7 @@ pub use error::LofatError;
 pub use judge::Judgement;
 pub use measurement_db::{MeasurementDatabase, PackedReference, ReferenceMeasurement};
 pub use metadata::{LoopRecord, Metadata, PathRecord};
-pub use pool::{ParallelVerifier, PoolConfig, VerdictReply, VerdictTicket};
+pub use pool::{ParallelVerifier, PoolConfig, VerdictReply};
 pub use prover::{Adversary, NoAdversary, Prover, ProverRun};
 pub use report::AttestationReport;
 pub use service::{ServiceConfig, ServiceError, ServiceStats, VerifierService};

@@ -19,13 +19,17 @@
 //! * **MPMC with batched drains.**  Any number of producers may submit
 //!   concurrently; workers pop small bursts per lock acquisition so the queue
 //!   mutex does not become the bottleneck at high worker counts.
-//! * **Ticketed replies.**  Each submission returns a [`VerdictTicket`]; the
-//!   producer can block on [`VerdictTicket::wait`] or poll
-//!   [`VerdictTicket::try_take`].  The reply carries the queue→verdict
-//!   latency measured on the worker, which is what `serve-bench` aggregates
-//!   into p50/p99 decision latencies.
+//! * **Each job carries its reply.**  A submission hands over the evidence
+//!   bytes and an `FnOnce(`[`VerdictReply`]`)`; the worker runs it exactly
+//!   once, on the worker thread, in burst order, right after
+//!   [`VerifierService::handle_bytes_batch`] (a closed pool runs it at once
+//!   with [`ServiceError::ShuttingDown`]).  The event-loop server's reply
+//!   files the verdict under its connection and wakes the loop; blocking
+//!   callers use [`ParallelVerifier::verify`].  The reply carries the
+//!   queue→verdict latency measured on the worker, which is what
+//!   `serve-bench` aggregates into p50/p99 decision latencies.
 //! * **No new dependencies.**  The queue is a `Mutex<VecDeque>` plus two
-//!   condvars; tickets are a one-slot `Mutex` + condvar.  Everything is std.
+//!   condvars; replies are boxed closures.  Everything is std.
 //!
 //! Verdict-equivalence with the single-threaded path is a hard invariant
 //! (`tests/e13_concurrent_service.rs` proves it differentially): the pool
@@ -34,8 +38,7 @@
 
 use crate::service::{ServiceError, VerifierService};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,50 +77,10 @@ pub struct VerdictReply {
     pub latency: Duration,
 }
 
-/// One-slot rendezvous between a worker and the producer that submitted the
-/// job.
-#[derive(Debug, Default)]
-struct TicketState {
-    slot: Mutex<Option<VerdictReply>>,
-    done: Condvar,
-}
-
-impl TicketState {
-    fn fulfil(&self, reply: VerdictReply) {
-        let mut slot = self.slot.lock().expect("ticket lock poisoned");
-        *slot = Some(reply);
-        self.done.notify_all();
-    }
-}
-
-/// A handle to one submitted verification job.
-#[derive(Debug)]
-pub struct VerdictTicket {
-    state: Arc<TicketState>,
-}
-
-impl VerdictTicket {
-    /// Blocks until the verdict is ready and returns it.
-    pub fn wait(self) -> VerdictReply {
-        let mut slot = self.state.slot.lock().expect("ticket lock poisoned");
-        loop {
-            if let Some(reply) = slot.take() {
-                return reply;
-            }
-            slot = self.state.done.wait(slot).expect("ticket lock poisoned");
-        }
-    }
-
-    /// Returns the verdict if it is already available (non-blocking).
-    pub fn try_take(&self) -> Option<VerdictReply> {
-        self.state.slot.lock().expect("ticket lock poisoned").take()
-    }
-}
-
 struct Job {
     bytes: Vec<u8>,
     enqueued: Instant,
-    ticket: Arc<TicketState>,
+    reply: Box<dyn FnOnce(VerdictReply) + Send>,
 }
 
 #[derive(Default)]
@@ -133,7 +96,6 @@ struct Shared {
     not_full: Condvar,
     capacity: usize,
     drain_burst: usize,
-    jobs_completed: AtomicU64,
 }
 
 /// A pool of verification workers over one shared [`VerifierService`].
@@ -166,8 +128,7 @@ struct Shared {
 /// let id = service.open_session(vec![])?;
 /// let challenge = service.challenge_envelope(id)?.encode()?;
 /// let evidence = ProverSession::new(&mut prover).handle_bytes(&challenge)?;
-/// let ticket = pool.submit(evidence);
-/// let reply = ticket.wait();
+/// let reply = pool.verify(evidence);
 /// assert!(reply.reply.is_ok());
 /// pool.join();
 /// assert_eq!(service.stats().accepted, 1);
@@ -183,7 +144,6 @@ impl std::fmt::Debug for ParallelVerifier {
         f.debug_struct("ParallelVerifier")
             .field("workers", &self.workers.len())
             .field("capacity", &self.shared.capacity)
-            .field("jobs_completed", &self.shared.jobs_completed.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -198,7 +158,6 @@ impl ParallelVerifier {
             not_full: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             drain_burst: config.drain_burst.max(1),
-            jobs_completed: AtomicU64::new(0),
         });
         let workers = (0..config.workers.max(1))
             .map(|index| {
@@ -222,56 +181,70 @@ impl ParallelVerifier {
         self.workers.len()
     }
 
-    /// Jobs fully processed (verdict delivered) so far.
-    pub fn jobs_completed(&self) -> u64 {
-        self.shared.jobs_completed.load(Ordering::Relaxed)
-    }
-
     /// Submits one evidence envelope (encoded bytes) for verification.
-    /// Blocks while the queue is at capacity (backpressure); the returned
-    /// ticket resolves once a worker has produced the verdict.
-    pub fn submit(&self, bytes: Vec<u8>) -> VerdictTicket {
-        let mut tickets = self.submit_batch(std::iter::once(bytes));
-        tickets.pop().expect("one submission yields one ticket")
+    /// Blocks while the queue is at capacity (backpressure).  A worker runs
+    /// `reply` exactly once with the verdict; if the pool is already closed,
+    /// `reply` runs before this returns, with [`ServiceError::ShuttingDown`].
+    pub fn submit(&self, bytes: Vec<u8>, reply: impl FnOnce(VerdictReply) + Send + 'static) {
+        self.submit_batch(std::iter::once((bytes, reply)));
     }
 
-    /// Submits a batch of evidence envelopes under one queue-lock
-    /// acquisition per capacity window, returning one ticket per envelope in
-    /// order.  Cheaper than per-envelope [`ParallelVerifier::submit`] when
-    /// the producer already holds a burst of work.
-    pub fn submit_batch(&self, batch: impl IntoIterator<Item = Vec<u8>>) -> Vec<VerdictTicket> {
-        let mut pending: VecDeque<Vec<u8>> = batch.into_iter().collect();
-        let mut tickets = Vec::with_capacity(pending.len());
+    /// Submits a batch of `(evidence, reply)` pairs under one queue-lock
+    /// acquisition per capacity window, in order.  Cheaper than
+    /// per-envelope [`ParallelVerifier::submit`] when the producer already
+    /// holds a burst of work; each reply runs exactly once, as there.
+    pub fn submit_batch<F>(&self, batch: impl IntoIterator<Item = (Vec<u8>, F)>)
+    where
+        F: FnOnce(VerdictReply) + Send + 'static,
+    {
+        let mut pending: VecDeque<(Vec<u8>, F)> = batch.into_iter().collect();
         while !pending.is_empty() {
             let mut queue = self.shared.queue.lock().expect("queue lock poisoned");
             while !queue.closed && queue.jobs.len() >= self.shared.capacity {
                 queue = self.shared.not_full.wait(queue).expect("queue lock poisoned");
             }
             if queue.closed {
-                // Resolve the remainder immediately: a closed pool never runs
-                // new work, and a hanging ticket would deadlock producers.
+                // Answer the remainder now: a closed pool never runs new
+                // work, and an unanswered reply would strand its producer.
                 drop(queue);
-                tickets.extend(pending.drain(..).map(|_| shutdown_ticket()));
-                break;
+                for (_, reply) in pending {
+                    reply(VerdictReply {
+                        reply: Err(ServiceError::ShuttingDown),
+                        latency: Duration::ZERO,
+                    });
+                }
+                return;
             }
             let room = self.shared.capacity - queue.jobs.len();
-            for bytes in pending.drain(..room.min(pending.len())) {
-                let ticket = Arc::new(TicketState::default());
+            for (bytes, reply) in pending.drain(..room.min(pending.len())) {
                 queue.jobs.push_back(Job {
                     bytes,
                     enqueued: Instant::now(),
-                    ticket: Arc::clone(&ticket),
+                    reply: Box::new(reply),
                 });
-                tickets.push(VerdictTicket { state: ticket });
             }
             self.shared.not_empty.notify_all();
         }
-        tickets
+    }
+
+    /// Submits one envelope and blocks until its verdict is ready: the
+    /// blocking form of [`ParallelVerifier::submit`].
+    ///
+    /// # Panics
+    ///
+    /// If the job's reply is dropped without being run (a worker panicked
+    /// mid-burst), instead of waiting forever.
+    pub fn verify(&self, bytes: Vec<u8>) -> VerdictReply {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.submit(bytes, move |reply| {
+            let _ = tx.send(reply);
+        });
+        rx.recv().expect("a verifier worker dropped the reply without running it")
     }
 
     /// Closes the queue and joins all workers.  Already-queued jobs are still
-    /// verified; jobs submitted after the close resolve to
-    /// [`ServiceError::ShuttingDown`].
+    /// verified and their replies run; the replies of jobs submitted after
+    /// the close run with [`ServiceError::ShuttingDown`].
     pub fn join(mut self) {
         self.close_and_join();
     }
@@ -293,12 +266,6 @@ impl Drop for ParallelVerifier {
     fn drop(&mut self) {
         self.close_and_join();
     }
-}
-
-fn shutdown_ticket() -> VerdictTicket {
-    let state = Arc::new(TicketState::default());
-    state.fulfil(VerdictReply { reply: Err(ServiceError::ShuttingDown), latency: Duration::ZERO });
-    VerdictTicket { state }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -326,18 +293,16 @@ fn worker_loop(shared: &Shared) {
         drop(requests);
         for (job, reply) in burst.drain(..).zip(replies) {
             let latency = job.enqueued.elapsed();
-            job.ticket.fulfil(VerdictReply { reply, latency });
-            shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+            (job.reply)(VerdictReply { reply, latency });
         }
     }
 }
 
-// Producers and workers hand these types across threads; keep that a
-// compile-time fact rather than a call-site inference failure.
+// Producers share the pool across threads; keep that a compile-time fact
+// rather than a call-site inference failure.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ParallelVerifier>();
-    assert_send_sync::<VerdictTicket>();
 };
 
 #[cfg(test)]
@@ -395,23 +360,38 @@ mod tests {
         }
     }
 
+    /// A reply that sends `(index, reply)` down `tx`.
+    fn send_to(
+        tx: &mpsc::Sender<(usize, VerdictReply)>,
+        index: usize,
+    ) -> impl FnOnce(VerdictReply) + Send + 'static {
+        let tx = tx.clone();
+        move |reply| tx.send((index, reply)).expect("receiver outlives the pool")
+    }
+
     #[test]
     fn pool_verifies_submissions_and_reports_latency() {
         let (service, mut prover) = setup(2);
         let pool = ParallelVerifier::spawn(Arc::clone(&service), PoolConfig::with_workers(2));
-        let mut tickets = Vec::new();
-        for input in [vec![2u32], vec![3u32]] {
+        let (tx, rx) = mpsc::channel();
+        for (index, input) in [vec![2u32], vec![3u32]].into_iter().enumerate() {
             let id = service.open_session(input).unwrap();
             let challenge = service.challenge_envelope(id).unwrap().encode().unwrap();
             let evidence = ProverSession::new(&mut prover).handle_bytes(&challenge).unwrap();
-            tickets.push(pool.submit(evidence));
+            pool.submit(evidence, send_to(&tx, index));
         }
-        for ticket in tickets {
-            let reply = ticket.wait();
-            let verdict = decode_verdict(&reply.reply.expect("encodes"));
-            assert!(verdict.accepted, "{verdict:?}");
-        }
-        assert_eq!(pool.jobs_completed(), 2);
+        let mut answered: Vec<usize> = rx
+            .iter()
+            .take(2)
+            .map(|(index, reply)| {
+                let verdict = decode_verdict(&reply.reply.expect("encodes"));
+                assert!(verdict.accepted, "{verdict:?}");
+                assert!(reply.latency > Duration::ZERO, "the worker timed the job");
+                index
+            })
+            .collect();
+        answered.sort_unstable();
+        assert_eq!(answered, [0, 1]);
         pool.join();
         assert_eq!(service.stats().accepted, 2);
     }
@@ -422,19 +402,26 @@ mod tests {
         // Capacity 2 forces the batch path to wrap around the bounded queue.
         let config = PoolConfig { workers: 1, queue_capacity: 2, drain_burst: 4 };
         let pool = ParallelVerifier::spawn(Arc::clone(&service), config);
-        let batch: Vec<Vec<u8>> = (0..6)
-            .map(|_| {
+        let (tx, rx) = mpsc::channel();
+        let batch: Vec<_> = (0..6)
+            .map(|index| {
                 let id = service.open_session(vec![2]).unwrap();
                 let challenge = service.challenge_envelope(id).unwrap().encode().unwrap();
-                ProverSession::new(&mut prover).handle_bytes(&challenge).unwrap()
+                let evidence = ProverSession::new(&mut prover).handle_bytes(&challenge).unwrap();
+                (evidence, send_to(&tx, index))
             })
             .collect();
-        let tickets = pool.submit_batch(batch);
-        assert_eq!(tickets.len(), 6);
-        for ticket in tickets {
-            assert!(decode_verdict(&ticket.wait().reply.unwrap()).accepted);
-        }
+        pool.submit_batch(batch);
         pool.join();
+        drop(tx);
+        let replies: Vec<(usize, VerdictReply)> = rx.iter().collect();
+        // One worker drains the FIFO queue, so replies run in submission
+        // order.
+        let order: Vec<usize> = replies.iter().map(|(index, _)| *index).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5]);
+        for (_, reply) in replies {
+            assert!(decode_verdict(&reply.reply.unwrap()).accepted);
+        }
         assert_eq!(service.stats().accepted, 6);
     }
 
@@ -442,7 +429,7 @@ mod tests {
     fn malformed_bytes_come_back_as_verdicts() {
         let (service, _) = setup(1);
         let pool = ParallelVerifier::spawn(Arc::clone(&service), PoolConfig::default());
-        let reply = pool.submit(b"garbage".to_vec()).wait();
+        let reply = pool.verify(b"garbage".to_vec());
         let verdict = decode_verdict(&reply.reply.unwrap());
         assert!(!verdict.accepted);
         assert_eq!(verdict.reason_code, crate::wire::code::MALFORMED);
@@ -454,10 +441,51 @@ mod tests {
         let (service, _) = setup(1);
         let mut pool = ParallelVerifier::spawn(Arc::clone(&service), PoolConfig::default());
         pool.close_and_join();
-        let tickets = pool.submit_batch([b"x".to_vec(), b"y".to_vec()]);
-        assert_eq!(tickets.len(), 2);
-        for ticket in tickets {
-            assert!(matches!(ticket.wait().reply, Err(ServiceError::ShuttingDown)));
+        let (tx, rx) = mpsc::channel();
+        pool.submit_batch([(b"x".to_vec(), send_to(&tx, 0)), (b"y".to_vec(), send_to(&tx, 1))]);
+        // A closed pool answers before `submit_batch` returns.
+        let answered: Vec<(usize, VerdictReply)> = rx.try_iter().collect();
+        assert_eq!(answered.len(), 2);
+        for (_, reply) in answered {
+            assert!(matches!(reply.reply, Err(ServiceError::ShuttingDown)));
         }
+        assert!(matches!(pool.verify(b"z".to_vec()).reply, Err(ServiceError::ShuttingDown)));
+    }
+
+    #[test]
+    fn every_reply_runs_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (service, mut prover) = setup(2);
+        // A small queue and burst under several workers, with submissions
+        // still queued when the pool closes: every reply must run, and none
+        // twice.
+        let config = PoolConfig { workers: 3, queue_capacity: 3, drain_burst: 2 };
+        let pool = ParallelVerifier::spawn(Arc::clone(&service), config);
+        let submissions = 24;
+        let runs: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..submissions).map(|_| AtomicUsize::new(0)).collect());
+        let batch: Vec<_> = (0..submissions)
+            .map(|index| {
+                let bytes = if index % 3 == 0 {
+                    b"not an envelope".to_vec()
+                } else {
+                    let id = service.open_session(vec![3]).unwrap();
+                    let challenge = service.challenge_envelope(id).unwrap().encode().unwrap();
+                    ProverSession::new(&mut prover).handle_bytes(&challenge).unwrap()
+                };
+                let runs = Arc::clone(&runs);
+                let reply = move |reply: VerdictReply| {
+                    assert!(reply.reply.is_ok(), "submission {index}: {:?}", reply.reply);
+                    runs[index].fetch_add(1, Ordering::SeqCst);
+                };
+                (bytes, reply)
+            })
+            .collect();
+        pool.submit_batch(batch);
+        pool.join();
+        for (index, count) in runs.iter().enumerate() {
+            assert_eq!(count.load(Ordering::SeqCst), 1, "reply {index}");
+        }
+        assert_eq!(service.stats().accepted, 16);
     }
 }

@@ -301,8 +301,7 @@ fn pool_phase1(
                                 }
                                 FaultClass::DuplicateFrame => {
                                     for _ in 0..2 {
-                                        let reply =
-                                            pool.submit(traffic[slot].evidence.clone()).wait();
+                                        let reply = pool.verify(traffic[slot].evidence.clone());
                                         let bytes = reply.reply.map_err(ExecError::Service)?;
                                         observations.push(Observation {
                                             code: decode_code(&bytes, job.index, slot)?,
@@ -312,7 +311,7 @@ fn pool_phase1(
                                     continue;
                                 }
                                 FaultClass::OversizedPrefix => {
-                                    let reply = pool.submit(GARBAGE_BLOB.to_vec()).wait();
+                                    let reply = pool.verify(GARBAGE_BLOB.to_vec());
                                     let bytes = reply.reply.map_err(ExecError::Service)?;
                                     observations.push(Observation {
                                         code: decode_code(&bytes, job.index, slot)?,
@@ -323,7 +322,7 @@ fn pool_phase1(
                                 FaultClass::None => unreachable!("slot_is_faulted excludes None"),
                             }
                         }
-                        let reply = pool.submit(traffic[slot].evidence.clone()).wait();
+                        let reply = pool.verify(traffic[slot].evidence.clone());
                         let latency_us = reply.latency.as_micros() as u64;
                         let bytes = reply.reply.map_err(ExecError::Service)?;
                         observations.push(Observation {
@@ -439,9 +438,14 @@ fn phase2_slots(job: &Job, traffic: &[TrafficSlot]) -> Vec<usize> {
         .collect()
 }
 
-fn percentile_us(sorted: &[u64], fraction: f64) -> u64 {
+/// The `fraction` percentile (0.0..=1.0) of an ascending-sorted sample by
+/// the rounded nearest-rank rule: the element at rank
+/// `round((len − 1) · fraction)`, or `T::default()` for an empty sample.
+/// Both latency reports in the workspace, the fleet executor's and
+/// `lofat serve-bench`'s, rank their samples through it.
+pub fn percentile<T: Copy + Default>(sorted: &[T], fraction: f64) -> T {
     if sorted.is_empty() {
-        return 0;
+        return T::default();
     }
     let rank = ((sorted.len() - 1) as f64 * fraction).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
@@ -486,8 +490,8 @@ fn collect_outcome_from_books(
         transport,
         verdict_total: verdicts.values().sum(),
         accepted_verdicts: verdicts.get(&code::ACCEPTED).copied().unwrap_or(0),
-        p50_latency_us: percentile_us(&latencies, 0.50),
-        p99_latency_us: percentile_us(&latencies, 0.99),
+        p50_latency_us: percentile(&latencies, 0.50),
+        p99_latency_us: percentile(&latencies, 0.99),
         verdicts,
         stats,
         live,
@@ -511,7 +515,7 @@ fn run_pool_job(job: &Job, section: &SectionContext) -> Result<ScenarioOutcome, 
     let mut observations = pool_phase1(job, &section.traffic, &pool)?;
     // Phase 2: replay-class slots re-submit their (now decided) evidence.
     for slot in phase2_slots(job, &section.traffic) {
-        let reply = pool.submit(section.traffic[slot].evidence.clone()).wait();
+        let reply = pool.verify(section.traffic[slot].evidence.clone());
         let bytes = reply.reply.map_err(ExecError::Service)?;
         observations
             .push(Observation { code: decode_code(&bytes, job.index, slot)?, latency_us: None });
@@ -685,11 +689,18 @@ mod tests {
 
     #[test]
     fn percentiles_index_sorted_samples() {
-        assert_eq!(percentile_us(&[], 0.5), 0);
-        assert_eq!(percentile_us(&[7], 0.99), 7);
+        assert_eq!(percentile::<u64>(&[], 0.5), 0);
+        assert_eq!(percentile(&[7u64], 0.99), 7);
         let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&samples, 0.50), 51, "rank rounds to nearest");
-        assert_eq!(percentile_us(&samples, 0.99), 99);
+        assert_eq!(percentile(&samples, 0.0), 1);
+        assert_eq!(percentile(&samples, 0.50), 51, "rank rounds to nearest");
+        assert_eq!(percentile(&samples, 0.99), 99);
+        assert_eq!(percentile(&samples, 1.0), 100);
+        // The same ranks over `Duration`s, as `serve-bench` reports them.
+        let latencies: Vec<Duration> =
+            samples.iter().map(|&us| Duration::from_micros(us)).collect();
+        assert_eq!(percentile(&latencies, 0.50), Duration::from_micros(51));
+        assert_eq!(percentile::<Duration>(&[], 0.5), Duration::ZERO);
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub mod spec;
 
 pub use driver::{behaviour_for, generate_traffic, DriveError, SlotBehaviour, TrafficSlot};
 pub use enumerate::{enumerate as enumerate_jobs, job_count, listing, EnumerateError, Job};
-pub use exec::{run, ExecError, ExecOptions, FleetReport, ScenarioOutcome, Transport};
+pub use exec::{percentile, run, ExecError, ExecOptions, FleetReport, ScenarioOutcome, Transport};
 pub use manifest::{manifest_csv, manifest_golden_json, manifest_json, MANIFEST_SCHEMA_VERSION};
 pub use spec::{Adversary, Arrival, FaultClass, FleetSpec, InputSpec, SpecError, WorkloadPlan};

@@ -22,11 +22,12 @@
 //!   [`NetLimits::write_timeout`] stall deadline lazily — slow-loris
 //!   connections are swept in O(due) per tick, not O(connections);
 //! * **verification off-loop**: evidence frames are submitted to the
-//!   [`ParallelVerifier`] pool; a completion-pump thread awaits tickets in
-//!   submission order and hands finished verdicts back to the loop through a
-//!   wake channel.  Each connection keeps an ordered reply queue, so
-//!   pipelined frames are answered strictly in arrival order even though
-//!   verification itself is parallel;
+//!   [`ParallelVerifier`] pool together with a reply that the worker runs
+//!   as soon as the verdict exists: it files the verdict under its
+//!   connection and sequence number and wakes the loop through a wake
+//!   channel.  Each connection keeps an ordered reply queue, so pipelined
+//!   frames are answered strictly in arrival order even though verdicts
+//!   finish in any order;
 //! * **graceful drain on shutdown**: accepting stops, reads stop, in-flight
 //!   verdicts are delivered and staged replies flushed (bounded by the write
 //!   deadline) before connections close.
@@ -77,7 +78,7 @@ use crate::error::NetError;
 use crate::limits::NetLimits;
 use crate::poller::{Event, Poller, HANGUP, READABLE, WRITABLE};
 use crate::server::{EventLog, ServerConfig};
-use lofat::pool::{ParallelVerifier, VerdictTicket};
+use lofat::pool::ParallelVerifier;
 use lofat::service::{ServiceError, VerifierService};
 use lofat::wire::{Envelope, Message, SessionId};
 use std::collections::{HashMap, VecDeque};
@@ -86,7 +87,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -179,7 +180,8 @@ struct LoopShared {
     connections_served: AtomicU64,
     frames_served: AtomicU64,
     active: AtomicUsize,
-    /// Finished verdicts from the pump thread: `(connection, seq, reply)`.
+    /// Finished verdicts, filed by the pool's workers:
+    /// `(connection, seq, reply)`.
     completed: Mutex<Vec<(u64, u64, Reply)>>,
     wake_tx: Mutex<UnixStream>,
 }
@@ -233,8 +235,7 @@ impl std::fmt::Debug for EventLoopServer {
 
 impl EventLoopServer {
     /// Binds a listener on `addr` (use port 0 for an ephemeral port), spawns
-    /// the verification pool, the completion pump and the loop thread, and
-    /// starts serving.
+    /// the verification pool and the loop thread, and starts serving.
     ///
     /// # Errors
     ///
@@ -253,7 +254,6 @@ impl EventLoopServer {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let (ticket_tx, ticket_rx) = mpsc::channel();
         let shared = Arc::new(LoopShared {
             service,
             log,
@@ -276,20 +276,12 @@ impl EventLoopServer {
             config.limits,
             config.max_connections.max(1),
             pool,
-            ticket_tx,
             wake_rx,
         )
         .map_err(NetError::Io)?;
-        let pump = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("lofat-net-pump".into())
-                .spawn(move || pump_completions(&ticket_rx, &shared))
-                .expect("spawn completion pump")
-        };
         let driver = std::thread::Builder::new()
             .name("lofat-net-loop".into())
-            .spawn(move || driver.run(pump))
+            .spawn(move || driver.run())
             .expect("spawn event loop");
         Ok(Self { shared, local_addr, driver: Some(driver) })
     }
@@ -375,19 +367,6 @@ impl EventLoopServer {
 impl Drop for EventLoopServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// Awaits verdict tickets strictly in submission order (preserving each
-/// connection's reply order) and hands results back to the loop.
-fn pump_completions(
-    ticket_rx: &mpsc::Receiver<(u64, u64, VerdictTicket)>,
-    shared: &Arc<LoopShared>,
-) {
-    while let Ok((conn, seq, ticket)) = ticket_rx.recv() {
-        let reply = ticket.wait().reply;
-        shared.completed_lock().push((conn, seq, reply));
-        shared.wake();
     }
 }
 
@@ -483,7 +462,6 @@ struct Driver {
     limits: NetLimits,
     max_connections: usize,
     pool: ParallelVerifier,
-    ticket_tx: mpsc::Sender<(u64, u64, VerdictTicket)>,
     wake_rx: UnixStream,
     wheel: DeadlineWheel,
     start: Instant,
@@ -491,14 +469,12 @@ struct Driver {
 }
 
 impl Driver {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         listener: TcpListener,
         shared: Arc<LoopShared>,
         limits: NetLimits,
         max_connections: usize,
         pool: ParallelVerifier,
-        ticket_tx: mpsc::Sender<(u64, u64, VerdictTicket)>,
         wake_rx: UnixStream,
     ) -> std::io::Result<Self> {
         let mut poller = Poller::new()?;
@@ -514,7 +490,6 @@ impl Driver {
             limits,
             max_connections,
             pool,
-            ticket_tx,
             wake_rx,
             wheel: DeadlineWheel::new(),
             start: Instant::now(),
@@ -526,7 +501,7 @@ impl Driver {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    fn run(mut self, pump: JoinHandle<()>) {
+    fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
             if self.shared.shutting_down.load(Ordering::SeqCst) && self.drain_deadline.is_none() {
@@ -556,12 +531,10 @@ impl Driver {
             self.process_completions();
             self.advance_wheel();
         }
-        // Teardown: closing the ticket channel and draining the pool lets the
-        // pump finish every in-flight ticket, then exit.
-        let Driver { pool, ticket_tx, .. } = self;
-        drop(ticket_tx);
-        drop(pool);
-        let _ = pump.join();
+        // Teardown: dropping the pool joins its workers, which first run the
+        // reply of every job still queued.  It goes before the rest of the
+        // driver, so those replies still find the wake channel open.
+        drop(self.pool);
     }
 
     fn poll_timeout(&self) -> i32 {
@@ -787,9 +760,12 @@ impl Driver {
                 state.pending.push_back((seq, Some(reply)));
             }
             Admission::Verify => {
-                let ticket = self.pool.submit(frame);
                 state.pending.push_back((seq, None));
-                let _ = self.ticket_tx.send((id, seq, ticket));
+                let shared = Arc::clone(&self.shared);
+                self.pool.submit(frame, move |done| {
+                    shared.completed_lock().push((id, seq, done.reply));
+                    shared.wake();
+                });
             }
         }
     }

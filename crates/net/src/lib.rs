@@ -18,8 +18,9 @@
 //! * [`EventLoopServer`] — the verifier server `lofat serve` runs: every
 //!   connection multiplexed onto one readiness loop thread (10k+ concurrent
 //!   connections), bounded accept, deadlines, verification on the
-//!   `ParallelVerifier` pool, graceful shutdown that drains in-flight
-//!   verdicts;
+//!   `ParallelVerifier` pool (the worker that finishes a verdict hands it
+//!   straight back to the loop, so the server runs no other thread),
+//!   graceful shutdown that drains in-flight verdicts;
 //! * [`NetLimits`] — the deadline/size knobs shared by [`ServerConfig`] and
 //!   [`ClientConfig`];
 //! * [`ProverClient`] — drives a `ProverSession` bytes-in/bytes-out against a

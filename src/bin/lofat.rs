@@ -455,6 +455,18 @@ fn cmd_serve(args: &[String]) -> CliResult {
         }
     };
     let config = *service.config();
+    // Durability: one snapshot before the listener exists, then one per tick
+    // below.  Writing it first means the banner promises a snapshot on disk
+    // and no session older than it, so even an immediate kill restores.
+    // Every write rounds the issuance watermarks up by the reserve, so a
+    // crash between writes can never lead to a reissued nonce.
+    if let Some(path) = &snapshot_path {
+        service.write_snapshot(path, SERVE_SNAPSHOT_RESERVE)?;
+        println!(
+            "snapshotting to `{}` every 5s (reserve {SERVE_SNAPSHOT_RESERVE})",
+            path.display()
+        );
+    }
     let server_config =
         ServerConfig { pool: PoolConfig::with_workers(workers), ..ServerConfig::default() };
     let server = EventLoopServer::bind(addr.as_str(), Arc::clone(&service), server_config)?;
@@ -469,17 +481,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         config.partition_count,
     );
     println!("attest against it with: lofat attest {name} --connect {}", server.local_addr());
-    // Durability: one snapshot right away (so even an immediate kill
-    // restores), then one per tick below.  Every write rounds the issuance
-    // watermarks up by the reserve, so a crash between writes can never lead
-    // to a reissued nonce.
-    if let Some(path) = &snapshot_path {
-        service.write_snapshot(path, SERVE_SNAPSHOT_RESERVE)?;
-        println!(
-            "snapshotting to `{}` every 5s (reserve {SERVE_SNAPSHOT_RESERVE})",
-            path.display()
-        );
-    }
     // The service deadline clock is logical (`advance_clock`); the transport
     // deliberately never touches it (e14 relies on that), so serve mode must
     // drive it itself: one cycle per microsecond of wall time, ticked every

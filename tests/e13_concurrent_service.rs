@@ -24,14 +24,14 @@
 
 mod common;
 
-use lofat::pool::{ParallelVerifier, PoolConfig};
+use lofat::pool::{ParallelVerifier, PoolConfig, VerdictReply};
 use lofat::session::ProverSession;
 use lofat::wire::{code, Envelope, Message, SessionId, VerdictMsg};
 use lofat::{Prover, ServiceConfig, ServiceStats, VerifierService};
 use lofat_crypto::Digest;
 use lofat_rv32::Program;
 use lofat_workloads::attack;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 fn sessions_per_workload() -> usize {
     std::env::var("E13_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(240)
@@ -151,11 +151,19 @@ fn drive(
                     .map(|(i, b)| (i, b.clone()))
                     .collect();
                 for chunk in mine.chunks(8) {
-                    let tickets = pool.submit_batch(chunk.iter().map(|(_, bytes)| bytes.clone()));
-                    for ((index, _), ticket) in chunk.iter().zip(tickets) {
-                        let reply = ticket.wait();
+                    // The chunk's replies come back on its own channel, which
+                    // closes once every reply has run.
+                    let (tx, rx) = mpsc::channel();
+                    pool.submit_batch(chunk.iter().map(|(index, bytes)| {
+                        let (tx, index) = (tx.clone(), *index);
+                        (bytes.clone(), move |reply: VerdictReply| {
+                            let _ = tx.send((index, reply));
+                        })
+                    }));
+                    drop(tx);
+                    for (index, reply) in rx {
                         let verdict = common::decode_verdict(&reply.reply.expect("encodes"));
-                        verdicts.lock().unwrap()[*index] = Some(verdict);
+                        verdicts.lock().unwrap()[index] = Some(verdict);
                     }
                 }
             });

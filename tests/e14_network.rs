@@ -13,7 +13,10 @@
 //!   phase 2) and an equal `ServiceStats` snapshot vs the in-process
 //!   reference.
 //! * **Concurrency** — several clients attesting at once through one server
-//!   all succeed, and the books still balance.
+//!   all succeed, and the books still balance.  A server with both
+//!   deadlines off (an empty deadline wheel, so its loop sleeps until woken)
+//!   answers pipelined evidence on two connections: every verdict wakes the
+//!   loop.
 //! * **Hostile framing mid-session** — garbage frames, bad versions,
 //!   oversized length prefixes and truncated frames are answered (or closed)
 //!   without panicking, are counted through the same `record_verdict` path as
@@ -41,10 +44,11 @@ use lofat::session::ProverSession;
 use lofat::wire::{code, SessionId};
 use lofat::{ServiceConfig, ServiceStats};
 use lofat_fleet::SlotBehaviour;
-use lofat_net::{NetError, ProverClient};
+use lofat_net::{ClientConfig, NetError, NetLimits, ProverClient};
 use lofat_rv32::Program;
 use lofat_workloads::{attack, catalog};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn sessions_per_workload() -> usize {
     std::env::var("E14_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(64).max(4)
@@ -351,6 +355,81 @@ fn concurrent_clients_all_attest_and_the_books_balance() {
     common::assert_stats_conserved(&stats, 0);
     assert_eq!(server.connections_served(), clients as u64);
     // Every session cost exactly two frames (request + evidence).
+    assert_eq!(server.frames_served(), 2 * total);
+    server.shutdown();
+}
+
+/// With both deadlines off, the server's deadline wheel stays empty and its
+/// loop sleeps until something wakes it, with no 25 ms tick to fall back
+/// on.  Every verdict must reach the wire through the wake-up the worker
+/// sends when it files the verdict; a lost wake-up runs into the client's
+/// read timeout.  Pipelined evidence comes first; the sequential rounds
+/// after it each leave the loop asleep with only a verdict outstanding.
+#[test]
+fn a_loop_with_no_deadlines_is_woken_by_every_verdict() {
+    let name = "fig4-loop";
+    let seed = "e14-no-deadlines";
+    let inputs: Vec<Vec<u32>> = (1..=4u32).map(|k| vec![k]).collect();
+    let connections = 2usize;
+    let per_connection = sessions_per_workload().clamp(4, 16);
+    let rounds = 4usize;
+
+    let (_, service, _) =
+        common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(2));
+    let mut config = common::net_server_config("no_deadlines");
+    config.limits = NetLimits::server().with_read_timeout(None).with_write_timeout(None);
+    config.pool = lofat::pool::PoolConfig::with_workers(2);
+    let server = common::serve(Arc::clone(&service), config);
+    let addr = server.local_addr();
+    let client_config = ClientConfig::with_limits(
+        NetLimits::client().with_read_timeout(Some(Duration::from_secs(10))),
+    );
+
+    std::thread::scope(|scope| {
+        for c in 0..connections {
+            let (inputs, client_config) = (&inputs, client_config.clone());
+            scope.spawn(move || {
+                let (_, mut prover, _) = common::workload_session(name, seed);
+                let mut client = ProverClient::connect_with(addr, client_config).expect("connect");
+                // Open every session first, then pipeline all the evidence
+                // before reading a single verdict.
+                let evidence: Vec<Vec<u8>> = (0..per_connection)
+                    .map(|s| {
+                        let input = inputs[(c + s) % inputs.len()].clone();
+                        let (challenge, _) =
+                            client.request_challenge(name, input).expect("challenge");
+                        let (envelope, _) =
+                            ProverSession::new(&mut prover).respond(&challenge).expect("respond");
+                        envelope.encode().expect("evidence encodes")
+                    })
+                    .collect();
+                let mut raw = client.raw();
+                for bytes in &evidence {
+                    raw.send(bytes).expect("pipeline evidence frame");
+                }
+                for s in 0..per_connection {
+                    let bytes = raw
+                        .recv()
+                        .unwrap_or_else(|e| panic!("connection {c} verdict {s}: {e}"))
+                        .expect("server answered");
+                    let verdict = common::decode_verdict(&bytes);
+                    assert!(verdict.accepted, "connection {c} session {s}: {verdict:?}");
+                }
+                for round in 0..rounds {
+                    let input = inputs[(c + round) % inputs.len()].clone();
+                    let outcome = client
+                        .attest(&mut prover, input)
+                        .unwrap_or_else(|e| panic!("connection {c} round {round}: {e}"));
+                    assert!(outcome.verdict.accepted, "connection {c} round {round}");
+                }
+            });
+        }
+    });
+
+    let total = (connections * (per_connection + rounds)) as u64;
+    let stats = service.stats();
+    assert_eq!(stats.accepted, total);
+    common::assert_stats_conserved(&stats, service.live_sessions());
     assert_eq!(server.frames_served(), 2 * total);
     server.shutdown();
 }

@@ -27,6 +27,9 @@
 //!   `lofat serve` pointed at a version-1 document exits non-zero and leaves
 //!   the file byte-identical instead of starting over with fresh nonce
 //!   counters.
+//! * **A serving process runs three kinds of thread and no more**: main,
+//!   the event loop and one per verifier worker (checked through `/proc`
+//!   on Linux).
 //!
 //! Artifacts live under `target/e18/` (`$E18_DIR`) so CI can upload the
 //! snapshots of a failing run.
@@ -199,6 +202,37 @@ fn sigkill_and_restore_never_reissues_a_nonce() {
     assert!(verdict.accepted, "post-restore honest attestation: {verdict:?}");
 
     drop(client);
+    serve.kill();
+}
+
+/// The thread count of a running process, from `/proc/<pid>/status`.
+fn thread_count(pid: u32) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    let line = status.lines().find(|line| line.starts_with("Threads:")).expect("Threads: line");
+    line["Threads:".len()..].trim().parse().expect("thread count parses")
+}
+
+/// The names of a running process's threads, from `/proc/<pid>/task`.
+fn thread_names(pid: u32) -> Vec<String> {
+    let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else { return Vec::new() };
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+/// A serving process runs the main thread, the event loop and its verifier
+/// workers, and nothing else: verdicts go from the worker that produced them
+/// straight to the loop, with no thread in between.
+#[test]
+#[cfg_attr(not(target_os = "linux"), ignore = "counts threads through /proc")]
+fn serve_runs_only_main_the_loop_and_its_workers() {
+    let snapshot = artifact_dir().join("thread_count.snap");
+    let _ = std::fs::remove_file(&snapshot);
+    let serve = spawn_serve(&snapshot, &["--workers", "2"]);
+    let pid = serve.child.id();
+    let threads = thread_count(pid);
+    assert_eq!(threads, 4, "main, the loop and two workers; running: {:?}", thread_names(pid));
     serve.kill();
 }
 

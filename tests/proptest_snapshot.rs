@@ -6,10 +6,15 @@
 //! * truncation at any cut point and arbitrary single-bit corruption are
 //!   refused with a typed [`lofat::wire::SnapshotError`], never a panic and
 //!   never a service with a *lowered* watermark;
-//! * across a snapshot/restore boundary every nonce is accepted **at most
-//!   once** (spent nonces stay spent, held sessions get exactly one
-//!   acceptance), the books stay conserved, and fresh sessions land above
-//!   both the pre-snapshot ids and the write-time reserve.
+//! * a restored service accepts each nonce **at most once**: sessions spent
+//!   before the write stay spent, sessions held at the write get exactly one
+//!   acceptance, the books stay conserved, and fresh sessions land above
+//!   both the pre-snapshot ids and the write-time reserve (the reserve is
+//!   what covers the sessions a live process opens after the write).
+//!
+//! What these properties do not cover: a session that is live at a write
+//! and spent before a crash comes back live on restore, and its evidence is
+//! accepted a second time.  That gap is open.
 //!
 //! A plain test pins that older documents are refused by version: version 1,
 //! written before the database carried its valid-path table, and version 2,
