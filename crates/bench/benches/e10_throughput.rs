@@ -9,12 +9,17 @@
 //! Criterion.  Set `E10_SMOKE=1` to use short measurement windows (CI).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lofat::EngineConfig;
+use lofat::{EngineConfig, Verifier};
 use lofat_bench::throughput::{measure, BASELINE, SYRINGE_UNITS};
 use lofat_bench::{run_attested, run_plain};
 use lofat_crypto::keccak::KeccakState;
-use lofat_crypto::Sha3_512;
+use lofat_crypto::{DeviceKey, Sha3_512};
 use lofat_workloads::catalog;
+use lofat_workloads::generator::InputGenerator;
+
+/// Inputs of the branch-dense replay case: crc32 buffers of 16-64 words, the
+/// sizes a verifier's reference database covers in the round-trip benchmark.
+const REPLAY_INPUTS: usize = 256;
 
 fn smoke_mode() -> bool {
     std::env::var("E10_SMOKE").map(|v| v != "0").unwrap_or(false)
@@ -64,6 +69,28 @@ fn bench(c: &mut Criterion) {
         b.iter(|| run_attested(&program, &input, EngineConfig::default()))
     });
     group.bench_function("plain_syringe_pump", |b| b.iter(|| run_plain(&program, &input)));
+
+    // Branch-dense attested replay (about 2.8 retired instructions per branch
+    // event): the golden replay a verifier runs per reference input, which is
+    // where the engine's per-event cost shows.  Not gated.
+    let crc32 = catalog::by_name("crc32").expect("workload");
+    let verifier = Verifier::new(
+        crc32.program().expect("assemble"),
+        "crc32",
+        DeviceKey::from_seed("e10-replay").verification_key(),
+    )
+    .expect("verifier");
+    let mut generator = InputGenerator::new(10);
+    let inputs: Vec<Vec<u32>> =
+        (0..REPLAY_INPUTS).map(|i| generator.input_for(&crc32, 16 + i % 49)).collect();
+    group.bench_function("replay_crc32_256_inputs", |b| {
+        b.iter(|| {
+            inputs
+                .iter()
+                .map(|input| verifier.expected_measurement(input).expect("replay").1.instructions)
+                .sum::<u64>()
+        })
+    });
     let buf = vec![0xA5u8; 1 << 20];
     group.bench_function("sha3_512_1mib", |b| b.iter(|| Sha3_512::digest(&buf)));
     group.bench_function("keccak_f1600_permutation", |b| {

@@ -21,20 +21,18 @@ pub struct BranchEvent {
     pub taken: bool,
     /// The (taken) target address of the instruction.
     pub target: u32,
-    /// `true` for a taken, non-linking, backward transfer — the §5.1 heuristic that
-    /// marks a loop entry at `target`.
-    pub loop_heuristic: bool,
 }
 
-/// Statistics of the branch filter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct BranchFilterStats {
-    /// Retired instructions observed on the trace port.
-    pub instructions_observed: u64,
-    /// Retired instructions inside the attested region.
-    pub instructions_in_region: u64,
-    /// Control-flow events filtered in.
-    pub branch_events: u64,
+impl BranchEvent {
+    /// `true` for a taken, non-linking, backward transfer — the §5.1 heuristic
+    /// that marks a loop entry at `target`.
+    #[inline]
+    pub fn loop_heuristic(&self) -> bool {
+        self.taken
+            && self.target <= self.pair.src
+            && !self.kind.is_linking()
+            && self.kind != BranchKind::Return
+    }
 }
 
 /// The branch filter.
@@ -42,13 +40,12 @@ pub struct BranchFilterStats {
 pub struct BranchFilter {
     attest_start: u32,
     attest_end: u32,
-    stats: BranchFilterStats,
 }
 
 impl BranchFilter {
     /// Creates a filter for the attested code region `[start, end)`.
     pub fn new(attest_start: u32, attest_end: u32) -> Self {
-        Self { attest_start, attest_end, stats: BranchFilterStats::default() }
+        Self { attest_start, attest_end }
     }
 
     /// Returns `true` if `pc` lies inside the attested region.
@@ -57,43 +54,18 @@ impl BranchFilter {
         pc >= self.attest_start && pc < self.attest_end
     }
 
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> &BranchFilterStats {
-        &self.stats
-    }
-
-    /// Filters one retired instruction; returns a [`BranchEvent`] for control-flow
-    /// instructions inside the attested region and `None` otherwise.
-    pub fn filter(&mut self, retired: &RetiredInst) -> Option<BranchEvent> {
-        self.stats.instructions_observed += 1;
-        if !self.in_region(retired.pc) {
-            return None;
-        }
-        self.stats.instructions_in_region += 1;
-        self.filter_in_region(retired)
-    }
-
     /// Filters one retired instruction already known to lie inside the attested
-    /// region (the caller performed the [`BranchFilter::in_region`] test).
-    ///
-    /// Hot-path variant used by the engine: the per-instruction counters
-    /// (`instructions_observed`, `instructions_in_region`) are *not* maintained
-    /// here — the engine keeps its own authoritative instruction count in
-    /// [`crate::engine::EngineStats`] — only `branch_events` is.  Use
-    /// [`BranchFilter::filter`] when this filter's own instruction statistics
-    /// matter.
+    /// region (the caller performed the [`BranchFilter::in_region`] test):
+    /// returns a [`BranchEvent`] for a control-flow instruction and `None`
+    /// otherwise.
     #[inline]
-    pub fn filter_in_region(&mut self, retired: &RetiredInst) -> Option<BranchEvent> {
+    pub fn filter_in_region(&self, retired: &RetiredInst) -> Option<BranchEvent> {
         let info = retired.branch?;
-        self.stats.branch_events += 1;
-        let backward = info.taken && info.target <= retired.pc;
-        let linking = info.kind.is_linking();
         Some(BranchEvent {
             pair: BranchPair::new(retired.pc, retired.next_pc),
             kind: info.kind,
             taken: info.taken,
             target: info.target,
-            loop_heuristic: backward && !linking && info.kind != BranchKind::Return,
         })
     }
 }
@@ -125,47 +97,48 @@ mod tests {
 
     #[test]
     fn non_branches_are_filtered_out() {
-        let mut filter = BranchFilter::new(0x1000, 0x2000);
-        assert!(filter.filter(&plain(0x1000)).is_none());
-        assert_eq!(filter.stats().instructions_observed, 1);
-        assert_eq!(filter.stats().branch_events, 0);
+        let filter = BranchFilter::new(0x1000, 0x2000);
+        assert!(filter.in_region(0x1000));
+        assert!(filter.filter_in_region(&plain(0x1000)).is_none());
     }
 
     #[test]
-    fn out_of_region_branches_ignored() {
-        let mut filter = BranchFilter::new(0x1000, 0x2000);
-        let event = filter.filter(&retired(0x3000, BranchKind::Conditional, true, 0x2f00));
-        assert!(event.is_none());
-        assert_eq!(filter.stats().instructions_in_region, 0);
+    fn region_is_half_open() {
+        let filter = BranchFilter::new(0x1000, 0x2000);
+        assert!(!filter.in_region(0x0ffc));
+        assert!(filter.in_region(0x1ffc));
+        assert!(!filter.in_region(0x2000));
+        assert!(!filter.in_region(0x3000));
     }
 
     #[test]
     fn loop_heuristic_fires_only_for_taken_nonlinking_backward() {
-        let mut filter = BranchFilter::new(0x1000, 0x2000);
+        let filter = BranchFilter::new(0x1000, 0x2000);
+        let event = |kind, taken, target| {
+            filter.filter_in_region(&retired(0x1100, kind, taken, target)).unwrap()
+        };
         // Taken backward conditional branch → heuristic fires.
-        let e = filter.filter(&retired(0x1100, BranchKind::Conditional, true, 0x1080)).unwrap();
-        assert!(e.loop_heuristic);
+        assert!(event(BranchKind::Conditional, true, 0x1080).loop_heuristic());
         // Not-taken backward branch → no.
-        let e = filter.filter(&retired(0x1100, BranchKind::Conditional, false, 0x1080)).unwrap();
-        assert!(!e.loop_heuristic);
+        assert!(!event(BranchKind::Conditional, false, 0x1080).loop_heuristic());
         // Backward call (linking) → no: subroutine calls are not loop entries (§5.1).
-        let e = filter.filter(&retired(0x1100, BranchKind::DirectCall, true, 0x1080)).unwrap();
-        assert!(!e.loop_heuristic);
+        assert!(!event(BranchKind::DirectCall, true, 0x1080).loop_heuristic());
         // Backward return → no.
-        let e = filter.filter(&retired(0x1100, BranchKind::Return, true, 0x1004)).unwrap();
-        assert!(!e.loop_heuristic);
+        assert!(!event(BranchKind::Return, true, 0x1004).loop_heuristic());
         // Forward jump → no.
-        let e = filter.filter(&retired(0x1100, BranchKind::DirectJump, true, 0x1200)).unwrap();
-        assert!(!e.loop_heuristic);
+        assert!(!event(BranchKind::DirectJump, true, 0x1200).loop_heuristic());
     }
 
     #[test]
     fn pair_records_actual_destination() {
-        let mut filter = BranchFilter::new(0x1000, 0x2000);
-        let taken = filter.filter(&retired(0x1010, BranchKind::Conditional, true, 0x1004)).unwrap();
+        let filter = BranchFilter::new(0x1000, 0x2000);
+        let taken = filter
+            .filter_in_region(&retired(0x1010, BranchKind::Conditional, true, 0x1004))
+            .unwrap();
         assert_eq!(taken.pair, BranchPair::new(0x1010, 0x1004));
-        let not_taken =
-            filter.filter(&retired(0x1010, BranchKind::Conditional, false, 0x1004)).unwrap();
+        let not_taken = filter
+            .filter_in_region(&retired(0x1010, BranchKind::Conditional, false, 0x1004))
+            .unwrap();
         assert_eq!(not_taken.pair, BranchPair::new(0x1010, 0x1014));
     }
 }

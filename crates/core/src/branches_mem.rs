@@ -33,8 +33,6 @@ impl BranchPair {
 #[derive(Debug, Clone, Default)]
 pub struct BranchesMemory {
     pairs: Vec<BranchPair>,
-    /// High-water mark, for sizing the on-chip memory.
-    max_occupancy: usize,
 }
 
 impl BranchesMemory {
@@ -44,9 +42,9 @@ impl BranchesMemory {
     }
 
     /// Appends a pair for the current path.
+    #[inline]
     pub fn push(&mut self, pair: BranchPair) {
         self.pairs.push(pair);
-        self.max_occupancy = self.max_occupancy.max(self.pairs.len());
     }
 
     /// Number of pairs currently buffered.
@@ -59,26 +57,16 @@ impl BranchesMemory {
         self.pairs.is_empty()
     }
 
-    /// Largest number of pairs ever buffered at once.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
-    /// Takes all buffered pairs, leaving the buffer empty.
-    pub fn drain(&mut self) -> Vec<BranchPair> {
-        std::mem::take(&mut self.pairs)
-    }
-
-    /// Moves all buffered pairs into `out`, keeping this buffer's capacity.
-    ///
-    /// This is the hot-path variant of [`BranchesMemory::drain`]: the steady-state
-    /// trace path re-uses both the buffer and the destination allocation, so a
-    /// path completing inside a loop costs no heap traffic.
+    /// Moves all buffered pairs into `out`, keeping this buffer's capacity: the
+    /// steady-state trace path re-uses both the buffer and the destination
+    /// allocation, so a path completing inside a loop costs no heap traffic.
+    #[inline]
     pub fn drain_into(&mut self, out: &mut Vec<BranchPair>) {
         out.append(&mut self.pairs);
     }
 
     /// Discards all buffered pairs (repeated path — already covered by the counter).
+    #[inline]
     pub fn discard(&mut self) -> usize {
         let n = self.pairs.len();
         self.pairs.clear();
@@ -102,14 +90,13 @@ mod tests {
         mem.push(BranchPair::new(1, 2));
         mem.push(BranchPair::new(3, 4));
         assert_eq!(mem.len(), 2);
-        assert_eq!(mem.max_occupancy(), 2);
-        let drained = mem.drain();
-        assert_eq!(drained.len(), 2);
+        let mut out = vec![BranchPair::new(0, 0)];
+        mem.drain_into(&mut out);
+        assert_eq!(out, [BranchPair::new(0, 0), BranchPair::new(1, 2), BranchPair::new(3, 4)]);
         assert!(mem.is_empty());
 
         mem.push(BranchPair::new(5, 6));
         assert_eq!(mem.discard(), 1);
         assert!(mem.is_empty());
-        assert_eq!(mem.max_occupancy(), 2, "high-water mark survives clearing");
     }
 }

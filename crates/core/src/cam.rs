@@ -22,14 +22,12 @@ pub struct IndirectTargetCam {
     entries: BTreeMap<u32, u32>,
     /// Number of lookups that could not be assigned a code.
     overflows: u64,
-    /// Total lookups performed.
-    lookups: u64,
 }
 
 impl IndirectTargetCam {
     /// Creates an empty CAM with n-bit codes (capacity 2ⁿ − 1 targets).
     pub fn new(bits: u32) -> Self {
-        Self { bits, entries: BTreeMap::new(), overflows: 0, lookups: 0 }
+        Self { bits, entries: BTreeMap::new(), overflows: 0 }
     }
 
     /// Number of bits per code.
@@ -56,7 +54,6 @@ impl IndirectTargetCam {
     /// n-bit code.  Returns [`OVERFLOW_CODE`] if the CAM is full and the target is
     /// not already present.
     pub fn encode(&mut self, target: u32) -> u32 {
-        self.lookups += 1;
         if let Some(&code) = self.entries.get(&target) {
             return code;
         }
@@ -80,21 +77,15 @@ impl IndirectTargetCam {
         self.overflows
     }
 
-    /// Total lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
     /// Clears the CAM for re-use by a subsequent loop execution (the hardware re-uses
     /// the memory after a loop exits).
     ///
-    /// Resets the overflow/lookup counters too: they are reported per activation
-    /// (via [`crate::loop_monitor::MonitorOutput::cam_overflows`] at loop exit),
+    /// Resets the overflow counter too: it is reported per activation
+    /// (added to [`crate::engine::EngineStats::cam_overflows`] at loop exit),
     /// so a recycled CAM must start from zero exactly like a freshly built one.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.overflows = 0;
-        self.lookups = 0;
     }
 }
 
@@ -112,7 +103,6 @@ mod tests {
         assert_eq!(b, 2);
         assert_eq!(cam.encode(0x2000), 1, "repeated target keeps its code");
         assert_eq!(cam.len(), 2);
-        assert_eq!(cam.lookups(), 3);
     }
 
     #[test]
@@ -138,16 +128,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_overflow_and_lookup_counters() {
+    fn clear_resets_the_overflow_counter() {
         // 1-bit codes: capacity 1, so the second distinct target overflows.
         let mut cam = IndirectTargetCam::new(1);
         cam.encode(0x10);
         cam.encode(0x20);
         assert_eq!(cam.overflows(), 1);
-        assert_eq!(cam.lookups(), 2);
         cam.clear();
         assert_eq!(cam.overflows(), 0, "recycled CAM must not re-report old overflows");
-        assert_eq!(cam.lookups(), 0);
     }
 
     #[test]

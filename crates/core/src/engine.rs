@@ -8,15 +8,23 @@
 //! Internally the engine does incur latency (2 cycles per branch event and 5 cycles
 //! per loop exit, §6.1), which it accounts in [`EngineStats`] without ever blocking
 //! the trace stream (experiment E3).
+//!
+//! Per retired instruction the engine does a region test, an exit-window test
+//! on the loop monitor's cached stack top and a branch test; everything else
+//! is driven by events.  The loop monitor bumps [`EngineStats`] in place and
+//! appends the pairs to hash and the completed loop records to one
+//! [`MonitorOutput`] that lives as long as the run.  The hash path is owed one
+//! step per retired instruction and settles the debt only when a batch of
+//! pairs arrives or the run ends (see [`crate::hash_ctrl`]).
 
 use crate::branch_filter::BranchFilter;
-use crate::config::{EngineConfig, BRANCH_EVENT_LATENCY, LOOP_EXIT_LATENCY};
+use crate::config::{EngineConfig, BRANCH_EVENT_LATENCY};
 use crate::error::LofatError;
 use crate::hash_ctrl::HashController;
 use crate::loop_monitor::{LoopMonitor, MonitorOutput};
 use crate::metadata::Metadata;
 use lofat_crypto::Digest;
-use lofat_rv32::trace::{RetiredInst, TraceSink};
+use lofat_rv32::trace::{BranchKind, RetiredInst, TraceSink};
 use lofat_rv32::Program;
 
 /// Statistics gathered by the engine during an attested run.
@@ -97,13 +105,13 @@ pub struct LofatEngine {
     filter: BranchFilter,
     monitor: LoopMonitor,
     hash: HashController,
-    metadata: Metadata,
     stats: EngineStats,
-    /// Reusable monitor-output scratch: cleared and refilled by every monitor
-    /// call, drained by [`LofatEngine::absorb_scratch`].  Owning it here (instead
-    /// of allocating a fresh output per step) is what makes the steady-state
-    /// trace path allocation-free.
-    scratch: MonitorOutput,
+    /// The monitor's hand-off: the pairs of the current event, drained into
+    /// the hash path as one batch, and the loop records completed so far, the
+    /// metadata `L` at the end of the run.  Its buffers keep their capacity
+    /// across events, which is what makes the steady-state trace path
+    /// allocation-free.
+    out: MonitorOutput,
     /// Current call depth (linking branches minus returns), for the recursion stat.
     call_depth: usize,
     finalized: bool,
@@ -124,9 +132,8 @@ impl LofatEngine {
             filter: BranchFilter::new(start, end),
             monitor: LoopMonitor::new(config),
             hash: HashController::new(config.hash_engine),
-            metadata: Metadata::new(),
             stats: EngineStats::default(),
-            scratch: MonitorOutput::new(),
+            out: MonitorOutput::new(),
             call_depth: 0,
             finalized: false,
             config,
@@ -160,55 +167,53 @@ impl LofatEngine {
         if self.finalized {
             return;
         }
-        self.stats.instructions_observed += 1;
-
-        if self.filter.in_region(retired.pc) {
+        let pc = retired.pc;
+        if self.filter.in_region(pc) {
             // 1. Loop-exit detection runs for every retired instruction in the
-            //    region.  `needs_exit_check` is a single stack-top probe, so the
-            //    common "no loop exits here" case touches no output buffer at all.
-            if self.monitor.needs_exit_check(retired.pc) {
-                self.monitor.check_exits(retired.pc, &mut self.scratch);
-                self.absorb_scratch(0);
+            //    region; the common "no loop exits here" case is one window
+            //    test on the monitor's cached stack top.
+            if self.monitor.needs_exit_check(pc) {
+                self.monitor.check_exits(pc, &mut self.stats, &mut self.out);
+                self.hash_pairs();
             }
 
             // 2. Control-flow instructions are filtered in and forwarded (the
             //    region test above is shared with the filter).
             if let Some(event) = self.filter.filter_in_region(retired) {
                 self.stats.branch_events += 1;
-                if event.kind.is_linking() {
-                    self.call_depth += 1;
-                    self.stats.max_call_depth = self.stats.max_call_depth.max(self.call_depth);
-                } else if event.kind == lofat_rv32::trace::BranchKind::Return {
-                    self.call_depth = self.call_depth.saturating_sub(1);
+                self.stats.internal_latency_cycles += BRANCH_EVENT_LATENCY;
+                match event.kind {
+                    BranchKind::DirectCall | BranchKind::IndirectCall => {
+                        self.call_depth += 1;
+                        self.stats.max_call_depth = self.stats.max_call_depth.max(self.call_depth);
+                    }
+                    BranchKind::Return => self.call_depth = self.call_depth.saturating_sub(1),
+                    _ => {}
                 }
-                self.monitor.on_branch(&event, &mut self.scratch);
-                self.absorb_scratch(BRANCH_EVENT_LATENCY);
+                self.monitor.on_branch(&event, &mut self.stats, &mut self.out);
+                if !self.out.hash_now.is_empty() {
+                    self.hash_pairs();
+                }
             }
         }
 
-        // 3. The hash path advances one cycle per processor cycle (it runs in
-        //    parallel with the pipeline).
-        self.hash.pump();
+        // 3. The hash path advances one step per retired instruction (it runs
+        //    in parallel with the pipeline).  The step is owed, not taken: the
+        //    controller settles it at the next batch or at finalization.
+        self.stats.instructions_observed += 1;
     }
 
-    /// Drains the monitor-output scratch into the statistics, the hash controller
-    /// and the metadata, leaving the scratch empty with its capacity intact.
-    fn absorb_scratch(&mut self, base_latency: u64) {
-        let output = &mut self.scratch;
-        self.stats.internal_latency_cycles += base_latency;
-        self.stats.internal_latency_cycles += LOOP_EXIT_LATENCY * output.loops_exited as u64;
-        self.stats.loops_entered += output.loops_entered as u64;
-        self.stats.loops_exited += output.loops_exited as u64;
-        self.stats.untracked_loops += output.untracked_loops;
-        self.stats.iterations_counted += output.iterations_counted;
-        self.stats.new_paths += output.new_paths;
-        self.stats.pairs_compressed += output.pairs_compressed;
-        self.stats.cam_overflows += output.cam_overflows;
-        self.stats.pairs_hashed += output.hash_now.len() as u64;
-        self.stats.max_nesting_observed =
-            self.stats.max_nesting_observed.max(self.monitor.max_nesting_observed());
-        self.hash.submit_batch(&mut output.hash_now);
-        self.metadata.loops.append(&mut output.completed);
+    /// Hands the monitor's pending pairs to the hash path as one batch, after
+    /// settling the steps owed for the instructions retired before this one.
+    #[inline(never)]
+    fn hash_pairs(&mut self) {
+        let pairs = &mut self.out.hash_now;
+        if pairs.is_empty() {
+            return;
+        }
+        self.stats.pairs_hashed += pairs.len() as u64;
+        self.hash.advance_to(self.stats.instructions_observed);
+        self.hash.submit_batch(pairs);
     }
 
     /// Ends the attested execution: flushes active loops, drains the hash engine and
@@ -221,13 +226,14 @@ impl LofatEngine {
         if self.finalized {
             return Err(LofatError::EngineFinalized);
         }
-        self.monitor.finalize(&mut self.scratch);
-        self.absorb_scratch(0);
+        self.monitor.finalize(&mut self.stats, &mut self.out);
+        self.hash_pairs();
+        self.hash.advance_to(self.stats.instructions_observed);
         let authenticator = self.hash.finalize()?;
         self.finalized = true;
         Ok(Measurement {
             authenticator,
-            metadata: std::mem::take(&mut self.metadata),
+            metadata: Metadata { loops: std::mem::take(&mut self.out.completed) },
             stats: self.stats,
         })
     }
@@ -276,6 +282,7 @@ pub fn attest_program(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LOOP_EXIT_LATENCY;
     use lofat_rv32::asm::assemble;
     use lofat_rv32::Cpu;
 
@@ -399,13 +406,82 @@ mod tests {
         assert_eq!(measurement.authenticator, lofat_crypto::Sha3_512::digest(b""));
     }
 
+    /// Controller stats as `[pairs submitted, words absorbed, cycles, max
+    /// queue depth]` and engine stats as `[cycles, words absorbed, busy
+    /// cycles, permutations, max buffer occupancy, words dropped]`.
+    type Stats = ([u64; 4], [u64; 6]);
+
+    fn hash_path_stats(hash: &HashController) -> Stats {
+        let c = hash.stats();
+        let e = hash.engine_stats();
+        (
+            [c.pairs_submitted, c.words_absorbed, c.cycles, c.max_queue_depth as u64],
+            [
+                e.cycles,
+                e.words_absorbed,
+                e.busy_cycles,
+                e.permutations,
+                e.max_buffer_occupancy as u64,
+                e.words_dropped,
+            ],
+        )
+    }
+
+    /// The hash path is modelled cycle for cycle, not only digest for digest:
+    /// for every catalogue workload on its default input, with the default and
+    /// a 1-word input buffer, the controller's and the engine's counters at
+    /// the end of the run and after finalization are pinned to the values the
+    /// per-instruction model (one pump per retired instruction, taken as it
+    /// retired) produced.  No word is ever dropped.
     #[test]
     fn no_trace_data_is_ever_dropped() {
-        let program = assemble_or_panic(LOOP_PROGRAM);
-        let mut engine = LofatEngine::for_program(&program, EngineConfig::default()).unwrap();
-        let mut cpu = Cpu::new(&program).unwrap();
-        cpu.run_traced(100_000, &mut engine).unwrap();
-        let engine_stats = engine.hash.engine_stats();
-        assert_eq!(engine_stats.words_dropped, 0);
+        // Workload, input buffer words, hash path at exit, after finalize.
+        type Pin = (&'static str, usize, Stats, Stats);
+        #[rustfmt::skip]
+        let expected: &[Pin] = &[
+            ("fig4-loop", 4, ([11, 11, 51, 4], [51, 11, 3, 1, 4, 0]), ([11, 11, 51, 4], [51, 11, 3, 1, 4, 0])),
+            ("syringe-pump", 4, ([23, 23, 279, 2], [279, 23, 6, 2, 2, 0]), ([23, 23, 279, 2], [279, 23, 6, 2, 2, 0])),
+            ("bubble-sort", 4, ([39, 39, 264, 3], [264, 36, 11, 4, 4, 0]), ([39, 39, 264, 3], [268, 39, 12, 4, 4, 0])),
+            ("crc32", 4, ([28, 28, 578, 3], [578, 27, 7, 3, 3, 0]), ([28, 28, 578, 3], [581, 28, 9, 3, 3, 0])),
+            ("fibonacci", 4, ([327, 327, 1361, 1], [1361, 327, 108, 36, 1, 0]), ([327, 327, 1361, 1], [1361, 327, 108, 36, 1, 0])),
+            ("matrix-checksum", 4, ([58, 58, 497, 3], [497, 55, 18, 6, 4, 0]), ([58, 58, 497, 3], [500, 58, 18, 6, 4, 0])),
+            ("dispatch", 4, ([21, 21, 116, 1], [116, 21, 6, 2, 1, 0]), ([21, 21, 116, 1], [116, 21, 6, 2, 1, 0])),
+            ("nested-loops", 4, ([48, 48, 274, 3], [274, 45, 15, 5, 3, 0]), ([48, 48, 274, 3], [277, 48, 15, 5, 3, 0])),
+            ("diamond-paths", 4, ([41, 41, 133, 4], [133, 39, 12, 4, 4, 0]), ([41, 41, 133, 4], [135, 41, 12, 4, 4, 0])),
+            ("return-victim", 4, ([2, 2, 13, 1], [13, 2, 0, 0, 1, 0]), ([2, 2, 13, 1], [13, 2, 0, 0, 1, 0])),
+            ("gcd", 4, ([5, 5, 25, 2], [25, 5, 0, 0, 2, 0]), ([5, 5, 25, 2], [25, 5, 0, 0, 2, 0])),
+            ("binary-search", 4, ([3, 3, 24, 1], [24, 3, 0, 0, 1, 0]), ([3, 3, 24, 1], [24, 3, 0, 0, 1, 0])),
+            ("fig4-loop", 1, ([11, 11, 51, 4], [51, 11, 3, 1, 1, 0]), ([11, 11, 51, 4], [51, 11, 3, 1, 1, 0])),
+            ("syringe-pump", 1, ([23, 23, 279, 2], [279, 23, 6, 2, 1, 0]), ([23, 23, 279, 2], [279, 23, 6, 2, 1, 0])),
+            ("bubble-sort", 1, ([39, 37, 264, 4], [264, 36, 11, 4, 1, 0]), ([39, 39, 268, 4], [268, 39, 12, 4, 1, 0])),
+            ("crc32", 1, ([28, 28, 578, 3], [578, 27, 7, 3, 1, 0]), ([28, 28, 578, 3], [581, 28, 9, 3, 1, 0])),
+            ("fibonacci", 1, ([327, 327, 1361, 1], [1361, 327, 108, 36, 1, 0]), ([327, 327, 1361, 1], [1361, 327, 108, 36, 1, 0])),
+            ("matrix-checksum", 1, ([58, 55, 497, 3], [497, 55, 18, 6, 1, 0]), ([58, 58, 500, 3], [500, 58, 18, 6, 1, 0])),
+            ("dispatch", 1, ([21, 21, 116, 1], [116, 21, 6, 2, 1, 0]), ([21, 21, 116, 1], [116, 21, 6, 2, 1, 0])),
+            ("nested-loops", 1, ([48, 46, 274, 3], [274, 45, 15, 5, 1, 0]), ([48, 48, 277, 3], [277, 48, 15, 5, 1, 0])),
+            ("diamond-paths", 1, ([41, 39, 133, 4], [133, 39, 12, 4, 1, 0]), ([41, 41, 135, 4], [135, 41, 12, 4, 1, 0])),
+            ("return-victim", 1, ([2, 2, 13, 1], [13, 2, 0, 0, 1, 0]), ([2, 2, 13, 1], [13, 2, 0, 0, 1, 0])),
+            ("gcd", 1, ([5, 5, 25, 2], [25, 5, 0, 0, 1, 0]), ([5, 5, 25, 2], [25, 5, 0, 0, 1, 0])),
+            ("binary-search", 1, ([3, 3, 24, 1], [24, 3, 0, 0, 1, 0]), ([3, 3, 24, 1], [24, 3, 0, 0, 1, 0])),
+        ];
+        for &(name, input_buffer_words, at_exit_pin, finalized_pin) in expected {
+            let workload = lofat_workloads::catalog::by_name(name).expect("catalogue workload");
+            let program = workload.program().unwrap();
+            let hash_engine =
+                lofat_crypto::HashEngineConfig { input_buffer_words, ..Default::default() };
+            let config = EngineConfig::builder().hash_engine(hash_engine).build().unwrap();
+            let mut engine = LofatEngine::for_program(&program, config).unwrap();
+            let mut cpu = Cpu::new(&program).unwrap();
+            crate::prover::load_input(&program, &mut cpu, &workload.default_input).unwrap();
+            cpu.run_traced(1_000_000, &mut engine).unwrap();
+            engine.hash.advance_to(engine.stats.instructions_observed);
+            let at_exit = hash_path_stats(&engine.hash);
+            engine.finalize().unwrap();
+            let finalized = hash_path_stats(&engine.hash);
+            let context = format!("`{name}`, {input_buffer_words}-word input buffer");
+            assert_eq!(at_exit, at_exit_pin, "{context}: hash path at exit");
+            assert_eq!(finalized, finalized_pin, "{context}: after finalize");
+            assert_eq!(finalized.1[5], 0, "{context}: words dropped");
+        }
     }
 }

@@ -6,6 +6,15 @@
 //! engine's small input cache buffer.  Because the controller runs in parallel with
 //! the processor it never stalls the attested software; what it does track is its own
 //! occupancy so the evaluation can show that no trace data is ever dropped (§5.3).
+//!
+//! The model is event-driven.  The engine owes the hash path one step
+//! ([`HashController::pump`]) per retired instruction, but it only settles the
+//! debt when something happens: [`HashController::advance_to`] runs before
+//! each batch of pairs and before finalization.  Owed steps are taken one by
+//! one while pairs are queued or a permutation runs; once the path is idle the
+//! rest only advance the cycle counters, so they are added in one go.  The
+//! digest and every counter come out exactly as if each step had been taken
+//! as its instruction retired.
 
 use crate::branches_mem::BranchPair;
 use crate::error::LofatError;
@@ -31,6 +40,8 @@ pub struct HashController {
     engine: HashEngine,
     /// Pairs accepted but not yet offered to the engine's input buffer.
     queue: VecDeque<BranchPair>,
+    /// Per-instruction steps settled so far (see [`HashController::advance_to`]).
+    steps: u64,
     stats: HashControllerStats,
 }
 
@@ -40,8 +51,35 @@ impl HashController {
         Self {
             engine: HashEngine::new(config),
             queue: VecDeque::new(),
+            steps: 0,
             stats: HashControllerStats::default(),
         }
+    }
+
+    /// Settles the per-instruction steps owed up to `step` (the number of
+    /// instructions retired so far): one [`HashController::pump`] each while
+    /// the path has work, then the idle remainder in one go.  Exactly
+    /// equivalent to pumping once per step as each instruction retired.
+    #[inline]
+    pub fn advance_to(&mut self, step: u64) {
+        debug_assert!(step >= self.steps, "the instruction clock runs forward");
+        let mut owed = step - self.steps;
+        self.steps = step;
+        while owed > 0 && !self.is_idle() {
+            self.pump();
+            owed -= 1;
+        }
+        if owed > 0 {
+            self.engine.tick_idle(owed);
+            self.stats.cycles += owed;
+        }
+    }
+
+    /// Returns `true` when nothing is queued, buffered or permuting: a step
+    /// would only advance the cycle counters.
+    #[inline]
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.engine.is_idle()
     }
 
     /// Submits one `(Src, Dest)` pair for inclusion in the authenticator.
@@ -75,7 +113,8 @@ impl HashController {
 
     /// Hot-path variant of [`HashController::submit_all`]: drains `pairs` into the
     /// controller queue without consuming the caller's allocation, so the engine
-    /// can reuse its scratch buffer across steps.
+    /// reuses one hand-off buffer for the whole run.  Callers driving the
+    /// per-instruction clock settle it first ([`HashController::advance_to`]).
     pub fn submit_batch(&mut self, pairs: &mut Vec<BranchPair>) {
         if pairs.is_empty() {
             return;
@@ -100,13 +139,6 @@ impl HashController {
     /// Advances the engine by one cycle and feeds it from the queue.
     #[inline]
     pub fn pump(&mut self) {
-        // Idle fast path: nothing queued, nothing buffered, no permutation
-        // running — the cycle counters advance and nothing else can change.
-        if self.queue.is_empty() && self.engine.is_idle() {
-            self.engine.tick_idle();
-            self.stats.cycles += 1;
-            return;
-        }
         // Move queued pairs into the engine's input buffer while there is room; the
         // controller applies back-pressure instead of offering into a full buffer, so
         // the engine never observes a dropped word.
@@ -124,17 +156,21 @@ impl HashController {
         self.queue.len() + self.engine.buffered()
     }
 
-    /// Statistics gathered so far.
+    /// Statistics gathered so far, up to the last settled step.
     pub fn stats(&self) -> &HashControllerStats {
         &self.stats
     }
 
-    /// Statistics of the underlying streaming engine.
+    /// Statistics of the underlying streaming engine, up to the last settled
+    /// step.
     pub fn engine_stats(&self) -> lofat_crypto::HashEngineStats {
         *self.engine.stats()
     }
 
-    /// Drains all pending input and finalizes the authenticator `A`.
+    /// Drains all pending input and finalizes the authenticator `A`.  Callers
+    /// driving the per-instruction clock settle it first
+    /// ([`HashController::advance_to`]), or the cycle counters miss the owed
+    /// steps; the digest does not depend on them.
     ///
     /// # Errors
     ///
@@ -265,6 +301,39 @@ mod tests {
         let err = HashController::finalize_all([&mut fresh, &mut done]).unwrap_err();
         assert!(matches!(err, LofatError::Hash(_)));
         assert!(fresh.finalize().is_ok(), "the fresh controller is untouched");
+    }
+
+    /// Settling owed steps at events only must match a pump per step, for
+    /// bursts that keep the engine busy across many steps and for long idle
+    /// gaps, with a roomy and a 1-word input buffer.
+    #[test]
+    fn advance_to_matches_a_pump_per_step() {
+        for input_buffer_words in [4, 1] {
+            let config = HashEngineConfig { input_buffer_words, ..HashEngineConfig::default() };
+            let mut stepped = HashController::new(config);
+            let mut settled = HashController::new(config);
+            let mut step = 0u64;
+            for burst in 0..200u32 {
+                let gap = u64::from(burst * 7 % 23);
+                for _ in 0..gap {
+                    stepped.pump();
+                }
+                step += gap;
+                let pairs: Vec<BranchPair> =
+                    (0..burst % 13).map(|i| BranchPair::new(burst, i)).collect();
+                stepped.submit_batch(&mut pairs.clone());
+                settled.advance_to(step);
+                settled.submit_batch(&mut pairs.clone());
+                // The instruction that handed off the batch still owes its step.
+                stepped.pump();
+                step += 1;
+            }
+            settled.advance_to(step);
+            assert_eq!(settled.stats(), stepped.stats());
+            assert_eq!(settled.engine_stats(), stepped.engine_stats());
+            assert_eq!(settled.finalize().unwrap(), stepped.finalize().unwrap());
+            assert_eq!(settled.engine_stats(), stepped.engine_stats());
+        }
     }
 
     #[test]

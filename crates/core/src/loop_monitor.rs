@@ -8,24 +8,27 @@
 //! exit — asks the metadata generator to assemble the loop's
 //! [`crate::metadata::LoopRecord`].
 //!
-//! Its contract with the engine is expressed by [`MonitorOutput`]: which `(Src,
-//! Dest)` pairs must go to the hash engine *now*, which loop records completed, and
-//! which statistics to bump.
+//! Its contract with the engine: every step appends the `(Src, Dest)` pairs to
+//! hash now and the loop records it completes to the engine's [`MonitorOutput`],
+//! and bumps the engine's [`EngineStats`] counters where the events happen.
+//! Nothing is cleared or re-absorbed per event.
+//!
+//! A loop's steady state is two events: a decision inside the innermost body
+//! and the innermost back edge.  [`LoopMonitor::on_branch`] decides both from
+//! a cached copy of the stack top and touches nothing but the innermost
+//! activation; every other event takes the general path.
 
 use crate::branch_filter::BranchEvent;
 use crate::branches_mem::{BranchPair, BranchesMemory};
 use crate::cam::IndirectTargetCam;
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, LOOP_EXIT_LATENCY};
+use crate::engine::EngineStats;
 use crate::loop_counter_mem::{LoopCounterMemory, PathObservation};
 use crate::metadata::{IndirectTargetRecord, LoopRecord, PathRecord};
 use crate::path_encoder::PathEncoder;
 use lofat_rv32::trace::BranchKind;
 
 /// One tracked loop activation.
-///
-/// The three fields probed by the per-instruction exit check (`entry`, `exit`,
-/// `pending_calls`) lead the struct so [`LoopMonitor::needs_exit_check`] touches
-/// a single cache line of the stack top.
 #[derive(Debug, Clone)]
 struct ActiveLoop {
     /// Loop entry node address (target of the backward branch).
@@ -78,13 +81,13 @@ impl ActiveLoop {
         pc >= self.entry && pc < self.exit
     }
 
-    /// Finishes this activation: pushes its [`LoopRecord`] and any leftover
-    /// partial-path pairs into `out` and bumps the exit counters.  The activation
-    /// is left drained so the monitor can recycle it.
+    /// Finishes this activation: hands off its [`LoopRecord`] and any leftover
+    /// partial-path pairs and counts the exit.  The activation is left drained
+    /// so the monitor can recycle it.
     ///
     /// The leftover pairs of a partial (uncounted) path must still be covered by
-    /// the authenticator, so they land in `out.hash_now` for direct hashing.
-    fn finish_into(&mut self, out: &mut MonitorOutput) {
+    /// the authenticator, so they go to `out.hash_now` for direct hashing.
+    fn finish_into(&mut self, stats: &mut EngineStats, out: &mut MonitorOutput) {
         let record = LoopRecord {
             entry: self.entry,
             exit: self.exit,
@@ -108,41 +111,82 @@ impl ActiveLoop {
                 .collect(),
             encoder_overflowed: self.overflowed,
         };
-        out.cam_overflows += self.cam.overflows();
+        stats.cam_overflows += self.cam.overflows();
+        stats.loops_exited += 1;
+        stats.internal_latency_cycles += LOOP_EXIT_LATENCY;
         self.current_path.drain_into(&mut out.hash_now);
         out.completed.push(record);
-        out.loops_exited += 1;
+    }
+
+    /// Pushes path-encoder bits / CAM codes and buffers the pair for the current path.
+    #[inline]
+    fn record_decision(&mut self, event: &BranchEvent, indirect_bits: u32) {
+        match event.kind {
+            BranchKind::Conditional => return self.record_bit(event.taken, event.pair),
+            BranchKind::DirectJump => return self.record_bit(true, event.pair),
+            BranchKind::IndirectJump | BranchKind::Return => {
+                let code = self.cam.encode(event.target);
+                self.encoder.push_code(code, indirect_bits);
+            }
+            BranchKind::DirectCall | BranchKind::IndirectCall => {
+                // Calls are handled by the caller (pending_calls); nothing to encode.
+            }
+        }
+        self.overflowed |= self.encoder.overflowed();
+        self.current_path.push(event.pair);
+    }
+
+    /// The direct-transfer decision: one path bit, then the pair.
+    #[inline(always)]
+    fn record_bit(&mut self, bit: bool, pair: BranchPair) {
+        self.encoder.push_bit(bit);
+        self.overflowed |= self.encoder.overflowed();
+        self.current_path.push(pair);
+    }
+
+    /// Completes one iteration of this loop once its closing back edge is
+    /// recorded: looks up the path counter and either compresses the buffered
+    /// pairs or hands them off for hashing.
+    #[inline]
+    fn complete_iteration(
+        &mut self,
+        config: &EngineConfig,
+        stats: &mut EngineStats,
+        out: &mut MonitorOutput,
+    ) {
+        stats.iterations_counted += 1;
+        match self.counters.record(self.encoder.path_id()) {
+            PathObservation::NewPath { .. } => {
+                stats.new_paths += 1;
+                self.current_path.drain_into(&mut out.hash_now);
+            }
+            PathObservation::Repeated { .. } => {
+                if config.loop_compression {
+                    stats.pairs_compressed += self.current_path.discard() as u64;
+                } else {
+                    self.current_path.drain_into(&mut out.hash_now);
+                }
+            }
+        }
+        self.encoder.reset();
     }
 }
 
-/// What the engine must do as a result of a loop-monitor step.
+/// What the loop monitor hands the engine.
 ///
-/// The engine owns one `MonitorOutput` and threads it through
-/// [`LoopMonitor::check_exits`], [`LoopMonitor::on_branch`] and
-/// [`LoopMonitor::finalize`] as a reusable scratch buffer: each call clears the
-/// previous contents (retaining the `Vec` capacities), so the steady-state trace
-/// path performs no per-instruction heap allocation.
+/// The engine owns one `MonitorOutput` for the whole run and threads it
+/// through [`LoopMonitor::check_exits`], [`LoopMonitor::on_branch`] and
+/// [`LoopMonitor::finalize`]; the monitor only ever appends to it.  The engine
+/// drains `hash_now` into the hash path after every step that filled it
+/// (keeping its capacity, so the steady-state trace path performs no
+/// per-instruction heap allocation), and `completed` becomes the loop
+/// metadata `L` when the run ends.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorOutput {
     /// `(Src, Dest)` pairs to forward to the hash engine now.
     pub hash_now: Vec<BranchPair>,
-    /// Loop records completed by this step (in exit order).
+    /// Loop records completed so far, in exit order.
     pub completed: Vec<LoopRecord>,
-    /// Number of loops that exited in this step.
-    pub loops_exited: usize,
-    /// Number of loops entered in this step.
-    pub loops_entered: usize,
-    /// Number of completed loop iterations counted in this step.
-    pub iterations_counted: u64,
-    /// Number of newly observed loop paths in this step.
-    pub new_paths: u64,
-    /// Number of pairs whose hashing was skipped thanks to loop compression.
-    pub pairs_compressed: u64,
-    /// Number of CAM overflow events observed when loops exited in this step.
-    pub cam_overflows: u64,
-    /// Number of loop entries that were not tracked because the nesting capacity was
-    /// exhausted.
-    pub untracked_loops: u64,
 }
 
 impl MonitorOutput {
@@ -150,36 +194,43 @@ impl MonitorOutput {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Resets all counters and empties both buffers, retaining their capacity.
-    pub fn clear(&mut self) {
-        self.hash_now.clear();
-        self.completed.clear();
-        self.loops_exited = 0;
-        self.loops_entered = 0;
-        self.iterations_counted = 0;
-        self.new_paths = 0;
-        self.pairs_compressed = 0;
-        self.cam_overflows = 0;
-        self.untracked_loops = 0;
-    }
 }
 
-/// Inline copy of the innermost loop's exit-probe state.
+/// Inline copy of the innermost loop's state, for the per-instruction exit
+/// check and the steady-state branch path.
 ///
-/// [`LoopMonitor::needs_exit_check`] runs once per retired instruction; reading
-/// these plain fields avoids chasing the stack's heap pointer on that path.  The
-/// cache is refreshed at the end of every mutating monitor call.
-#[derive(Debug, Clone, Copy, Default)]
+/// Reading these plain fields avoids chasing the stack's heap pointer on those
+/// paths.  The copy changes only when the stack or the innermost loop's
+/// pending-call count does, so only the general paths refresh it.
+#[derive(Debug, Clone, Copy)]
 struct TopProbe {
-    /// `true` while at least one loop is tracked.
-    active: bool,
-    /// `true` while the innermost loop is suspended inside a callee.
-    in_callee: bool,
-    /// Innermost loop entry address.
+    /// Start of the window in which execution stays inside the innermost loop:
+    /// its entry, or 0 when no loop is tracked or the innermost one is
+    /// suspended inside a callee.
     entry: u32,
-    /// Innermost loop exit address (exclusive).
-    exit: u32,
+    /// Width of that window: `exit - entry`, or `u32::MAX` in the two neutral
+    /// cases, so every attested PC (always below the region end, itself at
+    /// most `u32::MAX`) lies inside and no exit check fires.
+    span: u32,
+    /// `true` while a loop is tracked and not suspended inside a callee: the
+    /// precondition of the steady-state branch path.
+    steady: bool,
+    /// `true` if an outer tracked loop's entry lies above the innermost loop's.
+    /// A taken forward branch could then be a back edge to that outer loop, so
+    /// the steady-state path leaves forward branches to the general path.
+    outer_entry_above: bool,
+}
+
+impl TopProbe {
+    /// The probe of an idle monitor (or of a loop suspended inside a callee).
+    const NEUTRAL: Self =
+        Self { entry: 0, span: u32::MAX, steady: false, outer_entry_above: false };
+
+    /// Returns `true` if `pc` lies inside the probe's window.
+    #[inline]
+    fn covers(&self, pc: u32) -> bool {
+        pc.wrapping_sub(self.entry) < self.span
+    }
 }
 
 /// The loop monitor.
@@ -187,9 +238,7 @@ struct TopProbe {
 pub struct LoopMonitor {
     config: EngineConfig,
     stack: Vec<ActiveLoop>,
-    /// Deepest simultaneous nesting observed.
-    max_nesting_observed: usize,
-    /// Cached innermost-loop probe state (see [`TopProbe`]).
+    /// Cached innermost-loop state (see [`TopProbe`]).
     probe: TopProbe,
     /// Recycled activations: the buffers of exited loops keep their capacity, so
     /// re-entering a loop in steady state allocates nothing.  Bounded by the
@@ -200,26 +249,20 @@ pub struct LoopMonitor {
 impl LoopMonitor {
     /// Creates an idle loop monitor.
     pub fn new(config: EngineConfig) -> Self {
-        Self {
-            config,
-            stack: Vec::new(),
-            max_nesting_observed: 0,
-            probe: TopProbe::default(),
-            spares: Vec::new(),
-        }
+        Self { config, stack: Vec::new(), probe: TopProbe::NEUTRAL, spares: Vec::new() }
     }
 
-    /// Refreshes the [`TopProbe`] cache from the stack top.  Every public
-    /// mutating entry point ends with this call.
+    /// Refreshes the [`TopProbe`] cache from the stack top.  Every general
+    /// path ends with this call.
     fn refresh_probe(&mut self) {
-        self.probe = match self.stack.last() {
-            None => TopProbe::default(),
-            Some(top) => TopProbe {
-                active: true,
-                in_callee: top.pending_calls > 0,
+        self.probe = match self.stack.split_last() {
+            Some((top, outer)) if top.pending_calls == 0 => TopProbe {
                 entry: top.entry,
-                exit: top.exit,
+                span: top.exit.saturating_sub(top.entry),
+                steady: true,
+                outer_entry_above: outer.iter().any(|l| l.entry > top.entry),
             },
+            _ => TopProbe::NEUTRAL,
         };
     }
 
@@ -233,37 +276,33 @@ impl LoopMonitor {
         self.stack.len()
     }
 
-    /// Deepest simultaneous nesting observed so far.
-    pub fn max_nesting_observed(&self) -> usize {
-        self.max_nesting_observed
-    }
-
     /// Returns `true` if [`LoopMonitor::check_exits`] would close at least one
     /// loop for a retirement at `pc`.
     ///
-    /// This is the engine's per-instruction fast path: a single stack-top probe
-    /// with no output-buffer traffic, so the (overwhelmingly common) "nothing
-    /// exits" case costs a handful of compares.
+    /// This is the engine's per-instruction fast path: one window test on the
+    /// cached stack top, so the (overwhelmingly common) "nothing exits" case
+    /// costs a subtraction and a compare.
     #[inline]
     pub fn needs_exit_check(&self, pc: u32) -> bool {
-        let probe = &self.probe;
-        debug_assert_eq!(probe.active, !self.stack.is_empty(), "stale exit probe");
-        probe.active && !probe.in_callee && !(pc >= probe.entry && pc < probe.exit)
+        debug_assert_eq!(
+            self.probe.covers(pc),
+            self.stack.last().is_none_or(|top| top.pending_calls > 0 || top.contains(pc)),
+            "stale exit probe"
+        );
+        !self.probe.covers(pc)
     }
 
     /// Loop-exit detection, run for every retired instruction *before* the branch is
     /// processed: execution proceeding to or past the exit node of the innermost
     /// tracked loop (and not inside a callee) terminates that loop (§5.1).
-    ///
-    /// `output` is cleared first and then filled (reusable scratch).
-    pub fn check_exits(&mut self, pc: u32, output: &mut MonitorOutput) {
-        output.clear();
+    #[inline(never)]
+    pub fn check_exits(&mut self, pc: u32, stats: &mut EngineStats, out: &mut MonitorOutput) {
         while let Some(top) = self.stack.last() {
             if top.pending_calls > 0 || top.contains(pc) {
                 break;
             }
             let mut finished = self.stack.pop().expect("non-empty");
-            finished.finish_into(output);
+            finished.finish_into(stats, out);
             self.spares.push(finished);
         }
         self.refresh_probe();
@@ -271,159 +310,136 @@ impl LoopMonitor {
 
     /// Processes one filtered control-flow event.
     ///
-    /// `output` is cleared first and then filled (reusable scratch).
-    pub fn on_branch(&mut self, event: &BranchEvent, output: &mut MonitorOutput) {
-        output.clear();
-
-        // Inside a callee launched from the tracked loop: maintain the call depth and
-        // hash the pair directly — callee control flow is not path-compressed.
-        if let Some(top) = self.stack.last_mut() {
-            if top.pending_calls > 0 {
-                if event.kind.is_linking() {
-                    top.pending_calls += 1;
-                } else if event.kind == BranchKind::Return {
-                    top.pending_calls -= 1;
-                }
-                output.hash_now.push(event.pair);
-                self.refresh_probe();
+    /// The steady state is decided here from the probe: a direct branch or
+    /// jump inside the innermost body is either the innermost back edge (an
+    /// iteration completes) or, if not taken or taken forward with no outer
+    /// loop entry it could reach, an ordinary decision.  Anything else — calls,
+    /// returns, indirect transfers, callee code, loop entries and exits — goes
+    /// to the general path.
+    #[inline]
+    pub fn on_branch(
+        &mut self,
+        event: &BranchEvent,
+        stats: &mut EngineStats,
+        out: &mut MonitorOutput,
+    ) {
+        let probe = self.probe;
+        if probe.steady
+            && probe.covers(event.pair.src)
+            && matches!(event.kind, BranchKind::Conditional | BranchKind::DirectJump)
+        {
+            let top = self.stack.last_mut().expect("steady probe implies a tracked loop");
+            if event.taken && event.target == top.entry {
+                top.record_bit(true, event.pair);
+                top.complete_iteration(&self.config, stats, out);
+                return;
+            }
+            if !event.taken || (event.target > event.pair.src && !probe.outer_entry_above) {
+                let bit = event.taken || event.kind == BranchKind::DirectJump;
+                top.record_bit(bit, event.pair);
                 return;
             }
         }
-
-        let inside = self.stack.last().map(|top| top.contains(event.pair.src)).unwrap_or(false);
-        if inside {
-            self.on_branch_inside_loop(event, output);
-        } else {
-            self.on_branch_outside_loop(event, output);
-        }
-        self.refresh_probe();
+        self.on_branch_general(event, stats, out);
     }
 
     /// Finalizes all still-active loops (end of the attested execution).
-    ///
-    /// `output` is cleared first and then filled (reusable scratch).
-    pub fn finalize(&mut self, output: &mut MonitorOutput) {
-        output.clear();
+    pub fn finalize(&mut self, stats: &mut EngineStats, out: &mut MonitorOutput) {
         while let Some(mut active) = self.stack.pop() {
-            active.finish_into(output);
+            active.finish_into(stats, out);
             self.spares.push(active);
         }
         self.refresh_probe();
     }
 
-    fn on_branch_inside_loop(&mut self, event: &BranchEvent, output: &mut MonitorOutput) {
+    /// Every branch event outside the steady state.
+    #[inline(never)]
+    fn on_branch_general(
+        &mut self,
+        event: &BranchEvent,
+        stats: &mut EngineStats,
+        out: &mut MonitorOutput,
+    ) {
+        match self.stack.last_mut() {
+            // Inside a callee launched from the tracked loop: maintain the call
+            // depth and hash the pair directly — callee control flow is not
+            // path-compressed.
+            Some(top) if top.pending_calls > 0 => {
+                if event.kind.is_linking() {
+                    top.pending_calls += 1;
+                } else if event.kind == BranchKind::Return {
+                    top.pending_calls -= 1;
+                }
+                out.hash_now.push(event.pair);
+            }
+            Some(top) if top.contains(event.pair.src) => {
+                self.on_branch_inside_loop(event, stats, out)
+            }
+            _ => self.on_branch_outside_loop(event, stats, out),
+        }
+        self.refresh_probe();
+    }
+
+    fn on_branch_inside_loop(
+        &mut self,
+        event: &BranchEvent,
+        stats: &mut EngineStats,
+        out: &mut MonitorOutput,
+    ) {
+        let indirect_bits = self.config.indirect_target_bits;
         // Calls made from inside the loop: track the call depth, hash directly.
         if event.kind.is_linking() {
             let top = self.stack.last_mut().expect("inside loop");
             top.pending_calls += 1;
             if event.kind == BranchKind::IndirectCall {
                 let code = top.cam.encode(event.target);
-                top.encoder.push_code(code, self.config.indirect_target_bits);
-            }
-            output.hash_now.push(event.pair);
-            return;
-        }
-
-        // Back edge to the entry of the *innermost* tracked loop?  This is the
-        // steady-state iteration event, dispatched first with no stack scan.
-        let innermost_entry = self.stack.last().expect("inside loop").entry;
-        let backward = event.taken && event.kind != BranchKind::Return;
-        if backward && event.target == innermost_entry {
-            self.complete_iteration(event, output);
-            return;
-        }
-
-        // Back edge to the entry of an *outer* tracked loop?
-        if backward && self.stack.iter().any(|l| l.entry == event.target) {
-            // Abandon any inner loops the transfer skips over (e.g. `continue` of an
-            // outer loop from inside an inner one).
-            while self.stack.last().map(|l| l.entry != event.target).unwrap_or(false) {
-                let mut finished = self.stack.pop().expect("non-empty");
-                finished.finish_into(output);
-                self.spares.push(finished);
-            }
-            self.complete_iteration(event, output);
-            return;
-        }
-
-        // A backward taken non-linking branch to a *new* entry inside the loop body
-        // opens a nested loop.
-        if event.loop_heuristic && self.stack.iter().all(|l| l.entry != event.target) {
-            let indirect_bits = self.config.indirect_target_bits;
-            {
-                let top = self.stack.last_mut().expect("inside loop");
-                Self::record_decision(top, event, indirect_bits);
-            }
-            self.enter_loop(event, output);
-            return;
-        }
-
-        // Ordinary decision inside the loop body.
-        let indirect_bits = self.config.indirect_target_bits;
-        let top = self.stack.last_mut().expect("inside loop");
-        Self::record_decision(top, event, indirect_bits);
-    }
-
-    fn on_branch_outside_loop(&mut self, event: &BranchEvent, output: &mut MonitorOutput) {
-        // Every non-loop branch is hashed directly (③ non_loops ctrl in Fig. 3).
-        output.hash_now.push(event.pair);
-        if event.loop_heuristic {
-            self.enter_loop(event, output);
-        }
-    }
-
-    /// Records the closing back edge of one completed iteration of the (now
-    /// innermost) loop: encodes the final decision, looks up the path counter and
-    /// either compresses the buffered pairs or forwards them for hashing.
-    fn complete_iteration(&mut self, event: &BranchEvent, output: &mut MonitorOutput) {
-        let indirect_bits = self.config.indirect_target_bits;
-        let compression = self.config.loop_compression;
-        let top = self.stack.last_mut().expect("target loop present");
-        Self::record_decision(top, event, indirect_bits);
-        let path_id = top.encoder.path_id();
-        if top.encoder.overflowed() {
-            top.overflowed = true;
-        }
-        let observation = top.counters.record(path_id);
-        output.iterations_counted += 1;
-        match observation {
-            PathObservation::NewPath { .. } => {
-                output.new_paths += 1;
-                top.current_path.drain_into(&mut output.hash_now);
-            }
-            PathObservation::Repeated { .. } => {
-                if compression {
-                    output.pairs_compressed += top.current_path.discard() as u64;
-                } else {
-                    top.current_path.drain_into(&mut output.hash_now);
-                }
-            }
-        }
-        top.encoder.reset();
-    }
-
-    /// Pushes path-encoder bits / CAM codes and buffers the pair for the current path.
-    fn record_decision(top: &mut ActiveLoop, event: &BranchEvent, indirect_bits: u32) {
-        match event.kind {
-            BranchKind::Conditional => top.encoder.push_bit(event.taken),
-            BranchKind::DirectJump => top.encoder.push_bit(true),
-            BranchKind::IndirectJump | BranchKind::Return => {
-                let code = top.cam.encode(event.target);
                 top.encoder.push_code(code, indirect_bits);
             }
-            BranchKind::DirectCall | BranchKind::IndirectCall => {
-                // Calls are handled by the caller (pending_calls); nothing to encode.
+            out.hash_now.push(event.pair);
+            return;
+        }
+
+        // Back edge to the entry of a tracked loop?  The innermost one is the
+        // steady state; an outer one first abandons the inner loops the
+        // transfer skips over (e.g. `continue` of an outer loop from inside an
+        // inner one).
+        let backward = event.taken && event.kind != BranchKind::Return;
+        if backward && self.stack.iter().any(|l| l.entry == event.target) {
+            while self.stack.last().is_some_and(|l| l.entry != event.target) {
+                let mut finished = self.stack.pop().expect("non-empty");
+                finished.finish_into(stats, out);
+                self.spares.push(finished);
             }
+            let top = self.stack.last_mut().expect("target loop present");
+            top.record_decision(event, indirect_bits);
+            top.complete_iteration(&self.config, stats, out);
+            return;
         }
-        if top.encoder.overflowed() {
-            top.overflowed = true;
+
+        // Ordinary decision inside the loop body; a backward taken non-linking
+        // branch to a *new* entry also opens a nested loop.
+        self.stack.last_mut().expect("inside loop").record_decision(event, indirect_bits);
+        if event.loop_heuristic() {
+            self.enter_loop(event, stats);
         }
-        top.current_path.push(event.pair);
     }
 
-    fn enter_loop(&mut self, event: &BranchEvent, output: &mut MonitorOutput) {
+    fn on_branch_outside_loop(
+        &mut self,
+        event: &BranchEvent,
+        stats: &mut EngineStats,
+        out: &mut MonitorOutput,
+    ) {
+        // Every non-loop branch is hashed directly (③ non_loops ctrl in Fig. 3).
+        out.hash_now.push(event.pair);
+        if event.loop_heuristic() {
+            self.enter_loop(event, stats);
+        }
+    }
+
+    fn enter_loop(&mut self, event: &BranchEvent, stats: &mut EngineStats) {
         if self.stack.len() >= self.config.max_nesting_depth {
-            output.untracked_loops += 1;
+            stats.untracked_loops += 1;
             return;
         }
         let depth = self.stack.len() + 1;
@@ -435,8 +451,8 @@ impl LoopMonitor {
             None => ActiveLoop::new(event.target, event.pair.src + 4, depth, &self.config),
         };
         self.stack.push(activation);
-        self.max_nesting_observed = self.max_nesting_observed.max(self.stack.len());
-        output.loops_entered += 1;
+        stats.loops_entered += 1;
+        stats.max_nesting_observed = stats.max_nesting_observed.max(self.stack.len());
     }
 }
 
@@ -447,50 +463,43 @@ mod tests {
 
     fn event(src: u32, target: u32, kind: BranchKind, taken: bool) -> BranchEvent {
         let dest = if taken { target } else { src + 4 };
-        BranchEvent {
-            pair: BranchPair::new(src, dest),
-            kind,
-            taken,
-            target,
-            loop_heuristic: taken
-                && target <= src
-                && !kind.is_linking()
-                && kind != BranchKind::Return,
-        }
+        BranchEvent { pair: BranchPair::new(src, dest), kind, taken, target }
     }
 
     fn config() -> EngineConfig {
         EngineConfig::default()
     }
 
-    /// Test shims preserving the old value-returning call style on top of the
-    /// reusable scratch-buffer API.
-    fn on_branch(monitor: &mut LoopMonitor, event: &BranchEvent) -> MonitorOutput {
-        let mut out = MonitorOutput::new();
-        monitor.on_branch(event, &mut out);
-        out
+    /// What one monitor step handed off, and the counters it bumped.
+    struct Step {
+        out: MonitorOutput,
+        stats: EngineStats,
     }
 
-    fn check_exits(monitor: &mut LoopMonitor, pc: u32) -> MonitorOutput {
+    /// Test shims running one step against fresh outputs and counters, so each
+    /// step's effect can be read on its own.
+    fn on_branch(monitor: &mut LoopMonitor, event: &BranchEvent) -> Step {
+        let mut step = Step { out: MonitorOutput::new(), stats: EngineStats::default() };
+        monitor.on_branch(event, &mut step.stats, &mut step.out);
+        step
+    }
+
+    fn check_exits(monitor: &mut LoopMonitor, pc: u32) -> Step {
+        let mut step = Step { out: MonitorOutput::new(), stats: EngineStats::default() };
+        let predicted = monitor.needs_exit_check(pc);
+        monitor.check_exits(pc, &mut step.stats, &mut step.out);
         assert_eq!(
-            monitor.needs_exit_check(pc),
-            {
-                let mut probe = MonitorOutput::new();
-                let mut clone = monitor.clone();
-                clone.check_exits(pc, &mut probe);
-                probe.loops_exited > 0
-            },
+            predicted,
+            step.stats.loops_exited > 0,
             "needs_exit_check must predict whether check_exits closes a loop"
         );
-        let mut out = MonitorOutput::new();
-        monitor.check_exits(pc, &mut out);
-        out
+        step
     }
 
-    fn finalize(monitor: &mut LoopMonitor) -> MonitorOutput {
-        let mut out = MonitorOutput::new();
-        monitor.finalize(&mut out);
-        out
+    fn finalize(monitor: &mut LoopMonitor) -> Step {
+        let mut step = Step { out: MonitorOutput::new(), stats: EngineStats::default() };
+        monitor.finalize(&mut step.stats, &mut step.out);
+        step
     }
 
     #[test]
@@ -500,29 +509,30 @@ mod tests {
         let back = event(0x1010, 0x1008, BranchKind::Conditional, true);
 
         // First occurrence: non-loop branch, hashed directly, loop entered.
-        let out = on_branch(&mut monitor, &back);
-        assert_eq!(out.hash_now.len(), 1);
-        assert_eq!(out.loops_entered, 1);
+        let step = on_branch(&mut monitor, &back);
+        assert_eq!(step.out.hash_now.len(), 1);
+        assert_eq!(step.stats.loops_entered, 1);
         assert!(monitor.is_tracking());
 
         // Three more iterations: first completes a new path, the rest are compressed.
         let mut new_paths = 0;
         let mut compressed = 0;
         for _ in 0..3 {
-            let out = check_exits(&mut monitor, 0x1008);
-            assert_eq!(out.loops_exited, 0);
-            let out = on_branch(&mut monitor, &back);
-            new_paths += out.new_paths;
-            compressed += out.pairs_compressed;
+            let step = check_exits(&mut monitor, 0x1008);
+            assert_eq!(step.stats.loops_exited, 0);
+            let step = on_branch(&mut monitor, &back);
+            new_paths += step.stats.new_paths;
+            compressed += step.stats.pairs_compressed;
         }
         assert_eq!(new_paths, 1);
         assert!(compressed > 0);
 
         // Execution proceeds past the exit node → loop exits with one record.
-        let out = check_exits(&mut monitor, 0x1014);
-        assert_eq!(out.loops_exited, 1);
-        assert_eq!(out.completed.len(), 1);
-        let record = &out.completed[0];
+        let step = check_exits(&mut monitor, 0x1014);
+        assert_eq!(step.stats.loops_exited, 1);
+        assert_eq!(step.stats.internal_latency_cycles, LOOP_EXIT_LATENCY);
+        assert_eq!(step.out.completed.len(), 1);
+        let record = &step.out.completed[0];
         assert_eq!(record.entry, 0x1008);
         assert_eq!(record.exit, 0x1014);
         assert_eq!(record.total_iterations(), 3);
@@ -540,9 +550,9 @@ mod tests {
         let mut hashed = 0;
         for _ in 0..5 {
             check_exits(&mut monitor, 0x1008);
-            let out = on_branch(&mut monitor, &back);
-            hashed += out.hash_now.len();
-            assert_eq!(out.pairs_compressed, 0);
+            let step = on_branch(&mut monitor, &back);
+            hashed += step.out.hash_now.len();
+            assert_eq!(step.stats.pairs_compressed, 0);
         }
         assert_eq!(hashed, 5, "without compression every iteration's pair is hashed");
     }
@@ -556,14 +566,15 @@ mod tests {
         // third level at 0x1060 → 0x1050 that exceeds the capacity.
         on_branch(&mut monitor, &event(0x1100, 0x1000, BranchKind::Conditional, true));
         check_exits(&mut monitor, 0x1000);
-        let out = on_branch(&mut monitor, &event(0x1080, 0x1040, BranchKind::Conditional, true));
-        assert_eq!(out.loops_entered, 1);
+        let step = on_branch(&mut monitor, &event(0x1080, 0x1040, BranchKind::Conditional, true));
+        assert_eq!(step.stats.loops_entered, 1);
+        assert_eq!(step.stats.max_nesting_observed, 2);
         assert_eq!(monitor.depth(), 2);
         check_exits(&mut monitor, 0x1040);
-        let out = on_branch(&mut monitor, &event(0x1060, 0x1050, BranchKind::Conditional, true));
-        assert_eq!(out.loops_entered, 0);
-        assert_eq!(out.untracked_loops, 1);
-        assert_eq!(monitor.max_nesting_observed(), 2);
+        let step = on_branch(&mut monitor, &event(0x1060, 0x1050, BranchKind::Conditional, true));
+        assert_eq!(step.stats.loops_entered, 0);
+        assert_eq!(step.stats.untracked_loops, 1);
+        assert_eq!(monitor.depth(), 2);
     }
 
     #[test]
@@ -573,20 +584,20 @@ mod tests {
         on_branch(&mut monitor, &event(0x101c, 0x1000, BranchKind::Conditional, true));
         // Call a function at 0x2000 from inside the loop.
         let call = event(0x1008, 0x2000, BranchKind::DirectCall, true);
-        let out = on_branch(&mut monitor, &call);
-        assert_eq!(out.hash_now.len(), 1, "call pair is hashed directly");
+        let step = on_branch(&mut monitor, &call);
+        assert_eq!(step.out.hash_now.len(), 1, "call pair is hashed directly");
         // Executing callee code far outside the loop must not exit the loop.
-        let out = check_exits(&mut monitor, 0x2000);
-        assert_eq!(out.loops_exited, 0);
+        let step = check_exits(&mut monitor, 0x2000);
+        assert_eq!(step.stats.loops_exited, 0);
         // The callee's own branches are hashed directly.
         let callee_branch = event(0x2008, 0x200c, BranchKind::Conditional, false);
-        let out = on_branch(&mut monitor, &callee_branch);
-        assert_eq!(out.hash_now.len(), 1);
+        let step = on_branch(&mut monitor, &callee_branch);
+        assert_eq!(step.out.hash_now.len(), 1);
         // Return back into the loop re-enables exit detection.
         let ret = event(0x2010, 0x100c, BranchKind::Return, true);
         on_branch(&mut monitor, &ret);
-        let out = check_exits(&mut monitor, 0x1030);
-        assert_eq!(out.loops_exited, 1);
+        let step = check_exits(&mut monitor, 0x1030);
+        assert_eq!(step.stats.loops_exited, 1);
     }
 
     #[test]
@@ -598,8 +609,8 @@ mod tests {
         on_branch(&mut monitor, &indirect);
         // Complete the iteration, then exit and inspect the record.
         on_branch(&mut monitor, &event(0x1040, 0x1000, BranchKind::Conditional, true));
-        let out = check_exits(&mut monitor, 0x2000);
-        let record = &out.completed[0];
+        let step = check_exits(&mut monitor, 0x2000);
+        let record = &step.out.completed[0];
         assert_eq!(record.indirect_targets.len(), 1);
         assert_eq!(record.indirect_targets[0].target, 0x1020);
         assert_eq!(record.indirect_targets[0].code, 1);
@@ -610,9 +621,9 @@ mod tests {
     fn finalize_flushes_active_loops() {
         let mut monitor = LoopMonitor::new(config());
         on_branch(&mut monitor, &event(0x1010, 0x1008, BranchKind::Conditional, true));
-        let out = finalize(&mut monitor);
-        assert_eq!(out.loops_exited, 1);
-        assert_eq!(out.completed.len(), 1);
+        let step = finalize(&mut monitor);
+        assert_eq!(step.stats.loops_exited, 1);
+        assert_eq!(step.out.completed.len(), 1);
         assert!(!monitor.is_tracking());
     }
 
@@ -625,9 +636,31 @@ mod tests {
         on_branch(&mut monitor, &event(0x1080, 0x1040, BranchKind::Conditional, true));
         assert_eq!(monitor.depth(), 2);
         // From inside the inner loop, jump straight back to the outer entry.
-        let out = on_branch(&mut monitor, &event(0x1060, 0x1000, BranchKind::DirectJump, true));
-        assert_eq!(out.loops_exited, 1, "inner loop is closed");
-        assert_eq!(out.iterations_counted, 1, "outer loop iteration is counted");
+        let step = on_branch(&mut monitor, &event(0x1060, 0x1000, BranchKind::DirectJump, true));
+        assert_eq!(step.stats.loops_exited, 1, "inner loop is closed");
+        assert_eq!(step.stats.iterations_counted, 1, "outer loop iteration is counted");
+        assert_eq!(monitor.depth(), 1);
+    }
+
+    /// A taken *forward* branch inside the innermost loop can still be a back
+    /// edge, to an outer loop whose entry lies above the inner one's: the
+    /// steady-state path must leave it to the general path.
+    #[test]
+    fn forward_branch_to_an_outer_entry_closes_the_inner_loop() {
+        let mut monitor = LoopMonitor::new(config());
+        // Outer loop [0x1100, 0x1184), entered by its back edge at 0x1180.
+        on_branch(&mut monitor, &event(0x1180, 0x1100, BranchKind::Conditional, true));
+        check_exits(&mut monitor, 0x1100);
+        // From inside it, a back edge to 0x1000 opens an inner loop [0x1000, 0x1124)
+        // whose entry lies below the outer one's.
+        let step = on_branch(&mut monitor, &event(0x1120, 0x1000, BranchKind::Conditional, true));
+        assert_eq!(step.stats.loops_entered, 1);
+        assert_eq!(monitor.depth(), 2);
+        check_exits(&mut monitor, 0x1000);
+        // A forward branch in the inner body to the outer entry is the outer back edge.
+        let step = on_branch(&mut monitor, &event(0x1010, 0x1100, BranchKind::Conditional, true));
+        assert_eq!(step.stats.loops_exited, 1, "inner loop is closed");
+        assert_eq!(step.stats.iterations_counted, 1, "outer loop iteration is counted");
         assert_eq!(monitor.depth(), 1);
     }
 
@@ -643,15 +676,15 @@ mod tests {
         on_branch(&mut monitor, &event(0x1040, 0x1000, BranchKind::Conditional, true));
         on_branch(&mut monitor, &event(0x1010, 0x1020, BranchKind::IndirectJump, true));
         on_branch(&mut monitor, &event(0x1014, 0x1024, BranchKind::IndirectJump, true));
-        let out = check_exits(&mut monitor, 0x2000);
-        assert_eq!(out.loops_exited, 1);
-        assert_eq!(out.cam_overflows, 1, "loop A overflowed its 1-entry CAM");
+        let step = check_exits(&mut monitor, 0x2000);
+        assert_eq!(step.stats.loops_exited, 1);
+        assert_eq!(step.stats.cam_overflows, 1, "loop A overflowed its 1-entry CAM");
 
         // Loop B recycles A's activation and runs no indirect branches at all.
         on_branch(&mut monitor, &event(0x3040, 0x3000, BranchKind::Conditional, true));
         on_branch(&mut monitor, &event(0x3040, 0x3000, BranchKind::Conditional, true));
-        let out = check_exits(&mut monitor, 0x4000);
-        assert_eq!(out.loops_exited, 1);
-        assert_eq!(out.cam_overflows, 0, "recycled activation re-reported stale overflows");
+        let step = check_exits(&mut monitor, 0x4000);
+        assert_eq!(step.stats.loops_exited, 1);
+        assert_eq!(step.stats.cam_overflows, 0, "recycled activation re-reported stale overflows");
     }
 }

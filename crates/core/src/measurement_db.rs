@@ -31,8 +31,8 @@ use std::sync::mpsc;
 /// the work left, projected from the instructions its replays retired so
 /// far, reaches this many instructions per thread.  Below it a helper thread
 /// would not pay for itself: spawning and joining a scoped thread costs
-/// about a 50th to a 100th of this much replay (~40 µs against ~2.3 ms on a
-/// 2-vCPU Xeon).
+/// about a 20th to a 40th of this much replay (~40-90 µs against ~1.6 ms of
+/// crc32 and ~2.0 ms of syringe-pump replay on a 2-vCPU Xeon).
 const PARALLEL_FLOOR_INSTRUCTIONS: u64 = 64 * 1024;
 
 /// One precomputed reference measurement, decoded.

@@ -35,15 +35,18 @@ impl PathEncoder {
     }
 
     /// Appends a single taken/not-taken bit (conditional branches and direct jumps).
+    #[inline]
     pub fn push_bit(&mut self, bit: bool) {
         self.push_bits(u64::from(bit), 1);
     }
 
     /// Appends an n-bit indirect-target code from the CAM.
+    #[inline]
     pub fn push_code(&mut self, code: u32, bits: u32) {
         self.push_bits(u64::from(code), bits);
     }
 
+    #[inline]
     fn push_bits(&mut self, value: u64, bits: u32) {
         if self.bits_used + bits > self.max_bits {
             self.overflowed = true;
@@ -64,11 +67,13 @@ impl PathEncoder {
     }
 
     /// Returns `true` if the encoder exceeded its capacity.
+    #[inline]
     pub fn overflowed(&self) -> bool {
         self.overflowed
     }
 
     /// The current path ID (all-zero [`OVERFLOW_PATH_ID`] if the encoder overflowed).
+    #[inline]
     pub fn path_id(&self) -> u32 {
         if self.overflowed {
             OVERFLOW_PATH_ID
@@ -78,6 +83,7 @@ impl PathEncoder {
     }
 
     /// Resets the encoder for the next iteration of the loop.
+    #[inline]
     pub fn reset(&mut self) {
         self.value = 1;
         self.bits_used = 0;

@@ -172,6 +172,8 @@ impl Prover {
 
 /// Writes the verifier input into `program`'s input buffer, and its length
 /// into `input_len` if the program defines one; an empty input needs neither.
+/// Data pokes leave the CPU's predecode table fresh, so a run decodes its
+/// program once.
 pub(crate) fn load_input(
     program: &Program,
     cpu: &mut Cpu,
@@ -184,9 +186,9 @@ pub(crate) fn load_input(
         .symbol(INPUT_SYMBOL)
         .ok_or_else(|| LofatError::MissingSymbol { name: INPUT_SYMBOL.into() })?;
     let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-    cpu.memory_mut().poke_bytes(addr, &bytes)?;
+    cpu.poke_data(addr, &bytes)?;
     if let Some(len_addr) = program.symbol(INPUT_LEN_SYMBOL) {
-        cpu.memory_mut().poke_bytes(len_addr, &(input.len() as u32).to_le_bytes())?;
+        cpu.poke_data(len_addr, &(input.len() as u32).to_le_bytes())?;
     }
     Ok(())
 }

@@ -166,21 +166,23 @@ impl HashEngine {
 
     /// Returns `true` when the engine has nothing to do this cycle: no buffered
     /// input and no running permutation.  A step in this state only advances the
-    /// cycle counter, which [`HashEngine::tick_idle`] does directly.
+    /// cycle counter, and the engine stays idle until a word is offered, so any
+    /// number of such steps can be taken at once with [`HashEngine::tick_idle`].
     #[inline]
     pub fn is_idle(&self) -> bool {
         self.buffer.is_empty() && self.busy_remaining == 0
     }
 
-    /// Advances one clock cycle through the idle fast path.
+    /// Advances `cycles` idle clock cycles at once.
     ///
-    /// Exactly equivalent to [`HashEngine::step`] when [`HashEngine::is_idle`]
-    /// is `true` (the cycle counter advances, nothing else changes); callers use
-    /// it to skip the absorb/busy bookkeeping on idle cycles.
+    /// Exactly equivalent to `cycles` calls of [`HashEngine::step`] while
+    /// [`HashEngine::is_idle`] is `true` (the cycle counter advances, nothing
+    /// else changes); an event-driven caller uses it to account for the idle
+    /// stretches between its bursts of input in one addition.
     #[inline]
-    pub fn tick_idle(&mut self) {
+    pub fn tick_idle(&mut self, cycles: u64) {
         debug_assert!(self.is_idle());
-        self.stats.cycles += 1;
+        self.stats.cycles += cycles;
     }
 
     /// Offers a 64-bit word to the engine's input cache buffer.
@@ -346,6 +348,21 @@ mod tests {
         }
         assert_eq!(engine.stats().permutations, 1);
         assert_eq!(busy_seen, BUSY_CYCLES);
+    }
+
+    #[test]
+    fn tick_idle_matches_idle_steps() {
+        // Absorb one word, drain, then idle: a bulk tick equals that many steps.
+        let mut stepped = HashEngine::default();
+        stepped.offer(7).unwrap();
+        stepped.drain();
+        let mut ticked = stepped.clone();
+        for _ in 0..1000 {
+            stepped.step();
+        }
+        ticked.tick_idle(1000);
+        assert_eq!(ticked.stats(), stepped.stats());
+        assert_eq!(ticked.finalize().unwrap(), stepped.finalize().unwrap());
     }
 
     #[test]

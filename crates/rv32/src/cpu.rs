@@ -81,7 +81,8 @@ pub struct Cpu {
     text_base: u32,
     /// Text segment decoded once at load time, indexed by `(pc - text_base) / 4`.
     /// `None` marks words that do not decode (e.g. literal pools); those fall back
-    /// to decode-on-fetch so the fault is reported exactly as before.
+    /// to decode-on-fetch so the fault is reported exactly as before.  Empty
+    /// while stale or disabled, so one table lookup is the whole fast path.
     predecoded: Vec<Option<Instruction>>,
     /// When `false`, every step fetches and decodes from memory (the verified
     /// fallback path; also used by the differential regression tests).
@@ -136,7 +137,17 @@ impl Cpu {
     /// (the differential regression suite asserts this over the whole workload
     /// catalogue), only the simulation throughput differs.
     pub fn set_predecode(&mut self, enabled: bool) {
-        self.predecode_enabled = enabled;
+        if enabled != self.predecode_enabled {
+            // Disabling drops the table; re-enabling rebuilds it on the next step.
+            self.predecode_enabled = enabled;
+            self.invalidate_predecode();
+        }
+    }
+
+    /// Empties the predecode table and marks it for a rebuild.
+    fn invalidate_predecode(&mut self) {
+        self.predecoded.clear();
+        self.predecode_stale = true;
     }
 
     /// Returns `true` while the predecoded fast path is enabled.
@@ -206,8 +217,23 @@ impl Cpu {
     /// byte, including the text segment, so the next step re-decodes the code
     /// from memory (self-modifying-memory safety for the fast path).
     pub fn memory_mut(&mut self) -> &mut Memory {
-        self.predecode_stale = true;
+        self.invalidate_predecode();
         &mut self.memory
+    }
+
+    /// Writes `bytes` at `addr` in a data segment: the loader placing the
+    /// program's input.
+    ///
+    /// Unlike a write through [`Cpu::memory_mut`] this keeps the predecode
+    /// table, because it refuses executable segments: the code cannot have
+    /// changed, so the program is still decoded once per run.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the range is unmapped, and with [`Rv32Error::MemoryPermission`]
+    /// if it lies in an executable segment.
+    pub fn poke_data(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Rv32Error> {
+        self.memory.poke_data(addr, bytes)
     }
 
     /// Values emitted through the `print` environment call (`a7 = 1`).
@@ -247,23 +273,36 @@ impl Cpu {
     }
 
     /// Returns the decoded instruction at `pc`: a predecode-table lookup on the
-    /// fast path, the original fetch + decode round trip otherwise.
+    /// fast path, [`Cpu::fetch_slow`] otherwise.
     #[inline]
     fn fetch_decoded(&mut self, pc: u32) -> Result<Instruction, Rv32Error> {
-        if self.predecode_enabled {
-            if self.predecode_stale {
-                self.rebuild_predecode()?;
-            }
-            let offset = pc.wrapping_sub(self.text_base);
-            if offset & 3 == 0 {
-                if let Some(Some(inst)) = self.predecoded.get((offset / 4) as usize) {
-                    return Ok(*inst);
-                }
+        match self.predecoded.get(self.predecode_index(pc)) {
+            Some(Some(inst)) => Ok(*inst),
+            _ => self.fetch_slow(pc),
+        }
+    }
+
+    /// Table index of `pc`.  The rotation moves a misaligned PC's low bits to
+    /// the top, so its index lies past the end of any table, like that of a PC
+    /// outside the text.
+    #[inline]
+    fn predecode_index(&self, pc: u32) -> usize {
+        pc.wrapping_sub(self.text_base).rotate_right(2) as usize
+    }
+
+    /// Everything the table does not serve: a stale table is rebuilt (when
+    /// predecoding is enabled) and consulted again; out-of-text PCs,
+    /// misaligned PCs and non-decodable words go through the memory model so
+    /// faults are reported identically to the decode-on-fetch path.
+    #[cold]
+    #[inline(never)]
+    fn fetch_slow(&mut self, pc: u32) -> Result<Instruction, Rv32Error> {
+        if self.predecode_enabled && self.predecode_stale {
+            self.rebuild_predecode()?;
+            if let Some(Some(inst)) = self.predecoded.get(self.predecode_index(pc)) {
+                return Ok(*inst);
             }
         }
-        // Verified fallback: out-of-text PCs, misaligned PCs and non-decodable
-        // words go through the memory model so faults are reported identically to
-        // the decode-on-fetch path.
         let word = self.memory.fetch(pc)?;
         Instruction::decode(word, pc)
     }
@@ -646,6 +685,35 @@ mod tests {
             .unwrap();
         let exit = cpu.run(10).unwrap();
         assert_eq!(exit.register_a0, 99, "stale predecode served the old instruction");
+    }
+
+    #[test]
+    fn data_poke_keeps_the_predecode_table() {
+        // `la t0, input; lw a0, 0(t0); ecall` reading a word the loader poked.
+        let program = crate::asm::assemble(
+            ".data\ninput:\n    .word 0\n.text\nmain:\n    la t0, input\n    lw a0, 0(t0)\n    ecall\n",
+        )
+        .unwrap();
+        let mut cpu = Cpu::new(&program).unwrap();
+        assert!(!cpu.predecode_stale);
+        cpu.poke_data(program.symbol("input").unwrap(), &42u32.to_le_bytes()).unwrap();
+        assert!(!cpu.predecode_stale, "a data poke cannot change the code");
+        assert_eq!(cpu.run(100).unwrap().register_a0, 42);
+    }
+
+    #[test]
+    fn text_poke_still_forces_a_redecode() {
+        let insts = vec![addi(Reg::A0, Reg::ZERO, 1), Instruction::Ecall];
+        let mut cpu = build(&insts);
+        let patched = addi(Reg::A0, Reg::ZERO, 99).encode().to_le_bytes();
+        let text = crate::program::DEFAULT_TEXT_BASE;
+        let err = cpu.poke_data(text, &patched).unwrap_err();
+        assert!(matches!(err, Rv32Error::MemoryPermission { .. }));
+        assert!(!cpu.predecode_stale, "a refused poke changes nothing");
+        cpu.memory_mut().poke_bytes(text, &patched).unwrap();
+        assert!(cpu.predecode_stale, "a write that may touch code marks the table stale");
+        assert_eq!(cpu.run(10).unwrap().register_a0, 99);
+        assert!(!cpu.predecode_stale, "the first step re-decoded the text");
     }
 
     #[test]

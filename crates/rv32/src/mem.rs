@@ -219,6 +219,24 @@ impl Memory {
         Ok(())
     }
 
+    /// Writes bytes into a non-executable segment regardless of its write
+    /// permission: the loader placing input data.  Unlike
+    /// [`Memory::poke_bytes`] it refuses to touch code.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the range is unmapped, and with [`Rv32Error::MemoryPermission`]
+    /// if it lies in an executable segment.
+    pub fn poke_data(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Rv32Error> {
+        let segment = self.segment_for_mut(addr, bytes.len() as u32)?;
+        if segment.perms.execute {
+            return Err(Rv32Error::MemoryPermission { addr, access: AccessKind::Write });
+        }
+        let offset = (addr - segment.base) as usize;
+        segment.bytes[offset..offset + bytes.len()].copy_from_slice(bytes);
+        Ok(())
+    }
+
     /// Reads bytes from a segment regardless of permissions (loader/debugger view).
     ///
     /// # Errors
@@ -298,5 +316,16 @@ mod tests {
         mem.poke_bytes(0x1000, &[1, 2, 3, 4]).unwrap();
         assert_eq!(mem.peek_bytes(0x1000, 4).unwrap(), vec![1, 2, 3, 4]);
         assert!(mem.poke_bytes(0x9000, &[0]).is_err());
+    }
+
+    #[test]
+    fn data_poke_refuses_code() {
+        let mut mem = memory();
+        mem.poke_data(0x2004, &[5, 6]).unwrap();
+        assert_eq!(mem.peek_bytes(0x2004, 2).unwrap(), vec![5, 6]);
+        let err = mem.poke_data(0x1000, &[1]).unwrap_err();
+        assert!(matches!(err, Rv32Error::MemoryPermission { access: AccessKind::Write, .. }));
+        assert_eq!(mem.peek_bytes(0x1000, 1).unwrap(), vec![0], "code left untouched");
+        assert!(matches!(mem.poke_data(0x9000, &[0]), Err(Rv32Error::MemoryUnmapped { .. })));
     }
 }

@@ -176,9 +176,9 @@ fn prepare_cpu(program: &Program, input: &[u32]) -> Result<Cpu, Box<dyn std::err
             .symbol("input")
             .ok_or("program does not define an `input` buffer but inputs were given")?;
         let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-        cpu.memory_mut().poke_bytes(addr, &bytes)?;
+        cpu.poke_data(addr, &bytes)?;
         if let Some(len) = program.symbol("input_len") {
-            cpu.memory_mut().poke_bytes(len, &(input.len() as u32).to_le_bytes())?;
+            cpu.poke_data(len, &(input.len() as u32).to_le_bytes())?;
         }
     }
     Ok(cpu)

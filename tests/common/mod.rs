@@ -28,11 +28,9 @@ pub fn cpu_with_input(program: &Program, input: &[u32]) -> Cpu {
     if !input.is_empty() {
         let addr = program.symbol("input").expect("workload defines `input`");
         let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-        cpu.memory_mut().poke_bytes(addr, &bytes).expect("poke input");
+        cpu.poke_data(addr, &bytes).expect("poke input");
         if let Some(len) = program.symbol("input_len") {
-            cpu.memory_mut()
-                .poke_bytes(len, &(input.len() as u32).to_le_bytes())
-                .expect("poke input_len");
+            cpu.poke_data(len, &(input.len() as u32).to_le_bytes()).expect("poke input_len");
         }
     }
     cpu

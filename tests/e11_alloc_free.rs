@@ -4,9 +4,10 @@
 //! A counting global allocator wraps the system allocator; after an attested
 //! loop workload has warmed up (loop entered, first paths hashed, every buffer
 //! at capacity), thousands of further retired instructions must not allocate
-//! at all.  This pins the engine-owned scratch buffers, the recycled loop
-//! activations, the capacity-retaining branches memory and the idle hash-path
-//! fast path in place: a regression in any of them shows up as a nonzero
+//! at all.  This pins the engine's run-long monitor hand-off buffers, the
+//! recycled loop activations, the capacity-retaining branches memory and the
+//! event-driven hash path (owed steps settled in bulk, queues that keep their
+//! capacity) in place: a regression in any of them shows up as a nonzero
 //! allocation delta.
 //!
 //! Loop *exits* are the one legitimate source of heap traffic (each emits a
