@@ -24,7 +24,7 @@ fn print_table() {
     );
 
     let (measurement, _) = attest_workload(&workload, &[8]);
-    let record = &measurement.metadata.loops[0];
+    let record = &measurement.metadata.decode().loops[0];
     println!("{:>10} {:>12} {:>12}", "path id", "encoding", "iterations");
     for path in &record.paths {
         let bits = format!("{:b}", path.path_id);

@@ -21,7 +21,7 @@ fn print_table() {
         let config = EngineConfig::builder().indirect_target_bits(bits).build().expect("config");
         let (measurement, _) = run_attested(&program, &input, config);
         let targets: usize =
-            measurement.metadata.loops.iter().map(|l| l.indirect_targets.len()).sum();
+            measurement.metadata.decode().loops.iter().map(|l| l.indirect_targets.len()).sum();
         println!(
             "{:>3} {:>10} {:>18} {:>14} {:>14}",
             bits,

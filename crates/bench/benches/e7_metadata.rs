@@ -19,7 +19,7 @@ fn print_table() {
             "{:>12} {:>12} {:>14} {:>14}",
             units,
             m.metadata.loop_count(),
-            m.metadata.total_iterations(),
+            m.metadata.decode().total_iterations(),
             m.metadata.size_bytes()
         );
     }
@@ -32,7 +32,7 @@ fn print_table() {
         println!(
             "{:>12} {:>15} {:>14}",
             n,
-            m.metadata.total_distinct_paths(),
+            m.metadata.decode().total_distinct_paths(),
             m.metadata.size_bytes()
         );
     }
@@ -43,7 +43,8 @@ fn print_table() {
     for handlers in [1u32, 2, 3, 4] {
         let input: Vec<u32> = (0..12u32).map(|i| i % handlers).collect();
         let (m, _) = run_attested(&dispatch, &input, EngineConfig::default());
-        let targets: usize = m.metadata.loops.iter().map(|l| l.indirect_targets.len()).sum();
+        let targets: usize =
+            m.metadata.decode().loops.iter().map(|l| l.indirect_targets.len()).sum();
         println!("{:>14} {:>18} {:>14}", handlers, targets, m.metadata.size_bytes());
     }
     println!("(paper: |L| depends on loops, paths per loop and indirect targets — not iterations)");

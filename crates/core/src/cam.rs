@@ -66,10 +66,10 @@ impl IndirectTargetCam {
         code
     }
 
-    /// The target → code table, in ascending target order (used to build the
-    /// metadata record for the verifier).
-    pub fn table(&self) -> Vec<(u32, u32)> {
-        self.entries.iter().map(|(&t, &c)| (t, c)).collect()
+    /// The target → code table, in ascending target order (the metadata
+    /// record for the verifier lists it so).
+    pub fn table(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+        self.entries.iter().map(|(&t, &c)| (t, c))
     }
 
     /// Number of lookups that returned the overflow code.
@@ -144,6 +144,6 @@ mod tests {
         cam.encode(0x300);
         cam.encode(0x100);
         cam.encode(0x200);
-        assert_eq!(cam.table(), vec![(0x100, 2), (0x200, 3), (0x300, 1)]);
+        assert_eq!(cam.table().collect::<Vec<_>>(), vec![(0x100, 2), (0x200, 3), (0x300, 1)]);
     }
 }

@@ -12,7 +12,7 @@
 //! Per retired instruction the engine does a region test, an exit-window test
 //! on the loop monitor's cached stack top and a branch test; everything else
 //! is driven by events.  The loop monitor bumps [`EngineStats`] in place and
-//! appends the pairs to hash and the completed loop records to one
+//! appends the pairs to hash and the completed loop records, packed, to one
 //! [`MonitorOutput`] that lives as long as the run.  The hash path is owed one
 //! step per retired instruction and settles the debt only when a batch of
 //! pairs arrives or the run ends (see [`crate::hash_ctrl`]).
@@ -22,7 +22,7 @@ use crate::config::{EngineConfig, BRANCH_EVENT_LATENCY};
 use crate::error::LofatError;
 use crate::hash_ctrl::HashController;
 use crate::loop_monitor::{LoopMonitor, MonitorOutput};
-use crate::metadata::Metadata;
+use crate::metadata::PackedMetadata;
 use lofat_crypto::Digest;
 use lofat_rv32::trace::{BranchKind, RetiredInst, TraceSink};
 use lofat_rv32::Program;
@@ -84,7 +84,7 @@ pub struct Measurement {
     /// The cumulative SHA-3-512 authenticator over the executed `(Src, Dest)` pairs.
     pub authenticator: Digest,
     /// The loop auxiliary metadata.
-    pub metadata: Metadata,
+    pub metadata: PackedMetadata,
     /// Engine statistics (not part of the signed report, but used by the evaluation).
     pub stats: EngineStats,
 }
@@ -93,7 +93,7 @@ impl Measurement {
     /// The byte string `A ‖ L` that the prover signs together with the nonce.
     pub fn signed_payload(&self) -> Vec<u8> {
         let mut payload = self.authenticator.as_bytes().to_vec();
-        payload.extend_from_slice(&self.metadata.to_bytes());
+        self.metadata.write_signed(&mut payload);
         payload
     }
 }
@@ -107,10 +107,10 @@ pub struct LofatEngine {
     hash: HashController,
     stats: EngineStats,
     /// The monitor's hand-off: the pairs of the current event, drained into
-    /// the hash path as one batch, and the loop records completed so far, the
-    /// metadata `L` at the end of the run.  Its buffers keep their capacity
-    /// across events, which is what makes the steady-state trace path
-    /// allocation-free.
+    /// the hash path as one batch, and the loop records completed so far,
+    /// packed, the metadata `L` at the end of the run.  Its buffers keep
+    /// their capacity across events, which is what makes the steady-state
+    /// trace path allocation-free.
     out: MonitorOutput,
     /// Current call depth (linking branches minus returns), for the recursion stat.
     call_depth: usize,
@@ -233,7 +233,7 @@ impl LofatEngine {
         self.finalized = true;
         Ok(Measurement {
             authenticator,
-            metadata: Metadata { loops: std::mem::take(&mut self.out.completed) },
+            metadata: std::mem::take(&mut self.out.metadata).finish(),
             stats: self.stats,
         })
     }
@@ -322,7 +322,7 @@ mod tests {
         let (measurement, _) = attest_program(&program, EngineConfig::default(), 100_000).unwrap();
         let stats = measurement.stats;
         assert_eq!(measurement.metadata.loop_count(), 1);
-        let record = &measurement.metadata.loops[0];
+        let record = &measurement.metadata.decode().loops[0];
         // The loop body runs 8 times: the back edge is taken 7 times, the first of
         // which creates the loop (hashed as a normal branch), so 6 completed
         // iterations of a single path are counted; the final not-taken exit pass is

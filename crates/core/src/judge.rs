@@ -31,6 +31,7 @@
 
 use crate::error::LofatError;
 use crate::measurement_db::PackedReference;
+use crate::metadata::{LoopHeader, PackedMetadata, PathRecord, Visit};
 use crate::report::AttestationReport;
 use crate::verifier::{Challenge, RejectionReason};
 use crate::wire::VerdictMsg;
@@ -147,8 +148,9 @@ impl<'r> Bound<'r> {
 
 /// Checks 4 (loop-path plausibility against `valid_paths`, the valid path
 /// ids per statically enumerated loop entry) and 5 (comparison with
-/// `reference`).  Compares in place and allocates nothing unless a check
-/// fails.
+/// `reference`).  Check 4 walks the report's packed metadata; check 5
+/// compares bytes, the authenticator's and then the packed metadata's, with
+/// the reference record's.  Allocates nothing unless a check fails.
 ///
 /// # Errors
 ///
@@ -158,33 +160,79 @@ pub(crate) fn measurement(
     valid_paths: &BTreeMap<u32, Vec<u32>>,
     reference: &PackedReference,
 ) -> Result<(), RejectionReason> {
-    for record in &report.metadata.loops {
-        // An overflowed encoder records path id 0, and indirect branches
-        // leave the statically enumerated paths: neither can be judged here.
-        if record.encoder_overflowed || !record.indirect_targets.is_empty() {
-            continue;
-        }
-        let Some(valid) = valid_paths.get(&record.entry) else { continue };
-        if let Some(path) = record.paths.iter().find(|path| !valid.contains(&path.path_id)) {
-            return Err(RejectionReason::InvalidLoopPath {
-                loop_entry: record.entry,
-                path_id: path.path_id,
-            });
-        }
+    if let Some(invalid) = invalid_loop_path(&report.metadata, valid_paths) {
+        return Err(invalid);
     }
     if reference.authenticator() != report.authenticator.as_bytes() {
         return Err(RejectionReason::AuthenticatorMismatch);
     }
-    if !reference.metadata_matches(&report.metadata) {
+    if reference.metadata() != report.metadata.as_bytes() {
         return Err(RejectionReason::MetadataMismatch);
     }
     Ok(())
 }
 
+/// Check 4: the first loop record, in exit order, that reports a path id
+/// outside its loop's valid ids, with the first such id.
+fn invalid_loop_path(
+    metadata: &PackedMetadata,
+    valid_paths: &BTreeMap<u32, Vec<u32>>,
+) -> Option<RejectionReason> {
+    let mut check = PathCheck { valid_paths, current: None, invalid: None, found: None };
+    metadata.visit(&mut check);
+    check.found
+}
+
+/// Check 4 as a walk over packed `L`.  A loop's indirect-target count comes
+/// after its paths, so the first invalid path of a loop is held until the
+/// count shows the loop can be judged.
+struct PathCheck<'v> {
+    valid_paths: &'v BTreeMap<u32, Vec<u32>>,
+    /// The current loop's entry and valid path ids, when the table lists it
+    /// and its encoder did not overflow.
+    current: Option<(u32, &'v [u32])>,
+    /// The current loop's first path id outside its valid ids.
+    invalid: Option<u32>,
+    /// The first failure.
+    found: Option<RejectionReason>,
+}
+
+impl Visit for PathCheck<'_> {
+    fn loop_header(&mut self, header: &LoopHeader) {
+        // An overflowed encoder records path id 0: its paths cannot be
+        // judged here.
+        self.current = if header.encoder_overflowed {
+            None
+        } else {
+            self.valid_paths.get(&header.entry).map(|ids| (header.entry, &ids[..]))
+        };
+        self.invalid = None;
+    }
+
+    fn path(&mut self, path: PathRecord) {
+        if let (Some((_, valid)), None) = (self.current, self.invalid) {
+            if !valid.contains(&path.path_id) {
+                self.invalid = Some(path.path_id);
+            }
+        }
+    }
+
+    fn targets(&mut self, count: usize) {
+        // Indirect branches leave the statically enumerated paths: a loop
+        // that took any cannot be judged here either.
+        if let (Some((loop_entry, _)), Some(path_id), 0, None) =
+            (self.current, self.invalid, count, &self.found)
+        {
+            self.found = Some(RejectionReason::InvalidLoopPath { loop_entry, path_id });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::{LoopRecord, Metadata, PathRecord};
+    use crate::metadata::{LoopRecord, Metadata};
+    use crate::report::tests::edit_metadata;
     use lofat_crypto::{Nonce, Signature};
 
     const ENTRY: u32 = 0x1010;
@@ -209,7 +257,8 @@ mod tests {
                     indirect_targets: Vec::new(),
                     encoder_overflowed: false,
                 }],
-            },
+            }
+            .pack(),
             nonce: Nonce::from_counter(1),
             signature: Signature::from_bytes(vec![7; 64]),
         }
@@ -248,7 +297,7 @@ mod tests {
 
         // Break the checks from the last to the first; each time the newly
         // broken, earlier check decides.
-        report.metadata.loops[0].exit ^= 1;
+        edit_metadata(&mut report, |m| m.loops[0].exit ^= 1);
         assert_eq!(
             judge(&report, &signed()),
             Judgement::Rejected(RejectionReason::MetadataMismatch)
@@ -256,7 +305,7 @@ mod tests {
         report.authenticator = Digest::from_bytes(vec![0xbb; 64]);
         let authenticator = Judgement::Rejected(RejectionReason::AuthenticatorMismatch);
         assert_eq!(judge(&report, &signed()), authenticator);
-        report.metadata.loops[0].paths[0].path_id = 0b1_111;
+        edit_metadata(&mut report, |m| m.loops[0].paths[0].path_id = 0b1_111);
         let invalid = RejectionReason::InvalidLoopPath { loop_entry: ENTRY, path_id: 0b1_111 };
         assert_eq!(judge(&report, &signed()), Judgement::Rejected(invalid));
         assert_eq!(judge(&report, &unsigned), Judgement::Refused(RejectionReason::BadSignature));
@@ -285,21 +334,22 @@ mod tests {
     #[test]
     fn loops_the_table_cannot_judge_are_skipped() {
         let mut report = honest();
-        report.metadata.loops[0].paths[0].path_id = 0b1_111;
+        edit_metadata(&mut report, |m| m.loops[0].paths[0].path_id = 0b1_111);
         let mut overflowed = report.clone();
-        overflowed.metadata.loops[0].encoder_overflowed = true;
+        edit_metadata(&mut overflowed, |m| m.loops[0].encoder_overflowed = true);
         let mut indirect = report.clone();
-        indirect.metadata.loops[0]
-            .indirect_targets
-            .push(crate::metadata::IndirectTargetRecord { target: 0x2000, code: 1 });
+        edit_metadata(&mut indirect, |m| {
+            let target = crate::metadata::IndirectTargetRecord { target: 0x2000, code: 1 };
+            m.loops[0].indirect_targets.push(target)
+        });
         let mut unlisted = report.clone();
-        unlisted.metadata.loops[0].entry = 0x2020;
+        edit_metadata(&mut unlisted, |m| m.loops[0].entry = 0x2020);
         for skipped in [overflowed, indirect, unlisted] {
             assert_eq!(
                 measurement(&skipped, &valid(), &reference()),
                 Err(RejectionReason::MetadataMismatch),
                 "{:?}",
-                skipped.metadata.loops[0]
+                skipped.metadata.decode().loops[0]
             );
         }
     }

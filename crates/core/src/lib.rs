@@ -98,7 +98,7 @@ pub use engine::{attest_program, EngineStats, LofatEngine, Measurement};
 pub use error::LofatError;
 pub use judge::Judgement;
 pub use measurement_db::{MeasurementDatabase, PackedReference, ReferenceMeasurement};
-pub use metadata::{LoopRecord, Metadata, PathRecord};
+pub use metadata::{LoopRecord, Metadata, PackedMetadata, PathRecord};
 pub use pool::{ParallelVerifier, PoolConfig, VerdictReply};
 pub use prover::{Adversary, NoAdversary, Prover, ProverRun};
 pub use report::AttestationReport;

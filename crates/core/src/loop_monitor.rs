@@ -5,13 +5,15 @@
 //! inside a loop with the [`crate::path_encoder::PathEncoder`], counts path
 //! iterations in the [`crate::loop_counter_mem::LoopCounterMemory`], re-encodes
 //! indirect-branch targets via the [`crate::cam::IndirectTargetCam`], and — on loop
-//! exit — asks the metadata generator to assemble the loop's
-//! [`crate::metadata::LoopRecord`].
+//! exit — has the metadata generator append the loop's record to `L`, read
+//! straight from the path counters and the CAM into the run's one packed
+//! buffer.
 //!
 //! Its contract with the engine: every step appends the `(Src, Dest)` pairs to
 //! hash now and the loop records it completes to the engine's [`MonitorOutput`],
 //! and bumps the engine's [`EngineStats`] counters where the events happen.
-//! Nothing is cleared or re-absorbed per event.
+//! Nothing is cleared or re-absorbed per event, and a loop exit allocates
+//! nothing but the packed buffer's occasional growth.
 //!
 //! A loop's steady state is two events: a decision inside the innermost body
 //! and the innermost back edge.  [`LoopMonitor::on_branch`] decides both from
@@ -24,7 +26,7 @@ use crate::cam::IndirectTargetCam;
 use crate::config::{EngineConfig, LOOP_EXIT_LATENCY};
 use crate::engine::EngineStats;
 use crate::loop_counter_mem::{LoopCounterMemory, PathObservation};
-use crate::metadata::{IndirectTargetRecord, LoopRecord, PathRecord};
+use crate::metadata::{IndirectTargetRecord, LoopHeader, PackedWriter, PathRecord, Visit};
 use crate::path_encoder::PathEncoder;
 use lofat_rv32::trace::BranchKind;
 
@@ -81,41 +83,32 @@ impl ActiveLoop {
         pc >= self.entry && pc < self.exit
     }
 
-    /// Finishes this activation: hands off its [`LoopRecord`] and any leftover
-    /// partial-path pairs and counts the exit.  The activation is left drained
-    /// so the monitor can recycle it.
+    /// Finishes this activation: appends its loop record to `out.metadata`,
+    /// hands off any leftover partial-path pairs and counts the exit.  The
+    /// activation is left drained so the monitor can recycle it.
     ///
     /// The leftover pairs of a partial (uncounted) path must still be covered by
     /// the authenticator, so they go to `out.hash_now` for direct hashing.
     fn finish_into(&mut self, stats: &mut EngineStats, out: &mut MonitorOutput) {
-        let record = LoopRecord {
+        let metadata = &mut out.metadata;
+        metadata.loop_header(&LoopHeader {
             entry: self.entry,
             exit: self.exit,
             nesting_depth: self.depth,
-            paths: self
-                .counters
-                .entries_slice()
-                .iter()
-                .enumerate()
-                .map(|(order, &(path_id, iterations))| PathRecord {
-                    path_id,
-                    first_occurrence: order,
-                    iterations,
-                })
-                .collect(),
-            indirect_targets: self
-                .cam
-                .table()
-                .into_iter()
-                .map(|(target, code)| IndirectTargetRecord { target, code })
-                .collect(),
             encoder_overflowed: self.overflowed,
-        };
+        });
+        let paths = self.counters.entries_slice();
+        metadata.paths(paths.len());
+        for (order, &(path_id, iterations)) in paths.iter().enumerate() {
+            metadata.path(PathRecord { path_id, first_occurrence: order, iterations });
+        }
+        let targets = self.cam.table();
+        metadata.targets(targets.len());
+        targets.for_each(|(target, code)| metadata.target(IndirectTargetRecord { target, code }));
         stats.cam_overflows += self.cam.overflows();
         stats.loops_exited += 1;
         stats.internal_latency_cycles += LOOP_EXIT_LATENCY;
         self.current_path.drain_into(&mut out.hash_now);
-        out.completed.push(record);
     }
 
     /// Pushes path-encoder bits / CAM codes and buffers the pair for the current path.
@@ -179,14 +172,14 @@ impl ActiveLoop {
 /// [`LoopMonitor::finalize`]; the monitor only ever appends to it.  The engine
 /// drains `hash_now` into the hash path after every step that filled it
 /// (keeping its capacity, so the steady-state trace path performs no
-/// per-instruction heap allocation), and `completed` becomes the loop
+/// per-instruction heap allocation), and finishes `metadata` into the loop
 /// metadata `L` when the run ends.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorOutput {
     /// `(Src, Dest)` pairs to forward to the hash engine now.
     pub hash_now: Vec<BranchPair>,
-    /// Loop records completed so far, in exit order.
-    pub completed: Vec<LoopRecord>,
+    /// Loop records completed so far, in exit order, packed.
+    pub(crate) metadata: PackedWriter,
 }
 
 impl MonitorOutput {
@@ -459,6 +452,7 @@ impl LoopMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::LoopRecord;
     use lofat_rv32::trace::BranchKind;
 
     fn event(src: u32, target: u32, kind: BranchKind, taken: bool) -> BranchEvent {
@@ -502,6 +496,11 @@ mod tests {
         step
     }
 
+    /// The loop records a step completed, decoded.
+    fn completed(step: &Step) -> Vec<LoopRecord> {
+        step.out.metadata.clone().finish().decode().loops
+    }
+
     #[test]
     fn loop_entry_and_iteration_counting() {
         let mut monitor = LoopMonitor::new(config());
@@ -531,8 +530,9 @@ mod tests {
         let step = check_exits(&mut monitor, 0x1014);
         assert_eq!(step.stats.loops_exited, 1);
         assert_eq!(step.stats.internal_latency_cycles, LOOP_EXIT_LATENCY);
-        assert_eq!(step.out.completed.len(), 1);
-        let record = &step.out.completed[0];
+        let completed = completed(&step);
+        assert_eq!(completed.len(), 1);
+        let record = &completed[0];
         assert_eq!(record.entry, 0x1008);
         assert_eq!(record.exit, 0x1014);
         assert_eq!(record.total_iterations(), 3);
@@ -610,7 +610,7 @@ mod tests {
         // Complete the iteration, then exit and inspect the record.
         on_branch(&mut monitor, &event(0x1040, 0x1000, BranchKind::Conditional, true));
         let step = check_exits(&mut monitor, 0x2000);
-        let record = &step.out.completed[0];
+        let record = &completed(&step)[0];
         assert_eq!(record.indirect_targets.len(), 1);
         assert_eq!(record.indirect_targets[0].target, 0x1020);
         assert_eq!(record.indirect_targets[0].code, 1);
@@ -623,7 +623,7 @@ mod tests {
         on_branch(&mut monitor, &event(0x1010, 0x1008, BranchKind::Conditional, true));
         let step = finalize(&mut monitor);
         assert_eq!(step.stats.loops_exited, 1);
-        assert_eq!(step.out.completed.len(), 1);
+        assert_eq!(completed(&step).len(), 1);
         assert!(!monitor.is_tracking());
     }
 

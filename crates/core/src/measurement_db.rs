@@ -12,14 +12,15 @@
 //! so the judge's loop-path check ([`crate::judge`]) needs no CFG either.
 //!
 //! Each entry is held as a [`PackedReference`]: `A` and `L` in one heap block of
-//! LEB128 varints, about a fifth of the bytes `L` takes signed.  The comparison
-//! walks that record field by field.  The record ends in `L`'s packed form,
-//! which is also its codec form, so the database's wire bytes and snapshots
-//! copy records rather than re-encode them.
+//! LEB128 varints, about a fifth of the bytes `L` takes signed.  The record
+//! ends in `L`'s packed form, which is also its codec form, so the judge
+//! compares a report's packed `L` with the record's tail byte for byte, and
+//! the database's wire bytes and snapshots copy records rather than
+//! re-encode them.
 
 use crate::config::EngineConfig;
 use crate::error::LofatError;
-use crate::metadata::{for_each_field, put_varint, strip_varint, varint_len, Fields, Metadata};
+use crate::metadata::{put_varint, validate, varint_len, Fields, PackedMetadata};
 use crate::report::AttestationReport;
 use crate::verifier::Verifier;
 use lofat_crypto::Digest;
@@ -41,7 +42,7 @@ pub struct ReferenceMeasurement {
     /// The expected authenticator `A` for this input.
     pub authenticator: Digest,
     /// The expected loop metadata `L` for this input.
-    pub metadata: Metadata,
+    pub metadata: PackedMetadata,
     /// The expected program result (`a0` at exit) — useful for device health checks.
     pub expected_result: u32,
 }
@@ -50,7 +51,7 @@ pub struct ReferenceMeasurement {
 /// into a single heap block.
 ///
 /// The record is `A`'s length as a LEB128 varint and its bytes, then `L` in
-/// its packed form ([`Metadata::to_packed`]).  The encoding is canonical, so
+/// its packed form ([`PackedMetadata`]).  The encoding is canonical, so
 /// two records are equal exactly when the measurements are.  The codec form
 /// is a [`ReferenceMeasurement`]'s, byte for byte: `A` and the packed `L`,
 /// each behind its length, then the expected result.  The record already
@@ -58,7 +59,7 @@ pub struct ReferenceMeasurement {
 /// has accepted the packed `L`, keeps what it read.
 /// [`MeasurementDatabase::check`] returns the entry a report matched, and
 /// [`MeasurementDatabase::reference`] decodes one.  The judge compares a
-/// report with a record in place.
+/// report with a record in place, byte for byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedReference {
     /// The expected program result (`a0` at exit) — useful for device health checks.
@@ -67,16 +68,23 @@ pub struct PackedReference {
 }
 
 impl PackedReference {
-    /// Packs a measurement and its program result into a record of exactly
-    /// the bytes it needs.
-    pub(crate) fn new(authenticator: &Digest, metadata: &Metadata, expected_result: u32) -> Self {
-        let digest = authenticator.as_bytes();
-        let len = varint_len(digest.len() as u64) + digest.len() + metadata.packed_len();
+    /// Copies a measurement's `A` and packed `L`, and its program result,
+    /// into a record of exactly the bytes it needs.
+    pub(crate) fn new(
+        authenticator: &Digest,
+        metadata: &PackedMetadata,
+        expected_result: u32,
+    ) -> Self {
+        Self::from_parts(authenticator.as_bytes(), metadata.as_bytes(), expected_result)
+    }
+
+    /// The record of a digest and packed metadata the caller vouches for.
+    fn from_parts(digest: &[u8], metadata: &[u8], expected_result: u32) -> Self {
+        let len = varint_len(digest.len() as u64) + digest.len() + metadata.len();
         let mut record = Vec::with_capacity(len);
         put_varint(&mut record, digest.len() as u64);
         record.extend_from_slice(digest);
-        metadata.write_packed(&mut record);
-        debug_assert_eq!(record.len(), len);
+        record.extend_from_slice(metadata);
         Self { expected_result, record: record.into_boxed_slice() }
     }
 
@@ -89,12 +97,12 @@ impl PackedReference {
         (digest, fields.rest())
     }
 
-    /// Decodes the record back into the measurement it packs.
+    /// Copies the record back out into the measurement it packs.
     fn unpack(&self) -> ReferenceMeasurement {
         let (digest, metadata) = self.parts();
         ReferenceMeasurement {
             authenticator: Digest::from_bytes(digest.to_vec()),
-            metadata: Metadata::from_packed(metadata).expect(PACKED),
+            metadata: PackedMetadata::from_packed(metadata).expect(PACKED),
             expected_result: self.expected_result,
         }
     }
@@ -104,16 +112,9 @@ impl PackedReference {
         self.parts().0
     }
 
-    /// Whether `metadata` is the expected metadata, compared field by field
-    /// in place without decoding the record or allocating: the record holds
-    /// the writer's output, so each field must be the varint it would write.
-    pub(crate) fn metadata_matches(&self, metadata: &Metadata) -> bool {
-        let mut rest = self.parts().1;
-        // Counts are fields too, so a walk that matches every field has read
-        // the whole record.
-        for_each_field(metadata, |value| {
-            strip_varint(rest, value).map(|tail| rest = tail).is_some()
-        })
+    /// The expected metadata's packed bytes, read in place.
+    pub(crate) fn metadata(&self) -> &[u8] {
+        self.parts().1
     }
 }
 
@@ -134,18 +135,15 @@ impl serde::Deserialize for PackedReference {
         let digest = deserializer.read_bytes(len)?;
         let len = deserializer.read_len()?;
         let metadata = deserializer.read_bytes(len)?;
-        Metadata::from_packed(metadata)?;
+        validate(metadata)?;
         let expected_result = u32::deserialize(deserializer)?;
-        let mut record = Vec::with_capacity(varint_len(digest.len() as u64) + len + digest.len());
-        put_varint(&mut record, digest.len() as u64);
-        record.extend_from_slice(digest);
-        record.extend_from_slice(metadata);
-        Ok(Self { expected_result, record: record.into_boxed_slice() })
+        Ok(Self::from_parts(digest, metadata, expected_result))
     }
 }
 
-/// Why reading a record cannot fail: [`PackedReference::new`] writes them,
-/// and the codec keeps only packed metadata [`Metadata::from_packed`] accepts.
+/// Why reading a record cannot fail: [`PackedReference::new`] copies packed
+/// metadata, and the codec keeps only packed metadata the strict reader
+/// accepts.
 const PACKED: &str = "records hold a digest and canonical packed metadata";
 
 /// A database of reference measurements keyed by program input.
@@ -418,8 +416,10 @@ fn replay_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::{IndirectTargetRecord, LoopRecord, PathRecord};
+    use crate::metadata::tests::mutated;
+    use crate::metadata::{IndirectTargetRecord, LoopRecord, Metadata, PathRecord};
     use crate::prover::Prover;
+    use crate::report::tests::edit_metadata;
     use crate::verifier::RejectionReason;
     use lofat_crypto::{DeviceKey, Nonce, Signature};
     use lofat_rv32::asm::assemble;
@@ -508,7 +508,7 @@ mod tests {
         // A path outside the CFG is found before the metadata comparison.
         let mut invalid = run.report;
         let path = PathRecord { path_id: 0b1_1111, first_occurrence: 1, iterations: 1 };
-        invalid.metadata.loops[0].paths.push(path);
+        edit_metadata(&mut invalid, |m| m.loops[0].paths.push(path));
         let err = db.check(&[2], &invalid).unwrap_err();
         assert!(matches!(
             err,
@@ -578,32 +578,72 @@ mod tests {
         }
     }
 
-    fn reference() -> impl Strategy<Value = ReferenceMeasurement> {
+    /// A decoded reference: `A`, `L` and the expected result.
+    fn reference() -> impl Strategy<Value = (Digest, Metadata, u32)> {
         (
             proptest::collection::vec(any::<u8>(), 0..140),
             crate::metadata::tests::arbitrary(),
             any::<u32>(),
         )
-            .prop_map(|(digest, metadata, expected_result)| ReferenceMeasurement {
-                authenticator: Digest::from_bytes(digest),
-                metadata,
-                expected_result,
+            .prop_map(|(digest, metadata, expected_result)| {
+                (Digest::from_bytes(digest), metadata, expected_result)
             })
     }
 
-    /// The comparison `check` made before references were packed, less the
-    /// program id (the judge's first check): struct equality, field group by
-    /// field group.
+    /// A valid-path table for `metadata` that `seed` picks: each loop's entry
+    /// listed or not, with some of its path ids left out and an unused one
+    /// added, plus an entry no loop has.
+    fn valid_paths_for(metadata: &Metadata, seed: u64) -> BTreeMap<u32, Vec<u32>> {
+        let mut bits = (0..).map(|i: u32| seed.rotate_right(i % 64) & 1 == 1);
+        let mut table = BTreeMap::from([(0x7777_7770, vec![3])]);
+        for l in &metadata.loops {
+            if bits.next().unwrap_or(false) {
+                let ids = l.paths.iter().map(|p| p.path_id).filter(|_| bits.next() != Some(false));
+                table.insert(l.entry, ids.chain([0b1_0101]).collect());
+            }
+        }
+        table
+    }
+
+    /// Check 4 as the judge ran it on decoded records: the first record,
+    /// in exit order, that neither overflowed its encoder nor took an
+    /// indirect branch, whose entry the table lists and which reports a path
+    /// id outside it, with the first such id.
+    fn struct_loop_path_check(
+        metadata: &Metadata,
+        valid_paths: &BTreeMap<u32, Vec<u32>>,
+    ) -> Result<(), RejectionReason> {
+        for record in &metadata.loops {
+            if record.encoder_overflowed || !record.indirect_targets.is_empty() {
+                continue;
+            }
+            let Some(valid) = valid_paths.get(&record.entry) else { continue };
+            if let Some(path) = record.paths.iter().find(|path| !valid.contains(&path.path_id)) {
+                return Err(RejectionReason::InvalidLoopPath {
+                    loop_entry: record.entry,
+                    path_id: path.path_id,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The checks `check` runs, on decoded structs, less the program id (the
+    /// judge's first check): check 4 on the records, then struct equality,
+    /// field group by field group.
     fn compare_structs(
-        reference: &ReferenceMeasurement,
+        (authenticator, metadata, expected_result): &(Digest, Metadata, u32),
+        valid_paths: &BTreeMap<u32, Vec<u32>>,
         report: &AttestationReport,
     ) -> Result<u32, RejectionReason> {
-        if reference.authenticator != report.authenticator {
+        let reported = report.metadata.decode();
+        struct_loop_path_check(&reported, valid_paths)?;
+        if *authenticator != report.authenticator {
             Err(RejectionReason::AuthenticatorMismatch)
-        } else if reference.metadata != report.metadata {
+        } else if *metadata != reported {
             Err(RejectionReason::MetadataMismatch)
         } else {
-            Ok(reference.expected_result)
+            Ok(*expected_result)
         }
     }
 
@@ -637,48 +677,54 @@ mod tests {
             indirect_targets: Vec::new(),
             encoder_overflowed: false,
         };
-        push(&|r| r.metadata.loops.push(new_loop.clone()));
+        push(&|r| edit_metadata(r, |m| m.loops.push(new_loop.clone())));
         push(&|r| {
-            r.metadata.loops.pop();
+            edit_metadata(r, |m| {
+                m.loops.pop();
+            })
         });
-        for (i, l) in report.metadata.loops.iter().enumerate() {
+        for (i, l) in report.metadata.decode().loops.iter().enumerate() {
             for v in [!l.entry, l.entry ^ 1] {
-                push(&|r| r.metadata.loops[i].entry = v);
+                push(&|r| edit_metadata(r, |m| m.loops[i].entry = v));
             }
             for v in [!l.exit, l.exit ^ 1] {
-                push(&|r| r.metadata.loops[i].exit = v);
+                push(&|r| edit_metadata(r, |m| m.loops[i].exit = v));
             }
             for v in [!l.nesting_depth, l.nesting_depth ^ 1] {
-                push(&|r| r.metadata.loops[i].nesting_depth = v);
+                push(&|r| edit_metadata(r, |m| m.loops[i].nesting_depth = v));
             }
-            push(&|r| r.metadata.loops[i].encoder_overflowed = !l.encoder_overflowed);
+            push(&|r| edit_metadata(r, |m| m.loops[i].encoder_overflowed = !l.encoder_overflowed));
             let new_path = PathRecord { path_id: 1, first_occurrence: 0, iterations: 1 };
-            push(&|r| r.metadata.loops[i].paths.push(new_path));
+            push(&|r| edit_metadata(r, |m| m.loops[i].paths.push(new_path)));
             push(&|r| {
-                r.metadata.loops[i].paths.pop();
+                edit_metadata(r, |m| {
+                    m.loops[i].paths.pop();
+                })
             });
             for (j, p) in l.paths.iter().enumerate() {
                 for v in [!p.path_id, p.path_id ^ 1] {
-                    push(&|r| r.metadata.loops[i].paths[j].path_id = v);
+                    push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].path_id = v));
                 }
                 for v in [!p.first_occurrence, p.first_occurrence ^ 1] {
-                    push(&|r| r.metadata.loops[i].paths[j].first_occurrence = v);
+                    push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].first_occurrence = v));
                 }
                 for v in [!p.iterations, p.iterations ^ 1] {
-                    push(&|r| r.metadata.loops[i].paths[j].iterations = v);
+                    push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].iterations = v));
                 }
             }
             let new_target = IndirectTargetRecord { target: 4, code: 1 };
-            push(&|r| r.metadata.loops[i].indirect_targets.push(new_target));
+            push(&|r| edit_metadata(r, |m| m.loops[i].indirect_targets.push(new_target)));
             push(&|r| {
-                r.metadata.loops[i].indirect_targets.pop();
+                edit_metadata(r, |m| {
+                    m.loops[i].indirect_targets.pop();
+                })
             });
             for (j, t) in l.indirect_targets.iter().enumerate() {
                 for v in [!t.target, t.target ^ 1] {
-                    push(&|r| r.metadata.loops[i].indirect_targets[j].target = v);
+                    push(&|r| edit_metadata(r, |m| m.loops[i].indirect_targets[j].target = v));
                 }
                 for v in [!t.code, t.code ^ 1] {
-                    push(&|r| r.metadata.loops[i].indirect_targets[j].code = v);
+                    push(&|r| edit_metadata(r, |m| m.loops[i].indirect_targets[j].code = v));
                 }
             }
         }
@@ -687,38 +733,58 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        /// Checks 4 and 5 on packed bytes give the rejection the struct
+        /// walk gives: with no valid-path table and with one `seed` picks,
+        /// on the honest report, every single-field mutation of it and the
+        /// one-byte edit of its packed `L` that `edit`, `at` and `byte`
+        /// pick, when the reader accepts it.
         #[test]
-        fn packed_references_round_trip_and_compare_like_the_structs(reference in reference()) {
-            let packed = PackedReference::new(
-                &reference.authenticator,
-                &reference.metadata,
-                reference.expected_result,
-            );
-            prop_assert_eq!(packed.unpack(), reference.clone());
-            prop_assert_eq!(serde::to_bytes(&packed), serde::to_bytes(&reference));
+        fn packed_references_round_trip_and_compare_like_the_structs(
+            reference in reference(),
+            seed in any::<u64>(),
+            edit in 0..3u8,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let (authenticator, metadata, expected_result) = &reference;
+            let metadata = metadata.pack();
+            let packed = PackedReference::new(authenticator, &metadata, *expected_result);
+            let decoded = ReferenceMeasurement {
+                authenticator: authenticator.clone(),
+                metadata: metadata.clone(),
+                expected_result: *expected_result,
+            };
+            prop_assert_eq!(packed.unpack(), decoded.clone());
+            prop_assert_eq!(serde::to_bytes(&packed), serde::to_bytes(&decoded));
 
             let input = vec![7u32];
-            let db = MeasurementDatabase {
-                program_id: "packed".into(),
-                entries: BTreeMap::from([(input.clone(), packed)]),
-                config: EngineConfig::default(),
-                valid_paths: BTreeMap::new(),
-            };
             let honest = AttestationReport {
                 program_id: "packed".into(),
-                authenticator: reference.authenticator.clone(),
-                metadata: reference.metadata.clone(),
+                authenticator: authenticator.clone(),
+                metadata: metadata.clone(),
                 nonce: Nonce::from_counter(1),
                 signature: Signature::from_bytes(Vec::new()),
             };
-            let mutations = single_field_mutations(&honest);
-            for report in std::iter::once(&honest).chain(&mutations) {
-                let packed = match db.check(&input, report) {
-                    Ok(matched) => Ok(matched.expected_result),
-                    Err(LofatError::Rejected(reason)) => Err(reason),
-                    Err(other) => panic!("a stored input came back as {other:?}"),
+            let mut reports = single_field_mutations(&honest);
+            if let Ok(edited) = PackedMetadata::from_packed(&mutated(metadata.as_bytes(), edit, at, byte)) {
+                reports.push(AttestationReport { metadata: edited, ..honest.clone() });
+            }
+            reports.push(honest);
+            for valid_paths in [BTreeMap::new(), valid_paths_for(&reference.1, seed)] {
+                let db = MeasurementDatabase {
+                    program_id: "packed".into(),
+                    entries: BTreeMap::from([(input.clone(), packed.clone())]),
+                    config: EngineConfig::default(),
+                    valid_paths: valid_paths.clone(),
                 };
-                prop_assert_eq!(packed, compare_structs(&reference, report));
+                for report in &reports {
+                    let packed = match db.check(&input, report) {
+                        Ok(matched) => Ok(matched.expected_result),
+                        Err(LofatError::Rejected(reason)) => Err(reason),
+                        Err(other) => panic!("a stored input came back as {other:?}"),
+                    };
+                    prop_assert_eq!(packed, compare_structs(&reference, &valid_paths, report));
+                }
             }
         }
     }

@@ -6,12 +6,19 @@
 //! hash value `A` and covered by the attestation signature; the verifier uses it to
 //! reconstruct (and judge) the compressed part of the execution path.
 //!
-//! `L` has two byte forms.  [`Metadata::to_bytes`] is the fixed-width layout
-//! the signature covers.  [`Metadata::to_packed`] transcodes it losslessly to
-//! LEB128 varints, about a quarter of the bytes; that packed form is the one
-//! the wire, the reference database, snapshots and the verifier's verdict
-//! cache carry, and [`Metadata::from_packed`] reads it back, accepting only
-//! what the writer produces.
+//! Every data structure holds `L` as a [`PackedMetadata`]: one heap block of
+//! LEB128 varints, about a quarter of the bytes of the fixed-width layout the
+//! signature covers.  The loop monitor writes it as each loop exits, and the
+//! wire, the reference database, snapshots and the verifier's verdict cache
+//! carry it as it is.  The signed layout is transcoded from it by one
+//! streaming writer ([`PackedMetadata::to_bytes`]).  [`Metadata`] is the
+//! decoded view ([`PackedMetadata::decode`]) for tests, the CLI and the
+//! experiments that inspect loop records.
+//!
+//! One walk reads the packed form, and accepts only what the writer
+//! produces.  Validating it ([`PackedMetadata::from_packed`]), decoding it
+//! ([`Metadata::from_packed`]), transcoding it and the judge's loop-path check
+//! are visitors of that walk.
 
 /// One indirect-branch target observed inside a loop, with the n-bit code the CAM
 /// assigned to it.
@@ -63,10 +70,9 @@ impl LoopRecord {
     }
 }
 
-/// The auxiliary metadata `L` of one attested execution.
-///
-/// Its codec form is the packed form ([`Metadata::to_packed`]) behind a
-/// `u32` length prefix.
+/// The auxiliary metadata `L` of one attested execution, decoded: the view
+/// [`PackedMetadata::decode`] returns, with one record per loop execution.
+/// [`Metadata::pack`] writes it back.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metadata {
     /// Loop records in the order the loops exited.
@@ -94,96 +100,98 @@ impl Metadata {
         self.loops.iter().map(LoopRecord::distinct_paths).sum()
     }
 
-    /// Deterministic fixed-width encoding of the metadata: the form covered by
-    /// the attestation signature.  The wire carries its lossless transcoding,
-    /// [`Metadata::to_packed`], and the verifier rebuilds this form from the
-    /// decoded struct to check the signature.
-    ///
-    /// Layout (all little-endian):
-    /// `loop_count:u32` then per loop: `entry:u32, exit:u32, depth:u64,
-    /// overflowed:u8, path_count:u32, {path_id:u32, first_occurrence:u64,
-    /// iterations:u64}*, target_count:u32, {target:u32, code:u32}*`.
-    ///
-    /// The `usize` fields (`nesting_depth`, `first_occurrence`) are encoded at
-    /// their full width, matching the wire codec (which carries `usize` as
-    /// `u64`).  This must stay injective over everything the wire can decode:
-    /// an earlier u32 truncation here meant two distinct wire reports shared
-    /// one signature, so an attacker flipping a high byte of either field
-    /// produced an *authenticated* `MetadataMismatch` that spent the live
-    /// session — a remote denial of service the wire fuzzer
-    /// (`tests/fuzz_wire_net.rs`) caught on its first full run.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.loops.len() as u32).to_le_bytes());
+    /// The packed form of this view, written by the one writer of packed `L`.
+    pub fn pack(&self) -> PackedMetadata {
+        let mut writer = PackedWriter::default();
         for l in &self.loops {
-            out.extend_from_slice(&l.entry.to_le_bytes());
-            out.extend_from_slice(&l.exit.to_le_bytes());
-            out.extend_from_slice(&(l.nesting_depth as u64).to_le_bytes());
-            out.push(u8::from(l.encoder_overflowed));
-            out.extend_from_slice(&(l.paths.len() as u32).to_le_bytes());
-            for p in &l.paths {
-                out.extend_from_slice(&p.path_id.to_le_bytes());
-                out.extend_from_slice(&(p.first_occurrence as u64).to_le_bytes());
-                out.extend_from_slice(&p.iterations.to_le_bytes());
-            }
-            out.extend_from_slice(&(l.indirect_targets.len() as u32).to_le_bytes());
-            for t in &l.indirect_targets {
-                out.extend_from_slice(&t.target.to_le_bytes());
-                out.extend_from_slice(&t.code.to_le_bytes());
-            }
+            writer.loop_header(&LoopHeader {
+                entry: l.entry,
+                exit: l.exit,
+                nesting_depth: l.nesting_depth,
+                encoder_overflowed: l.encoder_overflowed,
+            });
+            writer.paths(l.paths.len());
+            l.paths.iter().for_each(|&path| writer.path(path));
+            writer.targets(l.indirect_targets.len());
+            l.indirect_targets.iter().for_each(|&target| writer.target(target));
         }
-        out
+        writer.finish()
     }
 
-    /// Size of the signed fixed-width layout ([`Metadata::to_bytes`]) in bytes —
-    /// the quantity experiment E7 sweeps ("the length of the auxiliary metadata
-    /// that must be sent to V depends on the number of loops executed, the
-    /// number of different paths per loop, and the number of indirect branch
-    /// targets", §6.1).  The wire carries a lossless varint transcoding of that
-    /// layout ([`Metadata::packed_len`] bytes), which grows with the same three
-    /// counts and also with the logarithm of the values recorded.
-    pub fn size_bytes(&self) -> usize {
-        self.to_bytes().len()
+    /// Reads packed `L` into its decoded view.  The walk is
+    /// [`PackedMetadata::from_packed`]'s, so both accept and reject exactly
+    /// the same bytes with the same errors.  Allocates at most a small
+    /// multiple of `bytes.len()`: every count is checked against the bytes
+    /// left before anything is reserved for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`PackedMetadata::from_packed`].
+    pub fn from_packed(bytes: &[u8]) -> Result<Self, serde::Error> {
+        let mut view = Self::new();
+        walk(bytes, &mut view)?;
+        Ok(view)
+    }
+}
+
+/// Decoding: the view grows record by record as the walk reads them.
+impl Visit for Metadata {
+    fn loops(&mut self, count: usize) {
+        self.loops.reserve_exact(count);
     }
 
-    /// The packed form of the metadata: every integer [`Metadata::to_bytes`]
-    /// signs, in the same order (loop count; per loop its entry, exit, depth,
-    /// overflow flag and path count, each path's id, first occurrence and
-    /// iterations, its target count, each target and code), as a LEB128
-    /// varint.  Each value takes one byte per 7 significant bits, so the
-    /// counts, flags and small addresses that dominate `L` shrink to a byte
-    /// or two.  [`Metadata::from_packed`] inverts it.
-    pub fn to_packed(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_packed(&mut out);
-        out
-    }
-
-    /// Length of [`Metadata::to_packed`] in bytes, computed without writing it.
-    pub fn packed_len(&self) -> usize {
-        let mut len = 0;
-        for_each_field(self, |value| {
-            len += varint_len(value);
-            true
-        });
-        len
-    }
-
-    /// Appends the packed form to `out`.  The one writer of the packed form:
-    /// [`Metadata::to_packed`], the codec, the reference database's records
-    /// and the verdict cache's keys all go through it.
-    pub(crate) fn write_packed(&self, out: &mut Vec<u8>) {
-        for_each_field(self, |value| {
-            put_varint(out, value);
-            true
+    fn loop_header(&mut self, header: &LoopHeader) {
+        self.loops.push(LoopRecord {
+            entry: header.entry,
+            exit: header.exit,
+            nesting_depth: header.nesting_depth,
+            paths: Vec::new(),
+            indirect_targets: Vec::new(),
+            encoder_overflowed: header.encoder_overflowed,
         });
     }
 
-    /// Reads the packed form back, accepting only what
-    /// [`Metadata::to_packed`] writes, so that one packed form belongs to one
-    /// signed form.  Allocates at most a small multiple of `bytes.len()`:
-    /// every count is checked against the bytes left before anything is
-    /// reserved for it.
+    fn paths(&mut self, count: usize) {
+        self.loops.last_mut().expect(HEADER_FIRST).paths.reserve_exact(count);
+    }
+
+    fn path(&mut self, path: PathRecord) {
+        self.loops.last_mut().expect(HEADER_FIRST).paths.push(path);
+    }
+
+    fn targets(&mut self, count: usize) {
+        self.loops.last_mut().expect(HEADER_FIRST).indirect_targets.reserve_exact(count);
+    }
+
+    fn target(&mut self, target: IndirectTargetRecord) {
+        self.loops.last_mut().expect(HEADER_FIRST).indirect_targets.push(target);
+    }
+}
+
+/// Why a loop's counts and records always follow its header.
+const HEADER_FIRST: &str = "the walk reads a loop's header before its records";
+
+/// The auxiliary metadata `L` of one attested execution, packed into one heap
+/// block.
+///
+/// The bytes are every integer of the signed layout
+/// ([`PackedMetadata::to_bytes`]) in its order — loop count; per loop its
+/// entry, exit, depth, overflow flag and path count, each path's id, first
+/// occurrence and iterations, its target count, each target and code — each
+/// as a LEB128 varint.  A value takes one byte per 7 significant bits, so the
+/// counts, flags and small addresses that dominate `L` take a byte or two.
+///
+/// Only the writer (which the loop monitor and [`Metadata::pack`] drive) and
+/// the validating [`PackedMetadata::from_packed`] build one, so the bytes are
+/// canonical: one packed form belongs to one signed form, and two values are
+/// equal exactly when the metadata are.  The codec form is the bytes behind
+/// a `u32` length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedMetadata(Box<[u8]>);
+
+impl PackedMetadata {
+    /// Validates `bytes` as packed `L` and copies them into a block of
+    /// exactly their length.  The validating walk allocates nothing.
     ///
     /// # Errors
     ///
@@ -198,68 +206,281 @@ impl Metadata {
     ///   records that the bytes left cannot hold;
     /// * [`serde::Error::TrailingBytes`] for bytes after the last loop.
     pub fn from_packed(bytes: &[u8]) -> Result<Self, serde::Error> {
-        let mut fields = Fields::new(bytes);
-        let loops = fields.records(LOOP_MIN_BYTES, |f| {
-            let (entry, exit, nesting_depth) = (f.u32()?, f.u32()?, f.usize()?);
-            let encoder_overflowed = f.flag()?;
-            let paths = f.records(3, |f| {
-                let (path_id, first_occurrence) = (f.u32()?, f.usize()?);
-                Ok(PathRecord { path_id, first_occurrence, iterations: f.varint()? })
-            })?;
-            let indirect_targets =
-                f.records(2, |f| Ok(IndirectTargetRecord { target: f.u32()?, code: f.u32()? }))?;
-            Ok(LoopRecord {
-                entry,
-                exit,
-                nesting_depth,
-                paths,
-                indirect_targets,
-                encoder_overflowed,
-            })
-        })?;
-        fields.finish()?;
-        Ok(Self { loops })
+        validate(bytes)?;
+        Ok(Self(bytes.into()))
+    }
+
+    /// The packed bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Length of the packed bytes: what `L` takes on the wire and in memory.
+    pub fn packed_len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Number of loop executions recorded, read from the front.
+    pub fn loop_count(&self) -> usize {
+        Fields::new(&self.0).varint().expect(PACKED) as usize
+    }
+
+    /// The decoded view, with one record per loop execution.
+    pub fn decode(&self) -> Metadata {
+        Metadata::from_packed(&self.0).expect(PACKED)
+    }
+
+    /// The fixed-width layout the attestation signature covers, transcoded
+    /// from the packed bytes.
+    ///
+    /// Layout (all little-endian):
+    /// `loop_count:u32` then per loop: `entry:u32, exit:u32, depth:u64,
+    /// overflowed:u8, path_count:u32, {path_id:u32, first_occurrence:u64,
+    /// iterations:u64}*, target_count:u32, {target:u32, code:u32}*`.
+    ///
+    /// The `usize` fields (`nesting_depth`, `first_occurrence`) are encoded at
+    /// their full width, matching the packed form (which carries any `u64`).
+    /// This must stay injective over everything the wire can decode: an
+    /// earlier u32 truncation here meant two distinct wire reports shared
+    /// one signature, so an attacker flipping a high byte of either field
+    /// produced an *authenticated* `MetadataMismatch` that spent the live
+    /// session — a remote denial of service the wire fuzzer
+    /// (`tests/fuzz_wire_net.rs`) caught on its first full run.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(SIGNED_PER_PACKED_BYTE * self.packed_len());
+        self.write_signed(&mut out);
+        out
+    }
+
+    /// Appends [`PackedMetadata::to_bytes`] to `out`: the one writer of the
+    /// signed layout.
+    pub(crate) fn write_signed(&self, out: &mut Vec<u8>) {
+        self.visit(&mut Signed(out));
+    }
+
+    /// Size of the signed fixed-width layout ([`PackedMetadata::to_bytes`]) in
+    /// bytes, counted by its writer without writing it — the quantity
+    /// experiment E7 sweeps ("the length of the auxiliary metadata that must
+    /// be sent to V depends on the number of loops executed, the number of
+    /// different paths per loop, and the number of indirect branch targets",
+    /// §6.1).  The packed form ([`PackedMetadata::packed_len`] bytes) grows
+    /// with the same three counts and also with the logarithm of the values
+    /// recorded.
+    pub fn size_bytes(&self) -> usize {
+        let mut len = 0;
+        self.visit(&mut Signed(&mut len));
+        len
+    }
+
+    /// Walks the packed bytes, which were validated when they were built.
+    pub(crate) fn visit(&self, visit: &mut impl Visit) {
+        walk(&self.0, visit).expect(PACKED);
     }
 }
 
-impl serde::Serialize for Metadata {
+impl serde::Serialize for PackedMetadata {
     fn serialize(&self, serializer: &mut serde::Serializer) -> Result<(), serde::Error> {
-        let packed = self.to_packed();
-        serializer.write_len(packed.len())?;
-        serializer.write_bytes(&packed);
+        serializer.write_len(self.0.len())?;
+        serializer.write_bytes(&self.0);
         Ok(())
     }
 }
 
-impl serde::Deserialize for Metadata {
+impl serde::Deserialize for PackedMetadata {
     fn deserialize(deserializer: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
         let len = deserializer.read_len()?;
         Self::from_packed(deserializer.read_bytes(len)?)
     }
 }
 
+/// Why walking a [`PackedMetadata`] cannot fail: only the writer and the
+/// validating reader build one.
+const PACKED: &str = "packed metadata holds what the writer wrote or the reader accepted";
+
+/// About how many signed bytes one packed byte of typical `L` transcodes to,
+/// so that a buffer for the signed layout sized by it rarely grows.
+pub(crate) const SIGNED_PER_PACKED_BYTE: usize = 4;
+
+/// The one writer of packed `L`.  Loop records go in field group by field
+/// group, as a walk over `L` hands them on: the loop monitor writes each as
+/// its loop exits, and [`Metadata::pack`] writes a decoded view's.  The
+/// writer counts the loops itself, and [`PackedWriter::finish`] puts the
+/// count in front.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PackedWriter {
+    /// Loop records written so far.
+    loops: u64,
+    /// The records, without the loop count.
+    records: Vec<u8>,
+}
+
+impl PackedWriter {
+    /// The packed metadata of the records written, in one heap block of
+    /// exactly its length.
+    pub(crate) fn finish(self) -> PackedMetadata {
+        let mut packed = Vec::with_capacity(varint_len(self.loops) + self.records.len());
+        put_varint(&mut packed, self.loops);
+        packed.extend_from_slice(&self.records);
+        PackedMetadata(packed.into_boxed_slice())
+    }
+}
+
+impl Visit for PackedWriter {
+    fn loop_header(&mut self, header: &LoopHeader) {
+        self.loops += 1;
+        let LoopHeader { entry, exit, nesting_depth, encoder_overflowed } = *header;
+        for value in [entry.into(), exit.into(), nesting_depth as u64, encoder_overflowed.into()] {
+            put_varint(&mut self.records, value);
+        }
+    }
+
+    fn paths(&mut self, count: usize) {
+        put_varint(&mut self.records, count as u64);
+    }
+
+    fn path(&mut self, path: PathRecord) {
+        put_varint(&mut self.records, path.path_id.into());
+        put_varint(&mut self.records, path.first_occurrence as u64);
+        put_varint(&mut self.records, path.iterations);
+    }
+
+    fn targets(&mut self, count: usize) {
+        put_varint(&mut self.records, count as u64);
+    }
+
+    fn target(&mut self, target: IndirectTargetRecord) {
+        put_varint(&mut self.records, target.target.into());
+        put_varint(&mut self.records, target.code.into());
+    }
+}
+
+/// The fixed fields of one loop record, ahead of its paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LoopHeader {
+    pub(crate) entry: u32,
+    pub(crate) exit: u32,
+    pub(crate) nesting_depth: usize,
+    pub(crate) encoder_overflowed: bool,
+}
+
+/// What a walk over `L` hands on, group by group, in the order both byte
+/// forms hold the fields.  Each method ignores its argument by default.
+pub(crate) trait Visit {
+    /// The number of loop records.
+    fn loops(&mut self, _count: usize) {}
+    /// The next loop record's fixed fields.
+    fn loop_header(&mut self, _header: &LoopHeader) {}
+    /// The number of paths of the current loop.
+    fn paths(&mut self, _count: usize) {}
+    /// One path of the current loop, in order of first occurrence.
+    fn path(&mut self, _path: PathRecord) {}
+    /// The number of indirect targets of the current loop.
+    fn targets(&mut self, _count: usize) {}
+    /// One indirect target of the current loop.
+    fn target(&mut self, _target: IndirectTargetRecord) {}
+}
+
+/// Hears nothing: walking with it only validates.
+impl Visit for () {}
+
+/// Checks that `bytes` are packed `L` as the writer writes it, allocating
+/// nothing.
+///
+/// # Errors
+///
+/// As [`PackedMetadata::from_packed`].
+pub(crate) fn validate(bytes: &[u8]) -> Result<(), serde::Error> {
+    walk(bytes, &mut ())
+}
+
 /// Fewest packed bytes one loop takes: entry, exit, depth, flag and its two
 /// counts, one byte each.
 const LOOP_MIN_BYTES: usize = 6;
 
-/// Hands `f` every integer of `metadata` in the order [`Metadata::to_bytes`]
-/// signs them, stopping at (and returning `false` on) the first `false`.
-/// Writing the packed form and comparing a report with a packed reference
-/// both walk this one sequence.
-pub(crate) fn for_each_field(metadata: &Metadata, mut f: impl FnMut(u64) -> bool) -> bool {
-    f(metadata.loops.len() as u64)
-        && metadata.loops.iter().all(|l| {
-            f(l.entry.into())
-                && f(l.exit.into())
-                && f(l.nesting_depth as u64)
-                && f(l.encoder_overflowed.into())
-                && f(l.paths.len() as u64)
-                && l.paths
-                    .iter()
-                    .all(|p| f(p.path_id.into()) && f(p.first_occurrence as u64) && f(p.iterations))
-                && f(l.indirect_targets.len() as u64)
-                && l.indirect_targets.iter().all(|t| f(t.target.into()) && f(t.code.into()))
-        })
+/// Reads packed `L` front to back and hands each field group to `visit`,
+/// accepting only what [`PackedWriter`] writes.  Allocates nothing itself,
+/// and checks every count against the bytes left before `visit` hears it,
+/// so a visitor may reserve for it.
+///
+/// # Errors
+///
+/// As [`PackedMetadata::from_packed`].
+#[inline]
+fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<(), serde::Error> {
+    let mut fields = Fields::new(bytes);
+    let loops = fields.count(LOOP_MIN_BYTES)?;
+    visit.loops(loops);
+    for _ in 0..loops {
+        let (entry, exit, nesting_depth) = (fields.u32()?, fields.u32()?, fields.usize()?);
+        let encoder_overflowed = fields.flag()?;
+        visit.loop_header(&LoopHeader { entry, exit, nesting_depth, encoder_overflowed });
+        let paths = fields.count(3)?;
+        visit.paths(paths);
+        for _ in 0..paths {
+            let (path_id, first_occurrence) = (fields.u32()?, fields.usize()?);
+            visit.path(PathRecord { path_id, first_occurrence, iterations: fields.varint()? });
+        }
+        let targets = fields.count(2)?;
+        visit.targets(targets);
+        for _ in 0..targets {
+            visit.target(IndirectTargetRecord { target: fields.u32()?, code: fields.u32()? });
+        }
+    }
+    fields.finish()
+}
+
+/// Where [`Signed`] puts the signed layout: into bytes, or into their count.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+/// The streaming writer of the signed layout: each field group the walk
+/// reads, at its fixed width.  The reader bounds every count and `u32` field
+/// by `u32::MAX`, so the casts below are lossless.
+struct Signed<'s, S>(&'s mut S);
+
+impl<S: Sink> Visit for Signed<'_, S> {
+    fn loops(&mut self, count: usize) {
+        self.0.put(&(count as u32).to_le_bytes());
+    }
+
+    fn loop_header(&mut self, header: &LoopHeader) {
+        self.0.put(&header.entry.to_le_bytes());
+        self.0.put(&header.exit.to_le_bytes());
+        self.0.put(&(header.nesting_depth as u64).to_le_bytes());
+        self.0.put(&[header.encoder_overflowed.into()]);
+    }
+
+    fn paths(&mut self, count: usize) {
+        self.0.put(&(count as u32).to_le_bytes());
+    }
+
+    fn path(&mut self, path: PathRecord) {
+        self.0.put(&path.path_id.to_le_bytes());
+        self.0.put(&(path.first_occurrence as u64).to_le_bytes());
+        self.0.put(&path.iterations.to_le_bytes());
+    }
+
+    fn targets(&mut self, count: usize) {
+        self.0.put(&(count as u32).to_le_bytes());
+    }
+
+    fn target(&mut self, target: IndirectTargetRecord) {
+        self.0.put(&target.target.to_le_bytes());
+        self.0.put(&target.code.to_le_bytes());
+    }
 }
 
 /// Bytes `value` takes as a LEB128 varint.
@@ -275,22 +496,6 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut value: u64) {
         value >>= 7;
     }
     out.push(value as u8);
-}
-
-/// `bytes` past a leading LEB128 varint of `value`, or `None` when they do
-/// not start with one: [`put_varint`] run as a comparison, without decoding.
-pub(crate) fn strip_varint(mut bytes: &[u8], mut value: u64) -> Option<&[u8]> {
-    loop {
-        let (&byte, rest) = bytes.split_first()?;
-        bytes = rest;
-        if value < 0x80 {
-            return (u64::from(byte) == value).then_some(bytes);
-        }
-        if byte != value as u8 | 0x80 {
-            return None;
-        }
-        value >>= 7;
-    }
 }
 
 /// Reads packed bytes front to back, accepting only canonical varints.
@@ -360,24 +565,15 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// A `u32` count, then that many records read by `read`, each at least
-    /// `min_bytes` long.  The count is checked against the bytes left before
-    /// anything is reserved for it.
-    fn records<T>(
-        &mut self,
-        min_bytes: usize,
-        mut read: impl FnMut(&mut Self) -> Result<T, serde::Error>,
-    ) -> Result<Vec<T>, serde::Error> {
+    /// A `u32` count of records, each at least `min_bytes` long, checked
+    /// against the bytes left.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, serde::Error> {
         let count = self.u32()? as usize;
         let needed = count.saturating_mul(min_bytes);
         if needed > self.0.len() {
             return Err(serde::Error::UnexpectedEof { needed, remaining: self.0.len() });
         }
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(read(self)?);
-        }
-        Ok(records)
+        Ok(count)
     }
 
     /// The next `len` bytes, unread.
@@ -436,10 +632,36 @@ pub(crate) mod tests {
         }
     }
 
+    /// The signed layout written field by field from the decoded view: the
+    /// oracle the transcoding writer is held to.
+    pub(crate) fn fixed_width(metadata: &Metadata) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(metadata.loops.len() as u32).to_le_bytes());
+        for l in &metadata.loops {
+            out.extend_from_slice(&l.entry.to_le_bytes());
+            out.extend_from_slice(&l.exit.to_le_bytes());
+            out.extend_from_slice(&(l.nesting_depth as u64).to_le_bytes());
+            out.push(u8::from(l.encoder_overflowed));
+            out.extend_from_slice(&(l.paths.len() as u32).to_le_bytes());
+            for p in &l.paths {
+                out.extend_from_slice(&p.path_id.to_le_bytes());
+                out.extend_from_slice(&(p.first_occurrence as u64).to_le_bytes());
+                out.extend_from_slice(&p.iterations.to_le_bytes());
+            }
+            out.extend_from_slice(&(l.indirect_targets.len() as u32).to_le_bytes());
+            for t in &l.indirect_targets {
+                out.extend_from_slice(&t.target.to_le_bytes());
+                out.extend_from_slice(&t.code.to_le_bytes());
+            }
+        }
+        out
+    }
+
     #[test]
     fn aggregate_counts() {
         let m = sample();
         assert_eq!(m.loop_count(), 2);
+        assert_eq!(m.pack().loop_count(), 2);
         assert_eq!(m.total_iterations(), 16);
         assert_eq!(m.total_distinct_paths(), 3);
         assert_eq!(m.loops[0].total_iterations(), 7);
@@ -448,7 +670,7 @@ pub(crate) mod tests {
 
     #[test]
     fn serialisation_is_deterministic_and_self_consistent() {
-        let m = sample();
+        let m = sample().pack();
         let a = m.to_bytes();
         let b = m.to_bytes();
         assert_eq!(a, b);
@@ -458,6 +680,7 @@ pub(crate) mod tests {
         // iterations) + 1 target.
         let expected = 4 + 2 * (4 + 4 + 8 + 1 + 4 + 4) + 3 * (4 + 8 + 8) + (4 + 4);
         assert_eq!(a.len(), expected);
+        assert_eq!(a, fixed_width(&sample()));
     }
 
     #[test]
@@ -465,22 +688,22 @@ pub(crate) mod tests {
         let a = sample();
         let mut b = sample();
         b.loops[0].paths[0].iterations += 1;
-        assert_ne!(a.to_bytes(), b.to_bytes());
+        assert_ne!(a.pack().to_bytes(), b.pack().to_bytes());
     }
 
     #[test]
     fn empty_metadata_is_four_bytes() {
-        assert_eq!(Metadata::new().to_bytes(), vec![0, 0, 0, 0]);
-        assert_eq!(Metadata::new().size_bytes(), 4);
+        assert_eq!(Metadata::new().pack().to_bytes(), vec![0, 0, 0, 0]);
+        assert_eq!(Metadata::new().pack().size_bytes(), 4);
     }
 
     #[test]
     fn size_grows_with_paths_and_targets() {
-        let base = sample().size_bytes();
+        let base = sample().pack().size_bytes();
         let mut more = sample();
         more.loops[0].paths.push(PathRecord { path_id: 0b111, first_occurrence: 2, iterations: 1 });
         more.loops[1].indirect_targets.push(IndirectTargetRecord { target: 0x3000, code: 2 });
-        assert!(more.size_bytes() > base);
+        assert!(more.pack().size_bytes() > base);
     }
     /// Mostly small values, with zero, the type's maximum and arbitrary
     /// (mostly many-byte) values mixed in.
@@ -518,6 +741,21 @@ pub(crate) mod tests {
         proptest::collection::vec(one_loop, 0..4).prop_map(|loops| Metadata { loops })
     }
 
+    /// An honest blob with one byte replaced, dropped or inserted, as
+    /// `edit`, `at` and `byte` pick.
+    pub(crate) fn mutated(blob: &[u8], edit: u8, at: usize, byte: u8) -> Vec<u8> {
+        let mut blob = blob.to_vec();
+        let at = at % (blob.len() + 1);
+        match edit % 3 {
+            0 if at < blob.len() => blob[at] = byte,
+            1 if at < blob.len() => {
+                blob.remove(at);
+            }
+            _ => blob.insert(at, byte),
+        }
+        blob
+    }
+
     #[test]
     fn packed_form_is_the_varints_of_the_signed_fields() {
         let m = sample();
@@ -527,14 +765,17 @@ pub(crate) mod tests {
             0x90, 0x20, 0xa4, 0x20, 1, 0, 2, 0b1011, 0, 5, 0b10011, 1, 2, 1, 0x80, 0x40, 1,
             0xc0, 0x20, 0xd0, 0x20, 2, 1, 1, 0b11, 0, 9, 0,
         ];
-        assert_eq!(m.to_packed(), expected);
-        assert_eq!(m.packed_len(), expected.len());
+        let packed = m.pack();
+        assert_eq!(packed.as_bytes(), expected);
+        assert_eq!(packed.packed_len(), expected.len());
         assert_eq!(Metadata::from_packed(&expected), Ok(m.clone()));
+        assert_eq!(PackedMetadata::from_packed(&expected), Ok(packed.clone()));
+        assert_eq!(packed.decode(), m);
         // The codec form is the packed form behind a `u32` length.
-        let wire = serde::to_bytes(&m).unwrap();
+        let wire = serde::to_bytes(&packed).unwrap();
         assert_eq!(wire[..4], (expected.len() as u32).to_le_bytes());
         assert_eq!(wire[4..], expected);
-        assert_eq!(Metadata::new().to_packed(), [0]);
+        assert_eq!(Metadata::new().pack().as_bytes(), [0]);
     }
 
     #[test]
@@ -563,7 +804,8 @@ pub(crate) mod tests {
             Error::UnexpectedEof { needed: 30, remaining: 6 }
         );
         // Truncation at every cut, and trailing bytes.
-        let packed = sample().to_packed();
+        let packed = sample().pack();
+        let packed = packed.as_bytes();
         for cut in 0..packed.len() {
             assert!(
                 matches!(decode(&packed[..cut]), Error::UnexpectedEof { .. }),
@@ -571,7 +813,7 @@ pub(crate) mod tests {
                 decode(&packed[..cut])
             );
         }
-        assert_eq!(decode(&[&packed[..], &[0]].concat()), Error::TrailingBytes { extra: 1 });
+        assert_eq!(decode(&[packed, &[0]].concat()), Error::TrailingBytes { extra: 1 });
     }
 
     #[test]
@@ -596,11 +838,11 @@ pub(crate) mod tests {
 
         #[test]
         fn packed_form_round_trips(metadata in arbitrary()) {
-            let packed = metadata.to_packed();
-            prop_assert_eq!(packed.len(), metadata.packed_len());
-            prop_assert_eq!(Metadata::from_packed(&packed), Ok(metadata.clone()));
-            let wire = serde::to_bytes(&metadata).unwrap();
-            prop_assert_eq!(serde::from_bytes::<Metadata>(&wire), Ok(metadata));
+            let packed = metadata.pack();
+            prop_assert_eq!(Metadata::from_packed(packed.as_bytes()), Ok(metadata.clone()));
+            prop_assert_eq!(packed.decode(), metadata);
+            let wire = serde::to_bytes(&packed).unwrap();
+            prop_assert_eq!(serde::from_bytes::<PackedMetadata>(&wire), Ok(packed));
         }
 
         /// A blob the reader accepts is the writer's output for what it
@@ -613,17 +855,56 @@ pub(crate) mod tests {
             at in any::<usize>(),
             byte in any::<u8>(),
         ) {
-            let mut blob = metadata.to_packed();
-            let at = at % (blob.len() + 1);
-            match edit {
-                0 if at < blob.len() => blob[at] = byte,
-                1 if at < blob.len() => {
-                    blob.remove(at);
-                }
-                _ => blob.insert(at, byte),
-            }
+            let blob = mutated(metadata.pack().as_bytes(), edit, at, byte);
             if let Ok(decoded) = Metadata::from_packed(&blob) {
-                prop_assert_eq!(decoded.to_packed(), blob);
+                prop_assert_eq!(decoded.pack().as_bytes().to_vec(), blob);
+            }
+        }
+
+        /// The validating reader and the decoding one are one walk: on an
+        /// honest blob and on every one-byte edit of it, both accept with
+        /// equal metadata, or both fail with the same typed error.
+        #[test]
+        fn both_readers_accept_and_reject_the_same_bytes(
+            metadata in arbitrary(),
+            edit in 0..4u8,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let honest = metadata.pack();
+            let blob = if edit == 3 {
+                honest.as_bytes().to_vec()
+            } else {
+                mutated(honest.as_bytes(), edit, at, byte)
+            };
+            let validated = PackedMetadata::from_packed(&blob);
+            let decoded = Metadata::from_packed(&blob);
+            match (&validated, &decoded) {
+                (Ok(packed), Ok(view)) => {
+                    prop_assert_eq!(packed.as_bytes(), &blob[..]);
+                    prop_assert_eq!(&packed.decode(), view);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                _ => prop_assert!(false, "readers disagree: {:?} vs {:?}", validated, decoded),
+            }
+        }
+
+        /// The transcoded signed layout is the one the decoded view writes
+        /// field by field, and `size_bytes` is its length, on arbitrary
+        /// metadata and on every accepted one-byte edit of it.
+        #[test]
+        fn transcoding_writes_the_signed_layout_of_the_view(
+            metadata in arbitrary(),
+            edit in 0..3u8,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let honest = metadata.pack();
+            let edited = PackedMetadata::from_packed(&mutated(honest.as_bytes(), edit, at, byte));
+            for packed in std::iter::once(honest).chain(edited) {
+                let signed = fixed_width(&packed.decode());
+                prop_assert_eq!(packed.to_bytes(), signed.clone());
+                prop_assert_eq!(packed.size_bytes(), signed.len());
             }
         }
     }

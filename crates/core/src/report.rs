@@ -1,6 +1,6 @@
 //! The attestation report `R = sign(A ‖ L ‖ N; sk)` (Fig. 2).
 
-use crate::metadata::Metadata;
+use crate::metadata::{PackedMetadata, SIGNED_PER_PACKED_BYTE};
 use lofat_crypto::{Digest, Nonce, Signature};
 
 /// The attestation report the prover returns to the verifier.
@@ -11,7 +11,7 @@ pub struct AttestationReport {
     /// The cumulative authenticator `A` over the executed `(Src, Dest)` pairs.
     pub authenticator: Digest,
     /// The loop auxiliary metadata `L`.
-    pub metadata: Metadata,
+    pub metadata: PackedMetadata,
     /// The verifier's freshness nonce `N`, echoed back.
     pub nonce: Nonce,
     /// Signature over `program_id ‖ A ‖ L ‖ N` under the device key.
@@ -19,19 +19,38 @@ pub struct AttestationReport {
 }
 
 impl AttestationReport {
-    /// The exact byte string covered by the signature.
+    /// The exact byte string covered by the signature: the program id behind
+    /// its `u32` length, `A`, `L` in its fixed-width signed layout
+    /// ([`PackedMetadata::to_bytes`], transcoded from the packed bytes) and
+    /// the nonce.
     pub fn signed_bytes(
         program_id: &str,
         authenticator: &Digest,
-        metadata: &Metadata,
+        metadata: &PackedMetadata,
         nonce: &Nonce,
     ) -> Vec<u8> {
-        let mut bytes = Vec::new();
+        let nonce = nonce.as_bytes();
+        let mut bytes = Self::prefix_bytes(program_id, authenticator, metadata, nonce.len());
+        bytes.extend_from_slice(nonce);
+        bytes
+    }
+
+    /// The signed bytes up to the nonce, in a buffer with room for `spare`
+    /// more bytes.
+    fn prefix_bytes(
+        program_id: &str,
+        authenticator: &Digest,
+        metadata: &PackedMetadata,
+        spare: usize,
+    ) -> Vec<u8> {
+        let signed_metadata = SIGNED_PER_PACKED_BYTE * metadata.packed_len();
+        let mut bytes = Vec::with_capacity(
+            4 + program_id.len() + authenticator.len() + signed_metadata + spare,
+        );
         bytes.extend_from_slice(&(program_id.len() as u32).to_le_bytes());
         bytes.extend_from_slice(program_id.as_bytes());
         bytes.extend_from_slice(authenticator.as_bytes());
-        bytes.extend_from_slice(&metadata.to_bytes());
-        bytes.extend_from_slice(nonce.as_bytes());
+        metadata.write_signed(&mut bytes);
         bytes
     }
 
@@ -47,15 +66,13 @@ impl AttestationReport {
     /// boundary at which the verifier's verdict cache snapshots the in-flight
     /// signature MAC.
     pub fn signed_prefix(&self) -> Vec<u8> {
-        let mut bytes = self.payload();
-        bytes.truncate(bytes.len() - self.nonce.as_bytes().len());
-        bytes
+        Self::prefix_bytes(&self.program_id, &self.authenticator, &self.metadata, 0)
     }
 
     /// Size of the report on the wire, in bytes: the length of
     /// [`AttestationReport::to_wire_bytes`], computed without encoding.  The
-    /// metadata travels packed ([`Metadata::packed_len`]); experiment E7
-    /// sweeps its signed size ([`Metadata::size_bytes`]) instead.
+    /// metadata travels packed ([`PackedMetadata::packed_len`]); experiment
+    /// E7 sweeps its signed size ([`PackedMetadata::size_bytes`]) instead.
     pub fn wire_size(&self) -> usize {
         // Program id, authenticator, metadata and signature each follow a
         // `u32` length; the nonce has a fixed size.
@@ -92,10 +109,17 @@ impl AttestationReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::metadata::{LoopRecord, PathRecord};
+    use crate::metadata::{LoopRecord, Metadata, PathRecord};
     use lofat_crypto::Sha3_512;
+
+    /// Edits `report`'s metadata through its decoded view and packs it back.
+    pub(crate) fn edit_metadata(report: &mut AttestationReport, edit: impl FnOnce(&mut Metadata)) {
+        let mut metadata = report.metadata.decode();
+        edit(&mut metadata);
+        report.metadata = metadata.pack();
+    }
 
     fn report() -> AttestationReport {
         let metadata = Metadata {
@@ -111,7 +135,7 @@ mod tests {
         AttestationReport {
             program_id: "syringe-pump".into(),
             authenticator: Sha3_512::digest(b"path"),
-            metadata,
+            metadata: metadata.pack(),
             nonce: Nonce::from_counter(7),
             signature: Signature::from_bytes(vec![0u8; 64]),
         }
@@ -129,7 +153,7 @@ mod tests {
         assert_ne!(base.payload(), other.payload());
 
         let mut other = report();
-        other.metadata.loops[0].paths[0].iterations = 5;
+        edit_metadata(&mut other, |m| m.loops[0].paths[0].iterations = 5);
         assert_ne!(base.payload(), other.payload());
 
         let mut other = report();
@@ -156,7 +180,7 @@ mod tests {
         // The packed metadata, not the signed layout, is what travels.
         let signed = r.payload().len() + 64;
         assert!(r.wire_size() < signed, "{} >= {signed}", r.wire_size());
-        r.metadata.loops[0].paths[0].iterations = u64::MAX;
+        edit_metadata(&mut r, |m| m.loops[0].paths[0].iterations = u64::MAX);
         r.signature = Signature::from_bytes(vec![1; 200]);
         assert_eq!(r.wire_size(), r.to_wire_bytes().unwrap().len());
     }

@@ -488,14 +488,16 @@ struct Shard {
 /// may appear here: those are re-checked on every hit.
 fn cache_key(input: &[u32], report: &AttestationReport) -> Vec<u8> {
     let (id, digest) = (report.program_id.as_bytes(), report.authenticator.as_bytes());
-    let mut key = Vec::with_capacity(3 * 8 + 4 * input.len() + id.len() + digest.len());
+    let metadata = report.metadata.as_bytes();
+    let mut key =
+        Vec::with_capacity(3 * 8 + 4 * input.len() + id.len() + digest.len() + metadata.len());
     key.extend_from_slice(&(input.len() as u64).to_le_bytes());
     key.extend(input.iter().flat_map(|word| word.to_le_bytes()));
     for part in [id, digest] {
         key.extend_from_slice(&(part.len() as u64).to_le_bytes());
         key.extend_from_slice(part);
     }
-    report.metadata.write_packed(&mut key);
+    key.extend_from_slice(metadata);
     key
 }
 
@@ -632,51 +634,6 @@ const _: () = {
     assert_send_sync::<ServiceStats>();
     assert_send_sync::<ServiceError>();
 };
-
-impl Clone for VerifierService {
-    /// Clones a snapshot of the service (sessions, clock, statistics).  Locks
-    /// each shard briefly, one at a time, so under concurrent mutation the
-    /// snapshot is consistent *per shard*, not across shards; the clone's
-    /// live-session counter is derived from the cloned maps themselves, so it
-    /// always balances them exactly.
-    fn clone(&self) -> Self {
-        let mut live = 0usize;
-        let shards: Vec<Mutex<Shard>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let guard = shard.lock().expect("shard lock poisoned");
-                live += guard.sessions.len();
-                Mutex::new(Shard { sessions: guard.sessions.clone(), issued: guard.issued })
-            })
-            .collect();
-        let verdict_cache: Vec<Mutex<CacheShard>> = self
-            .verdict_cache
-            .iter()
-            .map(|cache| {
-                let guard = cache.lock().expect("cache shard lock poisoned");
-                Mutex::new(CacheShard {
-                    entries: guard.entries.clone(),
-                    order: guard.order.clone(),
-                })
-            })
-            .collect();
-        let clone_stats = AtomicStats::new();
-        clone_stats.store(&self.stats.snapshot());
-        Self {
-            db: self.db.clone(),
-            key: self.key.clone(),
-            config: self.config,
-            shards,
-            verdict_cache,
-            cache_shard_capacity: self.cache_shard_capacity,
-            next_open: AtomicU64::new(self.next_open.load(Ordering::SeqCst)),
-            now_cycles: AtomicU64::new(self.now_cycles.load(Ordering::SeqCst)),
-            live: AtomicUsize::new(live),
-            stats: clone_stats,
-        }
-    }
-}
 
 impl VerifierService {
     /// Creates a service over a prebuilt measurement database and the fleet's
@@ -1917,19 +1874,6 @@ mod tests {
         assert_eq!(normalize(batch_svc.stats()), normalize(seq_svc.stats()));
         assert!(batch_svc.stats().is_conserved(0));
         assert!(seq_svc.stats().is_conserved(0));
-    }
-
-    #[test]
-    fn service_clone_is_a_snapshot() {
-        let (service, mut prover) = setup(vec![vec![2]]);
-        let id = service.open_session(vec![2]).unwrap();
-        let evidence = evidence_for(&service, &mut prover, id);
-        let snapshot = service.clone();
-        assert!(service.submit_evidence(&evidence).accepted);
-        // The snapshot still holds the live session and its own statistics.
-        assert_eq!(snapshot.live_sessions(), 1);
-        assert_eq!(snapshot.stats().accepted, 0);
-        assert!(snapshot.submit_evidence(&evidence).accepted);
     }
 
     #[test]

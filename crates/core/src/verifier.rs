@@ -402,7 +402,9 @@ mod tests {
         let mut run = prover.attest(&challenge.input, challenge.nonce).unwrap();
         // The (software) adversary cannot re-sign, so any tampering breaks the
         // signature check first.
-        run.report.metadata.loops[0].paths[0].iterations += 1;
+        let mut metadata = run.report.metadata.decode();
+        metadata.loops[0].paths[0].iterations += 1;
+        run.report.metadata = metadata.pack();
         let err = verifier.verify(&run.report, &challenge).unwrap_err();
         assert!(matches!(err, LofatError::Rejected(RejectionReason::BadSignature)));
     }
@@ -438,12 +440,13 @@ mod tests {
         // CFG path; re-sign it with the correct key to isolate the static check.
         let challenge = verifier.challenge(vec![1, 2, 3]);
         let run = prover.attest(&challenge.input, challenge.nonce).unwrap();
-        let mut metadata = run.report.metadata.clone();
+        let mut metadata = run.report.metadata.decode();
         metadata.loops[0].paths.push(PathRecord {
             path_id: 0b1_1111,
             first_occurrence: 1,
             iterations: 1,
         });
+        let metadata = metadata.pack();
         let payload = AttestationReport::signed_bytes(
             "sum",
             &run.report.authenticator,

@@ -36,8 +36,8 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LFAT";
 
 /// The wire-format version this build speaks, and the only one it reads.
 /// Version 2 carries the loop metadata `L` packed
-/// ([`Metadata::to_packed`](crate::metadata::Metadata::to_packed)) instead of
-/// field by field at fixed width; the signed bytes did not change.
+/// ([`PackedMetadata`](crate::metadata::PackedMetadata)) instead of field by
+/// field at fixed width; the signed bytes did not change.
 pub const WIRE_VERSION: u16 = 2;
 
 /// Size of the fixed envelope header in bytes.

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  loop records in metadata : {}", outcome.prover_run.report.metadata.loop_count());
     println!(
         "  total loop iterations    : {}",
-        outcome.prover_run.report.metadata.total_iterations()
+        outcome.prover_run.report.metadata.decode().total_iterations()
     );
     println!("  verdict                  : ACCEPTED");
 

@@ -10,10 +10,13 @@
 //! capacity) in place: a regression in any of them shows up as a nonzero
 //! allocation delta.
 //!
-//! Loop *exits* are the one legitimate source of heap traffic (each emits a
-//! [`lofat::metadata::LoopRecord`] that owns its path table); the second test
-//! checks that allocations scale with the number of records, never with the
-//! instruction count.
+//! Loop *exits* allocate nothing either: each appends its record's varints
+//! to the run's one packed buffer, which becomes the run's
+//! [`lofat::PackedMetadata`], so the only heap traffic they cause is that
+//! buffer's occasional doubling.  The
+//! second test bounds a window of hundreds of exits by a constant, and the
+//! third checks that a whole reference replay allocates the same number of
+//! times whatever its loop count.
 //!
 //! The property test is bounded by `PROPTEST_CASES` like every other property
 //! suite in the workspace.
@@ -21,9 +24,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lofat::{EngineConfig, LofatEngine};
+use lofat::{EngineConfig, LofatEngine, MeasurementDatabase, Verifier};
+use lofat_crypto::DeviceKey;
 use lofat_rv32::asm::assemble;
 use lofat_rv32::Cpu;
+use lofat_workloads::catalog;
 use proptest::prelude::*;
 
 /// System allocator wrapper counting every allocation and reallocation made
@@ -143,9 +148,10 @@ proptest! {
 }
 
 /// Nested loops exit and re-enter continuously; the recycled activations keep
-/// the per-instruction path allocation-free, and the only heap traffic left is
-/// the loop records themselves — bounded by exits, independent of the
-/// per-iteration instruction volume.
+/// the per-instruction path allocation-free, and each exit appends its record
+/// to the run's one packed buffer.  Over hundreds of exits the only heap
+/// traffic left is that buffer's doublings: a constant, independent of both
+/// the exits and the per-iteration instruction volume.
 #[test]
 fn nested_loop_allocations_scale_with_records_not_instructions() {
     let (mut cpu, mut engine) = attested_cpu(NESTED_LOOP);
@@ -158,11 +164,35 @@ fn nested_loop_allocations_scale_with_records_not_instructions() {
     let exits = engine.stats().loops_exited - exits_before;
 
     assert!(exits > 500, "expected many inner-loop exits, saw {exits}");
-    // Each exit legitimately allocates its record's path table (plus amortised
-    // growth of the metadata vector); 3 allocations per exit is generous.
     assert!(
-        delta <= 3 * exits,
-        "allocations ({delta}) not bounded by loop exits ({exits}) — \
-         something allocates per instruction"
+        delta <= 16,
+        "{delta} allocations over {exits} loop exits — a loop exit or an \
+         instruction allocates"
+    );
+}
+
+/// A whole reference replay allocates a fixed number of times, whatever its
+/// loop count: a one-input database build of syringe-pump at 1000 units
+/// exits ten times as many loops as one at 100 units, and allocates within
+/// 8 of it (the packed buffer's extra doublings).
+#[test]
+fn reference_replay_allocations_do_not_grow_with_loop_count() {
+    let workload = catalog::by_name("syringe-pump").expect("catalogue workload");
+    let program = workload.program().expect("assemble");
+    let key = DeviceKey::from_seed("e11-device").verification_key();
+    let verifier = Verifier::new(program, workload.name, key).expect("verifier");
+    let build = |units: u32| {
+        let before = allocation_count();
+        let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), [vec![units]])
+            .expect("replay");
+        let delta = allocation_count() - before;
+        let loops = db.reference(&[units]).expect("built").metadata.loop_count();
+        (delta, loops)
+    };
+    let ((small, small_loops), (large, large_loops)) = (build(100), build(1000));
+    assert!(large_loops >= 9 * small_loops, "{small_loops} vs {large_loops} loops");
+    assert!(
+        small.abs_diff(large) <= 8,
+        "{small} allocations at 100 units, {large} at 1000: a loop exit allocates"
     );
 }

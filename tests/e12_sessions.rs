@@ -28,8 +28,8 @@ use lofat::protocol::run_attestation_with_adversary;
 use lofat::session::{ProverSession, SessionDecision, SessionOutcome};
 use lofat::wire::{code, Envelope, EvidenceMsg, Message, SessionId, VerdictMsg};
 use lofat::{
-    AttestationReport, Challenge, LofatError, LoopRecord, PathRecord, ProverRun, RejectionReason,
-    ServiceConfig, Verdict, VerifierService,
+    AttestationReport, Challenge, LofatError, LoopRecord, Metadata, PathRecord, ProverRun,
+    RejectionReason, ServiceConfig, Verdict, VerifierService,
 };
 use lofat_crypto::{DeviceKey, Digest, HmacSigner, Nonce, Signer};
 use lofat_rv32::Program;
@@ -234,6 +234,13 @@ type Tamper<'a> = &'a dyn Fn(&mut AttestationReport, &DeviceKey);
 /// Signs `report` again under `key`, as whoever holds the device key could.
 fn resign(report: &mut AttestationReport, key: &DeviceKey) {
     report.signature = HmacSigner::new(key.clone()).sign(&report.payload()).expect("HMAC signs");
+}
+
+/// Edits `report`'s metadata through its decoded view and packs it back.
+fn edit_metadata(report: &mut AttestationReport, edit: impl FnOnce(&mut Metadata)) {
+    let mut metadata = report.metadata.decode();
+    edit(&mut metadata);
+    report.metadata = metadata.pack();
 }
 
 /// The exact pre-redesign `run_attestation_with_adversary` semantics, inlined:
@@ -510,7 +517,7 @@ fn differential_stock_adversaries_match_legacy() {
 fn differential_forged_fig4_path_matches_legacy() {
     let forge: Tamper<'_> = &|report, key| {
         let path = PathRecord { path_id: 0b1_111, first_occurrence: 2, iterations: 1 };
-        report.metadata.loops[0].paths.push(path);
+        edit_metadata(report, |m| m.loops[0].paths.push(path));
         resign(report, key);
     };
     assert_equivalent_tampered("fig4-loop", "forged-path", vec![6], no_fault, Some(forge));
@@ -556,41 +563,45 @@ fn single_field_mutations(report: &AttestationReport) -> Vec<AttestationReport> 
         bytes[i] ^= 0x81;
         push(&|r| r.authenticator = Digest::from_bytes(bytes.clone()));
     }
-    for (i, l) in report.metadata.loops.iter().enumerate() {
+    for (i, l) in report.metadata.decode().loops.iter().enumerate() {
         for v in [!l.entry, l.entry ^ 1] {
-            push(&|r| r.metadata.loops[i].entry = v);
+            push(&|r| edit_metadata(r, |m| m.loops[i].entry = v));
         }
         for v in [!l.exit, l.exit ^ 1] {
-            push(&|r| r.metadata.loops[i].exit = v);
+            push(&|r| edit_metadata(r, |m| m.loops[i].exit = v));
         }
-        push(&|r| r.metadata.loops[i].nesting_depth ^= 1);
-        push(&|r| r.metadata.loops[i].encoder_overflowed ^= true);
+        push(&|r| edit_metadata(r, |m| m.loops[i].nesting_depth ^= 1));
+        push(&|r| edit_metadata(r, |m| m.loops[i].encoder_overflowed ^= true));
         let new_path = PathRecord { path_id: 0b1_111, first_occurrence: 1, iterations: 1 };
-        push(&|r| r.metadata.loops[i].paths.push(new_path));
+        push(&|r| edit_metadata(r, |m| m.loops[i].paths.push(new_path)));
         push(&|r| {
-            r.metadata.loops[i].paths.pop();
+            edit_metadata(r, |m| {
+                m.loops[i].paths.pop();
+            })
         });
         for (j, p) in l.paths.iter().enumerate() {
             for v in [!p.path_id, p.path_id ^ 1] {
-                push(&|r| r.metadata.loops[i].paths[j].path_id = v);
+                push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].path_id = v));
             }
-            push(&|r| r.metadata.loops[i].paths[j].first_occurrence ^= 1);
-            push(&|r| r.metadata.loops[i].paths[j].iterations ^= 1);
+            push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].first_occurrence ^= 1));
+            push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].iterations ^= 1));
         }
         let new_target = IndirectTargetRecord { target: 4, code: 1 };
-        push(&|r| r.metadata.loops[i].indirect_targets.push(new_target));
+        push(&|r| edit_metadata(r, |m| m.loops[i].indirect_targets.push(new_target)));
         for j in 0..l.indirect_targets.len() {
-            push(&|r| r.metadata.loops[i].indirect_targets[j].target ^= 1);
+            push(&|r| edit_metadata(r, |m| m.loops[i].indirect_targets[j].target ^= 1));
         }
     }
     push(&|r| {
-        r.metadata.loops.push(LoopRecord {
-            entry: 0,
-            exit: 0,
-            nesting_depth: 1,
-            paths: Vec::new(),
-            indirect_targets: Vec::new(),
-            encoder_overflowed: false,
+        edit_metadata(r, |m| {
+            m.loops.push(LoopRecord {
+                entry: 0,
+                exit: 0,
+                nesting_depth: 1,
+                paths: Vec::new(),
+                indirect_targets: Vec::new(),
+                encoder_overflowed: false,
+            })
         })
     });
     out

@@ -265,7 +265,9 @@ fn unauthenticated_submissions_never_touch_the_cache() {
             bytes[0] ^= 0x01;
             report.authenticator = Digest::from_bytes(bytes);
         } else {
-            report.metadata.loops.clear();
+            let mut metadata = report.metadata.decode();
+            metadata.loops.clear();
+            report.metadata = metadata.pack();
         }
         let forged =
             Envelope::new(envelope.session, Message::Evidence(lofat::wire::EvidenceMsg { report }));

@@ -41,7 +41,7 @@ fn static_enumeration_matches_paper_encodings() {
 fn runtime_path_ids_are_the_paper_values() {
     let measurement = attest_with_input(6);
     assert_eq!(measurement.metadata.loop_count(), 1);
-    let record = &measurement.metadata.loops[0];
+    let record = &measurement.metadata.decode().loops[0];
     let mut ids: Vec<u32> = record.paths.iter().map(|p| p.path_id).collect();
     ids.sort_unstable();
     assert_eq!(ids, vec![0b1_011, 0b1_0011], "sentinel-prefixed 011 and 0011");
@@ -56,7 +56,7 @@ fn runtime_path_ids_are_the_paper_values() {
 fn single_iteration_produces_no_counted_paths() {
     let measurement = attest_with_input(1);
     assert_eq!(measurement.metadata.loop_count(), 1);
-    assert_eq!(measurement.metadata.loops[0].total_iterations(), 0);
+    assert_eq!(measurement.metadata.decode().loops[0].total_iterations(), 0);
 }
 
 /// The verifier rejects a (correctly signed) report whose loop record carries an
@@ -70,12 +70,13 @@ fn verifier_rejects_invalid_path_encoding() {
 
     // Forge metadata with an invalid encoding ("111" never occurs in Fig. 4) and
     // re-sign it with the device key to isolate the CFG-validity check.
-    let mut metadata = run.report.metadata.clone();
+    let mut metadata = run.report.metadata.decode();
     metadata.loops[0].paths.push(lofat::PathRecord {
         path_id: 0b1_111,
         first_occurrence: 2,
         iterations: 1,
     });
+    let metadata = metadata.pack();
     let payload = AttestationReport::signed_bytes(
         "fig4-loop",
         &run.report.authenticator,
@@ -115,7 +116,7 @@ fn verifier_valid_path_table_matches_paper() {
 fn observed_paths_are_always_subset_of_valid_set() {
     for input in 1..=9u32 {
         let measurement = attest_with_input(input);
-        for record in &measurement.metadata.loops {
+        for record in &measurement.metadata.decode().loops {
             for path in &record.paths {
                 assert!(
                     path.path_id == 0b1_011 || path.path_id == 0b1_0011,

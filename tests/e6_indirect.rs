@@ -18,8 +18,9 @@ fn indirect_targets_are_recorded_with_cam_codes() {
     let input = vec![0u32, 1, 2, 3, 0, 1];
     let (measurement, _) = common::attest_workload(&workload, &input);
 
+    let metadata = measurement.metadata.decode();
     let with_indirect: Vec<_> =
-        measurement.metadata.loops.iter().filter(|l| !l.indirect_targets.is_empty()).collect();
+        metadata.loops.iter().filter(|l| !l.indirect_targets.is_empty()).collect();
     assert!(!with_indirect.is_empty(), "the dispatch loop must record indirect targets");
 
     let program = workload.program().unwrap();

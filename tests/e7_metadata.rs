@@ -30,9 +30,12 @@ fn metadata_grows_with_distinct_paths() {
     let program = workload.program().unwrap();
     let few = common::run_attested(&program, &[2], lofat::EngineConfig::default()).0;
     let many = common::run_attested(&program, &[16], lofat::EngineConfig::default()).0;
-    assert!(many.metadata.total_distinct_paths() > few.metadata.total_distinct_paths());
+    assert!(
+        many.metadata.decode().total_distinct_paths()
+            > few.metadata.decode().total_distinct_paths()
+    );
     assert!(many.metadata.size_bytes() > few.metadata.size_bytes());
-    assert!(many.metadata.total_distinct_paths() <= 8, "the body has at most 8 paths");
+    assert!(many.metadata.decode().total_distinct_paths() <= 8, "the body has at most 8 paths");
 }
 
 /// More indirect targets → larger metadata.
@@ -45,7 +48,7 @@ fn metadata_grows_with_indirect_targets() {
     let four_handlers =
         common::run_attested(&program, &[0, 1, 2, 3, 0, 1, 2, 3], lofat::EngineConfig::default()).0;
     let targets = |m: &lofat::Measurement| {
-        m.metadata.loops.iter().map(|l| l.indirect_targets.len()).sum::<usize>()
+        m.metadata.decode().loops.iter().map(|l| l.indirect_targets.len()).sum::<usize>()
     };
     assert!(targets(&four_handlers) > targets(&one_handler));
     assert!(four_handlers.metadata.size_bytes() > one_handler.metadata.size_bytes());
@@ -64,10 +67,10 @@ fn metadata_size_is_independent_of_iteration_count() {
     // pulse loop), so compare the *per-record* path counts of the outer loop instead:
     // the outer loop record has exactly one path in both runs.
     let outer_paths = |m: &lofat::Measurement| {
-        m.metadata.loops.iter().map(|l| l.distinct_paths()).max().unwrap_or(0)
+        m.metadata.decode().loops.iter().map(|l| l.distinct_paths()).max().unwrap_or(0)
     };
     assert_eq!(outer_paths(&few), outer_paths(&many));
-    assert!(many.metadata.total_iterations() > few.metadata.total_iterations());
+    assert!(many.metadata.decode().total_iterations() > few.metadata.decode().total_iterations());
 }
 
 /// The report's wire size is dominated by the metadata for loop-heavy runs and the

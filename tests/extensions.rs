@@ -177,7 +177,7 @@ fn measurement_database_wire_bytes_match_the_golden_fixtures() {
         assert_eq!(decoded, db, "{path} decodes to the built database");
         assert_eq!(decoded.valid_loop_paths(), verifier.valid_loop_paths(), "{path}");
 
-        let loops = db.reference(&input).unwrap().metadata.loops;
+        let loops = db.reference(&input).unwrap().metadata.decode().loops;
         match file.as_str() {
             "dispatch.bin" => assert!(loops.iter().any(|l| !l.indirect_targets.is_empty())),
             "matrix-checksum.bin" => assert!(loops.iter().any(|l| l.nesting_depth == 3)),

@@ -61,7 +61,7 @@ proptest! {
         let workload = catalog::by_name("fig4-loop").unwrap();
         let program = workload.program().unwrap();
         let (measurement, _) = common::run_attested(&program, &[n], EngineConfig::default());
-        for record in &measurement.metadata.loops {
+        for record in &measurement.metadata.decode().loops {
             for path in &record.paths {
                 prop_assert!(path.path_id == 0b1_011 || path.path_id == 0b1_0011);
             }

@@ -121,7 +121,7 @@ fn report_strategy() -> impl Strategy<Value = AttestationReport> {
         .prop_map(|(program_id, digest, metadata, nonce, signature)| AttestationReport {
             program_id,
             authenticator: Digest::from_bytes(digest),
-            metadata,
+            metadata: metadata.pack(),
             nonce,
             signature: Signature::from_bytes(signature),
         })
@@ -237,7 +237,7 @@ fn sample_report() -> AttestationReport {
     AttestationReport {
         program_id: "fig4-loop".into(),
         authenticator: Digest::from_bytes(vec![7; 64]),
-        metadata: Metadata::new(),
+        metadata: Metadata::new().pack(),
         nonce: Nonce::from_counter(1),
         signature: Signature::from_bytes(vec![9; 64]),
     }
@@ -403,12 +403,13 @@ proptest! {
     /// behind its `u32` length.
     #[test]
     fn packed_metadata_round_trips(metadata in metadata_strategy()) {
-        let packed = metadata.to_packed();
-        prop_assert_eq!(packed.len(), metadata.packed_len());
-        prop_assert_eq!(Metadata::from_packed(&packed), Ok(metadata.clone()));
-        let wire = serde::to_bytes(&metadata).expect("encode");
-        prop_assert_eq!(&wire[..4], &(packed.len() as u32).to_le_bytes()[..]);
-        prop_assert_eq!(&wire[4..], &packed[..]);
+        let packed = metadata.pack();
+        prop_assert_eq!(packed.as_bytes().len(), packed.packed_len());
+        prop_assert_eq!(Metadata::from_packed(packed.as_bytes()), Ok(metadata.clone()));
+        prop_assert_eq!(packed.decode(), metadata);
+        let wire = serde::to_bytes(&packed).expect("encode");
+        prop_assert_eq!(&wire[..4], &(packed.packed_len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&wire[4..], packed.as_bytes());
     }
 
     /// A blob the reader accepts is the writer's output for what it read:
@@ -421,7 +422,7 @@ proptest! {
         at in any::<usize>(),
         byte in any::<u8>(),
     ) {
-        let mut blob = metadata.to_packed();
+        let mut blob = metadata.pack().as_bytes().to_vec();
         let at = at % (blob.len() + 1);
         match edit {
             0 if at < blob.len() => blob[at] = byte,
@@ -431,7 +432,7 @@ proptest! {
             _ => blob.insert(at, byte),
         }
         if let Ok(decoded) = Metadata::from_packed(&blob) {
-            prop_assert_eq!(decoded.to_packed(), blob);
+            prop_assert_eq!(decoded.pack().as_bytes().to_vec(), blob);
         }
     }
 
@@ -447,7 +448,7 @@ proptest! {
         pick in any::<usize>(),
         wide in any::<u32>(),
     ) {
-        let blob = metadata.to_packed();
+        let blob = metadata.pack().as_bytes().to_vec();
         let spans = varints(&blob);
         let kinds = fields(&metadata);
         prop_assert_eq!(spans.len(), kinds.len());
@@ -505,7 +506,7 @@ proptest! {
             }
         };
         let mut report = sample_report();
-        report.metadata = metadata;
+        report.metadata = metadata.pack();
         prop_assert_eq!(body_error(&evidence_with_blob(&report, &edited)), expected);
     }
 }
