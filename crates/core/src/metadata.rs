@@ -247,7 +247,7 @@ impl PackedMetadata {
     /// session — a remote denial of service the wire fuzzer
     /// (`tests/fuzz_wire_net.rs`) caught on its first full run.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(SIGNED_PER_PACKED_BYTE * self.packed_len());
+        let mut out = Vec::new();
         self.write_signed(&mut out);
         out
     }
@@ -259,17 +259,14 @@ impl PackedMetadata {
     }
 
     /// Size of the signed fixed-width layout ([`PackedMetadata::to_bytes`]) in
-    /// bytes, counted by its writer without writing it — the quantity
-    /// experiment E7 sweeps ("the length of the auxiliary metadata that must
+    /// bytes — the quantity experiment E7 sweeps ("the length of the auxiliary metadata that must
     /// be sent to V depends on the number of loops executed, the number of
     /// different paths per loop, and the number of indirect branch targets",
     /// §6.1).  The packed form ([`PackedMetadata::packed_len`] bytes) grows
     /// with the same three counts and also with the logarithm of the values
     /// recorded.
     pub fn size_bytes(&self) -> usize {
-        let mut len = 0;
-        self.visit(&mut Signed(&mut len));
-        len
+        self.to_bytes().len()
     }
 
     /// Walks the packed bytes, which were validated when they were built.
@@ -296,10 +293,6 @@ impl serde::Deserialize for PackedMetadata {
 /// Why walking a [`PackedMetadata`] cannot fail: only the writer and the
 /// validating reader build one.
 const PACKED: &str = "packed metadata holds what the writer wrote or the reader accepted";
-
-/// About how many signed bytes one packed byte of typical `L` transcodes to,
-/// so that a buffer for the signed layout sized by it rarely grows.
-pub(crate) const SIGNED_PER_PACKED_BYTE: usize = 4;
 
 /// The one writer of packed `L`.  Loop records go in field group by field
 /// group, as a walk over `L` hands them on: the loop monitor writes each as
@@ -429,57 +422,40 @@ fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<(), serde::Error> {
     fields.finish()
 }
 
-/// Where [`Signed`] puts the signed layout: into bytes, or into their count.
-trait Sink {
-    fn put(&mut self, bytes: &[u8]);
-}
-
-impl Sink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-impl Sink for usize {
-    fn put(&mut self, bytes: &[u8]) {
-        *self += bytes.len();
-    }
-}
-
 /// The streaming writer of the signed layout: each field group the walk
 /// reads, at its fixed width.  The reader bounds every count and `u32` field
 /// by `u32::MAX`, so the casts below are lossless.
-struct Signed<'s, S>(&'s mut S);
+struct Signed<'s>(&'s mut Vec<u8>);
 
-impl<S: Sink> Visit for Signed<'_, S> {
+impl Visit for Signed<'_> {
     fn loops(&mut self, count: usize) {
-        self.0.put(&(count as u32).to_le_bytes());
+        self.0.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     fn loop_header(&mut self, header: &LoopHeader) {
-        self.0.put(&header.entry.to_le_bytes());
-        self.0.put(&header.exit.to_le_bytes());
-        self.0.put(&(header.nesting_depth as u64).to_le_bytes());
-        self.0.put(&[header.encoder_overflowed.into()]);
+        self.0.extend_from_slice(&header.entry.to_le_bytes());
+        self.0.extend_from_slice(&header.exit.to_le_bytes());
+        self.0.extend_from_slice(&(header.nesting_depth as u64).to_le_bytes());
+        self.0.push(header.encoder_overflowed.into());
     }
 
     fn paths(&mut self, count: usize) {
-        self.0.put(&(count as u32).to_le_bytes());
+        self.0.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     fn path(&mut self, path: PathRecord) {
-        self.0.put(&path.path_id.to_le_bytes());
-        self.0.put(&(path.first_occurrence as u64).to_le_bytes());
-        self.0.put(&path.iterations.to_le_bytes());
+        self.0.extend_from_slice(&path.path_id.to_le_bytes());
+        self.0.extend_from_slice(&(path.first_occurrence as u64).to_le_bytes());
+        self.0.extend_from_slice(&path.iterations.to_le_bytes());
     }
 
     fn targets(&mut self, count: usize) {
-        self.0.put(&(count as u32).to_le_bytes());
+        self.0.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     fn target(&mut self, target: IndirectTargetRecord) {
-        self.0.put(&target.target.to_le_bytes());
-        self.0.put(&target.code.to_le_bytes());
+        self.0.extend_from_slice(&target.target.to_le_bytes());
+        self.0.extend_from_slice(&target.code.to_le_bytes());
     }
 }
 

@@ -1,6 +1,6 @@
 //! The attestation report `R = sign(A ‖ L ‖ N; sk)` (Fig. 2).
 
-use crate::metadata::{PackedMetadata, SIGNED_PER_PACKED_BYTE};
+use crate::metadata::PackedMetadata;
 use lofat_crypto::{Digest, Nonce, Signature};
 
 /// The attestation report the prover returns to the verifier.
@@ -29,24 +29,18 @@ impl AttestationReport {
         metadata: &PackedMetadata,
         nonce: &Nonce,
     ) -> Vec<u8> {
-        let nonce = nonce.as_bytes();
-        let mut bytes = Self::prefix_bytes(program_id, authenticator, metadata, nonce.len());
-        bytes.extend_from_slice(nonce);
+        let mut bytes = Self::prefix_bytes(program_id, authenticator, metadata);
+        bytes.extend_from_slice(nonce.as_bytes());
         bytes
     }
 
-    /// The signed bytes up to the nonce, in a buffer with room for `spare`
-    /// more bytes.
+    /// The signed bytes up to the nonce.
     fn prefix_bytes(
         program_id: &str,
         authenticator: &Digest,
         metadata: &PackedMetadata,
-        spare: usize,
     ) -> Vec<u8> {
-        let signed_metadata = SIGNED_PER_PACKED_BYTE * metadata.packed_len();
-        let mut bytes = Vec::with_capacity(
-            4 + program_id.len() + authenticator.len() + signed_metadata + spare,
-        );
+        let mut bytes = Vec::new();
         bytes.extend_from_slice(&(program_id.len() as u32).to_le_bytes());
         bytes.extend_from_slice(program_id.as_bytes());
         bytes.extend_from_slice(authenticator.as_bytes());
@@ -66,7 +60,7 @@ impl AttestationReport {
     /// boundary at which the verifier's verdict cache snapshots the in-flight
     /// signature MAC.
     pub fn signed_prefix(&self) -> Vec<u8> {
-        Self::prefix_bytes(&self.program_id, &self.authenticator, &self.metadata, 0)
+        Self::prefix_bytes(&self.program_id, &self.authenticator, &self.metadata)
     }
 
     /// Size of the report on the wire, in bytes: the length of

@@ -404,7 +404,6 @@ proptest! {
     #[test]
     fn packed_metadata_round_trips(metadata in metadata_strategy()) {
         let packed = metadata.pack();
-        prop_assert_eq!(packed.as_bytes().len(), packed.packed_len());
         prop_assert_eq!(Metadata::from_packed(packed.as_bytes()), Ok(metadata.clone()));
         prop_assert_eq!(packed.decode(), metadata);
         let wire = serde::to_bytes(&packed).expect("encode");
