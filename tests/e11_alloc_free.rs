@@ -13,10 +13,10 @@
 //! Loop *exits* allocate nothing either: each appends its record's varints
 //! to the run's one packed buffer, which becomes the run's
 //! [`lofat::PackedMetadata`], so the only heap traffic they cause is that
-//! buffer's occasional doubling.  The
-//! second test bounds a window of hundreds of exits by a constant, and the
-//! third checks that a whole reference replay allocates the same number of
-//! times whatever its loop count.
+//! buffer's occasional doubling.  The second test bounds a window of
+//! hundreds of exits by a constant, and the third checks that a whole
+//! reference replay allocates the same number of times whatever its loop
+//! count.
 //!
 //! The property test is bounded by `PROPTEST_CASES` like every other property
 //! suite in the workspace.
