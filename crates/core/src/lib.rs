@@ -108,7 +108,6 @@ pub use session::{
 };
 pub use verifier::{Challenge, RejectionReason, Verdict, Verifier};
 pub use wire::{
-    ChallengeMsg, Envelope, EvidenceMsg, Message, SessionId, SessionRequestMsg, SessionSnapshot,
-    ShardSnapshot, SnapshotError, SnapshotMsg, VerdictMsg, WireError, SNAPSHOT_VERSION,
-    WIRE_VERSION,
+    ChallengeMsg, Envelope, EvidenceMsg, Message, SessionId, SessionRequestMsg, SnapshotError,
+    SnapshotMsg, VerdictMsg, WireError, SNAPSHOT_VERSION, WIRE_VERSION,
 };

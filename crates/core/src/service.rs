@@ -41,8 +41,8 @@ use crate::report::AttestationReport;
 use crate::session::{SessionError, VerifierSession};
 use crate::verifier::{Challenge, RejectionReason};
 use crate::wire::{
-    code, Envelope, Message, SessionId, SessionSnapshot, ShardSnapshot, SnapshotError, SnapshotMsg,
-    SnapshotRef, VerdictMsg, WireError,
+    code, Envelope, Message, SessionId, SnapshotError, SnapshotMsg, SnapshotRef, VerdictMsg,
+    WireError,
 };
 use lofat_crypto::sign::HmacVerifier;
 use lofat_crypto::{Digest, Hmac, Nonce, VerificationKey};
@@ -175,7 +175,8 @@ pub struct ServiceStats {
     /// sessions_opened == accepted + sessions_rejected + expired + live_sessions
     /// ```
     pub sessions_rejected: u64,
-    /// Sessions that expired before (or at) evidence submission.
+    /// Sessions that expired before (or at) evidence submission, and the
+    /// sessions a restore interrupted (see [`VerifierService::restore`]).
     pub expired: u64,
     /// Submissions carrying an already-spent nonce.  Covers re-submissions
     /// to decided sessions and cross-session nonce reuse; because replay
@@ -343,14 +344,16 @@ impl AtomicStats {
 
     /// The one accounting path for verdicts.  `wire_error` marks verdicts
     /// synthesised for envelopes that failed to decode; `spent_session` marks
-    /// verdicts that consumed (evicted) a live session.
+    /// verdicts that consumed (evicted) a live session.  The two spend
+    /// counters are bumped with release ordering, which pairs with the
+    /// acquire loads in [`AtomicStats::snapshot`].
     fn record_verdict(&self, reason_code: u16, wire_error: bool, spent_session: bool) {
         if wire_error {
             self.wire_errors.fetch_add(1, Ordering::Relaxed);
         }
         match reason_code {
             code::ACCEPTED => {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
+                self.accepted.fetch_add(1, Ordering::Release);
             }
             // Expiry is its own lifecycle category (consistent with
             // `expire_stale`, which produces no verdict): it does not also
@@ -365,13 +368,19 @@ impl AtomicStats {
             _ => {
                 self.record_rejection(reason_code);
                 if spent_session {
-                    self.sessions_rejected.fetch_add(1, Ordering::Relaxed);
+                    self.sessions_rejected.fetch_add(1, Ordering::Release);
                 }
             }
         }
     }
 
+    /// Reads every counter once.  The spends are read before the opens, and
+    /// `open_session` counts a session before any thread can spend it, so
+    /// `sessions_opened >= accepted + sessions_rejected` in every read, even
+    /// one taken under load.
     fn snapshot(&self) -> ServiceStats {
+        let accepted = self.accepted.load(Ordering::Acquire);
+        let sessions_rejected = self.sessions_rejected.load(Ordering::Acquire);
         let mut rejections_by_code = BTreeMap::new();
         for (slot, counter) in self.by_code.iter().enumerate() {
             let count = counter.load(Ordering::Relaxed);
@@ -381,9 +390,9 @@ impl AtomicStats {
         }
         ServiceStats {
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
+            accepted,
             rejected: self.rejected.load(Ordering::Relaxed),
-            sessions_rejected: self.sessions_rejected.load(Ordering::Relaxed),
+            sessions_rejected,
             expired: self.expired.load(Ordering::Relaxed),
             replays_blocked: self.replays_blocked.load(Ordering::Relaxed),
             wire_errors: self.wire_errors.load(Ordering::Relaxed),
@@ -395,9 +404,9 @@ impl AtomicStats {
     }
 
     /// Overwrites every counter from a [`ServiceStats`] snapshot.  Inverse of
-    /// [`AtomicStats::snapshot`]; used when a service is cloned or restored
-    /// from a durable snapshot, never on a service that is concurrently
-    /// recording outcomes.
+    /// [`AtomicStats::snapshot`]; used when a service is restored from a
+    /// durable snapshot, never on a service that is concurrently recording
+    /// outcomes.
     fn store(&self, stats: &ServiceStats) {
         self.sessions_opened.store(stats.sessions_opened, Ordering::Relaxed);
         self.accepted.store(stats.accepted, Ordering::Relaxed);
@@ -789,6 +798,9 @@ impl VerifierService {
         // opens receive unique ids in lock-acquisition order per shard.
         let shard_count = self.shards.len() as u64;
         let shard_index = (self.next_open.fetch_add(1, Ordering::SeqCst) % shard_count) as usize;
+        // Counted before the session becomes visible, so no read of the
+        // books sees it spent but not opened (see `AtomicStats::snapshot`).
+        self.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
         let id = {
             let mut shard = self.shards[shard_index].lock().expect("shard lock poisoned");
             // The `issued`-th session of local shard `s` in partition `p` of
@@ -812,7 +824,6 @@ impl VerifierService {
             shard.sessions.insert(id, VerifierSession::new(id, challenge, deadline));
             id
         };
-        self.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
@@ -893,15 +904,6 @@ impl VerifierService {
         let (verdict, spent_session) = self.judge(envelope);
         self.stats.record_verdict(verdict.reason_code, false, spent_session);
         verdict
-    }
-
-    /// Batch entry point: judges evidence envelopes in order and returns the
-    /// verdicts in the same order.
-    pub fn verify_evidence<'a>(
-        &self,
-        envelopes: impl IntoIterator<Item = &'a Envelope>,
-    ) -> Vec<VerdictMsg> {
-        envelopes.into_iter().map(|envelope| self.submit_evidence(envelope)).collect()
     }
 
     /// Fully sans-I/O surface: request bytes in, verdict-envelope bytes out.
@@ -1168,9 +1170,9 @@ impl VerifierService {
             None => self.db.check(&input, report).map(|reference| reference.expected_result),
         }) {
             Ok(judgement) => judgement,
-            // `open_session` and `restore` admit no session whose input lacks
-            // a reference, so this never happens; like any verifier failure
-            // it decides nothing and leaves the session open.
+            // `open_session` admits no session whose input lacks a
+            // reference, so this never happens; like any verifier failure it
+            // decides nothing and leaves the session open.
             Err(e) => return (VerdictMsg::rejected(code::UNKNOWN_INPUT, e.to_string()), false),
         };
         let verdict = judgement.verdict_msg(|&result| result);
@@ -1249,101 +1251,72 @@ impl VerifierService {
     // Durability: snapshot / restore.
     // -----------------------------------------------------------------------
 
-    /// A durable snapshot of the service: database, configuration, clock,
-    /// per-shard issuance watermarks and live sessions, and the statistics
-    /// books.  Equivalent to [`VerifierService::snapshot_with_reserve`] with
-    /// a zero reserve, which makes `snapshot → restore → snapshot` a
-    /// byte-identical fixed point.
-    pub fn snapshot(&self) -> SnapshotMsg {
-        self.snapshot_with_reserve(0)
+    /// Each shard's issuance watermark, in shard order: how many session
+    /// counters the shard has handed out, counting from the watermark a
+    /// restore started it at.  A counter below its shard's watermark that no
+    /// live session holds is spent.
+    pub fn watermarks(&self) -> Vec<u64> {
+        self.shards.iter().map(|shard| shard.lock().expect("shard lock poisoned").issued).collect()
     }
 
-    /// A durable snapshot whose issuance watermarks are rounded **up** by
-    /// `reserve` future sessions per shard.  A service that snapshots
-    /// periodically and crashes can therefore never reissue a nonce it
-    /// handed out after the last write: as long as fewer than `reserve`
-    /// sessions were opened on any shard since, every counter issued by the
-    /// dead process lies below the restored watermark and registers as
-    /// consumed.  The skipped counters are sacrificed, not recycled — evidence
-    /// for them answers [`code::NONCE_REPLAYED`] — and the conservation laws
-    /// are unaffected (they never reference the watermark).
+    /// A durable snapshot of the service, encoded (see [`SnapshotMsg`]):
+    /// configuration, clock, shard cursor, per-shard issuance watermarks,
+    /// the books and the measurement database, borrowed rather than copied.
+    /// It stores no session: the sessions live at the write count as expired
+    /// in its books, which come from one read, so
+    /// `sessions_opened == accepted + sessions_rejected + expired` holds in
+    /// every document, even one written under load.  With a zero `reserve`,
+    /// `snapshot → restore → snapshot` is a byte-identical fixed point.
     ///
-    /// Shards are locked briefly one at a time, so under concurrent mutation
-    /// the snapshot is consistent per shard, exactly like [`Clone`].
-    pub fn snapshot_with_reserve(&self, reserve: u64) -> SnapshotMsg {
-        self.read_snapshot(reserve, |snapshot| SnapshotMsg {
-            program_id: snapshot.program_id.to_string(),
-            config: *snapshot.config,
-            now_cycles: snapshot.now_cycles,
-            next_open: snapshot.next_open,
-            stats: snapshot.stats.clone(),
-            shards: snapshot.shards.to_vec(),
-            db: snapshot.db.clone(),
-        })
-    }
-
-    /// [`VerifierService::snapshot_with_reserve`] encoded to the durable wire
-    /// form (see [`SnapshotMsg::encode`]), without copying the measurement
-    /// database.
+    /// Each watermark is rounded **up** by `reserve` future sessions.  A
+    /// service that snapshots periodically and crashes can therefore never
+    /// reissue a nonce it handed out after the last write: as long as fewer
+    /// than `reserve` sessions were opened on any shard since, every counter
+    /// issued by the dead process lies below the restored watermark and
+    /// registers as consumed.  The skipped counters are sacrificed, not
+    /// recycled — evidence for them answers [`code::NONCE_REPLAYED`] — and
+    /// the conservation laws are unaffected (they never reference the
+    /// watermark).  Shards are locked briefly one at a time.
     ///
     /// # Errors
     ///
     /// Returns the codec's [`SnapshotError`] if the snapshot cannot be
     /// encoded.
     pub fn snapshot_bytes(&self, reserve: u64) -> Result<Vec<u8>, SnapshotError> {
-        self.read_snapshot(reserve, |snapshot| snapshot.encode())
-    }
-
-    /// Reads what a snapshot records, rounding each shard's watermark up by
-    /// `reserve`, and hands it to `f` borrowing the database.
-    fn read_snapshot<T>(&self, reserve: u64, f: impl FnOnce(SnapshotRef<'_>) -> T) -> T {
-        let shards: Vec<ShardSnapshot> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let guard = shard.lock().expect("shard lock poisoned");
-                ShardSnapshot {
-                    issued: guard.issued.saturating_add(reserve),
-                    sessions: guard
-                        .sessions
-                        .values()
-                        .map(|session| SessionSnapshot {
-                            id: session.id().0,
-                            input: session.challenge().input.clone(),
-                            deadline_cycles: session.deadline_cycles(),
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let now_cycles = self.now_cycles();
-        let next_open = self.next_open.load(Ordering::SeqCst);
-        let stats = self.stats.snapshot();
-        f(SnapshotRef {
+        let watermarks: Vec<u64> =
+            self.watermarks().into_iter().map(|issued| issued.saturating_add(reserve)).collect();
+        let mut stats = self.stats.snapshot();
+        stats.expired = stats
+            .sessions_opened
+            .saturating_sub(stats.accepted)
+            .saturating_sub(stats.sessions_rejected);
+        SnapshotRef {
             program_id: self.db.program_id(),
             config: &self.config,
-            now_cycles,
-            next_open,
+            now_cycles: self.now_cycles(),
+            next_open: self.next_open.load(Ordering::SeqCst),
             stats: &stats,
-            shards: &shards,
+            watermarks: &watermarks,
             db: &self.db,
-        })
+        }
+        .encode()
     }
 
     /// Reconstructs a service from a snapshot and the fleet's verification
-    /// key (key material is never part of a snapshot document).  Live
-    /// sessions resume awaiting evidence against their original nonces and
-    /// deadlines, the clock resumes from the snapshot value, and every
-    /// watermark is restored *exactly* as written — rounding (if any) was
-    /// applied by the writer, so restore can never lower one.
+    /// key (key material is never part of a snapshot document).  The clock,
+    /// shard cursor and books resume from the snapshot, and every watermark
+    /// is restored *exactly* as written — rounding (if any) was applied by
+    /// the writer, so restore can never lower one.  No session resumes: a
+    /// session open at the write was interrupted, its counter lies below its
+    /// shard's watermark and reads as spent, and its evidence draws
+    /// [`code::NONCE_REPLAYED`].  Its prover asks for a new session.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Invalid`] when the document is internally
-    /// inconsistent: the shard list does not match the configuration, a
-    /// session id lies outside its shard's counter stripe or above the
-    /// issuance watermark, a session's input has no reference measurement,
-    /// or ids repeat.
+    /// inconsistent: its database attests another program, its partition
+    /// index is out of range, or its watermark list does not match the shard
+    /// count.
     pub fn restore(msg: SnapshotMsg, key: VerificationKey) -> Result<Self, SnapshotError> {
         let invalid = |reason: String| Err(SnapshotError::Invalid { reason });
         if msg.db.program_id() != msg.program_id {
@@ -1360,72 +1333,18 @@ impl VerifierService {
                 msg.config.partition_index, partitions
             ));
         }
-        if msg.shards.len() != msg.config.shards.max(1) {
+        if msg.watermarks.len() != msg.config.shards.max(1) {
             return invalid(format!(
-                "snapshot holds {} shard(s) but the configuration says {}",
-                msg.shards.len(),
+                "snapshot holds {} shard watermark(s) but the configuration says {} shard(s)",
+                msg.watermarks.len(),
                 msg.config.shards.max(1)
             ));
         }
 
         let service = Self::new(msg.db, key, msg.config);
-        let stripes = service.stripes();
-        let mut live = 0usize;
-        let mut seen = std::collections::BTreeSet::new();
-        for (shard_index, shard_snapshot) in msg.shards.iter().enumerate() {
-            let mut shard = service.shards[shard_index].lock().expect("shard lock poisoned");
-            shard.issued = shard_snapshot.issued;
-            for session in &shard_snapshot.sessions {
-                let id = session.id;
-                if id == 0 {
-                    return invalid("session id 0 is reserved".to_string());
-                }
-                if (id - 1) % partitions != service.config.partition_index {
-                    return invalid(format!(
-                        "session {id} belongs to partition {} but this snapshot is partition {}",
-                        (id - 1) % partitions,
-                        service.config.partition_index
-                    ));
-                }
-                let owner = ((id - 1) % stripes) / partitions;
-                if owner != shard_index as u64 {
-                    return invalid(format!(
-                        "session {id} belongs to shard {owner} but was recorded in shard \
-                         {shard_index}"
-                    ));
-                }
-                if (id - 1) / stripes >= shard_snapshot.issued {
-                    return invalid(format!(
-                        "session {id} lies above shard {shard_index}'s issuance watermark \
-                         ({} issued)",
-                        shard_snapshot.issued
-                    ));
-                }
-                if !service.db.contains(&session.input) {
-                    return invalid(format!(
-                        "session {id} challenges input {:?}, which has no reference measurement",
-                        session.input
-                    ));
-                }
-                if !seen.insert(id) {
-                    return invalid(format!("session {id} appears twice"));
-                }
-                let challenge = Challenge {
-                    program_id: msg.program_id.clone(),
-                    input: session.input.clone(),
-                    // Session `n` always carries nonce `n`; re-deriving it
-                    // here (instead of trusting a stored nonce) keeps the
-                    // pairing tamper-proof across restore.
-                    nonce: Nonce::from_counter(id),
-                };
-                shard.sessions.insert(
-                    SessionId(id),
-                    VerifierSession::new(SessionId(id), challenge, session.deadline_cycles),
-                );
-                live += 1;
-            }
+        for (shard, issued) in service.shards.iter().zip(msg.watermarks) {
+            shard.lock().expect("shard lock poisoned").issued = issued;
         }
-        service.live.store(live, Ordering::SeqCst);
         service.next_open.store(msg.next_open, Ordering::SeqCst);
         service.now_cycles.store(msg.now_cycles, Ordering::SeqCst);
         service.stats.store(&msg.stats);
@@ -1443,7 +1362,7 @@ impl VerifierService {
     }
 
     /// Writes a snapshot (with `reserve` — see
-    /// [`VerifierService::snapshot_with_reserve`]) to `path` atomically and
+    /// [`VerifierService::snapshot_bytes`]) to `path` atomically and
     /// durably: the document is written to the sibling `<path>.tmp`, that
     /// file is synced to disk, it is renamed over `path`, and then `path`'s
     /// directory is synced.  A reader never observes a half-written
@@ -1563,7 +1482,7 @@ mod tests {
         let ev_a = evidence_for(&service, &mut prover, a);
         let ev_b = evidence_for(&service, &mut prover, b);
         // Interleaved: answer b first.
-        let verdicts = service.verify_evidence([&ev_b, &ev_a]);
+        let verdicts = [service.submit_evidence(&ev_b), service.submit_evidence(&ev_a)];
         assert!(verdicts.iter().all(|v| v.accepted), "{verdicts:?}");
         assert_eq!(verdicts[0].expected_result, Some(9));
         assert_eq!(verdicts[1].expected_result, Some(6));
@@ -1908,6 +1827,10 @@ mod tests {
         assert!(!partitioned.nonce_consumed(&Nonce::from_counter(3)));
     }
 
+    fn key() -> VerificationKey {
+        DeviceKey::from_seed("svc-device").verification_key()
+    }
+
     #[test]
     fn snapshot_restore_roundtrip_is_a_byte_identical_fixed_point() {
         let (service, mut prover) = setup(vec![vec![2], vec![3]]);
@@ -1919,21 +1842,36 @@ mod tests {
         service.advance_clock(17);
 
         let bytes = service.snapshot_bytes(0).unwrap();
-        let restored = VerifierService::restore_bytes(
-            &bytes,
-            DeviceKey::from_seed("svc-device").verification_key(),
-        )
-        .unwrap();
+        let restored = VerifierService::restore_bytes(&bytes, key()).unwrap();
         assert_eq!(restored.snapshot_bytes(0).unwrap(), bytes, "restore is a fixed point");
-        assert_eq!(restored.live_sessions(), 1);
+        assert_eq!(restored.live_sessions(), 0);
         assert_eq!(restored.now_cycles(), 17);
-        assert_eq!(restored.stats(), service.stats());
+        // The held session was interrupted: the restored books count it as
+        // expired.
+        let mut interrupted = service.stats();
+        interrupted.expired += 1;
+        assert_eq!(restored.stats(), interrupted);
 
-        // The restored service still refuses the spent nonce and still
-        // accepts the held session's evidence.
+        // The restored service refuses the spent nonce and the held one.
         assert_eq!(restored.submit_evidence(&ev).reason_code, code::NONCE_REPLAYED);
-        assert!(restored.submit_evidence(&pending).accepted);
+        assert_eq!(restored.submit_evidence(&pending).reason_code, code::NONCE_REPLAYED);
         assert!(restored.stats().is_conserved(restored.live_sessions()));
+    }
+
+    #[test]
+    fn a_session_spent_after_the_write_is_not_accepted_again_after_restore() {
+        let (service, mut prover) = setup(vec![vec![3]]);
+        let id = service.open_session(vec![3]).unwrap();
+        let bytes = service.snapshot_bytes(65_536).unwrap();
+        let evidence = evidence_for(&service, &mut prover, id);
+        assert!(service.submit_evidence(&evidence).accepted);
+
+        // The crash: the verdict left before the next write.  The session
+        // was live in the document, but restore does not revive it.
+        let restored = VerifierService::restore_bytes(&bytes, key()).unwrap();
+        assert_eq!(restored.submit_evidence(&evidence).reason_code, code::NONCE_REPLAYED);
+        assert_eq!(restored.live_sessions(), 0);
+        assert!(restored.stats().is_conserved(0));
     }
 
     #[test]
@@ -1948,20 +1886,26 @@ mod tests {
         }
         service.advance_clock(17);
         assert_eq!(service.live_sessions(), 4);
+        let mut books = service.stats();
+        books.expired += 4;
         for reserve in [0, 8] {
-            let snapshot = service.snapshot_with_reserve(reserve);
             let bytes = service.snapshot_bytes(reserve).unwrap();
-            assert_eq!(bytes, snapshot.encode().unwrap(), "reserve {reserve}");
+            let snapshot = SnapshotMsg::decode(&bytes).unwrap();
             // The borrowing encoder writes the body the derived codec does.
             let body = serde::to_bytes(&snapshot).unwrap();
             assert_eq!(bytes[crate::wire::SNAPSHOT_HEADER_BYTES..], body[..], "reserve {reserve}");
+            // Five sessions dealt round-robin over three shards, no session
+            // stored, and the four live ones counted as expired.
+            assert_eq!(snapshot.watermarks, [2, 2, 1].map(|issued| issued + reserve));
+            assert_eq!((snapshot.now_cycles, snapshot.next_open), (17, 5));
+            assert_eq!(snapshot.stats, books, "reserve {reserve}");
         }
     }
 
     #[test]
     fn reserved_watermarks_survive_a_crash_without_reissuing_nonces() {
         let (service, mut prover) = setup(vec![vec![2]]);
-        let snapshot = service.snapshot_with_reserve(8);
+        let snapshot = service.snapshot_bytes(8).unwrap();
 
         // "Crash": sessions opened after the snapshot are lost...
         let lost = service.open_session(vec![2]).unwrap();
@@ -1969,11 +1913,8 @@ mod tests {
 
         // ...and the restored process never reissues their counters: the next
         // open lands beyond the reserve, and the lost nonce reads as spent.
-        let restored = VerifierService::restore(
-            snapshot,
-            DeviceKey::from_seed("svc-device").verification_key(),
-        )
-        .unwrap();
+        let restored = VerifierService::restore_bytes(&snapshot, key()).unwrap();
+        assert_eq!(restored.watermarks(), [8]);
         let fresh = restored.open_session(vec![2]).unwrap();
         assert_eq!(fresh.0, 9, "the first post-restore counter clears the 8-session reserve");
         assert_eq!(restored.submit_evidence(&lost_evidence).reason_code, code::NONCE_REPLAYED);
@@ -1986,7 +1927,6 @@ mod tests {
         let (service, _) = setup(vec![vec![2]]);
         service.open_session(vec![2]).unwrap();
         let bytes = service.snapshot_bytes(0).unwrap();
-        let key = || DeviceKey::from_seed("svc-device").verification_key();
 
         for cut in [0, 3, 5, 9, SNAPSHOT_HEADER_BYTES - 1, bytes.len() - 1] {
             assert!(
@@ -2023,10 +1963,10 @@ mod tests {
             Err(SnapshotError::TrailingBytes { extra: 1 })
         ));
 
-        // A decodable document with an inconsistent body is refused too: a
-        // session claiming a counter above its shard's watermark.
-        let mut msg = service.snapshot();
-        msg.shards[0].issued = 0;
+        // A decodable document with an inconsistent body is refused too: one
+        // watermark more than the configuration has shards.
+        let mut msg = SnapshotMsg::decode(&bytes).unwrap();
+        msg.watermarks.push(0);
         assert!(matches!(VerifierService::restore(msg, key()), Err(SnapshotError::Invalid { .. })));
     }
 }

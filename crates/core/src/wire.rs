@@ -369,44 +369,25 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LFSN";
 /// [`SnapshotMsg::decode`] refuses a document of any other version with
 /// [`SnapshotError::UnsupportedVersion`] before parsing its body.  A change to
 /// the body's encoding takes a new number.  Version 2 appended the
-/// measurement database's valid-path table, and version 3 stores each
-/// reference's metadata packed, as the wire does; an older document is
-/// refused, so a service never restarts from one with fresh nonce counters.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// measurement database's valid-path table, version 3 stores each
+/// reference's metadata packed, as the wire does, and version 4 keeps one
+/// watermark per shard and no live session; an older document is refused,
+/// so a service never restarts from one with fresh nonce counters.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Size of the fixed snapshot header in bytes: magic (4) + version (2) +
 /// body length (4) + SHA3-256 body digest (32).
 pub const SNAPSHOT_HEADER_BYTES: usize = 42;
 
-/// One still-open session as persisted in a snapshot.  The challenge nonce is
-/// *not* stored: session `n` always carries `Nonce::from_counter(n)`, so the
-/// restore path re-derives it — a tampered document cannot smuggle in a
-/// foreign nonce.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SessionSnapshot {
-    /// The session counter (and nonce counter).
-    pub id: u64,
-    /// The challenged program input.
-    pub input: Vec<u32>,
-    /// Expiry deadline on the service clock.
-    pub deadline_cycles: u64,
-}
-
-/// One shard's durable state: the issuance watermark plus its live sessions.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ShardSnapshot {
-    /// Sessions this shard has issued — **rounded up** by the writer's
-    /// reserve margin, never down, so counters handed out after the snapshot
-    /// was taken register as consumed (not fresh) after a crash-restore.
-    pub issued: u64,
-    /// The sessions still awaiting evidence, in ascending id order.
-    pub sessions: Vec<SessionSnapshot>,
-}
-
-/// The complete durable state of one
-/// [`VerifierService`](crate::service::VerifierService): measurement
-/// database, configuration, clock, per-shard nonce watermarks and live
-/// sessions, and the statistics books.
+/// The state a [`VerifierService`](crate::service::VerifierService) resumes
+/// from after a crash: configuration, clock, shard cursor, per-shard nonce
+/// watermarks, the statistics books and the measurement database.
+///
+/// It holds no session.  The writer counts every session that was live at
+/// the write as expired, so the books balance with zero live sessions, and
+/// a restore puts no session back: every counter below its shard's
+/// watermark reads as spent, and evidence for it draws
+/// [`code::NONCE_REPLAYED`].
 ///
 /// The verification key is deliberately **absent** — it is provided again at
 /// restore time, so a snapshot document never carries key material.  The
@@ -416,7 +397,7 @@ pub struct ShardSnapshot {
 /// ```text
 /// offset  size  field
 /// 0       4     magic  "LFSN"
-/// 4       2     version (little-endian u16, currently 3)
+/// 4       2     version (little-endian u16, currently 4)
 /// 6       4     body length (little-endian u32)
 /// 10      32    SHA3-256 digest of the body
 /// 42      n     body: serde encoding of `SnapshotMsg`
@@ -427,42 +408,23 @@ pub struct SnapshotMsg {
     pub program_id: String,
     /// The service configuration, including the partition coordinates.
     pub config: crate::service::ServiceConfig,
-    /// The service clock at snapshot time; restore resumes from here and the
-    /// restored sessions expire against it.
+    /// The service clock at snapshot time; restore resumes from here.
     pub now_cycles: u64,
     /// The round-robin shard cursor.
     pub next_open: u64,
-    /// The statistics books at snapshot time.
+    /// The statistics books at snapshot time, with the sessions live at the
+    /// write counted as expired.
     pub stats: crate::service::ServiceStats,
-    /// Per-shard watermarks and live sessions, in shard order.
-    pub shards: Vec<ShardSnapshot>,
+    /// Sessions each shard has issued, in shard order — **rounded up** by
+    /// the writer's reserve margin, never down, so counters handed out after
+    /// the snapshot was taken read as spent (not fresh) after a
+    /// crash-restore.
+    pub watermarks: Vec<u64>,
     /// The reference measurement database.
     pub db: crate::measurement_db::MeasurementDatabase,
 }
 
 impl SnapshotMsg {
-    /// Encodes the snapshot to its deterministic byte representation.  The
-    /// body digest makes bit rot (and tampering by anything weaker than a
-    /// second-preimage attack on SHA3-256) detectable before the body is
-    /// parsed at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Codec`] if the body cannot be encoded and
-    /// [`SnapshotError::Oversized`] if it exceeds the `u32` length field.
-    pub fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
-        SnapshotRef {
-            program_id: &self.program_id,
-            config: &self.config,
-            now_cycles: self.now_cycles,
-            next_open: self.next_open,
-            stats: &self.stats,
-            shards: &self.shards,
-            db: &self.db,
-        }
-        .encode()
-    }
-
     /// Decodes a snapshot document, refusing bad magic, unknown versions,
     /// truncation, trailing bytes and any body whose digest does not match.
     /// Never panics on malformed input.
@@ -517,30 +479,37 @@ pub(crate) struct SnapshotRef<'a> {
     pub(crate) now_cycles: u64,
     pub(crate) next_open: u64,
     pub(crate) stats: &'a crate::service::ServiceStats,
-    pub(crate) shards: &'a [ShardSnapshot],
+    pub(crate) watermarks: &'a [u64],
     pub(crate) db: &'a crate::measurement_db::MeasurementDatabase,
 }
 
 impl serde::Serialize for SnapshotRef<'_> {
     fn serialize(&self, serializer: &mut serde::Serializer) -> Result<(), serde::Error> {
-        // `SnapshotMsg`'s field order; the shards as a `Vec` encodes them.
+        // `SnapshotMsg`'s field order; the watermarks as a `Vec` encodes them.
         self.program_id.serialize(serializer)?;
         self.config.serialize(serializer)?;
         self.now_cycles.serialize(serializer)?;
         self.next_open.serialize(serializer)?;
         self.stats.serialize(serializer)?;
-        serializer.write_len(self.shards.len())?;
-        for shard in self.shards {
-            shard.serialize(serializer)?;
+        serializer.write_len(self.watermarks.len())?;
+        for watermark in self.watermarks {
+            watermark.serialize(serializer)?;
         }
         self.db.serialize(serializer)
     }
 }
 
 impl SnapshotRef<'_> {
-    /// The document [`SnapshotMsg::encode`] describes, written into one
-    /// buffer: the body goes behind a reserved header, whose length and
-    /// digest are filled in last.
+    /// The snapshot document, written into one buffer: the body goes behind
+    /// a reserved header, whose length and digest are filled in last.  The
+    /// digest makes bit rot (and tampering by anything weaker than a
+    /// second-preimage attack on SHA3-256) detectable before the body is
+    /// parsed at all.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Codec`] if the body cannot be encoded and
+    /// [`SnapshotError::Oversized`] if it exceeds the `u32` length field.
     pub(crate) fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut serializer = serde::Serializer::new();
         serializer.write_bytes(&[0; SNAPSHOT_HEADER_BYTES]);
@@ -597,9 +566,10 @@ pub enum SnapshotError {
     DigestMismatch,
     /// The body is not a valid [`SnapshotMsg`] encoding.
     Codec(serde::Error),
-    /// The document decoded but describes an inconsistent service (wrong
-    /// shard count, a session outside its shard's congruence class or above
-    /// the issuance watermark, …).  Restore refuses rather than guessing.
+    /// The document decoded but describes an inconsistent service (a
+    /// database for another program, a partition index out of range, a
+    /// watermark list that does not match the shard count).  Restore refuses
+    /// rather than guessing.
     Invalid {
         /// What the validation found.
         reason: String,

@@ -401,8 +401,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
 
     let key = DeviceKey::from_seed("lofat-cli-fleet");
     // Restore-if-exists: a snapshot written by a previous incarnation carries
-    // the database, configuration, watermarks and live sessions; the CLI
-    // shape flags only apply to a cold start.
+    // the database, configuration, clock, watermarks and books, and no
+    // session (a crash interrupts every open one); the CLI shape flags only
+    // apply to a cold start.
     let restored = match &snapshot_path {
         Some(path) if path.exists() => {
             let service = VerifierService::restore_from_file(path, key.verification_key())
@@ -416,9 +417,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 .into());
             }
             eprintln!(
-                "restored `{name}` from `{}`: {} live session(s), clock at {} cycles",
+                "restored `{name}` from `{}`: watermarks {:?}, clock at {} cycles",
                 path.display(),
-                service.live_sessions(),
+                service.watermarks(),
                 service.now_cycles(),
             );
             Some(service)
@@ -488,7 +489,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     // release capacity instead of pinning `max_live_sessions` forever.  After
     // a restore the clock resumes from the snapshot value and only ever moves
     // forward (the `saturating_sub` yields zero ticks until wall time catches
-    // up), so restored sessions expire on schedule, never retroactively.
+    // up), so it never runs backwards across a restart.
     let started = std::time::Instant::now();
     let mut ticks = 0u64;
     loop {

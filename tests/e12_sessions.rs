@@ -300,9 +300,10 @@ fn session_round(
 
 /// The service leg.  `report` answers session 1 of a service over `input`,
 /// whose nonce is the library's first challenge nonce, three ways: on a
-/// fresh service, on one restored from its own snapshot, and on one whose
-/// verdict cache already holds the report's measurement (the same report,
-/// re-signed for session 2, went first).  Each must answer `library`'s
+/// fresh service, on one restored from the fresh service's snapshot taken
+/// before it opened anything, and on one whose verdict cache already holds
+/// the report's measurement (the same report, re-signed for session 2, went
+/// first).  Each must answer `library`'s
 /// verdict bytes and evict the session exactly when the library `decided`
 /// its own.
 fn assert_service_agrees(
@@ -325,11 +326,13 @@ fn assert_service_agrees(
     };
 
     let fresh = service();
-    let id = fresh.open_session(input.to_vec()).expect("the input has a reference");
-    assert_eq!(id, SessionId(1), "{label}");
     let snapshot = fresh.snapshot_bytes(0).expect("snapshot encodes");
     let restored = VerifierService::restore_bytes(&snapshot, key.verification_key())
         .expect("own snapshot restores");
+    let id = fresh.open_session(input.to_vec()).expect("the input has a reference");
+    assert_eq!(id, SessionId(1), "{label}");
+    let restored_id = restored.open_session(input.to_vec()).expect("the input has a reference");
+    assert_eq!(restored_id, id, "{label}: the restored service issues the same first id");
 
     let cached = service();
     let first = cached.open_session(input.to_vec()).expect("capacity");

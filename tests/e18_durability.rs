@@ -8,9 +8,10 @@
 //!   every shard's issuance watermark *up* by a reserve; sessions opened
 //!   after the last write land under the restored watermark and their spent
 //!   nonces answer `NONCE_REPLAYED`, never a second `ACCEPTED`.
-//! * **In-flight sessions survive** when they made it into a snapshot: the
-//!   restored process re-derives their nonces from the session counters and
-//!   accepts their (first) evidence, on the restored logical clock.
+//! * **A crash interrupts every live session**: a snapshot stores none, so
+//!   a session live at the last write draws `NONCE_REPLAYED` after the
+//!   restart, whether it was spent before the kill or still held.  Its
+//!   prover asks for a new session.
 //! * **The snapshot on disk is a valid, conserved service** — restoring it
 //!   in-process satisfies both conservation laws.
 //! * **The multi-process deployment is byte-identical to one service**: N
@@ -24,9 +25,9 @@
 //! graceful shutdown — that would test nothing) and restores from whatever
 //! the dead process left behind.
 //! * **A snapshot of another format version is refused, never overwritten**:
-//!   `lofat serve` pointed at a version-1 document exits non-zero and leaves
-//!   the file byte-identical instead of starting over with fresh nonce
-//!   counters.
+//!   `lofat serve` pointed at a version-1, 2 or 3 document exits non-zero and
+//!   leaves the file byte-identical instead of starting over with fresh
+//!   nonce counters.
 //! * **A serving process runs three kinds of thread and no more**: main,
 //!   the event loop and one per verifier worker (checked through `/proc`
 //!   on Linux).
@@ -171,14 +172,13 @@ fn sigkill_and_restore_never_reissues_a_nonce() {
     let (_, verdict) = client.submit_evidence(&spent).expect("replay after restore");
     assert_eq!(verdict.reason_code, code::NONCE_REPLAYED, "{verdict:?}");
 
-    // ② The in-flight session gets *at most one* acceptance.  Whether the
-    // first post-restore submission is accepted depends on timing (the 5s
-    // tick may have snapshotted it live before the kill; otherwise it fell
-    // under the restored watermark and is refused) — but a second
-    // submission must always be a replay.
-    let (_, first) = client.submit_evidence(&in_flight).expect("lost session after restore");
-    let (_, second) = client.submit_evidence(&in_flight).expect("second submission");
-    assert_eq!(second.reason_code, code::NONCE_REPLAYED, "first {first:?}, second {second:?}");
+    // ② The in-flight session was interrupted: whether or not a 5s tick
+    // wrote it live before the kill, its counter lies under the restored
+    // watermark and no session holds it, so every submission is a replay.
+    for attempt in ["first", "second"] {
+        let (_, verdict) = client.submit_evidence(&in_flight).expect("lost session after restore");
+        assert_eq!(verdict.reason_code, code::NONCE_REPLAYED, "{attempt}: {verdict:?}");
+    }
 
     // ③ Replay-hammer the spent evidence: every attempt refused.
     for round in 0..8 {
@@ -237,14 +237,15 @@ fn serve_runs_only_main_the_loop_and_its_workers() {
 }
 
 /// Older snapshots, as `lofat serve --snapshot-path` wrote them before the
-/// database carried its valid-path table (version 1) and before it stored
-/// each reference's metadata packed (version 2), are refused: `serve` exits
-/// non-zero and leaves the file byte-identical.  Starting over instead would
+/// database carried its valid-path table (version 1), before it stored each
+/// reference's metadata packed (version 2) and while snapshots stored live
+/// sessions (version 3), are refused: `serve` exits non-zero and leaves the
+/// file byte-identical.  Starting over instead would
 /// issue fresh nonce counters and could reissue every nonce the old process
 /// handed out.
 #[test]
 fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let fixture = std::fs::read(&path).expect("fixture");
         let snapshot = artifact_dir().join(format!("version_{version}.snap"));
@@ -281,8 +282,11 @@ fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
     }
 }
 
+/// Two sessions are open across a 5-second tick, so the snapshot on disk
+/// holds both live.  One is spent before the SIGKILL and one is held.  The
+/// restarted process revives neither: both draw `NONCE_REPLAYED`.
 #[test]
-fn live_sessions_survive_a_sigkill_once_snapshotted() {
+fn sessions_live_at_a_write_are_interrupted_by_a_sigkill() {
     let snapshot = artifact_dir().join("live_restore.snap");
     let _ = std::fs::remove_file(&snapshot);
 
@@ -291,23 +295,26 @@ fn live_sessions_survive_a_sigkill_once_snapshotted() {
     let input = catalog::by_name(WORKLOAD).unwrap().default_input.clone();
 
     let mut client = ProverClient::connect(serve.addr).expect("connect");
+    let spent = prepared_evidence(&mut client, &mut prover, input.clone());
     let held = prepared_evidence(&mut client, &mut prover, input);
     drop(client);
 
-    // Wait out one 5-second serve tick so the live session reaches disk,
-    // then crash.
-    std::thread::sleep(std::time::Duration::from_secs(7));
+    // Wait out one 5-second serve tick so both live sessions reach disk,
+    // spend one (on a new connection: the idle one may have timed out),
+    // then crash before the next tick.
+    std::thread::sleep(Duration::from_secs(7));
+    let mut client = ProverClient::connect(serve.addr).expect("connect again");
+    let (_, verdict) = client.submit_evidence(&spent).expect("submit");
+    assert!(verdict.accepted, "honest pre-crash attestation: {verdict:?}");
+    drop(client);
     serve.kill();
 
-    // The restored process re-derives the session's nonce from its counter
-    // and accepts the evidence — first time queries succeed, second time is
-    // a replay.
     let serve = spawn_serve(&snapshot, &[]);
     let mut client = ProverClient::connect(serve.addr).expect("reconnect");
-    let (_, verdict) = client.submit_evidence(&held).expect("held evidence after restore");
-    assert!(verdict.accepted, "snapshotted in-flight session must survive: {verdict:?}");
-    let (_, verdict) = client.submit_evidence(&held).expect("replay");
-    assert_eq!(verdict.reason_code, code::NONCE_REPLAYED, "{verdict:?}");
+    for (label, evidence) in [("spent", &spent), ("held", &held)] {
+        let (_, verdict) = client.submit_evidence(evidence).expect("evidence after restore");
+        assert_eq!(verdict.reason_code, code::NONCE_REPLAYED, "{label} session: {verdict:?}");
+    }
 
     drop(client);
     serve.kill();
