@@ -1,16 +1,16 @@
-//! E10 — hot-path throughput trajectory: attested instructions/sec, hashed
-//! bytes/sec and ns/permutation, against the recorded pre-PR baseline.
+//! E10 — hot-path throughput: the attested and plain syringe-pump runs, a
+//! branch-dense crc32 replay, SHA-3-512 and the Keccak-f\[1600\] permutation,
+//! timed with Criterion.
 //!
-//! Unlike E1–E9 (which regenerate tables of the paper), E10 tracks the
-//! *simulator's own* performance over time: every hot-path PR must keep these
-//! numbers moving in the right direction.  The JSON trajectory file is written
-//! by `lofat bench-json` (see `BENCH_e10.json` at the repository root); this
-//! bench prints the same measurements and times the underlying operations with
-//! Criterion.  Set `E10_SMOKE=1` to use short measurement windows (CI).
+//! Unlike E1–E9 (which regenerate tables of the paper), E10 times the
+//! *simulator's own* hot paths.  `lofat bench-json` measures their rates for
+//! the paired bench gate (`scripts/bench_pair.py`); this bench times the
+//! underlying operations.  Set `E10_SMOKE=1` for two Criterion samples per
+//! case instead of ten (CI).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lofat::{EngineConfig, Verifier};
-use lofat_bench::throughput::{measure, BASELINE, SYRINGE_UNITS};
+use lofat_bench::throughput::SYRINGE_UNITS;
 use lofat_bench::{run_attested, run_plain};
 use lofat_crypto::keccak::KeccakState;
 use lofat_crypto::{DeviceKey, Sha3_512};
@@ -25,40 +25,7 @@ fn smoke_mode() -> bool {
     std::env::var("E10_SMOKE").map(|v| v != "0").unwrap_or(false)
 }
 
-fn print_table() {
-    let (window, reps) = if smoke_mode() { (0.02, 1) } else { (0.5, 2) };
-    let current = measure(window, reps);
-    println!("\n=== E10: hot-path throughput (best of {reps} × {window}s windows) ===");
-    println!("{:<34} {:>14} {:>14} {:>8}", "metric", "baseline", "current", "speedup");
-    // (name, baseline, current, lower_is_better) — speedup is always >1 for wins.
-    let rows = [
-        (
-            "attested instructions/sec",
-            BASELINE.attested_instructions_per_sec,
-            current.attested_instructions_per_sec,
-            false,
-        ),
-        (
-            "plain instructions/sec",
-            BASELINE.plain_instructions_per_sec,
-            current.plain_instructions_per_sec,
-            false,
-        ),
-        ("hashed bytes/sec", BASELINE.hashed_bytes_per_sec, current.hashed_bytes_per_sec, false),
-        ("ns/permutation", BASELINE.ns_per_permutation, current.ns_per_permutation, true),
-    ];
-    for (name, base, cur, lower_is_better) in rows {
-        let speedup = if lower_is_better { base / cur } else { cur / base };
-        println!("{name:<34} {base:>14.0} {cur:>14.0} {speedup:>7.2}x");
-    }
-    println!(
-        "(baseline: pre-PR commit ae46754; regenerate BENCH_e10.json with `lofat bench-json`)"
-    );
-}
-
 fn bench(c: &mut Criterion) {
-    print_table();
-
     let workload = catalog::by_name("syringe-pump").expect("workload");
     let program = workload.program().expect("assemble");
     let input = [SYRINGE_UNITS];

@@ -1,11 +1,11 @@
-//! Minimal JSON emission shared by the committed-document writers.
+//! Minimal JSON emission shared by the workspace's document writers.
 //!
-//! The repo records machine-diffable artifacts as committed JSON documents —
-//! the bench trajectories (`BENCH_e10.json`, `BENCH_service.json`, rendered by
-//! `lofat-bench`) and the scenario-fleet manifests (rendered by `lofat-fleet`).
-//! Every emitter renders through this one writer instead of hand-rolling
-//! string concatenation per document, so the artifacts stay structurally
-//! uniform (2-space indentation, stable field order).
+//! The repo writes machine-diffable artifacts as JSON documents — the E10
+//! hot-path rates `lofat bench-json` writes (rendered by `lofat-bench`) and
+//! the scenario-fleet manifests (rendered by `lofat-fleet`, the golden one
+//! committed).  Every emitter renders through this one writer instead of
+//! hand-rolling string concatenation per document, so the artifacts stay
+//! structurally uniform (2-space indentation, stable field order).
 //!
 //! This is an *emitter only*: the workspace has no JSON parser and does not
 //! need one (CI gates run under `python3` or byte-compare against committed

@@ -7,8 +7,8 @@
 //! queue and run [`VerifierService::handle_bytes_batch`] over each drained
 //! burst — the full decode → CFG evidence checks → Keccak
 //! authenticator/signature check → verdict-encode pipeline — concurrently,
-//! while producers (network front-ends, the `lofat serve-bench` harness,
-//! tests) only pay the cost of an enqueue.  Batching the burst lets the
+//! while producers (the event-loop server, the fleet executor, tests) only
+//! pay the cost of an enqueue.  Batching the burst lets the
 //! signature MACs finalize through the multi-lane Keccak path.
 //!
 //! Design notes:
@@ -26,8 +26,7 @@
 //!   with [`ServiceError::ShuttingDown`]).  The event-loop server's reply
 //!   files the verdict under its connection and wakes the loop; blocking
 //!   callers use [`ParallelVerifier::verify`].  The reply carries the
-//!   queue→verdict latency measured on the worker, which is what
-//!   `serve-bench` aggregates into p50/p99 decision latencies.
+//!   queue→verdict latency measured on the worker.
 //! * **No new dependencies.**  The queue is a `Mutex<VecDeque>` plus two
 //!   condvars; replies are boxed closures.  Everything is std.
 //!

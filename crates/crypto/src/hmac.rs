@@ -2,9 +2,9 @@
 //!
 //! The LO-FAT prover's attestation report is authenticated under a device key kept in
 //! hardware-protected storage.  This reproduction uses HMAC-SHA3-512 as the keyed
-//! primitive (see `DESIGN.md` for the substitution rationale).  Note that SHA-3 does
-//! not strictly need the HMAC construction (KMAC would suffice), but HMAC keeps the
-//! verifier logic conventional and easy to audit.
+//! primitive (the crate docs say why the substitution is sound).  Note that SHA-3
+//! does not strictly need the HMAC construction (KMAC would suffice), but HMAC keeps
+//! the verifier logic conventional and easy to audit.
 
 use crate::sha3::{Digest, Sha3_512};
 

@@ -441,8 +441,7 @@ fn phase2_slots(job: &Job, traffic: &[TrafficSlot]) -> Vec<usize> {
 /// The `fraction` percentile (0.0..=1.0) of an ascending-sorted sample by
 /// the rounded nearest-rank rule: the element at rank
 /// `round((len − 1) · fraction)`, or `T::default()` for an empty sample.
-/// Both latency reports in the workspace, the fleet executor's and
-/// `lofat serve-bench`'s, rank their samples through it.
+/// The fleet executor's latency report ranks its samples through it.
 pub fn percentile<T: Copy + Default>(sorted: &[T], fraction: f64) -> T {
     if sorted.is_empty() {
         return T::default();
@@ -696,7 +695,7 @@ mod tests {
         assert_eq!(percentile(&samples, 0.50), 51, "rank rounds to nearest");
         assert_eq!(percentile(&samples, 0.99), 99);
         assert_eq!(percentile(&samples, 1.0), 100);
-        // The same ranks over `Duration`s, as `serve-bench` reports them.
+        // The same ranks over `Duration`s.
         let latencies: Vec<Duration> =
             samples.iter().map(|&us| Duration::from_micros(us)).collect();
         assert_eq!(percentile(&latencies, 0.50), Duration::from_micros(51));

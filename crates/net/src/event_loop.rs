@@ -1,5 +1,7 @@
 //! `EventLoopServer` — the verifier server: every connection on one
-//! readiness-driven loop thread, 10k+ of them at once.
+//! readiness-driven loop thread, up to [`ServerConfig::max_connections`] of
+//! them at once (64 by default, which is what `lofat serve` runs; e14 holds
+//! 1 032 on one loop).
 //!
 //! This is the server `lofat serve` runs.  A thread per connection is fine
 //! for hundreds of devices, not for the long tail of a production
@@ -92,7 +94,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Raises this process's soft open-file limit to at least `target`
-/// descriptors (needed to *hold* 10k+ sockets, not just accept them) and
+/// descriptors (needed to *hold* thousands of sockets, not just accept them) and
 /// returns the resulting soft limit.  Raising beyond the hard limit needs
 /// privileges; on failure the current limit is returned unchanged, so
 /// callers clamp their connection budget to the return value.

@@ -13,9 +13,7 @@
 //! lofat attest <workload> --connect ADDR   attest against a remote verifier
 //! lofat attest --elf <path> [inputs..]     attest an external static RV32 ELF32
 //! lofat area [l n depth]                   area model for a configuration
-//! lofat bench-json [--out F] [--smoke]     write the E10 hot-path trajectory JSON
-//! lofat serve-bench [--out F] [--smoke]    sweep the sharded service over worker
-//!                                          counts and write BENCH_service.json
+//! lofat bench-json --out F                measure the E10 hot-path rates into F
 //! lofat fleet run <spec.fleet>             execute a declarative scenario fleet
 //!                                          over every transport, write manifests
 //! lofat fleet enumerate <spec.fleet>       print a fleet's deterministic job list
@@ -57,7 +55,6 @@ fn main() -> ExitCode {
         "front" => cmd_front(&args[1..]),
         "area" => cmd_area(&args[1..]),
         "bench-json" => cmd_bench_json(&args[1..]),
-        "serve-bench" => cmd_serve_bench(&args[1..]),
         "fleet" => cmd_fleet(&args[1..]),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -114,17 +111,10 @@ commands:
                                      PT_LOAD + optional rw PT_LOAD) and attest
                                      it under the local engine
   area [l n depth]                   print the area model estimate
-  bench-json [--out FILE] [--smoke]  measure hot-path throughput (E10) and
-                                     write the trajectory JSON (default:
-                                     BENCH_e10.json; --smoke: short windows)
-  serve-bench [--out FILE] [--smoke] [--sessions N] [--producers M]
-              [--shards S] [--workers LIST]
-                                     sweep the sharded VerifierService +
-                                     ParallelVerifier pool over worker counts
-                                     (default 1,2,4) plus the event-loop
-                                     connection sweep (10k-scale concurrent
-                                     connections) and write sessions/sec +
-                                     p50/p99 latency to BENCH_service.json
+  bench-json --out FILE              measure the hot-path rates (E10: attested
+                                     and plain instructions/s, SHA-3, Keccak,
+                                     warm and cold verdict-cache sessions/s)
+                                     and write them to FILE as JSON
   fleet run <spec.fleet> [--transport pool|epoll|front|all]
             [--out-dir DIR] [--scale N]
                                      expand a declarative fleet spec and drive
@@ -714,209 +704,28 @@ fn cmd_sessions(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// `lofat bench-json --out FILE` — measure the E10 hot-path rates and write
+/// them as JSON; `scripts/bench_pair.py` compares two builds' documents.
 fn cmd_bench_json(args: &[String]) -> CliResult {
-    use lofat_bench::throughput::{measure, to_json, ThroughputSample, BASELINE};
+    use lofat_bench::throughput::{measure, to_json};
 
-    let mut out_path = "BENCH_e10.json".to_string();
-    let mut smoke = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = iter.next().ok_or("bench-json: --out requires a file path")?.to_string();
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("bench-json: unknown argument `{other}`").into()),
-        }
-    }
-
-    let (window, reps) = if smoke { (0.02, 1) } else { (1.0, 4) };
-    eprintln!(
-        "measuring hot paths (best of {reps} × {window}s windows{})…",
-        if smoke { ", smoke mode" } else { "" }
-    );
-    let current = measure(window, reps);
-    let json = to_json(&BASELINE, &current);
-    std::fs::write(&out_path, &json)?;
-
-    let print = |label: &str, sample: &ThroughputSample| {
-        println!(
-            "{label:<9} attested {:>12.0} instr/s | plain {:>12.0} instr/s | \
-             sha3-512 {:>12.0} B/s | permutation {:>6.1} ns",
-            sample.attested_instructions_per_sec,
-            sample.plain_instructions_per_sec,
-            sample.hashed_bytes_per_sec,
-            sample.ns_per_permutation,
-        );
+    let out_path = match args {
+        [flag, path] if flag == "--out" => path,
+        _ => return Err("bench-json: usage: lofat bench-json --out FILE".into()),
     };
-    print("baseline", &BASELINE);
-    print("current", &current);
+    eprintln!("measuring hot paths, best of several 1 s windows each…");
+    let sample = measure();
+    std::fs::write(out_path, to_json(&sample))?;
     println!(
-        "speedup   attested {:.2}x | plain {:.2}x | sha3-512 {:.2}x | permutation {:.2}x",
-        current.attested_instructions_per_sec / BASELINE.attested_instructions_per_sec,
-        current.plain_instructions_per_sec / BASELINE.plain_instructions_per_sec,
-        current.hashed_bytes_per_sec / BASELINE.hashed_bytes_per_sec,
-        BASELINE.ns_per_permutation / current.ns_per_permutation,
-    );
-    println!("wrote {out_path}");
-    Ok(())
-}
-
-/// `lofat serve-bench` — sweep the sharded [`VerifierService`] +
-/// `ParallelVerifier` pool over worker counts and write `BENCH_service.json`.
-fn cmd_serve_bench(args: &[String]) -> CliResult {
-    use lofat_bench::service_bench::{measure, to_json, ServiceBenchConfig};
-
-    let mut out_path = "BENCH_service.json".to_string();
-    let mut smoke = false;
-    let mut sessions: Option<usize> = None;
-    let mut producers: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut workers: Option<Vec<usize>> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path =
-                    iter.next().ok_or("serve-bench: --out requires a file path")?.to_string();
-            }
-            "--smoke" => smoke = true,
-            "--sessions" => {
-                sessions = Some(iter.next().ok_or("serve-bench: --sessions needs N")?.parse()?);
-            }
-            "--producers" => {
-                producers = Some(iter.next().ok_or("serve-bench: --producers needs M")?.parse()?);
-            }
-            "--shards" => {
-                shards = Some(iter.next().ok_or("serve-bench: --shards needs S")?.parse()?);
-            }
-            "--workers" => {
-                let list = iter.next().ok_or("serve-bench: --workers needs a list like 1,2,4")?;
-                workers = Some(
-                    list.split(',')
-                        .map(|w| w.trim().parse())
-                        .collect::<Result<Vec<usize>, _>>()
-                        .map_err(|_| format!("serve-bench: invalid --workers list `{list}`"))?,
-                );
-            }
-            other => return Err(format!("serve-bench: unknown argument `{other}`").into()),
-        }
-    }
-
-    let mut config = if smoke { ServiceBenchConfig::smoke() } else { ServiceBenchConfig::full() };
-    if let Some(n) = sessions {
-        config.sessions = n.max(1);
-    }
-    if let Some(m) = producers {
-        config.producers = m.max(1);
-    }
-    if let Some(s) = shards {
-        config.shards = s.max(1);
-    }
-    if let Some(list) = workers {
-        if list.is_empty() || list.contains(&0) {
-            return Err("serve-bench: --workers needs positive counts".into());
-        }
-        config.worker_counts = list;
-    }
-
-    eprintln!(
-        "sweeping {} sessions × workers {:?} ({} producers, {} shards{})…",
-        config.sessions,
-        config.worker_counts,
-        config.producers,
-        config.shards,
-        if smoke { ", smoke mode" } else { "" }
-    );
-    let report = measure(&config);
-    for (mode, sample) in report
-        .samples
-        .iter()
-        .map(|s| ("in-process", s))
-        .chain(report.loopback.iter().map(|s| ("loopback", s)))
-    {
-        if sample.accepted != config.sessions as u64 {
-            return Err(format!(
-                "serve-bench: only {}/{} sessions accepted at {} workers ({mode}) — the honest \
-                 sweep must accept everything",
-                sample.accepted, config.sessions, sample.workers
-            )
-            .into());
-        }
-    }
-    for sample in &report.connections {
-        if sample.accepted != sample.round_trips {
-            return Err(format!(
-                "serve-bench: only {}/{} round trips accepted at {} connections — the \
-                 connection sweep must accept everything",
-                sample.accepted, sample.round_trips, sample.connections
-            )
-            .into());
-        }
-    }
-    if report.cache.cache_hits != report.cache.sessions as u64 || report.cache.cache_misses != 1 {
-        return Err(format!(
-            "serve-bench: warm cache pass saw {} hits / {} misses over {} timed envelopes — \
-             expected every timed envelope to hit after the single priming miss",
-            report.cache.cache_hits, report.cache.cache_misses, report.cache.sessions,
-        )
-        .into());
-    }
-    std::fs::write(&out_path, to_json(&report))?;
-
-    println!(
-        "{:>12} {:>8} {:>16} {:>14} {:>14}",
-        "mode", "workers", "sessions/sec", "p50 (µs)", "p99 (µs)"
-    );
-    for (mode, sample) in report
-        .samples
-        .iter()
-        .map(|s| ("in-process", s))
-        .chain(report.loopback.iter().map(|s| ("loopback", s)))
-    {
-        println!(
-            "{:>12} {:>8} {:>16.1} {:>14.1} {:>14.1}",
-            mode,
-            sample.workers,
-            sample.sessions_per_sec,
-            sample.p50_latency_us,
-            sample.p99_latency_us,
-        );
-    }
-    println!(
-        "scaling   {:.2}x ({} → {} workers, {} host cpu{})",
-        report.scaling_first_to_last(),
-        report.samples.first().map_or(0, |s| s.workers),
-        report.samples.last().map_or(0, |s| s.workers),
-        report.host_cpus,
-        if report.host_cpus == 1 { "" } else { "s" },
-    );
-    if !report.connections.is_empty() {
-        println!(
-            "{:>12} {:>8} {:>8} {:>16} {:>14} {:>14}",
-            "connections", "held", "active", "round-trips/s", "p50 (µs)", "p99 (µs)"
-        );
-        for sample in &report.connections {
-            println!(
-                "{:>12} {:>8} {:>8} {:>16.1} {:>14.1} {:>14.1}",
-                sample.connections,
-                sample.held,
-                sample.active,
-                sample.round_trips_per_sec,
-                sample.p50_latency_us,
-                sample.p99_latency_us,
-            );
-        }
-    }
-    println!(
-        "cache     cold {:.1} sessions/sec | warm {:.1} sessions/sec | {:.2}x \
-         ({} hits, {} miss, simd tier {})",
-        report.cache.cold_sessions_per_sec,
-        report.cache.warm_sessions_per_sec,
-        report.cache.warm_speedup,
-        report.cache.cache_hits,
-        report.cache.cache_misses,
-        report.simd_tier,
+        "attested {:.0} instr/s | plain {:.0} instr/s | sha3-512 {:.0} B/s, x4 {:.0} B/s | \
+         permutation {:.1} ns | verdict cache cold {:.0} warm {:.0} sessions/s",
+        sample.attested_instructions_per_sec,
+        sample.plain_instructions_per_sec,
+        sample.hashed_bytes_per_sec,
+        sample.hashed_bytes_per_sec_x4,
+        sample.ns_per_permutation,
+        sample.cache_cold_sessions_per_sec,
+        sample.cache_warm_sessions_per_sec,
     );
     println!("wrote {out_path}");
     Ok(())

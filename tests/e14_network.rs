@@ -13,7 +13,8 @@
 //!   phase 2) and an equal `ServiceStats` snapshot vs the in-process
 //!   reference.
 //! * **Concurrency** — several clients attesting at once through one server
-//!   all succeed, and the books still balance.  A server with both
+//!   all succeed, and the books still balance, also while the loop holds
+//!   1 000 idle connections beside them.  A server with both
 //!   deadlines off (an empty deadline wheel, so its loop sleeps until woken)
 //!   answers pipelined evidence on two connections: every verdict wakes the
 //!   loop.
@@ -356,6 +357,83 @@ fn concurrent_clients_all_attest_and_the_books_balance() {
     assert_eq!(server.connections_served(), clients as u64);
     // Every session cost exactly two frames (request + evidence).
     assert_eq!(server.frames_served(), 2 * total);
+    server.shutdown();
+}
+
+/// The live check behind the event loop's connection-count claim: the loop
+/// holds 1 000 idle connections (read deadline off, as for devices that
+/// connect and wait) while 32 clients each attest over their own connection,
+/// with all 1 032 open at once, and no thread per connection.  It checks
+/// counts and verdicts, not timings.
+#[test]
+fn a_thousand_idle_connections_and_32_attesting_clients_share_one_loop() {
+    const IDLE: usize = 1000;
+    const ACTIVE: usize = 32;
+    const ROUNDS: usize = 4;
+    // Both ends of every loopback connection live in this process.
+    const OPEN_FILES: u64 = 4096;
+    let limit = lofat_net::raise_nofile_limit(OPEN_FILES);
+    assert!(
+        limit >= OPEN_FILES,
+        "the host refused to raise the open-file limit to {OPEN_FILES}: it stays at {limit}"
+    );
+
+    let name = "fig4-loop";
+    let seed = "e14-idle-connections";
+    let workload = catalog::by_name(name).unwrap();
+    let inputs: Vec<Vec<u32>> = (1..=4u32).map(|k| vec![k]).collect();
+    let (_, service, _) =
+        common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(4));
+    let mut config = common::net_server_config("idle_connections");
+    config.max_connections = IDLE + ACTIVE;
+    config.limits = NetLimits::server().with_read_timeout(None);
+    config.pool = lofat::pool::PoolConfig::with_workers(2);
+    let server = common::serve(Arc::clone(&service), config);
+    let addr = server.local_addr();
+
+    let await_connections = |want: usize| {
+        let patience = std::time::Instant::now();
+        while server.active_connections() < want && patience.elapsed() < Duration::from_secs(60) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.active_connections(), want, "the loop accepted every connection");
+    };
+    // The idle connections never send a byte; holding the streams keeps them open.
+    let idle: Vec<std::net::TcpStream> = (0..IDLE)
+        .map(|_| std::net::TcpStream::connect(addr).expect("connect idle client"))
+        .collect();
+    await_connections(IDLE);
+    let clients: Vec<ProverClient> =
+        (0..ACTIVE).map(|_| ProverClient::connect(addr).expect("connect client")).collect();
+    await_connections(IDLE + ACTIVE);
+
+    std::thread::scope(|scope| {
+        for (c, mut client) in clients.into_iter().enumerate() {
+            let (inputs, workload) = (&inputs, &workload);
+            scope.spawn(move || {
+                let (_, mut prover, _) = common::workload_session(name, seed);
+                for round in 0..ROUNDS {
+                    let input = inputs[(c + round) % inputs.len()].clone();
+                    let outcome = client
+                        .attest(&mut prover, input.clone())
+                        .unwrap_or_else(|e| panic!("client {c} round {round}: {e}"));
+                    assert!(outcome.verdict.accepted, "client {c} round {round}");
+                    assert_eq!(
+                        outcome.verdict.expected_result,
+                        Some(workload.expected_result(&input))
+                    );
+                }
+            });
+        }
+    });
+
+    let total = (ACTIVE * ROUNDS) as u64;
+    let stats = service.stats();
+    assert_eq!(stats.accepted, total);
+    assert_eq!(stats.rejected, 0);
+    common::assert_stats_conserved(&stats, service.live_sessions());
+    assert_eq!(server.connections_served(), (IDLE + ACTIVE) as u64);
+    drop(idle);
     server.shutdown();
 }
 
