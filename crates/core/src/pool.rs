@@ -26,7 +26,8 @@
 //!   with [`ServiceError::ShuttingDown`]).  The event-loop server's reply
 //!   files the verdict under its connection and wakes the loop; blocking
 //!   callers use [`ParallelVerifier::verify`].  The reply carries the
-//!   queue→verdict latency measured on the worker.
+//!   queue→verdict latency measured on the worker, which the fleet executor
+//!   aggregates into p50/p99 decision latencies.
 //! * **No new dependencies.**  The queue is a `Mutex<VecDeque>` plus two
 //!   condvars; replies are boxed closures.  Everything is std.
 //!

@@ -27,11 +27,8 @@
 //! ```
 //!
 //! The "signature" used by the simulated prover is an HMAC-SHA3-512 under a device
-//! key held in a [`keys::KeyRegister`].  The substitution keeps the security
-//! argument against the paper's software-only adversary, who cannot read the
-//! register and so cannot forge a report; a shared key differs from a signing
-//! key only in that the verifier could forge one too, and the verifier is
-//! trusted.
+//! key held in a [`keys::KeyRegister`], which the paper's software-only adversary
+//! cannot read, so the substitution keeps the paper's security argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -441,7 +441,8 @@ fn phase2_slots(job: &Job, traffic: &[TrafficSlot]) -> Vec<usize> {
 /// The `fraction` percentile (0.0..=1.0) of an ascending-sorted sample by
 /// the rounded nearest-rank rule: the element at rank
 /// `round((len − 1) · fraction)`, or `T::default()` for an empty sample.
-/// The fleet executor's latency report ranks its samples through it.
+/// The fleet executor's latency report ranks its samples through it; rttbench,
+/// a workspace of its own, keeps its own copy.
 pub fn percentile<T: Copy + Default>(sorted: &[T], fraction: f64) -> T {
     if sorted.is_empty() {
         return T::default();

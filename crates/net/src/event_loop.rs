@@ -1,7 +1,5 @@
-//! `EventLoopServer` — the verifier server: every connection on one
-//! readiness-driven loop thread, up to [`ServerConfig::max_connections`] of
-//! them at once (64 by default, which is what `lofat serve` runs; e14 holds
-//! 1 032 on one loop).
+//! `EventLoopServer` — the verifier server: every connection on one readiness-driven loop
+//! thread (e14 holds 1 032 at once; `lofat serve` runs the default `max_connections`, 64).
 //!
 //! This is the server `lofat serve` runs.  A thread per connection is fine
 //! for hundreds of devices, not for the long tail of a production

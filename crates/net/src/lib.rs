@@ -16,9 +16,8 @@
 //!   frames, frames out → bytes, deadlines, session multiplexing, typed
 //!   [`CloseReason`]s) the server drives;
 //! * [`EventLoopServer`] — the verifier server `lofat serve` runs: every
-//!   connection multiplexed onto one readiness loop thread (up to
-//!   `max_connections`, 64 by default; e14 holds 1 032 on one loop), bounded
-//!   accept, deadlines, verification on the
+//!   connection multiplexed onto one readiness loop thread (up to `max_connections`;
+//!   e14 holds 1 032), bounded accept, deadlines, verification on the
 //!   `ParallelVerifier` pool (the worker that finishes a verdict hands it
 //!   straight back to the loop, so the server runs no other thread),
 //!   graceful shutdown that drains in-flight verdicts;
