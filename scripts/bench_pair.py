@@ -150,7 +150,7 @@ def main():
     tiers = set()
     problems = []
     started = time.monotonic()
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         for pair in range(PAIRS):
             seed = pair + 1
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -159,7 +159,7 @@ def main():
                 for side in order:
                     label = f"{side} {job}"
                     if job == BENCH_JSON:
-                        out_path = os.path.join(scratch, f"{side}-{pair}.json")
+                        out_path = os.path.join(tmp, f"{side}-{pair}.json")
                         got, tier, code = bench_json(sides[side], out_path, label)
                         if side == "change" and tier:
                             tiers.add(tier)

@@ -13,7 +13,7 @@
 //! lofat attest <workload> --connect ADDR   attest against a remote verifier
 //! lofat attest --elf <path> [inputs..]     attest an external static RV32 ELF32
 //! lofat area [l n depth]                   area model for a configuration
-//! lofat bench-json --out F                measure the E10 hot-path rates into F
+//! lofat bench-json --out F                 measure the E10 hot-path rates into F
 //! lofat fleet run <spec.fleet>             execute a declarative scenario fleet
 //!                                          over every transport, write manifests
 //! lofat fleet enumerate <spec.fleet>       print a fleet's deterministic job list
