@@ -1,6 +1,7 @@
 //! E7 — size of the auxiliary metadata L as a function of the number of loops,
 //! distinct paths per loop and indirect targets; independent of iteration counts
-//! (§6.1).
+//! (§6.1).  Each table prints the paper's fixed-width layout (`L bytes`) beside
+//! the packed, run-length form that travels and is signed (`packed`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lofat::EngineConfig;
@@ -11,41 +12,51 @@ fn print_table() {
     println!("\n=== E7: metadata size L ===");
 
     println!("-- sweep of loop iterations (syringe-pump; size should stay flat per record) --");
-    println!("{:>12} {:>12} {:>14} {:>14}", "units", "loop records", "iterations", "L bytes");
+    println!(
+        "{:>12} {:>12} {:>6} {:>14} {:>14} {:>8}",
+        "units", "loop records", "runs", "iterations", "L bytes", "packed"
+    );
     let pump = catalog::by_name("syringe-pump").expect("workload").program().expect("assemble");
     for units in [5u32, 20, 80, 320] {
         let (m, _) = run_attested(&pump, &[units], EngineConfig::default());
         println!(
-            "{:>12} {:>12} {:>14} {:>14}",
+            "{:>12} {:>12} {:>6} {:>14} {:>14} {:>8}",
             units,
             m.metadata.loop_count(),
+            m.metadata.run_count(),
             m.metadata.decode().total_iterations(),
-            m.metadata.size_bytes()
+            m.metadata.size_bytes(),
+            m.metadata.packed_len()
         );
     }
 
     println!("-- sweep of distinct paths per loop (diamond-paths) --");
-    println!("{:>12} {:>15} {:>14}", "iterations", "distinct paths", "L bytes");
+    println!("{:>12} {:>15} {:>14} {:>8}", "iterations", "distinct paths", "L bytes", "packed");
     let diamond = catalog::by_name("diamond-paths").expect("workload").program().expect("assemble");
     for n in [2u32, 4, 8, 16, 64] {
         let (m, _) = run_attested(&diamond, &[n], EngineConfig::default());
         println!(
-            "{:>12} {:>15} {:>14}",
+            "{:>12} {:>15} {:>14} {:>8}",
             n,
             m.metadata.decode().total_distinct_paths(),
-            m.metadata.size_bytes()
+            m.metadata.size_bytes(),
+            m.metadata.packed_len()
         );
     }
 
     println!("-- sweep of indirect targets (dispatch) --");
-    println!("{:>14} {:>18} {:>14}", "handlers used", "targets recorded", "L bytes");
+    println!(
+        "{:>14} {:>18} {:>14} {:>8}",
+        "handlers used", "targets recorded", "L bytes", "packed"
+    );
     let dispatch = catalog::by_name("dispatch").expect("workload").program().expect("assemble");
     for handlers in [1u32, 2, 3, 4] {
         let input: Vec<u32> = (0..12u32).map(|i| i % handlers).collect();
         let (m, _) = run_attested(&dispatch, &input, EngineConfig::default());
         let targets: usize =
             m.metadata.decode().loops.iter().map(|l| l.indirect_targets.len()).sum();
-        println!("{:>14} {:>18} {:>14}", handlers, targets, m.metadata.size_bytes());
+        let (fixed, packed) = (m.metadata.size_bytes(), m.metadata.packed_len());
+        println!("{:>14} {:>18} {:>14} {:>8}", handlers, targets, fixed, packed);
     }
     println!("(paper: |L| depends on loops, paths per loop and indirect targets — not iterations)");
 }

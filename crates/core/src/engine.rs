@@ -90,10 +90,13 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// The byte string `A ‖ L` that the prover signs together with the nonce.
+    /// The measurement's share of the bytes the prover signs: `A` and the
+    /// packed `L`, each behind its `u32` length, as the report's wire
+    /// encoding holds them between the program id and the nonce.
     pub fn signed_payload(&self) -> Vec<u8> {
-        let mut payload = self.authenticator.as_bytes().to_vec();
-        self.metadata.write_signed(&mut payload);
+        let mut payload = Vec::new();
+        let fields = [self.authenticator.as_bytes(), self.metadata.as_bytes()];
+        crate::report::framed_pieces(&fields, |piece| payload.extend_from_slice(piece));
         payload
     }
 }

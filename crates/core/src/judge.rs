@@ -148,9 +148,11 @@ impl<'r> Bound<'r> {
 
 /// Checks 4 (loop-path plausibility against `valid_paths`, the valid path
 /// ids per statically enumerated loop entry) and 5 (comparison with
-/// `reference`).  Check 4 walks the report's packed metadata; check 5
-/// compares bytes, the authenticator's and then the packed metadata's, with
-/// the reference record's.  Allocates nothing unless a check fails.
+/// `reference`).  Check 4 walks the report's packed metadata, visiting each
+/// stored record once however many loop executions its run stands for;
+/// check 5 compares bytes, the authenticator's and then the packed
+/// metadata's, with the reference record's.  Allocates nothing unless a
+/// check fails.
 ///
 /// # Errors
 ///

@@ -7,7 +7,8 @@
 //! indirect-branch targets via the [`crate::cam::IndirectTargetCam`], and — on loop
 //! exit — has the metadata generator append the loop's record to `L`, read
 //! straight from the path counters and the CAM into the run's one packed
-//! buffer.
+//! buffer, where a record equal to the one before it lengthens that
+//! record's run instead.
 //!
 //! Its contract with the engine: every step appends the `(Src, Dest)` pairs to
 //! hash now and the loop records it completes to the engine's [`MonitorOutput`],
@@ -83,7 +84,8 @@ impl ActiveLoop {
         pc >= self.entry && pc < self.exit
     }
 
-    /// Finishes this activation: appends its loop record to `out.metadata`,
+    /// Finishes this activation: appends its loop record to `out.metadata`
+    /// (which folds it into the run before it when the two are equal),
     /// hands off any leftover partial-path pairs and counts the exit.  The
     /// activation is left drained so the monitor can recycle it.
     ///
@@ -178,7 +180,7 @@ impl ActiveLoop {
 pub struct MonitorOutput {
     /// `(Src, Dest)` pairs to forward to the hash engine now.
     pub hash_now: Vec<BranchPair>,
-    /// Loop records completed so far, in exit order, packed.
+    /// Loop records completed so far, in exit order, packed into runs.
     pub(crate) metadata: PackedWriter,
 }
 

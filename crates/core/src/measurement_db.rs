@@ -11,12 +11,13 @@
 //! simulator at all.  Beside the entries it holds the verifier's valid-path table,
 //! so the judge's loop-path check ([`crate::judge`]) needs no CFG either.
 //!
-//! Each entry is held as a [`PackedReference`]: `A` and `L` in one heap block of
-//! LEB128 varints, about a fifth of the bytes `L` takes signed.  The record
-//! ends in `L`'s packed form, which is also its codec form, so the judge
-//! compares a report's packed `L` with the record's tail byte for byte, and
-//! the database's wire bytes and snapshots copy records rather than
-//! re-encode them.
+//! Each entry is held as a [`PackedReference`]: `A` and `L` in one heap block.
+//! The record ends in `L`'s packed form — LEB128 varints, one stored record
+//! per run of identical consecutive loop records — which is also its codec
+//! form and what the signature covers.  So the judge compares a report's
+//! packed `L` with the record's tail byte for byte, no run is ever
+//! expanded, and the database's wire bytes and snapshots copy records rather
+//! than re-encode them.
 
 use crate::config::EngineConfig;
 use crate::error::LofatError;
@@ -416,7 +417,7 @@ fn replay_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::tests::mutated;
+    use crate::metadata::tests::{decodable, mutated};
     use crate::metadata::{IndirectTargetRecord, LoopRecord, Metadata, PathRecord};
     use crate::prover::Prover;
     use crate::report::tests::edit_metadata;
@@ -766,7 +767,7 @@ mod tests {
                 signature: Signature::from_bytes(Vec::new()),
             };
             let mut reports = single_field_mutations(&honest);
-            if let Ok(edited) = PackedMetadata::from_packed(&mutated(metadata.as_bytes(), edit, at, byte)) {
+            if let Some(edited) = decodable(&mutated(metadata.as_bytes(), edit, at, byte)) {
                 reports.push(AttestationReport { metadata: edited, ..honest.clone() });
             }
             reports.push(honest);

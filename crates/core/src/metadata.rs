@@ -7,13 +7,15 @@
 //! reconstruct (and judge) the compressed part of the execution path.
 //!
 //! Every data structure holds `L` as a [`PackedMetadata`]: one heap block of
-//! LEB128 varints, about a quarter of the bytes of the fixed-width layout the
-//! signature covers.  The loop monitor writes it as each loop exits, and the
-//! wire, the reference database, snapshots and the verifier's verdict cache
-//! carry it as it is.  The signed layout is transcoded from it by one
-//! streaming writer ([`PackedMetadata::to_bytes`]).  [`Metadata`] is the
-//! decoded view ([`PackedMetadata::decode`]) for tests, the CLI and the
-//! experiments that inspect loop records.
+//! LEB128 varints in which consecutive identical loop records are stored once,
+//! as a run.  The loop monitor writes it as each loop exits, and the wire, the
+//! signature, the reference database, snapshots and the verifier's verdict
+//! cache carry it as it is, so no verifier path expands a run.  Three things
+//! do, allocating per loop execution, and are meant for locally produced
+//! measurements: the paper's fixed-width layout
+//! ([`PackedMetadata::to_bytes`], [`PackedMetadata::size_bytes`]) and
+//! [`Metadata`], the decoded view ([`PackedMetadata::decode`]) for tests, the
+//! CLI and the experiments that inspect loop records.
 //!
 //! One walk reads the packed form, and accepts only what the writer
 //! produces.  Validating it ([`PackedMetadata::from_packed`]), decoding it
@@ -100,7 +102,8 @@ impl Metadata {
         self.loops.iter().map(LoopRecord::distinct_paths).sum()
     }
 
-    /// The packed form of this view, written by the one writer of packed `L`.
+    /// The packed form of this view, written by the one writer of packed `L`,
+    /// which folds equal consecutive records into runs.
     pub fn pack(&self) -> PackedMetadata {
         let mut writer = PackedWriter::default();
         for l in &self.loops {
@@ -120,9 +123,14 @@ impl Metadata {
 
     /// Reads packed `L` into its decoded view.  The walk is
     /// [`PackedMetadata::from_packed`]'s, so both accept and reject exactly
-    /// the same bytes with the same errors.  Allocates at most a small
-    /// multiple of `bytes.len()`: every count is checked against the bytes
-    /// left before anything is reserved for it.
+    /// the same bytes with the same errors.
+    ///
+    /// The view holds one record per loop execution, so it allocates per
+    /// loop execution: up to `u32::MAX` records for a few bytes that claim
+    /// them.  It is meant for locally produced measurements; bound
+    /// [`PackedMetadata::loop_count`] first before decoding bytes a peer
+    /// chose.  The walk checks every count of stored records against the
+    /// bytes left before anything is reserved for it.
     ///
     /// # Errors
     ///
@@ -134,10 +142,11 @@ impl Metadata {
     }
 }
 
-/// Decoding: the view grows record by record as the walk reads them.
+/// Decoding: the view grows record by record as the walk reads them, and
+/// each record is repeated once per further loop execution of its run.
 impl Visit for Metadata {
-    fn loops(&mut self, count: usize) {
-        self.loops.reserve_exact(count);
+    fn loops(&mut self, runs: usize) {
+        self.loops.reserve_exact(runs);
     }
 
     fn loop_header(&mut self, header: &LoopHeader) {
@@ -166,6 +175,11 @@ impl Visit for Metadata {
     fn target(&mut self, target: IndirectTargetRecord) {
         self.loops.last_mut().expect(HEADER_FIRST).indirect_targets.push(target);
     }
+
+    fn repeats(&mut self, count: u32) {
+        let record = self.loops.last().expect(HEADER_FIRST).clone();
+        self.loops.extend(std::iter::repeat_n(record, count as usize));
+    }
 }
 
 /// Why a loop's counts and records always follow its header.
@@ -174,24 +188,31 @@ const HEADER_FIRST: &str = "the walk reads a loop's header before its records";
 /// The auxiliary metadata `L` of one attested execution, packed into one heap
 /// block.
 ///
-/// The bytes are every integer of the signed layout
-/// ([`PackedMetadata::to_bytes`]) in its order — loop count; per loop its
-/// entry, exit, depth, overflow flag and path count, each path's id, first
-/// occurrence and iterations, its target count, each target and code — each
-/// as a LEB128 varint.  A value takes one byte per 7 significant bits, so the
-/// counts, flags and small addresses that dominate `L` take a byte or two.
+/// The bytes are the number of stored records, then per stored record its
+/// entry, exit, depth, flag and path count, each path's id, first occurrence
+/// and iterations, its target count, each target and code — each as a LEB128
+/// varint.  A value takes one byte per 7 significant bits, so the counts,
+/// flags and small addresses that dominate `L` take a byte or two.
+///
+/// A stored record is a run: the flag is `(repeats << 1) |
+/// encoder_overflowed`, and the record stands for `repeats + 1` consecutive
+/// loop executions that recorded the same loop record.  A record that does
+/// not repeat has the flag 0 or 1: one byte, as for a plain flag.
 ///
 /// Only the writer (which the loop monitor and [`Metadata::pack`] drive) and
-/// the validating [`PackedMetadata::from_packed`] build one, so the bytes are
-/// canonical: one packed form belongs to one signed form, and two values are
-/// equal exactly when the metadata are.  The codec form is the bytes behind
-/// a `u32` length.
+/// the validating [`PackedMetadata::from_packed`] build one.  The writer folds
+/// every record equal to the one before it into that record's run, and the
+/// reader accepts maximal runs only, so the bytes are canonical: two values
+/// are equal exactly when the metadata are.  The codec form is the bytes
+/// behind a `u32` length, and it is what the attestation signature covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedMetadata(Box<[u8]>);
 
 impl PackedMetadata {
     /// Validates `bytes` as packed `L` and copies them into a block of
-    /// exactly their length.  The validating walk allocates nothing.
+    /// exactly their length.  The validating walk allocates nothing and
+    /// takes time linear in the bytes, however many loop executions the
+    /// runs claim.
     ///
     /// # Errors
     ///
@@ -199,12 +220,15 @@ impl PackedMetadata {
     /// * [`serde::Error::NonCanonicalVarint`] for a varint longer than its
     ///   value needs, or wider than 64 bits;
     /// * [`serde::Error::IntegerOverflow`] for a value above `u32::MAX` in a
-    ///   field the signed form holds as a `u32` (addresses, path ids, codes,
-    ///   counts), or above `usize::MAX` in a `usize` field;
-    /// * [`serde::Error::InvalidBool`] for an overflow flag other than 0 or 1;
+    ///   field the fixed-width layout holds as a `u32` (addresses, path ids,
+    ///   codes, counts), above `usize::MAX` in a `usize` field, or for runs
+    ///   that total more than `u32::MAX` loop executions (its `value` is the
+    ///   running total);
+    /// * [`serde::Error::NonMaximalRun`] for a stored record equal to the one
+    ///   before it, which the writer would have folded into its run;
     /// * [`serde::Error::UnexpectedEof`] for truncation, or for a count of
     ///   records that the bytes left cannot hold;
-    /// * [`serde::Error::TrailingBytes`] for bytes after the last loop.
+    /// * [`serde::Error::TrailingBytes`] for bytes after the last record.
     pub fn from_packed(bytes: &[u8]) -> Result<Self, serde::Error> {
         validate(bytes)?;
         Ok(Self(bytes.into()))
@@ -215,23 +239,36 @@ impl PackedMetadata {
         &self.0
     }
 
-    /// Length of the packed bytes: what `L` takes on the wire and in memory.
+    /// Length of the packed bytes: what `L` takes on the wire, under the
+    /// signature and in memory.
     pub fn packed_len(&self) -> usize {
         self.0.len()
     }
 
-    /// Number of loop executions recorded, read from the front.
-    pub fn loop_count(&self) -> usize {
+    /// Number of stored records, each a run of identical consecutive loop
+    /// executions, read from the front.
+    pub fn run_count(&self) -> usize {
         Fields::new(&self.0).varint().expect(PACKED) as usize
     }
 
-    /// The decoded view, with one record per loop execution.
+    /// Number of loop executions recorded: every run's length, summed in one
+    /// walk over the packed bytes.
+    pub fn loop_count(&self) -> usize {
+        walk(&self.0, &mut ()).expect(PACKED) as usize
+    }
+
+    /// The decoded view, with one record per loop execution.  Allocates per
+    /// loop execution (see [`Metadata::from_packed`]); meant for locally
+    /// produced measurements.
     pub fn decode(&self) -> Metadata {
         Metadata::from_packed(&self.0).expect(PACKED)
     }
 
-    /// The fixed-width layout the attestation signature covers, transcoded
-    /// from the packed bytes.
+    /// The paper's fixed-width layout of `L`, with every run expanded into
+    /// one record per loop execution.  It allocates per loop execution and
+    /// is meant for locally produced measurements: experiment E7 sweeps its
+    /// size and the engine's golden corpus pins it.  The signature covers the
+    /// packed bytes instead.
     ///
     /// Layout (all little-endian):
     /// `loop_count:u32` then per loop: `entry:u32, exit:u32, depth:u64,
@@ -239,32 +276,23 @@ impl PackedMetadata {
     /// iterations:u64}*, target_count:u32, {target:u32, code:u32}*`.
     ///
     /// The `usize` fields (`nesting_depth`, `first_occurrence`) are encoded at
-    /// their full width, matching the packed form (which carries any `u64`).
-    /// This must stay injective over everything the wire can decode: an
-    /// earlier u32 truncation here meant two distinct wire reports shared
-    /// one signature, so an attacker flipping a high byte of either field
-    /// produced an *authenticated* `MetadataMismatch` that spent the live
-    /// session — a remote denial of service the wire fuzzer
-    /// (`tests/fuzz_wire_net.rs`) caught on its first full run.
+    /// their full width, matching the packed form (which carries any `u64`),
+    /// so the layout is injective over everything the wire can decode.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_signed(&mut out);
+        let mut out = vec![0; 4];
+        let loops = walk(&self.0, &mut FixedWidth { out: &mut out, record: 0 }).expect(PACKED);
+        out[..4].copy_from_slice(&loops.to_le_bytes());
         out
     }
 
-    /// Appends [`PackedMetadata::to_bytes`] to `out`: the one writer of the
-    /// signed layout.
-    pub(crate) fn write_signed(&self, out: &mut Vec<u8>) {
-        self.visit(&mut Signed(out));
-    }
-
-    /// Size of the signed fixed-width layout ([`PackedMetadata::to_bytes`]) in
-    /// bytes — the quantity experiment E7 sweeps ("the length of the auxiliary metadata that must
-    /// be sent to V depends on the number of loops executed, the number of
-    /// different paths per loop, and the number of indirect branch targets",
-    /// §6.1).  The packed form ([`PackedMetadata::packed_len`] bytes) grows
-    /// with the same three counts and also with the logarithm of the values
-    /// recorded.
+    /// Size of the fixed-width layout ([`PackedMetadata::to_bytes`]) in bytes
+    /// — the quantity experiment E7 sweeps ("the length of the auxiliary
+    /// metadata that must be sent to V depends on the number of loops
+    /// executed, the number of different paths per loop, and the number of
+    /// indirect branch targets", §6.1).  Builds the layout, so it allocates
+    /// per loop execution.  The packed form ([`PackedMetadata::packed_len`]
+    /// bytes) grows with the same counts, with the logarithm of the values
+    /// recorded, and with the number of runs rather than of loop executions.
     pub fn size_bytes(&self) -> usize {
         self.to_bytes().len()
     }
@@ -296,35 +324,104 @@ const PACKED: &str = "packed metadata holds what the writer wrote or the reader 
 
 /// The one writer of packed `L`.  Loop records go in field group by field
 /// group, as a walk over `L` hands them on: the loop monitor writes each as
-/// its loop exits, and [`Metadata::pack`] writes a decoded view's.  The
-/// writer counts the loops itself, and [`PackedWriter::finish`] puts the
-/// count in front.
+/// its loop exits, and [`Metadata::pack`] writes a decoded view's.  A record
+/// stays open until the next one starts or [`PackedWriter::finish`] runs;
+/// closing it folds it into the run before it when the two records are
+/// equal, so the writer stores maximal runs only.  It counts the runs itself,
+/// and `finish` puts the count in front.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedWriter {
-    /// Loop records written so far.
-    loops: u64,
-    /// The records, without the loop count.
+    /// Runs stored so far, the open record aside.
+    runs: u64,
+    /// The records, without the run count.
     records: Vec<u8>,
+    /// The last stored run.
+    last: Option<Run>,
+    /// The record being written.
+    open: Option<Run>,
+}
+
+/// Where one record sits in [`PackedWriter`]'s bytes.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Offset of its first byte.
+    start: usize,
+    /// Offset of its flag varint.
+    flag_at: usize,
+    /// Length of its flag varint.
+    flag_len: usize,
+    /// Its flag: `(repeats << 1) | encoder_overflowed`.
+    flag: u64,
+}
+
+impl Run {
+    /// Whether `next`, the record written right after this run in `records`,
+    /// is the same loop record: the same bytes around the flags, and the
+    /// same overflow bit.
+    fn same_record(&self, records: &[u8], next: &Run) -> bool {
+        let after_flag = |run: &Run, end: usize| &records[run.flag_at + run.flag_len..end];
+        records[self.start..self.flag_at] == records[next.start..next.flag_at]
+            && self.flag & 1 == next.flag & 1
+            && after_flag(self, next.start) == after_flag(next, records.len())
+    }
 }
 
 impl PackedWriter {
     /// The packed metadata of the records written, in one heap block of
     /// exactly its length.
-    pub(crate) fn finish(self) -> PackedMetadata {
-        let mut packed = Vec::with_capacity(varint_len(self.loops) + self.records.len());
-        put_varint(&mut packed, self.loops);
+    pub(crate) fn finish(mut self) -> PackedMetadata {
+        self.close();
+        let mut packed = Vec::with_capacity(varint_len(self.runs) + self.records.len());
+        put_varint(&mut packed, self.runs);
         packed.extend_from_slice(&self.records);
         PackedMetadata(packed.into_boxed_slice())
+    }
+
+    /// Closes the open record: folds it into the last run when it is the
+    /// same loop record, or stores it as a new run.
+    fn close(&mut self) {
+        let Some(open) = self.open.take() else { return };
+        if self.last.is_some_and(|last| last.same_record(&self.records, &open)) {
+            self.records.truncate(open.start);
+            self.add_repeats(1);
+        } else {
+            self.runs += 1;
+            self.last = Some(open);
+        }
+    }
+
+    /// Lengthens the last run by `count` loop executions, rewriting its flag
+    /// in place; the flag grows a byte each time the count crosses a 7-bit
+    /// boundary, and the bytes after it move up.
+    fn add_repeats(&mut self, count: u64) {
+        let last = self.last.as_mut().expect(HEADER_FIRST);
+        last.flag += count << 1;
+        let len = varint_len(last.flag);
+        if len > last.flag_len {
+            let at = last.flag_at + last.flag_len;
+            self.records.splice(at..at, std::iter::repeat_n(0, len - last.flag_len));
+            last.flag_len = len;
+        }
+        let mut value = last.flag;
+        for byte in &mut self.records[last.flag_at..last.flag_at + len] {
+            *byte = value as u8 | 0x80;
+            value >>= 7;
+        }
+        self.records[last.flag_at + len - 1] &= 0x7f;
     }
 }
 
 impl Visit for PackedWriter {
     fn loop_header(&mut self, header: &LoopHeader) {
-        self.loops += 1;
+        self.close();
         let LoopHeader { entry, exit, nesting_depth, encoder_overflowed } = *header;
-        for value in [entry.into(), exit.into(), nesting_depth as u64, encoder_overflowed.into()] {
+        let start = self.records.len();
+        for value in [entry.into(), exit.into(), nesting_depth as u64] {
             put_varint(&mut self.records, value);
         }
+        let (flag_at, flag) = (self.records.len(), encoder_overflowed.into());
+        put_varint(&mut self.records, flag);
+        self.open = Some(Run { start, flag_at, flag_len: 1, flag });
     }
 
     fn paths(&mut self, count: usize) {
@@ -345,6 +442,13 @@ impl Visit for PackedWriter {
         put_varint(&mut self.records, target.target.into());
         put_varint(&mut self.records, target.code.into());
     }
+
+    fn repeats(&mut self, count: u32) {
+        self.close();
+        if count > 0 {
+            self.add_repeats(count.into());
+        }
+    }
 }
 
 /// The fixed fields of one loop record, ahead of its paths.
@@ -356,21 +460,26 @@ pub(crate) struct LoopHeader {
     pub(crate) encoder_overflowed: bool,
 }
 
-/// What a walk over `L` hands on, group by group, in the order both byte
-/// forms hold the fields.  Each method ignores its argument by default.
+/// What a walk over `L` hands on, group by group, in the order the packed
+/// form holds the fields: each stored record once, then how many more loop
+/// executions its run stands for.  Each method ignores its argument by
+/// default.
 pub(crate) trait Visit {
-    /// The number of loop records.
-    fn loops(&mut self, _count: usize) {}
-    /// The next loop record's fixed fields.
+    /// The number of stored records (runs).
+    fn loops(&mut self, _runs: usize) {}
+    /// The next record's fixed fields.
     fn loop_header(&mut self, _header: &LoopHeader) {}
-    /// The number of paths of the current loop.
+    /// The number of paths of the current record.
     fn paths(&mut self, _count: usize) {}
-    /// One path of the current loop, in order of first occurrence.
+    /// One path of the current record, in order of first occurrence.
     fn path(&mut self, _path: PathRecord) {}
-    /// The number of indirect targets of the current loop.
+    /// The number of indirect targets of the current record.
     fn targets(&mut self, _count: usize) {}
-    /// One indirect target of the current loop.
+    /// One indirect target of the current record.
     fn target(&mut self, _target: IndirectTargetRecord) {}
+    /// The current record is complete, and repeats `count` more times: its
+    /// run stands for `count + 1` identical consecutive loop executions.
+    fn repeats(&mut self, _count: u32) {}
 }
 
 /// Hears nothing: walking with it only validates.
@@ -383,30 +492,44 @@ impl Visit for () {}
 ///
 /// As [`PackedMetadata::from_packed`].
 pub(crate) fn validate(bytes: &[u8]) -> Result<(), serde::Error> {
-    walk(bytes, &mut ())
+    walk(bytes, &mut ()).map(drop)
 }
 
-/// Fewest packed bytes one loop takes: entry, exit, depth, flag and its two
-/// counts, one byte each.
+/// Fewest packed bytes one stored record takes: entry, exit, depth, flag and
+/// its two counts, one byte each.
 const LOOP_MIN_BYTES: usize = 6;
 
-/// Reads packed `L` front to back and hands each field group to `visit`,
-/// accepting only what [`PackedWriter`] writes.  Allocates nothing itself,
-/// and checks every count against the bytes left before `visit` hears it,
-/// so a visitor may reserve for it.
+/// Reads packed `L` front to back, hands each field group of each stored
+/// record to `visit` and returns the number of loop executions the runs
+/// stand for.  Accepts only what [`PackedWriter`] writes: maximal runs that
+/// total at most `u32::MAX` loop executions.  Allocates nothing itself,
+/// compares each record with the one before it, byte for byte, and checks
+/// every count against the bytes left before `visit` hears it, so a visitor
+/// may reserve for it.
 ///
 /// # Errors
 ///
 /// As [`PackedMetadata::from_packed`].
 #[inline]
-fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<(), serde::Error> {
+fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<u32, serde::Error> {
     let mut fields = Fields::new(bytes);
-    let loops = fields.count(LOOP_MIN_BYTES)?;
-    visit.loops(loops);
-    for _ in 0..loops {
+    let runs = fields.count(LOOP_MIN_BYTES)?;
+    visit.loops(runs);
+    let mut executions = 0u64;
+    let mut previous = None;
+    for _ in 0..runs {
+        let record = fields.rest();
         let (entry, exit, nesting_depth) = (fields.u32()?, fields.u32()?, fields.usize()?);
-        let encoder_overflowed = fields.flag()?;
+        let head = &record[..record.len() - fields.rest().len()];
+        let flag = fields.varint()?;
+        let (repeats, encoder_overflowed) = (flag >> 1, flag & 1 == 1);
+        // At most `u32::MAX` plus `2^63`: no overflow.
+        executions += repeats + 1;
+        if executions > u32::MAX.into() {
+            return Err(serde::Error::IntegerOverflow { value: executions });
+        }
         visit.loop_header(&LoopHeader { entry, exit, nesting_depth, encoder_overflowed });
+        let tail = fields.rest();
         let paths = fields.count(3)?;
         visit.paths(paths);
         for _ in 0..paths {
@@ -418,44 +541,63 @@ fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<(), serde::Error> {
         for _ in 0..targets {
             visit.target(IndirectTargetRecord { target: fields.u32()?, code: fields.u32()? });
         }
+        let current = Some((head, encoder_overflowed, &tail[..tail.len() - fields.rest().len()]));
+        if current == previous {
+            return Err(serde::Error::NonMaximalRun);
+        }
+        previous = current;
+        // At most `executions`, which fits a `u32`.
+        visit.repeats(repeats as u32);
     }
-    fields.finish()
+    fields.finish()?;
+    Ok(executions as u32)
 }
 
-/// The streaming writer of the signed layout: each field group the walk
-/// reads, at its fixed width.  The reader bounds every count and `u32` field
-/// by `u32::MAX`, so the casts below are lossless.
-struct Signed<'s>(&'s mut Vec<u8>);
+/// The streaming writer of the fixed-width layout, behind the loop count
+/// [`PackedMetadata::to_bytes`] fills in: each field group the walk reads,
+/// at its fixed width, and each record once more per repeat of its run.
+/// The reader bounds every count and `u32` field by `u32::MAX`, so the casts
+/// below are lossless.
+struct FixedWidth<'s> {
+    out: &'s mut Vec<u8>,
+    /// Where the current record starts in `out`.
+    record: usize,
+}
 
-impl Visit for Signed<'_> {
-    fn loops(&mut self, count: usize) {
-        self.0.extend_from_slice(&(count as u32).to_le_bytes());
-    }
-
+impl Visit for FixedWidth<'_> {
     fn loop_header(&mut self, header: &LoopHeader) {
-        self.0.extend_from_slice(&header.entry.to_le_bytes());
-        self.0.extend_from_slice(&header.exit.to_le_bytes());
-        self.0.extend_from_slice(&(header.nesting_depth as u64).to_le_bytes());
-        self.0.push(header.encoder_overflowed.into());
+        self.record = self.out.len();
+        self.out.extend_from_slice(&header.entry.to_le_bytes());
+        self.out.extend_from_slice(&header.exit.to_le_bytes());
+        self.out.extend_from_slice(&(header.nesting_depth as u64).to_le_bytes());
+        self.out.push(header.encoder_overflowed.into());
     }
 
     fn paths(&mut self, count: usize) {
-        self.0.extend_from_slice(&(count as u32).to_le_bytes());
+        self.out.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     fn path(&mut self, path: PathRecord) {
-        self.0.extend_from_slice(&path.path_id.to_le_bytes());
-        self.0.extend_from_slice(&(path.first_occurrence as u64).to_le_bytes());
-        self.0.extend_from_slice(&path.iterations.to_le_bytes());
+        self.out.extend_from_slice(&path.path_id.to_le_bytes());
+        self.out.extend_from_slice(&(path.first_occurrence as u64).to_le_bytes());
+        self.out.extend_from_slice(&path.iterations.to_le_bytes());
     }
 
     fn targets(&mut self, count: usize) {
-        self.0.extend_from_slice(&(count as u32).to_le_bytes());
+        self.out.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     fn target(&mut self, target: IndirectTargetRecord) {
-        self.0.extend_from_slice(&target.target.to_le_bytes());
-        self.0.extend_from_slice(&target.code.to_le_bytes());
+        self.out.extend_from_slice(&target.target.to_le_bytes());
+        self.out.extend_from_slice(&target.code.to_le_bytes());
+    }
+
+    fn repeats(&mut self, count: u32) {
+        let record = self.record..self.out.len();
+        self.out.reserve(record.len() * count as usize);
+        for _ in 0..count {
+            self.out.extend_from_within(record.clone());
+        }
     }
 }
 
@@ -530,17 +672,6 @@ impl<'a> Fields<'a> {
         usize::try_from(value).map_err(|_| serde::Error::IntegerOverflow { value })
     }
 
-    /// The next byte as a flag: 0 or 1.
-    fn flag(&mut self) -> Result<bool, serde::Error> {
-        let (&byte, rest) =
-            self.0.split_first().ok_or(serde::Error::UnexpectedEof { needed: 1, remaining: 0 })?;
-        self.0 = rest;
-        match byte {
-            0 | 1 => Ok(byte == 1),
-            other => Err(serde::Error::InvalidBool(other)),
-        }
-    }
-
     /// A `u32` count of records, each at least `min_bytes` long, checked
     /// against the bytes left.
     fn count(&mut self, min_bytes: usize) -> Result<usize, serde::Error> {
@@ -608,8 +739,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// The signed layout written field by field from the decoded view: the
-    /// oracle the transcoding writer is held to.
+    /// The fixed-width layout written field by field from the decoded view:
+    /// the oracle the transcoding writer is held to.
     pub(crate) fn fixed_width(metadata: &Metadata) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(metadata.loops.len() as u32).to_le_bytes());
@@ -681,15 +812,17 @@ pub(crate) mod tests {
         more.loops[1].indirect_targets.push(IndirectTargetRecord { target: 0x3000, code: 2 });
         assert!(more.pack().size_bytes() > base);
     }
+
     /// Mostly small values, with zero, the type's maximum and arbitrary
     /// (mostly many-byte) values mixed in.
     fn value(max: u64) -> impl Strategy<Value = u64> {
         prop_oneof![Just(0), 0..300u64, Just(max), any::<u64>().prop_map(move |v| v & max)]
     }
 
-    /// Arbitrary metadata: no loops or up to three, each with up to three
-    /// paths and two indirect targets, either overflow flag, and every field
-    /// anywhere in its range, its maximum included.
+    /// Arbitrary metadata: no loops or up to three distinct-or-not records,
+    /// each with up to three paths and two indirect targets, either overflow
+    /// flag, and every field anywhere in its range, its maximum included;
+    /// each record executed up to three times in a row.
     pub(crate) fn arbitrary() -> impl Strategy<Value = Metadata> {
         let u32_max = u64::from(u32::MAX);
         let path = (value(u32_max), value(u64::MAX), value(u64::MAX)).prop_map(|(id, first, n)| {
@@ -714,7 +847,24 @@ pub(crate) mod tests {
                     encoder_overflowed,
                 },
             );
-        proptest::collection::vec(one_loop, 0..4).prop_map(|loops| Metadata { loops })
+        let run = (one_loop, 1..4usize).prop_map(|(record, n)| vec![record; n]);
+        proptest::collection::vec(run, 0..4)
+            .prop_map(|runs| Metadata { loops: runs.into_iter().flatten().collect() })
+    }
+
+    /// Most loop executions a test decodes: a one-byte edit can turn a
+    /// many-byte varint into a flag that claims billions.
+    const DECODABLE: usize = 1 << 12;
+
+    /// `bytes`, when the reader accepts them as packed `L` whose runs stand
+    /// for few enough loop executions to decode.
+    pub(crate) fn decodable(bytes: &[u8]) -> Option<PackedMetadata> {
+        PackedMetadata::from_packed(bytes).ok().filter(|packed| packed.loop_count() <= DECODABLE)
+    }
+
+    /// Number of maximal runs of equal consecutive records in `metadata`.
+    fn maximal_runs(metadata: &Metadata) -> usize {
+        metadata.loops.chunk_by(|a, b| a == b).count()
     }
 
     /// An honest blob with one byte replaced, dropped or inserted, as
@@ -733,7 +883,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn packed_form_is_the_varints_of_the_signed_fields() {
+    fn packed_form_is_the_varints_of_the_fixed_width_fields() {
         let m = sample();
         #[rustfmt::skip]
         let expected = [
@@ -772,8 +922,40 @@ pub(crate) mod tests {
             Error::IntegerOverflow { value: 1 << 32 }
         );
         assert_eq!(decode(&entry), Error::IntegerOverflow { value: 1 << 32 });
-        // A flag other than 0 or 1.
-        assert_eq!(decode(&[1, 0, 0, 1, 2, 0, 0]), Error::InvalidBool(2));
+        // A stored record equal to the one before it, whatever their runs.
+        let record = [0, 0, 1, 0, 0, 0];
+        assert_eq!(decode(&[&[2][..], &record, &record].concat()), Error::NonMaximalRun);
+        let twice = [0, 0, 1, 2, 0, 0];
+        assert_eq!(decode(&[&[2][..], &record, &twice].concat()), Error::NonMaximalRun);
+        // Runs that total more than `u32::MAX` loop executions, in one run
+        // or over two.
+        let run = |repeats: u64| {
+            let mut bytes = vec![0, 0, 1];
+            put_varint(&mut bytes, repeats << 1);
+            bytes.extend([0, 0]);
+            bytes
+        };
+        let over = u64::from(u32::MAX) + 1;
+        assert_eq!(
+            decode(&[&[1][..], &run(over - 1)].concat()),
+            Error::IntegerOverflow { value: over }
+        );
+        let other = [1, 0, 1, 0, 0, 0];
+        assert_eq!(
+            decode(&[&[2][..], &other, &run(over - 2)].concat()),
+            Error::IntegerOverflow { value: over }
+        );
+        assert_eq!(
+            decode(&[&[1][..], &run(u64::MAX >> 1)].concat()),
+            Error::IntegerOverflow { value: 1 << 63 }
+        );
+        // The most a run may claim, read without expanding it.
+        let most = PackedMetadata::from_packed(&[&[1][..], &run(over - 2)].concat()).unwrap();
+        assert_eq!((most.run_count(), most.loop_count()), (1, u32::MAX as usize));
+        // A flag of 2 is a record that repeats once.
+        let repeated = Metadata::from_packed(&[1, 0, 0, 1, 2, 0, 0]).unwrap();
+        assert_eq!(repeated.loops.len(), 2);
+        assert_eq!(repeated.loops[0], repeated.loops[1]);
         // A count the bytes left cannot hold: 5 loops need at least 30.
         assert_eq!(
             decode(&[5, 0, 0, 0, 0, 0, 0]),
@@ -790,6 +972,29 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(decode(&[packed, &[0]].concat()), Error::TrailingBytes { extra: 1 });
+    }
+
+    /// Equal consecutive records are stored once, with their repeats in the
+    /// flag varint, which grows a byte each time the count crosses a 7-bit
+    /// boundary; the writer rewrites it in place.
+    #[test]
+    fn equal_consecutive_records_travel_as_one_run() {
+        let record = sample().loops[1].clone();
+        let other = sample().loops[0].clone();
+        for n in [1, 2, 63, 64, 65, 8191, 8192, 8193] {
+            let view = Metadata { loops: [vec![record.clone(); n], vec![other.clone()]].concat() };
+            let packed = view.pack();
+            assert_eq!((packed.run_count(), packed.loop_count()), (2, n + 1), "{n}");
+            let flag = ((n as u64 - 1) << 1) | 1;
+            let mut expected = vec![2, 0xc0, 0x20, 0xd0, 0x20, 2];
+            put_varint(&mut expected, flag);
+            expected.extend([1, 0b11, 0, 9, 0]);
+            assert_eq!(packed.as_bytes()[..expected.len()], expected, "{n}");
+            assert_eq!(packed.decode(), view, "{n}");
+            assert_eq!(packed.to_bytes(), fixed_width(&view), "{n}");
+        }
+        // A record that does not repeat costs what it did before runs.
+        assert_eq!(sample().pack().packed_len(), 29);
     }
 
     #[test]
@@ -812,13 +1017,48 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
+        /// `decode(pack(m)) == m`, views with equal consecutive records
+        /// included; `pack` writes one run per maximal run of the view, and
+        /// a walk handing the runs to a writer writes the same bytes.
         #[test]
         fn packed_form_round_trips(metadata in arbitrary()) {
             let packed = metadata.pack();
             prop_assert_eq!(Metadata::from_packed(packed.as_bytes()), Ok(metadata.clone()));
-            prop_assert_eq!(packed.decode(), metadata);
+            prop_assert_eq!(packed.decode(), metadata.clone());
+            prop_assert_eq!(packed.run_count(), maximal_runs(&metadata));
+            prop_assert_eq!(packed.loop_count(), metadata.loop_count());
+            let mut writer = PackedWriter::default();
+            packed.visit(&mut writer);
+            prop_assert_eq!(writer.finish(), packed.clone());
             let wire = serde::to_bytes(&packed).unwrap();
             prop_assert_eq!(serde::from_bytes::<PackedMetadata>(&wire), Ok(packed));
+        }
+
+        /// Equal packed bytes exactly when the views are equal: a view and
+        /// its copy pack alike, and one record repeated, dropped or edited
+        /// packs differently.
+        #[test]
+        fn packed_bytes_are_equal_exactly_when_views_are(
+            metadata in arbitrary(),
+            other in arbitrary(),
+            at in any::<usize>(),
+            edit in 0..3u8,
+        ) {
+            prop_assert_eq!(metadata.pack() == other.pack(), metadata == other);
+            prop_assert_eq!(metadata.clone().pack(), metadata.pack());
+            if metadata.loops.is_empty() {
+                return Ok(());
+            }
+            let at = at % metadata.loops.len();
+            let mut edited = metadata.clone();
+            match edit {
+                0 => edited.loops.insert(at, metadata.loops[at].clone()),
+                1 => {
+                    edited.loops.remove(at);
+                }
+                _ => edited.loops[at].nesting_depth ^= 1,
+            }
+            prop_assert_ne!(edited.pack(), metadata.pack());
         }
 
         /// A blob the reader accepts is the writer's output for what it
@@ -832,8 +1072,8 @@ pub(crate) mod tests {
             byte in any::<u8>(),
         ) {
             let blob = mutated(metadata.pack().as_bytes(), edit, at, byte);
-            if let Ok(decoded) = Metadata::from_packed(&blob) {
-                prop_assert_eq!(decoded.pack().as_bytes().to_vec(), blob);
+            if let Some(packed) = decodable(&blob) {
+                prop_assert_eq!(packed.decode().pack().as_bytes().to_vec(), blob);
             }
         }
 
@@ -854,6 +1094,9 @@ pub(crate) mod tests {
                 mutated(honest.as_bytes(), edit, at, byte)
             };
             let validated = PackedMetadata::from_packed(&blob);
+            if validated.is_ok() && decodable(&blob).is_none() {
+                return Ok(());
+            }
             let decoded = Metadata::from_packed(&blob);
             match (&validated, &decoded) {
                 (Ok(packed), Ok(view)) => {
@@ -865,22 +1108,22 @@ pub(crate) mod tests {
             }
         }
 
-        /// The transcoded signed layout is the one the decoded view writes
+        /// The transcoded fixed-width layout is the one the decoded view writes
         /// field by field, and `size_bytes` is its length, on arbitrary
         /// metadata and on every accepted one-byte edit of it.
         #[test]
-        fn transcoding_writes_the_signed_layout_of_the_view(
+        fn transcoding_writes_the_fixed_width_layout_of_the_view(
             metadata in arbitrary(),
             edit in 0..3u8,
             at in any::<usize>(),
             byte in any::<u8>(),
         ) {
             let honest = metadata.pack();
-            let edited = PackedMetadata::from_packed(&mutated(honest.as_bytes(), edit, at, byte));
+            let edited = decodable(&mutated(honest.as_bytes(), edit, at, byte));
             for packed in std::iter::once(honest).chain(edited) {
-                let signed = fixed_width(&packed.decode());
-                prop_assert_eq!(packed.to_bytes(), signed.clone());
-                prop_assert_eq!(packed.size_bytes(), signed.len());
+                let layout = fixed_width(&packed.decode());
+                prop_assert_eq!(packed.to_bytes(), layout.clone());
+                prop_assert_eq!(packed.size_bytes(), layout.len());
             }
         }
     }

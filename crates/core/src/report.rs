@@ -1,4 +1,11 @@
 //! The attestation report `R = sign(A ‖ L ‖ N; sk)` (Fig. 2).
+//!
+//! The signature covers the report's own wire encoding up to and including
+//! the nonce: the program id, `A` and the packed `L` (runs and all), each
+//! behind its `u32` length, then the nonce.  So the prover signs, and the
+//! verifier MACs, the bytes that travel, and no side expands a run of `L` to
+//! sign or check it.  The packed form is canonical, so the signature binds
+//! exactly the information the report carries.
 
 use crate::metadata::PackedMetadata;
 use lofat_crypto::{Digest, Nonce, Signature};
@@ -19,10 +26,9 @@ pub struct AttestationReport {
 }
 
 impl AttestationReport {
-    /// The exact byte string covered by the signature: the program id behind
-    /// its `u32` length, `A`, `L` in its fixed-width signed layout
-    /// ([`PackedMetadata::to_bytes`], transcoded from the packed bytes) and
-    /// the nonce.
+    /// The exact byte string covered by the signature: the report's wire
+    /// encoding up to and including the nonce — the program id, `A` and the
+    /// packed `L`, each behind its `u32` length, then the nonce.
     pub fn signed_bytes(
         program_id: &str,
         authenticator: &Digest,
@@ -40,11 +46,9 @@ impl AttestationReport {
         authenticator: &Digest,
         metadata: &PackedMetadata,
     ) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(program_id.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(program_id.as_bytes());
-        bytes.extend_from_slice(authenticator.as_bytes());
-        metadata.write_signed(&mut bytes);
+        let fields = [program_id.as_bytes(), authenticator.as_bytes(), metadata.as_bytes()];
+        let mut bytes = Vec::with_capacity(fields.iter().map(|field| 4 + field.len()).sum());
+        framed_pieces(&fields, |piece| bytes.extend_from_slice(piece));
         bytes
     }
 
@@ -63,10 +67,20 @@ impl AttestationReport {
         Self::prefix_bytes(&self.program_id, &self.authenticator, &self.metadata)
     }
 
+    /// Hands `absorb` the bytes of [`AttestationReport::signed_prefix`] piece
+    /// by piece, in order, without copying them: what the verifier MACs and
+    /// keys its verdict cache with.
+    pub(crate) fn absorb_signed_prefix(&self, absorb: impl FnMut(&[u8])) {
+        let fields =
+            [self.program_id.as_bytes(), self.authenticator.as_bytes(), self.metadata.as_bytes()];
+        framed_pieces(&fields, absorb);
+    }
+
     /// Size of the report on the wire, in bytes: the length of
     /// [`AttestationReport::to_wire_bytes`], computed without encoding.  The
     /// metadata travels packed ([`PackedMetadata::packed_len`]); experiment
-    /// E7 sweeps its signed size ([`PackedMetadata::size_bytes`]) instead.
+    /// E7 sweeps the paper's fixed-width size ([`PackedMetadata::size_bytes`])
+    /// instead.
     pub fn wire_size(&self) -> usize {
         // Program id, authenticator, metadata and signature each follow a
         // `u32` length; the nonce has a fixed size.
@@ -80,7 +94,8 @@ impl AttestationReport {
     }
 
     /// Serialises the report with the deterministic wire codec (the encoding
-    /// used inside [`crate::wire::EvidenceMsg`] envelopes).
+    /// used inside [`crate::wire::EvidenceMsg`] envelopes).  It begins with
+    /// the signed bytes ([`AttestationReport::payload`]).
     ///
     /// # Errors
     ///
@@ -99,6 +114,16 @@ impl AttestationReport {
     /// Returns the decode error for malformed input.
     pub fn from_wire_bytes(bytes: &[u8]) -> Result<Self, serde::Error> {
         serde::from_bytes(bytes)
+    }
+}
+
+/// Signed fields — for the signed prefix the program id, `A` and the packed
+/// `L` — each behind its `u32` length, as the wire codec encodes them, handed
+/// to `piece` in order.
+pub(crate) fn framed_pieces(fields: &[&[u8]], mut piece: impl FnMut(&[u8])) {
+    for field in fields {
+        piece(&(field.len() as u32).to_le_bytes());
+        piece(field);
     }
 }
 
@@ -161,21 +186,34 @@ pub(crate) mod tests {
         let mut rebuilt = r.signed_prefix();
         rebuilt.extend_from_slice(r.nonce.as_bytes());
         assert_eq!(rebuilt, r.payload());
+        let mut absorbed = Vec::new();
+        r.absorb_signed_prefix(|piece| absorbed.extend_from_slice(piece));
+        assert_eq!(absorbed, r.signed_prefix());
 
         let mut other = report();
         other.nonce = Nonce::from_counter(99);
         assert_eq!(r.signed_prefix(), other.signed_prefix());
     }
 
+    /// The signed bytes are the wire encoding up to the signature, and the
+    /// signature follows them behind its length.
     #[test]
-    fn wire_size_is_the_length_of_the_encoding() {
+    fn the_wire_encoding_is_the_payload_then_the_signature() {
         let mut r = report();
-        assert_eq!(r.wire_size(), r.to_wire_bytes().unwrap().len());
-        // The packed metadata, not the signed layout, is what travels.
-        let signed = r.payload().len() + 64;
-        assert!(r.wire_size() < signed, "{} >= {signed}", r.wire_size());
-        edit_metadata(&mut r, |m| m.loops[0].paths[0].iterations = u64::MAX);
-        r.signature = Signature::from_bytes(vec![1; 200]);
-        assert_eq!(r.wire_size(), r.to_wire_bytes().unwrap().len());
+        for _ in 0..2 {
+            let wire = r.to_wire_bytes().unwrap();
+            let payload = r.payload();
+            assert_eq!(wire[..payload.len()], payload);
+            let signature = &wire[payload.len()..];
+            assert_eq!(signature[..4], (r.signature.len() as u32).to_le_bytes());
+            assert_eq!(signature[4..], *r.signature.as_bytes());
+            assert_eq!(r.wire_size(), wire.len());
+            edit_metadata(&mut r, |m| {
+                m.loops[0].paths[0].iterations = u64::MAX;
+                m.loops.push(m.loops[0].clone());
+            });
+            r.signature = Signature::from_bytes(vec![1; 200]);
+        }
+        assert_eq!(r.metadata.run_count(), 1, "two equal records travel as one run");
     }
 }

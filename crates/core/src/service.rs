@@ -190,16 +190,17 @@ pub struct ServiceStats {
     /// Session-spending verdicts served from the verdict cache (the judge's
     /// loop-path and reference checks and the signature-prefix absorption
     /// were skipped; the program id and nonce binding and the full HMAC tag
-    /// check still ran).  Counted at the
-    /// moment the session is spent, so with [`ServiceStats::cache_misses`] it
-    /// obeys its own conservation law:
+    /// check still ran).  Counted with the spend it classifies, so with
+    /// [`ServiceStats::cache_misses`] it obeys its own conservation law in
+    /// every read, even one taken under load:
     ///
     /// ```text
     /// cache_hits + cache_misses == accepted + sessions_rejected
     /// ```
     pub cache_hits: u64,
     /// Session-spending verdicts that ran the full pipeline (cache disabled,
-    /// entry absent, or entry evicted).  See [`ServiceStats::cache_hits`].
+    /// entry absent, or entry evicted): the spends that were not hits.  See
+    /// [`ServiceStats::cache_hits`].
     pub cache_misses: u64,
     /// Verdict-cache entries evicted to make room (FIFO per cache shard).
     pub cache_evictions: u64,
@@ -314,7 +315,6 @@ struct AtomicStats {
     replays_blocked: AtomicU64,
     wire_errors: AtomicU64,
     cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
     by_code: [AtomicU64; CODE_SLOTS],
 }
@@ -330,7 +330,6 @@ impl AtomicStats {
             replays_blocked: AtomicU64::new(0),
             wire_errors: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
             by_code: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -343,11 +342,12 @@ impl AtomicStats {
     }
 
     /// The one accounting path for verdicts.  `wire_error` marks verdicts
-    /// synthesised for envelopes that failed to decode; `spent_session` marks
-    /// verdicts that consumed (evicted) a live session.  The two spend
-    /// counters are bumped with release ordering, which pairs with the
-    /// acquire loads in [`AtomicStats::snapshot`].
-    fn record_verdict(&self, reason_code: u16, wire_error: bool, spent_session: bool) {
+    /// synthesised for envelopes that failed to decode; `spend` says whether
+    /// the verdict consumed (evicted) a live session, and whether the verdict
+    /// cache served it.  The two spend counters and then the cache hits are
+    /// bumped with release ordering, which pairs with the acquire loads in
+    /// [`AtomicStats::snapshot`].
+    fn record_verdict(&self, reason_code: u16, wire_error: bool, spend: Spend) {
         if wire_error {
             self.wire_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -367,18 +367,27 @@ impl AtomicStats {
             }
             _ => {
                 self.record_rejection(reason_code);
-                if spent_session {
+                if spend != Spend::Kept {
                     self.sessions_rejected.fetch_add(1, Ordering::Release);
                 }
             }
         }
+        // After the spend it classifies: a read that sees the hit sees the
+        // spend.
+        if spend == Spend::CacheHit {
+            self.cache_hits.fetch_add(1, Ordering::Release);
+        }
     }
 
-    /// Reads every counter once.  The spends are read before the opens, and
-    /// `open_session` counts a session before any thread can spend it, so
-    /// `sessions_opened >= accepted + sessions_rejected` in every read, even
-    /// one taken under load.
+    /// Reads every counter once.  The cache hits are read before the spends
+    /// and the spends before the opens.  `record_verdict` counts a hit after
+    /// its spend, and `open_session` counts a session before any thread can
+    /// spend it, so `cache_hits <= accepted + sessions_rejected <=
+    /// sessions_opened` in every read, even one taken under load.  The cache
+    /// misses are the spends that were not hits, so both conservation laws'
+    /// cache books balance in every read.
     fn snapshot(&self) -> ServiceStats {
+        let cache_hits = self.cache_hits.load(Ordering::Acquire);
         let accepted = self.accepted.load(Ordering::Acquire);
         let sessions_rejected = self.sessions_rejected.load(Ordering::Acquire);
         let mut rejections_by_code = BTreeMap::new();
@@ -396,17 +405,18 @@ impl AtomicStats {
             expired: self.expired.load(Ordering::Relaxed),
             replays_blocked: self.replays_blocked.load(Ordering::Relaxed),
             wire_errors: self.wire_errors.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_hits,
+            // Saturating only for restored books that never balanced.
+            cache_misses: (accepted + sessions_rejected).saturating_sub(cache_hits),
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             rejections_by_code,
         }
     }
 
     /// Overwrites every counter from a [`ServiceStats`] snapshot.  Inverse of
-    /// [`AtomicStats::snapshot`]; used when a service is restored from a
-    /// durable snapshot, never on a service that is concurrently recording
-    /// outcomes.
+    /// [`AtomicStats::snapshot`] on balanced books (the cache misses are
+    /// derived, not stored); used when a service is restored from a durable
+    /// snapshot, never on a service that is concurrently recording outcomes.
     fn store(&self, stats: &ServiceStats) {
         self.sessions_opened.store(stats.sessions_opened, Ordering::Relaxed);
         self.accepted.store(stats.accepted, Ordering::Relaxed);
@@ -416,12 +426,23 @@ impl AtomicStats {
         self.replays_blocked.store(stats.replays_blocked, Ordering::Relaxed);
         self.wire_errors.store(stats.wire_errors, Ordering::Relaxed);
         self.cache_hits.store(stats.cache_hits, Ordering::Relaxed);
-        self.cache_misses.store(stats.cache_misses, Ordering::Relaxed);
         self.cache_evictions.store(stats.cache_evictions, Ordering::Relaxed);
         for (code, count) in &stats.rejections_by_code {
             self.by_code[(*code as usize).min(CODE_SLOTS - 1)].store(*count, Ordering::Relaxed);
         }
     }
+}
+
+/// What a verdict did to its session, as [`AtomicStats::record_verdict`]
+/// counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Spend {
+    /// Nothing: the session stays open, or there was none to spend.
+    Kept,
+    /// Spent; the verdict cache recalled the judge's last two checks.
+    CacheHit,
+    /// Spent; the judge ran every check.
+    CacheMiss,
 }
 
 /// Errors returned by service entry points that cannot answer with a verdict.
@@ -490,23 +511,17 @@ struct Shard {
 /// The judge's loop-path and reference checks are a pure function of the
 /// input, program id, authenticator and metadata, and the cached MAC
 /// snapshot of the signed prefix (the payload minus the nonce) is a pure
-/// function of the last three.  The key holds the input, program id and
-/// authenticator, each behind its `u64` length, then the packed metadata:
-/// the framing and the canonical packing make it injective, so no two
-/// reports share a key.  Nothing per-session (nonce, session id, signature)
-/// may appear here: those are re-checked on every hit.
+/// function of the last three.  The key holds the input behind its `u64`
+/// length, then the signed prefix as received: program id, authenticator
+/// and packed metadata, each behind its `u32` length.  The framing and the
+/// canonical packing make it injective, so no two reports share a key.
+/// Nothing per-session (nonce, session id, signature) may appear here: those
+/// are re-checked on every hit.
 fn cache_key(input: &[u32], report: &AttestationReport) -> Vec<u8> {
-    let (id, digest) = (report.program_id.as_bytes(), report.authenticator.as_bytes());
-    let metadata = report.metadata.as_bytes();
-    let mut key =
-        Vec::with_capacity(3 * 8 + 4 * input.len() + id.len() + digest.len() + metadata.len());
+    let mut key = Vec::with_capacity(8 + 4 * input.len() + report.wire_size());
     key.extend_from_slice(&(input.len() as u64).to_le_bytes());
     key.extend(input.iter().flat_map(|word| word.to_le_bytes()));
-    for part in [id, digest] {
-        key.extend_from_slice(&(part.len() as u64).to_le_bytes());
-        key.extend_from_slice(part);
-    }
-    key.extend_from_slice(metadata);
+    report.absorb_signed_prefix(|piece| key.extend_from_slice(piece));
     key
 }
 
@@ -559,8 +574,8 @@ struct PendingJudgement<'a> {
 enum Prepared<'a> {
     /// A verdict was reached before any signature work (unknown session,
     /// expiry, replay, wrong program id, nonce mismatch) —
-    /// `(verdict, spent_session)`.
-    Done((VerdictMsg, bool)),
+    /// `(verdict, spend)`.
+    Done((VerdictMsg, Spend)),
     /// The envelope passed the transport checks and the judge's first two:
     /// its payload MAC is ready to finalize, and the rest of the pipeline is
     /// queued behind the tag.
@@ -901,8 +916,8 @@ impl VerifierService {
     /// design: every failure mode maps to a rejecting [`VerdictMsg`] with a
     /// stable [`code`], and the statistics are updated either way.
     pub fn submit_evidence(&self, envelope: &Envelope) -> VerdictMsg {
-        let (verdict, spent_session) = self.judge(envelope);
-        self.stats.record_verdict(verdict.reason_code, false, spent_session);
+        let (verdict, spend) = self.judge(envelope);
+        self.stats.record_verdict(verdict.reason_code, false, spend);
         verdict
     }
 
@@ -955,7 +970,7 @@ impl VerifierService {
         #[allow(clippy::large_enum_variant)]
         enum Slot<'a> {
             Wire(&'a WireError),
-            Ready(SessionId, (VerdictMsg, bool)),
+            Ready(SessionId, (VerdictMsg, Spend)),
             /// Index into the pending-MAC vector, plus the work to finish.
             Pending(usize, SessionId, PendingJudgement<'a>),
         }
@@ -984,16 +999,16 @@ impl VerifierService {
             .into_iter()
             .map(|slot| match slot {
                 Slot::Wire(wire_error) => self.reject_unparseable(SessionId(0), wire_error),
-                Slot::Ready(session, (verdict, spent_session)) => {
-                    self.stats.record_verdict(verdict.reason_code, false, spent_session);
+                Slot::Ready(session, (verdict, spend)) => {
+                    self.stats.record_verdict(verdict.reason_code, false, spend);
                     Envelope::new(session, Message::Verdict(verdict))
                         .encode()
                         .map_err(ServiceError::Wire)
                 }
                 Slot::Pending(index, session, pending) => {
                     let tag = tags[index].take().expect("one tag per pending judgement");
-                    let (verdict, spent_session) = self.conclude(pending, tag);
-                    self.stats.record_verdict(verdict.reason_code, false, spent_session);
+                    let (verdict, spend) = self.conclude(pending, tag);
+                    self.stats.record_verdict(verdict.reason_code, false, spend);
                     Envelope::new(session, Message::Verdict(verdict))
                         .encode()
                         .map_err(ServiceError::Wire)
@@ -1028,7 +1043,7 @@ impl VerifierService {
         session: SessionId,
         error: &WireError,
     ) -> Result<Vec<u8>, ServiceError> {
-        self.stats.record_verdict(error.code(), true, false);
+        self.stats.record_verdict(error.code(), true, Spend::Kept);
         Envelope::new(
             session,
             Message::Verdict(VerdictMsg::rejected(error.code(), error.to_string())),
@@ -1040,7 +1055,7 @@ impl VerifierService {
     /// The verification pipeline for one envelope.  Does not touch the
     /// statistics; [`VerifierService::submit_evidence`] does.  Returns the
     /// verdict plus whether it consumed (evicted) a live session.
-    fn judge(&self, envelope: &Envelope) -> (VerdictMsg, bool) {
+    fn judge(&self, envelope: &Envelope) -> (VerdictMsg, Spend) {
         match self.prepare(envelope) {
             Prepared::Done(outcome) => outcome,
             Prepared::Pending(mac, pending) => {
@@ -1081,13 +1096,13 @@ impl VerifierService {
                     if self.nonce_consumed(&evidence.report.nonce) {
                         return Prepared::Done((
                             replayed_nonce_verdict(&evidence.report.nonce),
-                            false,
+                            Spend::Kept,
                         ));
                     }
                 }
                 return Prepared::Done((
                     VerdictMsg::rejected(code::UNKNOWN_SESSION, format!("unknown {id}")),
-                    false,
+                    Spend::Kept,
                 ));
             };
             let evidence = match session.accept_evidence(envelope, self.now_cycles()) {
@@ -1098,7 +1113,7 @@ impl VerifierService {
                         shard.sessions.remove(&id);
                         self.live.fetch_sub(1, Ordering::SeqCst);
                     }
-                    return Prepared::Done((verdict, false));
+                    return Prepared::Done((verdict, Spend::Kept));
                 }
             };
 
@@ -1116,12 +1131,9 @@ impl VerifierService {
                     if matches!(refused, Judgement::Refused(RejectionReason::NonceMismatch))
                         && self.nonce_consumed(nonce)
                     {
-                        return Prepared::Done((replayed_nonce_verdict(nonce), false));
+                        return Prepared::Done((replayed_nonce_verdict(nonce), Spend::Kept));
                     }
-                    return Prepared::Done((
-                        refused.verdict_msg(|&result| result),
-                        refused.spends_session(),
-                    ));
+                    return Prepared::Done((refused.verdict_msg(|&result| result), Spend::Kept));
                 }
             }
         };
@@ -1145,7 +1157,7 @@ impl VerifierService {
             }
             None => {
                 let mut mac_prefix = self.key.mac_base().clone();
-                mac_prefix.update(report.signed_prefix());
+                report.absorb_signed_prefix(|piece| mac_prefix.update(piece));
                 let mut mac = mac_prefix.clone();
                 mac.update(report.nonce.as_bytes());
                 // Keep the prefix snapshot for `cache_insert` only when
@@ -1161,7 +1173,7 @@ impl VerifierService {
     /// checks or their cached outcome) and, when it spends the session,
     /// spending it.  `tag` is the finalized MAC of the pending envelope's
     /// payload.
-    fn conclude(&self, pending: PendingJudgement<'_>, tag: Digest) -> (VerdictMsg, bool) {
+    fn conclude(&self, pending: PendingJudgement<'_>, tag: Digest) -> (VerdictMsg, Spend) {
         let PendingJudgement { id, shard_index, bound, input, cached, miss } = pending;
         let report = bound.report();
         let was_cache_hit = cached.is_some();
@@ -1173,11 +1185,13 @@ impl VerifierService {
             // `open_session` admits no session whose input lacks a
             // reference, so this never happens; like any verifier failure it
             // decides nothing and leaves the session open.
-            Err(e) => return (VerdictMsg::rejected(code::UNKNOWN_INPUT, e.to_string()), false),
+            Err(e) => {
+                return (VerdictMsg::rejected(code::UNKNOWN_INPUT, e.to_string()), Spend::Kept)
+            }
         };
         let verdict = judgement.verdict_msg(|&result| result);
         if !judgement.spends_session() {
-            return (verdict, false);
+            return (verdict, Spend::Kept);
         }
         // Populate only now — after the signature verified — so the cache
         // holds nothing an unauthenticated submission chose.
@@ -1199,21 +1213,15 @@ impl VerifierService {
         let mut shard = self.shard(id);
         if shard.sessions.remove(&id).is_none() {
             drop(shard);
-            return (replayed_nonce_verdict(&report.nonce), false);
+            return (replayed_nonce_verdict(&report.nonce), Spend::Kept);
         }
         drop(shard);
         self.live.fetch_sub(1, Ordering::SeqCst);
-        // Hit/miss accounting happens exactly when the session is spent, so
-        // the cache books mirror the session books:
-        // `cache_hits + cache_misses == accepted + sessions_rejected`, even
-        // when concurrent duplicates raced (the losers took the replay path
-        // above and counted nothing).
-        if was_cache_hit {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        (verdict, true)
+        // Only the spend's winner classifies it, so the cache books mirror
+        // the session books, `cache_hits + cache_misses == accepted +
+        // sessions_rejected`, even when concurrent duplicates raced (the
+        // losers took the replay path above and counted nothing).
+        (verdict, if was_cache_hit { Spend::CacheHit } else { Spend::CacheMiss })
     }
 
     /// Replay check with O(1) memory and at most one shard lock: session `n`

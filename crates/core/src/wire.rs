@@ -21,7 +21,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "LFAT"
-//! 4       2     version (little-endian u16, currently 2)
+//! 4       2     version (little-endian u16, currently 3)
 //! 6       8     session id (little-endian u64)
 //! 14      4     body length (little-endian u32)
 //! 18      n     body: serde encoding of `Message`
@@ -37,8 +37,11 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LFAT";
 /// The wire-format version this build speaks, and the only one it reads.
 /// Version 2 carries the loop metadata `L` packed
 /// ([`PackedMetadata`](crate::metadata::PackedMetadata)) instead of field by
-/// field at fixed width; the signed bytes did not change.
-pub const WIRE_VERSION: u16 = 2;
+/// field at fixed width.  Version 3 stores identical consecutive loop
+/// records of `L` once, as a run, and signs the report's own wire encoding
+/// up to the nonce ([`AttestationReport::payload`]) instead of `L`'s
+/// fixed-width layout.
+pub const WIRE_VERSION: u16 = 3;
 
 /// Size of the fixed envelope header in bytes.
 pub const HEADER_BYTES: usize = 18;
@@ -370,10 +373,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LFSN";
 /// [`SnapshotError::UnsupportedVersion`] before parsing its body.  A change to
 /// the body's encoding takes a new number.  Version 2 appended the
 /// measurement database's valid-path table, version 3 stores each
-/// reference's metadata packed, as the wire does, and version 4 keeps one
-/// watermark per shard and no live session; an older document is refused,
-/// so a service never restarts from one with fresh nonce counters.
-pub const SNAPSHOT_VERSION: u16 = 4;
+/// reference's metadata packed, as the wire does, version 4 keeps one
+/// watermark per shard and no live session, and version 5 stores that
+/// metadata run-length, as wire version 3 does; an older document is
+/// refused, so a service never restarts from one with fresh nonce counters.
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Size of the fixed snapshot header in bytes: magic (4) + version (2) +
 /// body length (4) + SHA3-256 body digest (32).
@@ -397,7 +401,7 @@ pub const SNAPSHOT_HEADER_BYTES: usize = 42;
 /// ```text
 /// offset  size  field
 /// 0       4     magic  "LFSN"
-/// 4       2     version (little-endian u16, currently 4)
+/// 4       2     version (little-endian u16, currently 5)
 /// 6       4     body length (little-endian u32)
 /// 10      32    SHA3-256 digest of the body
 /// 42      n     body: serde encoding of `SnapshotMsg`

@@ -60,10 +60,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("engine latency (internal)  : {} cycles", stats.internal_latency_cycles);
     println!("authenticator A            : {}", report.authenticator);
     println!(
-        "metadata L                 : {} loop record(s), {} bytes signed, {} packed",
+        "metadata L                 : {} loop record(s) in {} run(s)",
         report.metadata.loop_count(),
-        report.metadata.size_bytes(),
-        report.metadata.packed_len()
+        report.metadata.run_count()
+    );
+    println!(
+        "metadata bytes             : {} packed (wire, signed), {} fixed-width (paper)",
+        report.metadata.packed_len(),
+        report.metadata.size_bytes()
     );
     println!("report wire size           : {} bytes", report.wire_size());
     println!(

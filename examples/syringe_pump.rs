@@ -29,11 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = run_attestation(&mut verifier, &mut prover, vec![3])?;
     println!("benign run:");
     println!("  dispensed units          : {}", outcome.prover_run.exit.register_a0);
-    println!("  loop records in metadata : {}", outcome.prover_run.report.metadata.loop_count());
+    let metadata = &outcome.prover_run.report.metadata;
     println!(
-        "  total loop iterations    : {}",
-        outcome.prover_run.report.metadata.decode().total_iterations()
+        "  loop records in metadata : {} in {} runs",
+        metadata.loop_count(),
+        metadata.run_count()
     );
+    println!("  metadata bytes (packed)  : {} on the wire, signed", metadata.packed_len());
+    println!("  metadata bytes (paper)   : {} fixed-width", metadata.size_bytes());
+    println!("  total loop iterations    : {}", metadata.decode().total_iterations());
     println!("  verdict                  : ACCEPTED");
 
     // --- Attack: the adversary rewrites the requested volume in memory. -------------

@@ -270,9 +270,10 @@ fn attest_local(program: &Program, label: &str, input: &[u32]) -> CliResult {
     println!("result (a0)          : {}", exit.register_a0);
     println!("cycles (no overhead) : {}", exit.cycles);
     println!("authenticator A      : {}", measurement.authenticator);
-    println!("loop records         : {}", measurement.metadata.loop_count());
-    println!("metadata bytes       : {} signed", measurement.metadata.size_bytes());
-    println!("metadata packed      : {} on the wire", measurement.metadata.packed_len());
+    let metadata = &measurement.metadata;
+    println!("loop records         : {} in {} runs", metadata.loop_count(), metadata.run_count());
+    println!("metadata bytes       : {} packed (wire, signed)", metadata.packed_len());
+    println!("metadata fixed-width : {} (the paper's layout)", metadata.size_bytes());
     println!("branch events        : {}", stats.branch_events);
     println!("pairs hashed         : {}", stats.pairs_hashed);
     println!("pairs compressed     : {}", stats.pairs_compressed);

@@ -180,3 +180,56 @@ pub fn assert_stats_conserved(stats: &ServiceStats, live: usize) {
 pub fn stats_modulo_cache(stats: &ServiceStats) -> ServiceStats {
     ServiceStats { cache_hits: 0, cache_misses: 0, cache_evictions: 0, ..stats.clone() }
 }
+
+/// The LEB128 varint of `value`: seven bits per byte, low bits first.
+pub fn leb128(mut value: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+    out
+}
+
+/// `frame`, an encoded evidence envelope, with its report's packed `L`
+/// replaced by `blob` and both length fields that cover it fixed up.
+pub fn splice_metadata(frame: &[u8], blob: &[u8]) -> Vec<u8> {
+    let field = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
+    // The message's variant index, then the program id and `A`, each behind
+    // its length, precede `L`'s length.
+    let id = lofat::wire::HEADER_BYTES + 4;
+    let digest = id + 4 + field(id);
+    let at = digest + 4 + field(digest);
+    let len = (blob.len() as u32).to_le_bytes();
+    let mut bytes = [&frame[..at], &len, blob, &frame[at + 4 + field(at)..]].concat();
+    let body = (bytes.len() - lofat::wire::HEADER_BYTES) as u32;
+    bytes[14..18].copy_from_slice(&body.to_le_bytes());
+    bytes
+}
+
+/// The runs of `metadata` — each maximal run of equal consecutive loop
+/// records, with the loop executions it stands for — as packed `L` stores
+/// them.
+pub fn runs(metadata: &lofat::Metadata) -> Vec<(lofat::LoopRecord, u64)> {
+    let loops = metadata.loops.chunk_by(|a, b| a == b);
+    loops.map(|run| (run[0].clone(), run.len() as u64)).collect()
+}
+
+/// Packed `L` storing `runs` as given, maximal or not: the writer's layout,
+/// with each run's loop executions in its record's flag.
+pub fn pack_runs(runs: &[(lofat::LoopRecord, u64)]) -> Vec<u8> {
+    let mut out = leb128(runs.len() as u64);
+    for (record, executions) in runs {
+        let single = lofat::Metadata { loops: vec![record.clone()] }.pack();
+        let bytes = &single.as_bytes()[1..];
+        // The flag is the one-byte varint after entry, exit and depth.
+        let ends = bytes.iter().enumerate().filter(|&(_, &byte)| byte < 0x80);
+        let flag_at = 1 + ends.map(|(at, _)| at).nth(2).expect("three varints");
+        out.extend(&bytes[..flag_at]);
+        let overflowed = u64::from(record.encoder_overflowed);
+        out.extend(leb128(((executions - 1) << 1) | overflowed));
+        out.extend(&bytes[flag_at + 1..]);
+    }
+    out
+}

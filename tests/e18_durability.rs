@@ -238,14 +238,15 @@ fn serve_runs_only_main_the_loop_and_its_workers() {
 
 /// Older snapshots, as `lofat serve --snapshot-path` wrote them before the
 /// database carried its valid-path table (version 1), before it stored each
-/// reference's metadata packed (version 2) and while snapshots stored live
-/// sessions (version 3), are refused: `serve` exits non-zero and leaves the
-/// file byte-identical.  Starting over instead would
+/// reference's metadata packed (version 2), while snapshots stored live
+/// sessions (version 3) and before that metadata was stored run-length
+/// (version 4), are refused: `serve` exits non-zero and leaves the file
+/// byte-identical.  Starting over instead would
 /// issue fresh nonce counters and could reissue every nonce the old process
 /// handed out.
 #[test]
 fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let fixture = std::fs::read(&path).expect("fixture");
         let snapshot = artifact_dir().join(format!("version_{version}.snap"));

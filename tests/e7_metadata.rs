@@ -93,3 +93,24 @@ fn loop_free_execution_has_minimal_metadata() {
     assert_eq!(measurement.metadata.loop_count(), 0);
     assert_eq!(measurement.metadata.size_bytes(), 4, "just the empty loop-count header");
 }
+
+/// What travels is the packed `L`, and its runs grow with the number of
+/// *distinct* consecutive loop records, not with the loop executions: on
+/// syringe-pump every unit re-runs the same pulse loop, so `L` stays at three
+/// runs and a few dozen bytes while the paper's fixed-width layout grows
+/// with every unit.
+#[test]
+fn packed_metadata_stays_flat_while_loop_executions_grow() {
+    let workload = catalog::by_name("syringe-pump").unwrap();
+    let program = workload.program().unwrap();
+    let mut fixed_width = Vec::new();
+    for units in [100, 1_000, 2_000] {
+        let metadata =
+            common::run_attested(&program, &[units], lofat::EngineConfig::default()).0.metadata;
+        assert_eq!(metadata.loop_count(), units as usize + 1, "{units} units");
+        assert_eq!(metadata.run_count(), 3, "{units} units");
+        assert!(metadata.packed_len() <= 40, "{units} units: {} B", metadata.packed_len());
+        fixed_width.push(metadata.size_bytes());
+    }
+    assert_eq!(fixed_width, [4_549, 45_049, 90_049]);
+}

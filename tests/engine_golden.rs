@@ -2,8 +2,9 @@
 //! pinned per (workload, config) group.
 //!
 //! Each group replays one input set under one engine configuration and folds
-//! every run's exit information, authenticator `A`, signed metadata bytes
-//! (`Metadata::to_bytes`) and all 14 [`lofat::EngineStats`] counters into one
+//! every run's exit information, authenticator `A`, fixed-width metadata
+//! bytes (`PackedMetadata::to_bytes`, every run expanded) and all 14
+//! [`lofat::EngineStats`] counters into one
 //! SHA3-256.  The fixture `tests/fixtures/engine/golden.txt` holds one line per
 //! group: `<workload> <config> <hex digest>`.  A change to the engine's
 //! internals that alters any output, for any input, under any configuration,

@@ -5,8 +5,10 @@
 //! known-hostile shapes (truncations at every cut, bad magic, future
 //! versions, trailing bytes, misdirected message kinds, oversized length
 //! prefixes, slow-loris partial frames) and for deterministic
-//! vendored-proptest barrages of structured mutations of honest evidence,
-//! the server (`EventLoopServer`, the one `lofat serve` runs) must
+//! vendored-proptest barrages of structured mutations of honest evidence
+//! (byte flips, cuts, noise, rewritten headers, and the runs of its packed
+//! `L` split, merged and re-counted), the server (`EventLoopServer`, the one
+//! `lofat serve` runs) must
 //!
 //! * **never panic** — every case gets an answer, and an honest round trip
 //!   still succeeds after the barrage;
@@ -24,8 +26,8 @@
 mod common;
 
 use lofat::session::ProverSession;
-use lofat::wire::{code, Envelope, Message, SessionId, VerdictMsg};
-use lofat::{Prover, ServiceConfig, VerifierService};
+use lofat::wire::{code, Envelope, EvidenceMsg, Message, SessionId, VerdictMsg};
+use lofat::{PackedMetadata, Prover, ServiceConfig, VerifierService};
 use lofat_net::ProverClient;
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -92,6 +94,16 @@ fn submit(h: &Harness, frame: &[u8]) -> VerdictMsg {
     common::decode_verdict(&reply)
 }
 
+/// syringe-pump's packed `L` at 100 units: three runs, a base with runs to
+/// merge.
+fn syringe_pump_metadata() -> &'static PackedMetadata {
+    static METADATA: OnceLock<PackedMetadata> = OnceLock::new();
+    METADATA.get_or_init(|| {
+        let workload = lofat_workloads::catalog::by_name("syringe-pump").expect("workload");
+        common::attest_workload(&workload, &[100]).0.metadata
+    })
+}
+
 /// Every stable reason code a rejection may legitimately carry.
 fn known_rejection_code(reason: u16) -> bool {
     (1..=6).contains(&reason) || (code::UNKNOWN_SESSION..=code::AT_CAPACITY).contains(&reason)
@@ -133,8 +145,9 @@ fn corpus_bad_magic_and_versions_carry_their_codes() {
         let verdict = submit(h, &bad_magic);
         assert_eq!(verdict.reason_code, code::MALFORMED, "magic byte {byte}: {verdict:?}");
     }
-    // Version 1 is what a prover built before `L` travelled packed sends.
-    for version in [0u16, 1, 3, 7, 0xffff] {
+    // Version 1 is what a prover built before `L` travelled packed sends,
+    // and version 2 one built before `L` travelled run-length and signed.
+    for version in [0u16, 1, 2, 4, 7, 0xffff] {
         let mut bumped = honest.clone();
         bumped[4..6].copy_from_slice(&version.to_le_bytes());
         let verdict = submit(h, &bumped);
@@ -331,6 +344,58 @@ proptest! {
         let verdict = submit(h, &inflated);
         prop_assert_eq!(verdict.reason_code, code::MALFORMED);
 
+        assert_survivable(h, id, &honest);
+    }
+
+    /// The runs of a packed `L` — the honest one, or syringe-pump's three —
+    /// split across two stored records, merged with the next run or
+    /// re-counted, and spliced into honest evidence: never accepted.  An edit
+    /// that leaves a record equal to its neighbour, or more than `u32::MAX`
+    /// loop executions, is malformed; any other is a valid `L` the signature
+    /// does not cover.
+    #[test]
+    fn split_merged_and_re_counted_runs_are_never_accepted(
+        syringe_pump in any::<bool>(),
+        op in 0..3u8,
+        pick in any::<usize>(),
+        count in prop_oneof![1..1_000u64, Just(u32::MAX.into()), Just(u64::from(u32::MAX) + 1)],
+    ) {
+        let _serial = serialised();
+        let h = harness();
+        let (id, honest) = fresh_evidence(h);
+        let Message::Evidence(EvidenceMsg { report }) =
+            Envelope::decode(&honest).expect("honest decodes").message
+        else {
+            panic!("evidence")
+        };
+        let base = if syringe_pump { syringe_pump_metadata() } else { &report.metadata };
+        let mut runs = common::runs(&base.decode());
+        let at = pick % runs.len();
+        match op {
+            0 => {
+                let (record, n) = runs[at].clone();
+                let first = 1 + count % n;
+                runs[at].1 = first;
+                runs.insert(at + 1, (record, (n - first).max(1)));
+            }
+            1 if runs.len() > 1 => {
+                let at = at.min(runs.len() - 2);
+                let (_, n) = runs.remove(at + 1);
+                runs[at].1 += n;
+            }
+            _ => runs[at].1 = if count == runs[at].1 { count + 1 } else { count },
+        }
+        let blob = common::pack_runs(&runs);
+        prop_assert_ne!(&blob[..], report.metadata.as_bytes());
+        let maximal = runs.windows(2).all(|pair| pair[0].0 != pair[1].0);
+        let total: u64 = runs.iter().map(|(_, n)| n).sum();
+        let expected = if maximal && total <= u32::MAX.into() {
+            code::BAD_SIGNATURE
+        } else {
+            code::MALFORMED
+        };
+        let verdict = submit(h, &common::splice_metadata(&honest, &blob));
+        prop_assert_eq!(verdict.reason_code, expected, "op {} on {:?}: {:?}", op, runs, verdict);
         assert_survivable(h, id, &honest);
     }
 }

@@ -17,15 +17,16 @@
 //!
 //! * older documents are refused by version: version 1, written before the
 //!   database carried its valid-path table, version 2, written before it
-//!   stored each reference's metadata packed, and version 3, written while
-//!   snapshots still stored live sessions;
-//! * `tests/fixtures/snapshot/fig4-loop.v4.lfsn`, the start-up snapshot of
+//!   stored each reference's metadata packed, version 3, written while
+//!   snapshots still stored live sessions, and version 4, written before
+//!   that metadata was stored run-length;
+//! * `tests/fixtures/snapshot/fig4-loop.v5.lfsn`, the start-up snapshot of
 //!   `lofat serve fig4-loop`, restores to the state it describes and
 //!   re-encodes to itself byte for byte, so a change to the body encoding
 //!   that forgets the version bump fails here;
 //! * every snapshot written while two threads open sessions and submit
-//!   honest and forged evidence restores with zero live sessions and
-//!   `sessions_opened == accepted + sessions_rejected + expired`.
+//!   honest and forged evidence restores with zero live sessions and both
+//!   conservation laws balanced.
 //!
 //! Case counts honour the vendored proptest's `PROPTEST_CASES` cap.
 
@@ -106,13 +107,13 @@ fn service_with(sessions: usize, mask: u8, clock: u64, shards: usize) -> Verifie
     service
 }
 
-/// `tests/fixtures/snapshot/fig4-loop.v{1,2,3}.lfsn` are the snapshots
+/// `tests/fixtures/snapshot/fig4-loop.v{1,2,3,4}.lfsn` are the snapshots
 /// `lofat serve fig4-loop --snapshot-path` wrote at start-up when the format
-/// was version 1, 2 and 3.  Both the codec and the restore path refuse each
-/// by its version.
+/// was version 1, 2, 3 and 4.  Both the codec and the restore path refuse
+/// each by its version.
 #[test]
 fn version_1_snapshots_are_refused() {
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let bytes = std::fs::read(&path).expect("fixture");
         assert!(
@@ -134,15 +135,20 @@ fn version_1_snapshots_are_refused() {
 
 /// The key seed `lofat serve` uses (see `src/bin/lofat.rs`).
 const CLI_SEED: &str = "lofat-cli-fleet";
-const V4_FIXTURE: &str = "tests/fixtures/snapshot/fig4-loop.v4.lfsn";
+const V5_FIXTURE: &str = "tests/fixtures/snapshot/fig4-loop.v5.lfsn";
 
 /// The current format, pinned by a document an earlier build wrote: the
 /// start-up snapshot of `lofat serve fig4-loop` (4 shards, every watermark
 /// at the 65 536-session reserve, clock 0, empty books).  A restored service
-/// re-encodes it byte for byte.
+/// re-encodes it byte for byte.  fig4-loop's `L` is one loop record, so the
+/// document differs from its version-4 predecessor in the version field
+/// alone.
 #[test]
-fn the_version_4_fixture_restores_and_re_encodes_byte_for_byte() {
-    let bytes = std::fs::read(V4_FIXTURE).expect("fixture");
+fn the_version_5_fixture_restores_and_re_encodes_byte_for_byte() {
+    let bytes = std::fs::read(V5_FIXTURE).expect("fixture");
+    let mut v4 = std::fs::read("tests/fixtures/snapshot/fig4-loop.v4.lfsn").expect("fixture");
+    v4[4..6].copy_from_slice(&5u16.to_le_bytes());
+    assert!(v4 == bytes, "more than the version changed");
     let key = DeviceKey::from_seed(CLI_SEED).verification_key();
     let restored = VerifierService::restore_bytes(&bytes, key).expect("the fixture restores");
     assert_eq!(restored.program_id(), "fig4-loop");
@@ -154,11 +160,11 @@ fn the_version_4_fixture_restores_and_re_encodes_byte_for_byte() {
     assert!(restored.snapshot_bytes(0).expect("re-snapshot encodes") == bytes, "not a fixed point");
 }
 
-/// Rewrites the version-4 fixture from this build's `lofat serve`.
+/// Rewrites the version-5 fixture from this build's `lofat serve`.
 #[test]
-#[ignore = "rewrites tests/fixtures/snapshot/fig4-loop.v4.lfsn"]
-fn regenerate_the_version_4_fixture() {
-    let path = std::env::temp_dir().join(format!("lofat-v4-fixture-{}.lfsn", std::process::id()));
+#[ignore = "rewrites tests/fixtures/snapshot/fig4-loop.v5.lfsn"]
+fn regenerate_the_version_5_fixture() {
+    let path = std::env::temp_dir().join(format!("lofat-v5-fixture-{}.lfsn", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut serve = Command::new(env!("CARGO_BIN_EXE_lofat"))
         .args(["serve", "fig4-loop", "--addr", "127.0.0.1:0", "--snapshot-path"])
@@ -173,7 +179,7 @@ fn regenerate_the_version_4_fixture() {
     let _ = serve.kill();
     let _ = serve.wait();
     assert!(written, "`lofat serve` exited before its start-up snapshot");
-    std::fs::copy(&path, V4_FIXTURE).expect("write the fixture");
+    std::fs::copy(&path, V5_FIXTURE).expect("write the fixture");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -181,11 +187,10 @@ fn regenerate_the_version_4_fixture() {
 /// honest evidence, unsigned forgeries (refused, the session stays open)
 /// and signed forgeries (rejected, the session is spent) through
 /// `handle_bytes` until the test thread has written its snapshots.  Every
-/// document restores with no live session and with
-/// `sessions_opened == accepted + sessions_rejected + expired`.  The cache
-/// books are checked once the load stops, not per document: a spend bumps
-/// them before its verdict is counted, so a document written in between is
-/// off by the verdicts in flight.
+/// document restores with no live session and with both conservation laws
+/// balanced: `sessions_opened == accepted + sessions_rejected + expired`,
+/// and `cache_hits + cache_misses == accepted + sessions_rejected`, since a
+/// spend and its cache hit or miss are counted at one point.
 #[test]
 fn snapshots_written_under_load_restore_with_balanced_books() {
     const DOCUMENTS: usize = 200;
@@ -245,6 +250,11 @@ fn snapshots_written_under_load_restore_with_balanced_books() {
             assert_eq!(
                 stats.sessions_opened,
                 stats.accepted + stats.sessions_rejected + stats.expired,
+                "document {document}: {stats:?}"
+            );
+            assert_eq!(
+                stats.cache_hits + stats.cache_misses,
+                stats.accepted + stats.sessions_rejected,
                 "document {document}: {stats:?}"
             );
         }

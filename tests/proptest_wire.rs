@@ -9,23 +9,36 @@
 //!   panic;
 //! * arbitrary single-byte corruption never panics the decoder;
 //! * the packed metadata inside evidence is read strictly: every accepted
-//!   blob re-encodes to itself, each way a blob can be malformed has its own
-//!   typed `serde::Error`, and a hostile count allocates nothing in
-//!   proportion to it;
+//!   blob re-encodes to itself, each way a blob can be malformed (a
+//!   non-maximal run and runs over `u32::MAX` loop executions included) has
+//!   its own typed `serde::Error`, and neither a hostile count nor a run
+//!   claiming `u32::MAX` loop executions makes a decoder or a service
+//!   allocate in proportion to it;
 //! * golden fixtures pin both byte forms of each catalogue workload's
-//!   evidence: the signed payload, as the wire-version-1 build wrote it, and
-//!   the encoded envelope.
+//!   evidence at wire version 3: the signed payload, which is the report's
+//!   wire encoding up to the signature, and the encoded envelope.  The
+//!   version-2 envelopes are refused by version, and a report signed over
+//!   `L`'s fixed-width layout, as version 2 signed it, by its signature;
+//! * flipping any byte a signature covers refuses the evidence.
 //!
 //! Case counts honour the vendored proptest's `PROPTEST_CASES` cap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+mod common;
+
+use common::leb128;
 use lofat::metadata::IndirectTargetRecord;
+use lofat::session::ProverSession;
 use lofat::wire::{
-    ChallengeMsg, Envelope, EvidenceMsg, Message, SessionId, VerdictMsg, HEADER_BYTES,
+    code, ChallengeMsg, Envelope, EvidenceMsg, Message, SessionId, VerdictMsg, HEADER_BYTES,
 };
-use lofat::{AttestationReport, LoopRecord, Metadata, PathRecord, Prover, WireError};
+use lofat::{
+    AttestationReport, LofatError, LoopRecord, Metadata, PackedMetadata, PathRecord, Prover,
+    RejectionReason, ServiceConfig, Verifier, WireError,
+};
+use lofat_crypto::sign::{HmacSigner, Signer};
 use lofat_crypto::{DeviceKey, Digest, Nonce, Signature};
 use lofat_workloads::catalog;
 use proptest::prelude::*;
@@ -106,8 +119,11 @@ fn loop_strategy() -> impl Strategy<Value = LoopRecord> {
         })
 }
 
+/// Up to three records, each executed up to twice in a row.
 fn metadata_strategy() -> impl Strategy<Value = Metadata> {
-    proptest::collection::vec(loop_strategy(), 0..3).prop_map(|loops| Metadata { loops })
+    let run = (loop_strategy(), 1..3usize).prop_map(|(record, n)| vec![record; n]);
+    proptest::collection::vec(run, 0..3)
+        .prop_map(|runs| Metadata { loops: runs.into_iter().flatten().collect() })
 }
 
 fn report_strategy() -> impl Strategy<Value = AttestationReport> {
@@ -160,12 +176,12 @@ fn envelope_strategy() -> impl Strategy<Value = Envelope> {
 /// What the strict reader expects of one varint of a packed `L`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Field {
-    /// A value the signed form holds as a `u32`.
+    /// A value the fixed-width layout holds as a `u32`.
     U32,
     /// A `usize` or `u64` value.
     Wide,
-    /// The overflow flag.
-    Flag,
+    /// A run's flag, after runs of this many loop executions.
+    Flag(u64),
     /// A count of records, each at least this many bytes.
     Count(usize),
 }
@@ -173,8 +189,9 @@ enum Field {
 /// The fields of `metadata`'s packed form, in order.
 fn fields(metadata: &Metadata) -> Vec<Field> {
     let mut out = vec![Field::Count(6)];
-    for l in &metadata.loops {
-        out.extend([Field::U32, Field::U32, Field::Wide, Field::Flag, Field::Count(3)]);
+    let mut before = 0;
+    for (l, executions) in common::runs(metadata) {
+        out.extend([Field::U32, Field::U32, Field::Wide, Field::Flag(before), Field::Count(3)]);
         for _ in &l.paths {
             out.extend([Field::U32, Field::Wide, Field::Wide]);
         }
@@ -182,6 +199,7 @@ fn fields(metadata: &Metadata) -> Vec<Field> {
         for _ in &l.indirect_targets {
             out.extend([Field::U32, Field::U32]);
         }
+        before += executions;
     }
     out
 }
@@ -200,30 +218,18 @@ fn varints(blob: &[u8]) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-fn leb128(mut value: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
-    out
-}
-
 /// The encoded evidence envelope for `report`, with its packed metadata
 /// replaced by `blob` and both length fields that cover it fixed up.
 fn evidence_with_blob(report: &AttestationReport, blob: &[u8]) -> Vec<u8> {
     let envelope =
         Envelope::new(SessionId(1), Message::Evidence(EvidenceMsg { report: report.clone() }));
-    let mut bytes = envelope.encode().expect("encode");
-    // Variant index, program id and authenticator precede `L`'s length.
-    let at = HEADER_BYTES + 4 + 4 + report.program_id.len() + 4 + report.authenticator.len();
-    let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-    bytes.splice(at + 4..at + 4 + old, blob.iter().copied());
-    bytes[at..at + 4].copy_from_slice(&(blob.len() as u32).to_le_bytes());
-    let body = (bytes.len() - HEADER_BYTES) as u32;
-    bytes[14..18].copy_from_slice(&body.to_le_bytes());
-    bytes
+    common::splice_metadata(&envelope.encode().expect("encode"), blob)
+}
+
+/// Packed `L` whose one run claims `executions` loop executions of an empty
+/// record.
+fn one_run(executions: u64) -> Vec<u8> {
+    [&[1, 0, 0, 1][..], &leb128((executions - 1) << 1), &[0, 0]].concat()
 }
 
 fn body_error(bytes: &[u8]) -> serde::Error {
@@ -254,7 +260,13 @@ fn packed_metadata_rejections_carry_their_typed_errors() {
         decode(&[1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 1, 0, 0, 0]),
         serde::Error::IntegerOverflow { value: 1 << 32 }
     );
-    assert_eq!(decode(&[1, 0, 0, 1, 2, 0, 0]), serde::Error::InvalidBool(2));
+    // A stored record equal to the one before it, and runs over `u32::MAX`
+    // loop executions.
+    assert_eq!(decode(&[2, 0, 0, 1, 0, 0, 0, 0, 0, 1, 2, 0, 0]), serde::Error::NonMaximalRun);
+    let over = u64::from(u32::MAX) + 1;
+    assert_eq!(decode(&one_run(over)), serde::Error::IntegerOverflow { value: over });
+    // A flag of 2 is a run of two, no longer a malformed flag.
+    assert!(Envelope::decode(&evidence_with_blob(&report, &[1, 0, 0, 1, 2, 0, 0])).is_ok());
     assert_eq!(
         decode(&[5, 0, 0, 0, 0, 0, 0]),
         serde::Error::UnexpectedEof { needed: 30, remaining: 6 }
@@ -269,49 +281,160 @@ fn packed_metadata_rejections_carry_their_typed_errors() {
 
 /// A count of `u32::MAX` loops, or of `u32::MAX` paths inside one loop, is
 /// refused before anything is reserved for it: decoding allocates a small
-/// multiple of the frame's length.
+/// multiple of the frame's length.  A run that claims `u32::MAX` loop
+/// executions in a few bytes is accepted, and no verifier path expands it: a
+/// service decodes it, MACs it and answers with a stable code, unsigned
+/// (check 3) and signed (check 5) alike, within the same bound.
 #[test]
 fn hostile_counts_allocate_nothing_in_proportion() {
+    let allocated = |work: &mut dyn FnMut()| {
+        let before = ALLOCATED.with(Cell::get);
+        work();
+        ALLOCATED.with(Cell::get) - before
+    };
     let report = sample_report();
     let count = leb128(u32::MAX.into());
     for blob in [count.clone(), [&[1, 0, 0, 1, 0][..], &count, &[0]].concat()] {
         let frame = evidence_with_blob(&report, &blob);
-        let before = ALLOCATED.with(Cell::get);
-        let error = body_error(&frame);
-        let allocated = ALLOCATED.with(Cell::get) - before;
+        let mut error = None;
+        let bytes = allocated(&mut || error = Some(body_error(&frame)));
+        let error = error.unwrap();
         assert!(matches!(error, serde::Error::UnexpectedEof { .. }), "{error:?}");
-        assert!(
-            allocated <= 8 * frame.len(),
-            "{allocated} B allocated for a {} B frame",
-            frame.len()
-        );
+        assert!(bytes <= 8 * frame.len(), "{bytes} B allocated for a {} B frame", frame.len());
     }
+
+    let hostile = one_run(u32::MAX.into());
+    assert!(hostile.len() <= 64);
+    let packed = PackedMetadata::from_packed(&hostile).expect("a run of u32::MAX executions");
+    assert_eq!((packed.run_count(), packed.loop_count()), (1, u32::MAX as usize));
+    let (_, service, mut prover) =
+        common::workload_service("fig4-loop", "hostile-runs", &[vec![4]], ServiceConfig::default());
+    let mut signer = HmacSigner::new(DeviceKey::from_seed("hostile-runs"));
+    // An honest round first, so the verdict cache's first node is allocated
+    // outside the measured windows.
+    let id = service.open_session(vec![4]).expect("capacity");
+    let challenge = service.challenge_envelope(id).expect("live session").encode().unwrap();
+    let evidence = ProverSession::new(&mut prover).handle_bytes(&challenge).expect("responds");
+    assert!(common::decode_verdict(&service.handle_bytes(&evidence).unwrap()).accepted);
+    for (signed, want) in [(false, code::BAD_SIGNATURE), (true, code::METADATA_MISMATCH)] {
+        let id = service.open_session(vec![4]).expect("capacity");
+        let challenge = service.challenge_envelope(id).expect("live session");
+        let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("responds");
+        let Message::Evidence(EvidenceMsg { mut report }) = evidence.message else {
+            panic!("evidence")
+        };
+        report.metadata = packed.clone();
+        if signed {
+            report.signature = signer.sign(&report.payload()).expect("HMAC signs");
+        }
+        let frame = Envelope::new(id, Message::Evidence(EvidenceMsg { report })).encode().unwrap();
+        let mut reply = Vec::new();
+        let bytes = allocated(&mut || reply = service.handle_bytes(&frame).expect("encodes"));
+        let verdict = common::decode_verdict(&reply);
+        assert_eq!(verdict.reason_code, want, "{verdict:?}");
+        assert!(bytes <= 8 * frame.len(), "{bytes} B allocated for a {} B frame", frame.len());
+    }
+    common::assert_stats_conserved(&service.stats(), service.live_sessions());
+}
+
+/// Every byte a signature covers matters: flipping any byte of an honest
+/// syringe-pump evidence frame's signed range, which holds three runs of
+/// loop records, never gets it accepted.  A flip that still decodes is
+/// refused by check 1 (program id), 2 (nonce) or, for `A` and `L`, 3
+/// (signature); any other flip is malformed.  None spends the session.
+#[test]
+fn flipping_any_signed_byte_refuses_the_evidence() {
+    let (_, service, mut prover) = common::workload_service(
+        "syringe-pump",
+        "signed-range",
+        &[vec![200]],
+        ServiceConfig::default(),
+    );
+    let id = service.open_session(vec![200]).expect("capacity");
+    let challenge = service.challenge_envelope(id).expect("live session");
+    let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("responds");
+    let Message::Evidence(EvidenceMsg { report }) = &evidence.message else { panic!("evidence") };
+    assert_eq!(report.metadata.run_count(), 3);
+    let honest = evidence.encode().expect("encodes");
+    // The report follows the envelope header and the message's variant index.
+    let signed = HEADER_BYTES + 4..HEADER_BYTES + 4 + report.payload().len();
+    let mut bad_signatures = 0;
+    for at in signed {
+        for flip in [0x01, 0x80, 0xff] {
+            let mut frame = honest.clone();
+            frame[at] ^= flip;
+            let verdict = common::decode_verdict(&service.handle_bytes(&frame).expect("encodes"));
+            let expected = match Envelope::decode(&frame).map(|envelope| envelope.message) {
+                Ok(Message::Evidence(EvidenceMsg { report: flipped })) => {
+                    if flipped.program_id != report.program_id {
+                        code::PROGRAM_ID_MISMATCH
+                    } else if flipped.nonce != report.nonce {
+                        code::NONCE_MISMATCH
+                    } else {
+                        bad_signatures += 1;
+                        code::BAD_SIGNATURE
+                    }
+                }
+                _ => code::MALFORMED,
+            };
+            assert_eq!(verdict.reason_code, expected, "byte {at} ^ {flip:#04x}: {verdict:?}");
+        }
+    }
+    // Every flip of `A` at least, and of `L`'s bytes where it still decodes.
+    assert!(bad_signatures >= 3 * report.authenticator.len(), "{bad_signatures}");
+    let verdict = common::decode_verdict(&service.handle_bytes(&honest).expect("encodes"));
+    assert!(verdict.accepted, "{verdict:?}");
+    common::assert_stats_conserved(&service.stats(), service.live_sessions());
 }
 
 /// Each catalogue workload's default input, attested under a fixed key and
-/// nonce.  `*.payload.bin` was written by the wire-version-1 build: the
-/// signed bytes, and so what the signature covers, did not change when the
-/// wire started to carry `L` packed.  `*.envelope.bin` pins the encoded
-/// evidence, which decodes and re-encodes to itself, and the verifier
-/// rebuilds the signed bytes from the decoded report.
+/// nonce.  `*.v3.payload.bin` pins the signed bytes and `*.v3.envelope.bin`
+/// the encoded evidence, which decodes and re-encodes to itself; the
+/// envelope's report begins with the signed bytes, and the verifier
+/// rebuilds them from the decoded report.  The version-2 build's envelopes
+/// (`*.v2.envelope.bin`) are refused by version, and its signature, over the
+/// version-2 signed bytes (`*.v2.payload.bin`: `L` at fixed width), is
+/// refused by check 3 on this build's report.
 #[test]
 fn evidence_matches_the_golden_fixtures() {
     let key = DeviceKey::from_seed("golden-evidence");
+    let mut signer = HmacSigner::new(key.clone());
     for workload in catalog::all() {
         let fixture = |kind: &str| {
             let path = format!("tests/fixtures/evidence/{}.{kind}.bin", workload.name);
             std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
         };
         let program = workload.program().expect("assemble");
-        let mut prover = Prover::new(program, workload.name, key.clone());
+        let mut prover = Prover::new(program.clone(), workload.name, key.clone());
         let run = prover.attest(&workload.default_input, Nonce::from_counter(7)).expect("attest");
-        let payload = fixture("payload");
+        let payload = fixture("v3.payload");
         assert_eq!(run.report.payload(), payload, "{}: signed bytes", workload.name);
+        let wire = run.report.to_wire_bytes().expect("encode");
+        assert_eq!(wire[..payload.len()], payload, "{}: wire bytes start signed", workload.name);
+
+        let mut old = run.report.clone();
+        old.signature = signer.sign(&fixture("v2.payload")).expect("HMAC signs");
+        let verifier = Verifier::new(program, workload.name, key.verification_key()).unwrap();
+        let challenge = lofat::Challenge {
+            program_id: workload.name.into(),
+            input: workload.default_input.clone(),
+            nonce: Nonce::from_counter(7),
+        };
+        assert!(verifier.verify(&run.report, &challenge).is_ok(), "{}", workload.name);
+        assert!(
+            matches!(
+                verifier.verify(&old, &challenge),
+                Err(LofatError::Rejected(RejectionReason::BadSignature))
+            ),
+            "{}: a signature over the fixed-width layout verified",
+            workload.name
+        );
 
         let envelope =
             Envelope::new(SessionId(7), Message::Evidence(EvidenceMsg { report: run.report }));
         let bytes = envelope.encode().expect("encode");
-        assert_eq!(bytes, fixture("envelope"), "{}: envelope bytes", workload.name);
+        assert_eq!(bytes, fixture("v3.envelope"), "{}: envelope bytes", workload.name);
+        assert_eq!(bytes[HEADER_BYTES + 4..], wire, "{}", workload.name);
         let decoded = Envelope::decode(&bytes).expect("decode");
         assert_eq!(decoded.encode().expect("re-encode"), bytes, "{}", workload.name);
         let Message::Evidence(evidence) = decoded.message else { panic!("not evidence") };
@@ -322,6 +445,10 @@ fn evidence_matches_the_golden_fixtures() {
             "{}",
             workload.name
         );
+
+        let refused = Envelope::decode(&fixture("v2.envelope")).unwrap_err();
+        assert_eq!(refused, WireError::UnsupportedVersion { found: 2 }, "{}", workload.name);
+        assert_eq!(refused.code(), code::UNSUPPORTED_VERSION);
     }
 }
 
@@ -430,20 +557,24 @@ proptest! {
             }
             _ => blob.insert(at, byte),
         }
-        if let Ok(decoded) = Metadata::from_packed(&blob) {
-            prop_assert_eq!(decoded.pack().as_bytes().to_vec(), blob);
+        // A one-byte edit may leave a run that claims billions of loop
+        // executions: decode only what is small enough to expand.
+        let accepted = PackedMetadata::from_packed(&blob);
+        if let Some(packed) = accepted.ok().filter(|packed| packed.loop_count() <= 1 << 12) {
+            prop_assert_eq!(packed.decode().pack().as_bytes().to_vec(), blob);
         }
     }
 
-    /// Each kind of malformation, made at an arbitrary field of an honest
-    /// blob inside a real evidence envelope, gets its typed error: an
-    /// overlong varint, a `u32` field above `u32::MAX`, a flag other than 0
-    /// or 1, a count the bytes left cannot hold, truncation, and trailing
-    /// bytes.
+    /// Each kind of malformation, made at an arbitrary field or run of an
+    /// honest blob inside a real evidence envelope, gets its typed error: an
+    /// overlong varint, a `u32` field above `u32::MAX`, a run that takes the
+    /// loop executions above `u32::MAX`, a count the bytes left cannot hold,
+    /// truncation, trailing bytes, and a stored record repeated instead of
+    /// counted in its run.
     #[test]
     fn packed_rejections_are_typed_wherever_they_land(
         metadata in metadata_strategy(),
-        kind in 0..6u8,
+        kind in 0..7u8,
         pick in any::<usize>(),
         wide in any::<u32>(),
     ) {
@@ -461,9 +592,8 @@ proptest! {
         };
         let (edited, expected) = match kind {
             0 => {
-                // The same value with a redundant zero group appended (the
-                // flag is one byte, not a varint: case 2 covers it).
-                let Some(at) = pick_of(&|f| f != Field::Flag) else { return Ok(()) };
+                // The same value with a redundant zero group appended.
+                let Some(at) = pick_of(&|_| true) else { return Ok(()) };
                 let mut longer = blob[spans[at].clone()].to_vec();
                 *longer.last_mut().unwrap() |= 0x80;
                 longer.push(0);
@@ -477,9 +607,12 @@ proptest! {
                 (replace(at, &leb128(value)), serde::Error::IntegerOverflow { value })
             }
             2 => {
-                let Some(at) = pick_of(&|f| f == Field::Flag) else { return Ok(()) };
-                let flag = 2 + (wide % 254) as u8;
-                (replace(at, &[flag]), serde::Error::InvalidBool(flag))
+                let Some(at) = pick_of(&|f| matches!(f, Field::Flag(_))) else { return Ok(()) };
+                let Field::Flag(before) = kinds[at] else { unreachable!() };
+                // Enough repeats to end `wide + 1` executions past the limit.
+                let value = u64::from(u32::MAX) + 1 + u64::from(wide);
+                let flag = ((value - before - 1) << 1) | u64::from(blob[spans[at].start] & 1);
+                (replace(at, &leb128(flag)), serde::Error::IntegerOverflow { value })
             }
             3 => {
                 let Some(at) = pick_of(&|f| matches!(f, Field::Count(_))) else {
@@ -498,10 +631,20 @@ proptest! {
                 prop_assert!(matches!(error, serde::Error::UnexpectedEof { .. }), "cut {}: {:?}", cut, error);
                 return Ok(());
             }
-            _ => {
+            5 => {
                 let extra = 1 + pick % 8;
                 let edited = [&blob[..], &vec![wide as u8; extra]].concat();
                 (edited, serde::Error::TrailingBytes { extra })
+            }
+            _ => {
+                // One run's record stored twice in a row.
+                let mut runs = common::runs(&metadata);
+                if runs.is_empty() {
+                    return Ok(());
+                }
+                let at = pick % runs.len();
+                runs.insert(at, runs[at].clone());
+                (common::pack_runs(&runs), serde::Error::NonMaximalRun)
             }
         };
         let mut report = sample_report();
