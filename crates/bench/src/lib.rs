@@ -64,14 +64,13 @@ pub mod throughput {
     //! adds the trace port and the engine to the CPU), hashed bytes per
     //! second of the software SHA-3-512 (sponge absorb path) scalar and
     //! through the 4-lane batch, and nanoseconds per Keccak-f\[1600\]
-    //! permutation.  Two more time the verifier's verdict cache: sessions per
-    //! second through a service with the cache off and with it warm.
-    //! [`measure`] samples them all with a best-of-N wall-clock harness (the
-    //! host's clock is noisy; the *best* window is the least-perturbed one),
-    //! and [`to_json`] renders the document.  The rates follow the host's
-    //! speed, so they mean something only next to another build's rates
-    //! measured on the same host at the same time, which is how
-    //! `scripts/bench_pair.py` reads them.
+    //! permutation.  One more times the verifier: evidence sessions per
+    //! second through a service.  [`measure`] samples them all with a
+    //! best-of-N wall-clock harness (the host's clock is noisy; the *best*
+    //! window is the least-perturbed one), and [`to_json`] renders the
+    //! document.  The rates follow the host's speed, so they mean something
+    //! only next to another build's rates measured on the same host at the
+    //! same time, which is how `scripts/bench_pair.py` reads them.
 
     use super::{run_attested, run_plain};
     use lofat::json::JsonWriter;
@@ -96,13 +95,12 @@ pub mod throughput {
     /// gets two more.
     const REPS: u32 = 4;
 
-    /// Syringe-pump units per verdict-cache session: the service is the
-    /// subject, so prover runs are setup, not the measurement.
-    const CACHE_UNITS: u32 = 200;
+    /// Syringe-pump units per verified session: the service is the subject,
+    /// so prover runs are setup, not the measurement.
+    const VERIFY_UNITS: u32 = 200;
 
-    /// Evidence envelopes per verdict-cache pass: one priming envelope, then
-    /// the timed ones.
-    const CACHE_SESSIONS: usize = 768;
+    /// Evidence envelopes per verify pass, every one timed.
+    const VERIFY_SESSIONS: usize = 768;
 
     /// One set of hot-path throughput numbers.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,11 +117,9 @@ pub mod throughput {
         /// Nanoseconds per Keccak-f\[1600\] permutation.
         pub ns_per_permutation: f64,
         /// Verified sessions per second, single-threaded through a one-shard
-        /// service with the verdict cache off: every envelope pays the full
-        /// signed-prefix MAC and the measurement check.
-        pub cache_cold_sessions_per_sec: f64,
-        /// The same against a warm verdict cache: every timed envelope hits.
-        pub cache_warm_sessions_per_sec: f64,
+        /// service: every envelope pays the signed-payload MAC, the
+        /// measurement check and the spend.
+        pub verify_sessions_per_sec: f64,
     }
 
     /// Runs `f` repeatedly for [`WINDOW_SECS`] and returns the achieved rate
@@ -188,12 +184,10 @@ pub mod throughput {
         });
         std::hint::black_box(&state);
 
-        // The first pass of each kind doubles as the warm-up: it pays the
-        // first-touch costs (page faults, allocator arenas) the others skip.
-        let cache = CachePass::new(CACHE_SESSIONS);
-        let best_pass = |cached: bool| (0..REPS).map(|_| cache.run(cached).0).fold(0.0, f64::max);
-        let cache_cold_sessions_per_sec = best_pass(false);
-        let cache_warm_sessions_per_sec = best_pass(true);
+        // The first pass doubles as the warm-up: it pays the first-touch
+        // costs (page faults, allocator arenas) the others skip.
+        let verify = VerifyPass::new(VERIFY_SESSIONS);
+        let verify_sessions_per_sec = (0..REPS).map(|_| verify.run().0).fold(0.0, f64::max);
 
         ThroughputSample {
             attested_instructions_per_sec: attested,
@@ -201,20 +195,16 @@ pub mod throughput {
             hashed_bytes_per_sec: hashed,
             hashed_bytes_per_sec_x4: hashed_x4,
             ns_per_permutation: 1e9 / perms_per_sec,
-            cache_cold_sessions_per_sec,
-            cache_warm_sessions_per_sec,
+            verify_sessions_per_sec,
         }
     }
 
-    /// Warm verdict cache against the cold path: honest evidence replayed
-    /// single-threaded through `handle_bytes` into a fresh one-shard service
-    /// with the cache on or off.  Every envelope attests the same workload and
-    /// input, so all of them share one verdict-cache key: after one untimed
-    /// priming envelope a warm pass is all cache hits — resume the cached MAC
-    /// snapshot, absorb the nonce, finalize, spend the session — while a cold
-    /// pass re-absorbs the full signed prefix and re-checks the measurement
-    /// for every envelope.
-    struct CachePass {
+    /// The verifier's evidence path: honest evidence replayed single-threaded
+    /// through `handle_bytes` into a fresh one-shard service.  Every envelope
+    /// attests the same workload and input, and each one is decoded, MACs its
+    /// signed payload, is checked against the database and spends its
+    /// session.
+    struct VerifyPass {
         db: MeasurementDatabase,
         key: DeviceKey,
         input: Vec<u32>,
@@ -224,19 +214,19 @@ pub mod throughput {
         evidence: Vec<Vec<u8>>,
     }
 
-    impl CachePass {
-        /// Pre-generates `sessions` (at least 2) honest syringe-pump envelopes
-        /// of [`CACHE_UNITS`] units through the shared `lofat-fleet` session
+    impl VerifyPass {
+        /// Pre-generates `sessions` (at least 1) honest syringe-pump envelopes
+        /// of [`VERIFY_UNITS`] units through the shared `lofat-fleet` session
         /// driver.
         fn new(sessions: usize) -> Self {
-            assert!(sessions >= 2, "a cache pass needs a priming envelope plus a timed one");
+            assert!(sessions >= 1, "a verify pass needs an envelope to time");
             let workload = catalog::by_name("syringe-pump").expect("workload in catalogue");
             let program = workload.program().expect("assemble");
-            let key = DeviceKey::from_seed("e10-verdict-cache");
+            let key = DeviceKey::from_seed("e10-verify");
             let mut prover = Prover::new(program.clone(), "syringe-pump", key.clone());
             let verifier = Verifier::new(program, "syringe-pump", key.verification_key())
                 .expect("construct verifier");
-            let input = vec![CACHE_UNITS];
+            let input = vec![VERIFY_UNITS];
             let db =
                 MeasurementDatabase::build(&verifier, EngineConfig::default(), vec![input.clone()])
                     .expect("reference measurement");
@@ -251,30 +241,21 @@ pub mod throughput {
             Self { db, key, input, evidence }
         }
 
-        /// One pass through a fresh service, with the default-capacity
-        /// verdict cache when `cached` and none otherwise: the timed
-        /// envelopes (every one but the priming one) per second, and the
-        /// service's books after the last envelope.
-        ///
-        /// One shard: the pass is sequential, and cache shards are congruent
-        /// with session shards, so a single shard lets the one priming miss
-        /// warm the only cache copy (on S shards the first envelope landing
-        /// on each *other* shard would also miss).
-        fn run(&self, cached: bool) -> (f64, ServiceStats) {
+        /// One pass through a fresh one-shard service (the pass is
+        /// sequential): envelopes verified per second, and the service's books
+        /// after the last envelope.
+        fn run(&self) -> (f64, ServiceStats) {
             let config = ServiceConfig::sharded(1);
-            let config = if cached { config } else { config.with_verdict_cache(0) };
             let service =
                 VerifierService::new(self.db.clone(), self.key.verification_key(), config);
             for _ in 0..self.evidence.len() {
-                service.open_session(self.input.clone()).expect("open cache-pass session");
+                service.open_session(self.input.clone()).expect("open verify-pass session");
             }
-            let _ = service.handle_bytes(&self.evidence[0]).expect("priming verdict encodes");
             let start = Instant::now();
-            for bytes in &self.evidence[1..] {
+            for bytes in &self.evidence {
                 std::hint::black_box(service.handle_bytes(bytes).expect("verdict encodes"));
             }
-            let timed = (self.evidence.len() - 1) as f64;
-            (timed / start.elapsed().as_secs_f64(), service.stats())
+            (self.evidence.len() as f64 / start.elapsed().as_secs_f64(), service.stats())
         }
     }
 
@@ -292,8 +273,7 @@ pub mod throughput {
         w.field_f64("hashed_bytes_per_sec", sample.hashed_bytes_per_sec, 1);
         w.field_f64("hashed_bytes_per_sec_x4", sample.hashed_bytes_per_sec_x4, 1);
         w.field_f64("ns_per_permutation", sample.ns_per_permutation, 1);
-        w.field_f64("cache_cold_sessions_per_sec", sample.cache_cold_sessions_per_sec, 1);
-        w.field_f64("cache_warm_sessions_per_sec", sample.cache_warm_sessions_per_sec, 1);
+        w.field_f64("verify_sessions_per_sec", sample.verify_sessions_per_sec, 1);
         w.end_object();
         w.end_object();
         w.finish()
@@ -304,16 +284,11 @@ pub mod throughput {
         use super::*;
 
         #[test]
-        fn a_warm_pass_misses_once_and_then_hits_every_timed_envelope() {
-            let cache = CachePass::new(6);
-            let (rate, warm) = cache.run(true);
-            assert_eq!(warm.cache_misses, 1, "only the priming envelope misses");
-            assert_eq!(warm.cache_hits, 5, "every timed envelope hits");
-            assert_eq!(warm.accepted, 6, "the honest pass accepts everything");
+        fn a_verify_pass_accepts_every_envelope() {
+            let (rate, stats) = VerifyPass::new(6).run();
+            assert_eq!(stats.accepted, 6, "the honest pass accepts everything");
+            assert_eq!(stats.rejected, 0);
             assert!(rate > 0.0);
-            let (_, cold) = cache.run(false);
-            assert_eq!(cold.cache_hits, 0, "with the cache off nothing hits");
-            assert_eq!((cold.cache_misses, cold.accepted), (6, 6));
         }
     }
 }

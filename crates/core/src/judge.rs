@@ -27,7 +27,7 @@
 //! `Bound::conclude` runs check 3 against the finalized MAC and then checks
 //! 4 and 5 (`measurement`, which
 //! [`MeasurementDatabase::check`](crate::measurement_db::MeasurementDatabase::check)
-//! runs too), or recalls their memoised outcome.
+//! runs too).
 
 use crate::error::LofatError;
 use crate::measurement_db::PackedReference;
@@ -122,8 +122,7 @@ impl<'r> Bound<'r> {
     /// report's [payload](AttestationReport::payload) under the fleet key;
     /// it is compared with the signature in constant time.  `measure` runs
     /// checks 4 and 5 — [`measurement`] against the expected measurement —
-    /// or recalls their outcome for the same input and signed prefix, and
-    /// reports a failure as [`LofatError::Rejected`].
+    /// and reports a failure as [`LofatError::Rejected`].
     ///
     /// # Errors
     ///

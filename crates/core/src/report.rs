@@ -60,16 +60,14 @@ impl AttestationReport {
     /// The signed bytes *shared* by every report with this program id,
     /// authenticator and metadata: [`AttestationReport::payload`] minus the
     /// trailing nonce.  Two honest reports for the same measurement differ
-    /// only in the nonce (and therefore the signature), so this prefix is the
-    /// boundary at which the verifier's verdict cache snapshots the in-flight
-    /// signature MAC.
+    /// only in the nonce (and therefore the signature).
     pub fn signed_prefix(&self) -> Vec<u8> {
         Self::prefix_bytes(&self.program_id, &self.authenticator, &self.metadata)
     }
 
     /// Hands `absorb` the bytes of [`AttestationReport::signed_prefix`] piece
-    /// by piece, in order, without copying them: what the verifier MACs and
-    /// keys its verdict cache with.
+    /// by piece, in order, without copying them: what the verifier MACs
+    /// ahead of the nonce.
     pub(crate) fn absorb_signed_prefix(&self, absorb: impl FnMut(&[u8])) {
         let fields =
             [self.program_id.as_bytes(), self.authenticator.as_bytes(), self.metadata.as_bytes()];
@@ -177,6 +175,14 @@ pub(crate) mod tests {
 
         let mut other = report();
         other.authenticator = Sha3_512::digest(b"other path");
+        assert_ne!(base.payload(), other.payload());
+
+        // The same bytes split differently between neighbouring fields: each
+        // field is signed behind its length.
+        let mut other = report();
+        let last = other.program_id.pop().unwrap();
+        let moved = [&[last as u8][..], base.authenticator.as_bytes()].concat();
+        other.authenticator = Digest::from_bytes(moved);
         assert_ne!(base.payload(), other.payload());
     }
 

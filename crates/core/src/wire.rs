@@ -374,10 +374,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LFSN";
 /// the body's encoding takes a new number.  Version 2 appended the
 /// measurement database's valid-path table, version 3 stores each
 /// reference's metadata packed, as the wire does, version 4 keeps one
-/// watermark per shard and no live session, and version 5 stores that
-/// metadata run-length, as wire version 3 does; an older document is
-/// refused, so a service never restarts from one with fresh nonce counters.
-pub const SNAPSHOT_VERSION: u16 = 5;
+/// watermark per shard and no live session, version 5 stores that
+/// metadata run-length, as wire version 3 does, and version 6 drops the
+/// verdict cache's capacity from the configuration and its evictions from
+/// the books; an older document is refused, so a service never restarts
+/// from one with fresh nonce counters.
+pub const SNAPSHOT_VERSION: u16 = 6;
 
 /// Size of the fixed snapshot header in bytes: magic (4) + version (2) +
 /// body length (4) + SHA3-256 body digest (32).
@@ -394,14 +396,12 @@ pub const SNAPSHOT_HEADER_BYTES: usize = 42;
 /// [`code::NONCE_REPLAYED`].
 ///
 /// The verification key is deliberately **absent** — it is provided again at
-/// restore time, so a snapshot document never carries key material.  The
-/// verdict cache is also absent: it is a pure performance memo that restarts
-/// cold.
+/// restore time, so a snapshot document never carries key material.
 ///
 /// ```text
 /// offset  size  field
 /// 0       4     magic  "LFSN"
-/// 4       2     version (little-endian u16, currently 5)
+/// 4       2     version (little-endian u16, currently 6)
 /// 6       4     body length (little-endian u32)
 /// 10      32    SHA3-256 digest of the body
 /// 42      n     body: serde encoding of `SnapshotMsg`

@@ -97,8 +97,7 @@ impl Signer for HmacSigner {
 pub struct HmacVerifier {
     key: VerificationKey,
     /// Keyed-but-empty MAC: cloning it skips the two key-schedule permutations
-    /// on every verification, and a clone with a message prefix absorbed can be
-    /// snapshotted and resumed (the verdict cache stores exactly that).
+    /// on every verification.
     base: crate::hmac::Hmac,
 }
 

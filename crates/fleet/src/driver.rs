@@ -5,7 +5,7 @@
 //! Several harnesses used to carry private copies of the same loop — open a
 //! session, fetch the challenge, answer it honestly / adversarially / with a
 //! forged signature, keep the bytes.  This module is the single copy: the
-//! fleet executor, `lofat bench-json`'s verdict-cache pass, the e14 network
+//! fleet executor, `lofat bench-json`'s verify pass, the e14 network
 //! differential suite and `lofat sessions` all generate their traffic here.
 //!
 //! The load-bearing trick is **nonce determinism**: a fresh

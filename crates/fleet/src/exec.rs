@@ -111,7 +111,7 @@ pub struct ScenarioOutcome {
     pub stats: ServiceStats,
     /// Sessions still live at the end (dropped/slow-loris slots).
     pub live: usize,
-    /// Whether both conservation laws held on the final snapshot.
+    /// Whether the conservation law held on the final snapshot.
     pub conserved: bool,
 }
 

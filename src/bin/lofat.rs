@@ -113,8 +113,8 @@ commands:
   area [l n depth]                   print the area model estimate
   bench-json --out FILE              measure the hot-path rates (E10: attested
                                      and plain instructions/s, SHA-3, Keccak,
-                                     warm and cold verdict-cache sessions/s)
-                                     and write them to FILE as JSON
+                                     verified sessions/s) and write them to
+                                     FILE as JSON
   fleet run <spec.fleet> [--transport pool|epoll|front|all]
             [--out-dir DIR] [--scale N]
                                      expand a declarative fleet spec and drive
@@ -719,14 +719,13 @@ fn cmd_bench_json(args: &[String]) -> CliResult {
     std::fs::write(out_path, to_json(&sample))?;
     println!(
         "attested {:.0} instr/s | plain {:.0} instr/s | sha3-512 {:.0} B/s, x4 {:.0} B/s | \
-         permutation {:.1} ns | verdict cache cold {:.0} warm {:.0} sessions/s",
+         permutation {:.1} ns | verify {:.0} sessions/s",
         sample.attested_instructions_per_sec,
         sample.plain_instructions_per_sec,
         sample.hashed_bytes_per_sec,
         sample.hashed_bytes_per_sec_x4,
         sample.ns_per_permutation,
-        sample.cache_cold_sessions_per_sec,
-        sample.cache_warm_sessions_per_sec,
+        sample.verify_sessions_per_sec,
     );
     println!("wrote {out_path}");
     Ok(())

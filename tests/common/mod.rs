@@ -150,35 +150,21 @@ pub fn decode_verdict(bytes: &[u8]) -> lofat::VerdictMsg {
     }
 }
 
-/// Asserts the service-stats conservation laws: every opened session is
+/// Asserts the service-stats conservation law: every opened session is
 /// accounted for exactly once — accepted, spent by an authenticated
-/// rejection, expired, or still live — and every session-spending verdict
-/// was exactly one verdict-cache hit or miss.  (Unauthenticated rejections —
-/// bad signatures, misrouted nonces, replays, malformed envelopes — do not
-/// consume sessions and therefore appear in neither balance.)
+/// rejection, expired, or still live.  (Unauthenticated rejections — bad
+/// signatures, misrouted nonces, replays, malformed envelopes — do not
+/// consume sessions and therefore do not appear in the balance.)
 pub fn assert_stats_conserved(stats: &ServiceStats, live: usize) {
     assert!(
         stats.is_conserved(live),
         "stats conservation violated: opened {} != accepted {} + sessions_rejected {} + \
-         expired {} + live {live}, or cache_hits {} + cache_misses {} != accepted + \
-         sessions_rejected ({stats:?})",
+         expired {} + live {live} ({stats:?})",
         stats.sessions_opened,
         stats.accepted,
         stats.sessions_rejected,
         stats.expired,
-        stats.cache_hits,
-        stats.cache_misses,
     );
-}
-
-/// Returns `stats` with the verdict-cache counters zeroed.  The hit/miss
-/// split is scheduling-dependent under concurrency (racing workers — or a
-/// batched burst — can each miss on a key a sequential run would have hit),
-/// so differential suites compare everything *except* the split;
-/// [`assert_stats_conserved`] separately pins the cache books
-/// (`hits + misses == accepted + sessions_rejected`) on both sides.
-pub fn stats_modulo_cache(stats: &ServiceStats) -> ServiceStats {
-    ServiceStats { cache_hits: 0, cache_misses: 0, cache_evictions: 0, ..stats.clone() }
 }
 
 /// The LEB128 varint of `value`: seven bits per byte, low bits first.

@@ -18,13 +18,22 @@
 //! reference replay allocates the same number of times whatever its loop
 //! count.
 //!
+//! On the verifier's side, one verdict allocates a fixed number of times: the
+//! fourth test counts one `handle_bytes` of honest evidence, which allocates
+//! alike whether or not the service judged the same measurement before and
+//! however long the attested run was.
+//!
 //! The property test is bounded by `PROPTEST_CASES` like every other property
 //! suite in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lofat::{EngineConfig, LofatEngine, MeasurementDatabase, Verifier};
+use lofat::session::ProverSession;
+use lofat::{
+    EngineConfig, Envelope, LofatEngine, MeasurementDatabase, Message, Prover, ServiceConfig,
+    Verifier, VerifierService,
+};
 use lofat_crypto::DeviceKey;
 use lofat_rv32::asm::assemble;
 use lofat_rv32::Cpu;
@@ -195,4 +204,44 @@ fn reference_replay_allocations_do_not_grow_with_loop_count() {
         small.abs_diff(large) <= 8,
         "{small} allocations at 100 units, {large} at 1000: a loop exit allocates"
     );
+}
+
+/// One verdict allocates the same number of times whatever the service
+/// judged before it and however long the run it judges: `handle_bytes` of
+/// honest syringe-pump evidence allocates as often for the first verdict on
+/// an input as for a later one, and as often at 100 units as at 2 000.  The
+/// service keeps nothing from one session's evidence for the next, and
+/// every syringe-pump input's packed `L` is three runs of loop records.
+#[test]
+fn verdict_allocations_do_not_depend_on_history_or_run_length() {
+    let workload = catalog::by_name("syringe-pump").expect("catalogue workload");
+    let program = workload.program().expect("assemble");
+    let key = DeviceKey::from_seed("e11-device");
+    let verifier =
+        Verifier::new(program.clone(), workload.name, key.verification_key()).expect("verifier");
+    let inputs = [vec![100], vec![2000]];
+    let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), inputs.clone())
+        .expect("replay");
+    let service = VerifierService::new(db, key.verification_key(), ServiceConfig::default());
+    let mut prover = Prover::new(program, workload.name, key);
+    let mut verdict_allocations = |input: &Vec<u32>| {
+        let id = service.open_session(input.clone()).expect("capacity");
+        let challenge = service.challenge_envelope(id).expect("live session");
+        let evidence = ProverSession::new(&mut prover)
+            .handle_bytes(&challenge.encode().expect("challenge encodes"))
+            .expect("prover answers");
+        let before = allocation_count();
+        let reply = service.handle_bytes(&evidence).expect("verdict encodes");
+        let delta = allocation_count() - before;
+        let Message::Verdict(verdict) = Envelope::decode(&reply).expect("decodes").message else {
+            panic!("expected a verdict")
+        };
+        assert!(verdict.accepted, "{verdict:?}");
+        delta
+    };
+    let [small, large] =
+        inputs.map(|input| [verdict_allocations(&input), verdict_allocations(&input)]);
+    assert_eq!(small[0], small[1], "100 units: first verdict vs a later one");
+    assert_eq!(large[0], large[1], "2 000 units: first verdict vs a later one");
+    assert_eq!(small, large, "100 vs 2 000 units");
 }

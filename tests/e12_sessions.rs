@@ -14,12 +14,13 @@
 //!   `Verdict`/`RejectionReason`/`ProtocolOutcome` as the `run_attestation`
 //!   entry point (the legacy protocol semantics, re-derived inline).  A
 //!   service leg sends the same evidence to a fresh `VerifierService`, to one
-//!   restored from its own snapshot and through a verdict-cache hit: each
-//!   must answer the library's verdict bytes and spend the session exactly
-//!   when the library decides it.  Beyond real executions the evidence
-//!   includes e1's forged Fig. 4 report, reports naming another program (with
-//!   and without a valid signature) and, by property test, every single-field
-//!   mutation of honest reports re-signed with the device key.
+//!   restored from its own snapshot and to one that already judged the same
+//!   measurement for another session: each must answer the library's verdict
+//!   bytes and spend the session exactly when the library decides it.
+//!   Beyond real executions the evidence includes e1's forged Fig. 4 report,
+//!   reports naming another program (with and without a valid signature)
+//!   and, by property test, every single-field mutation of honest reports
+//!   re-signed with the device key.
 
 mod common;
 
@@ -301,11 +302,10 @@ fn session_round(
 /// The service leg.  `report` answers session 1 of a service over `input`,
 /// whose nonce is the library's first challenge nonce, three ways: on a
 /// fresh service, on one restored from the fresh service's snapshot taken
-/// before it opened anything, and on one whose verdict cache already holds
-/// the report's measurement (the same report, re-signed for session 2, went
-/// first).  Each must answer `library`'s
-/// verdict bytes and evict the session exactly when the library `decided`
-/// its own.
+/// before it opened anything, and on one that already judged the report's
+/// measurement for another session (the same report, re-signed for session
+/// 2, went first).  Each must answer `library`'s verdict bytes and evict the
+/// session exactly when the library `decided` its own.
 fn assert_service_agrees(
     label: &str,
     name: &str,
@@ -334,16 +334,16 @@ fn assert_service_agrees(
     let restored_id = restored.open_session(input.to_vec()).expect("the input has a reference");
     assert_eq!(restored_id, id, "{label}: the restored service issues the same first id");
 
-    let cached = service();
-    let first = cached.open_session(input.to_vec()).expect("capacity");
-    let second = cached.open_session(input.to_vec()).expect("capacity");
-    let mut warm = report.clone();
-    warm.nonce = Nonce::from_counter(second.0);
-    resign(&mut warm, &key);
-    cached.submit_evidence(&evidence(second, &warm));
+    let repeat = service();
+    let first = repeat.open_session(input.to_vec()).expect("capacity");
+    let second = repeat.open_session(input.to_vec()).expect("capacity");
+    let mut earlier = report.clone();
+    earlier.nonce = Nonce::from_counter(second.0);
+    resign(&mut earlier, &key);
+    repeat.submit_evidence(&evidence(second, &earlier));
 
     for (leg, service, id) in
-        [("fresh", &fresh, id), ("restored", &restored, id), ("cached", &cached, first)]
+        [("fresh", &fresh, id), ("restored", &restored, id), ("repeat", &repeat, first)]
     {
         let verdict = service.submit_evidence(&evidence(id, report));
         assert_eq!(&verdict, library, "{label}: {leg} service verdict differs");
@@ -351,9 +351,6 @@ fn assert_service_agrees(
         assert_eq!(service.session(id).is_none(), decided, "{label}: {leg} service spend differs");
         common::assert_stats_conserved(&service.stats(), service.live_sessions());
     }
-    // Only evidence that passed the first three checks spends, and that is
-    // exactly when the warm-up's measurement was cached.
-    assert_eq!(cached.stats().cache_hits, u64::from(decided), "{label}: no cache hit");
 }
 
 fn assert_equivalent(

@@ -2,16 +2,20 @@
 //! differential suite.
 //!
 //! The hard invariant of the concurrency layer is that it adds **no**
-//! semantics: shard count and worker count must never change any verdict,
-//! authenticator byte or statistics total relative to the single-threaded
-//! 1-shard service.  Three families of checks:
+//! semantics: shard count, worker count and batching must never change any
+//! verdict, authenticator byte or statistics total relative to the
+//! single-threaded 1-shard service.  Four families of checks:
 //!
 //! * **Differential equivalence** — for a representative workload slice
 //!   (honest traffic mixed with every stock adversary class and forged
-//!   signatures, plus a full replay pass), every tested (shards × workers)
-//!   configuration produces, per session, the byte-for-byte identical
-//!   challenge and the identical `VerdictMsg` as the reference
-//!   configuration, and the final `ServiceStats` snapshots are equal.
+//!   signatures, plus a full replay pass), every tested configuration —
+//!   (shards × workers), and batched `handle_bytes_batch` calls — produces,
+//!   per session, the byte-for-byte identical challenge and the identical
+//!   `VerdictMsg` as the reference configuration, and the final
+//!   `ServiceStats` snapshots are equal.
+//! * **Forgeries** — evidence whose authenticator or loop metadata was
+//!   changed after signing draws `BAD_SIGNATURE` and leaves its session live
+//!   for the honest evidence that follows.
 //! * **Expiry** — clock-driven expiry and capacity sweeps behave identically
 //!   across shard counts.
 //! * **Replay hammering** — many threads replaying the same evidence at one
@@ -41,12 +45,29 @@ fn max_threads() -> usize {
     std::env::var("E13_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4).max(1)
 }
 
-/// The (shards, workers) grid every differential scenario runs on, relative
-/// to the reference configuration (1 shard, no pool).  `workers == 0` means
-/// direct sequential `handle_bytes` calls on the caller thread.
-fn configurations() -> Vec<(usize, usize)> {
+/// How a configuration submits its traffic.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// `handle_bytes`, one request at a time, on the caller thread.
+    Sequential,
+    /// `handle_bytes_batch`, eight requests per call, on the caller thread.
+    Batched,
+    /// A [`ParallelVerifier`] pool with this many workers.
+    Pool(usize),
+}
+
+/// The (shards, drive) grid every differential scenario runs on, relative
+/// to the reference configuration (1 shard, sequential).
+fn configurations() -> Vec<(usize, Drive)> {
     let t = max_threads();
-    vec![(1, t), (2, 0), (3, 1), (4, 2.min(t)), (8, t)]
+    vec![
+        (1, Drive::Pool(t)),
+        (1, Drive::Batched),
+        (2, Drive::Sequential),
+        (3, Drive::Pool(1)),
+        (4, Drive::Pool(2.min(t))),
+        (8, Drive::Pool(t)),
+    ]
 }
 
 /// One deterministic scenario mix for a workload: session `i` is honest
@@ -118,20 +139,24 @@ fn generate_fleet(
 }
 
 /// Submits `submissions` (in deterministic per-index association) and returns
-/// the decoded verdict per index.  `workers == 0` drives the service
-/// sequentially on this thread; otherwise a [`ParallelVerifier`] pool with
-/// two producer threads carries the traffic.
-fn drive(
-    service: &Arc<VerifierService>,
-    workers: usize,
-    submissions: &[Vec<u8>],
-) -> Vec<VerdictMsg> {
-    if workers == 0 {
-        return submissions
-            .iter()
-            .map(|bytes| common::decode_verdict(&service.handle_bytes(bytes).expect("encodes")))
-            .collect();
-    }
+/// the decoded verdict per index.  A pool is fed by two producer threads.
+fn drive(service: &Arc<VerifierService>, how: Drive, submissions: &[Vec<u8>]) -> Vec<VerdictMsg> {
+    let workers = match how {
+        Drive::Sequential => {
+            return submissions
+                .iter()
+                .map(|bytes| common::decode_verdict(&service.handle_bytes(bytes).expect("encodes")))
+                .collect()
+        }
+        Drive::Batched => {
+            return submissions
+                .chunks(8)
+                .flat_map(|chunk| service.handle_bytes_batch(chunk))
+                .map(|reply| common::decode_verdict(&reply.expect("encodes")))
+                .collect()
+        }
+        Drive::Pool(workers) => workers,
+    };
     let pool = ParallelVerifier::spawn(
         Arc::clone(service),
         PoolConfig { workers, queue_capacity: 64, drain_burst: 8 },
@@ -187,7 +212,7 @@ fn run_configuration(
     fleet: &Fleet,
     input_pool: &[Vec<u32>],
     shards: usize,
-    workers: usize,
+    how: Drive,
 ) -> (Vec<VerdictMsg>, Vec<VerdictMsg>, ServiceStats, usize) {
     let (_, service, _prover) =
         common::workload_service(name, seed, input_pool, ServiceConfig::sharded(shards));
@@ -207,8 +232,8 @@ fn run_configuration(
     // whole fleet (honest and adversarial alike) — spent nonces must bounce,
     // unauthenticated forgeries must fail identically without spending the
     // still-live sessions they address.
-    let phase1 = drive(&service, workers, &fleet.evidence);
-    let phase2 = drive(&service, workers, &fleet.evidence);
+    let phase1 = drive(&service, how, &fleet.evidence);
+    let phase2 = drive(&service, how, &fleet.evidence);
     let stats = service.stats();
     common::assert_stats_conserved(&stats, service.live_sessions());
     (phase1, phase2, stats, service.live_sessions())
@@ -224,7 +249,7 @@ fn differential_for_workload(
     let fleet = generate_fleet(name, &seed, input_pool, &adversary, sessions);
 
     let (ref_p1, ref_p2, ref_stats, ref_live) =
-        run_configuration(name, &seed, &fleet, input_pool, 1, 0);
+        run_configuration(name, &seed, &fleet, input_pool, 1, Drive::Sequential);
 
     // Sanity on the reference itself: honest kinds accepted, forged
     // signatures rejected without acceptance, replays all blocked.
@@ -243,35 +268,16 @@ fn differential_for_workload(
         assert!(!verdict.accepted, "{name}: replay {i} accepted: {verdict:?}");
     }
 
-    for (shards, workers) in configurations() {
-        let (p1, p2, stats, live) =
-            run_configuration(name, &seed, &fleet, input_pool, shards, workers);
+    for (shards, how) in configurations() {
+        let (p1, p2, stats, live) = run_configuration(name, &seed, &fleet, input_pool, shards, how);
         for (i, (reference, got)) in ref_p1.iter().zip(&p1).enumerate() {
-            assert_eq!(
-                reference, got,
-                "{name}: phase-1 verdict {i} diverges at {shards} shards / {workers} workers"
-            );
+            assert_eq!(reference, got, "{name}: phase-1 verdict {i} diverges at {shards}/{how:?}");
         }
         for (i, (reference, got)) in ref_p2.iter().zip(&p2).enumerate() {
-            assert_eq!(
-                reference, got,
-                "{name}: replay verdict {i} diverges at {shards} shards / {workers} workers"
-            );
+            assert_eq!(reference, got, "{name}: replay verdict {i} diverges at {shards}/{how:?}");
         }
-        // Modulo the verdict-cache hit/miss split, which is scheduling-
-        // dependent under pooled workers (a burst of same-key submissions can
-        // all miss before the first populates the cache); the cache books
-        // themselves are pinned by `assert_stats_conserved` in
-        // `run_configuration` on both sides.
-        assert_eq!(
-            common::stats_modulo_cache(&ref_stats),
-            common::stats_modulo_cache(&stats),
-            "{name}: stats diverge at {shards} shards / {workers} workers"
-        );
-        assert_eq!(
-            ref_live, live,
-            "{name}: live sessions diverge at {shards} shards / {workers} workers"
-        );
+        assert_eq!(ref_stats, stats, "{name}: stats diverge at {shards} shards / {how:?}");
+        assert_eq!(ref_live, live, "{name}: live sessions diverge at {shards} shards / {how:?}");
     }
 }
 
@@ -321,6 +327,58 @@ fn differential_generic_poke_fault_is_config_invariant() {
     differential_for_workload("fig4-loop", &[vec![4], vec![5]], |program| {
         attack::poke_at_instruction(2, program.symbol("input").expect("input symbol"), 1)
     });
+}
+
+// ---------------------------------------------------------------------------
+// Forgeries: a changed signed field is refused and spends nothing
+// ---------------------------------------------------------------------------
+
+/// Every live session first receives its own evidence with one signed field
+/// changed after signing — the authenticator `A` for even sessions, the loop
+/// metadata `L` for odd ones — and then its honest evidence.  Each forgery
+/// draws `BAD_SIGNATURE` and leaves its session live; each honest answer
+/// that follows is accepted.
+#[test]
+fn forged_authenticators_and_metadata_leave_their_sessions_live() {
+    let sessions = sessions_per_workload().clamp(8, 64);
+    let (_, service, mut prover) =
+        common::workload_service("fig4-loop", "e13-forgery", &[vec![2]], ServiceConfig::default());
+    let mut honest = Vec::new();
+    for _ in 0..sessions {
+        let id = service.open_session(vec![2]).expect("capacity");
+        let challenge = service.challenge_envelope(id).expect("challenge");
+        let (envelope, _run) =
+            ProverSession::new(&mut prover).respond(&challenge).expect("prover runs");
+        honest.push(envelope);
+    }
+    for (i, envelope) in honest.iter().enumerate() {
+        let Message::Evidence(evidence) = &envelope.message else { unreachable!() };
+        let mut report = evidence.report.clone();
+        if i % 2 == 0 {
+            let mut bytes = report.authenticator.as_bytes().to_vec();
+            bytes[0] ^= 0x01;
+            report.authenticator = Digest::from_bytes(bytes);
+        } else {
+            let mut metadata = report.metadata.decode();
+            metadata.loops.clear();
+            report.metadata = metadata.pack();
+        }
+        let forged =
+            Envelope::new(envelope.session, Message::Evidence(lofat::wire::EvidenceMsg { report }));
+        let verdict = service.submit_evidence(&forged);
+        assert_eq!(verdict.reason_code, code::BAD_SIGNATURE, "forgery {i}: {verdict:?}");
+        assert!(service.session(envelope.session).is_some(), "forgery {i} spent its session");
+    }
+    assert_eq!(service.live_sessions(), sessions, "no forgery spent a session");
+    for (i, envelope) in honest.iter().enumerate() {
+        let verdict = service.submit_evidence(envelope);
+        assert!(verdict.accepted, "honest evidence {i} after its forgery: {verdict:?}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.accepted, sessions as u64);
+    assert_eq!(stats.rejections_by_code.get(&code::BAD_SIGNATURE), Some(&(sessions as u64)));
+    common::assert_stats_conserved(&stats, service.live_sessions());
+    assert_eq!(service.live_sessions(), 0);
 }
 
 // ---------------------------------------------------------------------------

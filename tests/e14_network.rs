@@ -688,16 +688,11 @@ fn multiplexed_sessions_match_one_connection_per_session() {
     server_b.shutdown();
 
     // The contract: multiplexing is invisible to the protocol.  Byte-
-    // identical verdicts in session order, equal books (modulo the
-    // scheduling-dependent cache split — see `stats_modulo_cache`).
+    // identical verdicts in session order, equal books.
     for (i, (a, b)) in verdicts_a.iter().zip(&verdicts_b).enumerate() {
         assert_eq!(a, b, "verdict {i} differs between multiplexed and per-session connections");
     }
-    assert_eq!(
-        common::stats_modulo_cache(&stats_a),
-        common::stats_modulo_cache(&stats_b),
-        "books diverge between multiplexed and per-session connections"
-    );
+    assert_eq!(stats_a, stats_b, "books diverge between multiplexed and per-session connections");
     assert_eq!(live_a, live_b);
 
     // Semantic floor on the (already cross-checked) verdicts.
@@ -881,9 +876,7 @@ fn graceful_shutdown_drains_inflight_and_refuses_the_rest() {
 /// each backend derives the same counter-bound nonces on its stripes, and
 /// evidence routes by session id.  Challenges, phase-1 verdicts and a full
 /// replay phase 2 are compared byte for byte; the summed per-partition books
-/// must equal the single service's snapshot *exactly* — cache split included,
-/// because backend `p`'s lone cache shard sees the same key sequence as
-/// reference cache shard `p` (cache shards are congruent to session shards).
+/// must equal the single service's snapshot *exactly*.
 #[test]
 fn partitioned_front_deployment_matches_a_single_service_byte_for_byte() {
     let name = "fig4-loop";

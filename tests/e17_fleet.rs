@@ -13,9 +13,9 @@
 //!   agree across the three runs.
 //! * **Conservation under faults** — dropped connections, slow-loris partial
 //!   frames, duplicate frames and oversized length prefixes are all exercised
-//!   by the smoke fleet; no fault class panics the server or breaks either
+//!   by the smoke fleet; no fault class panics the server or breaks the
 //!   conservation law (`opened == accepted + sessions_rejected + expired +
-//!   live`, `cache_hits + cache_misses == accepted + sessions_rejected`).
+//!   live`).
 //! * **Deterministic enumeration** — expanding the same spec twice yields a
 //!   byte-identical job listing, and the job count matches the declared
 //!   cross-product.
@@ -41,8 +41,8 @@ fn load_spec(path: &str) -> FleetSpec {
 
 /// Runs a fleet on every transport and checks the cross-transport contract:
 /// outcomes arrive as (pool, epoll, front) triples per job, each triple's
-/// verdict map and session books agree, and every outcome satisfies both
-/// conservation laws — for the front, on the *sum* of its two partitioned
+/// verdict map and session books agree, and every outcome satisfies the
+/// conservation law — for the front, on the *sum* of its two partitioned
 /// backends' books, which is what proves the multi-process deployment is
 /// stats-conserving.
 fn run_and_check_all_transports(spec: &FleetSpec) -> FleetReport {

@@ -13,7 +13,7 @@
 //!   restart, whether it was spent before the kill or still held.  Its
 //!   prover asks for a new session.
 //! * **The snapshot on disk is a valid, conserved service** — restoring it
-//!   in-process satisfies both conservation laws.
+//!   in-process satisfies the conservation law.
 //! * **The multi-process deployment is byte-identical to one service**: N
 //!   real `lofat serve --partition p/N` processes behind a real `lofat
 //!   front` produce the same challenge and verdict bytes as a single
@@ -239,14 +239,15 @@ fn serve_runs_only_main_the_loop_and_its_workers() {
 /// Older snapshots, as `lofat serve --snapshot-path` wrote them before the
 /// database carried its valid-path table (version 1), before it stored each
 /// reference's metadata packed (version 2), while snapshots stored live
-/// sessions (version 3) and before that metadata was stored run-length
-/// (version 4), are refused: `serve` exits non-zero and leaves the file
+/// sessions (version 3), before that metadata was stored run-length
+/// (version 4) and while the books counted verdict-cache evictions (version
+/// 5), are refused: `serve` exits non-zero and leaves the file
 /// byte-identical.  Starting over instead would
 /// issue fresh nonce counters and could reissue every nonce the old process
 /// handed out.
 #[test]
 fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
-    for version in [1, 2, 3, 4] {
+    for version in [1, 2, 3, 4, 5] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let fixture = std::fs::read(&path).expect("fixture");
         let snapshot = artifact_dir().join(format!("version_{version}.snap"));

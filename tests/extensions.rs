@@ -48,7 +48,7 @@ fn measurement_database_detects_attacks() {
     assert!(matches!(db.check(&[3], &run.report), Err(LofatError::Rejected(_))));
 }
 
-/// `n` distinct crc32 inputs of 16-64 words (the fleet's cold-cache shape),
+/// `n` distinct crc32 inputs of 16-64 words (the `fleet-cold` workload's shape),
 /// with a repeat of an earlier one after every seventh; the first and last
 /// inputs are never repeated.
 fn crc32_inputs(n: usize) -> Vec<Vec<u32>> {

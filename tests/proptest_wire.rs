@@ -310,8 +310,8 @@ fn hostile_counts_allocate_nothing_in_proportion() {
     let (_, service, mut prover) =
         common::workload_service("fig4-loop", "hostile-runs", &[vec![4]], ServiceConfig::default());
     let mut signer = HmacSigner::new(DeviceKey::from_seed("hostile-runs"));
-    // An honest round first, so the verdict cache's first node is allocated
-    // outside the measured windows.
+    // An honest round first, so the service's first verdict falls outside
+    // the measured windows.
     let id = service.open_session(vec![4]).expect("capacity");
     let challenge = service.challenge_envelope(id).expect("live session").encode().unwrap();
     let evidence = ProverSession::new(&mut prover).handle_bytes(&challenge).expect("responds");
