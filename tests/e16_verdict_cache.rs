@@ -1,40 +1,37 @@
-//! E16 — verdict-cache differential suite.
+//! E16 — repeated-measurement differential suite.
 //!
-//! The verdict cache memoises the input-derived half of a verdict (signature
-//! prefix absorption + measurement comparison).  The hard invariant: caching
-//! adds **no** semantics.  For a workload slice mixing honest traffic with
-//! every stock adversary class, forged signatures and a full replay phase,
-//! a cached service must produce byte-for-byte the verdict envelopes of an
-//! uncached one, with equal statistics modulo the scheduling-dependent
-//! hit/miss split — while actually hitting (the whole point), and while
-//! provably never letting an unauthenticated submission populate or consult
-//! its way past the per-session checks:
+//! The suite keeps the file and test names it had while the service carried
+//! a verdict cache that memoised repeated measurements.  That cache is gone:
+//! every evidence envelope takes one path — absorb the signed prefix and the
+//! nonce, finalize the MAC, check the measurement database, spend the
+//! session — whether or not the service has judged the same measurement
+//! before.  Each fleet repeats a few measurements over [`SESSIONS`]
+//! sessions, mixed with the workload's stock adversary, forged signatures
+//! and a full replay phase, and the suite checks that repetition changes
+//! nothing:
 //!
-//! * **Differential equivalence** — cached (sequential and batched) vs
-//!   uncached replies compared byte-by-byte across phase 1 and the replay
-//!   phase; stats compared modulo the cache counters; live sessions equal.
-//! * **Cache effectiveness** — repeated measurements make the cached run
-//!   hit; the uncached twin records zero cache activity.
-//! * **Poisoning resistance** — a phase of forged-signature and tampered-
-//!   metadata submissions leaves the cache books untouched (nothing was
-//!   authenticated, so nothing may be stored), and the honest traffic that
-//!   follows starts from a miss.
-//!
-//! `E16_SESSIONS` overrides the per-workload session count (CI runs a debug
-//! smoke pass and a full-scale release pass, mirroring `E12_SESSIONS`).
+//! * **Repeats decide like first sightings** — in phase 1, every session
+//!   with the same input and traffic class draws the same verdict.
+//! * **Byte-for-byte drive and shard invariance** — a batched
+//!   (`handle_bytes_batch`) and a 4-shard service reproduce the reply
+//!   envelopes of the sequential 1-shard reference exactly, in phase 1 and
+//!   in the replay phase, with equal `ServiceStats` and live sessions.
+//! * **The kept hit/miss counters** — after every reply of every run,
+//!   `cache_hits` reads 0 and `cache_misses` reads
+//!   `accepted + sessions_rejected`.
 
 mod common;
 
 use lofat::session::ProverSession;
 use lofat::wire::{code, Envelope, Message, SessionId};
-use lofat::{Prover, ServiceConfig, VerifierService};
+use lofat::{Prover, ServiceConfig, ServiceStats, VerdictMsg, VerifierService};
 use lofat_crypto::Digest;
 use lofat_rv32::Program;
 use lofat_workloads::attack;
+use std::collections::HashMap;
 
-fn sessions_per_workload() -> usize {
-    std::env::var("E16_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(96)
-}
+/// Sessions per workload fleet.
+const SESSIONS: usize = 96;
 
 /// Session `i`'s traffic class: honest (0, 1), stock adversary (2), or a
 /// forged-signature submission (3) — the same mix as the e13 suite.
@@ -55,13 +52,12 @@ fn generate_fleet(
     seed: &str,
     input_pool: &[Vec<u32>],
     mut adversary: impl FnMut(&Program) -> attack::Fault,
-    sessions: usize,
 ) -> Fleet {
     let (program, service, mut prover) =
         common::workload_service(name, seed, input_pool, ServiceConfig::default());
     let prover: &mut Prover = &mut prover;
-    let mut fleet = Fleet { evidence: Vec::with_capacity(sessions), inputs: Vec::new() };
-    for i in 0..sessions {
+    let mut fleet = Fleet { evidence: Vec::with_capacity(SESSIONS), inputs: Vec::new() };
+    for i in 0..SESSIONS {
         let input = input_pool[i % input_pool.len()].clone();
         let id = service.open_session(input.clone()).expect("generator capacity");
         let challenge = service.challenge_envelope(id).expect("challenge").encode().expect("enc");
@@ -93,8 +89,16 @@ fn generate_fleet(
     fleet
 }
 
+/// Asserts the two counters kept for readers of a hit ratio: no hits, and
+/// one miss per session-spending verdict.
+fn assert_hit_miss_counters(stats: &ServiceStats) {
+    assert_eq!(stats.cache_hits, 0, "{stats:?}");
+    assert_eq!(stats.cache_misses, stats.accepted + stats.sessions_rejected, "{stats:?}");
+}
+
 /// Builds a fresh service, opens the fleet's sessions, and drives phase 1
-/// plus a full replay phase.  `batch` routes every submission chunk through
+/// plus a full replay phase, reading the books after every reply (every
+/// batch when batched).  `batch` routes every submission chunk through
 /// [`VerifierService::handle_bytes_batch`]; otherwise each request goes
 /// through `handle_bytes` individually.
 fn run(
@@ -104,27 +108,28 @@ fn run(
     input_pool: &[Vec<u32>],
     config: ServiceConfig,
     batch: bool,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, lofat::ServiceStats, usize) {
+) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, ServiceStats, usize) {
     let (_, service, _prover) = common::workload_service(name, seed, input_pool, config);
     for (i, input) in fleet.inputs.iter().enumerate() {
         let id = service.open_session(input.clone()).expect("capacity");
         assert_eq!(id, SessionId(i as u64 + 1));
     }
     let drive = |service: &VerifierService| -> Vec<Vec<u8>> {
-        if batch {
-            fleet
-                .evidence
-                .chunks(8)
-                .flat_map(|chunk| {
+        let mut replies = Vec::with_capacity(fleet.evidence.len());
+        for chunk in fleet.evidence.chunks(if batch { 8 } else { 1 }) {
+            if batch {
+                replies.extend(
                     service
                         .handle_bytes_batch(chunk)
                         .into_iter()
-                        .map(|reply| reply.expect("verdict encodes"))
-                })
-                .collect()
-        } else {
-            fleet.evidence.iter().map(|b| service.handle_bytes(b).expect("encodes")).collect()
+                        .map(|reply| reply.expect("verdict encodes")),
+                );
+            } else {
+                replies.push(service.handle_bytes(&chunk[0]).expect("verdict encodes"));
+            }
+            assert_hit_miss_counters(&service.stats());
         }
+        replies
     };
     let phase1 = drive(&service);
     let phase2 = drive(&service);
@@ -138,15 +143,15 @@ fn differential_for_workload(
     input_pool: &[Vec<u32>],
     adversary: impl Fn(&Program) -> attack::Fault,
 ) {
-    let sessions = sessions_per_workload();
     let seed = format!("e16-{name}");
-    let fleet = generate_fleet(name, &seed, input_pool, &adversary, sessions);
+    let fleet = generate_fleet(name, &seed, input_pool, &adversary);
 
-    let uncached_cfg = ServiceConfig::default().with_verdict_cache(0);
     let (ref_p1, ref_p2, ref_stats, ref_live) =
-        run(name, &seed, &fleet, input_pool, uncached_cfg, false);
+        run(name, &seed, &fleet, input_pool, ServiceConfig::default(), false);
 
-    // Sanity on the uncached reference itself.
+    // Sanity on the reference itself, and every repeat of a (measurement,
+    // traffic class) pair decided like its first sighting.
+    let mut first_sightings: HashMap<(&[u32], usize), VerdictMsg> = HashMap::new();
     for (i, bytes) in ref_p1.iter().enumerate() {
         let verdict = common::decode_verdict(bytes);
         match evidence_kind(i) {
@@ -154,40 +159,31 @@ fn differential_for_workload(
             3 => assert_eq!(verdict.reason_code, code::BAD_SIGNATURE, "{name}: session {i}"),
             _ => assert!(!verdict.accepted, "{name}: adversarial session {i}: {verdict:?}"),
         }
+        let first = first_sightings
+            .entry((fleet.inputs[i].as_slice(), evidence_kind(i)))
+            .or_insert_with(|| verdict.clone());
+        assert_eq!(*first, verdict, "{name}: session {i} decided unlike its first sighting");
     }
+    assert!(first_sightings.len() < SESSIONS, "{name}: the fleet repeats no measurement");
     for bytes in &ref_p2 {
         assert!(!common::decode_verdict(bytes).accepted, "{name}: replay accepted");
     }
-    assert_eq!(ref_stats.cache_hits, 0, "{name}: a disabled cache cannot hit");
-    assert_eq!(ref_stats.cache_evictions, 0, "{name}: a disabled cache cannot evict");
 
-    // Cached runs — sequential, batched, and a deliberately tiny cache that
-    // has to evict constantly — must reproduce the reference bytes exactly.
+    // Batched and sharded runs must reproduce the reference bytes exactly.
     let scenarios = [
-        ("cached-seq", ServiceConfig::default(), false),
-        ("cached-batch", ServiceConfig::default(), true),
-        ("cached-tiny", ServiceConfig::default().with_verdict_cache(2), false),
-        ("cached-sharded", ServiceConfig::sharded(4), false),
+        ("batched", ServiceConfig::default(), true),
+        ("sharded", ServiceConfig::sharded(4), false),
     ];
     for (label, config, batch) in scenarios {
         let (p1, p2, stats, live) = run(name, &seed, &fleet, input_pool, config, batch);
         for (i, (want, got)) in ref_p1.iter().zip(&p1).enumerate() {
-            assert_eq!(want, got, "{name}/{label}: phase-1 reply {i} diverges from uncached");
+            assert_eq!(want, got, "{name}/{label}: phase-1 reply {i} diverges from sequential");
         }
         for (i, (want, got)) in ref_p2.iter().zip(&p2).enumerate() {
-            assert_eq!(want, got, "{name}/{label}: replay reply {i} diverges from uncached");
+            assert_eq!(want, got, "{name}/{label}: replay reply {i} diverges from sequential");
         }
-        assert_eq!(
-            common::stats_modulo_cache(&ref_stats),
-            common::stats_modulo_cache(&stats),
-            "{name}/{label}: stats diverge beyond the cache split"
-        );
+        assert_eq!(ref_stats, stats, "{name}/{label}: stats diverge");
         assert_eq!(ref_live, live, "{name}/{label}: live sessions diverge");
-        // The cache must actually work: the fleet repeats measurements, so a
-        // full-size cache sees hits (the tiny one at least keeps the books).
-        if config.verdict_cache_entries >= sessions {
-            assert!(stats.cache_hits > 0, "{name}/{label}: warm cache never hit ({stats:?})");
-        }
     }
 }
 
@@ -230,60 +226,4 @@ fn differential_return_victim_with_return_address_attack() {
             program.symbol("privileged").expect("privileged symbol"),
         )
     });
-}
-
-// ---------------------------------------------------------------------------
-// Poisoning resistance at fleet scale
-// ---------------------------------------------------------------------------
-
-/// A whole phase of unauthenticated submissions — forged signatures and
-/// tampered metadata addressed at live sessions — must leave the verdict
-/// cache completely untouched: zero entries stored, zero hits, zero misses
-/// (nothing spent a session).  The honest traffic that follows then starts
-/// cold (its first spend is a miss), proving no forgery planted an entry.
-#[test]
-fn unauthenticated_submissions_never_touch_the_cache() {
-    let sessions = sessions_per_workload().clamp(8, 64);
-    let (_, service, mut prover) =
-        common::workload_service("fig4-loop", "e16-poison", &[vec![2]], ServiceConfig::default());
-    // Live sessions, honest evidence held back for later.
-    let mut honest = Vec::new();
-    for _ in 0..sessions {
-        let id = service.open_session(vec![2]).expect("capacity");
-        let challenge = service.challenge_envelope(id).expect("challenge");
-        let (envelope, _run) =
-            ProverSession::new(&mut prover).respond(&challenge).expect("prover runs");
-        honest.push(envelope);
-    }
-    // Poison phase: flip a signed byte in every report — half via the
-    // authenticator, half via the metadata — and submit to the live session.
-    for (i, envelope) in honest.iter().enumerate() {
-        let Message::Evidence(evidence) = &envelope.message else { unreachable!() };
-        let mut report = evidence.report.clone();
-        if i % 2 == 0 {
-            let mut bytes = report.authenticator.as_bytes().to_vec();
-            bytes[0] ^= 0x01;
-            report.authenticator = Digest::from_bytes(bytes);
-        } else {
-            let mut metadata = report.metadata.decode();
-            metadata.loops.clear();
-            report.metadata = metadata.pack();
-        }
-        let forged =
-            Envelope::new(envelope.session, Message::Evidence(lofat::wire::EvidenceMsg { report }));
-        let verdict = service.submit_evidence(&forged);
-        assert_eq!(verdict.reason_code, code::BAD_SIGNATURE, "poison {i}: {verdict:?}");
-    }
-    let stats = service.stats();
-    assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_evictions), (0, 0, 0));
-    assert_eq!(service.live_sessions(), sessions, "no forgery spent a session");
-    // Honest phase: the first spend is a miss (the cache is provably empty),
-    // every later identical measurement hits.
-    for envelope in &honest {
-        assert!(service.submit_evidence(envelope).accepted);
-    }
-    let stats = service.stats();
-    assert_eq!(stats.cache_misses, 1, "the poison phase stored nothing");
-    assert_eq!(stats.cache_hits, sessions as u64 - 1);
-    common::assert_stats_conserved(&stats, service.live_sessions());
 }
