@@ -33,9 +33,9 @@ use crate::error::LofatError;
 use crate::measurement_db::PackedReference;
 use crate::metadata::{LoopHeader, PackedMetadata, PathRecord, Visit};
 use crate::report::AttestationReport;
-use crate::verifier::{Challenge, RejectionReason};
+use crate::verifier::RejectionReason;
 use crate::wire::VerdictMsg;
-use lofat_crypto::Digest;
+use lofat_crypto::{Digest, Nonce};
 use std::collections::BTreeMap;
 
 /// What the judge decided about one report.
@@ -90,23 +90,24 @@ pub(crate) struct Bound<'r> {
     report: &'r AttestationReport,
 }
 
-/// Checks 1 (program id) and 2 (nonce binding) of `report` against
-/// `challenge`.
+/// Checks 1 (program id) and 2 (nonce binding) of `report` against the
+/// challenged `program_id` and `nonce`.
 ///
 /// # Errors
 ///
 /// Returns the [`Judgement::Refused`] of the first failing check.
 pub(crate) fn bind<'r, T>(
     report: &'r AttestationReport,
-    challenge: &Challenge,
+    program_id: &str,
+    nonce: &Nonce,
 ) -> Result<Bound<'r>, Judgement<T>> {
-    if report.program_id != challenge.program_id {
+    if report.program_id != program_id {
         return Err(Judgement::Refused(RejectionReason::ProgramIdMismatch {
-            expected: challenge.program_id.clone(),
+            expected: program_id.to_string(),
             found: report.program_id.clone(),
         }));
     }
-    if report.nonce != challenge.nonce {
+    if report.nonce != *nonce {
         return Err(Judgement::Refused(RejectionReason::NonceMismatch));
     }
     Ok(Bound { report })
@@ -234,7 +235,8 @@ mod tests {
     use super::*;
     use crate::metadata::{LoopRecord, Metadata};
     use crate::report::tests::edit_metadata;
-    use lofat_crypto::{Nonce, Signature};
+    use crate::verifier::Challenge;
+    use lofat_crypto::Signature;
 
     const ENTRY: u32 = 0x1010;
 
@@ -279,7 +281,8 @@ mod tests {
     }
 
     fn judge(report: &AttestationReport, tag: &Digest) -> Judgement<u32> {
-        match bind(report, &challenge()) {
+        let challenge = challenge();
+        match bind(report, &challenge.program_id, &challenge.nonce) {
             Ok(bound) => bound
                 .conclude(tag, || {
                     measurement(report, &valid(), &reference()).map_err(LofatError::Rejected)?;
@@ -325,7 +328,8 @@ mod tests {
     #[test]
     fn a_bad_signature_is_refused_before_anything_is_measured() {
         let report = honest();
-        let bound = bind::<u32>(&report, &challenge()).expect("bound");
+        let challenge = challenge();
+        let bound = bind::<u32>(&report, &challenge.program_id, &challenge.nonce).expect("bound");
         let judged = bound.conclude(&Digest::from_bytes(vec![8; 64]), || -> Result<u32, _> {
             panic!("measured unauthenticated evidence")
         });

@@ -5,11 +5,13 @@
 //! C-FLAT scheme LO-FAT builds on — typically precompute the expected measurements
 //! for the (small) set of inputs/commands a device accepts and then verify reports by
 //! a lookup.  [`MeasurementDatabase`] provides that mode: it is built once offline
-//! from the program binary and a list of anticipated inputs, keeps its entries in an
-//! ordered map (so a lookup is logarithmic in the number of inputs), and can be
-//! serialised and shipped to lightweight verifier front-ends that do not carry the
-//! simulator at all.  Beside the entries it holds the verifier's valid-path table,
-//! so the judge's loop-path check ([`crate::judge`]) needs no CFG either.
+//! from the program binary and a list of anticipated inputs, keeps its entries in one
+//! array sorted by input (so a lookup is a binary search, logarithmic in the number
+//! of inputs, and an entry has a fixed index a live session can keep instead of its
+//! input), and can be serialised and shipped to lightweight verifier front-ends that
+//! do not carry the simulator at all.  Beside the entries it holds the verifier's
+//! valid-path table, so the judge's loop-path check ([`crate::judge`]) needs no CFG
+//! either.
 //!
 //! Each entry is held as a [`PackedReference`]: `A` and `L` in one heap block.
 //! The record ends in `L`'s packed form — LEB128 varints, one stored record
@@ -147,11 +149,47 @@ impl serde::Deserialize for PackedReference {
 /// accepts.
 const PACKED: &str = "records hold a digest and canonical packed metadata";
 
+/// The database's entries, sorted by input: a lookup is a binary search, and
+/// an entry's position is the index a live session keeps.  The codec form is
+/// a `BTreeMap<Vec<u32>, PackedReference>`'s, byte for byte, and decoding
+/// goes through that map's strict reader, so entries that are not strictly
+/// ascending are refused with [`serde::Error::NonCanonicalMap`].
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Entries(Box<[(Vec<u32>, PackedReference)]>);
+
+impl From<Vec<(Vec<u32>, PackedReference)>> for Entries {
+    /// Sorts `entries` by input and keeps one entry per input (replays are
+    /// deterministic, so the entries of one input agree).
+    fn from(mut entries: Vec<(Vec<u32>, PackedReference)>) -> Self {
+        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        entries.dedup_by(|(a, _), (b, _)| a == b);
+        Self(entries.into_boxed_slice())
+    }
+}
+
+impl serde::Serialize for Entries {
+    fn serialize(&self, serializer: &mut serde::Serializer) -> Result<(), serde::Error> {
+        serializer.write_len(self.0.len())?;
+        for (input, reference) in &self.0 {
+            input.serialize(serializer)?;
+            reference.serialize(serializer)?;
+        }
+        Ok(())
+    }
+}
+
+impl serde::Deserialize for Entries {
+    fn deserialize(deserializer: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let map: BTreeMap<Vec<u32>, PackedReference> = BTreeMap::deserialize(deserializer)?;
+        Ok(Self(map.into_iter().collect()))
+    }
+}
+
 /// A database of reference measurements keyed by program input.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MeasurementDatabase {
     program_id: String,
-    entries: BTreeMap<Vec<u32>, PackedReference>,
+    entries: Entries,
     /// The engine configuration the references were computed with (prover reports
     /// produced under a different configuration will not match).
     config: EngineConfig,
@@ -197,12 +235,12 @@ impl MeasurementDatabase {
         inputs: impl IntoIterator<Item = Vec<u32>>,
     ) -> Result<(Self, usize), LofatError> {
         let mut inputs = inputs.into_iter().collect::<Vec<_>>().into_iter();
-        let mut entries = BTreeMap::new();
+        let mut entries = Vec::with_capacity(inputs.len());
         let (mut replayed, mut retired) = (0u64, 0u64);
         let mut threads = None;
         while let Some(input) = inputs.next() {
             let (reference, instructions) = measure(verifier, config, &input)?;
-            entries.insert(input, reference);
+            entries.push((input, reference));
             replayed += 1;
             retired += instructions;
             let projected = retired.saturating_mul(inputs.len() as u64) / replayed;
@@ -216,14 +254,14 @@ impl MeasurementDatabase {
                 if shared > 1 {
                     let rest = replay_shared(verifier, config, inputs.as_slice(), shared - 1);
                     for (input, reference) in inputs.by_ref().zip(rest) {
-                        entries.insert(input, reference?);
+                        entries.push((input, reference?));
                     }
                 }
             }
         }
         let db = Self {
             program_id: verifier.program_id().to_string(),
-            entries,
+            entries: entries.into(),
             config,
             valid_paths: verifier.valid_loop_paths().clone(),
         };
@@ -237,12 +275,12 @@ impl MeasurementDatabase {
 
     /// Number of reference entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.0.len()
     }
 
     /// Returns `true` if the database holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.0.is_empty()
     }
 
     /// The engine configuration the references were computed under.
@@ -252,12 +290,25 @@ impl MeasurementDatabase {
 
     /// Returns `true` if a reference measurement exists for `input`.
     pub fn contains(&self, input: &[u32]) -> bool {
-        self.entries.contains_key(input)
+        self.index_of(input).is_some()
     }
 
     /// The reference measurement for `input`, decoded from its packed record.
     pub fn reference(&self, input: &[u32]) -> Option<ReferenceMeasurement> {
-        self.entries.get(input).map(PackedReference::unpack)
+        self.index_of(input).map(|index| self.entry(index).1.unpack())
+    }
+
+    /// The index of `input`'s entry, by binary search.
+    pub(crate) fn index_of(&self, input: &[u32]) -> Option<u32> {
+        let index = self.entries.0.binary_search_by(|(key, _)| key.as_slice().cmp(input)).ok()?;
+        Some(u32::try_from(index).expect("the codec's u32 length prefix bounds the entry count"))
+    }
+
+    /// The input and the packed reference of entry `index`, as
+    /// [`MeasurementDatabase::index_of`] numbered it.
+    pub(crate) fn entry(&self, index: u32) -> (&[u32], &PackedReference) {
+        let (input, reference) = &self.entries.0[index as usize];
+        (input, reference)
     }
 
     /// The valid path ids per statically enumerated loop entry, as
@@ -266,14 +317,16 @@ impl MeasurementDatabase {
         &self.valid_paths
     }
 
-    /// Heap bytes the database holds: every key and packed record, every
-    /// valid-path list, plus one key and value slot per entry of either map
-    /// in its nodes (node headers and spare slots aside).
+    /// Heap bytes the database holds: every key and packed record and its
+    /// slot in the entry array, and every valid-path list plus one key and
+    /// value slot per list in the table's nodes (node headers and spare
+    /// slots aside).
     pub fn heap_bytes(&self) -> usize {
         let words = |v: &Vec<u32>| v.capacity() * std::mem::size_of::<u32>();
         let slot = std::mem::size_of::<(Vec<u32>, PackedReference)>();
         let entries = self
             .entries
+            .0
             .iter()
             .map(|(input, reference)| slot + words(input) + reference.record.len());
         let slot = std::mem::size_of::<(u32, Vec<u32>)>();
@@ -308,7 +361,8 @@ impl MeasurementDatabase {
     /// table (check 4), then the comparison with the stored reference,
     /// authenticator before metadata (check 5).  The program id, nonce and
     /// signature checks come first and are the caller's;
-    /// [`crate::service::VerifierService`] runs all five.  Allocates nothing
+    /// [`crate::service::VerifierService`] runs all five, the last two
+    /// against the entry its session keeps the index of.  Allocates nothing
     /// unless a check fails.
     ///
     /// # Errors
@@ -316,18 +370,18 @@ impl MeasurementDatabase {
     /// Returns [`LofatError::Rejected`] with the
     /// [`RejectionReason`](crate::verifier::RejectionReason) of the first
     /// failing check, or [`LofatError::InvalidConfig`] when the input was
-    /// never precomputed (which [`crate::service::VerifierService`] answers
-    /// with [`crate::wire::code::UNKNOWN_INPUT`]).
+    /// never precomputed.
     pub fn check(
         &self,
         input: &[u32],
         report: &AttestationReport,
     ) -> Result<&PackedReference, LofatError> {
-        let Some(reference) = self.entries.get(input) else {
+        let Some(index) = self.index_of(input) else {
             return Err(LofatError::InvalidConfig {
                 message: format!("no reference measurement precomputed for input {input:?}"),
             });
         };
+        let (_, reference) = self.entry(index);
         crate::judge::measurement(report, &self.valid_paths, reference)
             .map_err(LofatError::Rejected)?;
         Ok(reference)
@@ -493,6 +547,24 @@ mod tests {
         assert!(matches!(err, LofatError::InvalidConfig { .. }));
         assert!(db.reference(&[9]).is_none());
         assert!(!db.is_empty());
+    }
+
+    #[test]
+    fn entries_encode_as_a_map_and_out_of_order_entries_are_refused() {
+        let (_, verifier) = setup();
+        let inputs = vec![vec![3u32], vec![1u32], vec![2u32], vec![1u32]];
+        let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), inputs).unwrap();
+        assert_eq!(db.len(), 3, "one entry per input");
+        let map: BTreeMap<Vec<u32>, PackedReference> = db.entries.0.iter().cloned().collect();
+        assert_eq!(serde::to_bytes(&db.entries), serde::to_bytes(&map));
+        assert_eq!(
+            MeasurementDatabase::from_wire_bytes(&db.to_wire_bytes().unwrap()),
+            Ok(db.clone())
+        );
+        let mut swapped = db;
+        swapped.entries.0.swap(0, 1);
+        let refused = MeasurementDatabase::from_wire_bytes(&swapped.to_wire_bytes().unwrap());
+        assert_eq!(refused, Err(serde::Error::NonCanonicalMap));
     }
 
     #[test]
@@ -774,7 +846,7 @@ mod tests {
             for valid_paths in [BTreeMap::new(), valid_paths_for(&reference.1, seed)] {
                 let db = MeasurementDatabase {
                     program_id: "packed".into(),
-                    entries: BTreeMap::from([(input.clone(), packed.clone())]),
+                    entries: vec![(input.clone(), packed.clone())].into(),
                     config: EngineConfig::default(),
                     valid_paths: valid_paths.clone(),
                 };

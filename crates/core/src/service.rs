@@ -5,10 +5,16 @@
 //! interleaved sessions against one shared [`MeasurementDatabase`]:
 //!
 //! * session state is split across [`ServiceConfig::shards`] independent
-//!   shards, each behind its own lock; a session lives in shard
-//!   `(id - 1) % shards`, so two sessions in different shards never contend;
-//! * sessions are keyed by [`SessionId`] and live until decided or expired
-//!   (then they are evicted eagerly, so memory tracks outstanding work);
+//!   shards, each a session table behind its own lock; a session lives in
+//!   shard `(id - 1) % shards`, so two sessions in different shards never
+//!   contend;
+//! * a table owns its shard's issuance, spends, expiry and spent test, and
+//!   holds a live session in 16 bytes: its deadline and the index of its
+//!   reference in the database.  The challenge is rebuilt from the database
+//!   entry, the session counter (the nonce) and the deadline, so opening a
+//!   session allocates nothing and a sweep visits only the sessions it
+//!   expires.  Sessions live until decided or expired (then they are evicted
+//!   eagerly, so memory tracks outstanding work);
 //! * nonces are single-use across **all** sessions: session `n` carries
 //!   nonce `n`, and each shard owns the slice of the nonce space congruent to
 //!   its index, so replayed evidence is recognised with O(1) memory and at
@@ -36,16 +42,16 @@
 //! Every entry point takes `&self`, and the service is `Send + Sync`: wrap it
 //! in an [`std::sync::Arc`] and call it from as many threads as you like, or
 //! hand it to a [`crate::pool::ParallelVerifier`] to drain a work queue with a
-//! dedicated worker pool.  The default configuration (one shard, no pool) is
-//! behaviourally identical to the pre-sharding single-threaded service.
+//! dedicated worker pool.
 
+use crate::error::LofatError;
 use crate::judge::{self, Bound, Judgement};
 use crate::measurement_db::MeasurementDatabase;
-use crate::session::{SessionError, VerifierSession};
-use crate::verifier::{Challenge, RejectionReason};
+use crate::session::{check_evidence, SessionError};
+use crate::verifier::RejectionReason;
 use crate::wire::{
-    code, Envelope, Message, SessionId, SnapshotError, SnapshotMsg, SnapshotRef, VerdictMsg,
-    WireError,
+    code, ChallengeMsg, Envelope, Message, SessionId, SnapshotError, SnapshotMsg, SnapshotRef,
+    VerdictMsg, WireError,
 };
 use lofat_crypto::sign::HmacVerifier;
 use lofat_crypto::{Digest, Hmac, Nonce, VerificationKey};
@@ -54,6 +60,9 @@ use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use table::SessionTable;
+
+mod table;
 
 /// Tunables of a [`VerifierService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -422,27 +431,17 @@ impl std::error::Error for ServiceError {
     }
 }
 
-/// One shard's worth of session state.  The `issued` watermark counts the
-/// sessions allocated to this shard so far; it is updated under the same lock
-/// as the map, which is what makes the per-shard replay check race-free: a
-/// nonce counter is *spent* iff this shard issued it and no longer holds it.
-#[derive(Debug, Default)]
-struct Shard {
-    sessions: BTreeMap<SessionId, VerifierSession>,
-    /// Sessions this shard has issued (locally 0-indexed: the k-th session of
-    /// shard `s` out of `N` carries the global counter `1 + s + k·N`).
-    issued: u64,
-}
-
 /// Everything [`VerifierService::conclude`] needs to finish judging one
 /// evidence envelope once its signature tag has been finalized.  Produced by
 /// [`VerifierService::prepare`]; holding it does not hold any lock.
 struct PendingJudgement<'a> {
-    id: SessionId,
+    /// The session's shard and its slot there.
+    shard: usize,
+    slot: u64,
     /// The evidence, past the judge's program id and nonce checks.
     bound: Bound<'a>,
-    /// The session's input.
-    input: Vec<u32>,
+    /// The session's reference: an index into the database.
+    reference: u32,
 }
 
 /// The two ways [`VerifierService::prepare`] can leave one envelope.
@@ -468,11 +467,12 @@ enum Prepared<'a> {
 /// one shared measurement database and verification key.
 ///
 /// The service is `Send + Sync`; all entry points take `&self`.  Session state
-/// is partitioned into [`ServiceConfig::shards`] independently locked shards
-/// (routing by [`SessionId`]); statistics and the cycle clock are atomics.
-/// One invariant is load-bearing for deadlock freedom: **no shard lock is ever
-/// held while another shard lock is acquired** — cross-shard replay checks
-/// release the session's shard before consulting the nonce's owning shard.
+/// is partitioned into [`ServiceConfig::shards`] independently locked session
+/// tables (routing by [`SessionId`]); statistics and the cycle clock are
+/// atomics.  One invariant is load-bearing for deadlock freedom: **no shard
+/// lock is ever held while another shard lock is acquired** — cross-shard
+/// replay checks release the session's shard before consulting the nonce's
+/// owning shard.
 ///
 /// # Example
 ///
@@ -509,16 +509,17 @@ pub struct VerifierService {
     db: MeasurementDatabase,
     key: HmacVerifier,
     config: ServiceConfig,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<SessionTable>>,
     /// Round-robin `open_session` assignments.  This only picks the *shard*;
-    /// the session counter itself is allocated from the shard's `issued`
-    /// watermark under the shard lock, so issuance and map insertion are one
-    /// atomic step (sequential opens still receive dense ids `1, 2, 3, …`).
+    /// the session counter itself is the slot the shard's table issues under
+    /// the shard lock, so issuance and insertion are one atomic step
+    /// (sequential opens still receive dense ids `1, 2, 3, …`).
     next_open: AtomicU64,
     now_cycles: AtomicU64,
-    /// Live sessions across all shards.  Reserved (incremented) *before* the
-    /// shard insert so the [`ServiceConfig::max_live_sessions`] bound holds
-    /// strictly even under concurrent `open_session` calls.
+    /// Live sessions across all shards: the tables' total, except while a
+    /// slot reserved (incremented) *before* the table insert is in flight,
+    /// so the [`ServiceConfig::max_live_sessions`] bound holds strictly even
+    /// under concurrent `open_session` calls.
     live: AtomicUsize,
     stats: AtomicStats,
 }
@@ -548,7 +549,7 @@ impl VerifierService {
             db,
             key: HmacVerifier::new(key),
             config,
-            shards: (0..config.shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..config.shards.max(1)).map(|_| Mutex::default()).collect(),
             next_open: AtomicU64::new(0),
             now_cycles: AtomicU64::new(0),
             live: AtomicUsize::new(0),
@@ -597,12 +598,6 @@ impl VerifierService {
         self.stats.snapshot()
     }
 
-    /// Looks up a held session (a clone: the original stays behind its shard
-    /// lock).
-    pub fn session(&self, id: SessionId) -> Option<VerifierSession> {
-        self.shard(id).sessions.get(&id).cloned()
-    }
-
     /// The number of counter stripes the global session space is divided
     /// into: `shards × partition_count`.  Stripe `(n - 1) % stripes` of
     /// counter `n` encodes the owning partition (low digit, mod
@@ -611,19 +606,31 @@ impl VerifierService {
         self.shards.len() as u64 * self.config.partition_count
     }
 
-    /// The *local* shard index that owns `id`: counter `n` belongs to shard
-    /// `((n - 1) % stripes) / partition_count` of the partition congruent to
-    /// `(n - 1) % partition_count`, so each shard of each partition owns its
-    /// own slice of the session-counter (and therefore nonce) space.  In the
-    /// default unpartitioned configuration this is the familiar
-    /// `(n - 1) % shards`.
-    fn shard_index(&self, id: SessionId) -> usize {
-        ((id.0.wrapping_sub(1) % self.stripes()) / self.config.partition_count) as usize
+    /// The global counter of `slot` in local shard `shard`: the `slot`-th
+    /// session of shard `s` in partition `p` of `P` carries
+    /// `1 + p + s·P + slot·(S·P)`, so the shard owns the counter (and nonce)
+    /// stripe congruent to `p + s·P` modulo `S·P`.  Unpartitioned (`P = 1`,
+    /// `p = 0`) this is the familiar `1 + s + slot·S`.
+    fn counter(&self, shard: usize, slot: u64) -> u64 {
+        1 + self.config.partition_index
+            + shard as u64 * self.config.partition_count
+            + slot * self.stripes()
     }
 
-    /// The shard that owns `id`, locked.
-    fn shard(&self, id: SessionId) -> MutexGuard<'_, Shard> {
-        self.shards[self.shard_index(id)].lock().expect("shard lock poisoned")
+    /// The inverse of [`VerifierService::counter`]: the local shard and slot
+    /// of session `id`, or `None` when no shard of this partition issues it
+    /// (counter 0, or a counter of a sibling partition's stripes).
+    fn locate(&self, id: SessionId) -> Option<(usize, u64)> {
+        let offset = id.0.checked_sub(1)?;
+        let stripe = offset % self.stripes();
+        let partitions = self.config.partition_count;
+        (stripe % partitions == self.config.partition_index)
+            .then(|| ((stripe / partitions) as usize, offset / self.stripes()))
+    }
+
+    /// The session table of local shard `shard`, locked.
+    fn table(&self, shard: usize) -> MutexGuard<'_, SessionTable> {
+        self.shards[shard].lock().expect("shard lock poisoned")
     }
 
     /// Opens a session for `input`, returning its id.  The challenge nonce is
@@ -635,48 +642,29 @@ impl VerifierService {
     /// exists for `input` and [`ServiceError::AtCapacity`] at the live-session
     /// limit.
     pub fn open_session(&self, input: Vec<u32>) -> Result<SessionId, ServiceError> {
-        if !self.db.contains(&input) {
+        let Some(reference) = self.db.index_of(&input) else {
             return Err(ServiceError::UnknownInput { input });
-        }
+        };
         self.reserve_live_slot()?;
-        let program_id = self.db.program_id().to_string();
-        let deadline = self.now_cycles().saturating_add(self.config.session_deadline_cycles);
-        // Round-robin picks the shard; the counter itself is allocated from
-        // the shard's `issued` watermark *under the shard lock*, making
-        // issuance and map insertion one atomic step: `nonce_consumed` (which
-        // reads `issued` and the map under the same lock) can never observe a
-        // counter as issued without also seeing its still-live session.
-        // Sequential opens keep receiving dense ids `1, 2, 3, …`; concurrent
-        // opens receive unique ids in lock-acquisition order per shard.
+        // Round-robin picks the shard; its table issues the slot *under the
+        // shard lock*, making issuance and insertion one atomic step:
+        // `nonce_consumed` (which asks the same table under the same lock)
+        // can never observe a counter as issued without also seeing its
+        // still-live session.  Sequential opens keep receiving dense ids
+        // `1, 2, 3, …`; concurrent opens receive unique ids in
+        // lock-acquisition order per shard.
         let shard_count = self.shards.len() as u64;
-        let shard_index = (self.next_open.fetch_add(1, Ordering::SeqCst) % shard_count) as usize;
+        let shard = (self.next_open.fetch_add(1, Ordering::SeqCst) % shard_count) as usize;
         // Counted before the session becomes visible, so no read of the
         // books sees it spent but not opened (see `AtomicStats::snapshot`).
         self.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        let id = {
-            let mut shard = self.shards[shard_index].lock().expect("shard lock poisoned");
-            // The `issued`-th session of local shard `s` in partition `p` of
-            // `P` carries the global counter `1 + p + s·P + issued·(S·P)` —
-            // the shard owns the counter (and nonce) stripe congruent to
-            // `p + s·P` modulo `S·P`.  Unpartitioned (`P = 1`, `p = 0`) this
-            // is the familiar `1 + s + issued·S`.
-            let counter = 1
-                + self.config.partition_index
-                + shard_index as u64 * self.config.partition_count
-                + shard.issued * self.stripes();
-            shard.issued += 1;
-            let id = SessionId(counter);
-            let challenge = Challenge {
-                program_id,
-                input,
-                // Session `n` always carries nonce `n` — the pairing the
-                // derived replay check in `nonce_consumed` relies on.
-                nonce: Nonce::from_counter(counter),
-            };
-            shard.sessions.insert(id, VerifierSession::new(id, challenge, deadline));
-            id
-        };
-        Ok(id)
+        let mut table = self.table(shard);
+        // The clock only moves forward and is read under the lock, so each
+        // table's deadlines never decrease in slot order, which is what lets
+        // a sweep stop at the first session still on time.
+        let deadline = self.now_cycles().saturating_add(self.config.session_deadline_cycles);
+        let slot = table.open(deadline, reference);
+        Ok(SessionId(self.counter(shard, slot)))
     }
 
     /// Reserves one live-session slot, sweeping stale sessions when the limit
@@ -716,34 +704,30 @@ impl VerifierService {
     ///
     /// Returns [`ServiceError::UnknownSession`] for unknown ids.
     pub fn challenge_envelope(&self, id: SessionId) -> Result<Envelope, ServiceError> {
-        self.shard(id)
-            .sessions
-            .get(&id)
-            .map(VerifierSession::challenge_envelope)
-            .ok_or(ServiceError::UnknownSession(id))
+        let session = self.locate(id).and_then(|(shard, slot)| self.table(shard).get(slot));
+        let session = session.ok_or(ServiceError::UnknownSession(id))?;
+        let (input, _) = self.db.entry(session.reference);
+        let challenge = ChallengeMsg {
+            program_id: self.db.program_id().to_string(),
+            input: input.to_vec(),
+            // Session `n` always carries nonce `n` — the pairing the derived
+            // replay check in `nonce_consumed` relies on.
+            nonce: Nonce::from_counter(id.0),
+            deadline_cycles: session.deadline,
+        };
+        Ok(Envelope::new(id, Message::Challenge(challenge)))
     }
 
     /// Removes expired sessions (all held sessions are awaiting evidence —
     /// decided ones are evicted at decision time), returning how many were
     /// swept; each counts as [`ServiceStats::expired`].  Shards are swept one
-    /// at a time, so the service stays responsive while sweeping.
+    /// at a time, so the service stays responsive while sweeping, and each
+    /// sweep visits only the sessions it expires (plus one per shard), so a
+    /// sweep that finds nothing costs O(shards).
     pub fn expire_stale(&self) -> usize {
         let now = self.now_cycles();
-        let mut expired = 0;
-        for shard in &self.shards {
-            let mut guard = shard.lock().expect("shard lock poisoned");
-            let stale: Vec<SessionId> = guard
-                .sessions
-                .iter()
-                .filter(|(_, s)| now > s.deadline_cycles())
-                .map(|(id, _)| *id)
-                .collect();
-            for id in stale {
-                // The challenge nonce can never be answered again.
-                guard.sessions.remove(&id);
-                expired += 1;
-            }
-        }
+        // The challenge nonces swept here can never be answered again.
+        let expired = (0..self.shards.len()).map(|shard| self.table(shard).expire(now)).sum();
         self.live.fetch_sub(expired, Ordering::SeqCst);
         self.stats.expired.fetch_add(expired as u64, Ordering::Relaxed);
         expired
@@ -908,146 +892,133 @@ impl VerifierService {
     /// single MAC inline.
     ///
     /// Lock discipline: the session's shard lock is taken briefly for the
-    /// transport checks and the judge's first two checks, and always released
-    /// *before* [`VerifierService::nonce_consumed`] locks the nonce's owning
-    /// shard, so no two shard locks are ever held at once, and all crypto runs
-    /// outside every lock.
+    /// transport checks, and the nonce's owning shard is locked only after
+    /// it is released, so no two shard locks are ever held at once, and all
+    /// crypto runs outside every lock.
     fn prepare<'a>(&self, envelope: &'a Envelope) -> Prepared<'a> {
         let id = envelope.session;
 
-        // Critical section 1: transport checks and the judge's first two.
-        // Everything here is cheap (map lookup, field compares); the
-        // session's input is copied out so the reference lookup below needs
-        // no lock.
-        let (input, bound) = {
-            let mut shard = self.shard(id);
-            let Some(session) = shard.sessions.get(&id) else {
-                drop(shard);
-                // Decided sessions are evicted eagerly, so a replayed
-                // envelope usually lands here: report it as the replay it is.
-                if let Message::Evidence(evidence) = &envelope.message {
-                    if self.nonce_consumed(&evidence.report.nonce) {
-                        return Prepared::Done(replayed_nonce_verdict(&evidence.report.nonce));
-                    }
-                }
-                return Prepared::Done(VerdictMsg::rejected(
-                    code::UNKNOWN_SESSION,
-                    format!("unknown {id}"),
-                ));
+        // Critical section 1: the transport checks.  Everything here is
+        // cheap (a map lookup, field compares).
+        let Some((shard, slot)) = self.locate(id) else {
+            return Prepared::Done(self.unknown_session(envelope));
+        };
+        let (evidence, reference) = {
+            let mut table = self.table(shard);
+            let Some(session) = table.get(slot) else {
+                drop(table);
+                return Prepared::Done(self.unknown_session(envelope));
             };
-            let evidence = match session.accept_evidence(envelope, self.now_cycles()) {
-                Ok(evidence) => evidence,
+            match check_evidence(envelope, id, session.deadline, self.now_cycles()) {
+                Ok(evidence) => (evidence, session.reference),
                 Err(e) => {
-                    let verdict = VerdictMsg::rejected(e.code(), e.to_string());
                     if matches!(e, SessionError::Expired { .. }) {
-                        shard.sessions.remove(&id);
+                        table.spend(slot);
                         self.live.fetch_sub(1, Ordering::SeqCst);
                     }
-                    return Prepared::Done(verdict);
-                }
-            };
-
-            match judge::bind(&evidence.report, session.challenge()) {
-                Ok(bound) => (session.challenge().input.clone(), bound),
-                Err(refused) => {
-                    // A refusal leaves this session untouched.  A nonce that
-                    // is not this session's may be one a decided or expired
-                    // session spent — a replay, wherever it is sent — or
-                    // evidence routed to the wrong session.  Deciding which
-                    // may require the nonce's *owning* shard, so release
-                    // this one first.
-                    drop(shard);
-                    let nonce = &evidence.report.nonce;
-                    if matches!(refused, Judgement::Refused(RejectionReason::NonceMismatch))
-                        && self.nonce_consumed(nonce)
-                    {
-                        return Prepared::Done(replayed_nonce_verdict(nonce));
-                    }
-                    return Prepared::Done(refused.verdict_msg(|&result| result));
+                    return Prepared::Done(VerdictMsg::rejected(e.code(), e.to_string()));
                 }
             }
         };
 
-        // Lock-free section: the signature MAC over the payload, absorbed
-        // from the received fields without copying them.
+        // Lock-free section: the judge's first two checks, then the
+        // signature MAC over the payload, absorbed from the received fields
+        // without copying them.
+        let nonce = &evidence.report.nonce;
+        let bound =
+            match judge::bind(&evidence.report, self.db.program_id(), &Nonce::from_counter(id.0)) {
+                Ok(bound) => bound,
+                // A refusal leaves this session untouched.  A nonce that is not
+                // this session's may be one a decided or expired session spent —
+                // a replay, wherever it is sent — or evidence routed to the wrong
+                // session.
+                Err(Judgement::Refused(RejectionReason::NonceMismatch))
+                    if self.nonce_consumed(nonce) =>
+                {
+                    return Prepared::Done(replayed_nonce_verdict(nonce));
+                }
+                Err(refused) => return Prepared::Done(refused.verdict_msg(|&result| result)),
+            };
         let report = bound.report();
         let mut mac = self.key.mac_base().clone();
         report.absorb_signed_prefix(|piece| mac.update(piece));
         mac.update(report.nonce.as_bytes());
-        Prepared::Pending(mac, PendingJudgement { id, bound, input })
+        Prepared::Pending(mac, PendingJudgement { shard, slot, bound, reference })
+    }
+
+    /// The verdict for evidence addressed to a session that is not live.
+    /// Decided sessions are evicted eagerly, so a replayed envelope usually
+    /// lands here: it is reported as the replay it is.  Callers must not
+    /// hold any shard lock.
+    fn unknown_session(&self, envelope: &Envelope) -> VerdictMsg {
+        match &envelope.message {
+            Message::Evidence(evidence) if self.nonce_consumed(&evidence.report.nonce) => {
+                replayed_nonce_verdict(&evidence.report.nonce)
+            }
+            _ => {
+                VerdictMsg::rejected(code::UNKNOWN_SESSION, format!("unknown {}", envelope.session))
+            }
+        }
     }
 
     /// Stage 2 of the pipeline: the rest of the judgement
     /// (`Bound::conclude`: the signature, then the loop-path and reference
-    /// checks against the database) and, when it spends the session,
-    /// spending it.  `tag` is the finalized MAC of the pending envelope's
-    /// payload.  Returns the verdict plus whether it spent the session.
+    /// checks against the session's database entry) and, when it spends the
+    /// session, spending it.  `tag` is the finalized MAC of the pending
+    /// envelope's payload.  Returns the verdict plus whether it spent the
+    /// session.
     fn conclude(&self, pending: PendingJudgement<'_>, tag: Digest) -> (VerdictMsg, bool) {
-        let PendingJudgement { id, bound, input } = pending;
+        let PendingJudgement { shard, slot, bound, reference } = pending;
         let report = bound.report();
-        let judgement = match bound.conclude(&tag, || {
-            self.db.check(&input, report).map(|reference| reference.expected_result)
-        }) {
-            Ok(judgement) => judgement,
-            // `open_session` admits no session whose input lacks a
-            // reference, so this never happens; like any verifier failure it
-            // decides nothing and leaves the session open.
-            Err(e) => return (VerdictMsg::rejected(code::UNKNOWN_INPUT, e.to_string()), false),
-        };
+        let (_, expected) = self.db.entry(reference);
+        let judgement = bound
+            .conclude(&tag, || {
+                judge::measurement(report, self.db.valid_loop_paths(), expected)
+                    .map(|()| expected.expected_result)
+                    .map_err(LofatError::Rejected)
+            })
+            .expect("measuring against a stored reference only ever rejects");
         let verdict = judgement.verdict_msg(|&result| result);
         if !judgement.spends_session() {
             return (verdict, false);
         }
 
         // Critical section 2: spend the session.  Evicting (rather than
-        // keeping a Decided tombstone) keeps the session map bounded by
+        // keeping a Decided tombstone) keeps the table bounded by
         // *outstanding* work, so decided sessions never count against
         // `max_live_sessions`; `nonce_consumed` still blocks replays.  The
         // eviction is the exactly-once linearisation point: when several
         // threads verified the same evidence concurrently, only the one that
         // removes the session delivers its verdict — the rest observe the
         // now-spent nonce, exactly as if they had submitted after it.
-        // (Session ids are never reused, so the session found here is
+        // (Slots are never reissued, so the session found here is
         // necessarily the one checked above.)
-        let mut shard = self.shard(id);
-        if shard.sessions.remove(&id).is_none() {
-            drop(shard);
+        if !self.table(shard).spend(slot) {
             return (replayed_nonce_verdict(&report.nonce), false);
         }
-        drop(shard);
         self.live.fetch_sub(1, Ordering::SeqCst);
         (verdict, true)
     }
 
     /// Replay check with O(1) memory and at most one shard lock: session `n`
-    /// carries `Nonce::from_counter(n)` and lives in shard `(n - 1) % shards`,
-    /// so a nonce is consumed iff its owning shard issued its slot (checked
-    /// against the shard's `issued` watermark, under the same lock that
-    /// allocated it, so a concurrent `open_session` can never be
-    /// half-observed) and the session is no longer live.
+    /// carries `Nonce::from_counter(n)` and lives in a slot of the shard that
+    /// owns its stripe, so a nonce is consumed iff that table counts the slot
+    /// spent (asked under the same lock that issued it, so a concurrent
+    /// `open_session` can never be half-observed).
+    ///
+    /// A counter outside this partition's stripes was issued (if ever) by a
+    /// sibling process; this process cannot attest to its spend and answers
+    /// "not consumed" — the evidence still bounces on the nonce-mismatch or
+    /// unknown-session path, it just is not *named* a replay.
     ///
     /// Callers must not hold any shard lock (see the lock discipline note on
     /// [`VerifierService::prepare`]).
     fn nonce_consumed(&self, nonce: &Nonce) -> bool {
         let counter = u64::from_le_bytes(nonce.as_bytes()[..8].try_into().expect("8 bytes"));
-        if counter < 1 || Nonce::from_counter(counter) != *nonce {
-            return false;
-        }
-        // A counter outside this partition's congruence class was issued (if
-        // ever) by a sibling process; this process cannot attest to its spend
-        // and answers "not consumed" — the evidence still bounces on the
-        // nonce-mismatch or unknown-session path, it just is not *named* a
-        // replay.  Unpartitioned services own every class, so the gate is
-        // vacuous there.
-        if (counter - 1) % self.config.partition_count != self.config.partition_index {
-            return false;
-        }
-        // `shard()` routes to the owning local shard; within that shard the
-        // counter occupies slot `(counter - 1) / stripes`, and slots are
-        // issued contiguously under the shard lock.
-        let shard = self.shard(SessionId(counter));
-        let slot = (counter - 1) / self.stripes();
-        slot < shard.issued && !shard.sessions.contains_key(&SessionId(counter))
+        Nonce::from_counter(counter) == *nonce
+            && self
+                .locate(SessionId(counter))
+                .is_some_and(|(shard, slot)| self.table(shard).is_spent(slot))
     }
 
     // -----------------------------------------------------------------------
@@ -1059,7 +1030,7 @@ impl VerifierService {
     /// restore started it at.  A counter below its shard's watermark that no
     /// live session holds is spent.
     pub fn watermarks(&self) -> Vec<u64> {
-        self.shards.iter().map(|shard| shard.lock().expect("shard lock poisoned").issued).collect()
+        (0..self.shards.len()).map(|shard| self.table(shard).issued()).collect()
     }
 
     /// A durable snapshot of the service, encoded (see [`SnapshotMsg`]):
@@ -1145,8 +1116,8 @@ impl VerifierService {
         }
 
         let service = Self::new(msg.db, key, msg.config);
-        for (shard, issued) in service.shards.iter().zip(msg.watermarks) {
-            shard.lock().expect("shard lock poisoned").issued = issued;
+        for (shard, issued) in msg.watermarks.into_iter().enumerate() {
+            service.table(shard).resume(issued);
         }
         service.next_open.store(msg.next_open, Ordering::SeqCst);
         service.now_cycles.store(msg.now_cycles, Ordering::SeqCst);

@@ -278,52 +278,9 @@ impl VerifierSession {
         Envelope::new(self.id, Message::Verdict(verdict))
     }
 
-    /// Validates the transport-level properties of an incoming envelope —
-    /// state, addressing, wire version, deadline, message kind — and returns
-    /// the evidence message without judging it.
-    ///
-    /// This is the building block [`crate::service::VerifierService`] uses;
-    /// most callers want [`VerifierSession::process_evidence`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SessionError`] describing the first violation.
-    pub fn accept_evidence<'e>(
-        &self,
-        envelope: &'e Envelope,
-        now_cycles: u64,
-    ) -> Result<&'e EvidenceMsg, SessionError> {
-        if self.state == SessionState::Decided {
-            return Err(SessionError::AlreadyDecided { id: self.id });
-        }
-        if envelope.session != self.id {
-            return Err(SessionError::WrongSession { expected: self.id, found: envelope.session });
-        }
-        if envelope.version != WIRE_VERSION {
-            return Err(SessionError::Wire(WireError::UnsupportedVersion {
-                found: envelope.version,
-            }));
-        }
-        if now_cycles > self.deadline_cycles {
-            return Err(SessionError::Expired {
-                id: self.id,
-                deadline_cycles: self.deadline_cycles,
-                now_cycles,
-            });
-        }
-        match &envelope.message {
-            Message::Evidence(evidence) => Ok(evidence),
-            other => {
-                Err(SessionError::UnexpectedMessage { expected: "evidence", found: other.kind() })
-            }
-        }
-    }
-
     /// Marks the session decided; a decided session refuses all further
     /// evidence.  [`VerifierSession::process_evidence`] calls it when a
     /// judgement spends the session or the deadline passed.
-    /// [`crate::service::VerifierService`] does not: it evicts a spent or
-    /// expired session instead.
     pub fn settle(&mut self) {
         self.state = SessionState::Decided;
     }
@@ -353,7 +310,10 @@ impl VerifierSession {
         verifier: &Verifier,
         now_cycles: u64,
     ) -> Result<SessionOutcome, SessionError> {
-        let evidence = match self.accept_evidence(envelope, now_cycles) {
+        if self.state == SessionState::Decided {
+            return Err(SessionError::AlreadyDecided { id: self.id });
+        }
+        let evidence = match check_evidence(envelope, self.id, self.deadline_cycles, now_cycles) {
             Ok(evidence) => evidence,
             Err(e) => {
                 if matches!(e, SessionError::Expired { .. }) {
@@ -376,6 +336,36 @@ impl VerifierSession {
             }
         };
         Ok(SessionOutcome { decision, verdict_msg })
+    }
+}
+
+/// The transport checks on an envelope for session `id`, due by
+/// `deadline_cycles`, in order: addressing, wire version, deadline, message
+/// kind.  Returns the evidence message without judging it.  Both
+/// [`VerifierSession::process_evidence`] and
+/// [`crate::service::VerifierService`] run them.
+///
+/// # Errors
+///
+/// Returns the [`SessionError`] describing the first violation.
+pub(crate) fn check_evidence(
+    envelope: &Envelope,
+    id: SessionId,
+    deadline_cycles: u64,
+    now_cycles: u64,
+) -> Result<&EvidenceMsg, SessionError> {
+    if envelope.session != id {
+        return Err(SessionError::WrongSession { expected: id, found: envelope.session });
+    }
+    if envelope.version != WIRE_VERSION {
+        return Err(SessionError::Wire(WireError::UnsupportedVersion { found: envelope.version }));
+    }
+    if now_cycles > deadline_cycles {
+        return Err(SessionError::Expired { id, deadline_cycles, now_cycles });
+    }
+    match &envelope.message {
+        Message::Evidence(evidence) => Ok(evidence),
+        other => Err(SessionError::UnexpectedMessage { expected: "evidence", found: other.kind() }),
     }
 }
 

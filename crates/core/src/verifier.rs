@@ -242,7 +242,7 @@ impl Verifier {
         report: &AttestationReport,
         challenge: &Challenge,
     ) -> Result<Judgement<Verdict>, LofatError> {
-        let bound = match judge::bind(report, challenge) {
+        let bound = match judge::bind(report, &challenge.program_id, &challenge.nonce) {
             Ok(bound) => bound,
             Err(refused) => return Ok(refused),
         };

@@ -436,13 +436,13 @@ pub(crate) fn is_session_request_frame(frame: &[u8]) -> bool {
         && frame[HEADER_BYTES..HEADER_BYTES + 4] == SESSION_REQUEST_VARIANT
 }
 
-/// Answers a [`Message::SessionRequest`]: the challenge envelope on success,
-/// a refusing verdict otherwise.  Refusals mirror the typed
-/// [`VerifierService::open_session`] errors, which do not touch statistics —
-/// an unopened session has nothing to conserve.
+/// Answers a [`Message::SessionRequest`], moving its input into the
+/// service: the challenge envelope on success, a refusing verdict otherwise.
+/// Refusals mirror the typed [`VerifierService::open_session`] errors, which
+/// do not touch statistics — an unopened session has nothing to conserve.
 pub(crate) fn session_request_reply(
     service: &VerifierService,
-    request: &SessionRequestMsg,
+    request: SessionRequestMsg,
 ) -> Result<Vec<u8>, ServiceError> {
     let refusal = if request.program_id != service.program_id() {
         VerdictMsg::rejected(
@@ -454,7 +454,7 @@ pub(crate) fn session_request_reply(
             ),
         )
     } else {
-        match service.open_session(request.input.clone()) {
+        match service.open_session(request.input) {
             Ok(id) => {
                 return service.challenge_envelope(id)?.encode().map_err(ServiceError::Wire);
             }

@@ -747,7 +747,7 @@ impl Driver {
             Admission::SessionRequest => {
                 let reply = match Envelope::decode(&frame) {
                     Ok(Envelope { message: Message::SessionRequest(request), .. }) => {
-                        session_request_reply(&self.shared.service, &request)
+                        session_request_reply(&self.shared.service, request)
                     }
                     // The peek was optimistic; let the service classify
                     // whatever this really is.

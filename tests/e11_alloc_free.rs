@@ -21,7 +21,10 @@
 //! On the verifier's side, one verdict allocates a fixed number of times: the
 //! fourth test counts one `handle_bytes` of honest evidence, which allocates
 //! alike whether or not the service judged the same measurement before and
-//! however long the attested run was.
+//! however long the attested run was.  The last two pin the service's own
+//! counts: a warmed open allocates nothing and an honest verdict ten times; a
+//! held session keeps one 16-byte slot in its shard's table (its input is
+//! freed at the open), and a sweep allocates nothing.
 //!
 //! The property test is bounded by `PROPTEST_CASES` like every other property
 //! suite in the workspace.
@@ -41,7 +44,7 @@ use lofat_workloads::catalog;
 use proptest::prelude::*;
 
 /// System allocator wrapper counting every allocation and reallocation made
-/// by the calling thread.
+/// by the calling thread, and the heap bytes it holds.
 struct CountingAllocator;
 
 thread_local! {
@@ -50,26 +53,34 @@ thread_local! {
     /// the test's own thread.  `const`-initialised with no destructor, so the
     /// allocator can touch it without allocating or registering anything.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The bytes the calling thread allocated less those it freed.
+    static HEAP_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: isize) {
     // `try_with` fails only while the thread is being torn down, when no
     // test window is open.
     let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    count_bytes(bytes);
+}
+
+fn count_bytes(bytes: isize) {
+    let _ = HEAP_BYTES.try_with(|held| held.set(held.get() + bytes));
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -80,6 +91,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// Allocations made so far by the calling thread.
 fn allocation_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Heap bytes the calling thread allocated and has not freed.
+fn heap_bytes() -> isize {
+    HEAP_BYTES.with(Cell::get)
 }
 
 /// A flat counted loop: after warm-up the engine sees the same compressed path
@@ -244,4 +260,75 @@ fn verdict_allocations_do_not_depend_on_history_or_run_length() {
     assert_eq!(small[0], small[1], "100 units: first verdict vs a later one");
     assert_eq!(large[0], large[1], "2 000 units: first verdict vs a later one");
     assert_eq!(small, large, "100 vs 2 000 units");
+}
+
+/// A syringe-pump service over the one input `[100]`, and its prover.
+fn syringe_pump_service(config: ServiceConfig) -> (VerifierService, Prover) {
+    let workload = catalog::by_name("syringe-pump").expect("catalogue workload");
+    let program = workload.program().expect("assemble");
+    let key = DeviceKey::from_seed("e11-device");
+    let verifier =
+        Verifier::new(program.clone(), workload.name, key.verification_key()).expect("verifier");
+    let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), [vec![100]])
+        .expect("replay");
+    let service = VerifierService::new(db, key.verification_key(), config);
+    (service, Prover::new(program, workload.name, key))
+}
+
+/// In a sequential open→verdict loop, once the shard's table holds its first
+/// node, `open_session` allocates nothing: the session is a slot holding its
+/// deadline and its reference's index, and the input is freed.  An honest
+/// syringe-pump verdict allocates ten times, the first one included.
+#[test]
+fn a_warmed_open_allocates_nothing_and_a_verdict_ten_times() {
+    let (service, mut prover) = syringe_pump_service(ServiceConfig::default());
+    let mut counts = Vec::new();
+    for _ in 0..4 {
+        let input = vec![100];
+        let before = allocation_count();
+        let id = service.open_session(input).expect("capacity");
+        let open = allocation_count() - before;
+        let challenge = service.challenge_envelope(id).expect("live session");
+        let evidence = ProverSession::new(&mut prover)
+            .handle_bytes(&challenge.encode().expect("challenge encodes"))
+            .expect("prover answers");
+        let before = allocation_count();
+        let reply = service.handle_bytes(&evidence).expect("verdict encodes");
+        let verdict = allocation_count() - before;
+        let Message::Verdict(msg) = Envelope::decode(&reply).expect("decodes").message else {
+            panic!("expected a verdict")
+        };
+        assert!(msg.accepted, "{msg:?}");
+        counts.push((open, verdict));
+    }
+    assert_eq!(counts[1..], [(0, 10); 3], "(open, verdict) allocations per round: {counts:?}");
+    assert_eq!(counts[0].1, 10, "the first verdict: {counts:?}");
+}
+
+/// 20 000 held sessions keep at most 56 bytes of heap each, counted from
+/// before their inputs existed, and open with at most 0.17 allocations each:
+/// a 16-byte slot in the table's nodes.  Sweeping them all allocates nothing.
+#[test]
+fn held_sessions_keep_a_slot_each_and_a_sweep_allocates_nothing() {
+    const SESSIONS: usize = 20_000;
+    let config = ServiceConfig { session_deadline_cycles: 10, ..ServiceConfig::default() };
+    let (service, _) = syringe_pump_service(config);
+    let held_before = heap_bytes();
+    let inputs: Vec<Vec<u32>> = (0..SESSIONS).map(|_| vec![100]).collect();
+    let before = allocation_count();
+    for input in inputs {
+        service.open_session(input).expect("capacity");
+    }
+    let per_open = (allocation_count() - before) as f64 / SESSIONS as f64;
+    let per_session = (heap_bytes() - held_before) as f64 / SESSIONS as f64;
+    assert_eq!(service.live_sessions(), SESSIONS);
+    assert!(per_open <= 0.17, "{per_open:.3} allocations per open");
+    assert!(per_session <= 56.0, "{per_session:.1} heap bytes held per session");
+
+    service.advance_clock(11);
+    let before = allocation_count();
+    let swept = service.expire_stale();
+    assert_eq!(allocation_count() - before, 0, "allocations while sweeping");
+    assert_eq!(swept, SESSIONS);
+    assert!(service.stats().is_conserved(service.live_sessions()));
 }

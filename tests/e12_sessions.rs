@@ -165,10 +165,21 @@ fn stale_sessions_expire_on_sweep() {
         service.open_session(vec![1]).unwrap();
     }
     assert_eq!(service.expire_stale(), 0, "nothing stale yet");
-    service.advance_clock(51);
+    // A newer batch, due 30 cycles after the first: a sweep between the two
+    // deadlines expires the older batch only.
+    service.advance_clock(30);
+    let newer: Vec<SessionId> = (0..3).map(|_| service.open_session(vec![1]).unwrap()).collect();
+    service.advance_clock(21);
     assert_eq!(service.expire_stale(), 5);
+    assert_eq!(service.live_sessions(), 3);
+    for id in &newer {
+        assert!(service.challenge_envelope(*id).is_ok(), "{id} was swept before its deadline");
+    }
+    common::assert_stats_conserved(&service.stats(), 3);
+    service.advance_clock(30);
+    assert_eq!(service.expire_stale(), 3);
     assert_eq!(service.live_sessions(), 0);
-    assert_eq!(service.stats().expired, 5);
+    assert_eq!(service.stats().expired, 8);
     common::assert_stats_conserved(&service.stats(), 0);
 }
 
@@ -191,7 +202,11 @@ fn interleaved_sessions_at_scale_with_single_use_nonces() {
     assert_eq!(service.live_sessions(), n);
 
     // Single-use nonces: all distinct across live sessions.
-    let nonces: HashSet<_> = ids.iter().map(|id| service.session(*id).unwrap().nonce()).collect();
+    let nonce = |id: &SessionId| match service.challenge_envelope(*id).unwrap().message {
+        Message::Challenge(challenge) => challenge.nonce,
+        other => panic!("expected a challenge, got {}", other.kind()),
+    };
+    let nonces: HashSet<_> = ids.iter().map(nonce).collect();
     assert_eq!(nonces.len(), n, "challenge nonces must be unique across sessions");
 
     // Produce all evidence first, then submit in a strided (interleaved)
@@ -348,7 +363,8 @@ fn assert_service_agrees(
         let verdict = service.submit_evidence(&evidence(id, report));
         assert_eq!(&verdict, library, "{label}: {leg} service verdict differs");
         assert_eq!(bytes(&verdict), bytes(library), "{label}: {leg} service verdict bytes differ");
-        assert_eq!(service.session(id).is_none(), decided, "{label}: {leg} service spend differs");
+        let spent = service.challenge_envelope(id).is_err();
+        assert_eq!(spent, decided, "{label}: {leg} service spend differs");
         common::assert_stats_conserved(&service.stats(), service.live_sessions());
     }
 }

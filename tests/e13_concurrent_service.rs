@@ -17,7 +17,8 @@
 //!   changed after signing draws `BAD_SIGNATURE` and leaves its session live
 //!   for the honest evidence that follows.
 //! * **Expiry** — clock-driven expiry and capacity sweeps behave identically
-//!   across shard counts.
+//!   across shard counts, and a sweep after concurrent opens on a moving
+//!   clock expires exactly the sessions due before it.
 //! * **Replay hammering** — many threads replaying the same evidence at one
 //!   shard win exactly one acceptance per nonce (the sharded replay check is
 //!   race-free).
@@ -367,7 +368,8 @@ fn forged_authenticators_and_metadata_leave_their_sessions_live() {
             Envelope::new(envelope.session, Message::Evidence(lofat::wire::EvidenceMsg { report }));
         let verdict = service.submit_evidence(&forged);
         assert_eq!(verdict.reason_code, code::BAD_SIGNATURE, "forgery {i}: {verdict:?}");
-        assert!(service.session(envelope.session).is_some(), "forgery {i} spent its session");
+        let live = service.challenge_envelope(envelope.session).is_ok();
+        assert!(live, "forgery {i} spent its session");
     }
     assert_eq!(service.live_sessions(), sessions, "no forgery spent a session");
     for (i, envelope) in honest.iter().enumerate() {
@@ -422,6 +424,85 @@ fn expiry_and_sweep_agree_across_shard_counts() {
             }
         }
     }
+}
+
+/// Four threads open sessions on a 4-shard service while a fifth advances
+/// the clock one cycle at a time, so concurrent opens draw interleaved
+/// deadlines.  Every shard's deadlines still rise with its session ids,
+/// because each open reads the clock under its shard's lock, and so a sweep
+/// at a clock inside their range, which stops at each shard's first session
+/// still on time, expires exactly the sessions due before it.
+#[test]
+fn concurrent_opens_keep_the_sweep_exact() {
+    // In each round the clock ticks as many cycles as each opener opens
+    // sessions, so rounds draw rising deadlines whatever the scheduling.
+    const ROUNDS: usize = 16;
+    let per_round = (sessions_per_workload() / ROUNDS).max(4);
+    let config = ServiceConfig { shards: 4, ..ServiceConfig::default() };
+    let (_, service, _) = common::workload_service("fig4-loop", "e13-sweep", &[vec![2]], config);
+    let round = std::sync::Barrier::new(5);
+    let ids: Vec<SessionId> = std::thread::scope(|scope| {
+        let openers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ids = Vec::new();
+                    for _ in 0..ROUNDS {
+                        round.wait();
+                        ids.extend((0..per_round).map(|_| service.open_session(vec![2]).unwrap()));
+                    }
+                    ids
+                })
+            })
+            .collect();
+        scope.spawn(|| {
+            for _ in 0..ROUNDS {
+                round.wait();
+                (0..per_round).for_each(|_| service.advance_clock(1));
+            }
+        });
+        openers.into_iter().flat_map(|opener| opener.join().unwrap()).collect()
+    });
+    let deadlines: Vec<u64> = ids
+        .iter()
+        .map(|id| match service.challenge_envelope(*id).expect("live").message {
+            Message::Challenge(challenge) => challenge.deadline_cycles,
+            other => panic!("expected a challenge, got {}", other.kind()),
+        })
+        .collect();
+    // Session `n` is slot `(n - 1) / 4` of shard `(n - 1) % 4`: within each
+    // shard, deadlines never fall as the ids rise.
+    let mut by_id: Vec<(SessionId, u64)> = ids.iter().copied().zip(deadlines.clone()).collect();
+    by_id.sort_unstable();
+    for shard in 0..4 {
+        let shard_deadlines = by_id.iter().filter(|(id, _)| (id.0 - 1) % 4 == shard);
+        let deadlines: Vec<u64> = shard_deadlines.map(|(_, deadline)| *deadline).collect();
+        let fall = deadlines.windows(2).position(|pair| pair[0] > pair[1]);
+        assert_eq!(fall, None, "shard {shard}: the deadline after this slot falls");
+    }
+    let mut sorted = deadlines.clone();
+    sorted.sort_unstable();
+    // At most two rounds share the earliest deadline, so the median is later.
+    let sweep_at = sorted[sorted.len() / 2];
+    service.advance_clock(sweep_at - service.now_cycles());
+
+    let due = deadlines.iter().filter(|&&deadline| deadline < sweep_at).count();
+    assert!(due > 0 && due < ids.len(), "{due} of {} sessions due", ids.len());
+    assert_eq!(service.expire_stale(), due, "the sweep at {sweep_at}");
+    for (id, deadline) in ids.iter().zip(&deadlines) {
+        let answer = service.challenge_envelope(*id);
+        if *deadline < sweep_at {
+            assert!(
+                matches!(answer, Err(lofat::ServiceError::UnknownSession(unknown)) if unknown == *id),
+                "{id}, due at {deadline}, survived the sweep at {sweep_at}"
+            );
+        } else {
+            assert!(answer.is_ok(), "{id}, due at {deadline}, was swept at {sweep_at}");
+        }
+    }
+    let stats = service.stats();
+    assert_eq!(stats.expired, due as u64);
+    assert_eq!(service.live_sessions(), ids.len() - due);
+    common::assert_stats_conserved(&stats, service.live_sessions());
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@
 //! * **A serving process runs three kinds of thread and no more**: main,
 //!   the event loop and one per verifier worker (checked through `/proc`
 //!   on Linux).
+//! * **The serve clock keeps running across a restore**: a session opened
+//!   on a service restored with its clock far ahead of the new process's
+//!   uptime still expires at the first tick past its deadline.
 //!
 //! Artifacts live under `target/e18/` (`$E18_DIR`) so CI can upload the
 //! snapshots of a failing run.
@@ -318,6 +321,39 @@ fn sessions_live_at_a_write_are_interrupted_by_a_sigkill() {
         assert_eq!(verdict.reason_code, code::NONCE_REPLAYED, "{label} session: {verdict:?}");
     }
 
+    drop(client);
+    serve.kill();
+}
+
+/// A restore resumes the serve clock from the snapshot, and the clock keeps
+/// running from there: a snapshot whose clock stands an hour ahead of the
+/// new process's uptime still sees an abandoned 1-second session swept at
+/// the first 5-second tick, so its evidence, held past that tick, is refused.
+#[test]
+fn a_restored_serve_keeps_expiring_sessions() {
+    let snapshot = artifact_dir().join("clock_ahead.snap");
+    let _ = std::fs::remove_file(&snapshot);
+    let input = catalog::by_name(WORKLOAD).unwrap().default_input.clone();
+    let config = ServiceConfig { session_deadline_cycles: 1_000_000, ..ServiceConfig::default() };
+    let inputs = std::slice::from_ref(&input);
+    let (_, service, _) = common::workload_service(WORKLOAD, CLI_SEED, inputs, config);
+    service.advance_clock(3_600_000_000);
+    service.write_snapshot(&snapshot, 0).expect("write the snapshot");
+
+    let serve = spawn_serve(&snapshot, &[]);
+    let mut prover = cli_prover();
+    let mut client = ProverClient::connect(serve.addr).expect("connect");
+    let evidence = prepared_evidence(&mut client, &mut prover, input);
+    drop(client);
+
+    // The deadline, one tick and a margin.
+    std::thread::sleep(Duration::from_secs(8));
+    let mut client = ProverClient::connect(serve.addr).expect("connect again");
+    let (_, verdict) = client.submit_evidence(&evidence).expect("submit");
+    assert!(
+        [code::NONCE_REPLAYED, code::SESSION_EXPIRED].contains(&verdict.reason_code),
+        "evidence held past its deadline and a tick: {verdict:?}"
+    );
     drop(client);
     serve.kill();
 }

@@ -9,7 +9,8 @@
 //! has a window open.
 //!
 //! Each database entry is one packed record plus its key and a slot in the
-//! map's nodes: at most 3 blocks and 1.5 KB for crc32 inputs of 16-64 words.
+//! sorted entry array: at most 3 blocks and 1.5 KB for crc32 inputs of 16-64
+//! words.
 //! Checking an honest report compares it against the packed record in place,
 //! so it allocates nothing.
 //!
@@ -120,7 +121,8 @@ fn packed_database_stays_small_and_checks_honest_reports_without_allocating() {
     let per_entry = |total: usize| total as f64 / db.len() as f64;
     assert!(per_entry(blocks) <= 3.0, "{:.2} heap blocks per entry", per_entry(blocks));
     assert!(per_entry(bytes) <= 1536.0, "{:.0} heap bytes per entry", per_entry(bytes));
-    // `heap_bytes` leaves out only the map's node headers and spare slots.
+    // `heap_bytes` leaves out only the valid-path table's node headers and
+    // spare slots.
     let reported = db.heap_bytes();
     assert!(reported <= bytes && reported >= bytes * 9 / 10, "{reported} of {bytes} B");
 
