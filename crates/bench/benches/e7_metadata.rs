@@ -1,12 +1,16 @@
 //! E7 — size of the auxiliary metadata L as a function of the number of loops,
 //! distinct paths per loop and indirect targets; independent of iteration counts
 //! (§6.1).  Each table prints the paper's fixed-width layout (`L bytes`) beside
-//! the packed, run-length form that travels and is signed (`packed`).
+//! the packed, run-length form that travels and is signed (`packed`).  The
+//! crc32 table shows the traffic of the benchmark's `fleet-cold` workload:
+//! about one stored run per loop execution, each a record of the loop before
+//! it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lofat::EngineConfig;
 use lofat_bench::run_attested;
 use lofat_workloads::catalog;
+use lofat_workloads::generator::InputGenerator;
 
 fn print_table() {
     println!("\n=== E7: metadata size L ===");
@@ -57,6 +61,28 @@ fn print_table() {
             m.metadata.decode().loops.iter().map(|l| l.indirect_targets.len()).sum();
         let (fixed, packed) = (m.metadata.size_bytes(), m.metadata.packed_len());
         println!("{:>14} {:>18} {:>14} {:>8}", handlers, targets, fixed, packed);
+    }
+    println!("-- sweep of buffer length (crc32, generated buffers of 16-64 words) --");
+    println!(
+        "{:>8} {:>12} {:>6} {:>8} {:>14} {:>10}",
+        "words", "loop records", "runs", "packed", "L bytes", "packed/loop"
+    );
+    let workload = catalog::by_name("crc32").expect("workload");
+    let crc32 = workload.program().expect("assemble");
+    let mut generator = InputGenerator::new(7);
+    for words in [16usize, 32, 48, 64] {
+        let input = generator.input_for(&workload, words);
+        let (m, _) = run_attested(&crc32, &input, EngineConfig::default());
+        let (loops, packed) = (m.metadata.loop_count(), m.metadata.packed_len());
+        println!(
+            "{:>8} {:>12} {:>6} {:>8} {:>14} {:>10.2}",
+            words,
+            loops,
+            m.metadata.run_count(),
+            packed,
+            m.metadata.size_bytes(),
+            packed as f64 / loops as f64
+        );
     }
     println!("(paper: |L| depends on loops, paths per loop and indirect targets — not iterations)");
 }

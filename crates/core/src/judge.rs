@@ -247,7 +247,7 @@ mod tests {
     /// A report that passes every check against [`challenge`], [`valid`],
     /// [`reference`] and the tag [`signed`].
     fn honest() -> AttestationReport {
-        let paths = vec![PathRecord { path_id: 0b1_011, first_occurrence: 0, iterations: 2 }];
+        let paths = vec![PathRecord { path_id: 0b1_011, iterations: 2 }];
         AttestationReport {
             program_id: "fig4".into(),
             authenticator: Digest::from_bytes(vec![0xaa; 64]),

@@ -101,8 +101,8 @@ impl ActiveLoop {
         });
         let paths = self.counters.entries_slice();
         metadata.paths(paths.len());
-        for (order, &(path_id, iterations)) in paths.iter().enumerate() {
-            metadata.path(PathRecord { path_id, first_occurrence: order, iterations });
+        for &(path_id, iterations) in paths {
+            metadata.path(PathRecord { path_id, iterations });
         }
         let targets = self.cam.table();
         metadata.targets(targets.len());

@@ -580,7 +580,7 @@ mod tests {
         assert!(db.check(&[2], &renamed).is_ok());
         // A path outside the CFG is found before the metadata comparison.
         let mut invalid = run.report;
-        let path = PathRecord { path_id: 0b1_1111, first_occurrence: 1, iterations: 1 };
+        let path = PathRecord { path_id: 0b1_1111, iterations: 1 };
         edit_metadata(&mut invalid, |m| m.loops[0].paths.push(path));
         let err = db.check(&[2], &invalid).unwrap_err();
         assert!(matches!(
@@ -722,8 +722,8 @@ mod tests {
 
     /// Every report that differs from `report` in one field: each integer
     /// with all its bits or its lowest bit flipped, each flag negated, each
-    /// authenticator byte changed, and each string or list one element
-    /// longer or shorter.
+    /// authenticator byte changed, each string or list one element longer or
+    /// shorter, and each two neighbouring paths of a loop swapped.
     fn single_field_mutations(report: &AttestationReport) -> Vec<AttestationReport> {
         let mut out = Vec::new();
         let mut push = |edit: &dyn Fn(&mut AttestationReport)| {
@@ -767,7 +767,7 @@ mod tests {
                 push(&|r| edit_metadata(r, |m| m.loops[i].nesting_depth = v));
             }
             push(&|r| edit_metadata(r, |m| m.loops[i].encoder_overflowed = !l.encoder_overflowed));
-            let new_path = PathRecord { path_id: 1, first_occurrence: 0, iterations: 1 };
+            let new_path = PathRecord { path_id: 1, iterations: 1 };
             push(&|r| edit_metadata(r, |m| m.loops[i].paths.push(new_path)));
             push(&|r| {
                 edit_metadata(r, |m| {
@@ -778,12 +778,12 @@ mod tests {
                 for v in [!p.path_id, p.path_id ^ 1] {
                     push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].path_id = v));
                 }
-                for v in [!p.first_occurrence, p.first_occurrence ^ 1] {
-                    push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].first_occurrence = v));
-                }
                 for v in [!p.iterations, p.iterations ^ 1] {
                     push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].iterations = v));
                 }
+            }
+            for j in 1..l.paths.len() {
+                push(&|r| edit_metadata(r, |m| m.loops[i].paths.swap(j - 1, j)));
             }
             let new_target = IndirectTargetRecord { target: 4, code: 1 };
             push(&|r| edit_metadata(r, |m| m.loops[i].indirect_targets.push(new_target)));

@@ -9,18 +9,55 @@
 //! Every data structure holds `L` as a [`PackedMetadata`]: one heap block of
 //! LEB128 varints in which consecutive identical loop records are stored once,
 //! as a run.  The loop monitor writes it as each loop exits, and the wire, the
-//! signature, the reference database, snapshots and the verifier's verdict
-//! cache carry it as it is, so no verifier path expands a run.  Three things
-//! do, allocating per loop execution, and are meant for locally produced
-//! measurements: the paper's fixed-width layout
-//! ([`PackedMetadata::to_bytes`], [`PackedMetadata::size_bytes`]) and
-//! [`Metadata`], the decoded view ([`PackedMetadata::decode`]) for tests, the
-//! CLI and the experiments that inspect loop records.
+//! signature, the reference database and snapshots carry it as it is, so no
+//! verifier path expands a run.  Three things do, allocating per loop
+//! execution, and are meant for locally produced measurements: the paper's
+//! fixed-width layout ([`PackedMetadata::to_bytes`],
+//! [`PackedMetadata::size_bytes`]) and [`Metadata`], the decoded view
+//! ([`PackedMetadata::decode`]) for tests, the CLI and the experiments that
+//! inspect loop records.
 //!
 //! One walk reads the packed form, and accepts only what the writer
 //! produces.  Validating it ([`PackedMetadata::from_packed`]), decoding it
 //! ([`Metadata::from_packed`]), transcoding it and the judge's loop-path check
 //! are visitors of that walk.
+//!
+//! # Packed `L`, version 4
+//!
+//! Every value is a minimal LEB128 varint: seven bits per byte, low bits
+//! first, the top bit set on every byte but the last.  `L` is the number of
+//! stored records, then each stored record in exit order:
+//!
+//! | # | field | present | value |
+//! |---|---|---|---|
+//! | 0 | stored records | once, in front | `u32`; each record takes at least 3 bytes |
+//! | 1 | flag | always | `(repeats << 3) \| same_loop << 2 \| has_targets << 1 \| encoder_overflowed` |
+//! | 2 | entry | `same_loop` clear | `u32` |
+//! | 3 | exit | `same_loop` clear | `u32` |
+//! | 4 | nesting depth | always | `usize` |
+//! | 5 | path count | always | `u32`; each path takes at least 2 bytes |
+//! | 6 | path id, iterations | per path, in order of first occurrence | `u32`, `u64` |
+//! | 7 | target count | `has_targets` set | `u32`, at least 1; each target takes at least 2 bytes |
+//! | 8 | target, code | per target | `u32`, `u32` |
+//!
+//! * A stored record stands for `repeats + 1` consecutive loop executions
+//!   that recorded the same loop record; the runs total at most `u32::MAX`.
+//! * `same_loop` says that the record's entry and exit are those of the
+//!   stored record before it, and it is set exactly then: never on the first
+//!   record, and always when the two loops are the same.
+//! * A path's index of first occurrence is its position in the list.
+//! * A record with no indirect target has `has_targets` clear and no target
+//!   count.
+//! * Runs are maximal: no stored record equals the one before it.
+//!
+//! Each of these forms is the only one the writer produces for its metadata,
+//! so two packed values are equal exactly when the metadata are.  The reader
+//! refuses any other form with a typed [`serde::Error`]: a varint longer than
+//! its value needs ([`NonCanonicalVarint`](serde::Error::NonCanonicalVarint)),
+//! a flag that misstates `same_loop` or `has_targets`
+//! ([`NonCanonicalRecord`](serde::Error::NonCanonicalRecord)), and a record
+//! equal to the one before it
+//! ([`NonMaximalRun`](serde::Error::NonMaximalRun)).
 
 /// One indirect-branch target observed inside a loop, with the n-bit code the CAM
 /// assigned to it.
@@ -32,13 +69,12 @@ pub struct IndirectTargetRecord {
     pub code: u32,
 }
 
-/// One unique path through a loop body.
+/// One unique path through a loop body.  Its index of first occurrence
+/// within the loop execution is its position in [`LoopRecord::paths`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathRecord {
     /// The path ID (sentinel-prefixed encoding; 0 if the encoder overflowed).
     pub path_id: u32,
-    /// Zero-based index of this path's first occurrence within the loop execution.
-    pub first_occurrence: usize,
     /// Number of iterations that followed this path.
     pub iterations: u64,
 }
@@ -188,23 +224,26 @@ const HEADER_FIRST: &str = "the walk reads a loop's header before its records";
 /// The auxiliary metadata `L` of one attested execution, packed into one heap
 /// block.
 ///
-/// The bytes are the number of stored records, then per stored record its
-/// entry, exit, depth, flag and path count, each path's id, first occurrence
-/// and iterations, its target count, each target and code — each as a LEB128
-/// varint.  A value takes one byte per 7 significant bits, so the counts,
-/// flags and small addresses that dominate `L` take a byte or two.
+/// The bytes follow the [version-4 grammar](self#packed-l-version-4): the
+/// number of stored records, then per stored record a flag, its entry and
+/// exit unless they are those of the record before it, its depth, its paths
+/// as `(path_id, iterations)` in order of first occurrence, and its indirect
+/// targets when it has any — each as a LEB128 varint.  A value takes one byte
+/// per 7 significant bits, so the counts, flags and small addresses that
+/// dominate `L` take a byte or two.
 ///
-/// A stored record is a run: the flag is `(repeats << 1) |
-/// encoder_overflowed`, and the record stands for `repeats + 1` consecutive
-/// loop executions that recorded the same loop record.  A record that does
-/// not repeat has the flag 0 or 1: one byte, as for a plain flag.
+/// A stored record is a run: it stands for `repeats + 1` consecutive loop
+/// executions that recorded the same loop record, and its flag carries
+/// `repeats` above three bits.  A record that does not repeat has a flag
+/// below 8: one byte.
 ///
 /// Only the writer (which the loop monitor and [`Metadata::pack`] drive) and
 /// the validating [`PackedMetadata::from_packed`] build one.  The writer folds
 /// every record equal to the one before it into that record's run, and the
-/// reader accepts maximal runs only, so the bytes are canonical: two values
-/// are equal exactly when the metadata are.  The codec form is the bytes
-/// behind a `u32` length, and it is what the attestation signature covers.
+/// reader accepts only the writer's forms, so the bytes are canonical: two
+/// values are equal exactly when the metadata are.  The codec form is the
+/// bytes behind a `u32` length, and it is what the attestation signature
+/// covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedMetadata(Box<[u8]>);
 
@@ -224,6 +263,10 @@ impl PackedMetadata {
     ///   codes, counts), above `usize::MAX` in a `usize` field, or for runs
     ///   that total more than `u32::MAX` loop executions (its `value` is the
     ///   running total);
+    /// * [`serde::Error::NonCanonicalRecord`] for a flag that sets
+    ///   `same_loop` on the first stored record, or clears it although the
+    ///   record's entry and exit are those of the stored record before it,
+    ///   or that sets `has_targets` before a target count of 0;
     /// * [`serde::Error::NonMaximalRun`] for a stored record equal to the one
     ///   before it, which the writer would have folded into its run;
     /// * [`serde::Error::UnexpectedEof`] for truncation, or for a count of
@@ -275,12 +318,15 @@ impl PackedMetadata {
     /// overflowed:u8, path_count:u32, {path_id:u32, first_occurrence:u64,
     /// iterations:u64}*, target_count:u32, {target:u32, code:u32}*`.
     ///
-    /// The `usize` fields (`nesting_depth`, `first_occurrence`) are encoded at
-    /// their full width, matching the packed form (which carries any `u64`),
-    /// so the layout is injective over everything the wire can decode.
+    /// `first_occurrence` is the path's position in its record's list.  The
+    /// `usize` fields (`nesting_depth`, `first_occurrence`) are encoded at
+    /// their full width, matching the packed form (which carries any `u64`
+    /// depth), so the layout is injective over everything the wire can
+    /// decode.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = vec![0; 4];
-        let loops = walk(&self.0, &mut FixedWidth { out: &mut out, record: 0 }).expect(PACKED);
+        let mut layout = FixedWidth { out: &mut out, record: 0, path: 0 };
+        let loops = walk(&self.0, &mut layout).expect(PACKED);
         out[..4].copy_from_slice(&loops.to_le_bytes());
         out
     }
@@ -341,28 +387,35 @@ pub(crate) struct PackedWriter {
     open: Option<Run>,
 }
 
-/// Where one record sits in [`PackedWriter`]'s bytes.
+/// One record in [`PackedWriter`]'s bytes.
 #[derive(Debug, Clone, Copy)]
 struct Run {
-    /// Offset of its first byte.
+    /// Its fixed fields.
+    header: LoopHeader,
+    /// Offset of its flag varint, its first byte.
     start: usize,
-    /// Offset of its flag varint.
-    flag_at: usize,
     /// Length of its flag varint.
     flag_len: usize,
-    /// Its flag: `(repeats << 1) | encoder_overflowed`.
+    /// Its flag (see [`flag`]).
     flag: u64,
+    /// Length of the varints between the flag and the path count: entry and
+    /// exit unless the flag sets `same_loop`, then the depth.
+    head_len: usize,
 }
 
 impl Run {
+    /// Offset of its path count: its paths and targets follow.
+    fn tail(&self) -> usize {
+        self.start + self.flag_len + self.head_len
+    }
+
     /// Whether `next`, the record written right after this run in `records`,
-    /// is the same loop record: the same bytes around the flags, and the
-    /// same overflow bit.
+    /// is the same loop record: the same fixed fields, and the same bytes
+    /// from the path count on.  Those bytes hold a target count exactly when
+    /// the flag sets `has_targets`, so equal bytes mean equal paths and
+    /// equal targets.
     fn same_record(&self, records: &[u8], next: &Run) -> bool {
-        let after_flag = |run: &Run, end: usize| &records[run.flag_at + run.flag_len..end];
-        records[self.start..self.flag_at] == records[next.start..next.flag_at]
-            && self.flag & 1 == next.flag & 1
-            && after_flag(self, next.start) == after_flag(next, records.len())
+        self.header == next.header && records[self.tail()..next.start] == records[next.tail()..]
     }
 }
 
@@ -395,33 +448,40 @@ impl PackedWriter {
     /// boundary, and the bytes after it move up.
     fn add_repeats(&mut self, count: u64) {
         let last = self.last.as_mut().expect(HEADER_FIRST);
-        last.flag += count << 1;
+        last.flag += count << flag::REPEATS;
         let len = varint_len(last.flag);
         if len > last.flag_len {
-            let at = last.flag_at + last.flag_len;
+            let at = last.start + last.flag_len;
             self.records.splice(at..at, std::iter::repeat_n(0, len - last.flag_len));
             last.flag_len = len;
         }
         let mut value = last.flag;
-        for byte in &mut self.records[last.flag_at..last.flag_at + len] {
+        for byte in &mut self.records[last.start..last.start + len] {
             *byte = value as u8 | 0x80;
             value >>= 7;
         }
-        self.records[last.flag_at + len - 1] &= 0x7f;
+        self.records[last.start + len - 1] &= 0x7f;
     }
 }
 
 impl Visit for PackedWriter {
+    /// Opens the record with a one-byte flag (its repeats come when it
+    /// closes, `has_targets` with its target count), and writes its entry
+    /// and exit only when they differ from the last stored run's.
     fn loop_header(&mut self, header: &LoopHeader) {
         self.close();
-        let LoopHeader { entry, exit, nesting_depth, encoder_overflowed } = *header;
+        let same_loop = self.last.is_some_and(|last| last.header.same_loop(header));
         let start = self.records.len();
-        for value in [entry.into(), exit.into(), nesting_depth as u64] {
-            put_varint(&mut self.records, value);
+        let same_loop_bit = if same_loop { flag::SAME_LOOP } else { 0 };
+        let flag = same_loop_bit | u64::from(header.encoder_overflowed);
+        self.records.push(flag as u8);
+        if !same_loop {
+            put_varint(&mut self.records, header.entry.into());
+            put_varint(&mut self.records, header.exit.into());
         }
-        let (flag_at, flag) = (self.records.len(), encoder_overflowed.into());
-        put_varint(&mut self.records, flag);
-        self.open = Some(Run { start, flag_at, flag_len: 1, flag });
+        put_varint(&mut self.records, header.nesting_depth as u64);
+        let head_len = self.records.len() - start - 1;
+        self.open = Some(Run { header: *header, start, flag_len: 1, flag, head_len });
     }
 
     fn paths(&mut self, count: usize) {
@@ -430,11 +490,16 @@ impl Visit for PackedWriter {
 
     fn path(&mut self, path: PathRecord) {
         put_varint(&mut self.records, path.path_id.into());
-        put_varint(&mut self.records, path.first_occurrence as u64);
         put_varint(&mut self.records, path.iterations);
     }
 
     fn targets(&mut self, count: usize) {
+        if count == 0 {
+            return;
+        }
+        let open = self.open.as_mut().expect(HEADER_FIRST);
+        open.flag |= flag::HAS_TARGETS;
+        self.records[open.start] = open.flag as u8;
         put_varint(&mut self.records, count as u64);
     }
 
@@ -451,6 +516,20 @@ impl Visit for PackedWriter {
     }
 }
 
+/// The flag varint that opens each stored record: `(repeats << 3) |
+/// same_loop << 2 | has_targets << 1 | encoder_overflowed`.
+mod flag {
+    /// The record's encoder overflowed.
+    pub(super) const OVERFLOWED: u64 = 1;
+    /// A target count and the targets end the record.
+    pub(super) const HAS_TARGETS: u64 = 1 << 1;
+    /// The record's entry and exit are those of the stored record before
+    /// it, and are not written.
+    pub(super) const SAME_LOOP: u64 = 1 << 2;
+    /// The shift of the run's repeats.
+    pub(super) const REPEATS: u32 = 3;
+}
+
 /// The fixed fields of one loop record, ahead of its paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LoopHeader {
@@ -460,6 +539,13 @@ pub(crate) struct LoopHeader {
     pub(crate) encoder_overflowed: bool,
 }
 
+impl LoopHeader {
+    /// Whether `next` records the same loop: the same entry and exit.
+    fn same_loop(&self, next: &LoopHeader) -> bool {
+        (self.entry, self.exit) == (next.entry, next.exit)
+    }
+}
+
 /// What a walk over `L` hands on, group by group, in the order the packed
 /// form holds the fields: each stored record once, then how many more loop
 /// executions its run stands for.  Each method ignores its argument by
@@ -467,13 +553,14 @@ pub(crate) struct LoopHeader {
 pub(crate) trait Visit {
     /// The number of stored records (runs).
     fn loops(&mut self, _runs: usize) {}
-    /// The next record's fixed fields.
+    /// The next record's fixed fields, entry and exit included whether or
+    /// not the packed record restates them.
     fn loop_header(&mut self, _header: &LoopHeader) {}
     /// The number of paths of the current record.
     fn paths(&mut self, _count: usize) {}
     /// One path of the current record, in order of first occurrence.
     fn path(&mut self, _path: PathRecord) {}
-    /// The number of indirect targets of the current record.
+    /// The number of indirect targets of the current record, 0 included.
     fn targets(&mut self, _count: usize) {}
     /// One indirect target of the current record.
     fn target(&mut self, _target: IndirectTargetRecord) {}
@@ -495,17 +582,20 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<(), serde::Error> {
     walk(bytes, &mut ()).map(drop)
 }
 
-/// Fewest packed bytes one stored record takes: entry, exit, depth, flag and
-/// its two counts, one byte each.
-const LOOP_MIN_BYTES: usize = 6;
+/// Fewest packed bytes one stored record takes: flag, depth and path count,
+/// one byte each.
+const LOOP_MIN_BYTES: usize = 3;
+
+/// Fewest packed bytes one path, or one indirect target, takes: two varints.
+const PAIR_MIN_BYTES: usize = 2;
 
 /// Reads packed `L` front to back, hands each field group of each stored
 /// record to `visit` and returns the number of loop executions the runs
-/// stand for.  Accepts only what [`PackedWriter`] writes: maximal runs that
-/// total at most `u32::MAX` loop executions.  Allocates nothing itself,
-/// compares each record with the one before it, byte for byte, and checks
-/// every count against the bytes left before `visit` hears it, so a visitor
-/// may reserve for it.
+/// stand for.  Accepts only what [`PackedWriter`] writes: flags that state
+/// `same_loop` and `has_targets` exactly, and maximal runs that total at
+/// most `u32::MAX` loop executions.  Allocates nothing itself, compares each
+/// record's values with the one before it, and checks every count against
+/// the bytes left before `visit` hears it, so a visitor may reserve for it.
 ///
 /// # Errors
 ///
@@ -516,32 +606,51 @@ fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<u32, serde::Error> {
     let runs = fields.count(LOOP_MIN_BYTES)?;
     visit.loops(runs);
     let mut executions = 0u64;
-    let mut previous = None;
+    // The stored record before the current one: its fixed fields and the
+    // bytes from its path count on.
+    let mut previous: Option<(LoopHeader, &[u8])> = None;
     for _ in 0..runs {
-        let record = fields.rest();
-        let (entry, exit, nesting_depth) = (fields.u32()?, fields.u32()?, fields.usize()?);
-        let head = &record[..record.len() - fields.rest().len()];
         let flag = fields.varint()?;
-        let (repeats, encoder_overflowed) = (flag >> 1, flag & 1 == 1);
-        // At most `u32::MAX` plus `2^63`: no overflow.
+        let repeats = flag >> flag::REPEATS;
+        // At most `u32::MAX` plus `2^61`: no overflow.
         executions += repeats + 1;
         if executions > u32::MAX.into() {
             return Err(serde::Error::IntegerOverflow { value: executions });
         }
-        visit.loop_header(&LoopHeader { entry, exit, nesting_depth, encoder_overflowed });
+        let same_loop = flag & flag::SAME_LOOP != 0;
+        let (entry, exit) = match (same_loop, previous) {
+            (true, Some((before, _))) => (before.entry, before.exit),
+            (true, None) => return Err(serde::Error::NonCanonicalRecord),
+            (false, _) => (fields.u32()?, fields.u32()?),
+        };
+        let header = LoopHeader {
+            entry,
+            exit,
+            nesting_depth: fields.usize()?,
+            encoder_overflowed: flag & flag::OVERFLOWED != 0,
+        };
+        if !same_loop && previous.is_some_and(|(before, _)| before.same_loop(&header)) {
+            return Err(serde::Error::NonCanonicalRecord);
+        }
+        visit.loop_header(&header);
         let tail = fields.rest();
-        let paths = fields.count(3)?;
+        let paths = fields.count(PAIR_MIN_BYTES)?;
         visit.paths(paths);
         for _ in 0..paths {
-            let (path_id, first_occurrence) = (fields.u32()?, fields.usize()?);
-            visit.path(PathRecord { path_id, first_occurrence, iterations: fields.varint()? });
+            visit.path(PathRecord { path_id: fields.u32()?, iterations: fields.varint()? });
         }
-        let targets = fields.count(2)?;
+        let targets = match flag & flag::HAS_TARGETS {
+            0 => 0,
+            _ => match fields.count(PAIR_MIN_BYTES)? {
+                0 => return Err(serde::Error::NonCanonicalRecord),
+                targets => targets,
+            },
+        };
         visit.targets(targets);
         for _ in 0..targets {
             visit.target(IndirectTargetRecord { target: fields.u32()?, code: fields.u32()? });
         }
-        let current = Some((head, encoder_overflowed, &tail[..tail.len() - fields.rest().len()]));
+        let current = Some((header, &tail[..tail.len() - fields.rest().len()]));
         if current == previous {
             return Err(serde::Error::NonMaximalRun);
         }
@@ -555,13 +664,15 @@ fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<u32, serde::Error> {
 
 /// The streaming writer of the fixed-width layout, behind the loop count
 /// [`PackedMetadata::to_bytes`] fills in: each field group the walk reads,
-/// at its fixed width, and each record once more per repeat of its run.
-/// The reader bounds every count and `u32` field by `u32::MAX`, so the casts
-/// below are lossless.
+/// at its fixed width, each path with its position as its first occurrence,
+/// and each record once more per repeat of its run.  The reader bounds every
+/// count and `u32` field by `u32::MAX`, so the casts below are lossless.
 struct FixedWidth<'s> {
     out: &'s mut Vec<u8>,
     /// Where the current record starts in `out`.
     record: usize,
+    /// The next path's position in the current record.
+    path: u64,
 }
 
 impl Visit for FixedWidth<'_> {
@@ -574,13 +685,15 @@ impl Visit for FixedWidth<'_> {
     }
 
     fn paths(&mut self, count: usize) {
+        self.path = 0;
         self.out.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     fn path(&mut self, path: PathRecord) {
         self.out.extend_from_slice(&path.path_id.to_le_bytes());
-        self.out.extend_from_slice(&(path.first_occurrence as u64).to_le_bytes());
+        self.out.extend_from_slice(&self.path.to_le_bytes());
         self.out.extend_from_slice(&path.iterations.to_le_bytes());
+        self.path += 1;
     }
 
     fn targets(&mut self, count: usize) {
@@ -721,8 +834,8 @@ pub(crate) mod tests {
                     exit: 0x1024,
                     nesting_depth: 1,
                     paths: vec![
-                        PathRecord { path_id: 0b1011, first_occurrence: 0, iterations: 5 },
-                        PathRecord { path_id: 0b10011, first_occurrence: 1, iterations: 2 },
+                        PathRecord { path_id: 0b1011, iterations: 5 },
+                        PathRecord { path_id: 0b10011, iterations: 2 },
                     ],
                     indirect_targets: vec![IndirectTargetRecord { target: 0x2000, code: 1 }],
                     encoder_overflowed: false,
@@ -731,7 +844,7 @@ pub(crate) mod tests {
                     entry: 0x1040,
                     exit: 0x1050,
                     nesting_depth: 2,
-                    paths: vec![PathRecord { path_id: 0b11, first_occurrence: 0, iterations: 9 }],
+                    paths: vec![PathRecord { path_id: 0b11, iterations: 9 }],
                     indirect_targets: vec![],
                     encoder_overflowed: true,
                 },
@@ -750,9 +863,9 @@ pub(crate) mod tests {
             out.extend_from_slice(&(l.nesting_depth as u64).to_le_bytes());
             out.push(u8::from(l.encoder_overflowed));
             out.extend_from_slice(&(l.paths.len() as u32).to_le_bytes());
-            for p in &l.paths {
+            for (first_occurrence, p) in l.paths.iter().enumerate() {
                 out.extend_from_slice(&p.path_id.to_le_bytes());
-                out.extend_from_slice(&(p.first_occurrence as u64).to_le_bytes());
+                out.extend_from_slice(&(first_occurrence as u64).to_le_bytes());
                 out.extend_from_slice(&p.iterations.to_le_bytes());
             }
             out.extend_from_slice(&(l.indirect_targets.len() as u32).to_le_bytes());
@@ -808,7 +921,7 @@ pub(crate) mod tests {
     fn size_grows_with_paths_and_targets() {
         let base = sample().pack().size_bytes();
         let mut more = sample();
-        more.loops[0].paths.push(PathRecord { path_id: 0b111, first_occurrence: 2, iterations: 1 });
+        more.loops[0].paths.push(PathRecord { path_id: 0b111, iterations: 1 });
         more.loops[1].indirect_targets.push(IndirectTargetRecord { target: 0x3000, code: 2 });
         assert!(more.pack().size_bytes() > base);
     }
@@ -822,12 +935,12 @@ pub(crate) mod tests {
     /// Arbitrary metadata: no loops or up to three distinct-or-not records,
     /// each with up to three paths and two indirect targets, either overflow
     /// flag, and every field anywhere in its range, its maximum included;
-    /// each record executed up to three times in a row.
+    /// each record executed up to three times in a row, and about half of
+    /// them recording the loop (entry and exit) of the record before.
     pub(crate) fn arbitrary() -> impl Strategy<Value = Metadata> {
         let u32_max = u64::from(u32::MAX);
-        let path = (value(u32_max), value(u64::MAX), value(u64::MAX)).prop_map(|(id, first, n)| {
-            PathRecord { path_id: id as u32, first_occurrence: first as usize, iterations: n }
-        });
+        let path = (value(u32_max), value(u64::MAX))
+            .prop_map(|(id, n)| PathRecord { path_id: id as u32, iterations: n });
         let target = (value(u32_max), value(u32_max)).prop_map(|(target, code)| {
             IndirectTargetRecord { target: target as u32, code: code as u32 }
         });
@@ -847,9 +960,16 @@ pub(crate) mod tests {
                     encoder_overflowed,
                 },
             );
-        let run = (one_loop, 1..4usize).prop_map(|(record, n)| vec![record; n]);
-        proptest::collection::vec(run, 0..4)
-            .prop_map(|runs| Metadata { loops: runs.into_iter().flatten().collect() })
+        proptest::collection::vec((one_loop, 1..4usize, any::<bool>()), 0..4).prop_map(|runs| {
+            let mut loops: Vec<LoopRecord> = Vec::new();
+            for (mut record, n, same_loop) in runs {
+                if let (true, Some(before)) = (same_loop, loops.last()) {
+                    (record.entry, record.exit) = (before.entry, before.exit);
+                }
+                loops.extend(std::iter::repeat_n(record, n));
+            }
+            Metadata { loops }
+        })
     }
 
     /// Most loop executions a test decodes: a one-byte edit can turn a
@@ -882,14 +1002,17 @@ pub(crate) mod tests {
         blob
     }
 
+    /// The sample in the version-4 grammar: the run count, then per record
+    /// its flag, entry, exit, depth, paths and, for the first record only,
+    /// its one target.
     #[test]
-    fn packed_form_is_the_varints_of_the_fixed_width_fields() {
+    fn packed_form_follows_the_version_4_grammar() {
         let m = sample();
         #[rustfmt::skip]
         let expected = [
             2,
-            0x90, 0x20, 0xa4, 0x20, 1, 0, 2, 0b1011, 0, 5, 0b10011, 1, 2, 1, 0x80, 0x40, 1,
-            0xc0, 0x20, 0xd0, 0x20, 2, 1, 1, 0b11, 0, 9, 0,
+            0b010, 0x90, 0x20, 0xa4, 0x20, 1, 2, 0b1011, 5, 0b10011, 2, 1, 0x80, 0x40, 1,
+            0b001, 0xc0, 0x20, 0xd0, 0x20, 2, 1, 0b11, 9,
         ];
         let packed = m.pack();
         assert_eq!(packed.as_bytes(), expected);
@@ -907,32 +1030,45 @@ pub(crate) mod tests {
     #[test]
     fn every_rejection_has_its_typed_error() {
         let decode = |bytes: &[u8]| Metadata::from_packed(bytes).unwrap_err();
-        // Overlong: a zero last byte, or a tenth byte above bit 63.
+        // Overlong: a zero last byte (here the flag's), or a tenth byte
+        // above bit 63 (here a path's iterations).
         assert_eq!(decode(&[0x80, 0x00]), Error::NonCanonicalVarint);
         assert_eq!(decode(&[1, 0x81, 0x00, 0, 0, 0, 0, 0]), Error::NonCanonicalVarint);
         let wide = [[0xff; 9].as_slice(), &[0x02]].concat();
         assert_eq!(
-            decode(&[&[1, 1, 1, 1, 0, 1, 1][..], &wide, &[0]].concat()),
+            decode(&[&[1, 0, 1, 1, 0, 1, 1][..], &wide].concat()),
             Error::NonCanonicalVarint
         );
         // A `u32` field or count above `u32::MAX`.
         let entry = [0x80, 0x80, 0x80, 0x80, 0x10];
         assert_eq!(
-            decode(&[&[1][..], &entry, &[0, 1, 0, 0, 0]].concat()),
+            decode(&[&[1, 0][..], &entry, &[0, 1, 0]].concat()),
             Error::IntegerOverflow { value: 1 << 32 }
         );
         assert_eq!(decode(&entry), Error::IntegerOverflow { value: 1 << 32 });
+        // A flag that misstates its record: `same_loop` on the first record,
+        // `same_loop` clear before the entry and exit of the record before,
+        // and `has_targets` before a target count of 0.
+        let record = [0, 0, 0, 1, 0];
+        assert_eq!(decode(&[1, 0b100, 1, 0]), Error::NonCanonicalRecord);
+        assert_eq!(
+            decode(&[&[2][..], &record, &[0, 0, 0, 2, 0]].concat()),
+            Error::NonCanonicalRecord
+        );
+        assert_eq!(decode(&[1, 0b010, 0, 0, 1, 0, 0]), Error::NonCanonicalRecord);
+        // The canonical forms of the last two.
+        assert!(Metadata::from_packed(&[&[2][..], &record, &[0b100, 2, 0]].concat()).is_ok());
+        assert!(Metadata::from_packed(&[1, 0, 0, 0, 1, 0]).is_ok());
         // A stored record equal to the one before it, whatever their runs.
-        let record = [0, 0, 1, 0, 0, 0];
-        assert_eq!(decode(&[&[2][..], &record, &record].concat()), Error::NonMaximalRun);
-        let twice = [0, 0, 1, 2, 0, 0];
+        assert_eq!(decode(&[&[2][..], &record, &[0b100, 1, 0]].concat()), Error::NonMaximalRun);
+        let twice = [(1 << 3) | 0b100, 1, 0];
         assert_eq!(decode(&[&[2][..], &record, &twice].concat()), Error::NonMaximalRun);
         // Runs that total more than `u32::MAX` loop executions, in one run
         // or over two.
         let run = |repeats: u64| {
-            let mut bytes = vec![0, 0, 1];
-            put_varint(&mut bytes, repeats << 1);
-            bytes.extend([0, 0]);
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, repeats << 3);
+            bytes.extend([0, 0, 1, 0]);
             bytes
         };
         let over = u64::from(u32::MAX) + 1;
@@ -940,26 +1076,26 @@ pub(crate) mod tests {
             decode(&[&[1][..], &run(over - 1)].concat()),
             Error::IntegerOverflow { value: over }
         );
-        let other = [1, 0, 1, 0, 0, 0];
+        let other = [0, 1, 0, 1, 0];
         assert_eq!(
             decode(&[&[2][..], &other, &run(over - 2)].concat()),
             Error::IntegerOverflow { value: over }
         );
         assert_eq!(
-            decode(&[&[1][..], &run(u64::MAX >> 1)].concat()),
-            Error::IntegerOverflow { value: 1 << 63 }
+            decode(&[&[1][..], &run(u64::MAX >> 3)].concat()),
+            Error::IntegerOverflow { value: 1 << 61 }
         );
         // The most a run may claim, read without expanding it.
         let most = PackedMetadata::from_packed(&[&[1][..], &run(over - 2)].concat()).unwrap();
         assert_eq!((most.run_count(), most.loop_count()), (1, u32::MAX as usize));
-        // A flag of 2 is a record that repeats once.
-        let repeated = Metadata::from_packed(&[1, 0, 0, 1, 2, 0, 0]).unwrap();
+        // A flag of 8 is a record that repeats once.
+        let repeated = Metadata::from_packed(&[1, 8, 0, 0, 1, 0]).unwrap();
         assert_eq!(repeated.loops.len(), 2);
         assert_eq!(repeated.loops[0], repeated.loops[1]);
-        // A count the bytes left cannot hold: 5 loops need at least 30.
+        // A count the bytes left cannot hold: 5 loops need at least 15.
         assert_eq!(
             decode(&[5, 0, 0, 0, 0, 0, 0]),
-            Error::UnexpectedEof { needed: 30, remaining: 6 }
+            Error::UnexpectedEof { needed: 15, remaining: 6 }
         );
         // Truncation at every cut, and trailing bytes.
         let packed = sample().pack();
@@ -985,16 +1121,37 @@ pub(crate) mod tests {
             let view = Metadata { loops: [vec![record.clone(); n], vec![other.clone()]].concat() };
             let packed = view.pack();
             assert_eq!((packed.run_count(), packed.loop_count()), (2, n + 1), "{n}");
-            let flag = ((n as u64 - 1) << 1) | 1;
-            let mut expected = vec![2, 0xc0, 0x20, 0xd0, 0x20, 2];
+            let flag = ((n as u64 - 1) << 3) | 1;
+            let mut expected = vec![2];
             put_varint(&mut expected, flag);
-            expected.extend([1, 0b11, 0, 9, 0]);
+            expected.extend([0xc0, 0x20, 0xd0, 0x20, 2, 1, 0b11, 9]);
             assert_eq!(packed.as_bytes()[..expected.len()], expected, "{n}");
             assert_eq!(packed.decode(), view, "{n}");
             assert_eq!(packed.to_bytes(), fixed_width(&view), "{n}");
         }
-        // A record that does not repeat costs what it did before runs.
-        assert_eq!(sample().pack().packed_len(), 29);
+        // A record that does not repeat costs one byte of flag.
+        assert_eq!(sample().pack().packed_len(), 25);
+    }
+
+    /// A record of the loop the record before it recorded writes neither
+    /// entry nor exit, and runs of either one still fold.
+    #[test]
+    fn records_of_the_same_loop_omit_its_entry_and_exit() {
+        let first = sample().loops[1].clone();
+        let mut second = first.clone();
+        second.paths[0].iterations = 10;
+        let view = Metadata { loops: vec![first.clone(), second.clone(), second, first] };
+        let packed = view.pack();
+        #[rustfmt::skip]
+        let expected = [
+            3,
+            0b001, 0xc0, 0x20, 0xd0, 0x20, 2, 1, 0b11, 9,
+            (1 << 3) | 0b101, 2, 1, 0b11, 10,
+            0b101, 2, 1, 0b11, 9,
+        ];
+        assert_eq!(packed.as_bytes(), expected);
+        assert_eq!(packed.decode(), view);
+        assert_eq!(packed.to_bytes(), fixed_width(&view));
     }
 
     #[test]
@@ -1006,8 +1163,8 @@ pub(crate) mod tests {
             Err(Error::UnexpectedEof { needed, remaining: 0 })
         );
         // The same count of paths inside a loop.
-        let blob = [&[1, 0, 0, 1, 0][..], &count, &[0]].concat();
-        let needed = u32::MAX as usize * 3;
+        let blob = [&[1, 0, 0, 0, 1][..], &count, &[0]].concat();
+        let needed = u32::MAX as usize * PAIR_MIN_BYTES;
         assert_eq!(
             Metadata::from_packed(&blob),
             Err(Error::UnexpectedEof { needed, remaining: 1 })
@@ -1035,14 +1192,15 @@ pub(crate) mod tests {
         }
 
         /// Equal packed bytes exactly when the views are equal: a view and
-        /// its copy pack alike, and one record repeated, dropped or edited
-        /// packs differently.
+        /// its copy pack alike, and one record repeated, dropped, edited or
+        /// with its paths reversed packs alike only when the edit left the
+        /// view as it was.
         #[test]
         fn packed_bytes_are_equal_exactly_when_views_are(
             metadata in arbitrary(),
             other in arbitrary(),
             at in any::<usize>(),
-            edit in 0..3u8,
+            edit in 0..4u8,
         ) {
             prop_assert_eq!(metadata.pack() == other.pack(), metadata == other);
             prop_assert_eq!(metadata.clone().pack(), metadata.pack());
@@ -1056,9 +1214,10 @@ pub(crate) mod tests {
                 1 => {
                     edited.loops.remove(at);
                 }
-                _ => edited.loops[at].nesting_depth ^= 1,
+                2 => edited.loops[at].nesting_depth ^= 1,
+                _ => edited.loops[at].paths.reverse(),
             }
-            prop_assert_ne!(edited.pack(), metadata.pack());
+            prop_assert_eq!(edited.pack() == metadata.pack(), edited == metadata);
         }
 
         /// A blob the reader accepts is the writer's output for what it

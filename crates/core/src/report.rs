@@ -144,7 +144,7 @@ pub(crate) mod tests {
                 entry: 0x1000,
                 exit: 0x1010,
                 nesting_depth: 1,
-                paths: vec![PathRecord { path_id: 3, first_occurrence: 0, iterations: 4 }],
+                paths: vec![PathRecord { path_id: 3, iterations: 4 }],
                 indirect_targets: vec![],
                 encoder_overflowed: false,
             }],

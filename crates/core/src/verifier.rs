@@ -441,11 +441,7 @@ mod tests {
         let challenge = verifier.challenge(vec![1, 2, 3]);
         let run = prover.attest(&challenge.input, challenge.nonce).unwrap();
         let mut metadata = run.report.metadata.decode();
-        metadata.loops[0].paths.push(PathRecord {
-            path_id: 0b1_1111,
-            first_occurrence: 1,
-            iterations: 1,
-        });
+        metadata.loops[0].paths.push(PathRecord { path_id: 0b1_1111, iterations: 1 });
         let metadata = metadata.pack();
         let payload = AttestationReport::signed_bytes(
             "sum",

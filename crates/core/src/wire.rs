@@ -21,7 +21,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "LFAT"
-//! 4       2     version (little-endian u16, currently 3)
+//! 4       2     version (little-endian u16, currently 4)
 //! 6       8     session id (little-endian u64)
 //! 14      4     body length (little-endian u32)
 //! 18      n     body: serde encoding of `Message`
@@ -40,8 +40,11 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LFAT";
 /// field at fixed width.  Version 3 stores identical consecutive loop
 /// records of `L` once, as a run, and signs the report's own wire encoding
 /// up to the nonce ([`AttestationReport::payload`]) instead of `L`'s
-/// fixed-width layout.
-pub const WIRE_VERSION: u16 = 3;
+/// fixed-width layout.  Version 4 writes a loop record's entry and exit only
+/// when they differ from the stored record's before it, its targets only
+/// when it has any, and no path's index of first occurrence (the
+/// [version-4 grammar](crate::metadata#packed-l-version-4)).
+pub const WIRE_VERSION: u16 = 4;
 
 /// Size of the fixed envelope header in bytes.
 pub const HEADER_BYTES: usize = 18;
@@ -375,11 +378,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LFSN";
 /// measurement database's valid-path table, version 3 stores each
 /// reference's metadata packed, as the wire does, version 4 keeps one
 /// watermark per shard and no live session, version 5 stores that
-/// metadata run-length, as wire version 3 does, and version 6 drops the
+/// metadata run-length, as wire version 3 does, version 6 drops the
 /// verdict cache's capacity from the configuration and its evictions from
-/// the books; an older document is refused, so a service never restarts
+/// the books, and version 7 stores that metadata in the grammar of wire
+/// version 4; an older document is refused, so a service never restarts
 /// from one with fresh nonce counters.
-pub const SNAPSHOT_VERSION: u16 = 6;
+pub const SNAPSHOT_VERSION: u16 = 7;
 
 /// Size of the fixed snapshot header in bytes: magic (4) + version (2) +
 /// body length (4) + SHA3-256 body digest (32).

@@ -28,10 +28,10 @@ impl Permissions {
 }
 
 /// A contiguous memory segment.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Segment {
     /// Human-readable name (`.text`, `.data`, `stack`, …).
-    pub name: String,
+    pub name: &'static str,
     /// Base address of the segment.
     pub base: u32,
     /// Segment contents.
@@ -42,8 +42,8 @@ pub struct Segment {
 
 impl Segment {
     /// Creates a segment from its parts.
-    pub fn new(name: impl Into<String>, base: u32, bytes: Vec<u8>, perms: Permissions) -> Self {
-        Self { name: name.into(), base, bytes, perms }
+    pub fn new(name: &'static str, base: u32, bytes: Vec<u8>, perms: Permissions) -> Self {
+        Self { name, base, bytes, perms }
     }
 
     /// End address (exclusive).

@@ -144,7 +144,7 @@ mod tests {
     fn memory_layout_has_three_segments() {
         let program = Program::from_instructions(&[nop()]);
         let memory = program.build_memory().unwrap();
-        let names: Vec<_> = memory.segments().iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<_> = memory.segments().iter().map(|s| s.name).collect();
         assert_eq!(names, vec![".text", ".data", "stack"]);
         assert!(program.initial_sp() > DEFAULT_STACK_BASE);
     }

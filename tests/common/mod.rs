@@ -202,20 +202,40 @@ pub fn runs(metadata: &lofat::Metadata) -> Vec<(lofat::LoopRecord, u64)> {
     loops.map(|run| (run[0].clone(), run.len() as u64)).collect()
 }
 
-/// Packed `L` storing `runs` as given, maximal or not: the writer's layout,
-/// with each run's loop executions in its record's flag.
+/// Packed `L` storing `runs` as given, maximal or not, written field by
+/// field from the version-4 grammar (see `lofat::metadata`): per run a flag
+/// holding its repeats, `same_loop` and `has_targets`, the entry and exit
+/// unless they are the run before's, the depth, the paths and, when it has
+/// any, the targets.
 pub fn pack_runs(runs: &[(lofat::LoopRecord, u64)]) -> Vec<u8> {
     let mut out = leb128(runs.len() as u64);
+    let mut before: Option<&lofat::LoopRecord> = None;
     for (record, executions) in runs {
-        let single = lofat::Metadata { loops: vec![record.clone()] }.pack();
-        let bytes = &single.as_bytes()[1..];
-        // The flag is the one-byte varint after entry, exit and depth.
-        let ends = bytes.iter().enumerate().filter(|&(_, &byte)| byte < 0x80);
-        let flag_at = 1 + ends.map(|(at, _)| at).nth(2).expect("three varints");
-        out.extend(&bytes[..flag_at]);
-        let overflowed = u64::from(record.encoder_overflowed);
-        out.extend(leb128(((executions - 1) << 1) | overflowed));
-        out.extend(&bytes[flag_at + 1..]);
+        let same_loop = before.is_some_and(|b| (b.entry, b.exit) == (record.entry, record.exit));
+        let has_targets = !record.indirect_targets.is_empty();
+        let flag = (executions - 1) << 3
+            | u64::from(same_loop) << 2
+            | u64::from(has_targets) << 1
+            | u64::from(record.encoder_overflowed);
+        out.extend(leb128(flag));
+        if !same_loop {
+            out.extend(leb128(record.entry.into()));
+            out.extend(leb128(record.exit.into()));
+        }
+        out.extend(leb128(record.nesting_depth as u64));
+        out.extend(leb128(record.paths.len() as u64));
+        for path in &record.paths {
+            out.extend(leb128(path.path_id.into()));
+            out.extend(leb128(path.iterations));
+        }
+        if has_targets {
+            out.extend(leb128(record.indirect_targets.len() as u64));
+            for target in &record.indirect_targets {
+                out.extend(leb128(target.target.into()));
+                out.extend(leb128(target.code.into()));
+            }
+        }
+        before = Some(record);
     }
     out
 }

@@ -305,6 +305,21 @@ fn a_warmed_open_allocates_nothing_and_a_verdict_ten_times() {
     assert_eq!(counts[0].1, 10, "the first verdict: {counts:?}");
 }
 
+/// Loading crc32 into a fresh CPU allocates six times, whatever the
+/// input later poked into it: the text, data and stack segments, the data
+/// segment's growth to 4 KiB, the segment list and the predecoded program.
+/// Segment names are static strings, so naming them allocates nothing.
+#[test]
+fn a_crc32_cpu_is_built_in_six_allocations() {
+    let program =
+        catalog::by_name("crc32").expect("catalogue workload").program().expect("assemble");
+    let before = allocation_count();
+    let cpu = Cpu::new(&program).expect("load");
+    let delta = allocation_count() - before;
+    drop(cpu);
+    assert_eq!(delta, 6, "allocations in `Cpu::new`");
+}
+
 /// 20 000 held sessions keep at most 56 bytes of heap each, counted from
 /// before their inputs existed, and open with at most 0.17 allocations each:
 /// a 16-byte slot in the table's nodes.  Sweeping them all allocates nothing.

@@ -532,11 +532,44 @@ fn differential_stock_adversaries_match_legacy() {
 #[test]
 fn differential_forged_fig4_path_matches_legacy() {
     let forge: Tamper<'_> = &|report, key| {
-        let path = PathRecord { path_id: 0b1_111, first_occurrence: 2, iterations: 1 };
+        let path = PathRecord { path_id: 0b1_111, iterations: 1 };
         edit_metadata(report, |m| m.loops[0].paths.push(path));
         resign(report, key);
     };
     assert_equivalent_tampered("fig4-loop", "forged-path", vec![6], no_fault, Some(forge));
+}
+
+/// Path order is part of `L`, which the signature covers: two paths of a
+/// crc32 loop record swapped draw code 3 under the prover's signature and,
+/// re-signed with the device key, code 6 (the reference metadata), from the
+/// library and the service alike.
+#[test]
+fn differential_swapped_paths_match_legacy() {
+    let input = catalog::by_name("crc32").unwrap().default_input;
+    let swap = |report: &mut AttestationReport| {
+        edit_metadata(report, |m| {
+            let record = m.loops.iter_mut().find(|l| l.paths.len() >= 2);
+            record.expect("a loop record with two paths").paths.swap(0, 1);
+        })
+    };
+    let unsigned: Tamper<'_> = &|report, _| swap(report);
+    let signed: Tamper<'_> = &|report, key| {
+        swap(report);
+        resign(report, key);
+    };
+    for (scenario, tamper, want) in [
+        ("swapped-unsigned", unsigned, RejectionReason::BadSignature),
+        ("swapped-signed", signed, RejectionReason::MetadataMismatch),
+    ] {
+        let seed = format!("e12-diff-crc32-{scenario}");
+        let (_, _, verdict) =
+            legacy_round("crc32", &seed, input.clone(), &mut no_fault(), Some(tamper));
+        assert!(
+            matches!(&verdict, Err(LofatError::Rejected(reason)) if *reason == want),
+            "{scenario}: {verdict:?}"
+        );
+        assert_equivalent_tampered("crc32", scenario, input.clone(), no_fault, Some(tamper));
+    }
 }
 
 /// A report naming another program, signed with the device key: code 1,
@@ -560,8 +593,8 @@ fn differential_foreign_program_unsigned_report_matches_legacy() {
 
 /// Every report that differs from `report` in one field: the program id, the
 /// nonce, each authenticator byte, and per loop each integer with all or its
-/// lowest bits flipped, the overflow flag, and one path or target more or
-/// fewer.
+/// lowest bits flipped, the overflow flag, one path or target more or fewer,
+/// and each two neighbouring paths swapped.
 fn single_field_mutations(report: &AttestationReport) -> Vec<AttestationReport> {
     let mut out = Vec::new();
     let mut push = |edit: &dyn Fn(&mut AttestationReport)| {
@@ -588,7 +621,7 @@ fn single_field_mutations(report: &AttestationReport) -> Vec<AttestationReport> 
         }
         push(&|r| edit_metadata(r, |m| m.loops[i].nesting_depth ^= 1));
         push(&|r| edit_metadata(r, |m| m.loops[i].encoder_overflowed ^= true));
-        let new_path = PathRecord { path_id: 0b1_111, first_occurrence: 1, iterations: 1 };
+        let new_path = PathRecord { path_id: 0b1_111, iterations: 1 };
         push(&|r| edit_metadata(r, |m| m.loops[i].paths.push(new_path)));
         push(&|r| {
             edit_metadata(r, |m| {
@@ -599,8 +632,10 @@ fn single_field_mutations(report: &AttestationReport) -> Vec<AttestationReport> 
             for v in [!p.path_id, p.path_id ^ 1] {
                 push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].path_id = v));
             }
-            push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].first_occurrence ^= 1));
             push(&|r| edit_metadata(r, |m| m.loops[i].paths[j].iterations ^= 1));
+        }
+        for j in 1..l.paths.len() {
+            push(&|r| edit_metadata(r, |m| m.loops[i].paths.swap(j - 1, j)));
         }
         let new_target = IndirectTargetRecord { target: 4, code: 1 };
         push(&|r| edit_metadata(r, |m| m.loops[i].indirect_targets.push(new_target)));

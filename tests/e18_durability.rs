@@ -243,14 +243,14 @@ fn serve_runs_only_main_the_loop_and_its_workers() {
 /// database carried its valid-path table (version 1), before it stored each
 /// reference's metadata packed (version 2), while snapshots stored live
 /// sessions (version 3), before that metadata was stored run-length
-/// (version 4) and while the books counted verdict-cache evictions (version
-/// 5), are refused: `serve` exits non-zero and leaves the file
-/// byte-identical.  Starting over instead would
-/// issue fresh nonce counters and could reissue every nonce the old process
-/// handed out.
+/// (version 4), while the books counted verdict-cache evictions (version
+/// 5) and while that metadata was in wire version 3's grammar (version 6),
+/// are refused: `serve` exits non-zero and leaves the file byte-identical.
+/// Starting over instead would issue fresh nonce counters and could reissue
+/// every nonce the old process handed out.
 #[test]
 fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
-    for version in [1, 2, 3, 4, 5] {
+    for version in [1, 2, 3, 4, 5, 6] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let fixture = std::fs::read(&path).expect("fixture");
         let snapshot = artifact_dir().join(format!("version_{version}.snap"));

@@ -71,11 +71,7 @@ fn verifier_rejects_invalid_path_encoding() {
     // Forge metadata with an invalid encoding ("111" never occurs in Fig. 4) and
     // re-sign it with the device key to isolate the CFG-validity check.
     let mut metadata = run.report.metadata.decode();
-    metadata.loops[0].paths.push(lofat::PathRecord {
-        path_id: 0b1_111,
-        first_occurrence: 2,
-        iterations: 1,
-    });
+    metadata.loops[0].paths.push(lofat::PathRecord { path_id: 0b1_111, iterations: 1 });
     let metadata = metadata.pack();
     let payload = AttestationReport::signed_bytes(
         "fig4-loop",

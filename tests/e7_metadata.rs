@@ -9,6 +9,7 @@
 mod common;
 
 use lofat_workloads::catalog;
+use lofat_workloads::generator::InputGenerator;
 
 /// More loop executions → more loop records → larger metadata.
 #[test]
@@ -97,7 +98,7 @@ fn loop_free_execution_has_minimal_metadata() {
 /// What travels is the packed `L`, and its runs grow with the number of
 /// *distinct* consecutive loop records, not with the loop executions: on
 /// syringe-pump every unit re-runs the same pulse loop, so `L` stays at three
-/// runs and a few dozen bytes while the paper's fixed-width layout grows
+/// runs and at most 26 bytes while the paper's fixed-width layout grows
 /// with every unit.
 #[test]
 fn packed_metadata_stays_flat_while_loop_executions_grow() {
@@ -109,8 +110,30 @@ fn packed_metadata_stays_flat_while_loop_executions_grow() {
             common::run_attested(&program, &[units], lofat::EngineConfig::default()).0.metadata;
         assert_eq!(metadata.loop_count(), units as usize + 1, "{units} units");
         assert_eq!(metadata.run_count(), 3, "{units} units");
-        assert!(metadata.packed_len() <= 40, "{units} units: {} B", metadata.packed_len());
+        assert!(metadata.packed_len() <= 26, "{units} units: {} B", metadata.packed_len());
         fixed_width.push(metadata.size_bytes());
     }
     assert_eq!(fixed_width, [4_549, 45_049, 90_049]);
+}
+
+/// On crc32 buffers of 16-64 words, most loop records differ from the one
+/// before it, so runs save little; but most records are of the loop before
+/// them and none has an indirect target.  Packed `L` writes neither that
+/// loop's entry and exit, nor an empty target list, nor a path's index of
+/// first occurrence, and takes at most 8 bytes per loop execution.
+#[test]
+fn crc32_packed_metadata_takes_at_most_8_bytes_per_loop_execution() {
+    let workload = catalog::by_name("crc32").unwrap();
+    let program = workload.program().unwrap();
+    let mut generator = InputGenerator::new(0xe7);
+    let (mut packed, mut loops) = (0, 0);
+    for words in 16..=64 {
+        let input = generator.input_for(&workload, words);
+        let metadata =
+            common::run_attested(&program, &input, lofat::EngineConfig::default()).0.metadata;
+        packed += metadata.packed_len();
+        loops += metadata.loop_count();
+    }
+    let per_loop = packed as f64 / loops as f64;
+    assert!(per_loop <= 8.0, "{per_loop:.2} B of packed `L` per loop execution");
 }

@@ -150,6 +150,30 @@ fn database_build_reports_an_input_over_the_cycle_budget() {
     }
 }
 
+/// Where the database fixtures live.
+const DATABASE_FIXTURES: &str = "tests/fixtures/measurement_db";
+
+/// The database fixtures: each catalogue workload's default input under the
+/// default configuration, and `diamond-paths` under `max_path_bits(2)`.
+/// Each case is a file name, a workload and a configuration.
+fn database_fixture_cases() -> Vec<(String, &'static str, EngineConfig)> {
+    let mut cases: Vec<(String, &str, EngineConfig)> = catalog::all()
+        .iter()
+        .map(|workload| (format!("{}.bin", workload.name), workload.name, EngineConfig::default()))
+        .collect();
+    let narrow = EngineConfig::builder().max_path_bits(2).build().unwrap();
+    cases.push(("diamond-paths.max-path-bits-2.bin".into(), "diamond-paths", narrow));
+    cases
+}
+
+/// The one-input database a fixture case pins, and its verifier.
+fn database_fixture(name: &str, config: EngineConfig) -> (MeasurementDatabase, Verifier) {
+    let workload = catalog::by_name(name).unwrap();
+    let (_, _, verifier) = common::workload_session(name, "ext-db-golden");
+    let db = MeasurementDatabase::build(&verifier, config, vec![workload.default_input]).unwrap();
+    (db, verifier)
+}
+
 /// The database wire format, pinned: each catalogue workload's default input
 /// under the default configuration (`dispatch` holds indirect targets,
 /// `matrix-checksum` loops nested three deep), and `diamond-paths` under
@@ -158,25 +182,17 @@ fn database_build_reports_an_input_over_the_cycle_budget() {
 /// wire; the valid-path table ends each fixture.
 #[test]
 fn measurement_database_wire_bytes_match_the_golden_fixtures() {
-    let mut cases: Vec<(String, &str, EngineConfig)> = catalog::all()
-        .iter()
-        .map(|workload| (format!("{}.bin", workload.name), workload.name, EngineConfig::default()))
-        .collect();
-    let narrow = EngineConfig::builder().max_path_bits(2).build().unwrap();
-    cases.push(("diamond-paths.max-path-bits-2.bin".into(), "diamond-paths", narrow));
-    for (file, name, config) in cases {
-        let path = format!("tests/fixtures/measurement_db/{file}");
+    for (file, name, config) in database_fixture_cases() {
+        let path = format!("{DATABASE_FIXTURES}/{file}");
         let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let workload = catalog::by_name(name).unwrap();
-        let (_, _, verifier) = common::workload_session(name, "ext-db-golden");
-        let input = workload.default_input.clone();
-        let db = MeasurementDatabase::build(&verifier, config, vec![input.clone()]).unwrap();
+        let (db, verifier) = database_fixture(name, config);
         assert_eq!(db.to_wire_bytes().unwrap(), golden, "{path}");
         let decoded = MeasurementDatabase::from_wire_bytes(&golden).unwrap();
         assert_eq!(decoded.to_wire_bytes().unwrap(), golden, "{path} re-encodes");
         assert_eq!(decoded, db, "{path} decodes to the built database");
         assert_eq!(decoded.valid_loop_paths(), verifier.valid_loop_paths(), "{path}");
 
+        let input = catalog::by_name(name).unwrap().default_input;
         let loops = db.reference(&input).unwrap().metadata.decode().loops;
         match file.as_str() {
             "dispatch.bin" => assert!(loops.iter().any(|l| !l.indirect_targets.is_empty())),
@@ -186,6 +202,17 @@ fn measurement_database_wire_bytes_match_the_golden_fixtures() {
                 .any(|l| l.encoder_overflowed && l.paths.iter().any(|p| p.path_id == 0))),
             _ => {}
         }
+    }
+}
+
+/// Rewrites every database fixture from this build.
+#[test]
+#[ignore = "rewrites tests/fixtures/measurement_db/*.bin"]
+fn regenerate_the_database_fixtures() {
+    for (file, name, config) in database_fixture_cases() {
+        let (db, _) = database_fixture(name, config);
+        let bytes = db.to_wire_bytes().unwrap();
+        std::fs::write(format!("{DATABASE_FIXTURES}/{file}"), bytes).expect("write the fixture");
     }
 }
 

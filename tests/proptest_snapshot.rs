@@ -19,9 +19,10 @@
 //!   database carried its valid-path table, version 2, written before it
 //!   stored each reference's metadata packed, version 3, written while
 //!   snapshots still stored live sessions, version 4, written before that
-//!   metadata was stored run-length, and version 5, written while the
-//!   configuration and the books still described a verdict cache;
-//! * `tests/fixtures/snapshot/fig4-loop.v6.lfsn`, the start-up snapshot of
+//!   metadata was stored run-length, version 5, written while the
+//!   configuration and the books still described a verdict cache, and
+//!   version 6, written while that metadata was in wire version 3's grammar;
+//! * `tests/fixtures/snapshot/fig4-loop.v7.lfsn`, the start-up snapshot of
 //!   `lofat serve fig4-loop`, restores to the state it describes and
 //!   re-encodes to itself byte for byte, so a change to the body encoding
 //!   that forgets the version bump fails here;
@@ -108,13 +109,13 @@ fn service_with(sessions: usize, mask: u8, clock: u64, shards: usize) -> Verifie
     service
 }
 
-/// `tests/fixtures/snapshot/fig4-loop.v{1,2,3,4,5}.lfsn` are the snapshots
-/// `lofat serve fig4-loop --snapshot-path` wrote at start-up when the format
-/// was version 1, 2, 3, 4 and 5.  Both the codec and the restore path refuse
-/// each by its version.
+/// `tests/fixtures/snapshot/fig4-loop.v{1,2,3,4,5,6}.lfsn` are the
+/// snapshots `lofat serve fig4-loop --snapshot-path` wrote at start-up when
+/// the format was version 1, 2, 3, 4, 5 and 6.  Both the codec and the
+/// restore path refuse each by its version.
 #[test]
 fn version_1_snapshots_are_refused() {
-    for version in [1, 2, 3, 4, 5] {
+    for version in [1, 2, 3, 4, 5, 6] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let bytes = std::fs::read(&path).expect("fixture");
         assert!(
@@ -136,28 +137,38 @@ fn version_1_snapshots_are_refused() {
 
 /// The key seed `lofat serve` uses (see `src/bin/lofat.rs`).
 const CLI_SEED: &str = "lofat-cli-fleet";
-const V6_FIXTURE: &str = "tests/fixtures/snapshot/fig4-loop.v6.lfsn";
+const V7_FIXTURE: &str = "tests/fixtures/snapshot/fig4-loop.v7.lfsn";
+
+/// The packed `L`, behind its `u32` length, that an evidence payload
+/// fixture of fig4-loop's default input carries after the program id and
+/// `A`, each behind its length.
+fn fig4_metadata(payload_fixture: &str) -> Vec<u8> {
+    let path = format!("tests/fixtures/evidence/fig4-loop.{payload_fixture}.bin");
+    let payload = std::fs::read(&path).expect("fixture");
+    let len = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    let at = 4 + len(0);
+    let at = at + 4 + len(at);
+    payload[at..at + 4 + len(at)].to_vec()
+}
 
 /// The current format, pinned by a document an earlier build wrote: the
 /// start-up snapshot of `lofat serve fig4-loop` (4 shards, every watermark
-/// at the 65 536-session reserve, clock 0, empty books).  A restored service
-/// re-encodes it byte for byte.  Its body is its version-5 predecessor's
-/// less two `u64`s: the configuration's verdict-cache capacity (its fourth
-/// field, 1024) and the books' cache evictions (their tenth, 0).
+/// at the 65 536-session reserve, clock 0, empty books, one reference for
+/// the default input).  A restored service re-encodes it byte for byte.
+/// Its body is its version-6 predecessor's with that reference's `L`
+/// rewritten from the version-3 grammar into the version-4 one: the bytes
+/// fig4-loop's version-3 and version-4 evidence fixtures carry.
 #[test]
-fn the_version_6_fixture_restores_and_re_encodes_byte_for_byte() {
-    let bytes = std::fs::read(V6_FIXTURE).expect("fixture");
-    let v5 = std::fs::read("tests/fixtures/snapshot/fig4-loop.v5.lfsn").expect("fixture");
-    let v5 = &v5[SNAPSHOT_HEADER_BYTES..];
-    // The program id behind its `u32` length, then the configuration's
-    // fields and, after the clock and the shard cursor, the books'.
-    let config = 4 + "fig4-loop".len();
-    let capacity = config + 3 * 8;
-    let evictions = config + 6 * 8 + 2 * 8 + 9 * 8;
-    assert_eq!(v5[capacity..capacity + 8], 1024u64.to_le_bytes());
-    assert_eq!(v5[evictions..evictions + 8], 0u64.to_le_bytes());
-    let kept = [&v5[..capacity], &v5[capacity + 8..evictions], &v5[evictions + 8..]].concat();
-    assert!(kept == bytes[SNAPSHOT_HEADER_BYTES..], "more than the two cache fields changed");
+fn the_version_7_fixture_restores_and_re_encodes_byte_for_byte() {
+    let bytes = std::fs::read(V7_FIXTURE).expect("fixture");
+    let v6 = std::fs::read("tests/fixtures/snapshot/fig4-loop.v6.lfsn").expect("fixture");
+    let v6 = &v6[SNAPSHOT_HEADER_BYTES..];
+    let (v3_metadata, v4_metadata) = (fig4_metadata("v3.payload"), fig4_metadata("v4.payload"));
+    let at: Vec<usize> = (0..v6.len()).filter(|&i| v6[i..].starts_with(&v3_metadata)).collect();
+    assert_eq!(at.len(), 1, "the version-6 body holds one reference's `L`");
+    let (head, tail) = (&v6[..at[0]], &v6[at[0] + v3_metadata.len()..]);
+    let rewritten = [head, &v4_metadata, tail].concat();
+    assert!(rewritten == bytes[SNAPSHOT_HEADER_BYTES..], "more than the reference's `L` changed");
     let key = DeviceKey::from_seed(CLI_SEED).verification_key();
     let restored = VerifierService::restore_bytes(&bytes, key).expect("the fixture restores");
     assert_eq!(restored.program_id(), "fig4-loop");
@@ -169,11 +180,11 @@ fn the_version_6_fixture_restores_and_re_encodes_byte_for_byte() {
     assert!(restored.snapshot_bytes(0).expect("re-snapshot encodes") == bytes, "not a fixed point");
 }
 
-/// Rewrites the version-6 fixture from this build's `lofat serve`.
+/// Rewrites the current version's fixture from this build's `lofat serve`.
 #[test]
-#[ignore = "rewrites tests/fixtures/snapshot/fig4-loop.v6.lfsn"]
-fn regenerate_the_version_6_fixture() {
-    let path = std::env::temp_dir().join(format!("lofat-v6-fixture-{}.lfsn", std::process::id()));
+#[ignore = "rewrites tests/fixtures/snapshot/fig4-loop.v7.lfsn"]
+fn regenerate_the_version_7_fixture() {
+    let path = std::env::temp_dir().join(format!("lofat-v7-fixture-{}.lfsn", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut serve = Command::new(env!("CARGO_BIN_EXE_lofat"))
         .args(["serve", "fig4-loop", "--addr", "127.0.0.1:0", "--snapshot-path"])
@@ -188,7 +199,7 @@ fn regenerate_the_version_6_fixture() {
     let _ = serve.kill();
     let _ = serve.wait();
     assert!(written, "`lofat serve` exited before its start-up snapshot");
-    std::fs::copy(&path, V6_FIXTURE).expect("write the fixture");
+    std::fs::copy(&path, V7_FIXTURE).expect("write the fixture");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -8,17 +8,18 @@
 //!   versions and trailing bytes — always with a typed `WireError`, never a
 //!   panic;
 //! * arbitrary single-byte corruption never panics the decoder;
-//! * the packed metadata inside evidence is read strictly: every accepted
-//!   blob re-encodes to itself, each way a blob can be malformed (a
+//! * the packed metadata inside evidence is read strictly: the writer's bytes
+//!   are the version-4 grammar's, every accepted blob re-encodes to itself,
+//!   each way a blob can be malformed (a flag that misstates its record, a
 //!   non-maximal run and runs over `u32::MAX` loop executions included) has
 //!   its own typed `serde::Error`, and neither a hostile count nor a run
 //!   claiming `u32::MAX` loop executions makes a decoder or a service
 //!   allocate in proportion to it;
 //! * golden fixtures pin both byte forms of each catalogue workload's
-//!   evidence at wire version 3: the signed payload, which is the report's
+//!   evidence at wire version 4: the signed payload, which is the report's
 //!   wire encoding up to the signature, and the encoded envelope.  The
-//!   version-2 envelopes are refused by version, and a report signed over
-//!   `L`'s fixed-width layout, as version 2 signed it, by its signature;
+//!   version-3 envelopes are refused by version, and a report signed over
+//!   the version-3 payload by its signature;
 //! * flipping any byte a signature covers refuses the evidence.
 //!
 //! Case counts honour the vendored proptest's `PROPTEST_CASES` cap.
@@ -92,9 +93,8 @@ fn value(max: u64) -> impl Strategy<Value = u64> {
 }
 
 fn path_strategy() -> impl Strategy<Value = PathRecord> {
-    (value(u32::MAX.into()), value(u64::MAX), value(u64::MAX)).prop_map(|(id, first, n)| {
-        PathRecord { path_id: id as u32, first_occurrence: first as usize, iterations: n }
-    })
+    (value(u32::MAX.into()), value(u64::MAX))
+        .prop_map(|(id, n)| PathRecord { path_id: id as u32, iterations: n })
 }
 
 fn loop_strategy() -> impl Strategy<Value = LoopRecord> {
@@ -119,11 +119,19 @@ fn loop_strategy() -> impl Strategy<Value = LoopRecord> {
         })
 }
 
-/// Up to three records, each executed up to twice in a row.
+/// Up to three records, each executed up to twice in a row, about half of
+/// them recording the loop (entry and exit) of the record before.
 fn metadata_strategy() -> impl Strategy<Value = Metadata> {
-    let run = (loop_strategy(), 1..3usize).prop_map(|(record, n)| vec![record; n]);
-    proptest::collection::vec(run, 0..3)
-        .prop_map(|runs| Metadata { loops: runs.into_iter().flatten().collect() })
+    proptest::collection::vec((loop_strategy(), 1..3usize, any::<bool>()), 0..3).prop_map(|runs| {
+        let mut loops: Vec<LoopRecord> = Vec::new();
+        for (mut record, n, same_loop) in runs {
+            if let (true, Some(before)) = (same_loop, loops.last()) {
+                (record.entry, record.exit) = (before.entry, before.exit);
+            }
+            loops.extend(std::iter::repeat_n(record, n));
+        }
+        Metadata { loops }
+    })
 }
 
 fn report_strategy() -> impl Strategy<Value = AttestationReport> {
@@ -186,18 +194,30 @@ enum Field {
     Count(usize),
 }
 
+/// Whether `next` records the loop `record` recorded: its entry and exit.
+fn same_loop(record: &LoopRecord, next: &LoopRecord) -> bool {
+    (record.entry, record.exit) == (next.entry, next.exit)
+}
+
 /// The fields of `metadata`'s packed form, in order.
 fn fields(metadata: &Metadata) -> Vec<Field> {
-    let mut out = vec![Field::Count(6)];
+    let mut out = vec![Field::Count(3)];
     let mut before = 0;
-    for (l, executions) in common::runs(metadata) {
-        out.extend([Field::U32, Field::U32, Field::Wide, Field::Flag(before), Field::Count(3)]);
-        for _ in &l.paths {
-            out.extend([Field::U32, Field::Wide, Field::Wide]);
-        }
-        out.push(Field::Count(2));
-        for _ in &l.indirect_targets {
+    let runs = common::runs(metadata);
+    for (i, (l, executions)) in runs.iter().enumerate() {
+        out.push(Field::Flag(before));
+        if i == 0 || !same_loop(&runs[i - 1].0, l) {
             out.extend([Field::U32, Field::U32]);
+        }
+        out.extend([Field::Wide, Field::Count(2)]);
+        for _ in &l.paths {
+            out.extend([Field::U32, Field::Wide]);
+        }
+        if !l.indirect_targets.is_empty() {
+            out.push(Field::Count(2));
+            for _ in &l.indirect_targets {
+                out.extend([Field::U32, Field::U32]);
+            }
         }
         before += executions;
     }
@@ -229,7 +249,7 @@ fn evidence_with_blob(report: &AttestationReport, blob: &[u8]) -> Vec<u8> {
 /// Packed `L` whose one run claims `executions` loop executions of an empty
 /// record.
 fn one_run(executions: u64) -> Vec<u8> {
-    [&[1, 0, 0, 1][..], &leb128((executions - 1) << 1), &[0, 0]].concat()
+    [&[1][..], &leb128((executions - 1) << 3), &[0, 0, 1, 0]].concat()
 }
 
 fn body_error(bytes: &[u8]) -> serde::Error {
@@ -257,23 +277,29 @@ fn packed_metadata_rejections_carry_their_typed_errors() {
     let decode = |blob: &[u8]| body_error(&evidence_with_blob(&report, blob));
     assert_eq!(decode(&[0x80, 0x00]), serde::Error::NonCanonicalVarint);
     assert_eq!(
-        decode(&[1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 1, 0, 0, 0]),
+        decode(&[1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 1, 0]),
         serde::Error::IntegerOverflow { value: 1 << 32 }
     );
+    // A flag that misstates its record: `same_loop` on the first record,
+    // `same_loop` clear before the entry and exit of the record before, and
+    // `has_targets` before a target count of 0.
+    assert_eq!(decode(&[1, 0b100, 1, 0]), serde::Error::NonCanonicalRecord);
+    assert_eq!(decode(&[2, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0]), serde::Error::NonCanonicalRecord);
+    assert_eq!(decode(&[1, 0b010, 0, 0, 1, 0, 0]), serde::Error::NonCanonicalRecord);
     // A stored record equal to the one before it, and runs over `u32::MAX`
     // loop executions.
-    assert_eq!(decode(&[2, 0, 0, 1, 0, 0, 0, 0, 0, 1, 2, 0, 0]), serde::Error::NonMaximalRun);
+    assert_eq!(decode(&[2, 0, 0, 0, 1, 0, (1 << 3) | 0b100, 1, 0]), serde::Error::NonMaximalRun);
     let over = u64::from(u32::MAX) + 1;
     assert_eq!(decode(&one_run(over)), serde::Error::IntegerOverflow { value: over });
-    // A flag of 2 is a run of two, no longer a malformed flag.
-    assert!(Envelope::decode(&evidence_with_blob(&report, &[1, 0, 0, 1, 2, 0, 0])).is_ok());
+    // A flag of 8 is a run of two.
+    assert!(Envelope::decode(&evidence_with_blob(&report, &[1, 8, 0, 0, 1, 0])).is_ok());
     assert_eq!(
         decode(&[5, 0, 0, 0, 0, 0, 0]),
-        serde::Error::UnexpectedEof { needed: 30, remaining: 6 }
+        serde::Error::UnexpectedEof { needed: 15, remaining: 6 }
     );
-    // One loop with one path, cut before its target count.
+    // One loop with one path and targets, cut before its target count.
     assert_eq!(
-        decode(&[1, 0, 0, 1, 0, 1, 5, 0, 9]),
+        decode(&[1, 0b010, 0, 0, 1, 1, 5, 9]),
         serde::Error::UnexpectedEof { needed: 1, remaining: 0 }
     );
     assert_eq!(decode(&[0, 0, 0]), serde::Error::TrailingBytes { extra: 2 });
@@ -294,7 +320,7 @@ fn hostile_counts_allocate_nothing_in_proportion() {
     };
     let report = sample_report();
     let count = leb128(u32::MAX.into());
-    for blob in [count.clone(), [&[1, 0, 0, 1, 0][..], &count, &[0]].concat()] {
+    for blob in [count.clone(), [&[1, 0, 0, 0, 1][..], &count, &[0]].concat()] {
         let frame = evidence_with_blob(&report, &blob);
         let mut error = None;
         let bytes = allocated(&mut || error = Some(body_error(&frame)));
@@ -387,53 +413,73 @@ fn flipping_any_signed_byte_refuses_the_evidence() {
     common::assert_stats_conserved(&service.stats(), service.live_sessions());
 }
 
+/// Where the evidence fixtures live.
+const EVIDENCE_FIXTURES: &str = "tests/fixtures/evidence";
+
+/// The key the evidence fixtures are signed under.
+fn golden_key() -> DeviceKey {
+    DeviceKey::from_seed("golden-evidence")
+}
+
+/// `workload`'s default input attested under [`golden_key`] and nonce 7:
+/// the report, and its evidence envelope for session 7 encoded.
+fn golden_evidence(workload: &catalog::Workload) -> (AttestationReport, Vec<u8>) {
+    let program = workload.program().expect("assemble");
+    let mut prover = Prover::new(program, workload.name, golden_key());
+    let run = prover.attest(&workload.default_input, Nonce::from_counter(7)).expect("attest");
+    let message = Message::Evidence(EvidenceMsg { report: run.report.clone() });
+    (run.report, Envelope::new(SessionId(7), message).encode().expect("encode"))
+}
+
 /// Each catalogue workload's default input, attested under a fixed key and
-/// nonce.  `*.v3.payload.bin` pins the signed bytes and `*.v3.envelope.bin`
+/// nonce.  `*.v4.payload.bin` pins the signed bytes and `*.v4.envelope.bin`
 /// the encoded evidence, which decodes and re-encodes to itself; the
 /// envelope's report begins with the signed bytes, and the verifier
-/// rebuilds them from the decoded report.  The version-2 build's envelopes
-/// (`*.v2.envelope.bin`) are refused by version, and its signature, over the
-/// version-2 signed bytes (`*.v2.payload.bin`: `L` at fixed width), is
-/// refused by check 3 on this build's report.
+/// rebuilds them from the decoded report.  The version-3 build's envelopes
+/// (`*.v3.envelope.bin`) are refused by version, and its signature, over the
+/// version-3 signed bytes (`*.v3.payload.bin`: `L` in the version-3
+/// grammar), is refused by check 3 on this build's report wherever the run
+/// recorded a loop (`L` without loop records is `[0]` in both grammars).
 #[test]
 fn evidence_matches_the_golden_fixtures() {
-    let key = DeviceKey::from_seed("golden-evidence");
+    let key = golden_key();
     let mut signer = HmacSigner::new(key.clone());
     for workload in catalog::all() {
         let fixture = |kind: &str| {
-            let path = format!("tests/fixtures/evidence/{}.{kind}.bin", workload.name);
+            let path = format!("{EVIDENCE_FIXTURES}/{}.{kind}.bin", workload.name);
             std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
         };
-        let program = workload.program().expect("assemble");
-        let mut prover = Prover::new(program.clone(), workload.name, key.clone());
-        let run = prover.attest(&workload.default_input, Nonce::from_counter(7)).expect("attest");
-        let payload = fixture("v3.payload");
-        assert_eq!(run.report.payload(), payload, "{}: signed bytes", workload.name);
-        let wire = run.report.to_wire_bytes().expect("encode");
+        let (report, bytes) = golden_evidence(&workload);
+        let payload = fixture("v4.payload");
+        assert_eq!(report.payload(), payload, "{}: signed bytes", workload.name);
+        let wire = report.to_wire_bytes().expect("encode");
         assert_eq!(wire[..payload.len()], payload, "{}: wire bytes start signed", workload.name);
 
-        let mut old = run.report.clone();
-        old.signature = signer.sign(&fixture("v2.payload")).expect("HMAC signs");
+        let v3_payload = fixture("v3.payload");
+        let mut old = report.clone();
+        old.signature = signer.sign(&v3_payload).expect("HMAC signs");
+        let program = workload.program().expect("assemble");
         let verifier = Verifier::new(program, workload.name, key.verification_key()).unwrap();
         let challenge = lofat::Challenge {
             program_id: workload.name.into(),
             input: workload.default_input.clone(),
             nonce: Nonce::from_counter(7),
         };
-        assert!(verifier.verify(&run.report, &challenge).is_ok(), "{}", workload.name);
-        assert!(
-            matches!(
-                verifier.verify(&old, &challenge),
-                Err(LofatError::Rejected(RejectionReason::BadSignature))
-            ),
-            "{}: a signature over the fixed-width layout verified",
-            workload.name
-        );
+        assert!(verifier.verify(&report, &challenge).is_ok(), "{}", workload.name);
+        let verdict = verifier.verify(&old, &challenge);
+        if v3_payload == payload {
+            // A run without loop records has the same `L`, `[0]`, in both.
+            assert_eq!(report.metadata.loop_count(), 0, "{}", workload.name);
+            assert!(verdict.is_ok(), "{}: {verdict:?}", workload.name);
+        } else {
+            assert!(
+                matches!(verdict, Err(LofatError::Rejected(RejectionReason::BadSignature))),
+                "{}: a signature over the version-3 payload verified",
+                workload.name
+            );
+        }
 
-        let envelope =
-            Envelope::new(SessionId(7), Message::Evidence(EvidenceMsg { report: run.report }));
-        let bytes = envelope.encode().expect("encode");
-        assert_eq!(bytes, fixture("v3.envelope"), "{}: envelope bytes", workload.name);
+        assert_eq!(bytes, fixture("v4.envelope"), "{}: envelope bytes", workload.name);
         assert_eq!(bytes[HEADER_BYTES + 4..], wire, "{}", workload.name);
         let decoded = Envelope::decode(&bytes).expect("decode");
         assert_eq!(decoded.encode().expect("re-encode"), bytes, "{}", workload.name);
@@ -446,9 +492,24 @@ fn evidence_matches_the_golden_fixtures() {
             workload.name
         );
 
-        let refused = Envelope::decode(&fixture("v2.envelope")).unwrap_err();
-        assert_eq!(refused, WireError::UnsupportedVersion { found: 2 }, "{}", workload.name);
+        let refused = Envelope::decode(&fixture("v3.envelope")).unwrap_err();
+        assert_eq!(refused, WireError::UnsupportedVersion { found: 3 }, "{}", workload.name);
         assert_eq!(refused.code(), code::UNSUPPORTED_VERSION);
+    }
+}
+
+/// Writes this build's evidence fixtures, `*.v{WIRE_VERSION}.payload.bin`
+/// and `*.v{WIRE_VERSION}.envelope.bin`, for every catalogue workload.
+#[test]
+#[ignore = "writes tests/fixtures/evidence/*.v{WIRE_VERSION}.{payload,envelope}.bin"]
+fn regenerate_the_evidence_fixtures() {
+    let version = lofat::WIRE_VERSION;
+    for workload in catalog::all() {
+        let (report, envelope) = golden_evidence(&workload);
+        let path =
+            |kind: &str| format!("{EVIDENCE_FIXTURES}/{}.v{version}.{kind}.bin", workload.name);
+        std::fs::write(path("payload"), report.payload()).expect("write the payload");
+        std::fs::write(path("envelope"), envelope).expect("write the envelope");
     }
 }
 
@@ -526,11 +587,13 @@ proptest! {
     // The strict reader of packed metadata is cheap to drive: many cases.
     #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
 
-    /// The packed form round-trips arbitrary metadata, and is the codec form
-    /// behind its `u32` length.
+    /// The packed form round-trips arbitrary metadata, is the version-4
+    /// grammar's bytes for its runs, and is the codec form behind its `u32`
+    /// length.
     #[test]
     fn packed_metadata_round_trips(metadata in metadata_strategy()) {
         let packed = metadata.pack();
+        prop_assert_eq!(packed.as_bytes(), &common::pack_runs(&common::runs(&metadata))[..]);
         prop_assert_eq!(Metadata::from_packed(packed.as_bytes()), Ok(metadata.clone()));
         prop_assert_eq!(packed.decode(), metadata);
         let wire = serde::to_bytes(&packed).expect("encode");
@@ -569,12 +632,14 @@ proptest! {
     /// honest blob inside a real evidence envelope, gets its typed error: an
     /// overlong varint, a `u32` field above `u32::MAX`, a run that takes the
     /// loop executions above `u32::MAX`, a count the bytes left cannot hold,
-    /// truncation, trailing bytes, and a stored record repeated instead of
-    /// counted in its run.
+    /// truncation, trailing bytes, a stored record repeated instead of
+    /// counted in its run, `same_loop` set on the first record, a record of
+    /// the loop before it that restates its entry and exit, and
+    /// `has_targets` set before a target count of 0.
     #[test]
     fn packed_rejections_are_typed_wherever_they_land(
         metadata in metadata_strategy(),
-        kind in 0..7u8,
+        kind in 0..10u8,
         pick in any::<usize>(),
         wide in any::<u32>(),
     ) {
@@ -611,7 +676,7 @@ proptest! {
                 let Field::Flag(before) = kinds[at] else { unreachable!() };
                 // Enough repeats to end `wide + 1` executions past the limit.
                 let value = u64::from(u32::MAX) + 1 + u64::from(wide);
-                let flag = ((value - before - 1) << 1) | u64::from(blob[spans[at].start] & 1);
+                let flag = ((value - before - 1) << 3) | u64::from(blob[spans[at].start] & 0b111);
                 (replace(at, &leb128(flag)), serde::Error::IntegerOverflow { value })
             }
             3 => {
@@ -636,7 +701,7 @@ proptest! {
                 let edited = [&blob[..], &vec![wide as u8; extra]].concat();
                 (edited, serde::Error::TrailingBytes { extra })
             }
-            _ => {
+            6 => {
                 // One run's record stored twice in a row.
                 let mut runs = common::runs(&metadata);
                 if runs.is_empty() {
@@ -645,6 +710,49 @@ proptest! {
                 let at = pick % runs.len();
                 runs.insert(at, runs[at].clone());
                 (common::pack_runs(&runs), serde::Error::NonMaximalRun)
+            }
+            _ => {
+                // A flag bit flipped on one run, and the fields it governs
+                // written to match.
+                let runs = common::runs(&metadata);
+                let flags: Vec<usize> =
+                    (0..kinds.len()).filter(|&i| matches!(kinds[i], Field::Flag(_))).collect();
+                let wanted: Vec<usize> = (0..runs.len())
+                    .filter(|&k| match kind {
+                        7 => k == 0,
+                        8 => k > 0 && same_loop(&runs[k - 1].0, &runs[k].0),
+                        _ => runs[k].0.indirect_targets.is_empty(),
+                    })
+                    .collect();
+                if wanted.is_empty() {
+                    return Ok(());
+                }
+                let k = wanted[pick % wanted.len()];
+                let span = spans[flags[k]].clone();
+                let end = flags.get(k + 1).map_or(blob.len(), |&next| spans[next].start);
+                let mut flag = blob[span.clone()].to_vec();
+                let (head, tail): (Vec<u8>, Vec<u8>) = match kind {
+                    // `same_loop` on the first record.
+                    7 => {
+                        flag[0] |= 0b100;
+                        (Vec::new(), Vec::new())
+                    }
+                    // `same_loop` cleared, the entry and exit restated.
+                    8 => {
+                        flag[0] &= !0b100;
+                        let (entry, exit) = (runs[k].0.entry, runs[k].0.exit);
+                        ([leb128(entry.into()), leb128(exit.into())].concat(), Vec::new())
+                    }
+                    // `has_targets` set, and a target count of 0.
+                    _ => {
+                        flag[0] |= 0b010;
+                        (Vec::new(), vec![0])
+                    }
+                };
+                let edited =
+                    [&blob[..span.start], &flag, &head, &blob[span.end..end], &tail, &blob[end..]]
+                        .concat();
+                (edited, serde::Error::NonCanonicalRecord)
             }
         };
         let mut report = sample_report();
