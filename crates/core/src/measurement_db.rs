@@ -334,28 +334,6 @@ impl MeasurementDatabase {
         self.program_id.capacity() + entries.sum::<usize>() + paths.sum::<usize>()
     }
 
-    /// Serialises the database with the deterministic wire codec, for shipping
-    /// to lightweight verifier front-ends (e.g. a
-    /// [`crate::service::VerifierService`] on another host).
-    ///
-    /// # Errors
-    ///
-    /// Fails only if a contained collection overflows the codec's `u32`
-    /// length prefix.
-    pub fn to_wire_bytes(&self) -> Result<Vec<u8>, serde::Error> {
-        serde::to_bytes(self)
-    }
-
-    /// Decodes a database previously encoded with
-    /// [`MeasurementDatabase::to_wire_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the decode error for malformed input.
-    pub fn from_wire_bytes(bytes: &[u8]) -> Result<Self, serde::Error> {
-        serde::from_bytes(bytes)
-    }
-
     /// Runs the checks of [`crate::judge`] that follow the signature on a
     /// report for `input`: loop-path plausibility against the valid-path
     /// table (check 4), then the comparison with the stored reference,
@@ -557,13 +535,11 @@ mod tests {
         assert_eq!(db.len(), 3, "one entry per input");
         let map: BTreeMap<Vec<u32>, PackedReference> = db.entries.0.iter().cloned().collect();
         assert_eq!(serde::to_bytes(&db.entries), serde::to_bytes(&map));
-        assert_eq!(
-            MeasurementDatabase::from_wire_bytes(&db.to_wire_bytes().unwrap()),
-            Ok(db.clone())
-        );
+        let decode = |bytes: &[u8]| serde::from_bytes::<MeasurementDatabase>(bytes);
+        assert_eq!(decode(&serde::to_bytes(&db).unwrap()), Ok(db.clone()));
         let mut swapped = db;
         swapped.entries.0.swap(0, 1);
-        let refused = MeasurementDatabase::from_wire_bytes(&swapped.to_wire_bytes().unwrap());
+        let refused = decode(&serde::to_bytes(&swapped).unwrap());
         assert_eq!(refused, Err(serde::Error::NonCanonicalMap));
     }
 

@@ -852,6 +852,8 @@ impl VerifierService {
     /// live` exact over socket traffic: malformed bytes arriving mid-session
     /// can neither consume the session they interrupted nor escape the books.
     ///
+    /// The bytes are [`rejection_bytes`]'s.
+    ///
     /// # Errors
     ///
     /// Only fails if the outgoing verdict envelope cannot be encoded, which
@@ -862,12 +864,7 @@ impl VerifierService {
         error: &WireError,
     ) -> Result<Vec<u8>, ServiceError> {
         self.stats.record_verdict(error.code(), true, false);
-        Envelope::new(
-            session,
-            Message::Verdict(VerdictMsg::rejected(error.code(), error.to_string())),
-        )
-        .encode()
-        .map_err(ServiceError::Wire)
+        rejection_bytes(session, error)
     }
 
     /// The verification pipeline for one envelope.  Does not touch the
@@ -1186,6 +1183,22 @@ impl VerifierService {
     ) -> Result<Self, SnapshotError> {
         Self::restore_bytes(&std::fs::read(path)?, key)
     }
+}
+
+/// The encoded verdict envelope rejecting input that never became a typed
+/// [`Envelope`], addressed to `session`.  It records nothing: a service
+/// books it through [`VerifierService::reject_unparseable`], and an endpoint
+/// without books (the `lofat-net` fan-out front) answers a framing-level
+/// rejection with these same bytes.
+///
+/// # Errors
+///
+/// Only fails if the envelope cannot be encoded, which would be a bug, not
+/// an input property.
+pub fn rejection_bytes(session: SessionId, error: &WireError) -> Result<Vec<u8>, ServiceError> {
+    Envelope::new(session, Message::Verdict(VerdictMsg::rejected(error.code(), error.to_string())))
+        .encode()
+        .map_err(ServiceError::Wire)
 }
 
 /// The verdict for evidence echoing a nonce that was already consumed.

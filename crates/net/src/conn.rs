@@ -247,14 +247,7 @@ impl Connection {
             return Ok(None);
         }
         let buffered = self.read_buf.len() - self.read_start;
-        if buffered < FRAME_HEADER_BYTES {
-            return Ok(None);
-        }
-        let header: [u8; FRAME_HEADER_BYTES] = self.read_buf
-            [self.read_start..self.read_start + FRAME_HEADER_BYTES]
-            .try_into()
-            .expect("slice length is FRAME_HEADER_BYTES");
-        let len = u32::from_le_bytes(header) as usize;
+        let Some(len) = self.announced_len() else { return Ok(None) };
         if len > self.max_frame_bytes {
             self.poisoned = true;
             return Err(CloseReason::FrameTooLarge { len, max: self.max_frame_bytes });
@@ -275,18 +268,20 @@ impl Connection {
     #[must_use]
     pub fn peer_closed(&self) -> CloseReason {
         let buffered = self.read_buf.len() - self.read_start;
-        if buffered == 0 {
-            return CloseReason::PeerClosed;
+        match self.announced_len() {
+            _ if buffered == 0 => CloseReason::PeerClosed,
+            None => CloseReason::TruncatedFrame { got: buffered, wanted: FRAME_HEADER_BYTES },
+            Some(wanted) => {
+                CloseReason::TruncatedFrame { got: buffered - FRAME_HEADER_BYTES, wanted }
+            }
         }
-        if buffered < FRAME_HEADER_BYTES {
-            return CloseReason::TruncatedFrame { got: buffered, wanted: FRAME_HEADER_BYTES };
-        }
-        let header: [u8; FRAME_HEADER_BYTES] = self.read_buf
-            [self.read_start..self.read_start + FRAME_HEADER_BYTES]
-            .try_into()
-            .expect("slice length is FRAME_HEADER_BYTES");
-        let wanted = u32::from_le_bytes(header) as usize;
-        CloseReason::TruncatedFrame { got: buffered - FRAME_HEADER_BYTES, wanted }
+    }
+
+    /// The payload length the buffered frame header announces, once all of
+    /// the header has arrived.
+    fn announced_len(&self) -> Option<usize> {
+        let header = self.read_buf.get(self.read_start..self.read_start + FRAME_HEADER_BYTES)?;
+        Some(u32::from_le_bytes(header.try_into().expect("a whole header")) as usize)
     }
 
     /// Classifies a complete frame for dispatch and tracks the session ids

@@ -32,6 +32,10 @@
 //!   verdicts are delivered and staged replies flushed (bounded by the write
 //!   deadline) before connections close.
 //!
+//! The same loop runs [`crate::FanOutFront`] in a second role: it relays
+//! each complete frame to a backend connection the loop also owns and files
+//! the reply in the same ordered reply queue (see [`crate::front`]).
+//!
 //! Readiness comes from a crate-private poller whose backend the build
 //! target picks: epoll on Linux, `poll(2)` on other Unix hosts.  The loop
 //! deregisters every descriptor before closing it, which `poll(2)` needs.
@@ -75,13 +79,15 @@ use crate::conn::{
     session_limit_refusal, session_request_reply, Admission, CloseReason, Connection,
 };
 use crate::error::NetError;
+use crate::front::{dial, Routes};
 use crate::limits::NetLimits;
 use crate::poller::{Event, Poller, HANGUP, READABLE, WRITABLE};
 use crate::server::{EventLog, ServerConfig};
 use lofat::pool::ParallelVerifier;
-use lofat::service::{ServiceError, VerifierService};
+use lofat::service::{rejection_bytes, ServiceError, VerifierService};
 use lofat::wire::{Envelope, Message, SessionId};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Display;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -103,8 +109,8 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
 
 mod rlimit {
     //! `getrlimit`/`setrlimit` over `RLIMIT_NOFILE`, declared directly (no
-    //! crates.io access) — the only other unsafe code in the crate is the
-    //! poller's syscall shims.
+    //! crates.io access) — the crate's other unsafe code is the poller's
+    //! syscall shims and the front's connect.
     #![allow(unsafe_code)]
 
     #[cfg(target_os = "linux")]
@@ -165,20 +171,25 @@ const DEFAULT_DRAIN_CAP: Duration = Duration::from_secs(5);
 /// [`NetLimits::max_sessions_per_connection`]) and pipeline frames — replies
 /// always come back in frame order.
 pub struct EventLoopServer {
-    shared: Arc<LoopShared>,
-    local_addr: SocketAddr,
-    driver: Option<JoinHandle<()>>,
+    handle: LoopHandle,
+    service: Arc<VerifierService>,
 }
 
-/// A verdict reply as the pool produces it (or the error it died with).
-type Reply = Result<Vec<u8>, ServiceError>;
+/// A frame's reply, or why its connection closes after the replies before
+/// it.
+type Reply = Result<Vec<u8>, CloseReason>;
 
-struct LoopShared {
-    service: Arc<VerifierService>,
-    log: EventLog,
+/// Files what the service answered; a failure to answer closes the
+/// connection.
+fn served(reply: Result<Vec<u8>, ServiceError>) -> Reply {
+    reply.map_err(|e| CloseReason::ServiceError(e.to_string()))
+}
+
+pub(crate) struct LoopShared {
+    pub(crate) log: EventLog,
     shutting_down: AtomicBool,
-    connections_served: AtomicU64,
-    frames_served: AtomicU64,
+    pub(crate) connections_served: AtomicU64,
+    pub(crate) frames_served: AtomicU64,
     active: AtomicUsize,
     /// Finished verdicts, filed by the pool's workers:
     /// `(connection, seq, reply)`.
@@ -226,7 +237,7 @@ impl LoopShared {
 impl std::fmt::Debug for EventLoopServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLoopServer")
-            .field("local_addr", &self.local_addr)
+            .field("local_addr", &self.local_addr())
             .field("connections_served", &self.connections_served())
             .field("frames_served", &self.frames_served())
             .finish()
@@ -246,82 +257,52 @@ impl EventLoopServer {
         service: Arc<VerifierService>,
         config: ServerConfig,
     ) -> Result<Self, NetError> {
-        let log = EventLog::new(config.log_path.as_ref())?;
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let pool = ParallelVerifier::spawn(Arc::clone(&service), config.pool);
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        let shared = Arc::new(LoopShared {
-            service,
-            log,
-            shutting_down: AtomicBool::new(false),
-            connections_served: AtomicU64::new(0),
-            frames_served: AtomicU64::new(0),
-            active: AtomicUsize::new(0),
-            completed: Mutex::new(Vec::new()),
-            wake_tx: Mutex::new(wake_tx),
-        });
-        shared.log.push(format!(
-            "listen addr={local_addr} program={} workers={} max_connections={} transport=event-loop",
-            shared.service.program_id(),
-            pool.worker_count(),
-            config.max_connections.max(1),
-        ));
-        let driver = Driver::new(
-            listener,
-            Arc::clone(&shared),
-            config.limits,
-            config.max_connections.max(1),
-            pool,
-            wake_rx,
-        )
-        .map_err(NetError::Io)?;
-        let driver = std::thread::Builder::new()
-            .name("lofat-net-loop".into())
-            .spawn(move || driver.run())
-            .expect("spawn event loop");
-        Ok(Self { shared, local_addr, driver: Some(driver) })
+        let transport = format!(
+            "program={} workers={} transport=event-loop",
+            service.program_id(),
+            pool.worker_count()
+        );
+        let role = Role::Verifier { service: Arc::clone(&service), pool };
+        Ok(Self { handle: LoopHandle::spawn(addr, &config, role, &transport)?, service })
     }
 
     /// The bound address (with the actual port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.handle.local_addr
     }
 
     /// The service this server fronts.
     pub fn service(&self) -> &Arc<VerifierService> {
-        &self.shared.service
+        &self.service
     }
 
     /// Connections accepted over the server lifetime.
     pub fn connections_served(&self) -> u64 {
-        self.shared.connections_served.load(Ordering::Relaxed)
+        self.handle.shared.connections_served.load(Ordering::Relaxed)
     }
 
     /// Frames answered over the server lifetime.
     pub fn frames_served(&self) -> u64 {
-        self.shared.frames_served.load(Ordering::Relaxed)
+        self.handle.shared.frames_served.load(Ordering::Relaxed)
     }
 
     /// Connections currently held by the loop.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
+        self.handle.shared.active.load(Ordering::Relaxed)
     }
 
     /// A snapshot of the in-memory event log (the most recent few thousand
     /// events; the full history goes to [`ServerConfig::log_path`] when set).
     pub fn events(&self) -> Vec<String> {
-        self.shared.log.snapshot()
+        self.handle.shared.log.snapshot()
     }
 
     /// Gracefully shuts the server down: stop accepting, stop reading,
     /// deliver in-flight verdicts and flush staged replies (bounded by the
     /// write deadline), then drain the verification pool.
     pub fn shutdown(mut self) {
-        self.stop();
+        self.handle.stop();
     }
 
     /// [`EventLoopServer::shutdown`], then drain the quiesced service into a
@@ -340,14 +321,89 @@ impl EventLoopServer {
         path: impl AsRef<std::path::Path>,
         reserve: u64,
     ) -> Result<(), NetError> {
-        self.stop();
-        self.shared
-            .service
+        self.handle.stop();
+        self.service
             .write_snapshot(path, reserve)
             .map_err(|e| NetError::Io(std::io::Error::other(e.to_string())))
     }
+}
 
-    fn stop(&mut self) {
+/// What the loop does with a complete client frame.
+pub(crate) enum Role {
+    /// Answer it: session requests inline, evidence on the pool.
+    Verifier { service: Arc<VerifierService>, pool: ParallelVerifier },
+    /// Relay it to the backend that owns its session (see [`crate::front`]).
+    Front(Routes),
+}
+
+/// The handle [`EventLoopServer`] and [`crate::FanOutFront`] hold on their
+/// loop thread; dropping it shuts the loop down.
+pub(crate) struct LoopHandle {
+    pub(crate) shared: Arc<LoopShared>,
+    pub(crate) local_addr: SocketAddr,
+    driver: Option<JoinHandle<()>>,
+}
+
+impl LoopHandle {
+    /// Binds a listener on `addr` and starts the loop thread in `role`,
+    /// logging `transport` as what it serves.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::Io`] if the listener, the poller, the wake channel
+    /// or the [`ServerConfig::log_path`] file cannot be created.
+    pub(crate) fn spawn(
+        addr: impl ToSocketAddrs,
+        config: &ServerConfig,
+        role: Role,
+        transport: &str,
+    ) -> Result<Self, NetError> {
+        let log = EventLog::new(config.log_path.as_ref())?;
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let local_addr = listener.local_addr()?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let max_connections = config.max_connections.max(1);
+        log.push(format!("listen addr={local_addr} {transport} max_connections={max_connections}"));
+        let shared = Arc::new(LoopShared {
+            log,
+            shutting_down: AtomicBool::new(false),
+            connections_served: AtomicU64::new(0),
+            frames_served: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
+            completed: Mutex::new(Vec::new()),
+            wake_tx: Mutex::new(wake_tx),
+        });
+        let mut poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, READABLE)?;
+        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, READABLE)?;
+        let driver = Driver {
+            poller,
+            listener: Some(listener),
+            accepting: true,
+            conns: HashMap::new(),
+            links: HashMap::new(),
+            next_id: 0,
+            shared: Arc::clone(&shared),
+            limits: config.limits.clone(),
+            max_connections,
+            role,
+            wake_rx,
+            wheel: DeadlineWheel::new(),
+            start: Instant::now(),
+            drain_deadline: None,
+        };
+        let driver = std::thread::Builder::new()
+            .name("lofat-net-loop".into())
+            .spawn(move || driver.run())
+            .expect("spawn event loop");
+        Ok(Self { shared, local_addr, driver: Some(driver) })
+    }
+
+    /// Asks the loop to drain and waits for its thread to end.
+    pub(crate) fn stop(&mut self) {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -358,13 +414,13 @@ impl EventLoopServer {
         }
         self.shared.log.push(format!(
             "shutdown complete connections={} frames={}",
-            self.connections_served(),
-            self.frames_served(),
+            self.shared.connections_served.load(Ordering::Relaxed),
+            self.shared.frames_served.load(Ordering::Relaxed),
         ));
     }
 }
 
-impl Drop for EventLoopServer {
+impl Drop for LoopHandle {
     fn drop(&mut self) {
         self.stop();
     }
@@ -376,7 +432,8 @@ struct ConnState {
     stream: TcpStream,
     machine: Connection,
     /// Replies in frame order; `None` payloads are still verifying on the
-    /// pool.  Only the longest filled prefix is ever staged for writing.
+    /// pool (or, on the front, owed by a backend).  Only the longest filled
+    /// prefix is ever staged for writing.
     pending: VecDeque<(u64, Option<Reply>)>,
     next_seq: u64,
     frames: u64,
@@ -389,12 +446,36 @@ struct ConnState {
     /// The [`READABLE`]/[`WRITABLE`] interest registered with the poller.
     interest: u8,
     scheduled: bool,
+    /// Front role: this client's backend connections, as `(backend, link
+    /// token)` pairs.
+    links: Vec<(usize, u64)>,
 }
 
-enum WheelVerdict {
-    Defer,
-    Close(CloseReason),
-    Rearm(Option<u64>),
+impl ConnState {
+    /// Files the reply to frame `seq` in the reply queue.
+    fn fill(&mut self, seq: u64, reply: Reply) {
+        if let Some(entry) =
+            self.pending.iter_mut().find(|(s, filled)| *s == seq && filled.is_none())
+        {
+            entry.1 = Some(reply);
+        }
+    }
+}
+
+/// Front role: one client's connection to one backend.  Frames go out
+/// through the machine's write buffer and replies come back through its
+/// reassembly; a backend answers a connection's frames in order, so each
+/// reply answers the oldest frame still owed.
+struct Link {
+    stream: TcpStream,
+    /// Its deadlines count only while the backend owes replies.
+    machine: Connection,
+    client: u64,
+    backend: usize,
+    /// The client frames (by sequence number) awaiting this backend's
+    /// reply, oldest first.
+    owed: VecDeque<u64>,
+    interest: u8,
 }
 
 /// The lazy deadline wheel: 256 slots × 25 ms.  Each live connection has at
@@ -457,11 +538,13 @@ struct Driver {
     listener: Option<TcpListener>,
     accepting: bool,
     conns: HashMap<u64, ConnState>,
+    /// Front role: every client's backend connections, by poller token.
+    links: HashMap<u64, Link>,
     next_id: u64,
     shared: Arc<LoopShared>,
     limits: NetLimits,
     max_connections: usize,
-    pool: ParallelVerifier,
+    role: Role,
     wake_rx: UnixStream,
     wheel: DeadlineWheel,
     start: Instant,
@@ -469,34 +552,6 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(
-        listener: TcpListener,
-        shared: Arc<LoopShared>,
-        limits: NetLimits,
-        max_connections: usize,
-        pool: ParallelVerifier,
-        wake_rx: UnixStream,
-    ) -> std::io::Result<Self> {
-        let mut poller = Poller::new()?;
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, READABLE)?;
-        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, READABLE)?;
-        Ok(Self {
-            poller,
-            listener: Some(listener),
-            accepting: true,
-            conns: HashMap::new(),
-            next_id: 0,
-            shared,
-            limits,
-            max_connections,
-            pool,
-            wake_rx,
-            wheel: DeadlineWheel::new(),
-            start: Instant::now(),
-            drain_deadline: None,
-        })
-    }
-
     fn now_ms(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
@@ -525,7 +580,8 @@ impl Driver {
                 match event.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => self.drain_wake(),
-                    id => self.conn_event(id, event.ready),
+                    id if self.conns.contains_key(&id) => self.conn_event(id, event.ready),
+                    id => self.link_event(id, event.ready),
                 }
             }
             self.process_completions();
@@ -534,7 +590,7 @@ impl Driver {
         // Teardown: dropping the pool joins its workers, which first run the
         // reply of every job still queued.  It goes before the rest of the
         // driver, so those replies still find the wake channel open.
-        drop(self.pool);
+        drop(self.role);
     }
 
     fn poll_timeout(&self) -> i32 {
@@ -641,6 +697,7 @@ impl Driver {
                         farewell: None,
                         interest,
                         scheduled: false,
+                        links: Vec::new(),
                     };
                     if let Some(deadline) = state.machine.next_deadline_ms() {
                         self.wheel.schedule(id, deadline);
@@ -676,36 +733,16 @@ impl Driver {
     }
 
     fn readable(&mut self, id: u64, now: u64) {
-        let mut eof = false;
-        {
+        let eof = {
             let Some(state) = self.conns.get_mut(&id) else { return };
             if state.draining {
                 return;
             }
-            let mut buf = [0u8; READ_CHUNK];
-            loop {
-                match state.stream.read(&mut buf) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        state.machine.bytes_in(&buf[..n], now);
-                        if n < READ_CHUNK {
-                            // Level-triggered: anything left refires the event.
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        let reason = CloseReason::ReadError(e.to_string());
-                        self.finalize_close(id, &reason);
-                        return;
-                    }
-                }
+            match read_available(&mut state.stream, &mut state.machine, now) {
+                Ok(eof) => eof,
+                Err(e) => return self.finalize_close(id, &CloseReason::ReadError(e.to_string())),
             }
-        }
+        };
         if let Err(reason) = self.pump_frames(id) {
             self.mark_close(id, reason);
         } else if eof {
@@ -724,7 +761,10 @@ impl Driver {
     fn pump_frames(&mut self, id: u64) -> Result<(), CloseReason> {
         loop {
             let frame = {
-                let Some(state) = self.conns.get_mut(&id) else { return Ok(()) };
+                // A client a backend failed stops mid-batch.
+                let Some(state) = self.conns.get_mut(&id).filter(|state| !state.draining) else {
+                    return Ok(());
+                };
                 match state.machine.next_frame() {
                     Ok(Some(frame)) => frame,
                     Ok(None) => return Ok(()),
@@ -735,35 +775,44 @@ impl Driver {
         }
     }
 
-    /// Dispatches one frame per its [`Admission`]: session requests inline,
-    /// evidence to the pool, over-cap sessions refused — always through the
-    /// connection's ordered reply queue, so pipelined frames answer in
+    /// Dispatches one frame: the front relays it to its backend; a verifier
+    /// acts on its [`Admission`] — session requests inline, evidence to the
+    /// pool, over-cap sessions refused.  Either way the reply goes through
+    /// the connection's ordered reply queue, so pipelined frames answer in
     /// arrival order.
     fn dispatch(&mut self, id: u64, frame: Vec<u8>) {
         let Some(state) = self.conns.get_mut(&id) else { return };
         let seq = state.next_seq;
         state.next_seq += 1;
+        let (service, pool) = match &mut self.role {
+            Role::Verifier { service, pool } => (service, pool),
+            Role::Front(routes) => {
+                state.pending.push_back((seq, None));
+                let backend = routes.route(&frame);
+                return self.relay(id, seq, backend, &frame);
+            }
+        };
         match state.machine.admit(&frame) {
             Admission::SessionRequest => {
                 let reply = match Envelope::decode(&frame) {
                     Ok(Envelope { message: Message::SessionRequest(request), .. }) => {
-                        session_request_reply(&self.shared.service, request)
+                        session_request_reply(service, request)
                     }
                     // The peek was optimistic; let the service classify
                     // whatever this really is.
-                    _ => self.shared.service.handle_bytes(&frame),
+                    _ => service.handle_bytes(&frame),
                 };
-                state.pending.push_back((seq, Some(reply)));
+                state.pending.push_back((seq, Some(served(reply))));
             }
             Admission::SessionLimit { session } => {
                 let reply = session_limit_refusal(session, self.limits.max_sessions_per_connection);
-                state.pending.push_back((seq, Some(reply)));
+                state.pending.push_back((seq, Some(served(reply))));
             }
             Admission::Verify => {
                 state.pending.push_back((seq, None));
                 let shared = Arc::clone(&self.shared);
-                self.pool.submit(frame, move |done| {
-                    shared.completed_lock().push((id, seq, done.reply));
+                pool.submit(frame, move |done| {
+                    shared.completed_lock().push((id, seq, served(done.reply)));
                     shared.wake();
                 });
             }
@@ -772,6 +821,7 @@ impl Driver {
 
     /// Stages the longest filled prefix of the reply queue onto the wire
     /// buffer, counting each frame as served the moment its reply is staged.
+    /// The queue ends at a failed reply: nothing after it is answered.
     fn drain_ready(&mut self, id: u64) -> Result<(), CloseReason> {
         let Some(state) = self.conns.get_mut(&id) else { return Ok(()) };
         while matches!(state.pending.front(), Some((_, Some(_)))) {
@@ -782,7 +832,10 @@ impl Driver {
                     self.shared.frames_served.fetch_add(1, Ordering::Relaxed);
                     state.machine.frame_out(&bytes)?;
                 }
-                Err(e) => return Err(CloseReason::ServiceError(e.to_string())),
+                Err(reason) => {
+                    state.pending.clear();
+                    return Err(reason);
+                }
             }
         }
         Ok(())
@@ -793,13 +846,17 @@ impl Driver {
     /// flush path deliver whatever is still owed first.
     fn mark_close(&mut self, id: u64, reason: CloseReason) {
         let mut farewell = None;
-        if let Some(wire_error) = reason.wire_error() {
-            // A truncated or oversized frame enters the books exactly like it
-            // does in-process; an oversized announcement is also answered
-            // (the peer is still there to read the verdict).
-            match self.shared.service.reject_unparseable(SessionId(0), &wire_error) {
-                Ok(reply) if reason.answers_peer() => farewell = Some(reply),
-                _ => {}
+        if let Some(error) = reason.wire_error() {
+            // A truncated or oversized frame enters a verifier's books
+            // exactly like it does in-process; the front keeps none.  An
+            // oversized announcement is also answered (the peer is still
+            // there to read the verdict), with the same bytes by both roles.
+            let reply = match &self.role {
+                Role::Verifier { service, .. } => service.reject_unparseable(SessionId(0), &error),
+                Role::Front(_) => rejection_bytes(SessionId(0), &error),
+            };
+            if reason.answers_peer() {
+                farewell = reply.ok();
             }
         }
         let Some(state) = self.conns.get_mut(&id) else { return };
@@ -825,7 +882,7 @@ impl Driver {
                 let _ = state.machine.frame_out(&bytes);
             }
         }
-        if let Err(reason) = try_flush_stream(state, now) {
+        if let Err(reason) = try_flush_stream(&mut state.stream, &mut state.machine, now) {
             self.finalize_close(id, &reason);
             return;
         }
@@ -861,6 +918,9 @@ impl Driver {
     fn finalize_close(&mut self, id: u64, reason: &CloseReason) {
         let Some(state) = self.conns.remove(&id) else { return };
         let _ = self.poller.delete(state.stream.as_raw_fd());
+        for &(_, token) in &state.links {
+            self.close_link(token);
+        }
         self.shared.active.store(self.conns.len(), Ordering::Relaxed);
         self.shared.log.push(format!("close id={id} frames={} ({reason})", state.frames));
         if self.conns.len() < self.max_connections {
@@ -868,6 +928,138 @@ impl Driver {
         }
         // Replies still verifying on the pool arrive later and are dropped —
         // the books were already written when `handle_bytes` ran.
+    }
+
+    // -- front role: backend links ------------------------------------------
+
+    /// Sends client frame `seq` to the client's own connection to `backend`
+    /// (dialled on first use; see [`dial`]) and books the reply it owes.
+    fn relay(&mut self, client: u64, seq: u64, (backend, addr): (usize, SocketAddr), frame: &[u8]) {
+        let now = self.now_ms();
+        let Some(state) = self.conns.get_mut(&client) else { return };
+        let token = match state.links.iter().find(|&&(b, _)| b == backend) {
+            Some(&(_, token)) => token,
+            None => {
+                self.next_id += 1;
+                let token = self.next_id;
+                let dialled = dial(&addr, self.limits.write_timeout).and_then(|stream| {
+                    self.poller.add(stream.as_raw_fd(), token, READABLE).map(|()| stream)
+                });
+                let stream = match dialled {
+                    Ok(stream) => stream,
+                    Err(e) => return self.fail_client(client, Some(seq), backend, e),
+                };
+                let _ = stream.set_nodelay(true);
+                let machine = Connection::new(&self.limits, now);
+                let owed = VecDeque::new();
+                let link = Link { stream, machine, client, backend, owed, interest: READABLE };
+                self.links.insert(token, link);
+                state.links.push((backend, token));
+                self.shared.log.push(format!("id={client} dialled backend {backend} at {addr}"));
+                token
+            }
+        };
+        let Some(link) = self.links.get_mut(&token) else { return };
+        if link.owed.is_empty() {
+            // An idle backend owes nothing: its read deadline starts now.
+            link.machine.bytes_in(&[], now);
+        }
+        link.owed.push_back(seq);
+        match link.machine.frame_out(frame) {
+            Ok(()) => self.flush_link(token, now),
+            Err(reason) => self.fail_link(token, reason),
+        }
+    }
+
+    fn link_event(&mut self, token: u64, ready: u8) {
+        let now = self.now_ms();
+        let Some(client) = self.links.get(&token).map(|link| link.client) else { return };
+        if ready & (READABLE | HANGUP) != 0 {
+            self.link_readable(token, now);
+        }
+        if ready & WRITABLE != 0 {
+            self.flush_link(token, now);
+        }
+        self.flush_and_update(client, now);
+    }
+
+    /// Files each reply link `token` completed under the client frame it
+    /// answers.  A backend that fails while it owes replies fails its
+    /// client; an idle link that closes or fails is dialled again on next
+    /// use.
+    fn link_readable(&mut self, token: u64, now: u64) {
+        let Some(link) = self.links.get_mut(&token) else { return };
+        let read = read_available(&mut link.stream, &mut link.machine, now);
+        let (client, backend) = (link.client, link.backend);
+        let failure = loop {
+            match link.machine.next_frame() {
+                Ok(Some(reply)) => {
+                    let Some(seq) = link.owed.pop_front() else {
+                        break Some("a reply nothing asked for".to_string());
+                    };
+                    if let Some(state) = self.conns.get_mut(&client) {
+                        state.fill(seq, Ok(reply));
+                    }
+                }
+                Ok(None) => {
+                    break match &read {
+                        Ok(false) => None,
+                        _ if link.owed.is_empty() => None,
+                        Ok(true) => Some(format!("closed owing {} replies", link.owed.len())),
+                        Err(e) => Some(format!("read error: {e}")),
+                    }
+                }
+                Err(reason) => break Some(reason.to_string()),
+            }
+        };
+        if let Some(failure) = failure {
+            self.fail_link(token, failure);
+        } else if !matches!(read, Ok(false)) {
+            self.shared.log.push(format!("id={client} backend {backend} dropped an idle link"));
+            self.close_link(token);
+        }
+    }
+
+    /// Writes what link `token` has staged (a connect still in progress
+    /// refuses it like a full socket) and keeps its write interest in step.
+    fn flush_link(&mut self, token: u64, now: u64) {
+        let Some(link) = self.links.get_mut(&token) else { return };
+        if let Err(reason) = try_flush_stream(&mut link.stream, &mut link.machine, now) {
+            return self.fail_link(token, reason);
+        }
+        let want = if link.machine.wants_write() { READABLE | WRITABLE } else { READABLE };
+        if want != link.interest && self.poller.modify(link.stream.as_raw_fd(), token, want).is_ok()
+        {
+            link.interest = want;
+        }
+    }
+
+    /// Drops link `token` because its backend failed, and fails its client
+    /// at the oldest frame the link owes.
+    fn fail_link(&mut self, token: u64, what: impl Display) {
+        let Some(link) = self.close_link(token) else { return };
+        self.fail_client(link.client, link.owed.front().copied(), link.backend, what);
+    }
+
+    /// Answers client frame `seq` with the failure of `backend`: the client
+    /// reads nothing more, gets the replies owed before that frame in order,
+    /// then closes (as a verifier connection does on a pool error).
+    fn fail_client(&mut self, client: u64, seq: Option<u64>, backend: usize, what: impl Display) {
+        let failure = CloseReason::ServiceError(format!("backend {backend}: {what}"));
+        if let (Some(state), Some(seq)) = (self.conns.get_mut(&client), seq) {
+            state.fill(seq, Err(failure.clone()));
+        }
+        self.mark_close(client, failure);
+    }
+
+    /// Deregisters and drops link `token`, and forgets it on its client.
+    fn close_link(&mut self, token: u64) -> Option<Link> {
+        let link = self.links.remove(&token)?;
+        let _ = self.poller.delete(link.stream.as_raw_fd());
+        if let Some(state) = self.conns.get_mut(&link.client) {
+            state.links.retain(|&(_, t)| t != token);
+        }
+        Some(link)
     }
 
     // -- completions and deadlines ----------------------------------------
@@ -882,11 +1074,7 @@ impl Driver {
         let now = self.now_ms();
         for (id, seq, reply) in completed {
             let Some(state) = self.conns.get_mut(&id) else { continue };
-            if let Some(entry) =
-                state.pending.iter_mut().find(|(s, filled)| *s == seq && filled.is_none())
-            {
-                entry.1 = Some(reply);
-            }
+            state.fill(seq, reply);
             self.flush_and_update(id, now);
         }
     }
@@ -894,48 +1082,72 @@ impl Driver {
     fn advance_wheel(&mut self) {
         let now = self.now_ms();
         for id in self.wheel.due(now) {
-            let verdict = {
-                let Some(state) = self.conns.get_mut(&id) else { continue };
-                state.scheduled = false;
-                if !state.pending.is_empty() {
-                    // The peer is waiting on *us* (verdicts outstanding);
-                    // hold its deadline and recheck shortly.
-                    WheelVerdict::Defer
-                } else {
-                    match state.machine.tick(now) {
-                        Some(reason) => WheelVerdict::Close(reason),
-                        None => WheelVerdict::Rearm(state.machine.next_deadline_ms()),
-                    }
+            let Some(state) = self.conns.get_mut(&id) else { continue };
+            if !state.pending.is_empty() {
+                // The peer is waiting on *us* (replies outstanding); hold its
+                // deadline and recheck shortly — unless a backend that owes
+                // it replies missed a deadline of its own.
+                self.wheel.schedule(id, now + WHEEL_GRANULARITY_MS);
+                let overdue = state.links.iter().find_map(|&(_, token)| {
+                    let link = self.links.get(&token).filter(|link| !link.owed.is_empty())?;
+                    Some((token, link.machine.tick(now)?))
+                });
+                if let Some((token, reason)) = overdue {
+                    self.fail_link(token, reason);
+                    self.flush_and_update(id, now);
                 }
-            };
-            match verdict {
-                WheelVerdict::Defer => {
-                    self.wheel.schedule(id, now + WHEEL_GRANULARITY_MS);
-                    if let Some(state) = self.conns.get_mut(&id) {
-                        state.scheduled = true;
-                    }
-                }
-                WheelVerdict::Close(reason) => self.finalize_close(id, &reason),
-                WheelVerdict::Rearm(Some(deadline)) => {
-                    self.wheel.schedule(id, deadline);
-                    if let Some(state) = self.conns.get_mut(&id) {
-                        state.scheduled = true;
-                    }
-                }
-                WheelVerdict::Rearm(None) => {}
+                continue;
+            }
+            if let Some(reason) = state.machine.tick(now) {
+                self.finalize_close(id, &reason);
+                continue;
+            }
+            let recheck = state.machine.next_deadline_ms();
+            state.scheduled = recheck.is_some();
+            if let Some(at) = recheck {
+                self.wheel.schedule(id, at);
             }
         }
     }
 }
 
+/// Reads everything the socket holds into `machine`; `Ok(true)` at end of
+/// stream.
+fn read_available(
+    stream: &mut TcpStream,
+    machine: &mut Connection,
+    now: u64,
+) -> std::io::Result<bool> {
+    let mut buf = [0u8; READ_CHUNK];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return Ok(true),
+            Ok(n) => {
+                machine.bytes_in(&buf[..n], now);
+                if n < READ_CHUNK {
+                    // Level-triggered: anything left refires the event.
+                    return Ok(false);
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Writes as much of the staged output as the socket will take right now.
-fn try_flush_stream(state: &mut ConnState, now: u64) -> Result<(), CloseReason> {
-    while state.machine.wants_write() {
-        match state.stream.write(state.machine.bytes_out()) {
+fn try_flush_stream(
+    stream: &mut TcpStream,
+    machine: &mut Connection,
+    now: u64,
+) -> Result<(), CloseReason> {
+    while machine.wants_write() {
+        match stream.write(machine.bytes_out()) {
             Ok(0) => return Err(CloseReason::WriteFailed("socket accepted no bytes".into())),
-            Ok(n) => state.machine.consume_out(n),
+            Ok(n) => machine.consume_out(n),
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                state.machine.write_blocked(now);
+                machine.write_blocked(now);
                 break;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}

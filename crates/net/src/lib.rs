@@ -29,7 +29,8 @@
 //!   sessions;
 //! * [`FanOutFront`] — a stateless fan-out front multiplexing clients over
 //!   `N` partitioned backend verifiers (the multi-process face of
-//!   [`lofat::service::ServiceConfig::partition_count`]);
+//!   [`lofat::service::ServiceConfig::partition_count`]): the same loop in a
+//!   second role, relaying frames to backend connections it also owns;
 //! * [`NetError`] — typed failures mapping wire rejections onto the stable
 //!   [`lofat::wire::code`] reason codes.
 //!

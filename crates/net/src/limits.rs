@@ -44,15 +44,18 @@ pub struct NetLimits {
     /// Maximum accepted frame payload, in bytes (hostile length prefixes
     /// above this are refused before any buffer is sized from them).
     pub max_frame_bytes: usize,
-    /// Read deadline (`None` waits forever).  On the server it is the
-    /// inactivity deadline — a connection that has not delivered a byte for
-    /// this long is closed; every byte received restarts the clock.  The
-    /// client and the front's relays use it as their socket read timeout.
+    /// Read deadline (`None` waits forever).  On the server and the front it
+    /// is the inactivity deadline — a connection that has not delivered a
+    /// byte for this long is closed; every byte received restarts the clock.
+    /// The front also closes a client whose backend owes it a reply and
+    /// stays silent this long (a connect that never completes included).
+    /// The client uses it as its socket read timeout.
     pub read_timeout: Option<Duration>,
-    /// Write deadline (`None` waits forever).  On the server this bounds how
-    /// long a connection's write buffer may sit undrained before the
-    /// connection is dropped as stalled; the client and the front use it as
-    /// their socket write timeout.
+    /// Write deadline (`None` waits forever).  On the server and the front
+    /// this bounds how long a connection's write buffer may sit undrained
+    /// before the connection is dropped as stalled (on the front, a frame
+    /// staged for a backend still connecting too; off Linux it bounds the
+    /// blocking dial); the client uses it as its socket write timeout.
     pub write_timeout: Option<Duration>,
     /// Maximum distinct [`lofat::wire::SessionId`]s one connection may
     /// address.  Past the cap, evidence for a fresh session id is answered

@@ -29,10 +29,10 @@ use std::sync::Mutex;
 /// `config.limits.read_timeout`, and so on).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum connections served concurrently.  Past it the listener stops
-    /// accepting until a connection closes, so a flood waits in the kernel
-    /// backlog instead of costing the server memory (or, on the front, a
-    /// relay thread) per connection.
+    /// Maximum connections served concurrently (on the front, clients: each
+    /// client's backend connections come with it).  Past it the listener
+    /// stops accepting until a connection closes, so a flood waits in the
+    /// kernel backlog instead of costing memory per connection.
     pub max_connections: usize,
     /// Per-connection deadlines, frame bound and session-multiplex cap —
     /// see [`NetLimits`].

@@ -18,6 +18,10 @@
 //! reference replay allocates the same number of times whatever its loop
 //! count.
 //!
+//! A prover run allocates a fixed number of times too: one
+//! `ProverSession::handle_bytes`, from challenge bytes to evidence bytes,
+//! allocates as often at 2 000 units of syringe-pump as at 100.
+//!
 //! On the verifier's side, one verdict allocates a fixed number of times: the
 //! fourth test counts one `handle_bytes` of honest evidence, which allocates
 //! alike whether or not the service judged the same measurement before and
@@ -260,6 +264,40 @@ fn verdict_allocations_do_not_depend_on_history_or_run_length() {
     assert_eq!(small[0], small[1], "100 units: first verdict vs a later one");
     assert_eq!(large[0], large[1], "2 000 units: first verdict vs a later one");
     assert_eq!(small, large, "100 vs 2 000 units");
+}
+
+/// One prover run — `ProverSession::handle_bytes`, from challenge bytes to
+/// evidence bytes — allocates a fixed number of times, whatever the length
+/// of the run it attests: 41 for syringe-pump at 100, 1 000 and 2 000 units,
+/// whose runs exit ten and twenty times as many loops as the shortest.
+#[test]
+fn a_prover_run_allocates_a_fixed_count_whatever_its_length() {
+    let workload = catalog::by_name("syringe-pump").expect("catalogue workload");
+    let program = workload.program().expect("assemble");
+    let key = DeviceKey::from_seed("e11-device");
+    let verifier =
+        Verifier::new(program.clone(), workload.name, key.verification_key()).expect("verifier");
+    let inputs = [vec![100], vec![1000], vec![2000]];
+    let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), inputs.clone())
+        .expect("replay");
+    let service = VerifierService::new(db, key.verification_key(), ServiceConfig::default());
+    let mut prover = Prover::new(program, workload.name, key);
+    let counts = inputs.map(|input| {
+        let id = service.open_session(input).expect("capacity");
+        let challenge = service.challenge_envelope(id).expect("live session");
+        let challenge = challenge.encode().expect("challenge encodes");
+        let mut session = ProverSession::new(&mut prover);
+        let before = allocation_count();
+        let evidence = session.handle_bytes(&challenge).expect("prover answers");
+        let delta = allocation_count() - before;
+        let reply = service.handle_bytes(&evidence).expect("verdict encodes");
+        let Message::Verdict(verdict) = Envelope::decode(&reply).expect("decodes").message else {
+            panic!("expected a verdict")
+        };
+        assert!(verdict.accepted, "{verdict:?}");
+        delta
+    });
+    assert_eq!(counts, [41; 3], "allocations per prover run at 100, 1 000 and 2 000 units");
 }
 
 /// A syringe-pump service over the one input `[100]`, and its prover.

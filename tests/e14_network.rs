@@ -31,8 +31,13 @@
 //!   requests up front, evidence pipelined) produce byte-identical verdicts
 //!   and equal books vs N one-session connections.
 //! * **Fan-out front** — partitioned servers behind a `FanOutFront` are
-//!   byte-identical to one service, and a front past its connection cap
-//!   leaves the next client waiting in the backlog until a slot frees.
+//!   byte-identical to one service, also for frames pipelined across them,
+//!   and a front past its connection cap leaves the next client waiting in
+//!   the backlog until a slot frees.  The front answers hostile framing with
+//!   the server's bytes and records it nowhere; a dead or silent backend
+//!   closes only the client it owes, after the replies to that client's
+//!   earlier frames; a backend whose connect hangs stalls only its client;
+//!   and an idle connection a backend hangs up is dialled again.
 //!
 //! `E14_SESSIONS` overrides the per-workload session count (CI runs a debug
 //! smoke pass and a full-scale release pass, mirroring e12/e13).  Each test
@@ -1058,4 +1063,381 @@ fn front_holds_clients_past_its_connection_cap_in_the_backlog() {
     front.shutdown();
     backend.shutdown();
     assert_eq!(service.stats().sessions_opened, 3);
+}
+
+/// `partitions` one-shard backends, backend `p` serving partition `p`, each
+/// verifying on one worker so a connection's frames are judged in order.
+fn partitioned_backends(
+    test: &str,
+    name: &str,
+    seed: &str,
+    inputs: &[Vec<u32>],
+    partitions: u64,
+) -> (Vec<Arc<lofat::VerifierService>>, Vec<lofat_net::EventLoopServer>) {
+    (0..partitions)
+        .map(|partition| {
+            let config = ServiceConfig::sharded(1).partitioned(partition, partitions);
+            let (_, service, _) = common::workload_service_arc(name, seed, inputs, config);
+            let server_config = lofat_net::ServerConfig {
+                pool: lofat::pool::PoolConfig::with_workers(1),
+                ..common::net_server_config(&format!("{test}_backend_{partition}"))
+            };
+            let server = common::serve(Arc::clone(&service), server_config);
+            (service, server)
+        })
+        .unzip()
+}
+
+/// Sixteen frames written to a two-partition front before any reply is read
+/// — evidence for eight sessions that alternate between the partitions,
+/// then the replay of each — come back in frame order, byte-equal to the
+/// in-process reference.  Each backend judges on one worker, so a replay
+/// can never be judged before the evidence it repeats.
+#[test]
+fn frames_pipelined_through_the_front_answer_in_order_byte_for_byte() {
+    let name = "fig4-loop";
+    let seed = "e14-front-pipeline";
+    let inputs: Vec<Vec<u32>> = (1..=4u32).map(|k| vec![k]).collect();
+    let program = catalog::by_name(name).unwrap().program().expect("assemble");
+    let input_addr = program.symbol("input").expect("input");
+    let fleet =
+        generate_fleet(name, seed, &inputs, |_| attack::poke_at_instruction(2, input_addr, 1), 8);
+    let reference = run_in_process(name, seed, &fleet, &inputs, ServiceConfig::sharded(2));
+
+    let (services, servers) = partitioned_backends("front_pipeline", name, seed, &inputs, 2);
+    let backends = servers.iter().map(|server| server.local_addr()).collect();
+    let front = lofat_net::FanOutFront::bind(
+        "127.0.0.1:0",
+        backends,
+        common::net_server_config("front_pipeline"),
+    )
+    .expect("bind front");
+    let mut client = ProverClient::connect(front.local_addr()).expect("connect to the front");
+    for (i, input) in fleet.inputs.iter().enumerate() {
+        let (_, bytes) = client.request_challenge(name, input.clone()).expect("challenge");
+        assert_eq!(bytes, fleet.challenges[i], "challenge {i} through the front");
+    }
+    let frames: Vec<&Vec<u8>> = fleet.evidence.iter().chain(&fleet.evidence).collect();
+    let replies: Vec<Vec<u8>> = {
+        let mut raw = client.raw();
+        for frame in &frames {
+            raw.send(frame).expect("pipeline a frame through the front");
+        }
+        (0..frames.len())
+            .map(|i| raw.recv().unwrap_or_else(|e| panic!("reply {i}: {e}")).expect("answered"))
+            .collect()
+    };
+    drop(client);
+
+    let want: Vec<&Vec<u8>> = reference.verdicts_p1.iter().chain(&reference.verdicts_p2).collect();
+    assert_eq!(replies.len(), 16);
+    for (i, (want, got)) in want.iter().zip(&replies).enumerate() {
+        assert_eq!(*want, got, "pipelined reply {i} diverges from the reference");
+    }
+    let mut stats = ServiceStats::default();
+    let mut live = 0;
+    for service in &services {
+        stats.absorb(&service.stats());
+        live += service.live_sessions();
+    }
+    assert_eq!(reference.stats, stats, "summed partition books diverge");
+    assert_eq!(reference.live, live);
+    assert_eq!(front.frames_served(), 8 + 16);
+    front.shutdown();
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// The front answers hostile framing the way a server does, and records it
+/// nowhere: an oversized length prefix draws the very farewell bytes a
+/// server sends for it, and a frame cut short mid-body reaches no backend,
+/// so no backend's books move.  The same bytes sent straight to a server
+/// count there.
+#[test]
+fn front_answers_hostile_framing_like_a_server_and_records_nothing() {
+    use std::io::Write;
+    let name = "fig4-loop";
+    let (services, servers) =
+        partitioned_backends("front_hostile", name, "e14-front-hostile", &[vec![2]], 2);
+    let backends = servers.iter().map(|server| server.local_addr()).collect();
+    let front = lofat_net::FanOutFront::bind(
+        "127.0.0.1:0",
+        backends,
+        common::net_server_config("front_hostile"),
+    )
+    .expect("bind front");
+    let books = || services.iter().map(|service| service.stats()).collect::<Vec<_>>();
+    let before = books();
+
+    let farewell = |addr| {
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+        raw.write_all(&u32::MAX.to_le_bytes()).expect("hostile prefix");
+        let reply = lofat_net::frame::read_frame(&mut raw, 1 << 20)
+            .expect("answered before the close")
+            .expect("a verdict frame");
+        let closed = lofat_net::frame::read_frame(&mut raw, 1 << 20).expect("clean close");
+        assert_eq!(closed, None, "the connection closes after a hostile prefix");
+        reply
+    };
+    let cut_short = |addr| {
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+        raw.write_all(&100u32.to_le_bytes()).expect("header");
+        raw.write_all(b"abc").expect("partial body");
+    };
+
+    let from_front = farewell(front.local_addr());
+    assert_eq!(common::decode_verdict(&from_front).reason_code, code::MALFORMED);
+    cut_short(front.local_addr());
+    // Both hostile clients are gone once the front has logged their closes.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let closes = || front.events().iter().filter(|event| event.contains("close id=")).count();
+    while closes() < 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(closes(), 2, "{:?}", front.events());
+    assert_eq!(books(), before, "hostile framing through the front moved a backend's books");
+
+    // Straight to a server: the same farewell, and each input is one wire
+    // error in that server's books.
+    assert_eq!(farewell(servers[0].local_addr()), from_front, "front and server farewells differ");
+    assert_eq!(services[0].stats().wire_errors, 1);
+    cut_short(servers[0].local_addr());
+    while services[0].stats().wire_errors < 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(services[0].stats().wire_errors, 2, "a frame cut short counts on a server");
+    assert_eq!(services[1].stats(), before[1]);
+    front.shutdown();
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// A backend that refuses connections closes only the client whose frame it
+/// was dealt: a client served by the live backend keeps its session, a
+/// client that connects afterwards is served normally, and the live
+/// backend's books stay conserved.
+#[test]
+fn a_dead_backend_closes_only_its_client() {
+    let name = "fig4-loop";
+    let config = ServiceConfig::sharded(1).partitioned(0, 2);
+    let (_, service, mut prover) =
+        common::workload_service_arc(name, "e14-front-dead-backend", &[vec![2]], config);
+    let live = common::serve(Arc::clone(&service), common::net_server_config("front_dead_live"));
+    // A port bound and released again: connecting to it is refused.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("reserve a port");
+    let front = lofat_net::FanOutFront::bind(
+        "127.0.0.1:0",
+        vec![live.local_addr(), dead],
+        common::net_server_config("front_dead"),
+    )
+    .expect("bind front");
+
+    // Session requests go round-robin: the first to the live backend…
+    let mut first = ProverClient::connect(front.local_addr()).expect("connect");
+    let (challenge, _) = first.request_challenge(name, vec![2]).expect("challenge");
+    assert_eq!(challenge.session, SessionId(1));
+    // …the second to the dead one, which closes that client.
+    let mut second = ProverClient::connect(front.local_addr()).expect("connect");
+    assert!(second.request_challenge(name, vec![2]).is_err(), "a dead backend answered");
+
+    // The first client's session goes on.
+    let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("prover");
+    let (_, verdict) =
+        first.submit_evidence(&evidence.encode().unwrap()).expect("the first client survives");
+    assert!(verdict.accepted, "{verdict:?}");
+    // A later client's request goes to the live backend again.
+    let mut third = ProverClient::connect(front.local_addr()).expect("connect");
+    let outcome = third.attest(&mut prover, vec![2]).expect("served after the failure");
+    assert!(outcome.verdict.accepted, "{:?}", outcome.verdict);
+    assert_eq!(outcome.session, SessionId(3));
+
+    drop((first, second, third));
+    front.shutdown();
+    live.shutdown();
+    let stats = service.stats();
+    assert_eq!((stats.sessions_opened, stats.accepted), (2, 2), "{stats:?}");
+    common::assert_stats_conserved(&stats, service.live_sessions());
+}
+
+/// A frame a dead backend is dealt ends its client's reply queue, not the
+/// replies before it: evidence for a live backend's session and then a
+/// session request for the dead one, arriving in one write, draw the
+/// evidence's verdict and then the close.
+#[test]
+fn a_dead_backend_answers_the_frames_before_its_own_then_closes() {
+    use lofat_net::frame::{read_frame, write_frame};
+    use std::io::Write;
+    let name = "fig4-loop";
+    let config = ServiceConfig::sharded(1).partitioned(0, 2);
+    let (_, service, mut prover) =
+        common::workload_service_arc(name, "e14-front-dead-pipeline", &[vec![2]], config);
+    let live = common::serve(Arc::clone(&service), common::net_server_config("front_dead_pl_live"));
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("reserve a port");
+    let front = lofat_net::FanOutFront::bind(
+        "127.0.0.1:0",
+        vec![live.local_addr(), dead],
+        common::net_server_config("front_dead_pl"),
+    )
+    .expect("bind front");
+
+    // Session requests go round-robin: the first to the live backend, the
+    // next to the dead one.
+    let request = lofat::Envelope::new(
+        SessionId(0),
+        lofat::Message::SessionRequest(lofat::wire::SessionRequestMsg {
+            program_id: name.to_string(),
+            input: vec![2],
+        }),
+    )
+    .encode()
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(front.local_addr()).expect("connect");
+    write_frame(&mut stream, &request, 1 << 20).expect("request");
+    let challenge = read_frame(&mut stream, 1 << 20).expect("read").expect("a challenge");
+    let challenge = lofat::Envelope::decode(&challenge).expect("challenge decodes");
+    let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("prover");
+    let mut both = Vec::new();
+    write_frame(&mut both, &evidence.encode().unwrap(), 1 << 20).expect("evidence frame");
+    write_frame(&mut both, &request, 1 << 20).expect("request frame");
+    stream.write_all(&both).expect("both frames in one write");
+    let verdict = read_frame(&mut stream, 1 << 20).expect("the evidence is answered");
+    assert!(common::decode_verdict(&verdict.expect("a verdict frame")).accepted);
+    assert!(
+        !matches!(read_frame(&mut stream, 1 << 20), Ok(Some(_))),
+        "the dead backend's frame was answered"
+    );
+
+    drop(stream);
+    front.shutdown();
+    live.shutdown();
+    let stats = service.stats();
+    assert_eq!((stats.sessions_opened, stats.accepted), (1, 1), "{stats:?}");
+    common::assert_stats_conserved(&stats, service.live_sessions());
+}
+
+/// A backend whose connect hangs (its accept queue is full, so the kernel
+/// drops the handshake) stalls only the client waiting on it: the loop goes
+/// on serving a client of the other backend, which gets its verdict within
+/// a second while the stalled client is still open, and the stalled client
+/// closes once the front's 3 s deadlines pass.
+#[test]
+fn a_backend_whose_connect_hangs_stalls_only_its_client() {
+    let name = "fig4-loop";
+    let config = ServiceConfig::sharded(1).partitioned(0, 2);
+    let (_, service, mut prover) =
+        common::workload_service_arc(name, "e14-front-hung-backend", &[vec![2]], config);
+    let live = common::serve(Arc::clone(&service), common::net_server_config("front_hung_live"));
+    // Nothing accepts on the hung backend: once one connect times out, its
+    // queue is full and the kernel drops every further handshake.
+    let hung = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a hung backend");
+    let hung_addr = hung.local_addr().expect("address");
+    let mut queued = Vec::new();
+    while let Ok(stream) =
+        std::net::TcpStream::connect_timeout(&hung_addr, Duration::from_millis(200))
+    {
+        queued.push(stream);
+        assert!(queued.len() <= 4096, "the accept queue never filled");
+    }
+    let mut config = common::net_server_config("front_hung");
+    let deadline = Some(Duration::from_secs(3));
+    config.limits = config.limits.with_read_timeout(deadline).with_write_timeout(deadline);
+    let addrs = vec![live.local_addr(), hung_addr];
+    let front = lofat_net::FanOutFront::bind("127.0.0.1:0", addrs, config).expect("bind front");
+
+    // Session requests go round-robin: the first to the live backend, the
+    // second to the hung one.
+    let mut first = ProverClient::connect(front.local_addr()).expect("connect");
+    let (challenge, _) = first.request_challenge(name, vec![2]).expect("challenge");
+    let mut second = ProverClient::connect(front.local_addr()).expect("connect");
+    let stalled = std::thread::spawn(move || second.request_challenge(name, vec![2]).is_err());
+    // Give the front (a second at most) to start dialling the hung backend.
+    let started = std::time::Instant::now();
+    while !front.events().iter().any(|event| event.contains("dialled backend 1"))
+        && started.elapsed() < Duration::from_secs(1)
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let (evidence, _) = ProverSession::new(&mut prover).respond(&challenge).expect("prover");
+    let sent = std::time::Instant::now();
+    let (_, verdict) =
+        first.submit_evidence(&evidence.encode().unwrap()).expect("the first client is served");
+    assert!(verdict.accepted, "{verdict:?}");
+    let served_in = sent.elapsed();
+    assert!(served_in < Duration::from_secs(1), "served in {served_in:?} while a dial hung");
+    assert!(!stalled.is_finished(), "the stalled client closed before the other was served");
+    assert!(stalled.join().expect("stalled client"), "the hung backend answered");
+    let mut third = ProverClient::connect(front.local_addr()).expect("connect");
+    let outcome = third.attest(&mut prover, vec![2]).expect("served after the stall");
+    assert_eq!(outcome.session, SessionId(3));
+
+    drop((first, third, queued, hung));
+    front.shutdown();
+    live.shutdown();
+    common::assert_stats_conserved(&service.stats(), service.live_sessions());
+}
+
+/// A backend that accepts a frame and never answers closes the client
+/// waiting on it once the front's read deadline passes, long before the
+/// client's own.
+#[test]
+fn a_backend_silent_past_the_read_deadline_closes_its_client() {
+    // The kernel completes handshakes on the backlog; nothing ever answers.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a silent backend");
+    let mut config = common::net_server_config("front_silent");
+    config.limits = config.limits.with_read_timeout(Some(Duration::from_millis(300)));
+    let addr = silent.local_addr().expect("address");
+    let front = lofat_net::FanOutFront::bind("127.0.0.1:0", vec![addr], config).expect("bind");
+    let mut client = ProverClient::connect(front.local_addr()).expect("connect");
+    let started = std::time::Instant::now();
+    assert!(client.request_challenge("fig4-loop", vec![2]).is_err(), "a silent backend answered");
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(10),
+        "closed after {waited:?}, not at the front's deadline"
+    );
+    front.shutdown();
+}
+
+/// A backend that closes a connection after answering on it costs its
+/// client nothing: the front dials the backend again for the client's next
+/// frame.  Each frame here is too short to name a session, so it is routed
+/// round-robin to the one backend, which echoes it and hangs up.
+#[test]
+fn a_backend_closing_an_idle_connection_is_dialled_again() {
+    use lofat_net::frame::{read_frame, write_frame};
+    const ROUNDS: usize = 3;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an echo backend");
+    let addr = listener.local_addr().expect("address");
+    let echo = std::thread::spawn(move || {
+        for _ in 0..ROUNDS {
+            let (mut stream, _) = listener.accept().expect("accept the front");
+            let frame = read_frame(&mut stream, 1 << 20).expect("read").expect("a frame");
+            write_frame(&mut stream, &frame, 1 << 20).expect("echo");
+        }
+    });
+    let config = common::net_server_config("front_redial");
+    let front = lofat_net::FanOutFront::bind("127.0.0.1:0", vec![addr], config).expect("bind");
+    let mut client = ProverClient::connect(front.local_addr()).expect("connect");
+    let mut raw = client.raw();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let idle_closes = || front.events().iter().filter(|e| e.contains("idle link")).count();
+    for round in 0..ROUNDS {
+        let ping = format!("ping {round}").into_bytes();
+        raw.send(&ping).expect("send through the front");
+        assert_eq!(raw.recv().expect("read the echo"), Some(ping), "round {round}");
+        while idle_closes() <= round && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(idle_closes(), round + 1, "{:?}", front.events());
+    }
+    echo.join().expect("echo backend");
+    assert_eq!(front.frames_served(), ROUNDS as u64);
+    front.shutdown();
 }

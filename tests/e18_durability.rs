@@ -29,8 +29,9 @@
 //!   leaves the file byte-identical instead of starting over with fresh
 //!   nonce counters.
 //! * **A serving process runs three kinds of thread and no more**: main,
-//!   the event loop and one per verifier worker (checked through `/proc`
-//!   on Linux).
+//!   the event loop and one per verifier worker; a front runs main and its
+//!   event loop, however many clients it holds (checked through `/proc` on
+//!   Linux).
 //! * **The serve clock keeps running across a restore**: a session opened
 //!   on a service restored with its clock far ahead of the new process's
 //!   uptime still expires at the first tick past its deadline.
@@ -237,6 +238,50 @@ fn serve_runs_only_main_the_loop_and_its_workers() {
     let threads = thread_count(pid);
     assert_eq!(threads, 4, "main, the loop and two workers; running: {:?}", thread_names(pid));
     serve.kill();
+}
+
+/// A real `lofat front` over two real partitioned `lofat serve` processes
+/// runs the main thread and its event loop, and nothing else, however many
+/// clients it holds: here six, each with a session open through it.
+#[test]
+#[cfg_attr(not(target_os = "linux"), ignore = "counts threads through /proc")]
+fn front_runs_only_main_and_the_loop_whatever_its_client_count() {
+    let dir = artifact_dir();
+    let serves: Vec<LofatProc> = (0..2)
+        .map(|partition| {
+            let snapshot = dir.join(format!("front_threads_{partition}.snap"));
+            let _ = std::fs::remove_file(&snapshot);
+            let spec = format!("{partition}/2");
+            spawn_serve(&snapshot, &["--shards", "1", "--partition", &spec])
+        })
+        .collect();
+    let mut front_args = vec!["front".to_string(), "--addr".to_string(), "127.0.0.1:0".to_string()];
+    for serve in &serves {
+        front_args.extend(["--backend".to_string(), serve.addr.to_string()]);
+    }
+    let front = LofatProc::spawn(&front_args);
+    let input = catalog::by_name(WORKLOAD).unwrap().default_input.clone();
+    let clients: Vec<ProverClient> = (0..6)
+        .map(|_| {
+            let mut client = ProverClient::connect(front.addr).expect("connect to the front");
+            client.request_challenge(WORKLOAD, input.clone()).expect("challenge via the front");
+            client
+        })
+        .collect();
+    let pid = front.child.id();
+    let threads = thread_count(pid);
+    assert_eq!(
+        threads,
+        2,
+        "main and the loop with {} clients connected; running: {:?}",
+        clients.len(),
+        thread_names(pid)
+    );
+    drop(clients);
+    front.kill();
+    for serve in serves {
+        serve.kill();
+    }
 }
 
 /// Older snapshots, as `lofat serve --snapshot-path` wrote them before the

@@ -100,13 +100,13 @@ fn parallel_database_build_equals_one_at_a_time_replay() {
 
     // Reordered lists end on other inputs, so a result lost at the end of a
     // build shows in one of them.
-    let bytes = db.to_wire_bytes().unwrap();
+    let bytes = serde::to_bytes(&db).unwrap();
     let reversed: Vec<Vec<u32>> = inputs.iter().rev().cloned().collect();
     let mut rotated = inputs.clone();
     rotated.rotate_left(inputs.len() / 3);
     for reordered in [reversed, rotated] {
         let db = MeasurementDatabase::build(&verifier, EngineConfig::default(), reordered);
-        assert_eq!(db.unwrap().to_wire_bytes().unwrap(), bytes);
+        assert_eq!(serde::to_bytes(&db.unwrap()).unwrap(), bytes);
     }
 
     let workload = catalog::by_name("crc32").unwrap();
@@ -174,11 +174,11 @@ fn database_fixture(name: &str, config: EngineConfig) -> (MeasurementDatabase, V
     (db, verifier)
 }
 
-/// The database wire format, pinned: each catalogue workload's default input
-/// under the default configuration (`dispatch` holds indirect targets,
-/// `matrix-checksum` loops nested three deep), and `diamond-paths` under
-/// `max_path_bits(2)`, whose loop overflows the path encoder and records
-/// path id 0.  Each reference's metadata is in its packed form, as on the
+/// The database's codec bytes (the body a snapshot embeds), pinned: each
+/// catalogue workload's default input under the default configuration
+/// (`dispatch` holds indirect targets, `matrix-checksum` loops nested three
+/// deep), and `diamond-paths` under `max_path_bits(2)`, whose loop
+/// overflows the path encoder and records path id 0.  Each reference's metadata is in its packed form, as on the
 /// wire; the valid-path table ends each fixture.
 #[test]
 fn measurement_database_wire_bytes_match_the_golden_fixtures() {
@@ -186,9 +186,9 @@ fn measurement_database_wire_bytes_match_the_golden_fixtures() {
         let path = format!("{DATABASE_FIXTURES}/{file}");
         let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
         let (db, verifier) = database_fixture(name, config);
-        assert_eq!(db.to_wire_bytes().unwrap(), golden, "{path}");
-        let decoded = MeasurementDatabase::from_wire_bytes(&golden).unwrap();
-        assert_eq!(decoded.to_wire_bytes().unwrap(), golden, "{path} re-encodes");
+        assert_eq!(serde::to_bytes(&db).unwrap(), golden, "{path}");
+        let decoded: MeasurementDatabase = serde::from_bytes(&golden).unwrap();
+        assert_eq!(serde::to_bytes(&decoded).unwrap(), golden, "{path} re-encodes");
         assert_eq!(decoded, db, "{path} decodes to the built database");
         assert_eq!(decoded.valid_loop_paths(), verifier.valid_loop_paths(), "{path}");
 
@@ -211,7 +211,7 @@ fn measurement_database_wire_bytes_match_the_golden_fixtures() {
 fn regenerate_the_database_fixtures() {
     for (file, name, config) in database_fixture_cases() {
         let (db, _) = database_fixture(name, config);
-        let bytes = db.to_wire_bytes().unwrap();
+        let bytes = serde::to_bytes(&db).unwrap();
         std::fs::write(format!("{DATABASE_FIXTURES}/{file}"), bytes).expect("write the fixture");
     }
 }
