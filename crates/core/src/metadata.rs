@@ -10,19 +10,19 @@
 //! LEB128 varints in which consecutive identical loop records are stored once,
 //! as a run.  The loop monitor writes it as each loop exits, and the wire, the
 //! signature, the reference database and snapshots carry it as it is, so no
-//! verifier path expands a run.  Three things do, allocating per loop
+//! verifier path expands a run.  Two things do, allocating per loop
 //! execution, and are meant for locally produced measurements: the paper's
-//! fixed-width layout ([`PackedMetadata::to_bytes`],
-//! [`PackedMetadata::size_bytes`]) and [`Metadata`], the decoded view
-//! ([`PackedMetadata::decode`]) for tests, the CLI and the experiments that
-//! inspect loop records.
+//! fixed-width layout ([`PackedMetadata::to_bytes`]; its length,
+//! [`PackedMetadata::size_bytes`], is counted without it) and [`Metadata`],
+//! the decoded view ([`PackedMetadata::decode`]) for tests, the CLI and the
+//! experiments that inspect loop records.
 //!
 //! One walk reads the packed form, and accepts only what the writer
 //! produces.  Validating it ([`PackedMetadata::from_packed`]), decoding it
 //! ([`Metadata::from_packed`]), transcoding it and the judge's loop-path check
 //! are visitors of that walk.
 //!
-//! # Packed `L`, version 4
+//! # Packed `L`, version 5
 //!
 //! Every value is a minimal LEB128 varint: seven bits per byte, low bits
 //! first, the top bit set on every byte but the last.  `L` is the number of
@@ -30,21 +30,26 @@
 //!
 //! | # | field | present | value |
 //! |---|---|---|---|
-//! | 0 | stored records | once, in front | `u32`; each record takes at least 3 bytes |
-//! | 1 | flag | always | `(repeats << 3) \| same_loop << 2 \| has_targets << 1 \| encoder_overflowed` |
+//! | 0 | stored records | once, in front | `u32`; each record takes at least 1 byte |
+//! | 1 | flag | always | `(repeats << 5) \| same_paths << 4 \| same_depth << 3 \| same_loop << 2 \| has_targets << 1 \| encoder_overflowed` |
 //! | 2 | entry | `same_loop` clear | `u32` |
 //! | 3 | exit | `same_loop` clear | `u32` |
-//! | 4 | nesting depth | always | `usize` |
-//! | 5 | path count | always | `u32`; each path takes at least 2 bytes |
-//! | 6 | path id, iterations | per path, in order of first occurrence | `u32`, `u64` |
-//! | 7 | target count | `has_targets` set | `u32`, at least 1; each target takes at least 2 bytes |
-//! | 8 | target, code | per target | `u32`, `u32` |
+//! | 4 | nesting depth | `same_depth` clear | `usize` |
+//! | 5 | path count | `same_paths` clear | `u32`; each path takes at least 2 bytes |
+//! | 6 | path id | `same_paths` clear, per path in order of first occurrence | `u32` |
+//! | 7 | iterations | per path, in the order of the record's path ids | `u64`; each takes at least 1 byte |
+//! | 8 | target count | `has_targets` set | `u32`, at least 1; each target takes at least 2 bytes |
+//! | 9 | target, code | per target | `u32`, `u32` |
 //!
 //! * A stored record stands for `repeats + 1` consecutive loop executions
 //!   that recorded the same loop record; the runs total at most `u32::MAX`.
-//! * `same_loop` says that the record's entry and exit are those of the
-//!   stored record before it, and it is set exactly then: never on the first
-//!   record, and always when the two loops are the same.
+//! * `same_loop`, `same_depth` and `same_paths` each say that a value of the
+//!   record is that of the stored record before it, which the record then
+//!   does not write: its entry and exit, its nesting depth, and its path ids
+//!   in order (so its path count too).  Each is set exactly when the two
+//!   values are equal: never on the first record, and always when the
+//!   record repeats the value.  A record's path ids are those of the last
+//!   record that wrote them out.
 //! * A path's index of first occurrence is its position in the list.
 //! * A record with no indirect target has `has_targets` clear and no target
 //!   count.
@@ -54,10 +59,16 @@
 //! so two packed values are equal exactly when the metadata are.  The reader
 //! refuses any other form with a typed [`serde::Error`]: a varint longer than
 //! its value needs ([`NonCanonicalVarint`](serde::Error::NonCanonicalVarint)),
-//! a flag that misstates `same_loop` or `has_targets`
-//! ([`NonCanonicalRecord`](serde::Error::NonCanonicalRecord)), and a record
-//! equal to the one before it
-//! ([`NonMaximalRun`](serde::Error::NonMaximalRun)).
+//! a flag that sets a `same_*` bit on the first record, clears one although
+//! the record restates the value before it, or sets `has_targets` before a
+//! target count of 0 ([`NonCanonicalRecord`](serde::Error::NonCanonicalRecord)),
+//! and a record equal to the one before it
+//! ([`NonMaximalRun`](serde::Error::NonMaximalRun)).  A set `same_*` bit
+//! carries no value to compare: the record has the value before it, so
+//! setting one on a record whose value differed writes another `L`, which
+//! the signature and the reference comparison tell apart.
+
+use std::ops::Range;
 
 /// One indirect-branch target observed inside a loop, with the n-bit code the CAM
 /// assigned to it.
@@ -224,18 +235,18 @@ const HEADER_FIRST: &str = "the walk reads a loop's header before its records";
 /// The auxiliary metadata `L` of one attested execution, packed into one heap
 /// block.
 ///
-/// The bytes follow the [version-4 grammar](self#packed-l-version-4): the
+/// The bytes follow the [version-5 grammar](self#packed-l-version-5): the
 /// number of stored records, then per stored record a flag, its entry and
-/// exit unless they are those of the record before it, its depth, its paths
-/// as `(path_id, iterations)` in order of first occurrence, and its indirect
-/// targets when it has any — each as a LEB128 varint.  A value takes one byte
-/// per 7 significant bits, so the counts, flags and small addresses that
-/// dominate `L` take a byte or two.
+/// exit, its depth and its path ids in order of first occurrence, each
+/// unless it is that of the record before it, the iterations of its paths,
+/// and its indirect targets when it has any — each as a LEB128 varint.  A
+/// value takes one byte per 7 significant bits, so the counts, flags and
+/// small addresses that dominate `L` take a byte or two.
 ///
 /// A stored record is a run: it stands for `repeats + 1` consecutive loop
 /// executions that recorded the same loop record, and its flag carries
-/// `repeats` above three bits.  A record that does not repeat has a flag
-/// below 8: one byte.
+/// `repeats` above five bits.  A record that does not repeat has a flag
+/// below 32: one byte.
 ///
 /// Only the writer (which the loop monitor and [`Metadata::pack`] drive) and
 /// the validating [`PackedMetadata::from_packed`] build one.  The writer folds
@@ -264,9 +275,10 @@ impl PackedMetadata {
     ///   that total more than `u32::MAX` loop executions (its `value` is the
     ///   running total);
     /// * [`serde::Error::NonCanonicalRecord`] for a flag that sets
-    ///   `same_loop` on the first stored record, or clears it although the
-    ///   record's entry and exit are those of the stored record before it,
-    ///   or that sets `has_targets` before a target count of 0;
+    ///   `same_loop`, `same_depth` or `same_paths` on the first stored
+    ///   record, or clears one although the record's entry and exit, depth
+    ///   or path ids are those of the stored record before it, or that sets
+    ///   `has_targets` before a target count of 0;
     /// * [`serde::Error::NonMaximalRun`] for a stored record equal to the one
     ///   before it, which the writer would have folded into its run;
     /// * [`serde::Error::UnexpectedEof`] for truncation, or for a count of
@@ -335,12 +347,16 @@ impl PackedMetadata {
     /// — the quantity experiment E7 sweeps ("the length of the auxiliary
     /// metadata that must be sent to V depends on the number of loops
     /// executed, the number of different paths per loop, and the number of
-    /// indirect branch targets", §6.1).  Builds the layout, so it allocates
-    /// per loop execution.  The packed form ([`PackedMetadata::packed_len`]
-    /// bytes) grows with the same counts, with the logarithm of the values
-    /// recorded, and with the number of runs rather than of loop executions.
+    /// indirect branch targets", §6.1).  Counts it in one walk over the
+    /// packed bytes, each stored record's fixed widths once per loop
+    /// execution of its run, and allocates nothing.  The packed form
+    /// ([`PackedMetadata::packed_len`] bytes) grows with the same counts,
+    /// with the logarithm of the values recorded, and with the number of
+    /// runs rather than of loop executions.
     pub fn size_bytes(&self) -> usize {
-        self.to_bytes().len()
+        let mut len = FixedWidthLen::default();
+        self.visit(&mut len);
+        4 + len.total
     }
 
     /// Walks the packed bytes, which were validated when they were built.
@@ -371,10 +387,11 @@ const PACKED: &str = "packed metadata holds what the writer wrote or the reader 
 /// The one writer of packed `L`.  Loop records go in field group by field
 /// group, as a walk over `L` hands them on: the loop monitor writes each as
 /// its loop exits, and [`Metadata::pack`] writes a decoded view's.  A record
-/// stays open until the next one starts or [`PackedWriter::finish`] runs;
-/// closing it folds it into the run before it when the two records are
-/// equal, so the writer stores maximal runs only.  It counts the runs itself,
-/// and `finish` puts the count in front.
+/// stays open until the next one starts or [`PackedWriter::finish`] runs.
+/// Closing it drops its path count and ids when they are the last stored
+/// run's, and folds it into that run when the two records are equal, so the
+/// writer stores maximal runs only.  It counts the runs itself, and `finish`
+/// puts the count in front.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedWriter {
     /// Runs stored so far, the open record aside.
@@ -383,6 +400,9 @@ pub(crate) struct PackedWriter {
     records: Vec<u8>,
     /// The last stored run.
     last: Option<Run>,
+    /// Where the last stored run's path count and ids are written out in
+    /// `records`: in that run, or in the last run before it that wrote them.
+    listed: Range<usize>,
     /// The record being written.
     open: Option<Run>,
 }
@@ -399,23 +419,34 @@ struct Run {
     /// Its flag (see [`flag`]).
     flag: u64,
     /// Length of the varints between the flag and the path count: entry and
-    /// exit unless the flag sets `same_loop`, then the depth.
+    /// exit unless the flag sets `same_loop`, then the depth unless it sets
+    /// `same_depth`.
     head_len: usize,
+    /// Length of its path count and ids: 0 when the flag sets `same_paths`.
+    list_len: usize,
 }
 
 impl Run {
-    /// Offset of its path count: its paths and targets follow.
+    /// Where its path count and ids are.
+    fn list(&self) -> Range<usize> {
+        let at = self.start + self.flag_len + self.head_len;
+        at..at + self.list_len
+    }
+
+    /// Offset of its iterations: its targets follow.
     fn tail(&self) -> usize {
-        self.start + self.flag_len + self.head_len
+        self.list().end
     }
 
     /// Whether `next`, the record written right after this run in `records`,
-    /// is the same loop record: the same fixed fields, and the same bytes
-    /// from the path count on.  Those bytes hold a target count exactly when
-    /// the flag sets `has_targets`, so equal bytes mean equal paths and
-    /// equal targets.
+    /// is the same loop record: the same fixed fields, this run's path ids
+    /// (its flag sets `same_paths`), and the same bytes from the iterations
+    /// on.  Those bytes hold a target count exactly when the flag sets
+    /// `has_targets`, so equal bytes mean equal iterations and equal targets.
     fn same_record(&self, records: &[u8], next: &Run) -> bool {
-        self.header == next.header && records[self.tail()..next.start] == records[next.tail()..]
+        self.header == next.header
+            && next.flag & flag::SAME_PATHS != 0
+            && records[self.tail()..next.start] == records[next.tail()..]
     }
 }
 
@@ -430,14 +461,24 @@ impl PackedWriter {
         PackedMetadata(packed.into_boxed_slice())
     }
 
-    /// Closes the open record: folds it into the last run when it is the
-    /// same loop record, or stores it as a new run.
+    /// Closes the open record: drops its path count and ids in place when
+    /// they are the last run's, then folds it into the last run when it is
+    /// the same loop record, or stores it as a new run.
     fn close(&mut self) {
-        let Some(open) = self.open.take() else { return };
+        let Some(mut open) = self.open.take() else { return };
+        if self.last.is_some() && self.records[open.list()] == self.records[self.listed.clone()] {
+            self.records.drain(open.list());
+            open.list_len = 0;
+            open.flag |= flag::SAME_PATHS;
+            self.records[open.start] = open.flag as u8;
+        }
         if self.last.is_some_and(|last| last.same_record(&self.records, &open)) {
             self.records.truncate(open.start);
             self.add_repeats(1);
         } else {
+            if open.list_len > 0 {
+                self.listed = open.list();
+            }
             self.runs += 1;
             self.last = Some(open);
         }
@@ -445,15 +486,19 @@ impl PackedWriter {
 
     /// Lengthens the last run by `count` loop executions, rewriting its flag
     /// in place; the flag grows a byte each time the count crosses a 7-bit
-    /// boundary, and the bytes after it move up.
+    /// boundary, and the bytes after it, with any path list the run wrote
+    /// out, move up.
     fn add_repeats(&mut self, count: u64) {
         let last = self.last.as_mut().expect(HEADER_FIRST);
         last.flag += count << flag::REPEATS;
         let len = varint_len(last.flag);
         if len > last.flag_len {
-            let at = last.start + last.flag_len;
-            self.records.splice(at..at, std::iter::repeat_n(0, len - last.flag_len));
+            let (at, grown) = (last.start + last.flag_len, len - last.flag_len);
+            self.records.splice(at..at, std::iter::repeat_n(0, grown));
             last.flag_len = len;
+            if self.listed.start >= at {
+                self.listed = self.listed.start + grown..self.listed.end + grown;
+            }
         }
         let mut value = last.flag;
         for byte in &mut self.records[last.start..last.start + len] {
@@ -465,31 +510,50 @@ impl PackedWriter {
 }
 
 impl Visit for PackedWriter {
-    /// Opens the record with a one-byte flag (its repeats come when it
-    /// closes, `has_targets` with its target count), and writes its entry
-    /// and exit only when they differ from the last stored run's.
+    /// Opens the record with a one-byte flag (`same_paths` and its repeats
+    /// come when it closes, `has_targets` with its target count), and writes
+    /// its entry and exit, and its depth, only when they differ from the
+    /// last stored run's.
     fn loop_header(&mut self, header: &LoopHeader) {
         self.close();
-        let same_loop = self.last.is_some_and(|last| last.header.same_loop(header));
+        let before = self.last.map(|last| last.header);
+        let same_loop = before.is_some_and(|before| before.same_loop(header));
+        let same_depth = before.is_some_and(|before| before.nesting_depth == header.nesting_depth);
+        let mut flag = u64::from(header.encoder_overflowed);
+        if same_loop {
+            flag |= flag::SAME_LOOP;
+        }
+        if same_depth {
+            flag |= flag::SAME_DEPTH;
+        }
         let start = self.records.len();
-        let same_loop_bit = if same_loop { flag::SAME_LOOP } else { 0 };
-        let flag = same_loop_bit | u64::from(header.encoder_overflowed);
         self.records.push(flag as u8);
         if !same_loop {
             put_varint(&mut self.records, header.entry.into());
             put_varint(&mut self.records, header.exit.into());
         }
-        put_varint(&mut self.records, header.nesting_depth as u64);
+        if !same_depth {
+            put_varint(&mut self.records, header.nesting_depth as u64);
+        }
         let head_len = self.records.len() - start - 1;
-        self.open = Some(Run { header: *header, start, flag_len: 1, flag, head_len });
+        self.open = Some(Run { header: *header, start, flag_len: 1, flag, head_len, list_len: 0 });
     }
 
     fn paths(&mut self, count: usize) {
+        let open = self.open.as_mut().expect(HEADER_FIRST);
         put_varint(&mut self.records, count as u64);
+        open.list_len = varint_len(count as u64);
     }
 
+    /// Writes the path's id after the ids before it, ahead of the
+    /// iterations written so far, and its iterations last.
     fn path(&mut self, path: PathRecord) {
+        let open = self.open.as_mut().expect(HEADER_FIRST);
+        let (at, end) = (open.tail(), self.records.len());
         put_varint(&mut self.records, path.path_id.into());
+        let id_len = self.records.len() - end;
+        self.records[at..].rotate_right(id_len);
+        open.list_len += id_len;
         put_varint(&mut self.records, path.iterations);
     }
 
@@ -516,8 +580,9 @@ impl Visit for PackedWriter {
     }
 }
 
-/// The flag varint that opens each stored record: `(repeats << 3) |
-/// same_loop << 2 | has_targets << 1 | encoder_overflowed`.
+/// The flag varint that opens each stored record: `(repeats << 5) |
+/// same_paths << 4 | same_depth << 3 | same_loop << 2 | has_targets << 1 |
+/// encoder_overflowed`.
 mod flag {
     /// The record's encoder overflowed.
     pub(super) const OVERFLOWED: u64 = 1;
@@ -526,8 +591,14 @@ mod flag {
     /// The record's entry and exit are those of the stored record before
     /// it, and are not written.
     pub(super) const SAME_LOOP: u64 = 1 << 2;
+    /// The record's nesting depth is that of the stored record before it,
+    /// and is not written.
+    pub(super) const SAME_DEPTH: u64 = 1 << 3;
+    /// The record's path ids, in order, are those of the stored record
+    /// before it: neither its path count nor its ids are written.
+    pub(super) const SAME_PATHS: u64 = 1 << 4;
     /// The shift of the run's repeats.
-    pub(super) const REPEATS: u32 = 3;
+    pub(super) const REPEATS: u32 = 5;
 }
 
 /// The fixed fields of one loop record, ahead of its paths.
@@ -553,12 +624,13 @@ impl LoopHeader {
 pub(crate) trait Visit {
     /// The number of stored records (runs).
     fn loops(&mut self, _runs: usize) {}
-    /// The next record's fixed fields, entry and exit included whether or
-    /// not the packed record restates them.
+    /// The next record's fixed fields, entry, exit and depth included
+    /// whether or not the packed record restates them.
     fn loop_header(&mut self, _header: &LoopHeader) {}
     /// The number of paths of the current record.
     fn paths(&mut self, _count: usize) {}
-    /// One path of the current record, in order of first occurrence.
+    /// One path of the current record, in order of first occurrence, its
+    /// id included whether or not the packed record restates it.
     fn path(&mut self, _path: PathRecord) {}
     /// The number of indirect targets of the current record, 0 included.
     fn targets(&mut self, _count: usize) {}
@@ -582,20 +654,29 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<(), serde::Error> {
     walk(bytes, &mut ()).map(drop)
 }
 
-/// Fewest packed bytes one stored record takes: flag, depth and path count,
-/// one byte each.
-const LOOP_MIN_BYTES: usize = 3;
+/// Fewest packed bytes one stored record takes: its flag, when it inherits
+/// its loop, its depth and an empty path list, and has no targets.
+const LOOP_MIN_BYTES: usize = 1;
 
-/// Fewest packed bytes one path, or one indirect target, takes: two varints.
+/// Fewest packed bytes one listed path, or one indirect target, takes: two
+/// varints.
 const PAIR_MIN_BYTES: usize = 2;
+
+/// Fewest packed bytes one path of a record takes once its id is known: its
+/// iterations.
+const ITERATIONS_MIN_BYTES: usize = 1;
 
 /// Reads packed `L` front to back, hands each field group of each stored
 /// record to `visit` and returns the number of loop executions the runs
 /// stand for.  Accepts only what [`PackedWriter`] writes: flags that state
-/// `same_loop` and `has_targets` exactly, and maximal runs that total at
-/// most `u32::MAX` loop executions.  Allocates nothing itself, compares each
-/// record's values with the one before it, and checks every count against
-/// the bytes left before `visit` hears it, so a visitor may reserve for it.
+/// `same_loop`, `same_depth`, `same_paths` and `has_targets` exactly, and
+/// maximal runs that total at most `u32::MAX` loop executions.  Allocates
+/// nothing itself: it compares each record's values with the one before
+/// it, and keeps where the last path list written out is rather than a copy
+/// of it.  Reading an inherited list again takes at most a few bytes per
+/// path of the record, whose iterations take one byte or more, so the walk
+/// is linear in the bytes.  It checks every count against the bytes left
+/// before `visit` hears it, so a visitor may reserve for it.
 ///
 /// # Errors
 ///
@@ -607,37 +688,46 @@ fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<u32, serde::Error> {
     visit.loops(runs);
     let mut executions = 0u64;
     // The stored record before the current one: its fixed fields and the
-    // bytes from its path count on.
+    // bytes from its iterations on.
     let mut previous: Option<(LoopHeader, &[u8])> = None;
+    // The path count and ids of the last record that wrote them out, which
+    // every record since has inherited.
+    let mut listed: &[u8] = &[];
     for _ in 0..runs {
         let flag = fields.varint()?;
         let repeats = flag >> flag::REPEATS;
-        // At most `u32::MAX` plus `2^61`: no overflow.
+        // At most `u32::MAX` plus `2^59`: no overflow.
         executions += repeats + 1;
         if executions > u32::MAX.into() {
             return Err(serde::Error::IntegerOverflow { value: executions });
         }
-        let same_loop = flag & flag::SAME_LOOP != 0;
-        let (entry, exit) = match (same_loop, previous) {
-            (true, Some((before, _))) => (before.entry, before.exit),
-            (true, None) => return Err(serde::Error::NonCanonicalRecord),
-            (false, _) => (fields.u32()?, fields.u32()?),
-        };
+        let before = previous.map(|(before, _)| before);
+        let (entry, exit) = inherit(
+            flag & flag::SAME_LOOP != 0,
+            before.map(|before| (before.entry, before.exit)),
+            || Ok((fields.u32()?, fields.u32()?)),
+        )?;
+        let nesting_depth = inherit(
+            flag & flag::SAME_DEPTH != 0,
+            before.map(|before| before.nesting_depth),
+            || fields.usize(),
+        )?;
+        let same_paths = flag & flag::SAME_PATHS != 0;
+        listed = inherit(same_paths, before.map(|_| listed), || fields.path_list())?;
         let header = LoopHeader {
             entry,
             exit,
-            nesting_depth: fields.usize()?,
+            nesting_depth,
             encoder_overflowed: flag & flag::OVERFLOWED != 0,
         };
-        if !same_loop && previous.is_some_and(|(before, _)| before.same_loop(&header)) {
-            return Err(serde::Error::NonCanonicalRecord);
-        }
         visit.loop_header(&header);
-        let tail = fields.rest();
-        let paths = fields.count(PAIR_MIN_BYTES)?;
+        let mut ids = Fields::new(listed);
+        let paths = ids.u32()? as usize;
+        fields.room(paths, ITERATIONS_MIN_BYTES)?;
         visit.paths(paths);
+        let tail = fields.rest();
         for _ in 0..paths {
-            visit.path(PathRecord { path_id: fields.u32()?, iterations: fields.varint()? });
+            visit.path(PathRecord { path_id: ids.u32()?, iterations: fields.varint()? });
         }
         let targets = match flag & flag::HAS_TARGETS {
             0 => 0,
@@ -650,8 +740,10 @@ fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<u32, serde::Error> {
         for _ in 0..targets {
             visit.target(IndirectTargetRecord { target: fields.u32()?, code: fields.u32()? });
         }
+        // Records with the same path ids are equal when their fixed fields
+        // and the bytes from their iterations on are.
         let current = Some((header, &tail[..tail.len() - fields.rest().len()]));
-        if current == previous {
+        if same_paths && current == previous {
             return Err(serde::Error::NonMaximalRun);
         }
         previous = current;
@@ -660,6 +752,24 @@ fn walk(bytes: &[u8], visit: &mut impl Visit) -> Result<u32, serde::Error> {
     }
     fields.finish()?;
     Ok(executions as u32)
+}
+
+/// A value a record inherits from the stored record before it when its
+/// flag bit is `set`, and reads otherwise.  A set bit needs a record
+/// before, whose value is `before`; a value read must differ from it.
+fn inherit<T: Copy + PartialEq>(
+    set: bool,
+    before: Option<T>,
+    read: impl FnOnce() -> Result<T, serde::Error>,
+) -> Result<T, serde::Error> {
+    match (set, before) {
+        (true, Some(value)) => Ok(value),
+        (true, None) => Err(serde::Error::NonCanonicalRecord),
+        (false, before) => match read()? {
+            value if before == Some(value) => Err(serde::Error::NonCanonicalRecord),
+            value => Ok(value),
+        },
+    }
 }
 
 /// The streaming writer of the fixed-width layout, behind the loop count
@@ -711,6 +821,38 @@ impl Visit for FixedWidth<'_> {
         for _ in 0..count {
             self.out.extend_from_within(record.clone());
         }
+    }
+}
+
+/// The length of the fixed-width layout behind its loop count, summed as
+/// [`FixedWidth`] would write it: each stored record's fixed widths, once
+/// per loop execution of its run.
+#[derive(Default)]
+struct FixedWidthLen {
+    /// The records counted so far.
+    total: usize,
+    /// The current record's length.
+    record: usize,
+}
+
+impl Visit for FixedWidthLen {
+    fn loop_header(&mut self, _header: &LoopHeader) {
+        // entry, exit, depth, overflowed
+        self.record = 4 + 4 + 8 + 1;
+    }
+
+    fn paths(&mut self, count: usize) {
+        // count, then per path its id, first occurrence and iterations
+        self.record += 4 + count * (4 + 8 + 8);
+    }
+
+    fn targets(&mut self, count: usize) {
+        // count, then per target the target and its code
+        self.record += 4 + count * (4 + 4);
+    }
+
+    fn repeats(&mut self, count: u32) {
+        self.total += self.record * (count as usize + 1);
     }
 }
 
@@ -789,11 +931,27 @@ impl<'a> Fields<'a> {
     /// against the bytes left.
     fn count(&mut self, min_bytes: usize) -> Result<usize, serde::Error> {
         let count = self.u32()? as usize;
+        self.room(count, min_bytes)?;
+        Ok(count)
+    }
+
+    /// Succeeds when the bytes left can hold `count` records of at least
+    /// `min_bytes` each.
+    fn room(&self, count: usize, min_bytes: usize) -> Result<(), serde::Error> {
         let needed = count.saturating_mul(min_bytes);
         if needed > self.0.len() {
             return Err(serde::Error::UnexpectedEof { needed, remaining: self.0.len() });
         }
-        Ok(count)
+        Ok(())
+    }
+
+    /// A path count and the path ids it counts, as written.
+    fn path_list(&mut self) -> Result<&'a [u8], serde::Error> {
+        let start = self.0;
+        for _ in 0..self.count(PAIR_MIN_BYTES)? {
+            self.u32()?;
+        }
+        Ok(&start[..start.len() - self.0.len()])
     }
 
     /// The next `len` bytes, unread.
@@ -936,7 +1094,8 @@ pub(crate) mod tests {
     /// each with up to three paths and two indirect targets, either overflow
     /// flag, and every field anywhere in its range, its maximum included;
     /// each record executed up to three times in a row, and about half of
-    /// them recording the loop (entry and exit) of the record before.
+    /// them taking the loop (entry and exit), half the depth and half the
+    /// path ids of the record before.
     pub(crate) fn arbitrary() -> impl Strategy<Value = Metadata> {
         let u32_max = u64::from(u32::MAX);
         let path = (value(u32_max), value(u64::MAX))
@@ -960,16 +1119,42 @@ pub(crate) mod tests {
                     encoder_overflowed,
                 },
             );
-        proptest::collection::vec((one_loop, 1..4usize, any::<bool>()), 0..4).prop_map(|runs| {
+        let inherits = (any::<bool>(), any::<bool>(), any::<bool>());
+        proptest::collection::vec((one_loop, 1..4usize, inherits), 0..4).prop_map(|runs| {
             let mut loops: Vec<LoopRecord> = Vec::new();
-            for (mut record, n, same_loop) in runs {
-                if let (true, Some(before)) = (same_loop, loops.last()) {
-                    (record.entry, record.exit) = (before.entry, before.exit);
+            for (mut record, n, inherits) in runs {
+                if let Some(before) = loops.last() {
+                    inherit(&mut record, before, inherits);
                 }
                 loops.extend(std::iter::repeat_n(record, n));
             }
             Metadata { loops }
         })
+    }
+
+    /// `record` with the loop, the depth and the path ids of `before`, as
+    /// `(same_loop, same_depth, same_paths)` pick; inherited paths keep
+    /// `record`'s iterations where it has as many paths.
+    fn inherit(
+        record: &mut LoopRecord,
+        before: &LoopRecord,
+        (loop_, depth, paths): (bool, bool, bool),
+    ) {
+        if loop_ {
+            (record.entry, record.exit) = (before.entry, before.exit);
+        }
+        if depth {
+            record.nesting_depth = before.nesting_depth;
+        }
+        if paths {
+            let own = |i: usize| record.paths.get(i).map(|p| p.iterations);
+            record.paths = (before.paths.iter().enumerate())
+                .map(|(i, p)| PathRecord {
+                    path_id: p.path_id,
+                    iterations: own(i).unwrap_or(p.iterations),
+                })
+                .collect();
+        }
     }
 
     /// Most loop executions a test decodes: a one-byte edit can turn a
@@ -1002,16 +1187,16 @@ pub(crate) mod tests {
         blob
     }
 
-    /// The sample in the version-4 grammar: the run count, then per record
-    /// its flag, entry, exit, depth, paths and, for the first record only,
-    /// its one target.
+    /// The sample in the version-5 grammar: the run count, then per record
+    /// its flag, entry, exit, depth, path count, path ids, iterations and,
+    /// for the first record only, its one target.
     #[test]
-    fn packed_form_follows_the_version_4_grammar() {
+    fn packed_form_follows_the_version_5_grammar() {
         let m = sample();
         #[rustfmt::skip]
         let expected = [
             2,
-            0b010, 0x90, 0x20, 0xa4, 0x20, 1, 2, 0b1011, 5, 0b10011, 2, 1, 0x80, 0x40, 1,
+            0b010, 0x90, 0x20, 0xa4, 0x20, 1, 2, 0b1011, 0b10011, 5, 2, 1, 0x80, 0x40, 1,
             0b001, 0xc0, 0x20, 0xd0, 0x20, 2, 1, 0b11, 9,
         ];
         let packed = m.pack();
@@ -1046,28 +1231,42 @@ pub(crate) mod tests {
             Error::IntegerOverflow { value: 1 << 32 }
         );
         assert_eq!(decode(&entry), Error::IntegerOverflow { value: 1 << 32 });
-        // A flag that misstates its record: `same_loop` on the first record,
-        // `same_loop` clear before the entry and exit of the record before,
-        // and `has_targets` before a target count of 0.
+        // `record` is loop (0, 0) at depth 1 with no paths.  A second record
+        // may inherit all three values, and then differs in its overflow
+        // flag alone.
         let record = [0, 0, 0, 1, 0];
+        let two = |second: &[u8]| [&[2][..], &record, second].concat();
+        assert!(Metadata::from_packed(&two(&[0b11101])).is_ok());
+        // A flag that misstates its record: each `same_*` bit on the first
+        // record ...
         assert_eq!(decode(&[1, 0b100, 1, 0]), Error::NonCanonicalRecord);
-        assert_eq!(
-            decode(&[&[2][..], &record, &[0, 0, 0, 2, 0]].concat()),
-            Error::NonCanonicalRecord
-        );
+        assert_eq!(decode(&[1, 0b1000, 0, 0, 0]), Error::NonCanonicalRecord);
+        assert_eq!(decode(&[1, 0b10000, 0, 0, 1]), Error::NonCanonicalRecord);
+        // ... each clear although the record restates the value before it:
+        // the entry and exit, the depth, the (empty) path list ...
+        assert_eq!(decode(&two(&[0b11001, 0, 0])), Error::NonCanonicalRecord);
+        assert_eq!(decode(&two(&[0b10101, 1])), Error::NonCanonicalRecord);
+        assert_eq!(decode(&two(&[0b01101, 0])), Error::NonCanonicalRecord);
+        // ... and `has_targets` before a target count of 0.
         assert_eq!(decode(&[1, 0b010, 0, 0, 1, 0, 0]), Error::NonCanonicalRecord);
-        // The canonical forms of the last two.
-        assert!(Metadata::from_packed(&[&[2][..], &record, &[0b100, 2, 0]].concat()).is_ok());
         assert!(Metadata::from_packed(&[1, 0, 0, 0, 1, 0]).is_ok());
+        // A bit set although the value differs drops the value, and the
+        // record reads the one before it instead: a second record at
+        // (5, 0), at depth 2 or with one path becomes the first record
+        // again, a run that is not maximal; one that also overflowed leaves
+        // the iteration of its path unread.
+        assert!(Metadata::from_packed(&two(&[0b11000, 5, 0])).is_ok());
+        assert!(Metadata::from_packed(&two(&[0b10100, 2])).is_ok());
+        assert!(Metadata::from_packed(&two(&[0b01100, 1, 7, 1])).is_ok());
+        assert_eq!(decode(&two(&[0b11100])), Error::NonMaximalRun);
+        assert_eq!(decode(&two(&[0b11101, 1])), Error::TrailingBytes { extra: 1 });
         // A stored record equal to the one before it, whatever their runs.
-        assert_eq!(decode(&[&[2][..], &record, &[0b100, 1, 0]].concat()), Error::NonMaximalRun);
-        let twice = [(1 << 3) | 0b100, 1, 0];
-        assert_eq!(decode(&[&[2][..], &record, &twice].concat()), Error::NonMaximalRun);
+        assert_eq!(decode(&two(&[(1 << 5) | 0b11100])), Error::NonMaximalRun);
         // Runs that total more than `u32::MAX` loop executions, in one run
         // or over two.
         let run = |repeats: u64| {
             let mut bytes = Vec::new();
-            put_varint(&mut bytes, repeats << 3);
+            put_varint(&mut bytes, repeats << 5);
             bytes.extend([0, 0, 1, 0]);
             bytes
         };
@@ -1076,27 +1275,26 @@ pub(crate) mod tests {
             decode(&[&[1][..], &run(over - 1)].concat()),
             Error::IntegerOverflow { value: over }
         );
-        let other = [0, 1, 0, 1, 0];
+        let other = [0, 1, 0, 2, 1, 1, 1];
         assert_eq!(
             decode(&[&[2][..], &other, &run(over - 2)].concat()),
             Error::IntegerOverflow { value: over }
         );
         assert_eq!(
-            decode(&[&[1][..], &run(u64::MAX >> 3)].concat()),
-            Error::IntegerOverflow { value: 1 << 61 }
+            decode(&[&[1][..], &run(u64::MAX >> 5)].concat()),
+            Error::IntegerOverflow { value: 1 << 59 }
         );
-        // The most a run may claim, read without expanding it.
+        // The most runs may claim, read without expanding them.
         let most = PackedMetadata::from_packed(&[&[1][..], &run(over - 2)].concat()).unwrap();
         assert_eq!((most.run_count(), most.loop_count()), (1, u32::MAX as usize));
-        // A flag of 8 is a record that repeats once.
-        let repeated = Metadata::from_packed(&[1, 8, 0, 0, 1, 0]).unwrap();
+        let most = PackedMetadata::from_packed(&[&[2][..], &other, &run(over - 3)].concat());
+        assert_eq!(most.unwrap().loop_count(), u32::MAX as usize);
+        // A flag of 32 is a record that repeats once.
+        let repeated = Metadata::from_packed(&[1, 32, 0, 0, 1, 0]).unwrap();
         assert_eq!(repeated.loops.len(), 2);
         assert_eq!(repeated.loops[0], repeated.loops[1]);
-        // A count the bytes left cannot hold: 5 loops need at least 15.
-        assert_eq!(
-            decode(&[5, 0, 0, 0, 0, 0, 0]),
-            Error::UnexpectedEof { needed: 15, remaining: 6 }
-        );
+        // A count the bytes left cannot hold: 5 records need at least 5.
+        assert_eq!(decode(&[5, 0, 0, 0, 0]), Error::UnexpectedEof { needed: 5, remaining: 4 });
         // Truncation at every cut, and trailing bytes.
         let packed = sample().pack();
         let packed = packed.as_bytes();
@@ -1117,11 +1315,11 @@ pub(crate) mod tests {
     fn equal_consecutive_records_travel_as_one_run() {
         let record = sample().loops[1].clone();
         let other = sample().loops[0].clone();
-        for n in [1, 2, 63, 64, 65, 8191, 8192, 8193] {
+        for n in [1, 2, 4, 5, 511, 512, 513, 65_536, 65_537] {
             let view = Metadata { loops: [vec![record.clone(); n], vec![other.clone()]].concat() };
             let packed = view.pack();
             assert_eq!((packed.run_count(), packed.loop_count()), (2, n + 1), "{n}");
-            let flag = ((n as u64 - 1) << 3) | 1;
+            let flag = ((n as u64 - 1) << 5) | 1;
             let mut expected = vec![2];
             put_varint(&mut expected, flag);
             expected.extend([0xc0, 0x20, 0xd0, 0x20, 2, 1, 0b11, 9]);
@@ -1133,10 +1331,10 @@ pub(crate) mod tests {
         assert_eq!(sample().pack().packed_len(), 25);
     }
 
-    /// A record of the loop the record before it recorded writes neither
-    /// entry nor exit, and runs of either one still fold.
+    /// A record writes neither the loop, nor the depth, nor the path ids of
+    /// the record before it, and runs of either one still fold.
     #[test]
-    fn records_of_the_same_loop_omit_its_entry_and_exit() {
+    fn records_omit_the_values_of_the_record_before_them() {
         let first = sample().loops[1].clone();
         let mut second = first.clone();
         second.paths[0].iterations = 10;
@@ -1146,12 +1344,56 @@ pub(crate) mod tests {
         let expected = [
             3,
             0b001, 0xc0, 0x20, 0xd0, 0x20, 2, 1, 0b11, 9,
-            (1 << 3) | 0b101, 2, 1, 0b11, 10,
-            0b101, 2, 1, 0b11, 9,
+            (1 << 5) | 0b11101, 10,
+            0b11101, 9,
         ];
         assert_eq!(packed.as_bytes(), expected);
         assert_eq!(packed.decode(), view);
         assert_eq!(packed.to_bytes(), fixed_width(&view));
+    }
+
+    /// A record inherits the path ids of the last record that wrote them
+    /// out, whatever its loop and depth, and the three bits are
+    /// independent: a record of another loop may keep the depth and the
+    /// path ids before it, and one of the same loop may change both.
+    #[test]
+    fn a_path_list_holds_until_a_record_writes_another() {
+        let path = |path_id, iterations| PathRecord { path_id, iterations };
+        let record = |entry, nesting_depth, paths: &[PathRecord]| LoopRecord {
+            entry,
+            exit: entry + 8,
+            nesting_depth,
+            paths: paths.to_vec(),
+            indirect_targets: Vec::new(),
+            encoder_overflowed: false,
+        };
+        let view = Metadata {
+            loops: vec![
+                record(16, 1, &[path(3, 1), path(5, 2)]),
+                record(32, 1, &[path(3, 2), path(5, 2)]),
+                record(32, 2, &[path(5, 4), path(3, 1)]),
+                record(32, 2, &[path(5, 1), path(3, 1)]),
+                record(16, 1, &[path(5, 1), path(3, 9)]),
+                record(16, 1, &[path(3, 1), path(5, 2)]),
+            ],
+        };
+        let packed = view.pack();
+        #[rustfmt::skip]
+        let expected = [
+            6,
+            0, 16, 24, 1, 2, 3, 5, 1, 2,
+            0b11000, 32, 40, 2, 2,
+            0b00100, 2, 2, 5, 3, 4, 1,
+            0b11100, 1, 1,
+            0b10000, 16, 24, 1, 1, 9,
+            0b01100, 2, 3, 5, 1, 2,
+        ];
+        assert_eq!(packed.as_bytes(), expected);
+        assert_eq!(packed.decode(), view);
+        assert_eq!(packed.to_bytes(), fixed_width(&view));
+        let mut writer = PackedWriter::default();
+        packed.visit(&mut writer);
+        assert_eq!(writer.finish(), packed);
     }
 
     #[test]
@@ -1192,15 +1434,15 @@ pub(crate) mod tests {
         }
 
         /// Equal packed bytes exactly when the views are equal: a view and
-        /// its copy pack alike, and one record repeated, dropped, edited or
-        /// with its paths reversed packs alike only when the edit left the
-        /// view as it was.
+        /// its copy pack alike, and one record repeated, dropped, edited,
+        /// with its paths reversed or with every path id changed packs alike
+        /// only when the edit left the view as it was.
         #[test]
         fn packed_bytes_are_equal_exactly_when_views_are(
             metadata in arbitrary(),
             other in arbitrary(),
             at in any::<usize>(),
-            edit in 0..4u8,
+            edit in 0..5u8,
         ) {
             prop_assert_eq!(metadata.pack() == other.pack(), metadata == other);
             prop_assert_eq!(metadata.clone().pack(), metadata.pack());
@@ -1215,7 +1457,8 @@ pub(crate) mod tests {
                     edited.loops.remove(at);
                 }
                 2 => edited.loops[at].nesting_depth ^= 1,
-                _ => edited.loops[at].paths.reverse(),
+                3 => edited.loops[at].paths.reverse(),
+                _ => edited.loops[at].paths.iter_mut().for_each(|p| p.path_id ^= 1),
             }
             prop_assert_eq!(edited.pack() == metadata.pack(), edited == metadata);
         }

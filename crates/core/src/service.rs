@@ -260,6 +260,57 @@ pub fn codes_summary(counts: &BTreeMap<u16, u64>) -> String {
     counts.iter().map(|(code, count)| format!("{code}:{count}")).collect::<Vec<_>>().join(";")
 }
 
+/// The books of a role that refuses input no service sees: a fan-out front
+/// answering an oversized length prefix or dropping a frame cut short (see
+/// the `lofat-net` crate).  They book each refusal by
+/// [`VerifierService::reject_unparseable`]'s rule, so
+/// [`ServiceStats::absorb`] over them and the books of the services behind
+/// the role reads as one service's, conservation law included.
+///
+/// ```
+/// use lofat::service::{RejectionBooks, ServiceStats};
+/// use lofat::wire::{SessionId, WireError};
+///
+/// let books = RejectionBooks::default();
+/// let error = WireError::Truncated { needed: 100, have: 3 };
+/// books.reject_unparseable(SessionId(0), &error).unwrap();
+/// let mut total = ServiceStats::default();
+/// total.absorb(&books.stats());
+/// assert_eq!((total.wire_errors, total.rejected), (1, 1));
+/// assert!(total.is_conserved(0));
+/// ```
+#[derive(Debug)]
+pub struct RejectionBooks(AtomicStats);
+
+impl Default for RejectionBooks {
+    fn default() -> Self {
+        Self(AtomicStats::new())
+    }
+}
+
+impl RejectionBooks {
+    /// Books input that failed before it became a typed [`Envelope`],
+    /// exactly as [`VerifierService::reject_unparseable`] does, and returns
+    /// the same rejecting verdict envelope.
+    ///
+    /// # Errors
+    ///
+    /// Only fails if the outgoing verdict envelope cannot be encoded, which
+    /// would be a bug, not an input property.
+    pub fn reject_unparseable(
+        &self,
+        session: SessionId,
+        error: &WireError,
+    ) -> Result<Vec<u8>, ServiceError> {
+        self.0.reject_unparseable(session, error)
+    }
+
+    /// The books so far.
+    pub fn stats(&self) -> ServiceStats {
+        self.0.snapshot()
+    }
+}
+
 /// Number of per-code counter slots the atomic stats keep.  All stable wire
 /// codes (see [`code`]) are far below this; anything larger shares an
 /// overflow slot so accounting never loses a rejection.
@@ -294,6 +345,21 @@ impl AtomicStats {
             wire_errors: AtomicU64::new(0),
             by_code: std::array::from_fn(|_| AtomicU64::new(0)),
         }
+    }
+
+    /// Books input that failed before it became a typed [`Envelope`] and
+    /// returns the verdict envelope rejecting it, addressed to `session`:
+    /// the one rule of every role that refuses such input, a service's
+    /// ([`VerifierService::reject_unparseable`]) and a front's
+    /// ([`RejectionBooks`]), so both answer with the same bytes.
+    fn reject_unparseable(
+        &self,
+        session: SessionId,
+        error: &WireError,
+    ) -> Result<Vec<u8>, ServiceError> {
+        self.record_verdict(error.code(), true, false);
+        let verdict = VerdictMsg::rejected(error.code(), error.to_string());
+        Envelope::new(session, Message::Verdict(verdict)).encode().map_err(ServiceError::Wire)
     }
 
     fn record_rejection(&self, reason_code: u16) {
@@ -733,6 +799,17 @@ impl VerifierService {
         expired
     }
 
+    /// One beat of the service clock: advances it by `cycles`
+    /// ([`VerifierService::advance_clock`]) and sweeps the sessions whose
+    /// deadlines it passed ([`VerifierService::expire_stale`]), returning
+    /// how many were swept.  `lofat serve` ticks every few seconds with the
+    /// microseconds of wall time since its last tick; a simulator can drive
+    /// the same clock with the cycles it models.
+    pub fn tick(&self, cycles: u64) -> usize {
+        self.advance_clock(cycles);
+        self.expire_stale()
+    }
+
     /// Judges one evidence envelope and returns the verdict.  Infallible by
     /// design: every failure mode maps to a rejecting [`VerdictMsg`] with a
     /// stable [`code`], and the statistics are updated either way.
@@ -852,7 +929,8 @@ impl VerifierService {
     /// live` exact over socket traffic: malformed bytes arriving mid-session
     /// can neither consume the session they interrupted nor escape the books.
     ///
-    /// The bytes are [`rejection_bytes`]'s.
+    /// A fan-out front books and answers the framing it refuses itself by
+    /// the same rule ([`RejectionBooks`]).
     ///
     /// # Errors
     ///
@@ -863,8 +941,7 @@ impl VerifierService {
         session: SessionId,
         error: &WireError,
     ) -> Result<Vec<u8>, ServiceError> {
-        self.stats.record_verdict(error.code(), true, false);
-        rejection_bytes(session, error)
+        self.stats.reject_unparseable(session, error)
     }
 
     /// The verification pipeline for one envelope.  Does not touch the
@@ -1185,22 +1262,6 @@ impl VerifierService {
     }
 }
 
-/// The encoded verdict envelope rejecting input that never became a typed
-/// [`Envelope`], addressed to `session`.  It records nothing: a service
-/// books it through [`VerifierService::reject_unparseable`], and an endpoint
-/// without books (the `lofat-net` fan-out front) answers a framing-level
-/// rejection with these same bytes.
-///
-/// # Errors
-///
-/// Only fails if the envelope cannot be encoded, which would be a bug, not
-/// an input property.
-pub fn rejection_bytes(session: SessionId, error: &WireError) -> Result<Vec<u8>, ServiceError> {
-    Envelope::new(session, Message::Verdict(VerdictMsg::rejected(error.code(), error.to_string())))
-        .encode()
-        .map_err(ServiceError::Wire)
-}
-
 /// The verdict for evidence echoing a nonce that was already consumed.
 fn replayed_nonce_verdict(nonce: &Nonce) -> VerdictMsg {
     VerdictMsg::rejected(
@@ -1360,6 +1421,23 @@ mod tests {
         service.advance_clock(11);
         assert_eq!(service.expire_stale(), 1);
         assert_eq!(service.live_sessions(), 0);
+        assert_eq!(service.stats().expired, 1);
+        assert!(service.stats().is_conserved(0));
+    }
+
+    /// A session survives a tick that stops one cycle short of its
+    /// deadline, the next tick past the deadline sweeps it, and the books
+    /// balance after each.
+    #[test]
+    fn a_tick_advances_the_clock_and_sweeps_what_it_passed() {
+        let config = ServiceConfig { session_deadline_cycles: 10, ..ServiceConfig::default() };
+        let (service, _) = setup_with(vec![vec![1]], config);
+        service.open_session(vec![1]).unwrap();
+        assert_eq!(service.tick(9), 0);
+        assert_eq!((service.now_cycles(), service.live_sessions()), (9, 1));
+        assert!(service.stats().is_conserved(1));
+        assert_eq!(service.tick(2), 1);
+        assert_eq!((service.now_cycles(), service.live_sessions()), (11, 0));
         assert_eq!(service.stats().expired, 1);
         assert!(service.stats().is_conserved(0));
     }

@@ -21,7 +21,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "LFAT"
-//! 4       2     version (little-endian u16, currently 4)
+//! 4       2     version (little-endian u16, currently 5)
 //! 6       8     session id (little-endian u64)
 //! 14      4     body length (little-endian u32)
 //! 18      n     body: serde encoding of `Message`
@@ -42,9 +42,11 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LFAT";
 /// up to the nonce ([`AttestationReport::payload`]) instead of `L`'s
 /// fixed-width layout.  Version 4 writes a loop record's entry and exit only
 /// when they differ from the stored record's before it, its targets only
-/// when it has any, and no path's index of first occurrence (the
-/// [version-4 grammar](crate::metadata#packed-l-version-4)).
-pub const WIRE_VERSION: u16 = 4;
+/// when it has any, and no path's index of first occurrence.  Version 5
+/// writes its nesting depth and its path ids (with their count) only when
+/// they differ from the stored record's before it too (the
+/// [version-5 grammar](crate::metadata#packed-l-version-5)).
+pub const WIRE_VERSION: u16 = 5;
 
 /// Size of the fixed envelope header in bytes.
 pub const HEADER_BYTES: usize = 18;
@@ -380,10 +382,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LFSN";
 /// watermark per shard and no live session, version 5 stores that
 /// metadata run-length, as wire version 3 does, version 6 drops the
 /// verdict cache's capacity from the configuration and its evictions from
-/// the books, and version 7 stores that metadata in the grammar of wire
-/// version 4; an older document is refused, so a service never restarts
-/// from one with fresh nonce counters.
-pub const SNAPSHOT_VERSION: u16 = 7;
+/// the books, version 7 stores that metadata in the grammar of wire version
+/// 4, and version 8 in that of wire version 5; an older document is
+/// refused, so a service never restarts from one with fresh nonce counters.
+pub const SNAPSHOT_VERSION: u16 = 8;
 
 /// Size of the fixed snapshot header in bytes: magic (4) + version (2) +
 /// body length (4) + SHA3-256 body digest (32).

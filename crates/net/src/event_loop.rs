@@ -84,7 +84,7 @@ use crate::limits::NetLimits;
 use crate::poller::{Event, Poller, HANGUP, READABLE, WRITABLE};
 use crate::server::{EventLog, ServerConfig};
 use lofat::pool::ParallelVerifier;
-use lofat::service::{rejection_bytes, ServiceError, VerifierService};
+use lofat::service::{RejectionBooks, ServiceError, VerifierService};
 use lofat::wire::{Envelope, Message, SessionId};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Display;
@@ -332,8 +332,9 @@ impl EventLoopServer {
 pub(crate) enum Role {
     /// Answer it: session requests inline, evidence on the pool.
     Verifier { service: Arc<VerifierService>, pool: ParallelVerifier },
-    /// Relay it to the backend that owns its session (see [`crate::front`]).
-    Front(Routes),
+    /// Relay it to the backend that owns its session (see [`crate::front`]),
+    /// and book what the front refuses itself.
+    Front { routes: Routes, books: Arc<RejectionBooks> },
 }
 
 /// The handle [`EventLoopServer`] and [`crate::FanOutFront`] hold on their
@@ -786,7 +787,7 @@ impl Driver {
         state.next_seq += 1;
         let (service, pool) = match &mut self.role {
             Role::Verifier { service, pool } => (service, pool),
-            Role::Front(routes) => {
+            Role::Front { routes, .. } => {
                 state.pending.push_back((seq, None));
                 let backend = routes.route(&frame);
                 return self.relay(id, seq, backend, &frame);
@@ -847,13 +848,14 @@ impl Driver {
     fn mark_close(&mut self, id: u64, reason: CloseReason) {
         let mut farewell = None;
         if let Some(error) = reason.wire_error() {
-            // A truncated or oversized frame enters a verifier's books
-            // exactly like it does in-process; the front keeps none.  An
-            // oversized announcement is also answered (the peer is still
+            // A truncated or oversized frame enters the books of the role
+            // that refused it, a verifier's service or the front's own, by
+            // the one rule input that fails to decode in-process follows.
+            // An oversized announcement is also answered (the peer is still
             // there to read the verdict), with the same bytes by both roles.
             let reply = match &self.role {
                 Role::Verifier { service, .. } => service.reject_unparseable(SessionId(0), &error),
-                Role::Front(_) => rejection_bytes(SessionId(0), &error),
+                Role::Front { books, .. } => books.reject_unparseable(SessionId(0), &error),
             };
             if reason.answers_peer() {
                 farewell = reply.ok();

@@ -37,9 +37,11 @@
 //! [`ServerConfig::max_connections`] clients), the deadline wheel, write
 //! backpressure, the graceful drain and the farewell to a frame announced
 //! above [`NetLimits::max_frame_bytes`](crate::NetLimits) (the server's
-//! verdict, built by the same [`lofat::service::rejection_bytes`], then a
-//! close) are the server's own code.  The front keeps no books: a frame cut
-//! short or announced too large records nothing.
+//! verdict, then a close) are the server's own code.  A frame cut short or
+//! announced too large reaches no backend, so the front books it itself,
+//! by a server's rule ([`lofat::service::RejectionBooks`]):
+//! [`FanOutFront::stats`] summed with every backend's books reads as one
+//! service's.
 //!
 //! Each client reaches backend *b* over its own connection, dialled on the
 //! client's first frame for *b* without waiting for the handshake on Linux
@@ -57,8 +59,10 @@ use crate::conn::is_session_request_frame;
 use crate::error::NetError;
 use crate::event_loop::{LoopHandle, Role};
 use crate::server::ServerConfig;
+use lofat::service::{RejectionBooks, ServiceStats};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Byte offset of the session id within an envelope payload (see the offset
 /// table in [`lofat::wire`]: magic 4 + version 2, then the `u64` session).
@@ -75,6 +79,7 @@ const SESSION_OFFSET: usize = 6;
 pub struct FanOutFront {
     handle: LoopHandle,
     backends: Vec<SocketAddr>,
+    books: Arc<RejectionBooks>,
 }
 
 impl std::fmt::Debug for FanOutFront {
@@ -111,8 +116,10 @@ impl FanOutFront {
             )));
         }
         let transport = format!("backends={backends:?} transport=fan-out");
-        let routes = Role::Front(Routes { backends: backends.clone(), round_robin: 0 });
-        Ok(Self { handle: LoopHandle::spawn(addr, &config, routes, &transport)?, backends })
+        let books = Arc::new(RejectionBooks::default());
+        let routes = Routes { backends: backends.clone(), round_robin: 0 };
+        let role = Role::Front { routes, books: Arc::clone(&books) };
+        Ok(Self { handle: LoopHandle::spawn(addr, &config, role, &transport)?, backends, books })
     }
 
     /// The bound address (with the actual port when bound to port 0).
@@ -138,6 +145,15 @@ impl FanOutFront {
     /// A snapshot of the in-memory event log.
     pub fn events(&self) -> Vec<String> {
         self.handle.shared.log.snapshot()
+    }
+
+    /// The front's own books: the input it refused before any backend saw
+    /// it (an oversized length prefix, a frame cut short), booked as a
+    /// server books it.  [`ServiceStats::absorb`] over them and every
+    /// backend's books gives the books of one service that saw the same
+    /// traffic.
+    pub fn stats(&self) -> ServiceStats {
+        self.books.stats()
     }
 
     /// Gracefully shuts the front down: stop accepting, stop reading,

@@ -473,22 +473,22 @@ fn cmd_serve(args: &[String]) -> CliResult {
         config.partition_count,
     );
     println!("attest against it with: lofat attest {name} --connect {}", server.local_addr());
-    // The service deadline clock is logical (`advance_clock`); the transport
-    // deliberately never touches it (e14 relies on that), so serve mode must
-    // drive it itself: one cycle per microsecond of wall time, ticked every
-    // few seconds with a sweep — abandoned session requests expire and
-    // release capacity instead of pinning `max_live_sessions` forever.  Each
-    // tick advances the clock by the wall time since the previous one, so
-    // after a restore it keeps running from the snapshot's value at once: it
-    // never runs backwards across a restart, and never stands still.
+    // The service deadline clock is logical (`VerifierService::tick`); the
+    // transport deliberately never touches it (e14 relies on that), so serve
+    // mode must drive it itself: one cycle per microsecond of wall time,
+    // ticked every few seconds, each tick sweeping — abandoned session
+    // requests expire and release capacity instead of pinning
+    // `max_live_sessions` forever.  Each tick advances the clock by the wall
+    // time since the previous one, so after a restore it keeps running from
+    // the snapshot's value at once: it never runs backwards across a
+    // restart, and never stands still.
     let mut last_tick = std::time::Instant::now();
     let mut ticks = 0u64;
     loop {
         std::thread::sleep(std::time::Duration::from_secs(5));
         let now = std::time::Instant::now();
-        service.advance_clock(now.duration_since(last_tick).as_micros() as u64);
+        let swept = service.tick(now.duration_since(last_tick).as_micros() as u64);
         last_tick = now;
-        let swept = service.expire_stale();
         if swept > 0 {
             println!("[expiry] swept {swept} stale session(s)");
         }

@@ -203,29 +203,77 @@ pub fn runs(metadata: &lofat::Metadata) -> Vec<(lofat::LoopRecord, u64)> {
 }
 
 /// Packed `L` storing `runs` as given, maximal or not, written field by
-/// field from the version-4 grammar (see `lofat::metadata`): per run a flag
-/// holding its repeats, `same_loop` and `has_targets`, the entry and exit
-/// unless they are the run before's, the depth, the paths and, when it has
-/// any, the targets.
+/// field from the version-5 grammar (see `lofat::metadata`): per run a flag
+/// holding its repeats, `same_paths`, `same_depth`, `same_loop` and
+/// `has_targets`, each `same_*` bit set when the value equals the run
+/// before's; then the entry and exit, the depth, and the path count and
+/// ids, each unless its bit is set; the iterations; and, when it has any,
+/// the targets.
 pub fn pack_runs(runs: &[(lofat::LoopRecord, u64)]) -> Vec<u8> {
+    pack_runs_flagged(runs, |_, flag| flag)
+}
+
+/// The flag bits of the version-5 grammar, below a run's repeats.
+pub mod flag {
+    pub const HAS_TARGETS: u64 = 1 << 1;
+    pub const SAME_LOOP: u64 = 1 << 2;
+    pub const SAME_DEPTH: u64 = 1 << 3;
+    pub const SAME_PATHS: u64 = 1 << 4;
+}
+
+/// Whether `next` repeats the value of `record` that the `same_*` flag bit
+/// `bit` stands for: the loop, the depth or the path ids in order.
+pub fn repeats_value(bit: u64, record: &lofat::LoopRecord, next: &lofat::LoopRecord) -> bool {
+    let ids =
+        |record: &lofat::LoopRecord| record.paths.iter().map(|p| p.path_id).collect::<Vec<_>>();
+    match bit {
+        flag::SAME_LOOP => (record.entry, record.exit) == (next.entry, next.exit),
+        flag::SAME_DEPTH => record.nesting_depth == next.nesting_depth,
+        _ => ids(record) == ids(next),
+    }
+}
+
+/// [`pack_runs`] with each run's flag passed through `edit` (the run's
+/// index and the flag the grammar gives it) before it is written.  The
+/// fields follow the edited flag: a set `same_*` bit drops its value, a
+/// clear one writes it, and a set `has_targets` writes the target count, 0
+/// included.
+pub fn pack_runs_flagged(
+    runs: &[(lofat::LoopRecord, u64)],
+    edit: impl Fn(usize, u64) -> u64,
+) -> Vec<u8> {
     let mut out = leb128(runs.len() as u64);
     let mut before: Option<&lofat::LoopRecord> = None;
-    for (record, executions) in runs {
-        let same_loop = before.is_some_and(|b| (b.entry, b.exit) == (record.entry, record.exit));
+    for (k, (record, executions)) in runs.iter().enumerate() {
+        let same = |bit| u64::from(before.is_some_and(|b| repeats_value(bit, b, record))) * bit;
         let has_targets = !record.indirect_targets.is_empty();
-        let flag = (executions - 1) << 3
-            | u64::from(same_loop) << 2
-            | u64::from(has_targets) << 1
-            | u64::from(record.encoder_overflowed);
+        let flag = edit(
+            k,
+            ((executions - 1) << 5)
+                | same(flag::SAME_PATHS)
+                | same(flag::SAME_DEPTH)
+                | same(flag::SAME_LOOP)
+                | (u64::from(has_targets) * flag::HAS_TARGETS)
+                | u64::from(record.encoder_overflowed),
+        );
+        let [same_loop, same_depth, same_paths, has_targets] =
+            [flag::SAME_LOOP, flag::SAME_DEPTH, flag::SAME_PATHS, flag::HAS_TARGETS]
+                .map(|bit| flag & bit != 0);
         out.extend(leb128(flag));
         if !same_loop {
             out.extend(leb128(record.entry.into()));
             out.extend(leb128(record.exit.into()));
         }
-        out.extend(leb128(record.nesting_depth as u64));
-        out.extend(leb128(record.paths.len() as u64));
+        if !same_depth {
+            out.extend(leb128(record.nesting_depth as u64));
+        }
+        if !same_paths {
+            out.extend(leb128(record.paths.len() as u64));
+            for path in &record.paths {
+                out.extend(leb128(path.path_id.into()));
+            }
+        }
         for path in &record.paths {
-            out.extend(leb128(path.path_id.into()));
             out.extend(leb128(path.iterations));
         }
         if has_targets {

@@ -30,6 +30,10 @@
 //! held session keeps one 16-byte slot in its shard's table (its input is
 //! freed at the open), and a sweep allocates nothing.
 //!
+//! The length of `L`'s fixed-width layout is counted in a walk over the
+//! packed bytes, without building the layout: no allocation for a
+//! 2 000-unit syringe-pump run whose layout takes 90 049 bytes.
+//!
 //! The property test is bounded by `PROPTEST_CASES` like every other property
 //! suite in the workspace.
 
@@ -41,7 +45,7 @@ use lofat::{
     EngineConfig, Envelope, LofatEngine, MeasurementDatabase, Message, Prover, ServiceConfig,
     Verifier, VerifierService,
 };
-use lofat_crypto::DeviceKey;
+use lofat_crypto::{DeviceKey, Nonce};
 use lofat_rv32::asm::assemble;
 use lofat_rv32::Cpu;
 use lofat_workloads::catalog;
@@ -384,4 +388,22 @@ fn held_sessions_keep_a_slot_each_and_a_sweep_allocates_nothing() {
     assert_eq!(allocation_count() - before, 0, "allocations while sweeping");
     assert_eq!(swept, SESSIONS);
     assert!(service.stats().is_conserved(service.live_sessions()));
+}
+
+/// `PackedMetadata::size_bytes` counts the fixed-width layout in one walk
+/// over the packed bytes: for a 2 000-unit syringe-pump run, 2 001 loop
+/// executions in three runs whose layout takes 90 049 bytes, it allocates
+/// nothing.
+#[test]
+fn the_fixed_width_length_is_counted_without_allocating() {
+    let workload = catalog::by_name("syringe-pump").expect("catalogue workload");
+    let program = workload.program().expect("assemble");
+    let mut prover = Prover::new(program, workload.name, DeviceKey::from_seed("e11-device"));
+    let metadata = prover.attest(&[2000], Nonce::from_counter(1)).expect("attests").report.metadata;
+    assert_eq!((metadata.run_count(), metadata.loop_count()), (3, 2001));
+    let before = allocation_count();
+    let size = metadata.size_bytes();
+    assert_eq!(allocation_count() - before, 0, "allocations in `size_bytes`");
+    assert_eq!(size, 90_049);
+    assert_eq!(size, metadata.to_bytes().len());
 }

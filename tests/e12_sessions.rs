@@ -572,6 +572,63 @@ fn differential_swapped_paths_match_legacy() {
     }
 }
 
+/// An edit to a path list that later records inherit: packed `L` writes the
+/// crc32 bit loop's path ids once and the records after it that list the
+/// same ids inherit them, so replacing the first id there (one byte of `L`)
+/// replaces it in every one of those records.  Under the prover's signature
+/// the library and the service answer code 3; re-signed with the device
+/// key, code 4 (an id outside the loop's valid paths), and both spend the
+/// session alike.
+#[test]
+fn differential_edit_to_an_inherited_path_list_matches_legacy() {
+    const FORGED_ID: u32 = 0x7f;
+    let input = catalog::by_name("crc32").unwrap().default_input;
+    let edit = |report: &mut AttestationReport| {
+        let honest = report.metadata.as_bytes().to_vec();
+        let mut edited = 0;
+        edit_metadata(report, |m| {
+            let ids = |l: &LoopRecord| l.paths.iter().map(|p| p.path_id).collect::<Vec<_>>();
+            let same = |i: usize| i > 0 && ids(&m.loops[i - 1]) == ids(&m.loops[i]);
+            let first = (0..m.loops.len() - 1)
+                .find(|&i| !same(i) && same(i + 1) && !m.loops[i].paths.is_empty())
+                .expect("a path list the next record inherits");
+            let inherit = (first + 1..m.loops.len()).take_while(|&i| same(i)).count();
+            for record in &mut m.loops[first..=first + inherit] {
+                assert_ne!(record.paths[0].path_id, FORGED_ID);
+                record.paths[0].path_id = FORGED_ID;
+                edited += 1;
+            }
+        });
+        let forged = report.metadata.as_bytes();
+        assert!(edited >= 2, "{edited} records");
+        assert_eq!(forged.len(), honest.len());
+        assert_eq!(forged.iter().zip(&honest).filter(|(a, b)| a != b).count(), 1);
+    };
+    let unsigned: Tamper<'_> = &|report, _| edit(report);
+    let signed: Tamper<'_> = &|report, key| {
+        edit(report);
+        resign(report, key);
+    };
+    for (scenario, tamper) in
+        [("inherited-list-unsigned", unsigned), ("inherited-list-signed", signed)]
+    {
+        let seed = format!("e12-diff-crc32-{scenario}");
+        let (_, _, verdict) =
+            legacy_round("crc32", &seed, input.clone(), &mut no_fault(), Some(tamper));
+        let expected = match &verdict {
+            Err(LofatError::Rejected(RejectionReason::BadSignature)) => {
+                scenario.ends_with("unsigned")
+            }
+            Err(LofatError::Rejected(RejectionReason::InvalidLoopPath { path_id, .. })) => {
+                *path_id == FORGED_ID && scenario.ends_with("-signed")
+            }
+            _ => false,
+        };
+        assert!(expected, "{scenario}: {verdict:?}");
+        assert_equivalent_tampered("crc32", scenario, input.clone(), no_fault, Some(tamper));
+    }
+}
+
 /// A report naming another program, signed with the device key: code 1,
 /// and the session stays open for the honest device.
 #[test]

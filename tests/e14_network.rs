@@ -1011,7 +1011,7 @@ fn partitioned_front_deployment_matches_a_single_service_byte_for_byte() {
     }
 }
 
-/// The front bounds its relay threads by `max_connections`: past the cap a
+/// The front bounds its clients by `max_connections`: past the cap a
 /// client waits in the kernel backlog — connected, but unanswered — until a
 /// served client leaves, and is then served normally.
 #[test]
@@ -1149,17 +1149,17 @@ fn frames_pipelined_through_the_front_answer_in_order_byte_for_byte() {
     }
 }
 
-/// The front answers hostile framing the way a server does, and records it
-/// nowhere: an oversized length prefix draws the very farewell bytes a
-/// server sends for it, and a frame cut short mid-body reaches no backend,
-/// so no backend's books move.  The same bytes sent straight to a server
-/// count there.
+/// The front books hostile framing the way a server does: an oversized
+/// length prefix draws the very farewell bytes a server sends for it, a
+/// frame cut short mid-body reaches no backend, and the front's own books
+/// count each as one wire error.  After the same inputs, the front's books
+/// summed with every backend's equal those of a single server with the same
+/// total shard count, and balance.
 #[test]
-fn front_answers_hostile_framing_like_a_server_and_records_nothing() {
+fn front_books_hostile_framing_so_the_summed_books_match_a_server() {
     use std::io::Write;
-    let name = "fig4-loop";
-    let (services, servers) =
-        partitioned_backends("front_hostile", name, "e14-front-hostile", &[vec![2]], 2);
+    let (name, seed, inputs) = ("fig4-loop", "e14-front-hostile", [vec![2]]);
+    let (services, servers) = partitioned_backends("front_hostile", name, seed, &inputs, 2);
     let backends = servers.iter().map(|server| server.local_addr()).collect();
     let front = lofat_net::FanOutFront::bind(
         "127.0.0.1:0",
@@ -1167,6 +1167,10 @@ fn front_answers_hostile_framing_like_a_server_and_records_nothing() {
         common::net_server_config("front_hostile"),
     )
     .expect("bind front");
+    let (_, single, _) =
+        common::workload_service_arc(name, seed, &inputs, ServiceConfig::sharded(2));
+    let server =
+        common::serve(Arc::clone(&single), common::net_server_config("front_hostile_single"));
     let books = || services.iter().map(|service| service.stats()).collect::<Vec<_>>();
     let before = books();
 
@@ -1185,30 +1189,37 @@ fn front_answers_hostile_framing_like_a_server_and_records_nothing() {
         raw.write_all(&100u32.to_le_bytes()).expect("header");
         raw.write_all(b"abc").expect("partial body");
     };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let wait_for = |wire_errors: &dyn Fn() -> u64| {
+        while wire_errors() < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(wire_errors(), 2, "each input is one wire error");
+    };
 
     let from_front = farewell(front.local_addr());
     assert_eq!(common::decode_verdict(&from_front).reason_code, code::MALFORMED);
     cut_short(front.local_addr());
-    // Both hostile clients are gone once the front has logged their closes.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let closes = || front.events().iter().filter(|event| event.contains("close id=")).count();
-    while closes() < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(closes(), 2, "{:?}", front.events());
-    assert_eq!(books(), before, "hostile framing through the front moved a backend's books");
+    wait_for(&|| front.stats().wire_errors);
+    assert_eq!(books(), before, "hostile framing through the front reached a backend");
+    assert_eq!(farewell(server.local_addr()), from_front, "front and server farewells differ");
+    cut_short(server.local_addr());
+    wait_for(&|| single.stats().wire_errors);
 
-    // Straight to a server: the same farewell, and each input is one wire
-    // error in that server's books.
-    assert_eq!(farewell(servers[0].local_addr()), from_front, "front and server farewells differ");
-    assert_eq!(services[0].stats().wire_errors, 1);
-    cut_short(servers[0].local_addr());
-    while services[0].stats().wire_errors < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+    let mut summed = front.stats();
+    let mut live = 0;
+    for service in &services {
+        summed.absorb(&service.stats());
+        live += service.live_sessions();
     }
-    assert_eq!(services[0].stats().wire_errors, 2, "a frame cut short counts on a server");
-    assert_eq!(services[1].stats(), before[1]);
+    let reference = single.stats();
+    assert_eq!(summed, reference, "the front's and the backends' books diverge from a server's");
+    assert_eq!((reference.wire_errors, reference.rejected), (2, 2));
+    assert_eq!(reference.rejections_by_code.get(&code::MALFORMED), Some(&2));
+    assert_eq!(live, single.live_sessions());
+    common::assert_stats_conserved(&summed, live);
     front.shutdown();
+    server.shutdown();
     for server in servers {
         server.shutdown();
     }

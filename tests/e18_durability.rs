@@ -25,7 +25,7 @@
 //! graceful shutdown — that would test nothing) and restores from whatever
 //! the dead process left behind.
 //! * **A snapshot of another format version is refused, never overwritten**:
-//!   `lofat serve` pointed at a version-1, 2 or 3 document exits non-zero and
+//!   `lofat serve` pointed at a document of versions 1 to 7 exits non-zero and
 //!   leaves the file byte-identical instead of starting over with fresh
 //!   nonce counters.
 //! * **A serving process runs three kinds of thread and no more**: main,
@@ -289,13 +289,14 @@ fn front_runs_only_main_and_the_loop_whatever_its_client_count() {
 /// reference's metadata packed (version 2), while snapshots stored live
 /// sessions (version 3), before that metadata was stored run-length
 /// (version 4), while the books counted verdict-cache evictions (version
-/// 5) and while that metadata was in wire version 3's grammar (version 6),
+/// 5), while that metadata was in wire version 3's grammar (version 6) and
+/// while it was in wire version 4's (version 7),
 /// are refused: `serve` exits non-zero and leaves the file byte-identical.
 /// Starting over instead would issue fresh nonce counters and could reissue
 /// every nonce the old process handed out.
 #[test]
 fn serve_refuses_a_version_1_snapshot_and_leaves_it_untouched() {
-    for version in [1, 2, 3, 4, 5, 6] {
+    for version in [1, 2, 3, 4, 5, 6, 7] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let fixture = std::fs::read(&path).expect("fixture");
         let snapshot = artifact_dir().join(format!("version_{version}.snap"));

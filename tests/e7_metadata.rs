@@ -117,12 +117,14 @@ fn packed_metadata_stays_flat_while_loop_executions_grow() {
 }
 
 /// On crc32 buffers of 16-64 words, most loop records differ from the one
-/// before it, so runs save little; but most records are of the loop before
-/// them and none has an indirect target.  Packed `L` writes neither that
-/// loop's entry and exit, nor an empty target list, nor a path's index of
-/// first occurrence, and takes at most 8 bytes per loop execution.
+/// before it, so runs save little; but most records are of the loop and at
+/// the depth before them, about half list the same paths in the same
+/// order, and none has an indirect target.  Packed `L` writes neither that
+/// loop's entry and exit, nor that depth, nor those path ids, nor an empty
+/// target list, nor a path's index of first occurrence, and takes at most 5
+/// bytes per loop execution (4.66 at 16-64 words; 6.84 in wire version 4).
 #[test]
-fn crc32_packed_metadata_takes_at_most_8_bytes_per_loop_execution() {
+fn crc32_packed_metadata_takes_at_most_5_bytes_per_loop_execution() {
     let workload = catalog::by_name("crc32").unwrap();
     let program = workload.program().unwrap();
     let mut generator = InputGenerator::new(0xe7);
@@ -135,5 +137,5 @@ fn crc32_packed_metadata_takes_at_most_8_bytes_per_loop_execution() {
         loops += metadata.loop_count();
     }
     let per_loop = packed as f64 / loops as f64;
-    assert!(per_loop <= 8.0, "{per_loop:.2} B of packed `L` per loop execution");
+    assert!(per_loop <= 5.0, "{per_loop:.2} B of packed `L` per loop execution");
 }

@@ -146,9 +146,10 @@ fn corpus_bad_magic_and_versions_carry_their_codes() {
         assert_eq!(verdict.reason_code, code::MALFORMED, "magic byte {byte}: {verdict:?}");
     }
     // Version 1 is what a prover built before `L` travelled packed sends,
-    // version 2 one built before `L` travelled run-length and signed, and
-    // version 3 one built before the version-4 grammar of `L`.
-    for version in [0u16, 1, 2, 3, 5, 7, 0xffff] {
+    // version 2 one built before `L` travelled run-length and signed,
+    // version 3 one built before the version-4 grammar of `L`, and version
+    // 4 one built before the version-5 grammar.
+    for version in [0u16, 1, 2, 3, 4, 6, 7, 0xffff] {
         let mut bumped = honest.clone();
         bumped[4..6].copy_from_slice(&version.to_le_bytes());
         let verdict = submit(h, &bumped);

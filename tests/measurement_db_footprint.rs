@@ -9,7 +9,7 @@
 //! has a window open.
 //!
 //! Each database entry is one packed record plus its key and a slot in the
-//! sorted entry array: at most 3 blocks and 600 B for crc32 inputs of 16-64
+//! sorted entry array: at most 3 blocks and 513 B for crc32 inputs of 16-64
 //! words.
 //! Checking an honest report compares it against the packed record in place,
 //! so it allocates nothing.
@@ -120,7 +120,7 @@ fn packed_database_stays_small_and_checks_honest_reports_without_allocating() {
     let (bytes, blocks) = (bytes_after - bytes_before, blocks_after - blocks_before);
     let per_entry = |total: usize| total as f64 / db.len() as f64;
     assert!(per_entry(blocks) <= 3.0, "{:.2} heap blocks per entry", per_entry(blocks));
-    assert!(per_entry(bytes) <= 600.0, "{:.0} heap bytes per entry", per_entry(bytes));
+    assert!(per_entry(bytes) <= 513.0, "{:.0} heap bytes per entry", per_entry(bytes));
     // `heap_bytes` leaves out only the valid-path table's node headers and
     // spare slots.
     let reported = db.heap_bytes();

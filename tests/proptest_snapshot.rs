@@ -20,9 +20,10 @@
 //!   stored each reference's metadata packed, version 3, written while
 //!   snapshots still stored live sessions, version 4, written before that
 //!   metadata was stored run-length, version 5, written while the
-//!   configuration and the books still described a verdict cache, and
-//!   version 6, written while that metadata was in wire version 3's grammar;
-//! * `tests/fixtures/snapshot/fig4-loop.v7.lfsn`, the start-up snapshot of
+//!   configuration and the books still described a verdict cache, version
+//!   6, written while that metadata was in wire version 3's grammar, and
+//!   version 7, written while it was in wire version 4's;
+//! * `tests/fixtures/snapshot/fig4-loop.v8.lfsn`, the start-up snapshot of
 //!   `lofat serve fig4-loop`, restores to the state it describes and
 //!   re-encodes to itself byte for byte, so a change to the body encoding
 //!   that forgets the version bump fails here;
@@ -115,7 +116,7 @@ fn service_with(sessions: usize, mask: u8, clock: u64, shards: usize) -> Verifie
 /// restore path refuse each by its version.
 #[test]
 fn version_1_snapshots_are_refused() {
-    for version in [1, 2, 3, 4, 5, 6] {
+    for version in [1, 2, 3, 4, 5, 6, 7] {
         let path = format!("tests/fixtures/snapshot/fig4-loop.v{version}.lfsn");
         let bytes = std::fs::read(&path).expect("fixture");
         assert!(
@@ -137,7 +138,7 @@ fn version_1_snapshots_are_refused() {
 
 /// The key seed `lofat serve` uses (see `src/bin/lofat.rs`).
 const CLI_SEED: &str = "lofat-cli-fleet";
-const V7_FIXTURE: &str = "tests/fixtures/snapshot/fig4-loop.v7.lfsn";
+const V8_FIXTURE: &str = "tests/fixtures/snapshot/fig4-loop.v8.lfsn";
 
 /// The packed `L`, behind its `u32` length, that an evidence payload
 /// fixture of fig4-loop's default input carries after the program id and
@@ -155,19 +156,20 @@ fn fig4_metadata(payload_fixture: &str) -> Vec<u8> {
 /// start-up snapshot of `lofat serve fig4-loop` (4 shards, every watermark
 /// at the 65 536-session reserve, clock 0, empty books, one reference for
 /// the default input).  A restored service re-encodes it byte for byte.
-/// Its body is its version-6 predecessor's with that reference's `L`
-/// rewritten from the version-3 grammar into the version-4 one: the bytes
-/// fig4-loop's version-3 and version-4 evidence fixtures carry.
+/// Its body is its version-7 predecessor's with that reference's `L`
+/// rewritten from the version-4 grammar into the version-5 one: the bytes
+/// fig4-loop's version-4 and version-5 evidence fixtures carry.
 #[test]
-fn the_version_7_fixture_restores_and_re_encodes_byte_for_byte() {
-    let bytes = std::fs::read(V7_FIXTURE).expect("fixture");
-    let v6 = std::fs::read("tests/fixtures/snapshot/fig4-loop.v6.lfsn").expect("fixture");
-    let v6 = &v6[SNAPSHOT_HEADER_BYTES..];
-    let (v3_metadata, v4_metadata) = (fig4_metadata("v3.payload"), fig4_metadata("v4.payload"));
-    let at: Vec<usize> = (0..v6.len()).filter(|&i| v6[i..].starts_with(&v3_metadata)).collect();
-    assert_eq!(at.len(), 1, "the version-6 body holds one reference's `L`");
-    let (head, tail) = (&v6[..at[0]], &v6[at[0] + v3_metadata.len()..]);
-    let rewritten = [head, &v4_metadata, tail].concat();
+fn the_version_8_fixture_restores_and_re_encodes_byte_for_byte() {
+    let bytes = std::fs::read(V8_FIXTURE).expect("fixture");
+    let v7 = std::fs::read("tests/fixtures/snapshot/fig4-loop.v7.lfsn").expect("fixture");
+    let v7 = &v7[SNAPSHOT_HEADER_BYTES..];
+    let (v4_metadata, v5_metadata) = (fig4_metadata("v4.payload"), fig4_metadata("v5.payload"));
+    assert_ne!(v4_metadata, v5_metadata, "fig4-loop's `L` differs between the grammars");
+    let at: Vec<usize> = (0..v7.len()).filter(|&i| v7[i..].starts_with(&v4_metadata)).collect();
+    assert_eq!(at.len(), 1, "the version-7 body holds one reference's `L`");
+    let (head, tail) = (&v7[..at[0]], &v7[at[0] + v4_metadata.len()..]);
+    let rewritten = [head, &v5_metadata, tail].concat();
     assert!(rewritten == bytes[SNAPSHOT_HEADER_BYTES..], "more than the reference's `L` changed");
     let key = DeviceKey::from_seed(CLI_SEED).verification_key();
     let restored = VerifierService::restore_bytes(&bytes, key).expect("the fixture restores");
@@ -182,9 +184,9 @@ fn the_version_7_fixture_restores_and_re_encodes_byte_for_byte() {
 
 /// Rewrites the current version's fixture from this build's `lofat serve`.
 #[test]
-#[ignore = "rewrites tests/fixtures/snapshot/fig4-loop.v7.lfsn"]
-fn regenerate_the_version_7_fixture() {
-    let path = std::env::temp_dir().join(format!("lofat-v7-fixture-{}.lfsn", std::process::id()));
+#[ignore = "rewrites tests/fixtures/snapshot/fig4-loop.v8.lfsn"]
+fn regenerate_the_version_8_fixture() {
+    let path = std::env::temp_dir().join(format!("lofat-v8-fixture-{}.lfsn", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut serve = Command::new(env!("CARGO_BIN_EXE_lofat"))
         .args(["serve", "fig4-loop", "--addr", "127.0.0.1:0", "--snapshot-path"])
@@ -199,7 +201,7 @@ fn regenerate_the_version_7_fixture() {
     let _ = serve.kill();
     let _ = serve.wait();
     assert!(written, "`lofat serve` exited before its start-up snapshot");
-    std::fs::copy(&path, V7_FIXTURE).expect("write the fixture");
+    std::fs::copy(&path, V8_FIXTURE).expect("write the fixture");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -9,17 +9,17 @@
 //!   panic;
 //! * arbitrary single-byte corruption never panics the decoder;
 //! * the packed metadata inside evidence is read strictly: the writer's bytes
-//!   are the version-4 grammar's, every accepted blob re-encodes to itself,
+//!   are the version-5 grammar's, every accepted blob re-encodes to itself,
 //!   each way a blob can be malformed (a flag that misstates its record, a
 //!   non-maximal run and runs over `u32::MAX` loop executions included) has
 //!   its own typed `serde::Error`, and neither a hostile count nor a run
 //!   claiming `u32::MAX` loop executions makes a decoder or a service
 //!   allocate in proportion to it;
 //! * golden fixtures pin both byte forms of each catalogue workload's
-//!   evidence at wire version 4: the signed payload, which is the report's
+//!   evidence at wire version 5: the signed payload, which is the report's
 //!   wire encoding up to the signature, and the encoded envelope.  The
-//!   version-3 envelopes are refused by version, and a report signed over
-//!   the version-3 payload by its signature;
+//!   version-4 envelopes are refused by version, and a report signed over
+//!   the version-4 payload by its signature;
 //! * flipping any byte a signature covers refuses the evidence.
 //!
 //! Case counts honour the vendored proptest's `PROPTEST_CASES` cap.
@@ -29,7 +29,7 @@ use std::cell::Cell;
 
 mod common;
 
-use common::leb128;
+use common::{flag, leb128};
 use lofat::metadata::IndirectTargetRecord;
 use lofat::session::ProverSession;
 use lofat::wire::{
@@ -120,13 +120,30 @@ fn loop_strategy() -> impl Strategy<Value = LoopRecord> {
 }
 
 /// Up to three records, each executed up to twice in a row, about half of
-/// them recording the loop (entry and exit) of the record before.
+/// them taking the loop (entry and exit), half the depth and half the path
+/// ids of the record before; inherited paths keep the record's own
+/// iterations where it has as many paths.
 fn metadata_strategy() -> impl Strategy<Value = Metadata> {
-    proptest::collection::vec((loop_strategy(), 1..3usize, any::<bool>()), 0..3).prop_map(|runs| {
+    let inherits = (any::<bool>(), any::<bool>(), any::<bool>());
+    proptest::collection::vec((loop_strategy(), 1..3usize, inherits), 0..3).prop_map(|runs| {
         let mut loops: Vec<LoopRecord> = Vec::new();
-        for (mut record, n, same_loop) in runs {
-            if let (true, Some(before)) = (same_loop, loops.last()) {
-                (record.entry, record.exit) = (before.entry, before.exit);
+        for (mut record, n, (same_loop, same_depth, same_paths)) in runs {
+            if let Some(before) = loops.last() {
+                if same_loop {
+                    (record.entry, record.exit) = (before.entry, before.exit);
+                }
+                if same_depth {
+                    record.nesting_depth = before.nesting_depth;
+                }
+                if same_paths {
+                    let own = |i: usize| record.paths.get(i).map(|p| p.iterations);
+                    record.paths = (before.paths.iter().enumerate())
+                        .map(|(i, p)| PathRecord {
+                            path_id: p.path_id,
+                            iterations: own(i).unwrap_or(p.iterations),
+                        })
+                        .collect();
+                }
             }
             loops.extend(std::iter::repeat_n(record, n));
         }
@@ -194,25 +211,28 @@ enum Field {
     Count(usize),
 }
 
-/// Whether `next` records the loop `record` recorded: its entry and exit.
-fn same_loop(record: &LoopRecord, next: &LoopRecord) -> bool {
-    (record.entry, record.exit) == (next.entry, next.exit)
-}
+/// The `same_*` flag bits.
+const SAME_BITS: [u64; 3] = [flag::SAME_LOOP, flag::SAME_DEPTH, flag::SAME_PATHS];
 
 /// The fields of `metadata`'s packed form, in order.
 fn fields(metadata: &Metadata) -> Vec<Field> {
-    let mut out = vec![Field::Count(3)];
+    let mut out = vec![Field::Count(1)];
     let mut before = 0;
     let runs = common::runs(metadata);
     for (i, (l, executions)) in runs.iter().enumerate() {
+        let same = |bit| i > 0 && common::repeats_value(bit, &runs[i - 1].0, l);
         out.push(Field::Flag(before));
-        if i == 0 || !same_loop(&runs[i - 1].0, l) {
+        if !same(flag::SAME_LOOP) {
             out.extend([Field::U32, Field::U32]);
         }
-        out.extend([Field::Wide, Field::Count(2)]);
-        for _ in &l.paths {
-            out.extend([Field::U32, Field::Wide]);
+        if !same(flag::SAME_DEPTH) {
+            out.push(Field::Wide);
         }
+        if !same(flag::SAME_PATHS) {
+            out.push(Field::Count(2));
+            out.extend(l.paths.iter().map(|_| Field::U32));
+        }
+        out.extend(l.paths.iter().map(|_| Field::Wide));
         if !l.indirect_targets.is_empty() {
             out.push(Field::Count(2));
             for _ in &l.indirect_targets {
@@ -249,7 +269,7 @@ fn evidence_with_blob(report: &AttestationReport, blob: &[u8]) -> Vec<u8> {
 /// Packed `L` whose one run claims `executions` loop executions of an empty
 /// record.
 fn one_run(executions: u64) -> Vec<u8> {
-    [&[1][..], &leb128((executions - 1) << 3), &[0, 0, 1, 0]].concat()
+    [&[1][..], &leb128((executions - 1) << 5), &[0, 0, 1, 0]].concat()
 }
 
 fn body_error(bytes: &[u8]) -> serde::Error {
@@ -280,23 +300,34 @@ fn packed_metadata_rejections_carry_their_typed_errors() {
         decode(&[1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 1, 0]),
         serde::Error::IntegerOverflow { value: 1 << 32 }
     );
-    // A flag that misstates its record: `same_loop` on the first record,
-    // `same_loop` clear before the entry and exit of the record before, and
-    // `has_targets` before a target count of 0.
-    assert_eq!(decode(&[1, 0b100, 1, 0]), serde::Error::NonCanonicalRecord);
-    assert_eq!(decode(&[2, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0]), serde::Error::NonCanonicalRecord);
+    // A flag that misstates its record: each `same_*` bit on the first
+    // record; each clear although the record restates the entry and exit,
+    // the depth or the (empty) path list of the record before (loop (0, 0)
+    // at depth 1, with no paths); and `has_targets` before a target count
+    // of 0.
+    let two = |second: &[u8]| [&[2, 0, 0, 0, 1, 0][..], second].concat();
+    for first in [&[1, 0b100, 1, 0][..], &[1, 0b1000, 0, 0], &[1, 0b10000, 0, 0, 1]] {
+        assert_eq!(decode(first), serde::Error::NonCanonicalRecord, "{first:?}");
+    }
+    for second in [&[0b11001, 0, 0][..], &[0b10101, 1], &[0b01101, 0]] {
+        assert_eq!(decode(&two(second)), serde::Error::NonCanonicalRecord, "{second:?}");
+    }
     assert_eq!(decode(&[1, 0b010, 0, 0, 1, 0, 0]), serde::Error::NonCanonicalRecord);
+    // With every bit stated, the second record differs in its overflow
+    // flag alone.  A bit set although the value differs drops the value:
+    // the second record reads the first's, and a record at depth 2 becomes
+    // the record before it.
+    assert!(Envelope::decode(&evidence_with_blob(&report, &two(&[0b11101]))).is_ok());
+    assert!(Envelope::decode(&evidence_with_blob(&report, &two(&[0b10100, 2]))).is_ok());
+    assert_eq!(decode(&two(&[0b11100])), serde::Error::NonMaximalRun);
     // A stored record equal to the one before it, and runs over `u32::MAX`
     // loop executions.
-    assert_eq!(decode(&[2, 0, 0, 0, 1, 0, (1 << 3) | 0b100, 1, 0]), serde::Error::NonMaximalRun);
+    assert_eq!(decode(&two(&[(1 << 5) | 0b11100])), serde::Error::NonMaximalRun);
     let over = u64::from(u32::MAX) + 1;
     assert_eq!(decode(&one_run(over)), serde::Error::IntegerOverflow { value: over });
-    // A flag of 8 is a run of two.
-    assert!(Envelope::decode(&evidence_with_blob(&report, &[1, 8, 0, 0, 1, 0])).is_ok());
-    assert_eq!(
-        decode(&[5, 0, 0, 0, 0, 0, 0]),
-        serde::Error::UnexpectedEof { needed: 15, remaining: 6 }
-    );
+    // A flag of 32 is a run of two.
+    assert!(Envelope::decode(&evidence_with_blob(&report, &[1, 32, 0, 0, 1, 0])).is_ok());
+    assert_eq!(decode(&[5, 0, 0, 0, 0]), serde::Error::UnexpectedEof { needed: 5, remaining: 4 });
     // One loop with one path and targets, cut before its target count.
     assert_eq!(
         decode(&[1, 0b010, 0, 0, 1, 1, 5, 9]),
@@ -432,14 +463,16 @@ fn golden_evidence(workload: &catalog::Workload) -> (AttestationReport, Vec<u8>)
 }
 
 /// Each catalogue workload's default input, attested under a fixed key and
-/// nonce.  `*.v4.payload.bin` pins the signed bytes and `*.v4.envelope.bin`
+/// nonce.  `*.v5.payload.bin` pins the signed bytes and `*.v5.envelope.bin`
 /// the encoded evidence, which decodes and re-encodes to itself; the
 /// envelope's report begins with the signed bytes, and the verifier
-/// rebuilds them from the decoded report.  The version-3 build's envelopes
-/// (`*.v3.envelope.bin`) are refused by version, and its signature, over the
-/// version-3 signed bytes (`*.v3.payload.bin`: `L` in the version-3
-/// grammar), is refused by check 3 on this build's report wherever the run
-/// recorded a loop (`L` without loop records is `[0]` in both grammars).
+/// rebuilds them from the decoded report.  The version-4 build's envelopes
+/// (`*.v4.envelope.bin`) are refused by version, and its signature, over the
+/// version-4 signed bytes (`*.v4.payload.bin`: `L` in the version-4
+/// grammar), is refused by check 3 on this build's report wherever `L`
+/// differs between the grammars (as it does for crc32, the benchmark's
+/// program): a record inherits a depth or a path list, or lists two paths
+/// or more.
 #[test]
 fn evidence_matches_the_golden_fixtures() {
     let key = golden_key();
@@ -450,14 +483,14 @@ fn evidence_matches_the_golden_fixtures() {
             std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
         };
         let (report, bytes) = golden_evidence(&workload);
-        let payload = fixture("v4.payload");
+        let payload = fixture("v5.payload");
         assert_eq!(report.payload(), payload, "{}: signed bytes", workload.name);
         let wire = report.to_wire_bytes().expect("encode");
         assert_eq!(wire[..payload.len()], payload, "{}: wire bytes start signed", workload.name);
 
-        let v3_payload = fixture("v3.payload");
+        let v4_payload = fixture("v4.payload");
         let mut old = report.clone();
-        old.signature = signer.sign(&v3_payload).expect("HMAC signs");
+        old.signature = signer.sign(&v4_payload).expect("HMAC signs");
         let program = workload.program().expect("assemble");
         let verifier = Verifier::new(program, workload.name, key.verification_key()).unwrap();
         let challenge = lofat::Challenge {
@@ -467,19 +500,19 @@ fn evidence_matches_the_golden_fixtures() {
         };
         assert!(verifier.verify(&report, &challenge).is_ok(), "{}", workload.name);
         let verdict = verifier.verify(&old, &challenge);
-        if v3_payload == payload {
-            // A run without loop records has the same `L`, `[0]`, in both.
-            assert_eq!(report.metadata.loop_count(), 0, "{}", workload.name);
+        if v4_payload == payload {
+            // The same `L` in both grammars: the same bytes are signed.
+            assert_ne!(workload.name, "crc32");
             assert!(verdict.is_ok(), "{}: {verdict:?}", workload.name);
         } else {
             assert!(
                 matches!(verdict, Err(LofatError::Rejected(RejectionReason::BadSignature))),
-                "{}: a signature over the version-3 payload verified",
+                "{}: a signature over the version-4 payload verified",
                 workload.name
             );
         }
 
-        assert_eq!(bytes, fixture("v4.envelope"), "{}: envelope bytes", workload.name);
+        assert_eq!(bytes, fixture("v5.envelope"), "{}: envelope bytes", workload.name);
         assert_eq!(bytes[HEADER_BYTES + 4..], wire, "{}", workload.name);
         let decoded = Envelope::decode(&bytes).expect("decode");
         assert_eq!(decoded.encode().expect("re-encode"), bytes, "{}", workload.name);
@@ -492,8 +525,8 @@ fn evidence_matches_the_golden_fixtures() {
             workload.name
         );
 
-        let refused = Envelope::decode(&fixture("v3.envelope")).unwrap_err();
-        assert_eq!(refused, WireError::UnsupportedVersion { found: 3 }, "{}", workload.name);
+        let refused = Envelope::decode(&fixture("v4.envelope")).unwrap_err();
+        assert_eq!(refused, WireError::UnsupportedVersion { found: 4 }, "{}", workload.name);
         assert_eq!(refused.code(), code::UNSUPPORTED_VERSION);
     }
 }
@@ -587,7 +620,7 @@ proptest! {
     // The strict reader of packed metadata is cheap to drive: many cases.
     #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
 
-    /// The packed form round-trips arbitrary metadata, is the version-4
+    /// The packed form round-trips arbitrary metadata, is the version-5
     /// grammar's bytes for its runs, and is the codec form behind its `u32`
     /// length.
     #[test]
@@ -633,13 +666,15 @@ proptest! {
     /// overlong varint, a `u32` field above `u32::MAX`, a run that takes the
     /// loop executions above `u32::MAX`, a count the bytes left cannot hold,
     /// truncation, trailing bytes, a stored record repeated instead of
-    /// counted in its run, `same_loop` set on the first record, a record of
-    /// the loop before it that restates its entry and exit, and
-    /// `has_targets` set before a target count of 0.
+    /// counted in its run, a `same_*` bit set on the first record, one
+    /// cleared on a record that restates the value before it, and
+    /// `has_targets` set before a target count of 0.  A `same_*` bit set on
+    /// a record whose value differs drops the value: the blob is refused,
+    /// or reads as another `L`.
     #[test]
     fn packed_rejections_are_typed_wherever_they_land(
         metadata in metadata_strategy(),
-        kind in 0..10u8,
+        kind in 0..11u8,
         pick in any::<usize>(),
         wide in any::<u32>(),
     ) {
@@ -676,7 +711,7 @@ proptest! {
                 let Field::Flag(before) = kinds[at] else { unreachable!() };
                 // Enough repeats to end `wide + 1` executions past the limit.
                 let value = u64::from(u32::MAX) + 1 + u64::from(wide);
-                let flag = ((value - before - 1) << 3) | u64::from(blob[spans[at].start] & 0b111);
+                let flag = ((value - before - 1) << 5) | u64::from(blob[spans[at].start] & 0b11111);
                 (replace(at, &leb128(flag)), serde::Error::IntegerOverflow { value })
             }
             3 => {
@@ -713,45 +748,41 @@ proptest! {
             }
             _ => {
                 // A flag bit flipped on one run, and the fields it governs
-                // written to match.
+                // written to match: a `same_*` bit on the first run (7),
+                // cleared where the value repeats (8) or set where it
+                // differs (10), or `has_targets` set on a run without
+                // targets (9).
                 let runs = common::runs(&metadata);
-                let flags: Vec<usize> =
-                    (0..kinds.len()).filter(|&i| matches!(kinds[i], Field::Flag(_))).collect();
-                let wanted: Vec<usize> = (0..runs.len())
-                    .filter(|&k| match kind {
+                let repeats = |k: usize, bit| k > 0 && common::repeats_value(bit, &runs[k - 1].0, &runs[k].0);
+                let wanted: Vec<(usize, u64)> = (0..runs.len())
+                    .flat_map(|k| SAME_BITS.map(|bit| (k, bit)))
+                    .filter(|&(k, bit)| match kind {
                         7 => k == 0,
-                        8 => k > 0 && same_loop(&runs[k - 1].0, &runs[k].0),
-                        _ => runs[k].0.indirect_targets.is_empty(),
+                        8 => repeats(k, bit),
+                        9 => bit == flag::SAME_LOOP && runs[k].0.indirect_targets.is_empty(),
+                        _ => k > 0 && !repeats(k, bit),
                     })
                     .collect();
                 if wanted.is_empty() {
                     return Ok(());
                 }
-                let k = wanted[pick % wanted.len()];
-                let span = spans[flags[k]].clone();
-                let end = flags.get(k + 1).map_or(blob.len(), |&next| spans[next].start);
-                let mut flag = blob[span.clone()].to_vec();
-                let (head, tail): (Vec<u8>, Vec<u8>) = match kind {
-                    // `same_loop` on the first record.
-                    7 => {
-                        flag[0] |= 0b100;
-                        (Vec::new(), Vec::new())
-                    }
-                    // `same_loop` cleared, the entry and exit restated.
-                    8 => {
-                        flag[0] &= !0b100;
-                        let (entry, exit) = (runs[k].0.entry, runs[k].0.exit);
-                        ([leb128(entry.into()), leb128(exit.into())].concat(), Vec::new())
-                    }
-                    // `has_targets` set, and a target count of 0.
-                    _ => {
-                        flag[0] |= 0b010;
-                        (Vec::new(), vec![0])
-                    }
-                };
+                let (k, bit) = wanted[pick % wanted.len()];
+                let bit = if kind == 9 { flag::HAS_TARGETS } else { bit };
                 let edited =
-                    [&blob[..span.start], &flag, &head, &blob[span.end..end], &tail, &blob[end..]]
-                        .concat();
+                    common::pack_runs_flagged(&runs, |at, flag| if at == k { flag ^ bit } else { flag });
+                if kind == 10 {
+                    let mut report = sample_report();
+                    report.metadata = metadata.pack();
+                    let frame = evidence_with_blob(&report, &edited);
+                    match Envelope::decode(&frame).map(|envelope| envelope.message) {
+                        Err(WireError::Body(_)) => {}
+                        Ok(Message::Evidence(EvidenceMsg { report: read })) => {
+                            prop_assert_ne!(read.metadata, report.metadata);
+                        }
+                        other => prop_assert!(false, "run {} bit {}: {:?}", k, bit, other),
+                    }
+                    return Ok(());
+                }
                 (edited, serde::Error::NonCanonicalRecord)
             }
         };
