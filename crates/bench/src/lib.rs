@@ -16,17 +16,30 @@ use lofat_workloads::Workload;
 pub const MAX_CYCLES: u64 = 50_000_000;
 
 /// Loads `input` into a fresh CPU for `program` (workload convention: `input` buffer
-/// plus optional `input_len`).
+/// plus optional `input_len`).  The writes go through [`Cpu::poke_data`], which
+/// keeps the predecode table, so a timed run decodes its program once.
+///
+/// # Panics
+///
+/// Panics if `input` would reach `input_len`: the buffer holds fewer words,
+/// and the overflow would overwrite the length and what follows it.
 pub fn cpu_with_input(program: &Program, input: &[u32]) -> Cpu {
     let mut cpu = Cpu::new(program).expect("load program");
     if !input.is_empty() {
         let addr = program.symbol("input").expect("workload defines `input`");
         let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-        cpu.memory_mut().poke_bytes(addr, &bytes).expect("poke input");
-        if let Some(len) = program.symbol("input_len") {
-            cpu.memory_mut()
-                .poke_bytes(len, &(input.len() as u32).to_le_bytes())
-                .expect("poke input_len");
+        let len = program.symbol("input_len");
+        if let Some(len) = len.filter(|&len| len > addr) {
+            let capacity = ((len - addr) / 4) as usize;
+            assert!(
+                input.len() <= capacity,
+                "an input of {} words would overwrite `input_len`: `input` holds {capacity}",
+                input.len()
+            );
+        }
+        cpu.poke_data(addr, &bytes).expect("poke input");
+        if let Some(len) = len {
+            cpu.poke_data(len, &(input.len() as u32).to_le_bytes()).expect("poke input_len");
         }
     }
     cpu
@@ -305,5 +318,25 @@ pub mod throughput {
             assert_eq!(stats.rejected, 0);
             assert!(seconds > 0.0);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lofat_workloads::catalog;
+
+    /// `dispatch` holds 64 opcodes: a full buffer attests, one word more
+    /// would overwrite `input_len` and is refused by name.
+    #[test]
+    fn dispatch_takes_a_full_buffer_and_refuses_one_word_more() {
+        let program = catalog::by_name("dispatch").expect("workload").program().expect("assemble");
+        let full: Vec<u32> = (0..64).map(|i| i % 4).collect();
+        let (_, exit) = run_attested(&program, &full, EngineConfig::default());
+        assert!(exit.instructions > 64 * 4, "{exit:?}");
+        let over: Vec<u32> = (0..65).collect();
+        let panic = std::panic::catch_unwind(|| cpu_with_input(&program, &over)).unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("65 words would overwrite `input_len`"), "{message}");
     }
 }

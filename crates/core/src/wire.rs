@@ -21,7 +21,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "LFAT"
-//! 4       2     version (little-endian u16, currently 5)
+//! 4       2     version (little-endian u16, currently 6)
 //! 6       8     session id (little-endian u64)
 //! 14      4     body length (little-endian u32)
 //! 18      n     body: serde encoding of `Message`
@@ -45,8 +45,10 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LFAT";
 /// when it has any, and no path's index of first occurrence.  Version 5
 /// writes its nesting depth and its path ids (with their count) only when
 /// they differ from the stored record's before it too (the
-/// [version-5 grammar](crate::metadata#packed-l-version-5)).
-pub const WIRE_VERSION: u16 = 5;
+/// [version-5 grammar](crate::metadata#packed-l-version-5)).  Version 6
+/// signs the same bytes with HMAC-SHA3-256 instead of HMAC-SHA3-512, so the
+/// report's signature is a 32-byte tag, not a 64-byte one.
+pub const WIRE_VERSION: u16 = 6;
 
 /// Size of the fixed envelope header in bytes.
 pub const HEADER_BYTES: usize = 18;

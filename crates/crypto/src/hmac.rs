@@ -1,17 +1,20 @@
-//! HMAC over SHA-3-512.
+//! HMAC over SHA-3-256.
 //!
 //! The LO-FAT prover's attestation report is authenticated under a device key kept in
-//! hardware-protected storage.  This reproduction uses HMAC-SHA3-512 as the keyed
-//! primitive (the crate docs say why the substitution is sound).  Note that SHA-3
-//! does not strictly need the HMAC construction (KMAC would suffice), but HMAC keeps
-//! the verifier logic conventional and easy to audit.
+//! hardware-protected storage.  This reproduction uses HMAC-SHA3-256 (RFC 2104 over
+//! FIPS 202 SHA3-256: a 136-byte block and a 32-byte tag) as the keyed primitive (the
+//! crate docs say why the substitution is sound).  The 256-bit tag is as strong as
+//! the 256-bit device key behind it, and SHA3-256's 136-byte rate absorbs a report in
+//! fewer Keccak-f permutations than SHA3-512's 72-byte rate.  Note that SHA-3 does
+//! not strictly need the HMAC construction (KMAC would suffice), but HMAC keeps the
+//! verifier logic conventional and easy to audit.
 
-use crate::sha3::{Digest, Sha3_512};
+use crate::sha3::{Digest, Sha3_256};
 
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
-/// Incremental HMAC-SHA3-512.
+/// Incremental HMAC-SHA3-256.
 ///
 /// # Example
 ///
@@ -25,41 +28,42 @@ const OPAD: u8 = 0x5c;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hmac {
-    inner: Sha3_512,
+    inner: Sha3_256,
     /// Outer hash with the `opad`-masked key block already absorbed.
     ///
     /// Keeping the keyed outer state (instead of the raw key block) makes every
     /// clone-and-finalize of a reused keyed instance one permutation cheaper,
     /// and leaves the outer pass as a fixed-shape single-block hash that
     /// [`Hmac::finalize_many`] can run through the 4-way permutation.
-    outer: Sha3_512,
+    outer: Sha3_256,
 }
 
 impl Hmac {
     /// Creates a new MAC instance keyed with `key`.
     ///
     /// Keys longer than the hash rate are first hashed, as prescribed by RFC 2104.
-    /// Keying costs two permutations; cloning an already-keyed instance (e.g. a
-    /// verifier's per-fleet-key base MAC) skips both.
+    /// Keying costs two permutations; cloning an already-keyed instance (the
+    /// prover's [`crate::KeyRegister`], a verifier's per-fleet-key base MAC)
+    /// skips both.
     pub fn new(key: &[u8]) -> Self {
-        let mut block = [0u8; Sha3_512::RATE_BYTES];
-        if key.len() > Sha3_512::RATE_BYTES {
-            let digest = Sha3_512::digest(key);
+        let mut block = [0u8; Sha3_256::RATE_BYTES];
+        if key.len() > Sha3_256::RATE_BYTES {
+            let digest = Sha3_256::digest(key);
             block[..digest.len()].copy_from_slice(digest.as_bytes());
         } else {
             block[..key.len()].copy_from_slice(key);
         }
 
-        let mut inner_key = [0u8; Sha3_512::RATE_BYTES];
-        let mut outer_key = [0u8; Sha3_512::RATE_BYTES];
-        for i in 0..Sha3_512::RATE_BYTES {
+        let mut inner_key = [0u8; Sha3_256::RATE_BYTES];
+        let mut outer_key = [0u8; Sha3_256::RATE_BYTES];
+        for i in 0..Sha3_256::RATE_BYTES {
             inner_key[i] = block[i] ^ IPAD;
             outer_key[i] = block[i] ^ OPAD;
         }
 
-        let mut inner = Sha3_512::new();
+        let mut inner = Sha3_256::new();
         inner.update(inner_key);
-        let mut outer = Sha3_512::new();
+        let mut outer = Sha3_256::new();
         outer.update(outer_key);
         Self { inner, outer }
     }
@@ -69,7 +73,7 @@ impl Hmac {
         self.inner.update(data);
     }
 
-    /// Finalizes the MAC and returns the 64-byte tag.
+    /// Finalizes the MAC and returns the 32-byte tag.
     pub fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
         let mut outer = self.outer;
@@ -80,19 +84,20 @@ impl Hmac {
     /// Finalizes many in-flight MACs at once through the 4-way permutation.
     ///
     /// Inner hashes finalize in packed groups of four regardless of how much
-    /// each has absorbed; the outer passes (one key block + one 64-byte tag
-    /// each) then run in perfect lockstep — two packed permutations per four
-    /// MACs where the scalar path needs eight.  Tags are bit-identical to
+    /// each has absorbed; the outer passes (a 32-byte inner tag each, after
+    /// the key block the keyed outer state already holds) then run in
+    /// perfect lockstep — two packed permutations per four MACs where the
+    /// scalar path needs eight.  Tags are bit-identical to
     /// [`Hmac::finalize`] per instance.
     pub fn finalize_many(macs: Vec<Hmac>) -> Vec<Digest> {
         let (inners, outers): (Vec<_>, Vec<_>) =
             macs.into_iter().map(|m| (m.inner, m.outer)).unzip();
-        let inner_tags = Sha3_512::finalize_many(inners);
+        let inner_tags = Sha3_256::finalize_many(inners);
         let mut keyed = outers;
         for (outer, tag) in keyed.iter_mut().zip(&inner_tags) {
             outer.update(tag.as_bytes());
         }
-        Sha3_512::finalize_many(keyed)
+        Sha3_256::finalize_many(keyed)
     }
 
     /// One-shot MAC computation.
@@ -115,7 +120,7 @@ impl Hmac {
                 [group[0].as_ref(), group[1].as_ref(), group[2].as_ref(), group[3].as_ref()],
             );
             for sponge in inners {
-                macs.push(Self { inner: Sha3_512 { sponge }, outer: base.outer.clone() });
+                macs.push(Self { inner: Sha3_256 { sponge }, outer: base.outer.clone() });
             }
         }
         for message in chunks.remainder() {
@@ -158,15 +163,38 @@ mod tests {
         let tag = Hmac::mac(&long_key, b"msg");
         assert!(Hmac::verify(&long_key, b"msg", &tag));
         // A long key must not collide with its own hash used directly (different ipad mix).
-        let hashed = Sha3_512::digest(&long_key);
+        let hashed = Sha3_256::digest(&long_key);
         assert_ne!(tag, Hmac::mac(hashed.as_bytes(), b"other"));
     }
 
     #[test]
     fn empty_message_and_key() {
         let tag = Hmac::mac(b"", b"");
-        assert_eq!(tag.len(), 64);
+        assert_eq!(tag.len(), 32);
         assert!(Hmac::verify(b"", b"", &tag));
+    }
+
+    /// The Keccak-f permutations one MAC of a `len`-byte message runs from
+    /// a keyed base: one per full 136-byte block and one for the inner
+    /// padding, then one for the outer hash over the 32-byte inner tag.
+    #[test]
+    fn a_mac_from_the_keyed_base_runs_one_permutation_per_block() {
+        let base = Hmac::new(&[0x42; 32]);
+        // rttbench's `fleet-cold` signs ~291 bytes and `fleet-hot` 113.
+        for (len, permutations) in [(0, 2), (113, 2), (135, 2), (136, 3), (291, 4)] {
+            let message = vec![0x5a; len];
+            let count = crate::keccak::permutations_of(|| {
+                let mut mac = base.clone();
+                mac.update(&message);
+                mac.finalize();
+            });
+            assert_eq!(count, permutations, "a {len}-byte message");
+        }
+        // Keying absorbs one block into each of the two hashes.
+        let keying = crate::keccak::permutations_of(|| {
+            std::hint::black_box(Hmac::new(&[0x42; 32]));
+        });
+        assert_eq!(keying, 2);
     }
 
     #[test]

@@ -120,6 +120,8 @@ impl KeccakState {
     /// sponge absorb path but regressed this bare dependent-latency figure; the
     /// local copy recovers it.)
     pub fn permute(&mut self) {
+        #[cfg(test)]
+        PERMUTATIONS.with(|count| count.set(count.get() + 1));
         permute_lanes(&mut self.lanes);
     }
 
@@ -129,6 +131,22 @@ impl KeccakState {
     fn round(&mut self, rc: u64) {
         round_on(&mut self.lanes, rc);
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Scalar permutations run on this thread, in test builds only (the
+    /// packed 4-way permutation is not counted).
+    static PERMUTATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `f` and returns how many scalar Keccak-f permutations it ran on this
+/// thread: the unit tests pin the MAC's and the signer's counts with it.
+#[cfg(test)]
+pub(crate) fn permutations_of(f: impl FnOnce()) -> u64 {
+    let before = PERMUTATIONS.with(std::cell::Cell::get);
+    f();
+    PERMUTATIONS.with(std::cell::Cell::get) - before
 }
 
 /// The full 24-round permutation over a bare lane array (shared by

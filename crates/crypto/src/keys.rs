@@ -73,11 +73,6 @@ pub struct VerificationKey {
 }
 
 impl VerificationKey {
-    /// Verifies that `tag` authenticates `message`.
-    pub fn verify(&self, message: &[u8], tag: &Digest) -> bool {
-        Hmac::verify(&self.bytes, message, tag)
-    }
-
     /// Returns a keyed-but-empty [`Hmac`] instance for this key.
     ///
     /// Cloning the returned base and absorbing a message is equivalent to
@@ -99,9 +94,12 @@ impl std::fmt::Debug for VerificationKey {
 /// Only the engine can invoke [`KeyRegister::sign`]; there is deliberately no getter
 /// for the key bytes, mirroring the paper's assumption that the software adversary
 /// cannot compromise the signing key.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct KeyRegister {
-    key: DeviceKey,
+    /// The device key, keyed into the MAC once at provisioning: each
+    /// signature clones this state and skips the two key-block permutations.
+    /// It is key-equivalent material, so `Debug` leaves it out.
+    mac: Hmac,
     /// Number of signatures produced (useful for audit/testing).
     signatures_issued: u64,
 }
@@ -109,18 +107,29 @@ pub struct KeyRegister {
 impl KeyRegister {
     /// Provisions the register with a device key.
     pub fn provision(key: DeviceKey) -> Self {
-        Self { key, signatures_issued: 0 }
+        Self { mac: Hmac::new(key.as_bytes()), signatures_issued: 0 }
     }
 
     /// Signs `message` with the protected key.
     pub fn sign(&mut self, message: &[u8]) -> Digest {
         self.signatures_issued += 1;
-        Hmac::mac(self.key.as_bytes(), message)
+        let mut mac = self.mac.clone();
+        mac.update(message);
+        mac.finalize()
     }
 
     /// Number of signatures issued so far.
     pub fn signatures_issued(&self) -> u64 {
         self.signatures_issued
+    }
+}
+
+impl std::fmt::Debug for KeyRegister {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyRegister")
+            .field("key", &"<redacted>")
+            .field("signatures_issued", &self.signatures_issued)
+            .finish()
     }
 }
 
@@ -147,9 +156,31 @@ mod tests {
         let vk = key.verification_key();
         let mut reg = KeyRegister::provision(key);
         let tag = reg.sign(b"report");
-        assert!(vk.verify(b"report", &tag));
-        assert!(!vk.verify(b"forged", &tag));
-        assert_eq!(reg.signatures_issued(), 1);
+        let mut check = vk.mac_base();
+        check.update(b"report");
+        assert!(check.finalize().ct_eq(&tag));
+        assert_ne!(reg.sign(b"forged"), tag);
+        assert_eq!(reg.signatures_issued(), 2);
+    }
+
+    /// Provisioning keys the MAC (two permutations); a signature then runs
+    /// one permutation per full 136-byte block of the message, one for the
+    /// inner padding and one for the outer hash.
+    #[test]
+    fn the_register_keys_once_and_a_signature_runs_one_permutation_per_block() {
+        let key = DeviceKey::from_seed("permutations");
+        let mut provisioned = None;
+        let keying =
+            crate::keccak::permutations_of(|| provisioned = Some(KeyRegister::provision(key)));
+        assert_eq!(keying, 2);
+        let mut reg = provisioned.expect("provisioned");
+        // rttbench's `fleet-cold` signs ~291 bytes and `fleet-hot` 113.
+        for (len, permutations) in [(291, 4), (113, 2)] {
+            let message = vec![0x5a; len];
+            let count = crate::keccak::permutations_of(|| drop(reg.sign(&message)));
+            assert_eq!(count, permutations, "a {len}-byte message");
+        }
+        assert_eq!(reg.signatures_issued(), 2);
     }
 
     #[test]
@@ -159,5 +190,18 @@ mod tests {
         assert!(debug.contains("redacted"));
         let vk = key.verification_key();
         assert!(format!("{vk:?}").contains("redacted"));
+    }
+
+    /// The register's keyed MAC state is key-equivalent: two registers under
+    /// different keys print the same.
+    #[test]
+    fn register_debug_prints_no_keyed_state() {
+        let mut a = KeyRegister::provision(DeviceKey::from_seed("a"));
+        let mut b = KeyRegister::provision(DeviceKey::from_seed("b"));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_ne!(a.sign(b"m"), b.sign(b"m"));
+        let debug = format!("{a:?}");
+        assert_eq!(debug, format!("{b:?}"));
+        assert!(debug.contains("redacted") && debug.contains("signatures_issued: 1"), "{debug}");
     }
 }

@@ -26,9 +26,11 @@
 //! assert_eq!(digest.as_bytes().len(), 64);
 //! ```
 //!
-//! The "signature" used by the simulated prover is an HMAC-SHA3-512 under a device
-//! key held in a [`keys::KeyRegister`], which the paper's software-only adversary
-//! cannot read, so the substitution keeps the paper's security argument.
+//! The "signature" used by the simulated prover is an HMAC-SHA3-256 under a 32-byte
+//! device key held in a [`keys::KeyRegister`], which the paper's software-only
+//! adversary cannot read, so the substitution keeps the paper's security argument.
+//! Its 32-byte tag is as strong as the 256-bit key behind it; the register keys the
+//! MAC once, when it is provisioned, as the verifier's [`sign::HmacVerifier`] does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

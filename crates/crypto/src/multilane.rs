@@ -149,8 +149,9 @@ mod tests {
     #[test]
     fn finalize_many_handles_arbitrary_offsets() {
         // Hashers mid-block at different offsets, including block-aligned and
-        // nearly-full, plus a ragged tail of two.
-        let lengths = [0usize, 1, 7, 8, 71, 72, 73, 144, 145, 200];
+        // nearly-full at either rate (72 and 136 bytes), plus a ragged tail
+        // of two.
+        let lengths = [0usize, 1, 7, 8, 71, 72, 73, 135, 136, 137, 144, 145, 200, 291];
         let hashers: Vec<Sha3_512> = lengths
             .iter()
             .map(|&len| {
@@ -162,6 +163,18 @@ mod tests {
         let batch = Sha3_512::finalize_many(hashers);
         for (&len, digest) in lengths.iter().zip(&batch) {
             assert_eq!(digest, &Sha3_512::digest(vec![0xA5u8; len]), "length {len}");
+        }
+        let hashers: Vec<Sha3_256> = lengths
+            .iter()
+            .map(|&len| {
+                let mut h = Sha3_256::new();
+                h.update(vec![0xA5u8; len]);
+                h
+            })
+            .collect();
+        let batch = Sha3_256::finalize_many(hashers);
+        for (&len, digest) in lengths.iter().zip(&batch) {
+            assert_eq!(digest, &Sha3_256::digest(vec![0xA5u8; len]), "SHA3-256, length {len}");
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! LO-FAT computes its cumulative path authenticator `A` with a SHA-3-512 core whose
 //! rate is 576 bits (72 bytes).  [`Sha3_512`] is the incremental software equivalent;
-//! [`Sha3_256`] is provided for the smaller metadata digests used in tests and the
-//! Lamport one-time signature.
+//! [`Sha3_256`] is the hash under the report MAC ([`crate::Hmac`]), the Lamport
+//! one-time signature and the snapshot digest.
 
 use crate::keccak::KeccakState;
 
@@ -278,6 +278,13 @@ impl Sha3_256 {
     /// (groups of four; scalar tail).  See [`Sha3_512::digest_many`].
     pub fn digest_many<T: AsRef<[u8]>>(messages: &[T]) -> Vec<Digest> {
         crate::multilane::digest_each(&Sponge::new(Self::RATE_BYTES, Self::DIGEST_BYTES), messages)
+    }
+
+    /// Finalizes many in-flight hashers at once, four to a packed final
+    /// permutation, as [`Sha3_512::finalize_many`] does: the 4-lane path of
+    /// [`crate::Hmac::finalize_many`].
+    pub fn finalize_many(hashers: Vec<Sha3_256>) -> Vec<Digest> {
+        crate::multilane::finalize_each(hashers.into_iter().map(|h| h.sponge).collect())
     }
 }
 

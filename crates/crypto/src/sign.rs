@@ -68,7 +68,8 @@ pub trait Verifier {
     fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError>;
 }
 
-/// The default signer: HMAC-SHA3-512 under the device key held in the key register.
+/// The default signer: HMAC-SHA3-256 under the device key held in the key register,
+/// which keys the MAC once, when it is provisioned.  Its tags are 32 bytes.
 #[derive(Debug, Clone)]
 pub struct HmacSigner {
     register: KeyRegister,
@@ -182,7 +183,7 @@ mod tests {
     fn signature_length_is_digest_length() {
         let mut signer = HmacSigner::new(DeviceKey::from_seed("x"));
         let sig = signer.sign(b"m").unwrap();
-        assert_eq!(sig.len(), 64);
+        assert_eq!(sig.len(), 32);
         assert!(!sig.is_empty());
     }
 }

@@ -16,10 +16,11 @@
 //!   claiming `u32::MAX` loop executions makes a decoder or a service
 //!   allocate in proportion to it;
 //! * golden fixtures pin both byte forms of each catalogue workload's
-//!   evidence at wire version 5: the signed payload, which is the report's
-//!   wire encoding up to the signature, and the encoded envelope.  The
-//!   version-4 envelopes are refused by version, and a report signed over
-//!   the version-4 payload by its signature;
+//!   evidence at wire version 6: the signed payload, which is the report's
+//!   wire encoding up to the signature and the version-5 build's byte for
+//!   byte, and the encoded envelope.  The version-5 envelopes are refused by
+//!   version, and their 64-byte tag, carried in a version-6 envelope, by the
+//!   signature check;
 //! * flipping any byte a signature covers refuses the evidence.
 //!
 //! Case counts honour the vendored proptest's `PROPTEST_CASES` cap.
@@ -36,8 +37,8 @@ use lofat::wire::{
     code, ChallengeMsg, Envelope, EvidenceMsg, Message, SessionId, VerdictMsg, HEADER_BYTES,
 };
 use lofat::{
-    AttestationReport, LofatError, LoopRecord, Metadata, PackedMetadata, PathRecord, Prover,
-    RejectionReason, ServiceConfig, Verifier, WireError,
+    AttestationReport, EngineConfig, LoopRecord, MeasurementDatabase, Metadata, PackedMetadata,
+    PathRecord, Prover, ServiceConfig, Verifier, VerifierService, WireError,
 };
 use lofat_crypto::sign::{HmacSigner, Signer};
 use lofat_crypto::{DeviceKey, Digest, Nonce, Signature};
@@ -463,56 +464,32 @@ fn golden_evidence(workload: &catalog::Workload) -> (AttestationReport, Vec<u8>)
 }
 
 /// Each catalogue workload's default input, attested under a fixed key and
-/// nonce.  `*.v5.payload.bin` pins the signed bytes and `*.v5.envelope.bin`
+/// nonce.  `*.v6.payload.bin` pins the signed bytes and `*.v6.envelope.bin`
 /// the encoded evidence, which decodes and re-encodes to itself; the
 /// envelope's report begins with the signed bytes, and the verifier
-/// rebuilds them from the decoded report.  The version-4 build's envelopes
-/// (`*.v4.envelope.bin`) are refused by version, and its signature, over the
-/// version-4 signed bytes (`*.v4.payload.bin`: `L` in the version-4
-/// grammar), is refused by check 3 on this build's report wherever `L`
-/// differs between the grammars (as it does for crc32, the benchmark's
-/// program): a record inherits a depth or a path list, or lists two paths
-/// or more.
+/// rebuilds them from the decoded report.  Version 6 changed the MAC, not
+/// what it covers: each payload is the version-5 build's
+/// (`*.v5.payload.bin`) byte for byte.  The version-5 envelopes
+/// (`*.v5.envelope.bin`) are refused by version, and the 64-byte
+/// HMAC-SHA3-512 tag one carries, moved into a version-6 envelope, is
+/// refused by check 3 and leaves its session open.
 #[test]
 fn evidence_matches_the_golden_fixtures() {
     let key = golden_key();
-    let mut signer = HmacSigner::new(key.clone());
     for workload in catalog::all() {
         let fixture = |kind: &str| {
             let path = format!("{EVIDENCE_FIXTURES}/{}.{kind}.bin", workload.name);
             std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
         };
         let (report, bytes) = golden_evidence(&workload);
-        let payload = fixture("v5.payload");
+        let payload = fixture("v6.payload");
         assert_eq!(report.payload(), payload, "{}: signed bytes", workload.name);
+        assert_eq!(payload, fixture("v5.payload"), "{}: the signed bytes moved", workload.name);
+        assert_eq!(report.signature.len(), 32, "{}: a 32-byte tag", workload.name);
         let wire = report.to_wire_bytes().expect("encode");
         assert_eq!(wire[..payload.len()], payload, "{}: wire bytes start signed", workload.name);
 
-        let v4_payload = fixture("v4.payload");
-        let mut old = report.clone();
-        old.signature = signer.sign(&v4_payload).expect("HMAC signs");
-        let program = workload.program().expect("assemble");
-        let verifier = Verifier::new(program, workload.name, key.verification_key()).unwrap();
-        let challenge = lofat::Challenge {
-            program_id: workload.name.into(),
-            input: workload.default_input.clone(),
-            nonce: Nonce::from_counter(7),
-        };
-        assert!(verifier.verify(&report, &challenge).is_ok(), "{}", workload.name);
-        let verdict = verifier.verify(&old, &challenge);
-        if v4_payload == payload {
-            // The same `L` in both grammars: the same bytes are signed.
-            assert_ne!(workload.name, "crc32");
-            assert!(verdict.is_ok(), "{}: {verdict:?}", workload.name);
-        } else {
-            assert!(
-                matches!(verdict, Err(LofatError::Rejected(RejectionReason::BadSignature))),
-                "{}: a signature over the version-4 payload verified",
-                workload.name
-            );
-        }
-
-        assert_eq!(bytes, fixture("v5.envelope"), "{}: envelope bytes", workload.name);
+        assert_eq!(bytes, fixture("v6.envelope"), "{}: envelope bytes", workload.name);
         assert_eq!(bytes[HEADER_BYTES + 4..], wire, "{}", workload.name);
         let decoded = Envelope::decode(&bytes).expect("decode");
         assert_eq!(decoded.encode().expect("re-encode"), bytes, "{}", workload.name);
@@ -525,9 +502,29 @@ fn evidence_matches_the_golden_fixtures() {
             workload.name
         );
 
-        let refused = Envelope::decode(&fixture("v4.envelope")).unwrap_err();
-        assert_eq!(refused, WireError::UnsupportedVersion { found: 4 }, "{}", workload.name);
+        let v5 = fixture("v5.envelope");
+        let refused = Envelope::decode(&v5).unwrap_err();
+        assert_eq!(refused, WireError::UnsupportedVersion { found: 5 }, "{}", workload.name);
         assert_eq!(refused.code(), code::UNSUPPORTED_VERSION);
+
+        // A fresh service's session 7 carries nonce 7, as the fixtures do.
+        let program = workload.program().expect("assemble");
+        let verifier = Verifier::new(program, workload.name, key.verification_key()).unwrap();
+        let input = workload.default_input.clone();
+        let db =
+            MeasurementDatabase::build(&verifier, EngineConfig::default(), vec![input.clone()])
+                .expect("reference measurement");
+        let service = VerifierService::new(db, key.verification_key(), ServiceConfig::default());
+        for _ in 0..7 {
+            service.open_session(input.clone()).expect("capacity");
+        }
+        let mut carried = v5;
+        carried[4..6].copy_from_slice(&lofat::WIRE_VERSION.to_le_bytes());
+        let verdict = common::decode_verdict(&service.handle_bytes(&carried).expect("encodes"));
+        assert_eq!(verdict.reason_code, code::BAD_SIGNATURE, "{}: {verdict:?}", workload.name);
+        assert_eq!(service.live_sessions(), 7, "{}: the refusal spent a session", workload.name);
+        let verdict = common::decode_verdict(&service.handle_bytes(&bytes).expect("encodes"));
+        assert!(verdict.accepted, "{}: {verdict:?}", workload.name);
     }
 }
 
